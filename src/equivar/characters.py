@@ -354,7 +354,7 @@ def index_s3_contact_pipeline(policy=None):
         m)
     results.append(_entry("taylor-display-form", disp == expected_disp))
 
-    rc = localize_index(m.fixed_loci, 2, policy)
+    rc = localize_index(m.fixed_loci, 2)
     dist = expand_to_degree(rc, policy.max_degree)
     results.append(_entry("integer-coefficients", True))
     deg = min(20, policy.max_degree)

@@ -19,8 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import MissingExpansionDirection, NotNormal, ZeroWeight
-from .laurent import (DenomFactor, LaurentPoly, RationalCharacter, RCTerm,
-                      expand_to_degree, lattice_comb)
+from .laurent import DenomFactor, LaurentPoly, RationalCharacter, RCTerm, lattice_comb
 
 ISOLATED_POINT = "isolatedPoint"
 CIRCLE = "circle"
@@ -225,15 +224,13 @@ def fixed_point_contribution(datum, nvars):
     return rc
 
 
-def localize_index(loci, nvars, policy=SeriesPolicy()):
+def localize_index(loci, nvars):
     """Sum of the locus contributions as one RationalCharacter.
 
-    The expansion on the policy window is computed eagerly so that the
-    integer-coefficient contract is asserted here, not assumed downstream;
-    NonIntegerCoefficients from this call signals a convention error in the
-    supplied data."""
+    Nothing is expanded here: expand_to_degree is the single integrality
+    gate, and it raises NonIntegerCoefficients when the supplied data break
+    the integer-coefficient contract."""
     rc = RationalCharacter.zero(nvars)
     for datum in loci:
         rc = rc + fixed_point_contribution(datum, nvars)
-    expand_to_degree(rc, policy.max_degree)
     return rc

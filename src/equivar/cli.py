@@ -17,7 +17,7 @@ import sys
 
 from .characters import EXAMPLES, run_pipeline
 from .charclass import SeriesPolicy
-from .errors import EquivarError
+from .errors import EquivarError, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, check_transversality, frame_change_compare, j_form
 from .modelfile import builtin_names, load_builtin, load_model
@@ -110,11 +110,11 @@ def _build_parser():
     v.add_argument("--frame-trials", type=int, default=25)
     v.add_argument("--json", metavar="PATH", help="write the report as JSON")
 
-    env_deg = int(os.environ.get("EQUIVAR_MAX_DEGREE", "20"))
     ix = sub.add_parser("index", help="run an index pipeline vs its oracle")
     ix.add_argument("example", help="one of: " + ", ".join(EXAMPLES))
     ix.add_argument("--twist", type=int, default=0)
-    ix.add_argument("--max-degree", type=int, default=env_deg)
+    ix.add_argument("--max-degree", type=int,
+                    help="expansion window (default: EQUIVAR_MAX_DEGREE, else 20)")
     ix.add_argument("--json", metavar="PATH")
 
     rd = sub.add_parser("render", help="print the canonical form of each frame")
@@ -122,6 +122,22 @@ def _build_parser():
     rd.add_argument("--format", choices=(TEXT, LATEX), default=TEXT)
     rd.add_argument("--frame", help="render only this frame")
     return p
+
+
+def _max_degree(flag):
+    """--max-degree if given, else EQUIVAR_MAX_DEGREE, else 20; UsageError
+    unless the value is a nonnegative integer."""
+    if flag is not None:
+        source, value = "--max-degree", flag
+    else:
+        source, raw = "EQUIVAR_MAX_DEGREE", os.environ.get("EQUIVAR_MAX_DEGREE", "20")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{source} must be a nonnegative integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {value}")
+    return value
 
 
 def main(argv=None):
@@ -132,7 +148,7 @@ def main(argv=None):
             rep = run_verify(model, args.seed, args.frame_trials)
             return _emit(rep, args.json)
         if args.command == "index":
-            rep = run_index(args.example, args.twist, args.max_degree)
+            rep = run_index(args.example, args.twist, _max_degree(args.max_degree))
             return _emit(rep, args.json)
         model = _load(args.model)
         frames = [args.frame] if args.frame else sorted(model.frames)

@@ -58,6 +58,10 @@ class OutOfRange(EquivarError):
     """Multiplicity queried outside the guaranteed window of a truncated character."""
 
 
+class UsageError(EquivarError):
+    """A command-line flag or environment variable has an invalid value."""
+
+
 class UnknownExample(EquivarError):
     """Index pipeline name not in the curated suite."""
 

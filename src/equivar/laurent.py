@@ -9,12 +9,29 @@ expansion direction:
 
 A factor with no direction must divide the numerator exactly.  Expansion of a
 term is defined when its directed step vectors admit a common positive linear
-functional; the functional also bounds how far each geometric series must be
-taken for the requested window to be exact.
+functional phi; an exact rational test decides whether one exists.
+
+expand_box multiplies the directed series into the numerator one factor at a
+time and keeps only points from which the remaining factors can still reach
+the box.  For each point v of the running sum it walks one line v + n s
+along the factor's step s, with n limited to
+  - the half-space phi . (v + n s) <= max phi on the box, since phi only
+    grows along later steps, and
+  - the box in each coordinate i where every later step has one sign in i
+    (a coordinate that can only grow must already be <= the radius, one that
+    can only shrink >= minus the radius); after the last factor this is the
+    box itself.
+Coefficients stay Python ints while the data are integral (integer
+numerator coefficients, integer c, and c = +-1 on negative-direction factors,
+as in every bundled model); otherwise the affected values are Fractions.  The
+two mix exactly, so there is one code path.  expand_box returns Fractions;
+expand_to_degree is the integrality gate of the index layer.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import ceil, floor, lcm
 
 from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 
@@ -189,24 +206,70 @@ class RationalCharacter:
                                  tuple(RCTerm(t.num.shifted(expo), t.den) for t in self.terms))
 
 
-def _positivity_functional(steps, nvars, bound=4):
-    """Small integer phi with phi . s >= 1 for every step, or None."""
-    if not steps:
-        return (0,) * nvars
-    def search(prefix):
-        if len(prefix) == nvars:
-            if all(sum(p * s for p, s in zip(prefix, st)) >= 1 for st in steps):
-                return tuple(prefix)
-            return None
-        for v in range(-bound, bound + 1):
-            got = search(prefix + [v])
-            if got is not None:
-                return got
+def _positivity_functional(steps, nvars):
+    """Integer phi with phi . s >= 1 for every step, or None if none exists.
+
+    Exact: Fourier-Motzkin elimination decides the system s . phi >= 1 over
+    the rationals, back substitution picks each coordinate nearest zero (an
+    integer when the bounds admit one), and the rational solution is scaled by
+    its common denominator, which keeps every s . phi >= 1.
+    """
+    rows = [(tuple(Fraction(x) for x in s), Fraction(1)) for s in steps]
+    stages = []
+    for k in reversed(range(nvars)):
+        stages.append((k, rows))
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        kept = [r for r in rows if r[0][k] == 0]
+        for a, b in pos:
+            for c, d in neg:
+                lam, mu = -c[k], a[k]
+                row = tuple(lam * x + mu * y for x, y in zip(a, c))
+                scale = sum(abs(x) for x in row) or 1
+                kept.append((tuple(x / scale for x in row), (lam * b + mu * d) / scale))
+        rows = list(dict.fromkeys(kept))
+    if any(b > 0 for _, b in rows):
         return None
-    return search([])
+    phi = [Fraction(0)] * nvars
+    for k, rows in reversed(stages):
+        lo = hi = None
+        for a, b in rows:
+            if a[k] == 0:
+                continue
+            bound = (b - sum(x * p for x, p in zip(a[:k], phi))) / a[k]
+            if a[k] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and lo > 0:
+            phi[k] = Fraction(ceil(lo)) if hi is None or ceil(lo) <= hi else lo
+        elif hi is not None and hi < 0:
+            phi[k] = Fraction(floor(hi)) if lo is None or floor(hi) >= lo else hi
+    den = lcm(*(p.denominator for p in phi))
+    return tuple(int(p * den) for p in phi)
 
 
-def _expand_term(term, radius, nvars):
+def _exact(x):
+    """x as an int when it is integral, else unchanged.  Python int and
+    Fraction mix exactly, so this only picks the cheaper representation."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _clips(later, nvars):
+    """(i, sign) for every coordinate no later step can carry back into the
+    box: sign * v_i <= radius must already hold after the current factor."""
+    out = []
+    for i in range(nvars):
+        if all(s[i] >= 0 for s in later):
+            out.append((i, 1))
+        if all(s[i] <= 0 for s in later):
+            out.append((i, -1))
+    return out
+
+
+def _add_term(total, term, radius, nvars):
+    """Add the coefficients of one term on the box max_i |v_i| <= radius
+    into total."""
     num = term.num
     for f in term.den:
         if f.direction is None:
@@ -216,53 +279,62 @@ def _expand_term(term, radius, nvars):
                     f"factor (1 - {f.c} t^{f.weight}) has no direction and does not divide")
             num = q
     directed = [f for f in term.den if f.direction is not None]
-    if not num:
-        return {}
+    acc = {v: _exact(c) for v, c in num.coeffs.items()}
     if not directed:
-        return dict(num.coeffs)
+        for v, c in acc.items():
+            if all(abs(x) <= radius for x in v):
+                total[v] = total.get(v, 0) + c
+        return
+    if not acc:
+        return
     steps = [f.step() for f in directed]
     phi = _positivity_functional(steps, nvars)
     if phi is None:
         raise MissingExpansionDirection(
             "declared expansion directions admit no common positivity functional")
-    box_max = sum(abs(p) for p in phi) * radius
-    num_min = min(sum(p * v for p, v in zip(phi, mono)) for mono in num.coeffs)
-    budget = box_max - num_min
-    acc = dict(num.coeffs)
-    for f, s in zip(directed, steps):
+    top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
+    last = len(steps) - 1
+    for j, (f, s) in enumerate(zip(directed, steps)):
+        clips = _clips(steps[j + 1:], nvars)
         sigma = sum(p * x for p, x in zip(phi, s))
-        nmax = max(0, budget // sigma)
-        series = {}
         if f.direction == EXPAND_POSITIVE:
-            cpow = Fraction(1)
-            for n in range(nmax + 1):
-                series[tuple(n * x for x in f.weight)] = cpow
-                cpow *= f.c
+            n0, first, ratio = 0, 1, _exact(Fraction(f.c))
         else:
-            cinv = 1 / f.c
-            cpow = cinv
-            for n in range(1, nmax + 1):
-                series[tuple(-n * x for x in f.weight)] = -cpow
-                cpow *= cinv
-        nxt = {}
-        for v1, c1 in acc.items():
-            for v2, c2 in series.items():
-                v = tuple(a + b for a, b in zip(v1, v2))
-                if sum(p * x for p, x in zip(phi, v)) > box_max:
-                    continue
-                nxt[v] = nxt.get(v, Fraction(0)) + c1 * c2
-        acc = {v: c for v, c in nxt.items() if c != 0}
-    return acc
+            ratio = _exact(1 / Fraction(f.c))
+            n0, first = 1, -ratio
+        nxt = total if j == last else {}
+        get = nxt.get
+        for v, a in acc.items():
+            # the n with v + n s on a line that can still end in the box
+            lo, hi = n0, (top - sum(p * x for p, x in zip(phi, v))) // sigma
+            for i, sign in clips:
+                b, slack = sign * s[i], radius - sign * v[i]
+                if b > 0:
+                    hi = min(hi, slack // b)
+                elif b < 0:
+                    lo = max(lo, -(slack // -b))
+                elif slack < 0:
+                    hi = -1
+            if lo > hi:
+                continue
+            coef = a * first * ratio ** (lo - n0)
+            line = zip(*(range(x + lo * d, x + (hi + 1) * d, d) if d
+                         else repeat(x, hi - lo + 1) for x, d in zip(v, s)))
+            for w in line:
+                nxt[w] = get(w, 0) + coef
+                coef *= ratio
+        if j < last:
+            acc = {w: c for w, c in nxt.items() if c}
+            if not acc:
+                return
 
 
 def expand_box(rc, radius):
     """Exact coefficients of rc on the box max_i |v_i| <= radius, as Fractions."""
     total = {}
     for term in rc.terms:
-        for v, c in _expand_term(term, radius, rc.nvars).items():
-            total[v] = total.get(v, Fraction(0)) + c
-    return {v: c for v, c in total.items()
-            if c != 0 and all(abs(x) <= radius for x in v)}
+        _add_term(total, term, radius, rc.nvars)
+    return {v: Fraction(c) for v, c in total.items() if c}
 
 
 class DistributionalCharacter:
@@ -307,7 +379,7 @@ def expand_to_degree(rc, max_degree, closed_form=None, family=None):
     for v, c in box.items():
         if c.denominator != 1:
             raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
-        out[v] = int(c)
+        out[v] = c.numerator
     return DistributionalCharacter(rc.nvars, out, max_degree, closed_form, family)
 
 

@@ -143,7 +143,7 @@ def test_c09_contact_cr_case():
     rep = run_pipeline("s3-contact", policy=SeriesPolicy(max_degree=20))
     ok = rep["status"] == "pass"
     m = load_builtin("s3-contact")
-    box = expand_box(localize_index(m.fixed_loci, 2, SeriesPolicy(max_degree=20)), 20)
+    box = expand_box(localize_index(m.fixed_loci, 2), 20)
     for a in range(21):
         for b in range(21 - a):
             ok = ok and box.get((a, b), Fraction(0)) == cr_monomial_oracle(a, b)

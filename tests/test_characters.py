@@ -2,6 +2,7 @@
 
 import pytest
 
+from equivar import laurent
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
@@ -110,6 +111,19 @@ def test_hopf_pipeline_multiplicities():
 def test_s3_contact_pipeline():
     rep = index_s3_contact_pipeline()
     assert all(c["status"] == "pass" for c in rep["results"])
+
+
+def test_s3_contact_expands_once(monkeypatch):
+    radii = []
+    expand_box = laurent.expand_box
+
+    def counted(rc, radius):
+        radii.append(radius)
+        return expand_box(rc, radius)
+
+    monkeypatch.setattr(laurent, "expand_box", counted)
+    assert run_pipeline("s3-contact")["status"] == "pass"
+    assert radii == [20]
 
 
 def test_run_pipeline_dispatch_and_examples():

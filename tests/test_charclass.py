@@ -9,7 +9,6 @@ import pytest
 from equivar.characters import cp1_sheaf_character_oracle
 from equivar.charclass import (
     FixedLocusDatum,
-    SeriesPolicy,
     TaylorSeries,
     a_hat_squared,
     character_eval,
@@ -163,7 +162,7 @@ def _cp1_loci(n):
 
 def test_localize_cp1_line_bundles_match_oracle():
     for n in range(-10, 11):
-        rc = localize_index(_cp1_loci(n), 1, SeriesPolicy(max_degree=abs(n) + 2))
+        rc = localize_index(_cp1_loci(n), 1)
         box = expand_box(rc, abs(n) + 2)
         expected = {w: v for w, v in cp1_sheaf_character_oracle(n).coeffs.items() if v}
         got = {w: v for w, v in box.items() if v}
@@ -172,7 +171,7 @@ def test_localize_cp1_line_bundles_match_oracle():
 
 def test_localize_output_has_integer_coefficients():
     for n in (-7, -1, 0, 4):
-        rc = localize_index(_cp1_loci(n), 1, SeriesPolicy(max_degree=12))
+        rc = localize_index(_cp1_loci(n), 1)
         dist = expand_to_degree(rc, 12)
         for w in range(-12, 13):
             assert multiplicity(dist, (w,)) == int(multiplicity(dist, (w,)))

@@ -120,6 +120,20 @@ def test_max_degree_env_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_negative_max_degree_exit_two(capsys):
+    assert main(["index", "s3-contact", "--max-degree", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--max-degree" in err
+
+
+def test_bad_max_degree_env_exit_two(monkeypatch, capsys):
+    for bad in ("twenty", "2.5", "-3"):
+        monkeypatch.setenv("EQUIVAR_MAX_DEGREE", bad)
+        assert main(["index", "hopf"]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "EQUIVAR_MAX_DEGREE" in err, err
+
+
 def test_render_command(capsys):
     assert main(["render", "t2-on-t2"]) == 0
     assert capsys.readouterr().out == "tau: -deta1*deta2*delta0(f[tau])\n"

@@ -1,0 +1,38 @@
+"""Golden-report lock: byte-exact --json reports for every example and built-in.
+
+The files under tests/golden/ were written by the CLI before the expansion
+was rewritten; each is regenerated in-process here and compared byte for
+byte.  Any edit to a golden file is listed in CHANGES.md with its reason.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from equivar.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    **{f"index-{ex}.json": ["index", ex]
+       for ex in ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")},
+    "index-s3-contact-deg80.json": ["index", "s3-contact", "--max-degree", "80"],
+    "index-s3-contact-deg160.json": ["index", "s3-contact", "--max-degree", "160"],
+    "index-cp1-dolbeault-twist-3.json": ["index", "cp1-dolbeault", "--twist", "-3"],
+    "index-cp1-dolbeault-twist5.json": ["index", "cp1-dolbeault", "--twist", "5"],
+    **{f"verify-{b}.json": ["verify", b]
+       for b in ("cp1-dolbeault", "hopf", "s1-on-s1", "s3-contact", "t2-on-t2")},
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EQUIVAR_MAX_DEGREE", raising=False)
+    out = tmp_path / name
+    assert main(CASES[name] + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

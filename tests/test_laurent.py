@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from equivar.errors import NonIntegerCoefficients, OutOfRange
+from equivar.charclass import localize_index
+from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 from equivar.laurent import (
     EXPAND_NEGATIVE,
     EXPAND_POSITIVE,
@@ -19,6 +20,7 @@ from equivar.laurent import (
     lattice_comb,
     multiplicity,
 )
+from equivar.modelfile import load_builtin
 
 F = Fraction
 
@@ -135,3 +137,165 @@ def test_distributional_character_closed_form():
         1, {}, window=-1, closed_form=lambda w: abs(w[0]) + 1)
     assert dist.multiplicity((7,)) == 8
     assert dist.multiplicity((-40,)) == 41
+
+
+# ---------------------------------------------------------------------------
+# reference expansion: the half-space Fraction algorithm the clipped walk
+# replaced, kept here as a test-only oracle
+
+def _reference_functional(steps, nvars, bound):
+    """First integer phi in [-bound, bound]^nvars with phi . s >= 1 for all
+    steps, by brute force."""
+    def search(prefix):
+        if len(prefix) == nvars:
+            if all(sum(p * s for p, s in zip(prefix, st)) >= 1 for st in steps):
+                return tuple(prefix)
+            return None
+        for v in range(-bound, bound + 1):
+            got = search(prefix + [v])
+            if got is not None:
+                return got
+        return None
+    return search([])
+
+
+def _reference_term(term, radius, nvars, bound):
+    num = term.num
+    for f in term.den:
+        if f.direction is None:
+            num = num.div_exact_factor(f.weight, f.c)
+            assert num is not None
+    directed = [f for f in term.den if f.direction is not None]
+    if not num:
+        return {}
+    if not directed:
+        return dict(num.coeffs)
+    steps = [f.step() for f in directed]
+    phi = _reference_functional(steps, nvars, bound)
+    assert phi is not None
+    box_max = sum(abs(p) for p in phi) * radius
+    budget = box_max - min(sum(p * v for p, v in zip(phi, mono)) for mono in num.coeffs)
+    acc = dict(num.coeffs)
+    for f, s in zip(directed, steps):
+        nmax = max(0, budget // sum(p * x for p, x in zip(phi, s)))
+        series = {}
+        if f.direction == EXPAND_POSITIVE:
+            cpow = F(1)
+            for n in range(nmax + 1):
+                series[tuple(n * x for x in f.weight)] = cpow
+                cpow *= f.c
+        else:
+            cinv = 1 / f.c
+            cpow = cinv
+            for n in range(1, nmax + 1):
+                series[tuple(-n * x for x in f.weight)] = -cpow
+                cpow *= cinv
+        nxt = {}
+        for v1, c1 in acc.items():
+            for v2, c2 in series.items():
+                v = tuple(a + b for a, b in zip(v1, v2))
+                if sum(p * x for p, x in zip(phi, v)) <= box_max:
+                    nxt[v] = nxt.get(v, F(0)) + c1 * c2
+        acc = {v: c for v, c in nxt.items() if c != 0}
+    return acc
+
+
+def _reference_expand_box(rc, radius, bound=4):
+    total = {}
+    for term in rc.terms:
+        for v, c in _reference_term(term, radius, rc.nvars, bound).items():
+            total[v] = total.get(v, F(0)) + c
+    return {v: c for v, c in total.items()
+            if c != 0 and all(abs(x) <= radius for x in v)}
+
+
+_COEFFS = (F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3))
+_CS = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(3))
+
+
+def _nonzero_weight(rng, nvars):
+    while True:
+        w = tuple(rng.randint(-2, 2) for _ in range(nvars))
+        if any(w):
+            return w
+
+
+def _random_character(rng):
+    """1-3 variables and terms; directions follow a hidden functional, so a
+    common positivity functional exists; some terms carry an undirected
+    factor that divides their numerator exactly."""
+    nvars = rng.randint(1, 3)
+    hidden = [rng.choice((-2, -1, 1, 2)) for _ in range(nvars)]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        num = LaurentPoly(nvars, {tuple(rng.randint(-4, 4) for _ in range(nvars)):
+                                  rng.choice(_COEFFS) for _ in range(rng.randint(1, 3))})
+        den = []
+        for _ in range(rng.randint(0, 3)):
+            w = _nonzero_weight(rng, nvars)
+            while sum(p * x for p, x in zip(hidden, w)) == 0:
+                w = _nonzero_weight(rng, nvars)
+            side = sum(p * x for p, x in zip(hidden, w)) > 0
+            den.append(DenomFactor(w, rng.choice(_CS),
+                                   EXPAND_POSITIVE if side else EXPAND_NEGATIVE))
+        if rng.random() < 0.3:
+            w, c = _nonzero_weight(rng, nvars), rng.choice(_CS)
+            num = num * (LaurentPoly.one(nvars) - LaurentPoly.monomial(w, c))
+            den.append(DenomFactor(w, c, None))
+        rng.shuffle(den)
+        terms.append(RCTerm(num, tuple(den)))
+    return RationalCharacter(nvars, terms)
+
+
+def test_expand_box_matches_reference_on_random_characters():
+    rng = random.Random(20)
+    seen = {"radius0": 0, "empty": 0, "fractional": 0, "undirected": 0, "negative": 0}
+    for _ in range(300):
+        rc = _random_character(rng)
+        radius = rng.randint(0, 4)
+        got = expand_box(rc, radius)
+        assert got == _reference_expand_box(rc, radius)
+        assert all(type(c) is F for c in got.values())
+        dens = [f for t in rc.terms for f in t.den]
+        seen["radius0"] += radius == 0
+        seen["empty"] += not got
+        seen["fractional"] += any(c.denominator != 1 for c in got.values())
+        seen["undirected"] += any(f.direction is None for f in dens)
+        seen["negative"] += any(f.direction == EXPAND_NEGATIVE and f.c < 0 for f in dens)
+    assert all(seen.values()), seen
+
+
+def test_expand_box_accumulator_clipped_to_empty():
+    # t^5 / (1 - t): every point of the series lies right of the box
+    far = RationalCharacter(1, (RCTerm(LaurentPoly.monomial((5,)),
+                                       (DenomFactor((1,), F(1), EXPAND_POSITIVE),)),))
+    assert expand_box(far, 3) == {} == _reference_expand_box(far, 3)
+    # the first factor clips to nothing before the second is walked
+    two = RationalCharacter(2, (RCTerm(LaurentPoly.monomial((0, 4)),
+                                       (DenomFactor((0, 1), F(2), EXPAND_POSITIVE),
+                                        DenomFactor((1, 0), F(1), EXPAND_NEGATIVE))),))
+    assert expand_box(two, 2) == {} == _reference_expand_box(two, 2)
+    assert expand_box(two, 0) == {} and expand_box(_geo((1,), EXPAND_POSITIVE), 0) == {(0,): 1}
+
+
+def test_expand_box_matches_reference_on_s3_contact():
+    rc = localize_index(load_builtin("s3-contact").fixed_loci, 2)
+    assert expand_box(rc, 30) == _reference_expand_box(rc, 30)
+
+
+def test_functional_outside_small_search_window():
+    # (1,-4) and (-4,17) admit phi = (21, 5) only with entries above 4
+    assert _reference_functional([(1, -4), (-4, 17)], 2, 4) is None
+    rc = RationalCharacter(2, (RCTerm(LaurentPoly.monomial((1, 0), F(3, 2)),
+                                      (DenomFactor((1, -4), F(-1), EXPAND_POSITIVE),
+                                       DenomFactor((4, -17), F(2), EXPAND_NEGATIVE))),))
+    got = expand_box(rc, 6)
+    assert got and got == _reference_expand_box(rc, 6, bound=21)
+
+
+def test_no_functional_still_rejected():
+    opposite = RationalCharacter(1, (RCTerm(LaurentPoly.one(1),
+                                            (DenomFactor((1,), F(1), EXPAND_POSITIVE),
+                                             DenomFactor((1,), F(1), EXPAND_NEGATIVE))),))
+    with pytest.raises(MissingExpansionDirection):
+        expand_box(opposite, 3)
