@@ -24,9 +24,8 @@ from .errors import (DeltaClash, EquivarError, InvariantViolation,
                      NotNormal, NotPrincipal, NotTransverse, OutOfRange,
                      ParseError, RankDataMissing, SplittingMissing,
                      UnknownExample, ZeroWeight)
-from .genco import (delta_linear_substitute, delta_rewrite,
-                    fourier_fibre_integrate, taylor_expand_delta,
-                    with_fibre_coordinates)
+from .genco import (delta_linear_substitute, fourier_fibre_integrate,
+                    taylor_expand_delta, with_fibre_coordinates)
 from .jform import (JForm, chern_weil_pair, check_closed, check_transversality,
                     frame_change_compare, j_form, transformed_j_form)
 from .laurent import (DenomFactor, DistributionalCharacter, LaurentPoly,
@@ -37,7 +36,7 @@ from .modelfile import (builtin_names, load_builtin, load_model, loads_model,
 from .report import (make_report, render_element, render_frame_value,
                      report_to_json)
 from .superalg import (DeltaFactor, Element, FormalModel, FrameDecl, Generator,
-                       Term, add, equivariant_differential, multiply,
-                       normal_form, product, validate_model)
+                       Term, add, add_all, equivariant_differential,
+                       multiply, normal_form, product, validate_model)
 
 __version__ = "0.1.0"

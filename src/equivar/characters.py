@@ -26,7 +26,7 @@ from .laurent import (DistributionalCharacter, LaurentPoly, RationalCharacter,
 from .modelfile import load_builtin
 from .superalg import (ARG_MOMENT, CLOSED_ARGUMENT, EVEN, FRAME_FORM, ODD,
                        DeltaFactor, Element, FormalModel, FrameDecl, Generator,
-                       Term, add, multiply, product, validate_model)
+                       Term, add, add_all, multiply, product, validate_model)
 
 EXAMPLES = ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")
 
@@ -260,15 +260,14 @@ def _cp1_l2(twist, policy):
 # Hopf pipeline
 
 def _graded_exp(e, m):
-    out = m.one()
-    piece = m.one()
+    pieces = [m.one()]
     n = 0
     while True:
         n += 1
-        piece = multiply(piece, e, m).scaled(Fraction(1, n))
+        piece = multiply(pieces[-1], e, m).scaled(Fraction(1, n))
         if piece.is_zero():
-            return out
-        out = add(out, piece, m)
+            return add_all(pieces, m)
+        pieces.append(piece)
         if n > 2 * m.manifold_dim + 4:
             raise InvariantViolation("graded exponential failed to terminate")
 
@@ -309,10 +308,8 @@ def index_hopf_pipeline(policy=None):
     # Todd series 1 / sum_j (-x)^j/(j+1)! up to the base nilpotency order
     td_series = TaylorSeries(
         [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
-    td = m.zero()
-    for j, c in enumerate(td_series.coeffs):
-        if c:
-            td = add(td, chern_weil_pair(m, fid, {(j,): c * tw ** j}), m)
+    td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
+                  for j, c in enumerate(td_series.coeffs) if c), m)
 
     mults = {}
     lo = -5

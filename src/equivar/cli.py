@@ -22,8 +22,8 @@ from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, check_transversality, frame_change_compare, j_form
 from .modelfile import builtin_names, load_builtin, load_model
 from .randmodels import random_gl_plus
-from .report import (LATEX, TEXT, make_report, render_frame_value, report_status,
-                     report_to_json)
+from .report import (LATEX, TEXT, display_value, make_report, render_element,
+                     render_frame_value, report_status, report_to_json)
 from .superalg import multiply
 
 
@@ -65,10 +65,8 @@ def run_verify(model, seed=0, frame_trials=25):
         four_ok = fourier_fibre_integrate(lam, fid) == jf.value
         results.append({"check": f"{fid}:fourier-integral-identity",
                         "status": "pass" if four_ok else "fail"})
-        rendered[fid] = {
-            "text": render_frame_value(model, fid, TEXT),
-            "latex": render_frame_value(model, fid, LATEX),
-        }
+        shown = display_value(model, fid, jf.value)
+        rendered[fid] = {fmt: render_element(shown, model, fmt) for fmt in (TEXT, LATEX)}
     return make_report("verify", model.name, results,
                        extra={"rendered": rendered, "seed": seed,
                               "frameTrials": frame_trials})
@@ -144,6 +142,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            if args.frame_trials < 1:
+                raise UsageError(
+                    f"--frame-trials must be a positive integer, got {args.frame_trials}")
             model = _load(args.model)
             rep = run_verify(model, args.seed, args.frame_trials)
             return _emit(rep, args.json)
@@ -151,7 +152,10 @@ def main(argv=None):
             rep = run_index(args.example, args.twist, _max_degree(args.max_degree))
             return _emit(rep, args.json)
         model = _load(args.model)
-        frames = [args.frame] if args.frame else sorted(model.frames)
+        if args.frame is not None and args.frame not in model.frames:
+            raise UsageError(f"--frame {args.frame!r} names no frame of model "
+                             f"{model.name!r} (frames: {', '.join(sorted(model.frames))})")
+        frames = [args.frame] if args.frame is not None else sorted(model.frames)
         for fid in frames:
             print(f"{fid}: {render_frame_value(model, fid, args.format)}")
         return 0

@@ -17,15 +17,13 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .errors import (DeltaClash, InvariantViolation, MissingFibre, NonOrientable,
-                     SplittingMissing)
-from .superalg import (ARG_CLOSED, ARG_MOMENT, CLOSED_ARGUMENT, FIBRE_COFORM,
-                       FIBRE_COORDINATE, DeltaFactor, Element, FormalModel, Generator,
-                       Term, add, equivariant_differential, multiply, normal_form,
-                       product)
+from .errors import InvariantViolation, MissingFibre, NonOrientable, SplittingMissing
+from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
+                       DeltaFactor, Element, FormalModel, Generator, Term, add_all,
+                       equivariant_differential, multiply, normal_form)
 
 __all__ = [
-    "DeltaFactor", "delta_rewrite", "delta_linear_substitute", "taylor_expand_delta",
+    "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
     "fourier_fibre_integrate", "with_fibre_coordinates", "multi_indices",
 ]
 
@@ -35,12 +33,6 @@ def multi_indices(k, max_order):
     for combo in itertools.product(range(max_order + 1), repeat=k):
         if sum(combo) <= max_order:
             yield combo
-
-
-def delta_rewrite(term, m):
-    """Normal form of a single term; closed arguments of the delta's frame are
-    absorbed eagerly.  Confluent: absorptions in different slots commute."""
-    return normal_form(Element((term,)), m)
 
 
 def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
@@ -90,29 +82,53 @@ def taylor_expand_delta(e, frame_id, m):
     fr = m.frames[frame_id]
     if fr.dalpha is None:
         raise SplittingMissing(f"frame {frame_id!r} declares no (dalpha, f) split")
-    out = Element()
-    bound = m.manifold_dim // 2
+    others, heads = [], []
     for t in e.terms:
         if t.delta is None or t.delta.frame_id != frame_id:
-            out = add(out, Element((t,)), m)
-            continue
-        if t.delta.argument == ARG_MOMENT:
+            others.append(Element((t,)))
+        elif t.delta.argument == ARG_MOMENT:
             raise InvariantViolation("element is already in display form")
-        base = Element((Term(t.coeff, t.x_mono, None, t.odd_mono, t.even_mono),))
-        i0 = t.delta.deriv
-        for jj in multi_indices(fr.rank, bound):
+        else:
+            heads.append((Element((Term(t.coeff, t.x_mono, None, t.odd_mono, t.even_mono),)),
+                          t.delta.deriv))
+
+    def pieces():
+        yield from others
+        for jj, dal in _dalpha_powers(fr.dalpha, m.manifold_dim // 2, m):
             fact = Fraction(1)
             for x in jj:
                 fact *= factorial(x)
-            dal = product([fr.dalpha[s] for s in range(fr.rank) for _ in range(jj[s])], m)
-            if dal.is_zero():
-                continue
-            deriv = tuple(a + b for a, b in zip(i0, jj))
-            delta_el = Element((Term(Fraction(1), (0,) * m.r,
-                                     DeltaFactor(frame_id, deriv, ARG_MOMENT), (), ()),))
-            piece = multiply(multiply(base, dal, m), delta_el, m).scaled(Fraction(1, 1) / fact)
-            out = add(out, piece, m)
-    return out
+            for base, i0 in heads:
+                deriv = tuple(a + b for a, b in zip(i0, jj))
+                delta_el = Element((Term(Fraction(1), (0,) * m.r,
+                                         DeltaFactor(frame_id, deriv, ARG_MOMENT), (), ()),))
+                yield multiply(multiply(base, dal, m), delta_el, m).scaled(1 / fact)
+
+    return add_all(pieces(), m)
+
+
+def _dalpha_powers(dalpha, bound, m):
+    """(J, dalpha_1^J_1 ... dalpha_k^J_k) for every |J| <= bound whose product
+    is non-zero, in multi_indices order.
+
+    Each product extends the one above it in the walk by one factor, in the
+    same left-to-right order as a product over the whole factor list, so each
+    index costs one multiplication and only one partial product per slot is
+    alive.  A zero product has only zero extensions; its subtree is skipped.
+    """
+    def walk(jj, dal, left):
+        if len(jj) == len(dalpha):
+            yield jj, dal
+            return
+        s = len(jj)
+        for e in range(left + 1):
+            if e:
+                dal = multiply(dal, dalpha[s], m)
+                if dal.is_zero():
+                    return
+            yield from walk(jj + (e,), dal, left - e)
+
+    return walk((), m.one(), bound)
 
 
 def with_fibre_coordinates(m, frame_id):
@@ -164,9 +180,8 @@ def fourier_fibre_integrate(lambda_model, frame_id):
         xi_names.append(xi)
         dxi_names.append(dxi)
 
-    lam = Element()
-    for j in range(k):
-        lam = add(lam, multiply(m.gen(xi_names[j]), m.gen(fr.alpha_slots[j]), m).scaled(-1), m)
+    lam = add_all((multiply(m.gen(xi_names[j]), m.gen(fr.alpha_slots[j]), m).scaled(-1)
+                   for j in range(k)), m)
     dlam = equivariant_differential(lam, m)
 
     u_set = set(fr.u_slots)
@@ -176,10 +191,8 @@ def fourier_fibre_integrate(lambda_model, frame_id):
             phase_terms.append(t)
         else:
             p_terms.append(t)
-    expected_phase = Element()
-    for j in range(k):
-        expected_phase = add(expected_phase,
-                             multiply(m.gen(xi_names[j]), m.gen(fr.u_slots[j]), m).scaled(-1), m)
+    expected_phase = add_all((multiply(m.gen(xi_names[j]), m.gen(fr.u_slots[j]), m).scaled(-1)
+                              for j in range(k)), m)
     if normal_form(Element(tuple(phase_terms)), m) != expected_phase:
         raise InvariantViolation(
             "phase part of D(lambda) is not -<xi, u>; model outside the supported calculus")

@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
-from .superalg import (DeltaFactor, Element, Term, equivariant_differential, multiply,
-                       normal_form, product)
+from .superalg import (DeltaFactor, Element, add_all, equivariant_differential, multiply,
+                       product)
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,9 @@ def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     fr = m.frames[frame_id]
     k = fr.rank
     a = linalg.mat(a_matrix)
-    betas = []
-    for row in reversed(range(k)):
-        b = Element()
-        for col in range(k):
-            if a[row][col] != 0:
-                b = normal_form(Element(
-                    b.terms + m.gen(fr.alpha_slots[col]).scaled(a[row][col]).terms), m)
-        betas.append(b)
+    betas = [add_all((m.gen(fr.alpha_slots[col]).scaled(a[row][col])
+                      for col in range(k) if a[row][col] != 0), m)
+             for row in reversed(range(k))]
     d0 = DeltaFactor(frame_id, (0,) * k)
     delta_part = delta_linear_substitute(d0, a, m, allow_reversal=allow_reversal)
     return multiply(product(betas, m), delta_part, m)
@@ -114,11 +109,11 @@ def chern_weil_pair(m, frame_id, poly):
         if linalg.mat(sample) != minus_id:
             raise NotPrincipal("moment data is not the connection pairing f(X) = -X")
     j_form(m, frame_id)  # transversality and shape guard
-    out = Element()
+    pieces = []
     for expo, c in poly.items():
         piece = m.scalar(c)
         for slot, e in enumerate(expo):
             for _ in range(e):
                 piece = multiply(piece, fr.dalpha[slot], m)
-        out = normal_form(Element(out.terms + piece.terms), m)
-    return out
+        pieces.append(piece)
+    return add_all(pieces, m)

@@ -11,15 +11,6 @@ def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def mat_mul(a, b):
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 

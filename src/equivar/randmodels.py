@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .superalg import (CLOSED_ARGUMENT, EVEN, FRAME_FORM, ODD, FormalModel,
-                       FrameDecl, Generator, add, product, validate_model)
+                       FrameDecl, Generator, add_all, product, validate_model)
 
 
 def rational(rng, lo=-4, hi=4, dens=(1, 1, 2, 3)):
@@ -111,7 +111,7 @@ def random_element(rng, m, with_delta=True, n_terms=3, max_exp=2):
     odd_names = [n for n, g in m.generators.items() if g.parity == ODD]
     even_names = [n for n, g in m.generators.items() if g.parity == EVEN]
     frames = [fid for fid, fr in m.frames.items() if fr.rank > 0]
-    out = m.zero()
+    terms = []
     for _ in range(n_terms):
         factors = [m.scalar(nonzero_rational(rng))]
         for a in range(m.r):
@@ -128,5 +128,5 @@ def random_element(rng, m, with_delta=True, n_terms=3, max_exp=2):
             fid = rng.choice(frames)
             deriv = tuple(rng.randint(0, 2) for _ in range(m.frames[fid].rank))
             factors.append(m.delta(fid, deriv))
-        out = add(out, product(factors, m), m)
-    return out
+        terms.append(product(factors, m))
+    return add_all(terms, m)

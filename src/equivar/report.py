@@ -9,7 +9,7 @@ produce byte-identical files.
 import json
 from fractions import Fraction
 
-from .genco import taylor_expand_delta
+from . import genco
 from .jform import j_form
 from .superalg import ARG_MOMENT
 
@@ -89,13 +89,20 @@ def render_element(e, m, fmt=TEXT):
     return "".join(out)
 
 
+def display_value(m, frame_id, value):
+    """value in Taylor display form when the frame declares a split,
+    otherwise unchanged (closed-argument form)."""
+    if m.frames[frame_id].dalpha is None:
+        return value
+    return genco.taylor_expand_delta(value, frame_id, m)
+
+
 def render_frame_value(m, frame_id, fmt=TEXT, display=True):
     """The canonical form of the frame, in Taylor display form when the model
     declares a split, otherwise in closed-argument form."""
-    jf = j_form(m, frame_id)
-    value = jf.value
-    if display and m.frames[frame_id].dalpha is not None:
-        value = taylor_expand_delta(value, frame_id, m)
+    value = j_form(m, frame_id).value
+    if display:
+        value = display_value(m, frame_id, value)
     return render_element(value, m, fmt)
 
 

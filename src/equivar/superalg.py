@@ -12,6 +12,14 @@ Degree bookkeeping truncates any term whose total form degree exceeds
 the declared manifold dimension.  Closed arguments count 0 toward that
 degree: they stand for dalpha_j + f_j(X) and the moment part has degree
 zero, so truncating on their nominal degree would be wrong.
+
+Sums are built with add_all, which merges the terms of all summands into
+one key -> coefficient accumulator and finalizes it once.  Finalizing acts
+term by term (absorption, truncation and zero-dropping depend only on a
+term's key) and is idempotent on normal forms, so one pass over the whole
+sum gives the same terms as one pass per summand.  `out = add(out, x, m)`
+in a loop re-finalizes the running sum at every step, which makes building
+a sum quadratic; that idiom is a bug.
 """
 
 from dataclasses import dataclass, field
@@ -198,11 +206,12 @@ class FormalModel:
         elif g.kind == CLOSED_ARGUMENT:
             el = Element()
         else:
-            el = self.d_table.get(name, Element())
+            pieces = [self.d_table.get(name, Element())]
             for a in range(self.r):
                 it = self.iota_table.get((name, a))
                 if it is not None and not it.is_zero():
-                    el = add(el, multiply(self.x(a), it, self).scaled(-1), self)
+                    pieces.append(multiply(self.x(a), it, self).scaled(-1))
+            el = add_all(pieces, self)
         self._d_images[name] = el
         return el
 
@@ -263,19 +272,24 @@ def _merge_sign(odd1, odd2, order):
     return -1 if inv % 2 else 1
 
 
+def add_all(elements, m):
+    """Normal form of the sum of elements: all terms go into one accumulator,
+    which is finalized once."""
+    acc = {}
+    for e in elements:
+        for t in e.terms:
+            key = t.key()
+            acc[key] = acc.get(key, Fraction(0)) + t.coeff
+    return _finalize(acc, m)
+
+
 def normal_form(a, m):
     """Canonical representative: merged terms, eager delta rewrites, truncation."""
-    acc = {}
-    for t in a.terms:
-        acc[t.key()] = acc.get(t.key(), Fraction(0)) + t.coeff
-    return _finalize(acc, m)
+    return add_all((a,), m)
 
 
 def add(a, b, m):
-    acc = {}
-    for t in list(a.terms) + list(b.terms):
-        acc[t.key()] = acc.get(t.key(), Fraction(0)) + t.coeff
-    return _finalize(acc, m)
+    return add_all((a, b), m)
 
 
 def multiply(a, b, m):
@@ -316,14 +330,14 @@ def product(factors, m):
 
 
 def _derivation_on_term(t, image, m):
-    """Odd derivation applied to one term; the delta factor and X-monomial are
-    constants (the delta's argument is D-closed)."""
+    """Odd derivation applied to one term, as unsummed Leibniz pieces; the
+    delta factor and X-monomial are constants (the delta's argument is
+    D-closed)."""
     if t.delta is not None and t.delta.argument == ARG_MOMENT:
         raise NotDifferentiable("display-form element (moment-argument delta)")
     factors = [(n, 1, ODD) for n in t.odd_mono]
     factors += [(n, e, EVEN) for n, e in t.even_mono]
     head = Element((Term(t.coeff, t.x_mono, t.delta, (), ()),))
-    out = Element()
     sign = 1
     for i, (name, exp, parity) in enumerate(factors):
         img = image(name)
@@ -337,29 +351,22 @@ def _derivation_on_term(t, image, m):
             dfi = multiply(m.gen(name, exp - 1) if exp > 1 else m.one(), img, m).scaled(exp)
         pre = [m.gen(n, e) for n, e, _ in factors[:i]]
         post = [m.gen(n, e) for n, e, _ in factors[i + 1:]]
-        piece = product([head] + pre + [dfi] + post, m).scaled(sign)
-        out = add(out, piece, m)
+        yield product([head] + pre + [dfi] + post, m).scaled(sign)
         if parity == ODD:
             sign = -sign
-    return out
 
 
 def equivariant_differential(a, m):
     """D = d - iota(X).  Frame forms map to their closed arguments, closed
     arguments and delta factors to zero; everything else follows the tables."""
-    out = Element()
-    for t in a.terms:
-        out = add(out, _derivation_on_term(t, m.d_image, m), m)
-    return out
+    return apply_table_derivation(a, m.d_image, m)
 
 
 def apply_table_derivation(a, image, m):
-    """Odd derivation from an arbitrary generator->Element image map.  Used by
-    the model validator for the bare d and iota(e_a) checks."""
-    out = Element()
-    for t in a.terms:
-        out = add(out, _derivation_on_term(t, image, m), m)
-    return out
+    """Odd derivation from an arbitrary generator->Element image map: D uses
+    m.d_image, the model validator the bare d and iota(e_a) tables.  All
+    Leibniz pieces of all terms are summed in one accumulator."""
+    return add_all((piece for t in a.terms for piece in _derivation_on_term(t, image, m)), m)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from equivar import genco
 from equivar.cli import main, run_index, run_verify
 from equivar.modelfile import load_builtin
 from equivar.report import (
@@ -132,6 +133,37 @@ def test_bad_max_degree_env_exit_two(monkeypatch, capsys):
         assert main(["index", "hopf"]) == 2, bad
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "EQUIVAR_MAX_DEGREE" in err, err
+
+
+def test_render_unknown_frame_exit_two(capsys):
+    assert main(["render", "hopf", "--frame", "nope"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and "--frame" in cap.err and "nope" in cap.err
+
+
+def test_nonpositive_frame_trials_exit_two(capsys):
+    for bad in ("0", "-3"):
+        assert main(["verify", "s1-on-s1", "--frame-trials", bad]) == 2, bad
+        cap = capsys.readouterr()
+        assert cap.out == "", bad
+        assert cap.err.count("\n") == 1 and "--frame-trials" in cap.err, cap.err
+
+
+def test_verify_expands_display_once_per_frame(monkeypatch):
+    frames = []
+    taylor_expand_delta = genco.taylor_expand_delta
+
+    def counted(e, frame_id, m):
+        frames.append(frame_id)
+        return taylor_expand_delta(e, frame_id, m)
+
+    monkeypatch.setattr(genco, "taylor_expand_delta", counted)
+    rep = run_verify(load_builtin("hopf"))
+    assert report_status(rep) == "pass"
+    assert frames == ["conn"]
+    assert rep["rendered"]["conn"]["text"] == \
+        "psi*delta0(f[conn]) + psi*delta0^(1)(f[conn])*Psi"
 
 
 def test_render_command(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,8 @@ from equivar.genco import (
     with_fibre_coordinates,
 )
 from equivar.jform import j_form
-from equivar.modelfile import load_builtin
-from equivar.randmodels import random_gl_plus, random_model
+from equivar.modelfile import load_builtin, load_model
+from equivar.randmodels import random_element, random_gl_plus, random_model
 from equivar.superalg import (
     Element,
     Term,
@@ -157,6 +158,37 @@ def test_taylor_display_k1():
     by_deriv5 = {t.delta.deriv: t for t in disp5.terms}
     assert by_deriv5[(2,)].even_mono == (("Psi", 2),)
     assert by_deriv5[(2,)].coeff == Fraction(1, 2)
+
+
+def _taylor_reference(e, fid, m):
+    """Display form summed one multi-index at a time, each dalpha power a full
+    product: the definition the engine's walk over shared prefixes must match."""
+    fr = m.frames[fid]
+    terms = []
+    for t in e.terms:
+        if t.delta is None or t.delta.frame_id != fid:
+            terms.append(t)
+            continue
+        base = Element((dataclasses.replace(t, delta=None),))
+        for jj in multi_indices(fr.rank, m.manifold_dim // 2):
+            dal = product([fr.dalpha[s] for s in range(fr.rank) for _ in range(jj[s])], m)
+            deriv = tuple(a + b for a, b in zip(t.delta.deriv, jj))
+            delta = m.delta(fid, deriv, "moment")
+            scale = Fraction(1, math.prod(math.factorial(x) for x in jj))
+            terms += multiply(multiply(base, dal, m), delta, m).scaled(scale).terms
+    return normal_form(Element(tuple(terms)), m)
+
+
+def test_taylor_display_matches_reference_at_rank_four():
+    # rank 4, dim 14: dalpha powers up to total order 7; the bare delta term
+    # keeps them all, J cuts those of order 6 and 7 by degree
+    m = load_model(Path(__file__).parent / "golden" / "models" / "split-rank4.json")
+    two_deltas = add(j_form(m, "co").value, m.delta("co", (1, 0, 2, 0)), m)
+    mixed = random_element(random.Random(23), m, n_terms=4)
+    assert len(two_deltas.terms) == 2
+    assert any(t.delta is None for t in mixed.terms)
+    for e in (two_deltas, mixed):
+        assert taylor_expand_delta(e, "co", m) == _taylor_reference(e, "co", m)
 
 
 def test_display_form_is_not_differentiable():

@@ -1,6 +1,7 @@
 """Algebra kernel: signs, absorption, the differential, and model validation."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -10,12 +11,15 @@ from equivar.errors import DeltaClash, InvariantViolation
 from equivar.modelfile import builtin_names, load_builtin
 from equivar.randmodels import random_element, random_model
 from equivar.superalg import (
+    CLOSED_ARGUMENT,
+    DeltaFactor,
     Element,
     FormalModel,
     FrameDecl,
     Generator,
     Term,
     add,
+    add_all,
     equivariant_differential,
     multiply,
     normal_form,
@@ -159,6 +163,58 @@ def test_truncation_is_an_ideal():
     assert multiply(over, m.gen("alpha"), m).is_zero()
     below = multiply(m.gen("alpha"), m.gen("dalpha"), m)  # degree 3 survives
     assert not below.is_zero()
+
+
+def _raw_pieces(rng, m, counts):
+    """Unnormalized pieces built from the terms of a random element: a same-frame
+    closed argument multiplied into a delta term (absorbed when finalized), a
+    pair that cancels only after that absorption, and an even factor raised
+    past the manifold dimension (truncated)."""
+    fr = m.frames["fr"]
+    plain = [n for n, g in m.generators.items()
+             if g.parity == "even" and g.kind != CLOSED_ARGUMENT]
+    pieces = []
+    for t in random_element(rng, m, n_terms=4).terms:
+        even = dict(t.even_mono)
+        if t.delta is not None and rng.random() < 0.7:
+            j = rng.randrange(fr.rank)
+            u = fr.u_slots[j]
+            up = tuple(e + (i == j) for i, e in enumerate(t.delta.deriv))
+            absorbed = Term(t.coeff, t.x_mono, DeltaFactor("fr", up), t.odd_mono,
+                            tuple(sorted({**even, u: even.get(u, 0) + 1}.items())))
+            partner = dataclasses.replace(t, coeff=t.coeff * up[j])
+            pieces += [Element((absorbed,)), Element((partner,))]
+            counts["absorbed"] += 1
+        elif plain and rng.random() < 0.5:
+            name = rng.choice(plain)
+            even[name] = even.get(name, 0) + m.manifold_dim // 2 + 1
+            over = dataclasses.replace(t, even_mono=tuple(sorted(even.items())))
+            assert m.term_degree(over) > m.manifold_dim
+            pieces.append(Element((over,)))
+            counts["truncated"] += 1
+        else:
+            pieces.append(Element((t,)))
+    return pieces
+
+
+def test_add_all_equals_pairwise_fold_randomized():
+    rng = random.Random(11)
+    counts = dict.fromkeys(("absorbed", "truncated", "cancelled"), 0)
+    for _ in range(150):
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.3, dim_cap=6)
+        if m.frames["fr"].rank == 0:
+            continue
+        pieces = [random_element(rng, m, n_terms=rng.randint(1, 5))
+                  for _ in range(rng.randint(0, 4))]
+        pieces += _raw_pieces(rng, m, counts)
+        pieces += [-p for p in pieces if rng.random() < 0.3]
+        rng.shuffle(pieces)
+        total = add_all(pieces, m)
+        assert total == functools.reduce(lambda a, b: add(a, b, m), pieces, Element())
+        assert total == add_all([total], m) == normal_form(total, m)
+        merged = {t.key() for p in pieces for t in normal_form(p, m).terms}
+        counts["cancelled"] += len(merged) - len(total.terms)
+    assert all(counts.values()), counts
 
 
 def test_scalar_and_x_helpers():
