@@ -30,6 +30,11 @@ from .superalg import (ARG_MOMENT, CLOSED_ARGUMENT, EVEN, FRAME_FORM, ODD,
 
 EXAMPLES = ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")
 
+# The s3-contact mixed-cone check reads this weight and its swap from the
+# expansion window, so that example needs a window radius of at least 5.
+_S3_MIXED_PROBE = (5, -1)
+MIN_DEGREE = {"s3-contact": max(abs(x) for x in _S3_MIXED_PROBE)}
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -361,7 +366,8 @@ def index_s3_contact_pipeline(policy=None):
                           witness=None if not quad_bad else {"weights": quad_bad[:10]}))
     sym_ok = all(dist.coeffs.get((b, a), 0) == c for (a, b), c in dist.coeffs.items())
     results.append(_entry("variable-exchange-symmetry", sym_ok))
-    mixed_ok = (dist.multiplicity((5, -1)) == 0 and dist.multiplicity((-1, 5)) == 0)
+    mixed_ok = (dist.multiplicity(_S3_MIXED_PROBE) == 0
+                and dist.multiplicity(_S3_MIXED_PROBE[::-1]) == 0)
     results.append(_entry("mixed-cone-vanishing", mixed_ok))
     chars = _character_table(dist, 3)
     return _finish("s3-contact", results, chars)

@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .characters import EXAMPLES, run_pipeline
+from .characters import EXAMPLES, MIN_DEGREE, run_pipeline
 from .charclass import SeriesPolicy
 from .errors import EquivarError, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
@@ -57,7 +57,7 @@ def run_verify(model, seed=0, frame_trials=25):
         results.append({"check": f"{fid}:frame-annihilation",
                         "status": "pass" if ann else "fail"})
         frames_ok = all(
-            frame_change_compare(model, fid, random_gl_plus(rng, fr.rank))
+            frame_change_compare(model, jf, random_gl_plus(rng, fr.rank))
             for _ in range(frame_trials))
         results.append({"check": f"{fid}:frame-independence-{frame_trials}",
                         "status": "pass" if frames_ok else "fail"})
@@ -122,9 +122,10 @@ def _build_parser():
     return p
 
 
-def _max_degree(flag):
+def _max_degree(flag, example):
     """--max-degree if given, else EQUIVAR_MAX_DEGREE, else 20; UsageError
-    unless the value is a nonnegative integer."""
+    unless the value is a nonnegative integer and reaches the example's
+    minimum window (MIN_DEGREE)."""
     if flag is not None:
         source, value = "--max-degree", flag
     else:
@@ -135,6 +136,9 @@ def _max_degree(flag):
             raise UsageError(f"{source} must be a nonnegative integer, got {raw!r}") from None
     if value < 0:
         raise UsageError(f"{source} must be a nonnegative integer, got {value}")
+    low = MIN_DEGREE.get(example, 0)
+    if value < low:
+        raise UsageError(f"{source} must be at least {low} for index {example}, got {value}")
     return value
 
 
@@ -149,7 +153,7 @@ def main(argv=None):
             rep = run_verify(model, args.seed, args.frame_trials)
             return _emit(rep, args.json)
         if args.command == "index":
-            rep = run_index(args.example, args.twist, _max_degree(args.max_degree))
+            rep = run_index(args.example, args.twist, _max_degree(args.max_degree, args.example))
             return _emit(rep, args.json)
         model = _load(args.model)
         if args.frame is not None and args.frame not in model.frames:

@@ -39,7 +39,8 @@ def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
     """Expand delta^(I) evaluated at A*u over the delta^(J)(u), |J| = |I|.
 
     The scalar rule is delta_0(A u) = det(A)^(-1) delta_0(u); derivatives pick
-    up one factor of A^(-1) per slot.  det(A) <= 0 raises NonOrientable unless
+    up one factor of A^(-1) per slot, so the inverse is computed only when d
+    has a non-zero derivative order.  det(A) <= 0 raises NonOrientable unless
     allow_reversal is set, in which case |det A| is used (test-only mode for
     the orientation-flip check).
     """
@@ -55,6 +56,8 @@ def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
     scale = 1 / abs(det)
     if k == 0:
         return m.scalar(scale)
+    if not any(d.deriv):
+        return Element((Term(scale, (0,) * m.r, d, (), ()),))
     b = linalg.inverse(a)
     combos = {(0,) * k: Fraction(1)}
     for slot in range(k):

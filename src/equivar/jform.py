@@ -80,10 +80,15 @@ def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     return multiply(product(betas, m), delta_part, m)
 
 
-def frame_change_compare(m, frame_id, a_matrix):
-    """True iff the frame change by A (constant, det > 0) preserves J exactly."""
-    lhs = transformed_j_form(m, frame_id, a_matrix)
-    return lhs == j_form(m, frame_id).value
+def frame_change_compare(m, jf, a_matrix):
+    """True iff the frame change by A (constant, det > 0) preserves J exactly.
+
+    jf is the JForm of the frame (from j_form, which has checked
+    transversality); the frame is jf.frame_id.  The transformed wedge times
+    delta_0(A u) is compared with jf.value, so J is built once per frame, not
+    once per trial.
+    """
+    return transformed_j_form(m, jf.frame_id, a_matrix) == jf.value
 
 
 def chern_weil_pair(m, frame_id, poly):

@@ -24,8 +24,9 @@ along the factor's step s, with n limited to
 Coefficients stay Python ints while the data are integral (integer
 numerator coefficients, integer c, and c = +-1 on negative-direction factors,
 as in every bundled model); otherwise the affected values are Fractions.  The
-two mix exactly, so there is one code path.  expand_box returns Fractions;
-expand_to_degree is the integrality gate of the index layer.
+two mix exactly, so there is one code path.  expand_box returns the same
+exact values: an int where the coefficient is integral, a Fraction
+otherwise.  expand_to_degree is the integrality gate of the index layer.
 """
 
 from dataclasses import dataclass
@@ -330,11 +331,12 @@ def _add_term(total, term, radius, nvars):
 
 
 def expand_box(rc, radius):
-    """Exact coefficients of rc on the box max_i |v_i| <= radius, as Fractions."""
+    """Exact coefficients of rc on the box max_i |v_i| <= radius: an int
+    where the value is integral, a Fraction otherwise."""
     total = {}
     for term in rc.terms:
         _add_term(total, term, radius, rc.nvars)
-    return {v: Fraction(c) for v, c in total.items() if c}
+    return {v: _exact(c) for v, c in total.items() if c}
 
 
 class DistributionalCharacter:

@@ -1,35 +1,51 @@
-"""Small exact linear algebra over Fraction matrices.
+"""Small exact linear algebra over rational matrices.
 
-Matrices are tuples of row tuples.  Sizes stay tiny (frame ranks and
-parameter counts), so plain Gaussian elimination is enough.
+Matrices are tuples of row tuples with int or Fraction entries.  Sizes stay
+tiny (frame ranks and parameter counts).  det and rank clear denominators
+row by row (each row times the lcm of its denominators) and run fraction-free
+Bareiss elimination on Python ints (Bareiss, Math. Comp. 22, 1968): every
+intermediate entry is a minor of the scaled matrix, so each division is
+exact and no Fraction is built inside the loops.  Fractions appear only at
+the boundary: det returns one, rank returns an int.  inverse stays
+Gauss-Jordan over Fraction; it runs only for derivative deltas.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+def _integer_rows(a):
+    """(integer rows, product of the row scales): row i of a times the lcm
+    of its denominators."""
+    rows, scale = [], 1
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return rows, scale
 
 
 def rank(a):
-    rows = [list(r) for r in a]
+    rows, _ = _integer_rows(a)
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    r = 0
+    r, prev = 0, 1
     for col in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, nr) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        p = pr[col]
+        for i in range(r + 1, nr):
+            row = rows[i]
+            f = row[col]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = p
         r += 1
         if r == nr:
             break
@@ -40,23 +56,23 @@ def det(a):
     n = len(a)
     if n == 0:
         return Fraction(1)
-    rows = [list(r) for r in a]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+    rows, scale = _integer_rows(a)
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
-        d *= rows[col][col]
         pr = rows[col]
+        p = pr[col]
         for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-    return sign * d
+            row = rows[i]
+            f = row[col]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = p
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def inverse(a):

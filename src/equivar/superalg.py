@@ -237,7 +237,7 @@ def _finalize(acc, m):
         if m.term_degree(t) > m.manifold_dim:
             continue
         k2 = t.key()
-        out[k2] = out.get(k2, Fraction(0)) + coeff
+        out[k2] = out.get(k2, 0) + coeff
     terms = tuple(
         Term(c, k[0], None if k[1][0] == "" and not k[1][1] else DeltaFactor(*k[1]), k[2], k[3])
         for k, c in sorted(out.items()) if c != 0)
@@ -279,7 +279,7 @@ def add_all(elements, m):
     for e in elements:
         for t in e.terms:
             key = t.key()
-            acc[key] = acc.get(key, Fraction(0)) + t.coeff
+            acc[key] = acc.get(key, 0) + t.coeff
     return _finalize(acc, m)
 
 
@@ -318,7 +318,8 @@ def multiply(a, b, m):
             delta = t1.delta if t1.delta is not None else t2.delta
             dk = delta.key() if delta is not None else ("", (), "")
             key = (x_mono, dk, odd, tuple(sorted(even.items())))
-            acc[key] = acc.get(key, Fraction(0)) + t1.coeff * t2.coeff * sign
+            c = t1.coeff * t2.coeff
+            acc[key] = acc.get(key, 0) + (-c if sign < 0 else c)
     return _finalize(acc, m)
 
 

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from equivar import genco
+from equivar import cli, genco, jform, linalg
 from equivar.cli import main, run_index, run_verify
 from equivar.modelfile import load_builtin
 from equivar.report import (
@@ -164,6 +164,42 @@ def test_verify_expands_display_once_per_frame(monkeypatch):
     assert frames == ["conn"]
     assert rep["rendered"]["conn"]["text"] == \
         "psi*delta0(f[conn]) + psi*delta0^(1)(f[conn])*Psi"
+
+
+def test_verify_builds_j_once_per_frame_without_inverse(monkeypatch):
+    frames, inverses = [], []
+    j_form, inverse = jform.j_form, linalg.inverse
+
+    def counted_j(m, frame_id):
+        frames.append(frame_id)
+        return j_form(m, frame_id)
+
+    def counted_inverse(a):
+        inverses.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(jform, "j_form", counted_j)
+    monkeypatch.setattr(cli, "j_form", counted_j)
+    monkeypatch.setattr(linalg, "inverse", counted_inverse)
+    rep = run_verify(load_builtin("t2-on-t2"), seed=5, frame_trials=25)
+    assert report_status(rep) == "pass"
+    assert frames == ["tau"]
+    assert inverses == []
+
+
+def test_s3_contact_below_minimum_degree_exit_two(monkeypatch, capsys):
+    for n in ("0", "4"):
+        assert main(["index", "s3-contact", "--max-degree", n]) == 2, n
+        cap = capsys.readouterr()
+        assert cap.out == "", n
+        assert cap.err.count("\n") == 1 and "--max-degree" in cap.err, cap.err
+        assert "at least 5" in cap.err and "Traceback" not in cap.err, cap.err
+    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "4")
+    assert main(["index", "s3-contact"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "EQUIVAR_MAX_DEGREE" in err and "at least 5" in err, err
+    assert main(["index", "s3-contact", "--max-degree", "5"]) == 0
+    assert capsys.readouterr().out.strip().endswith("index s3-contact: pass")
 
 
 def test_render_command(capsys):

@@ -1,6 +1,7 @@
 """Delta-coefficient calculus: rewrites, substitution, display form, Fourier."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from equivar import linalg
 from equivar.errors import (
     InvariantViolation,
     MissingFibre,
@@ -108,6 +110,46 @@ def test_substitute_determinant_only_at_order_zero():
     d = m.delta("tau").terms[0].delta
     a = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))  # det 1
     assert delta_linear_substitute(d, a, m) == m.delta("tau")
+
+
+def _leibniz_det(a):
+    k = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        term = Fraction(-1 if inv % 2 else 1)
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+def test_substitute_delta_zero_is_det_scaling_without_inverse(monkeypatch):
+    inverses = []
+    inverse = linalg.inverse
+
+    def counted(a):
+        inverses.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    m3 = random_model(random.Random(0), max_rank=3, with_theta=False)
+    rng = random.Random(57)
+    for m, fid in ((load_builtin("hopf"), "conn"), (load_builtin("t2-on-t2"), "tau"),
+                   (m3, "fr")):
+        d0 = m.delta(fid).terms[0].delta
+        for _ in range(20):
+            a = random_gl_plus(rng, m.frames[fid].rank)
+            assert delta_linear_substitute(d0, a, m) == \
+                m.delta(fid).scaled(1 / _leibniz_det(a))
+    assert inverses == []
+    # derivative deltas still go through the inverse
+    m = load_builtin("hopf")
+    for n, c in ((1, Fraction(3)), (2, Fraction(1, 2))):
+        d = m.delta("conn", deriv=(n,)).terms[0].delta
+        assert delta_linear_substitute(d, ((c,),), m) == \
+            m.delta("conn", deriv=(n,)).scaled(c ** -(n + 1))
+    assert len(inverses) == 2
 
 
 def _pair(e, phi, m):

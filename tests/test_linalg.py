@@ -1,0 +1,132 @@
+"""Fraction-free det and rank against plain Fraction Gaussian elimination."""
+
+import random
+from fractions import Fraction
+
+from equivar import linalg
+from equivar.randmodels import rational, random_gl_plus
+
+
+def _reference_rank(a):
+    rows = [[Fraction(x) for x in r] for r in a]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    r = 0
+    for col in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        for i in range(nr):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col] / pr[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def _reference_det(a):
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    rows = [[Fraction(x) for x in r] for r in a]
+    sign = 1
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        d *= rows[col][col]
+        pr = rows[col]
+        for i in range(col + 1, n):
+            if rows[i][col] != 0:
+                f = rows[i][col] / pr[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+    return sign * d
+
+
+def _random_matrix(rng, nr, nc, seen):
+    """Entries in [-5, 5] over denominators 1, 2, 3 (or plain ints), with
+    zero rows and columns and duplicated rows mixed in."""
+    as_int = rng.random() < 0.25
+    dens = (1,) if as_int else rng.choice(((1,), (1, 2), (1, 2, 3), (3,)))
+    rows = [[rng.randint(-5, 5) if as_int else Fraction(rng.randint(-5, 5), rng.choice(dens))
+             for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and rng.random() < 0.2:
+        i, j = rng.sample(range(nr), 2)
+        rows[i] = list(rows[j])
+        seen["duplicate"] += 1
+    if rng.random() < 0.15:
+        rows[rng.randrange(nr)] = [0] * nc if as_int else [Fraction(0)] * nc
+        seen["zero-row"] += 1
+    if rng.random() < 0.15:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0 if as_int else Fraction(0)
+        seen["zero-column"] += 1
+    entries = [x for row in rows for x in row]
+    seen["int"] += as_int
+    seen["negative"] += any(x < 0 for x in entries)
+    for d in (1, 2, 3):
+        seen[f"den{d}"] += any(Fraction(x).denominator == d for x in entries)
+    return tuple(tuple(row) for row in rows)
+
+
+def test_det_and_rank_match_fraction_reference():
+    rng = random.Random(7)
+    seen = dict.fromkeys(("duplicate", "zero-row", "zero-column", "int", "negative",
+                          "den1", "den2", "den3", "non-square", "deficient",
+                          "singular"), 0)
+    sizes = set()
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        sq = _random_matrix(rng, n, n, seen)
+        d = linalg.det(sq)
+        assert type(d) is Fraction and d == _reference_det(sq), sq
+        r = linalg.rank(sq)
+        assert type(r) is int and r == _reference_rank(sq), sq
+        seen["singular"] += d == 0
+        seen["deficient"] += r < n
+        sizes.add(n)
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        seen["non-square"] += nr != nc
+        rect = _random_matrix(rng, nr, nc, seen)
+        assert linalg.rank(rect) == _reference_rank(rect), rect
+    assert sizes == set(range(1, 7))
+    assert all(seen.values()), seen
+
+
+def test_det_and_rank_edge_shapes():
+    assert linalg.det(()) == 1 and linalg.rank(()) == 0
+    assert linalg.det(((0,),)) == 0 and linalg.rank(((0, 0, 0),)) == 0
+    assert linalg.det(((Fraction(-2, 3),),)) == Fraction(-2, 3)
+    assert linalg.rank(((1, 2), (2, 4), (3, 6))) == 1
+
+
+def _reference_gl_plus(rng, k):
+    """random_gl_plus built on the Fraction reference det."""
+    if k == 0:
+        return ()
+    while True:
+        a = tuple(tuple(rational(rng, -3, 3, (1, 1, 2)) for _ in range(k))
+                  for _ in range(k))
+        d = _reference_det(a)
+        if d > 0:
+            return a
+        if d < 0:
+            return (tuple(-x for x in a[0]),) + a[1:]
+
+
+def test_random_gl_plus_draws_unchanged():
+    for s in range(51):
+        for k in range(1, 7):
+            rng, ref = random.Random(s), random.Random(s)
+            for _ in range(3):
+                assert random_gl_plus(rng, k) == _reference_gl_plus(ref, k), (s, k)
+            assert rng.random() == ref.random(), (s, k)
