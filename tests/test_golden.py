@@ -2,11 +2,15 @@
 
 The report files under tests/golden/ were written by the CLI before the
 expansion was rewritten, except verify-split-rank4.json, written before the
-form sums were moved to a single accumulator; each is regenerated in-process
-here and compared byte for byte.  The built-ins declare no split of rank
-above one, so tests/golden/models/split-rank4.json (rank 4, dimension 14,
-written by hand) locks the Taylor display form at higher rank.  Any edit to a
-golden file is listed in CHANGES.md with its reason.
+form sums were moved to a single accumulator, and verify-flat-moment.json,
+written before the transversality pass was folded into j_form; each is
+regenerated in-process here and compared byte for byte.  The built-ins
+declare no split of rank above one, so tests/golden/models/split-rank4.json
+(rank 4, dimension 14, written by hand) locks the Taylor display form at
+higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
+sample, so its report locks a failing transversality entry and its witness
+(exit code 1).  Any edit to a golden file is listed in CHANGES.md with its
+reason.
 """
 
 from pathlib import Path
@@ -27,7 +31,9 @@ CASES = {
     **{f"verify-{b}.json": ["verify", b]
        for b in ("cp1-dolbeault", "hopf", "s1-on-s1", "s3-contact", "t2-on-t2")},
     "verify-split-rank4.json": ["verify", str(GOLDEN / "models" / "split-rank4.json")],
+    "verify-flat-moment.json": ["verify", str(GOLDEN / "models" / "flat-moment.json")],
 }
+EXIT_CODES = {"verify-flat-moment.json": 1}
 
 
 def test_every_golden_file_has_a_case():
@@ -38,6 +44,6 @@ def test_every_golden_file_has_a_case():
 def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("EQUIVAR_MAX_DEGREE", raising=False)
     out = tmp_path / name
-    assert main(CASES[name] + ["--json", str(out)]) == 0
+    assert main(CASES[name] + ["--json", str(out)]) == EXIT_CODES.get(name, 0)
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
