@@ -26,7 +26,15 @@ class NotDifferentiable(EquivarError):
 
 
 class NotTransverse(EquivarError):
-    """Moment data fails the full-rank condition required by the frame construction."""
+    """Moment data fails the full-rank condition required by the frame construction.
+
+    ``witness`` holds the first failing sample: its index, its rank, the
+    required rank and the matrix.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class RankDataMissing(EquivarError):

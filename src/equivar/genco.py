@@ -98,14 +98,14 @@ def taylor_expand_delta(e, frame_id, m):
     def pieces():
         yield from others
         for jj, dal in _dalpha_powers(fr.dalpha, m.manifold_dim // 2, m):
-            fact = Fraction(1)
+            fact = 1
             for x in jj:
                 fact *= factorial(x)
             for base, i0 in heads:
                 deriv = tuple(a + b for a, b in zip(i0, jj))
-                delta_el = Element((Term(Fraction(1), (0,) * m.r,
+                delta_el = Element((Term(1, (0,) * m.r,
                                          DeltaFactor(frame_id, deriv, ARG_MOMENT), (), ()),))
-                yield multiply(multiply(base, dal, m), delta_el, m).scaled(1 / fact)
+                yield multiply(multiply(base, dal, m), delta_el, m).scaled(Fraction(1, fact))
 
     return add_all(pieces(), m)
 
@@ -146,7 +146,7 @@ def with_fibre_coordinates(m, frame_id):
             raise InvariantViolation(f"fibre coordinate names collide in {m.name!r}")
         gens[xi] = Generator(xi, "even", 0, FIBRE_COORDINATE, frame_id, j)
         gens[dxi] = Generator(dxi, "odd", 1, FIBRE_COFORM, frame_id, j)
-        d_table[xi] = Element((Term(Fraction(1), (0,) * m.r, None, (dxi,), ()),))
+        d_table[xi] = Element((Term(1, (0,) * m.r, None, (dxi,), ()),))
     return FormalModel(
         name=m.name + "+fibre", manifold_dim=m.manifold_dim + 2 * fr.rank,
         parameters=m.parameters, generators=gens, d_table=d_table,
@@ -235,7 +235,7 @@ def fourier_fibre_integrate(lambda_model, frame_id):
             sign *= 1 if ipow == 0 else -1
             delta = DeltaFactor(frame_id, tuple(jj), ARG_CLOSED)
             nt = Term(t.coeff * sign, t.x_mono, delta, tuple(non_dxi), tuple(even_rest))
-            acc[nt.key()] = acc.get(nt.key(), Fraction(0)) + nt.coeff
+            acc[nt.key()] = acc.get(nt.key(), 0) + nt.coeff
         n += 1
         if n > cap:
             raise InvariantViolation("graded exponential failed to terminate")

@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
-from .superalg import (DeltaFactor, Element, add_all, equivariant_differential, multiply,
-                       product)
+from .superalg import (DeltaFactor, Element, Term, add_all, equivariant_differential,
+                       multiply, normal_form, product)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def j_form(m, frame_id):
     fr = m.frames[frame_id]
     ok, witness = check_transversality(m, frame_id)
     if not ok:
-        raise NotTransverse(f"frame {frame_id!r} moment data not full rank: {witness}")
+        raise NotTransverse(f"frame {frame_id!r} moment data not full rank: {witness}", witness)
     if fr.rank == 0:
         return JForm(frame_id, m.one())
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
@@ -72,8 +72,9 @@ def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     fr = m.frames[frame_id]
     k = fr.rank
     a = linalg.mat(a_matrix)
-    betas = [add_all((m.gen(fr.alpha_slots[col]).scaled(a[row][col])
-                      for col in range(k) if a[row][col] != 0), m)
+    zero = (0,) * m.r
+    betas = [normal_form(Element(tuple(Term(a[row][col], zero, None, (fr.alpha_slots[col],), ())
+                                       for col in range(k) if a[row][col] != 0)), m)
              for row in reversed(range(k))]
     d0 = DeltaFactor(frame_id, (0,) * k)
     delta_part = delta_linear_substitute(d0, a, m, allow_reversal=allow_reversal)
@@ -113,7 +114,6 @@ def chern_weil_pair(m, frame_id, poly):
     for sample in fr.moment_samples:
         if linalg.mat(sample) != minus_id:
             raise NotPrincipal("moment data is not the connection pairing f(X) = -X")
-    j_form(m, frame_id)  # transversality and shape guard
     pieces = []
     for expo, c in poly.items():
         piece = m.scalar(c)

@@ -20,6 +20,23 @@ term's key) and is idempotent on normal forms, so one pass over the whole
 sum gives the same terms as one pass per summand.  `out = add(out, x, m)`
 in a loop re-finalizes the running sum at every step, which makes building
 a sum quadratic; that idiom is a bug.
+
+Coefficients are exact and integer-first: a coefficient is an int when it
+is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
+and every term that `_finalize` emits follow this rule; int and Fraction mix
+exactly and compare and hash alike, so the rule only picks the cheaper
+representation.  A term's even monomial is sorted by name with positive
+exponents, and its odd monomial is sorted by `FormalModel.odd_order`.
+
+`multiply` codes each odd monomial as a bitmask (bit odd_order[g] for each
+generator g), once per term and call.  Two terms with overlapping masks
+multiply to zero, and the Koszul sign is the parity of the inversions,
+counted as popcounts: for each g of the right factor, the left factor's
+generators that come after g are the set bits of mask >> odd_order[g].
+Term degrees are read from two name -> degree tables (form degree, and
+truncation degree, which is 0 on closed arguments) that
+`FormalModel.__post_init__` builds; the generators of a model are never
+reassigned after construction.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +59,9 @@ _KINDS = (PLAIN_FORM, FRAME_FORM, CLOSED_ARGUMENT, FIBRE_COORDINATE, FIBRE_COFOR
 # marks the display expansion delta(f), which no operation differentiates.
 ARG_CLOSED = "closed"
 ARG_MOMENT = "moment"
+
+# delta key of a term without a delta factor
+_NO_DELTA = ("", (), "")
 
 
 @dataclass(frozen=True)
@@ -72,16 +92,25 @@ class DeltaFactor:
         return (self.frame_id, self.deriv, self.argument)
 
 
+def _exact(q):
+    """The exact rational q as an int when it is integral, else as a Fraction."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class Term:
-    coeff: Fraction
+    coeff: int | Fraction
     x_mono: tuple[int, ...]
     delta: DeltaFactor | None
     odd_mono: tuple[str, ...]
     even_mono: tuple[tuple[str, int], ...]
 
     def key(self):
-        dk = self.delta.key() if self.delta is not None else ("", (), "")
+        dk = self.delta.key() if self.delta is not None else _NO_DELTA
         return (self.x_mono, dk, self.odd_mono, self.even_mono)
 
 
@@ -99,11 +128,12 @@ class Element:
             Term(-t.coeff, t.x_mono, t.delta, t.odd_mono, t.even_mono) for t in self.terms))
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Element()
         return Element(tuple(
-            Term(t.coeff * c, t.x_mono, t.delta, t.odd_mono, t.even_mono) for t in self.terms))
+            Term(_exact(t.coeff * c), t.x_mono, t.delta, t.odd_mono, t.even_mono)
+            for t in self.terms))
 
 
 @dataclass(frozen=True)
@@ -137,6 +167,8 @@ class FormalModel:
         odd_names = [g.name for g in self.generators.values() if g.parity == ODD]
         odd_names.sort(key=lambda n: self._order_key(self.generators[n]))
         self.odd_order = {n: i for i, n in enumerate(odd_names)}
+        self.form_degrees = {n: g.form_degree for n, g in self.generators.items()}
+        self.truncation_degrees = {n: g.truncation_degree() for n, g in self.generators.items()}
         self._u_frame = {}
         for fr in self.frames.values():
             for j, un in enumerate(fr.u_slots):
@@ -153,7 +185,7 @@ class FormalModel:
         return Element()
 
     def scalar(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Element()
         return Element((Term(c, (0,) * self.r, None, (), ()),))
@@ -163,22 +195,24 @@ class FormalModel:
 
     def x(self, a, exp=1):
         mono = tuple(exp if i == a else 0 for i in range(self.r))
-        return Element((Term(Fraction(1), mono, None, (), ()),))
+        return Element((Term(1, mono, None, (), ()),))
 
     def gen(self, name, exp=1):
         g = self.generators[name]
+        if exp == 0:
+            return self.one()
         if g.parity == ODD:
             if exp > 1:
                 return Element()
-            return Element((Term(Fraction(1), (0,) * self.r, None, (name,), ()),))
-        return Element((Term(Fraction(1), (0,) * self.r, None, (), ((name, exp),)),))
+            return Element((Term(1, (0,) * self.r, None, (name,), ()),))
+        return Element((Term(1, (0,) * self.r, None, (), ((name, exp),)),))
 
     def delta(self, frame_id, deriv=None, argument=ARG_CLOSED):
         fr = self.frames[frame_id]
         if deriv is None:
             deriv = (0,) * fr.rank
         d = DeltaFactor(frame_id, tuple(deriv), argument)
-        return Element((Term(Fraction(1), (0,) * self.r, d, (), ()),))
+        return Element((Term(1, (0,) * self.r, d, (), ()),))
 
     # -- structure helpers ---------------------------------------------------
 
@@ -186,13 +220,7 @@ class FormalModel:
         return len(t.odd_mono) % 2
 
     def term_degree(self, t):
-        deg = sum(self.generators[n].form_degree for n in t.odd_mono)
-        deg += sum(e * self.generators[n].truncation_degree() for n, e in t.even_mono)
-        return deg
-
-    def u_frame_slot(self, name):
-        """(frame_id, zero-based slot) if name is a closed argument, else None."""
-        return self._u_frame.get(name)
+        return _degree(t.odd_mono, t.even_mono, self.form_degrees, self.truncation_degrees)
 
     def d_image(self, name):
         """D applied to a single generator, as an Element."""
@@ -219,57 +247,76 @@ class FormalModel:
 # ---------------------------------------------------------------------------
 # term assembly
 
+def _degree(odd_mono, even_mono, form_degrees, truncation_degrees):
+    deg = 0
+    for n in odd_mono:
+        deg += form_degrees[n]
+    for n, e in even_mono:
+        deg += e * truncation_degrees[n]
+    return deg
+
+
 def _finalize(acc, m):
-    """Absorb closed arguments into deltas, truncate by degree, drop zeros."""
+    """Absorb closed arguments into deltas, truncate by degree, drop zeros.
+
+    acc maps term keys to coefficients.  Absorption can move a key onto
+    another one, so the surviving coefficients are merged again before the
+    zeros are dropped."""
     out = {}
+    form_degrees, truncation_degrees = m.form_degrees, m.truncation_degrees
+    dim = m.manifold_dim
     for key, coeff in acc.items():
         if coeff == 0:
             continue
         x_mono, dk, odd_mono, even_mono = key
-        delta = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
-        even = dict(even_mono)
-        if delta is not None and delta.argument == ARG_CLOSED:
-            coeff, delta, even = _absorb(coeff, delta, even, m)
+        if even_mono and dk[2] == ARG_CLOSED:
+            coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
             if coeff == 0:
                 continue
-        even_mono = tuple(sorted((n, e) for n, e in even.items() if e != 0))
-        t = Term(coeff, x_mono, delta, odd_mono, even_mono)
-        if m.term_degree(t) > m.manifold_dim:
+            key = (x_mono, dk, odd_mono, even_mono)
+        if _degree(odd_mono, even_mono, form_degrees, truncation_degrees) > dim:
             continue
-        k2 = t.key()
-        out[k2] = out.get(k2, 0) + coeff
-    terms = tuple(
-        Term(c, k[0], None if k[1][0] == "" and not k[1][1] else DeltaFactor(*k[1]), k[2], k[3])
-        for k, c in sorted(out.items()) if c != 0)
-    return Element(terms)
+        prev = out.get(key)
+        out[key] = coeff if prev is None else prev + coeff
+    deltas = {}
+    terms = []
+    for key in sorted(out):
+        c = out[key]
+        if c == 0:
+            continue
+        dk = key[1]
+        if dk in deltas:
+            delta = deltas[dk]
+        else:
+            delta = deltas[dk] = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
+        terms.append(Term(_exact(c), key[0], delta, key[2], key[3]))
+    return Element(tuple(terms))
 
 
-def _absorb(coeff, delta, even, m):
-    """Apply u_j * delta^(I) = -I_j * delta^(I - e_j) until no same-frame u remains."""
-    deriv = list(delta.deriv)
-    changed = True
-    while changed:
-        changed = False
-        for name in list(even):
-            fs = m.u_frame_slot(name)
-            if fs is None or fs[0] != delta.frame_id or even[name] == 0:
-                continue
-            j = fs[1]
-            if deriv[j] == 0:
-                return Fraction(0), delta, even
-            coeff *= -deriv[j]
-            deriv[j] -= 1
-            even[name] -= 1
-            changed = True
-    return coeff, DeltaFactor(delta.frame_id, tuple(deriv), delta.argument), even
-
-
-def _merge_sign(odd1, odd2, order):
-    inv = 0
-    for g2 in odd2:
-        o2 = order[g2]
-        inv += sum(1 for g1 in odd1 if order[g1] > o2)
-    return -1 if inv % 2 else 1
+def _absorb(coeff, dk, even_mono, m):
+    """Apply u_j * delta^(I) = -I_j * delta^(I - e_j) for every closed argument
+    u_j of the delta's frame in even_mono; (0, ..) when some u_j^e has e > I_j.
+    Returns (coeff, delta key, even monomial)."""
+    frame_id, deriv, argument = dk
+    u_frame = m._u_frame
+    nd = None
+    rest = []
+    for name, e in even_mono:
+        fs = u_frame.get(name)
+        if fs is None or fs[0] != frame_id:
+            rest.append((name, e))
+            continue
+        if nd is None:
+            nd = list(deriv)
+        j = fs[1]
+        if e > nd[j]:
+            return 0, dk, even_mono
+        for _ in range(e):
+            coeff *= -nd[j]
+            nd[j] -= 1
+    if nd is None:
+        return coeff, dk, even_mono
+    return coeff, (frame_id, tuple(nd), argument), tuple(rest)
 
 
 def add_all(elements, m):
@@ -279,7 +326,8 @@ def add_all(elements, m):
     for e in elements:
         for t in e.terms:
             key = t.key()
-            acc[key] = acc.get(key, 0) + t.coeff
+            prev = acc.get(key)
+            acc[key] = t.coeff if prev is None else prev + t.coeff
     return _finalize(acc, m)
 
 
@@ -292,34 +340,67 @@ def add(a, b, m):
     return add_all((a, b), m)
 
 
+def _odd_mask(odd_mono, order):
+    mask = 0
+    for g in odd_mono:
+        mask |= 1 << order[g]
+    return mask
+
+
 def multiply(a, b, m):
     """Koszul-signed product.  Raises DeltaClash on any delta * delta: the
     source calculus never multiplies two generalized-coefficient forms, so no
     product rule exists (same frame included)."""
-    acc = {}
     order = m.odd_order
+    right = [(t2, _odd_mask(t2.odd_mono, order), [order[g] for g in t2.odd_mono],
+              t2.delta.key() if t2.delta is not None else _NO_DELTA, not any(t2.x_mono))
+             for t2 in b.terms]
+    acc = {}
     for t1 in a.terms:
-        for t2 in b.terms:
-            if t1.delta is not None and t2.delta is not None:
-                if t1.delta.frame_id == t2.delta.frame_id:
+        c1, x1, d1, odd1, even1 = t1.coeff, t1.x_mono, t1.delta, t1.odd_mono, t1.even_mono
+        m1 = _odd_mask(odd1, order)
+        dk1 = d1.key() if d1 is not None else _NO_DELTA
+        x1_zero = not any(x1)
+        for t2, m2, orders2, dk2, x2_zero in right:
+            if d1 is not None and t2.delta is not None:
+                if d1.frame_id == t2.delta.frame_id:
                     raise DeltaClash(
-                        f"product of two delta factors on frame {t1.delta.frame_id!r}")
+                        f"product of two delta factors on frame {d1.frame_id!r}")
                 raise DeltaClash(
                     f"product of delta factors on distinct frames "
-                    f"{t1.delta.frame_id!r} and {t2.delta.frame_id!r}")
-            if set(t1.odd_mono) & set(t2.odd_mono):
+                    f"{d1.frame_id!r} and {t2.delta.frame_id!r}")
+            if m1 & m2:
                 continue
-            sign = _merge_sign(t1.odd_mono, t2.odd_mono, order)
-            odd = tuple(sorted(t1.odd_mono + t2.odd_mono, key=order.__getitem__))
-            even = dict(t1.even_mono)
-            for n, e in t2.even_mono:
-                even[n] = even.get(n, 0) + e
-            x_mono = tuple(i + j for i, j in zip(t1.x_mono, t2.x_mono))
-            delta = t1.delta if t1.delta is not None else t2.delta
-            dk = delta.key() if delta is not None else ("", (), "")
-            key = (x_mono, dk, odd, tuple(sorted(even.items())))
-            c = t1.coeff * t2.coeff
-            acc[key] = acc.get(key, 0) + (-c if sign < 0 else c)
+            inv = 0
+            if m1:
+                for o in orders2:
+                    inv += (m1 >> o).bit_count()
+            if inv:
+                odd = tuple(sorted(odd1 + t2.odd_mono, key=order.__getitem__))
+            else:
+                odd = odd1 + t2.odd_mono
+            even2 = t2.even_mono
+            if not even2:
+                even = even1
+            elif not even1:
+                even = even2
+            else:
+                merged = dict(even1)
+                for n, e in even2:
+                    merged[n] = merged.get(n, 0) + e
+                even = tuple(sorted(merged.items()))
+            if x1_zero:
+                x_mono = t2.x_mono
+            elif x2_zero:
+                x_mono = x1
+            else:
+                x_mono = tuple(i + j for i, j in zip(x1, t2.x_mono))
+            key = (x_mono, dk1 if d1 is not None else dk2, odd, even)
+            c = c1 * t2.coeff
+            if inv & 1:
+                c = -c
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)
 
 

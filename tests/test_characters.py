@@ -2,7 +2,7 @@
 
 import pytest
 
-from equivar import laurent
+from equivar import characters, jform, laurent
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
@@ -124,6 +124,20 @@ def test_s3_contact_expands_once(monkeypatch):
     monkeypatch.setattr(laurent, "expand_box", counted)
     assert run_pipeline("s3-contact")["status"] == "pass"
     assert radii == [20]
+
+
+def test_hopf_builds_j_once(monkeypatch):
+    frames = []
+    j_form = jform.j_form
+
+    def counted(m, frame_id):
+        frames.append(frame_id)
+        return j_form(m, frame_id)
+
+    monkeypatch.setattr(jform, "j_form", counted)
+    monkeypatch.setattr(characters, "j_form", counted)
+    assert run_pipeline("hopf")["status"] == "pass"
+    assert frames == ["conn"]
 
 
 def test_run_pipeline_dispatch_and_examples():

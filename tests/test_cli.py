@@ -187,6 +187,21 @@ def test_verify_builds_j_once_per_frame_without_inverse(monkeypatch):
     assert inverses == []
 
 
+def test_verify_checks_transversality_once_per_frame(monkeypatch):
+    ranks = []
+    rank = linalg.rank
+
+    def counted(a):
+        ranks.append(a)
+        return rank(a)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    m = load_builtin("t2-on-t2")
+    rep = run_verify(m, seed=5, frame_trials=25)
+    assert report_status(rep) == "pass"
+    assert ranks == list(m.frames["tau"].moment_samples)
+
+
 def test_s3_contact_below_minimum_degree_exit_two(monkeypatch, capsys):
     for n in ("0", "4"):
         assert main(["index", "s3-contact", "--max-degree", n]) == 2, n

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from equivar.errors import NonOrientable, NotPrincipal, RankDataMissing
+from equivar.errors import NonOrientable, NotPrincipal, NotTransverse, RankDataMissing
 from equivar.jform import (
     check_closed,
     check_transversality,
@@ -39,6 +39,9 @@ def test_transversality_failure_carries_witness():
     assert not ok
     assert witness["sampleIndex"] == 0
     assert witness["rank"] == 0 and witness["required"] == 2
+    with pytest.raises(NotTransverse) as err:
+        j_form(m2, "tau")
+    assert err.value.witness == witness
 
 
 def test_transversality_requires_sample_data():

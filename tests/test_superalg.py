@@ -3,11 +3,13 @@
 import dataclasses
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from equivar.errors import DeltaClash, InvariantViolation
+from equivar.genco import with_fibre_coordinates
 from equivar.modelfile import builtin_names, load_builtin
 from equivar.randmodels import random_element, random_model
 from equivar.superalg import (
@@ -215,6 +217,190 @@ def test_add_all_equals_pairwise_fold_randomized():
         merged = {t.key() for p in pieces for t in normal_form(p, m).terms}
         counts["cancelled"] += len(merged) - len(total.terms)
     assert all(counts.values()), counts
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: the Fraction-coefficient multiply and finalize that the
+# integer-first, bitmask-signed kernel replaced, kept to check it against
+
+def _ref_term_degree(m, t):
+    deg = sum(m.generators[n].form_degree for n in t.odd_mono)
+    deg += sum(e * m.generators[n].truncation_degree() for n, e in t.even_mono)
+    return deg
+
+
+def _ref_finalize(acc, m, counts=None):
+    out = {}
+    for key, coeff in acc.items():
+        if coeff == 0:
+            continue
+        x_mono, dk, odd_mono, even_mono = key
+        delta = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
+        even = dict(even_mono)
+        if delta is not None and delta.argument == "closed":
+            before = delta.deriv
+            coeff, delta, even = _ref_absorb(coeff, delta, even, m)
+            if counts is not None and (coeff == 0 or delta.deriv != before):
+                counts["absorbed"] += 1
+            if coeff == 0:
+                continue
+        even_mono = tuple(sorted((n, e) for n, e in even.items() if e != 0))
+        t = Term(coeff, x_mono, delta, odd_mono, even_mono)
+        if _ref_term_degree(m, t) > m.manifold_dim:
+            if counts is not None:
+                counts["truncated"] += 1
+            continue
+        k2 = t.key()
+        out[k2] = out.get(k2, 0) + coeff
+    terms = tuple(
+        Term(c, k[0], None if k[1][0] == "" and not k[1][1] else DeltaFactor(*k[1]), k[2], k[3])
+        for k, c in sorted(out.items()) if c != 0)
+    return Element(terms)
+
+
+def _ref_absorb(coeff, delta, even, m):
+    deriv = list(delta.deriv)
+    changed = True
+    while changed:
+        changed = False
+        for name in list(even):
+            fs = m._u_frame.get(name)
+            if fs is None or fs[0] != delta.frame_id or even[name] == 0:
+                continue
+            j = fs[1]
+            if deriv[j] == 0:
+                return Fraction(0), delta, even
+            coeff *= -deriv[j]
+            deriv[j] -= 1
+            even[name] -= 1
+            changed = True
+    return coeff, DeltaFactor(delta.frame_id, tuple(deriv), delta.argument), even
+
+
+def _ref_merge_sign(odd1, odd2, order):
+    inv = 0
+    for g2 in odd2:
+        o2 = order[g2]
+        inv += sum(1 for g1 in odd1 if order[g1] > o2)
+    return -1 if inv % 2 else 1
+
+
+def _ref_multiply(a, b, m, counts=None):
+    acc = {}
+    order = m.odd_order
+    contributions = {}
+    for t1 in a.terms:
+        for t2 in b.terms:
+            if t1.delta is not None and t2.delta is not None:
+                if t1.delta.frame_id == t2.delta.frame_id:
+                    raise DeltaClash(
+                        f"product of two delta factors on frame {t1.delta.frame_id!r}")
+                raise DeltaClash(
+                    f"product of delta factors on distinct frames "
+                    f"{t1.delta.frame_id!r} and {t2.delta.frame_id!r}")
+            if set(t1.odd_mono) & set(t2.odd_mono):
+                if counts is not None:
+                    counts["overlap"] += 1
+                continue
+            sign = _ref_merge_sign(t1.odd_mono, t2.odd_mono, order)
+            if counts is not None and sign < 0:
+                counts["odd_inversions"] += 1
+            odd = tuple(sorted(t1.odd_mono + t2.odd_mono, key=order.__getitem__))
+            if counts is not None and odd != t1.odd_mono + t2.odd_mono:
+                counts["resorted"] += 1
+            even = dict(t1.even_mono)
+            for n, e in t2.even_mono:
+                even[n] = even.get(n, 0) + e
+            x_mono = tuple(i + j for i, j in zip(t1.x_mono, t2.x_mono))
+            delta = t1.delta if t1.delta is not None else t2.delta
+            if counts is not None and delta is not None and any(delta.deriv):
+                counts["derivative_delta"] += 1
+            dk = delta.key() if delta is not None else ("", (), "")
+            key = (x_mono, dk, odd, tuple(sorted(even.items())))
+            acc[key] = acc.get(key, Fraction(0)) + t1.coeff * t2.coeff * sign
+            contributions[key] = contributions.get(key, 0) + 1
+    if counts is not None:
+        counts["cancelled"] += sum(1 for k, c in acc.items() if c == 0 and contributions[k] > 1)
+    return _ref_finalize(acc, m, counts)
+
+
+def _assert_canonical(e):
+    for t in e.terms:
+        c = t.coeff
+        assert type(c) is (int if c.denominator == 1 else Fraction), t
+
+
+def test_kernel_matches_reference_randomized():
+    rng = random.Random(23)
+    counts = dict.fromkeys(("overlap", "resorted", "odd_inversions", "absorbed",
+                            "derivative_delta", "truncated", "cancelled", "clash",
+                            "int_coeff", "fraction_coeff"), 0)
+    models = 0
+    while models < 160:
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.4,
+                         dim_cap=rng.choice((4, 6, 8)))
+        if m.frames["fr"].rank == 0:
+            continue
+        models += 1
+        for _ in range(3):
+            a = random_element(rng, m, with_delta=True, n_terms=rng.randint(1, 4))
+            b = random_element(rng, m, with_delta=rng.random() < 0.2,
+                               n_terms=rng.randint(1, 4))
+            for x, y in ((a, b), (b, a), (b, b)):
+                try:
+                    want = _ref_multiply(x, y, m, counts)
+                except DeltaClash as e:
+                    with pytest.raises(DeltaClash, match=re.escape(str(e))):
+                        multiply(x, y, m)
+                    counts["clash"] += 1
+                    continue
+                got = multiply(x, y, m)
+                assert got == want, (m.name, x, y)
+                _assert_canonical(got)
+                for t in got.terms:
+                    counts["int_coeff" if type(t.coeff) is int else "fraction_coeff"] += 1
+        pieces = _raw_pieces(rng, m, dict.fromkeys(("absorbed", "truncated"), 0))
+        acc = {}
+        for p in pieces:
+            for t in p.terms:
+                acc[t.key()] = acc.get(t.key(), Fraction(0)) + t.coeff
+        total = add_all(pieces, m)
+        assert total == _ref_finalize(acc, m)
+        _assert_canonical(total)
+    assert all(counts.values()), counts
+
+
+def test_coefficients_are_canonical():
+    rng = random.Random(29)
+    for name in builtin_names():
+        m = load_builtin(name)
+        for c in (3, Fraction(6, 2), Fraction(-1, 3), "5/5"):
+            _assert_canonical(m.scalar(c))
+        for _ in range(40):
+            e = random_element(rng, m)
+            _assert_canonical(e)
+            _assert_canonical(equivariant_differential(e, m))
+            for c in (2, Fraction(1, 2), Fraction(-3, 3)):
+                _assert_canonical(e.scaled(c))
+            _assert_canonical(add_all((e, e.scaled(Fraction(1, 3))), m))
+    assert type(m.one().terms[0].coeff) is int
+    assert m.scalar(Fraction(4, 2)).terms[0].coeff == 2
+
+
+def test_degree_tables_match_generators():
+    models = [load_builtin(name) for name in builtin_names()]
+    models += [with_fibre_coordinates(m, fid) for m in list(models) for fid in m.frames]
+    assert any(g.kind == "fibreCoform" for m in models for g in m.generators.values())
+    for m in models:
+        assert m.form_degrees == {n: g.form_degree for n, g in m.generators.items()}
+        assert m.truncation_degrees == {
+            n: 0 if g.kind == CLOSED_ARGUMENT else g.form_degree
+            for n, g in m.generators.items()}
+
+
+def test_zeroth_power_is_one():
+    m = load_builtin("hopf")
+    assert m.gen("psi", 0) == m.one() == m.gen("Psi", 0)
 
 
 def test_scalar_and_x_helpers():
