@@ -3,8 +3,11 @@
 The report files under tests/golden/ were written by the CLI before the
 expansion was rewritten, except verify-split-rank4.json, written before the
 form sums were moved to a single accumulator, and verify-flat-moment.json,
-written before the transversality pass was folded into j_form; each is
-regenerated in-process here and compared byte for byte.  The built-ins
+written before the transversality pass was folded into j_form, and
+index-hopf-deg0.json and index-hopf-deg160.json (the shortest and a long
+isotype window), written before the Hopf multiplicities were computed as one
+polynomial per run; each is regenerated in-process here and compared byte
+for byte.  The built-ins
 declare no split of rank above one, so tests/golden/models/split-rank4.json
 (rank 4, dimension 14, written by hand) locks the Taylor display form at
 higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
@@ -26,6 +29,8 @@ CASES = {
        for ex in ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")},
     "index-s3-contact-deg80.json": ["index", "s3-contact", "--max-degree", "80"],
     "index-s3-contact-deg160.json": ["index", "s3-contact", "--max-degree", "160"],
+    "index-hopf-deg0.json": ["index", "hopf", "--max-degree", "0"],
+    "index-hopf-deg160.json": ["index", "hopf", "--max-degree", "160"],
     "index-cp1-dolbeault-twist-3.json": ["index", "cp1-dolbeault", "--twist", "-3"],
     "index-cp1-dolbeault-twist5.json": ["index", "cp1-dolbeault", "--twist", "5"],
     **{f"verify-{b}.json": ["verify", b]
