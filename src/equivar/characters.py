@@ -264,14 +264,16 @@ def _cp1_l2(twist, policy):
 # ---------------------------------------------------------------------------
 # Hopf pipeline
 
-def _graded_exp(e, m):
+def _graded_exp_pieces(e, m):
+    """[1, e, e^2/2!, ...] up to the last non-zero power of the even,
+    nilpotent element e; their sum is exp(e)."""
     pieces = [m.one()]
     n = 0
     while True:
         n += 1
         piece = multiply(pieces[-1], e, m).scaled(Fraction(1, n))
         if piece.is_zero():
-            return add_all(pieces, m)
+            return pieces
         pieces.append(piece)
         if n > 2 * m.manifold_dim + 4:
             raise InvariantViolation("graded exponential failed to terminate")
@@ -286,13 +288,49 @@ def _even_coefficient(e, name, power):
     return Fraction(0)
 
 
+def hopf_multiplicities(m, fid, isotypes):
+    """{k: multiplicity} at each isotype k for the principal-connection frame
+    fid of m.
+
+    The multiplicity at k is vol * [Psi^h](Todd * exp(k c)) with c the
+    curvature, h half the base dimension.  c is even and nilpotent, so
+    exp(k c) = sum_j k^j c^j/j! is a finite sum, and pairing with Todd is
+    linear: the multiplicity is the polynomial sum_j a_j k^j with
+    a_j = vol * [Psi^h](Todd * c^j/j!).  The a_j are computed once and the
+    polynomial is evaluated exactly (int or Fraction) at each k, in order.
+    """
+    tw = m.base["tangentWeight"]
+    vol = m.base["curvatureVolume"]
+    half_dim = m.base["dimension"] // 2
+    # Todd series 1 / sum_j (-x)^j/(j+1)! up to the base nilpotency order
+    td_series = TaylorSeries(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
+    td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
+                  for j, c in enumerate(td_series.coeffs) if c), m)
+    c = chern_weil_pair(m, fid, {(1,): 1})
+    coeffs = [vol * _even_coefficient(multiply(td, piece, m), "Psi", half_dim)
+              for piece in _graded_exp_pieces(c, m)]
+    mults = {}
+    for k in isotypes:
+        mult = 0
+        for a in reversed(coeffs):
+            mult = mult * k + a
+        if mult.denominator != 1:
+            raise NonIntegerCoefficients(f"orbifold multiplicity {mult} at isotype {k}")
+        mults[k] = int(mult)
+    return mults
+
+
 def index_hopf_pipeline(policy=None):
     """Locally free circle action on the total space of the circle bundle
     over the projective line.
 
     The curvature pairing turns each isotype k into the base index of the
     k-th power line bundle; multiplicities must match the monomial-count
-    oracle (k + 1).
+    oracle (k + 1).  The curvature is even and nilpotent, so exp(k c) is a
+    finite sum of k^j c^j/j! and each multiplicity is exactly a polynomial
+    in k (see hopf_multiplicities): one Chern character per run serves every
+    isotype in the window.
     """
     policy = policy or SeriesPolicy()
     m = load_builtin("hopf")
@@ -307,32 +345,13 @@ def index_hopf_pipeline(policy=None):
     jf = j_form(m, fid)
     results.append(_entry("equivariantly-closed", check_closed(m, jf)))
 
-    tw = m.base["tangentWeight"]
-    vol = m.base["curvatureVolume"]
-    half_dim = m.base["dimension"] // 2
-    # Todd series 1 / sum_j (-x)^j/(j+1)! up to the base nilpotency order
-    td_series = TaylorSeries(
-        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
-    td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
-                  for j, c in enumerate(td_series.coeffs) if c), m)
-
-    mults = {}
     lo = -5
-    for k in range(lo, policy.max_degree + 1):
-        ch = _graded_exp(chern_weil_pair(m, fid, {(1,): Fraction(k)}), m)
-        density = multiply(td, ch, m)
-        mult = vol * _even_coefficient(density, "Psi", half_dim)
-        if mult.denominator != 1:
-            raise NonIntegerCoefficients(f"orbifold multiplicity {mult} at isotype {k}")
-        mults[k] = int(mult)
+    mults = hopf_multiplicities(m, fid, range(lo, policy.max_degree + 1))
     bad = [k for k in mults if mults[k] != hrr_cp1_oracle(k)]
     results.append(_entry("orbifold-multiplicities", not bad,
                           witness=None if not bad else
                           {"isotypes": bad, "computed": [mults[k] for k in bad]}))
     results.append(_entry("integer-coefficients", True))
-    dist = DistributionalCharacter(
-        1, {(k,): v for k, v in mults.items()}, 0,
-        closed_form=lambda w: w[0] + 1, family="line-bundle-indices")
     chars = [{"weight": [k], "coefficient": v} for k, v in sorted(mults.items())]
     return _finish("hopf", results, chars, {"window": [lo, policy.max_degree]})
 

@@ -15,7 +15,9 @@ from math import lcm
 
 
 def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """rows as a tuple of Fraction row tuples; Fraction entries pass through."""
+    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                 for row in rows)
 
 
 def _integer_rows(a):

@@ -147,12 +147,34 @@ def parse_element(src, m):
 
 
 def _require(doc, key, types, where):
+    """doc[key], which must have one of types; no field takes a boolean."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be an object")
     if key not in doc:
         raise ParseError(f"missing {key!r} in {where}")
     v = doc[key]
-    if not isinstance(v, types):
+    if not isinstance(v, types) or isinstance(v, bool):
         raise ParseError(f"bad type for {key!r} in {where}")
     return v
+
+
+def _optional(doc, key, types, where, default):
+    return _require(doc, key, types, where) if key in doc else default
+
+
+def _expression(v, m, where):
+    if not isinstance(v, str):
+        raise ParseError(f"{where} must be an element expression string")
+    return parse_element(v, m)
+
+
+def _moment_samples(v, where):
+    """A list of samples, each a list of rows, each a list of rationals."""
+    if not isinstance(v, list) or not all(
+            isinstance(s, list) and all(isinstance(row, list) for row in s) for s in v):
+        raise ParseError(f"'momentSamples' in {where} must be a list of lists of rows")
+    return tuple(tuple(tuple(parse_rational(x, f"in {where}") for x in row) for row in s)
+                 for s in v)
 
 
 def _parse_generators(items):
@@ -163,12 +185,12 @@ def _parse_generators(items):
         if parity not in (ODD, EVEN):
             raise ParseError(f"bad parity {parity!r} on {name!r}")
         degree = _require(it, "formDegree", int, name)
-        kind_name = it.get("kind", "plainForm")
+        kind_name = _optional(it, "kind", str, name, "plainForm")
         kind = _KIND_NAMES.get(kind_name)
         if kind is None:
             raise ParseError(f"unknown kind {kind_name!r} on {name!r}")
-        frame = it.get("frame")
-        slot = it.get("slot")
+        frame = _optional(it, "frame", str, name, None)
+        slot = _optional(it, "slot", int, name, None)
         if kind != PLAIN_FORM and (frame is None or slot is None):
             raise ParseError(f"{kind_name} generator {name!r} needs frame and slot")
         gens[name] = Generator(name, parity, degree, kind, frame, slot)
@@ -176,7 +198,8 @@ def _parse_generators(items):
 
 
 def _parse_weight(v, nvars, where):
-    if not isinstance(v, list) or len(v) != nvars or not all(isinstance(x, int) for x in v):
+    if not isinstance(v, list) or len(v) != nvars \
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
         raise ParseError(f"bad weight {v!r} in {where}")
     return tuple(v)
 
@@ -186,15 +209,17 @@ def _parse_locus(it, nvars):
     ltype = _require(it, "locusType", str, lid)
     if ltype not in (ISOLATED_POINT, CIRCLE):
         raise ParseError(f"unknown locus type {ltype!r} in {lid}")
-    tangent = tuple(_parse_weight(w, nvars, lid) for w in it.get("tangentWeights", []))
+    tangent = tuple(_parse_weight(w, nvars, lid)
+                    for w in _optional(it, "tangentWeights", list, lid, []))
     normal = []
-    for nw in it.get("normalWeights", []):
-        w = _parse_weight(_require(nw, "weight", list, lid), nvars, lid)
-        c = parse_rational(_require(nw, "eval", (int, str), lid), f"in {lid}")
+    for nw in _optional(it, "normalWeights", list, lid, []):
+        where = f"normal weight of {lid}"
+        w = _parse_weight(_require(nw, "weight", list, where), nvars, lid)
+        c = parse_rational(_require(nw, "eval", (int, str), where), f"in {lid}")
         normal.append((w, c))
     dirs = []
-    for d in it.get("expansionDirections", []):
-        if d not in _DIRECTION_NAMES:
+    for d in _optional(it, "expansionDirections", list, lid, []):
+        if not isinstance(d, str) or d not in _DIRECTION_NAMES:
             raise ParseError(f"unknown expansion direction {d!r} in {lid}")
         dirs.append(_DIRECTION_NAMES[d])
     twist = it.get("twistWeight")
@@ -202,7 +227,7 @@ def _parse_locus(it, nvars):
     circle = it.get("circleWeight")
     circle = _parse_weight(circle, nvars, lid) if circle is not None else None
     sign = it.get("orientationSign", 1)
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise ParseError(f"orientationSign must be +1 or -1 in {lid}")
     return FixedLocusDatum(lid, ltype, tangent, tuple(normal), twist, circle,
                            tuple(dirs), sign)
@@ -220,10 +245,12 @@ def model_from_dict(doc):
 
     frames = {}
     splits = {}
-    for fd in doc.get("frames", []):
+    for fd in _optional(doc, "frames", list, name, []):
         fid = _require(fd, "frameId", str, "frame")
         rank = _require(fd, "rank", int, fid)
         slots = tuple(_require(fd, "slots", list, fid))
+        if not all(isinstance(s, str) for s in slots):
+            raise ParseError(f"'slots' in frame {fid!r} must be generator names")
         u_by_slot = {g.slot: g.name for g in gens.values()
                      if g.kind == CLOSED_ARGUMENT and g.frame_id == fid}
         try:
@@ -233,30 +260,27 @@ def model_from_dict(doc):
                 f"frame {fid!r} has no closed argument for slot {e.args[0]}") from None
         samples = fd.get("momentSamples")
         if samples is not None:
-            samples = tuple(
-                tuple(tuple(parse_rational(x, f"in frame {fid!r}") for x in row)
-                      for row in s)
-                for s in samples)
+            samples = _moment_samples(samples, f"frame {fid!r}")
         frames[fid] = FrameDecl(fid, rank, slots, u_slots, samples, None)
         if "split" in fd:
             splits[fid] = fd["split"]
 
-    m = FormalModel(name, dim, params, gens, {}, {}, frames,
-                    base=None, pipeline_case=doc.get("pipelineCase"))
+    m = FormalModel(name, dim, params, gens, {}, {}, frames, base=None,
+                    pipeline_case=_optional(doc, "pipelineCase", str, name, None))
 
     d_table = {}
-    for gname, expr in doc.get("dTable", {}).items():
+    for gname, expr in _optional(doc, "dTable", dict, name, {}).items():
         if gname not in gens:
             raise ParseError(f"dTable entry for unknown generator {gname!r}")
-        d_table[gname] = parse_element(expr, m)
+        d_table[gname] = _expression(expr, m, f"dTable entry for {gname!r}")
     iota_table = {}
-    for gname, exprs in doc.get("iotaTable", {}).items():
+    for gname, exprs in _optional(doc, "iotaTable", dict, name, {}).items():
         if gname not in gens:
             raise ParseError(f"iotaTable entry for unknown generator {gname!r}")
         if not isinstance(exprs, list) or len(exprs) != len(params):
             raise ParseError(f"iotaTable for {gname!r} needs one entry per parameter")
         for a, expr in enumerate(exprs):
-            el = parse_element(expr, m)
+            el = _expression(expr, m, f"iotaTable entry {a} for {gname!r}")
             if not el.is_zero():
                 iota_table[(gname, a)] = el
     m.d_table = d_table
@@ -265,11 +289,12 @@ def model_from_dict(doc):
     for fid, exprs in splits.items():
         if not isinstance(exprs, list) or len(exprs) != frames[fid].rank:
             raise ParseError(f"split for frame {fid!r} needs one entry per slot")
-        dalpha = tuple(parse_element(e, m) for e in exprs)
+        dalpha = tuple(_expression(e, m, f"split entry {j} of frame {fid!r}")
+                       for j, e in enumerate(exprs))
         m.frames[fid] = replace(m.frames[fid], dalpha=dalpha)
 
     if "base" in doc:
-        b = doc["base"]
+        b = _require(doc, "base", dict, name)
         m.base = {
             "tangentWeight": parse_rational(_require(b, "tangentWeight", (int, str), "base")),
             "curvatureVolume": parse_rational(_require(b, "curvatureVolume", (int, str), "base")),
@@ -277,7 +302,8 @@ def model_from_dict(doc):
         }
 
     nloc = len(params)
-    m.fixed_loci = tuple(_parse_locus(it, nloc) for it in doc.get("fixedLoci", []))
+    m.fixed_loci = tuple(_parse_locus(it, nloc)
+                         for it in _optional(doc, "fixedLoci", list, name, []))
 
     validate_model(m)
     return m

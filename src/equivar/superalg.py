@@ -455,6 +455,8 @@ def apply_table_derivation(a, image, m):
 # model validation
 
 def validate_model(m):
+    if m.manifold_dim < 0:
+        raise InvariantViolation(f"negative manifold dimension {m.manifold_dim}")
     names = set()
     for g in m.generators.values():
         if g.name in names:
@@ -477,6 +479,10 @@ def validate_model(m):
     for fr in m.frames.values():
         if len(fr.alpha_slots) != fr.rank or len(fr.u_slots) != fr.rank:
             raise InvariantViolation(f"frame {fr.frame_id!r} slot count != rank")
+        if fr.rank > m.manifold_dim:
+            # k independent one-forms need k <= n
+            raise InvariantViolation(f"frame {fr.frame_id!r} has rank {fr.rank} above "
+                                     f"the manifold dimension {m.manifold_dim}")
         for j, (an, un) in enumerate(zip(fr.alpha_slots, fr.u_slots), start=1):
             ga, gu = m.generators.get(an), m.generators.get(un)
             if ga is None or ga.kind != FRAME_FORM or ga.frame_id != fr.frame_id \

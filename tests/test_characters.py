@@ -1,8 +1,14 @@
 """Example pipelines against independent representation-theoretic oracles."""
 
+import json
+from fractions import Fraction
+from importlib import resources
+from math import factorial
+
 import pytest
 
-from equivar import characters, jform, laurent
+from equivar import characters, charclass, genco, jform, laurent, modelfile, superalg
+from equivar.charclass import SeriesPolicy, TaylorSeries
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
@@ -17,7 +23,10 @@ from equivar.characters import (
     run_pipeline,
     weyl_character_oracle,
 )
-from equivar.errors import OutOfRange, UnknownExample
+from equivar.errors import InvariantViolation, NonIntegerCoefficients, OutOfRange, UnknownExample
+from equivar.jform import chern_weil_pair
+from equivar.modelfile import model_from_dict
+from equivar.superalg import add_all, multiply
 
 
 def _statuses(rep):
@@ -138,6 +147,102 @@ def test_hopf_builds_j_once(monkeypatch):
     monkeypatch.setattr(characters, "j_form", counted)
     assert run_pipeline("hopf")["status"] == "pass"
     assert frames == ["conn"]
+
+
+def _ref_graded_exp(e, m):
+    pieces = [m.one()]
+    n = 0
+    while True:
+        n += 1
+        piece = multiply(pieces[-1], e, m).scaled(Fraction(1, n))
+        if piece.is_zero():
+            return add_all(pieces, m)
+        pieces.append(piece)
+        if n > 2 * m.manifold_dim + 4:
+            raise InvariantViolation("graded exponential failed to terminate")
+
+
+def _ref_hopf_multiplicities(m, fid, isotypes):
+    """The per-isotype route: a new Chern character exp(k c) for every k."""
+    tw = m.base["tangentWeight"]
+    vol = m.base["curvatureVolume"]
+    half_dim = m.base["dimension"] // 2
+    td_series = TaylorSeries(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
+    td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
+                  for j, c in enumerate(td_series.coeffs) if c), m)
+    mults = {}
+    for k in isotypes:
+        ch = _ref_graded_exp(chern_weil_pair(m, fid, {(1,): Fraction(k)}), m)
+        density = multiply(td, ch, m)
+        mult = vol * characters._even_coefficient(density, "Psi", half_dim)
+        if mult.denominator != 1:
+            raise NonIntegerCoefficients(f"orbifold multiplicity {mult} at isotype {k}")
+        mults[k] = int(mult)
+    return mults
+
+
+def _hopf_variant(manifold_dim=3, **base):
+    doc = json.loads(resources.files("equivar").joinpath("models", "hopf.json")
+                     .read_text(encoding="utf-8"))
+    doc["manifoldDim"] = manifold_dim
+    doc["base"].update(base)
+    return model_from_dict(doc)
+
+
+def _outcome(route, m, isotypes):
+    try:
+        return route(m, "conn", isotypes)
+    except NonIntegerCoefficients as e:
+        return str(e)
+
+
+HOPF_VARIANTS = (
+    [{"tangentWeight": tw, "curvatureVolume": vol}
+     for tw in (1, 2, 3, "1/2") for vol in (1, 2, "1/3")]
+    + [{"manifold_dim": 5, "dimension": 4, "curvatureVolume": vol} for vol in (1, 6)])
+
+
+def test_hopf_polynomial_matches_per_isotype_route():
+    window = range(-5, 41)
+    integral = non_integral = 0
+    degrees = set()
+    polynomial = characters.hopf_multiplicities
+    for variant in [None] + HOPF_VARIANTS:
+        m = modelfile.load_builtin("hopf") if variant is None else _hopf_variant(**variant)
+        c = chern_weil_pair(m, "conn", {(1,): 1})
+        degrees.add(len(characters._graded_exp_pieces(c, m)) - 1)
+        whole = _outcome(polynomial, m, window)
+        assert whole == _outcome(_ref_hopf_multiplicities, m, window), variant
+        for k in window:
+            got = _outcome(polynomial, m, [k])
+            assert got == _outcome(_ref_hopf_multiplicities, m, [k]), (variant, k)
+            if isinstance(got, dict):
+                integral += 1
+            else:
+                non_integral += 1
+                assert got.endswith(f" at isotype {k}")
+    assert integral and non_integral
+    assert degrees == {1, 2}
+
+
+def test_hopf_multiply_calls_independent_of_window(monkeypatch):
+    calls = []
+    multiply_ = superalg.multiply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return multiply_(*args, **kwargs)
+
+    for mod in (superalg, characters, charclass, genco, jform, modelfile):
+        if getattr(mod, "multiply", None) is multiply_:
+            monkeypatch.setattr(mod, "multiply", counted)
+    counts = []
+    for d in (0, 20, 160):
+        calls.clear()
+        assert run_pipeline("hopf", policy=SeriesPolicy(d))["status"] == "pass"
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
 def test_run_pipeline_dispatch_and_examples():

@@ -1,8 +1,12 @@
 """Reports and the command-line surface: determinism, exit codes, rendering."""
 
+import copy
 import json
 import subprocess
 import sys
+from importlib import resources
+
+import pytest
 
 from equivar import cli, genco, jform, linalg
 from equivar.cli import main, run_index, run_verify
@@ -34,6 +38,69 @@ BAD_MOMENT_DOC = {
          "momentSamples": [[[0]]], "split": ["0"]},
     ],
 }
+
+
+def _builtin_doc(name):
+    return json.loads(resources.files("equivar").joinpath("models", name + ".json")
+                      .read_text(encoding="utf-8"))
+
+
+def _edited(name, edit):
+    doc = copy.deepcopy(_builtin_doc(name))
+    edit(doc)
+    return doc
+
+
+# Model documents with a wrong JSON type in a nested field:
+# case -> (built-in to edit, edit, the field the error must name).
+MALFORMED_DOCS = {
+    "generator-string": ("hopf", lambda d: d["generators"].append("psi"), "generator"),
+    "generator-int": ("hopf", lambda d: d["generators"].append(3), "generator"),
+    "frame-list": ("hopf", lambda d: d["frames"].append(["conn"]), "frame"),
+    "fixed-locus-string": ("cp1-dolbeault", lambda d: d["fixedLoci"].append("north"),
+                           "fixed locus"),
+    "dtable-list": ("hopf", lambda d: d.update(dTable=["Psi"]), "dTable"),
+    "base-list": ("hopf", lambda d: d.update(base=[2, 1, 2]), "base"),
+    "dtable-value-int": ("hopf", lambda d: d["dTable"].update(Psi=0), "dTable"),
+    "iota-entry-int": ("hopf", lambda d: d["iotaTable"].update(Psi=[0]), "iotaTable"),
+    "split-entry-int": ("hopf", lambda d: d["frames"][0].update(split=[0]), "split"),
+    "moment-samples-int": ("hopf", lambda d: d["frames"][0].update(momentSamples=5),
+                           "momentSamples"),
+    "moment-sample-int": ("hopf", lambda d: d["frames"][0].update(momentSamples=[-1]),
+                          "momentSamples"),
+    "moment-row-int": ("hopf", lambda d: d["frames"][0].update(momentSamples=[[-1]]),
+                       "momentSamples"),
+    "generator-frame-int": ("hopf", lambda d: d["generators"][0].update(frame=1), "'frame'"),
+    "generator-slot-string": ("hopf", lambda d: d["generators"][0].update(slot="1"),
+                              "'slot'"),
+    "generator-slot-bool": ("t2-on-t2", lambda d: [g.update(slot=True)
+                                                   for g in d["generators"]
+                                                   if g["slot"] == 1], "'slot'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_malformed_model_exit_two(case, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    name, edit, field = MALFORMED_DOCS[case]
+    path.write_text(json.dumps(_edited(name, edit)), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert field in cap.err and "Traceback" not in cap.err, cap.err
+
+
+def test_impossible_dimension_exit_two(tmp_path, capsys):
+    for dim, code in ((-1, 2), (0, 2), (1, 2), (2, 0)):
+        path = tmp_path / f"t2-dim{dim}.json"
+        path.write_text(json.dumps(_edited("t2-on-t2", lambda d: d.update(manifoldDim=dim))),
+                        encoding="utf-8")
+        assert main(["verify", str(path)]) == code, dim
+        cap = capsys.readouterr()
+        if code == 2:
+            assert cap.out == "" and cap.err.count("\n") == 1, cap.err
+            assert "manifold dimension" in cap.err, cap.err
 
 
 def test_report_round_trip():
