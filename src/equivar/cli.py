@@ -11,6 +11,7 @@ identical inputs and seed.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -94,7 +95,10 @@ def _emit(rep, json_path):
     return 0 if status == "pass" else 1
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first main call and reused: it
+    holds no per-call state (EQUIVAR_MAX_DEGREE is read in _max_degree)."""
     p = argparse.ArgumentParser(
         prog="equivar",
         description="Equivariant forms with delta coefficients: verification "

@@ -19,7 +19,7 @@ from math import factorial
 from . import linalg
 from .errors import InvariantViolation, MissingFibre, NonOrientable, SplittingMissing
 from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
-                       DeltaFactor, Element, FormalModel, Generator, Term, add_all,
+                       DeltaFactor, Element, FormalModel, Generator, Term, _exact, add_all,
                        equivariant_differential, multiply, normal_form)
 
 __all__ = [
@@ -42,23 +42,23 @@ def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
     up one factor of A^(-1) per slot, so the inverse is computed only when d
     has a non-zero derivative order.  det(A) <= 0 raises NonOrientable unless
     allow_reversal is set, in which case |det A| is used (test-only mode for
-    the orientation-flip check).
+    the orientation-flip check).  Coefficients are int when integral
+    (superalg._exact; derivative terms through normal_form).
     """
     k = len(d.deriv)
-    a = linalg.mat(a_matrix)
-    if len(a) != k or any(len(row) != k for row in a):
+    if len(a_matrix) != k or any(len(row) != k for row in a_matrix):
         raise NonOrientable(f"substitution matrix is not {k} x {k}")
-    det = linalg.det(a)
+    det = linalg.det(a_matrix)
     if det == 0:
         raise NonOrientable("singular frame change")
     if det < 0 and not allow_reversal:
         raise NonOrientable("orientation-reversing frame change (det < 0)")
-    scale = 1 / abs(det)
+    scale = _exact(1 / abs(det))
     if k == 0:
         return m.scalar(scale)
     if not any(d.deriv):
         return Element((Term(scale, (0,) * m.r, d, (), ()),))
-    b = linalg.inverse(a)
+    b = linalg.inverse(a_matrix)
     combos = {(0,) * k: Fraction(1)}
     for slot in range(k):
         for _ in range(d.deriv[slot]):

@@ -7,16 +7,25 @@ alpha_1..alpha_k with closed arguments u_j, the canonical value is
 
 in descending slot order; reversing the order flips the sign by
 (-1)^(k(k-1)/2).  The empty frame gives J = 1.
+
+A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
+the betas is expanded through `multiply`, never replaced by det(A), so a
+wrong Koszul sign or delta scale makes the comparison fail.  The expansion
+runs in integer arithmetic.  With q the lcm of A's denominators, the betas
+are built from the integer matrix qA; the wedge is multilinear, so
+beta_k ^ ... ^ beta_1 for A is q^-k times the one for qA, and that factor
+goes once onto the delta part, which is a single term.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
 from .superalg import (DeltaFactor, Element, Term, add_all, equivariant_differential,
-                       multiply, normal_form, product)
+                       multiply, product)
 
 
 @dataclass(frozen=True)
@@ -68,17 +77,21 @@ def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     beta_j = sum_l A[j][l] alpha_l, u^beta = A u, and delta_0(A u) is
     rewritten through delta_linear_substitute.  For det(A) > 0 this equals
     j_form exactly; the test-only reversal mode exposes the sign flip.
+    The betas are those of qA (see the module docstring); the delta part
+    still comes from A itself, so its determinant and orientation checks see
+    the frame change that was asked for.
     """
     fr = m.frames[frame_id]
     k = fr.rank
-    a = linalg.mat(a_matrix)
-    zero = (0,) * m.r
-    betas = [normal_form(Element(tuple(Term(a[row][col], zero, None, (fr.alpha_slots[col],), ())
-                                       for col in range(k) if a[row][col] != 0)), m)
-             for row in reversed(range(k))]
     d0 = DeltaFactor(frame_id, (0,) * k)
-    delta_part = delta_linear_substitute(d0, a, m, allow_reversal=allow_reversal)
-    return multiply(product(betas, m), delta_part, m)
+    delta_part = delta_linear_substitute(d0, a_matrix, m, allow_reversal=allow_reversal)
+    q = lcm(*(x.denominator for row in a_matrix for x in row))
+    zero = (0,) * m.r
+    betas = [Element(tuple(Term(x.numerator * (q // x.denominator), zero, None,
+                                (fr.alpha_slots[col],), ())
+                           for col, x in enumerate(row) if x))
+             for row in reversed(a_matrix)]
+    return multiply(product(betas, m), delta_part.scaled(Fraction(1, q ** k)), m)
 
 
 def frame_change_compare(m, jf, a_matrix):

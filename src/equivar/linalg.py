@@ -7,7 +7,14 @@ Bareiss elimination on Python ints (Bareiss, Math. Comp. 22, 1968): every
 intermediate entry is a minor of the scaled matrix, so each division is
 exact and no Fraction is built inside the loops.  Fractions appear only at
 the boundary: det returns one, rank returns an int.  inverse stays
-Gauss-Jordan over Fraction; it runs only for derivative deltas.
+Gauss-Jordan over Fraction; it runs only for derivative deltas, and it
+converts its own input, since it divides.
+
+No function here needs its input converted first.  mat is for callers that
+want a canonical form of a matrix given as nested sequences: tuple rows of
+Fraction entries, which compare equal exactly when the matrices do.  Frame
+changes do not go through it: they stay int where integral, and the frame
+trial in jform clears their denominators itself.
 """
 
 from fractions import Fraction
@@ -79,7 +86,8 @@ def det(a):
 
 def inverse(a):
     n = len(a)
-    rows = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(a)]
+    rows = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+            for i, r in enumerate(a)]
     for col in range(n):
         piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
         if piv is None:

@@ -27,13 +27,26 @@ def nonzero_rational(rng, lo=-4, hi=4, dens=(1, 1, 2, 3)):
             return q
 
 
+# the non-integral values of rational(rng, -3, 3, (1, 1, 2)), built once
+_HALVES = {n: Fraction(n, 2) for n in (-3, -1, 1, 3)}
+
+
+def _frame_entry(rng):
+    """The draw of rational(rng, -3, 3, (1, 1, 2)), with the same rng calls,
+    as an int when integral and else as a shared Fraction."""
+    n = rng.randint(-3, 3)
+    if rng.choice((1, 1, 2)) == 1:
+        return n
+    return _HALVES.get(n, n // 2)
+
+
 def random_gl_plus(rng, k):
-    """Random k x k rational matrix with positive determinant."""
+    """Random k x k rational matrix with positive determinant; an entry is
+    an int when it is integral."""
     if k == 0:
         return ()
     while True:
-        a = tuple(tuple(rational(rng, -3, 3, (1, 1, 2)) for _ in range(k))
-                  for _ in range(k))
+        a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
         d = linalg.det(a)
         if d > 0:
             return a

@@ -301,3 +301,29 @@ def test_index_all_examples_exit_zero(capsys):
 def test_index_report_round_trip():
     rep = run_index("s3-contact", max_degree=12)
     assert report_from_json(report_to_json(rep)) == rep
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # not at import: a fresh interpreter that imports the CLI builds nothing
+    probe = "import equivar.cli as c; print(c._build_parser.cache_info().misses)"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.strip() == "0", r.stderr
+    cli._build_parser.cache_clear()
+    bad_model = tmp_path / "flat-moment.json"
+    bad_model.write_text(json.dumps(BAD_MOMENT_DOC), encoding="utf-8")
+    assert main(["verify", "s1-on-s1", "--frame-trials", "3"]) == 0
+    assert main(["verify", str(bad_model)]) == 1
+    assert main(["render", "hopf", "--format", "latex"]) == 0
+    # EQUIVAR_MAX_DEGREE is still read on every call
+    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "twenty")
+    assert main(["index", "hopf"]) == 2
+    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
+    out = tmp_path / "rep.json"
+    assert main(["index", "hopf", "--json", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 24
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "s1-on-s1", "--no-such-flag"])
+    assert err.value.code == 2
+    assert main(["render", "s1-on-s1"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()

@@ -27,6 +27,7 @@ from equivar.jform import j_form
 from equivar.modelfile import load_builtin, load_model
 from equivar.randmodels import random_element, random_gl_plus, random_model
 from equivar.superalg import (
+    DeltaFactor,
     Element,
     Term,
     add,
@@ -150,6 +151,23 @@ def test_substitute_delta_zero_is_det_scaling_without_inverse(monkeypatch):
         assert delta_linear_substitute(d, ((c,),), m) == \
             m.delta("conn", deriv=(n,)).scaled(c ** -(n + 1))
     assert len(inverses) == 2
+
+
+def test_substitute_coefficients_are_int_when_integral():
+    m = load_builtin("t2-on-t2")
+    d0 = m.delta("tau").terms[0].delta
+    half = Fraction(1, 2)
+    for a in (((1, 0), (0, 1)), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))):
+        (t,) = delta_linear_substitute(d0, a, m).terms
+        assert t.coeff == 1 and type(t.coeff) is int
+    # 1/|det| = 2 is integral; so are the derivative coefficients through A^-1
+    for d in (d0, DeltaFactor("tau", (1, 0)), DeltaFactor("tau", (1, 1))):
+        got = delta_linear_substitute(d, ((half, 0), (0, 1)), m)
+        assert got.terms and all(type(t.coeff) is int for t in got.terms), d
+    (t,) = delta_linear_substitute(d0, ((half, 0), (0, 1)), m).terms
+    assert t.coeff == 2
+    (t,) = delta_linear_substitute(d0, ((2, 0), (0, 1)), m).terms
+    assert t.coeff == half
 
 
 def _pair(e, phi, m):

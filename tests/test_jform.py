@@ -1,12 +1,16 @@
 """The canonical closed form: construction, closedness, frame independence."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from equivar import jform, linalg, superalg
 from equivar.errors import NonOrientable, NotPrincipal, NotTransverse, RankDataMissing
+from equivar.genco import delta_linear_substitute
 from equivar.jform import (
     check_closed,
     check_transversality,
@@ -15,11 +19,13 @@ from equivar.jform import (
     j_form,
     transformed_j_form,
 )
-from equivar.modelfile import builtin_names, load_builtin
+from equivar.modelfile import builtin_names, load_builtin, load_model
 from equivar.randmodels import random_gl_plus, random_model
-from equivar.superalg import add, multiply
+from equivar.superalg import (DeltaFactor, Element, Term, add, add_all, multiply,
+                              normal_form, product)
 
 ALL_BUILTINS = tuple(builtin_names())
+SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
 
 
 def test_transversality_on_builtins():
@@ -146,3 +152,153 @@ def test_chern_weil_needs_principal_data():
     fid = sorted(m.frames)[0]
     with pytest.raises(NotPrincipal):
         chern_weil_pair(m, fid, {(0,) * m.frames[fid].rank: Fraction(1)})
+
+
+def _reference_transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
+    """The frame trial over Fraction entries: betas from the entries of A
+    itself, each put in normal form, and no q^-k step."""
+    fr = m.frames[frame_id]
+    k = fr.rank
+    a = linalg.mat(a_matrix)
+    zero = (0,) * m.r
+    betas = [normal_form(Element(tuple(Term(a[row][col], zero, None, (fr.alpha_slots[col],), ())
+                                       for col in range(k) if a[row][col] != 0)), m)
+             for row in reversed(range(k))]
+    d0 = DeltaFactor(frame_id, (0,) * k)
+    delta_part = delta_linear_substitute(d0, a, m, allow_reversal=allow_reversal)
+    return multiply(product(betas, m), delta_part, m)
+
+
+def _models_by_rank(ranks):
+    """{k: model} for each k in ranks, from seeded random models; the frame
+    of a random model is "fr"."""
+    found = {}
+    for seed in itertools.count():
+        m = random_model(random.Random(seed), max_rank=max(ranks), with_theta=seed % 2 == 0)
+        k = m.frames["fr"].rank
+        if k in ranks and k not in found:
+            found[k] = m
+        if len(found) == len(ranks):
+            return found
+
+
+def _nonsingular(k, draw):
+    while True:
+        a = tuple(tuple(draw() for _ in range(k)) for _ in range(k))
+        if linalg.det(a) != 0:
+            return a
+
+
+def _trial_matrices(rng, k):
+    """(kind, matrix) pairs: denominators 1/2/3/6, ints only, the identity,
+    permutations, and random_gl_plus draws; kind "reversal" marks det < 0."""
+    out = []
+    for _ in range(3):
+        out.append(("gl-plus", random_gl_plus(rng, k)))
+        out.append(("dens", _nonsingular(
+            k, lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))))))
+        out.append(("int", _nonsingular(k, lambda: rng.randint(-3, 3))))
+    out.append(("identity", tuple(tuple(int(i == j) for j in range(k)) for i in range(k))))
+    perm = list(range(k))
+    rng.shuffle(perm)
+    out.append(("permutation", tuple(tuple(int(j == perm[i]) for j in range(k))
+                                     for i in range(k))))
+    return [("reversal" if linalg.det(a) < 0 else kind, a) for kind, a in out]
+
+
+def test_integer_trial_matches_fraction_reference():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(("gl-plus", "dens", "int", "identity", "permutation", "reversal",
+                          "den2", "den3", "den6", "int-entries-only"), 0)
+    for k, m in sorted(_models_by_rank(set(range(1, 7))).items()):
+        jf = j_form(m, "fr")
+        for kind, a in _trial_matrices(rng, k):
+            reversal = kind == "reversal"
+            got = transformed_j_form(m, "fr", a, allow_reversal=reversal)
+            ref = _reference_transformed_j_form(m, "fr", a, allow_reversal=reversal)
+            assert got == ref, (k, kind, a)
+            assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in ref.terms]
+            assert got == (-jf.value if reversal else jf.value), (k, kind, a)
+            seen[kind] += 1
+            dens = {Fraction(x).denominator for row in a for x in row}
+            for d in (2, 3, 6):
+                seen[f"den{d}"] += d in dens
+            seen["int-entries-only"] += all(type(x) is int for row in a for x in row)
+    assert all(seen.values()), seen
+
+
+def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
+    """Each trial still expands the wedge through multiply, once per beta and
+    once for the delta part, and every beta coefficient is an int."""
+    models = _models_by_rank(set(range(1, 7)))
+    jfs = {k: j_form(m, "fr") for k, m in models.items()}
+    calls, coeff_types = [], set()
+    real_multiply, real_product = superalg.multiply, superalg.product
+
+    def counted(a, b, m):
+        calls.append(1)
+        return real_multiply(a, b, m)
+
+    def checked_product(factors, m):
+        factors = list(factors)
+        coeff_types.update(type(t.coeff) for f in factors for t in f.terms)
+        return real_product(factors, m)
+
+    monkeypatch.setattr(superalg, "multiply", counted)
+    monkeypatch.setattr(jform, "multiply", counted)
+    monkeypatch.setattr(jform, "product", checked_product)
+    rng = random.Random(8)
+    fractions = 0
+    for k, m in sorted(models.items()):
+        for _ in range(6):
+            a = random_gl_plus(rng, k)
+            fractions += any(type(x) is Fraction for row in a for x in row)
+            calls.clear()
+            assert frame_change_compare(m, jfs[k], a)
+            assert len(calls) == k + 1, (k, a)
+    assert fractions and coeff_types == {int}
+
+
+def _unsigned(multiply):
+    """multiply with the Koszul sign dropped: each pair of terms is multiplied
+    alone and keeps the plain product of the two coefficients.  Only valid
+    where no closed argument meets a delta factor, as in a frame trial."""
+    def unsigned(a, b, m):
+        pieces = []
+        for t1 in a.terms:
+            for t2 in b.terms:
+                for t in multiply(Element((t1,)), Element((t2,)), m).terms:
+                    pieces.append(Element((dataclasses.replace(t, coeff=t1.coeff * t2.coeff),)))
+        return add_all(pieces, m)
+    return unsigned
+
+
+def _unscaled(substitute):
+    """delta_linear_substitute without the 1/|det A| scale."""
+    def unscaled(d, a_matrix, m, allow_reversal=False):
+        return substitute(d, a_matrix, m, allow_reversal).scaled(abs(linalg.det(a_matrix)))
+    return unscaled
+
+
+@pytest.mark.parametrize("fault", ("koszul-sign", "det-scale"))
+def test_frame_trial_catches_injected_faults(fault, monkeypatch):
+    cases = []
+    for m in (load_builtin("t2-on-t2"), load_model(SPLIT_RANK4)):
+        for fid, fr in sorted(m.frames.items()):
+            if fr.rank >= 2:
+                cases.append((m, j_form(m, fid), fr.rank))
+    assert len(cases) == 2
+    rng = random.Random(31)
+    draws = [[random_gl_plus(rng, k) for _ in range(10)] for _, _, k in cases]
+    assert any(type(x) is Fraction for ms in draws for a in ms for row in a for x in row)
+    for (m, jf, _), ms in zip(cases, draws):
+        assert all(frame_change_compare(m, jf, a) for a in ms)
+    if fault == "koszul-sign":
+        unsigned = _unsigned(superalg.multiply)
+        monkeypatch.setattr(superalg, "multiply", unsigned)
+        monkeypatch.setattr(jform, "multiply", unsigned)
+    else:
+        monkeypatch.setattr(jform, "delta_linear_substitute",
+                            _unscaled(jform.delta_linear_substitute))
+    for (m, jf, _), ms in zip(cases, draws):
+        assert not all(frame_change_compare(m, jf, a) for a in ms), m.name

@@ -11,9 +11,12 @@ import pytest
 from equivar.errors import DeltaClash, InvariantViolation
 from equivar.genco import with_fibre_coordinates
 from equivar.modelfile import builtin_names, load_builtin
-from equivar.randmodels import random_element, random_model
+from equivar.randmodels import nonzero_rational, random_element, random_model
 from equivar.superalg import (
     CLOSED_ARGUMENT,
+    EVEN,
+    FRAME_FORM,
+    ODD,
     DeltaFactor,
     Element,
     FormalModel,
@@ -22,6 +25,7 @@ from equivar.superalg import (
     Term,
     add,
     add_all,
+    apply_table_derivation,
     equivariant_differential,
     multiply,
     normal_form,
@@ -459,3 +463,119 @@ def test_random_models_validate():
     for seed in range(40):
         m = random_model(random.Random(seed))
         validate_model(m)  # must not raise
+
+
+def _reference_identities(m):
+    """The identity loop of validate_model with nothing skipped: d d on every
+    generator, iota_a iota_b + iota_b iota_a on every pair (a, b), and every
+    Cartan sum."""
+    frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
+    closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}
+
+    def d_img(n):
+        return Element() if n in closed_args else m.d_table.get(n, Element())
+
+    def iota_img(a):
+        def img(n):
+            return Element() if n in closed_args else m.iota_table.get((n, a), Element())
+        return img
+
+    for name in m.generators:
+        if name in frame_forms:
+            continue
+        dd = apply_table_derivation(d_img(name), d_img, m)
+        if not dd.is_zero():
+            raise InvariantViolation(f"d(d({name})) != 0")
+        for a in range(m.r):
+            ia = iota_img(a)
+            for b in range(m.r):
+                ib = iota_img(b)
+                anti = add(apply_table_derivation(ia(name), ib, m),
+                           apply_table_derivation(ib(name), ia, m), m)
+                if not anti.is_zero():
+                    raise InvariantViolation(f"iota_{a} iota_{b} fails to anticommute on {name!r}")
+            cartan = add(apply_table_derivation(ia(name), d_img, m),
+                         apply_table_derivation(d_img(name), ia, m), m)
+            if not cartan.is_zero():
+                raise InvariantViolation(
+                    f"generator {name!r} is not invariant: (d iota_{a} + iota_{a} d) != 0")
+    return True
+
+
+def _with_block(rng, m, kind):
+    """m with extra generators zp (even, 2), zq and zr (odd, 1), zc (even, 2)
+    and zs (odd, 3) placed at a random position, and table entries among them:
+
+      valid        iota_a zp = zq, and if a != b also iota_b zp = zr,
+                   iota_b zq = s, iota_a zr = -s (the pair (a, b) cancels)
+      anticommute  iota_a zp = zq, iota_b zq = s (a > b, or a = b = 0 when
+                   the model has one parameter)
+      invariance   iota_a zp = zq, d zq = zc
+      dd           d zq = s zp, d zp = zs
+    """
+    new = {"zp": Generator("zp", EVEN, 2), "zq": Generator("zq", ODD, 1),
+           "zr": Generator("zr", ODD, 1), "zc": Generator("zc", EVEN, 2),
+           "zs": Generator("zs", ODD, 3)}
+    items = list(m.generators.items())
+    at = rng.randint(0, len(items))
+    gens = dict(items[:at] + list(new.items()) + items[at:])
+    d_table, iota_table = dict(m.d_table), dict(m.iota_table)
+    s = nonzero_rational(rng)
+    b, a = sorted(rng.sample(range(m.r), 2)) if m.r > 1 else (0, 0)
+    one = Element((Term(1, (0,) * m.r, None, (), ()),))
+
+    def gen(name):
+        g = new[name]
+        if g.parity == ODD:
+            return Element((Term(1, (0,) * m.r, None, (name,), ()),))
+        return Element((Term(1, (0,) * m.r, None, (), ((name, 1),)),))
+
+    if kind == "valid":
+        iota_table[("zp", a)] = gen("zq")
+        if a != b:
+            iota_table[("zp", b)] = gen("zr")
+            iota_table[("zq", b)] = one.scaled(s)
+            iota_table[("zr", a)] = one.scaled(-s)
+    elif kind == "anticommute":
+        iota_table[("zp", a)] = gen("zq")
+        iota_table[("zq", b)] = one.scaled(s)
+    elif kind == "invariance":
+        iota_table[("zp", a)] = gen("zq")
+        d_table["zq"] = gen("zc")
+    else:
+        d_table["zq"] = gen("zp").scaled(s)
+        d_table["zp"] = gen("zs")
+    return dataclasses.replace(m, manifold_dim=max(m.manifold_dim, 4), generators=gens,
+                               d_table=d_table, iota_table=iota_table), (a, b)
+
+
+def _outcome(check, m):
+    try:
+        return check(m)
+    except InvariantViolation as e:
+        return str(e)
+
+
+def test_validate_matches_full_identity_loop():
+    expected = {
+        "valid": lambda a, b: True,
+        "anticommute": lambda a, b: f"iota_{b} iota_{a} fails to anticommute on 'zp'",
+        "invariance": lambda a, b: f"generator 'zp' is not invariant: "
+                                   f"(d iota_{a} + iota_{a} d) != 0",
+        "dd": lambda a, b: "d(d(zq)) != 0",
+    }
+    seen = dict.fromkeys(("random", "anticommute a>b", "anticommute a=b", *expected), 0)
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = random_model(rng, max_rank=3, with_theta=seed % 3 != 0)
+        assert _outcome(validate_model, m) is True is _outcome(_reference_identities, m)
+        seen["random"] += 1
+        for kind, message in expected.items():
+            broken, (a, b) = _with_block(rng, m, kind)
+            got = _outcome(validate_model, broken)
+            assert got == _outcome(_reference_identities, broken), (seed, kind)
+            assert got == message(a, b), (seed, kind, got)
+            seen[kind] += 1
+            if kind == "anticommute":
+                seen["anticommute a>b" if a > b else "anticommute a=b"] += 1
+    assert all(seen.values()), seen
