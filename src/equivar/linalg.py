@@ -8,7 +8,9 @@ intermediate entry is a minor of the scaled matrix, so each division is
 exact and no Fraction is built inside the loops.  Fractions appear only at
 the boundary: det returns one, rank returns an int.  inverse stays
 Gauss-Jordan over Fraction; it runs only for derivative deltas, and it
-converts its own input, since it divides.
+converts its own input, since it divides.  det remembers its result for the
+last matrix it was given as a tuple of tuples, so a frame trial, which needs
+the determinant of its matrix twice, runs the elimination once.
 
 No function here needs its input converted first.  mat is for callers that
 want a canonical form of a matrix given as nested sequences: tuple rows of
@@ -61,7 +63,25 @@ def rank(a):
     return r
 
 
+# (matrix, det) of the last matrix of tuple rows given to det (see the module
+# docstring).  Keyed by identity: hashing a matrix runs a Python-level
+# Fraction.__hash__ per Fraction entry, which costs more than it saves, and a
+# tuple of tuples of numbers cannot change.
+_last_det = (None, None)
+
+
 def det(a):
+    global _last_det
+    last, d = _last_det
+    if a is last:
+        return d
+    d = _bareiss_det(a)
+    if a.__class__ is tuple and all(row.__class__ is tuple for row in a):
+        _last_det = (a, d)
+    return d
+
+
+def _bareiss_det(a):
     n = len(a)
     if n == 0:
         return Fraction(1)

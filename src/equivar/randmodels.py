@@ -32,10 +32,12 @@ _HALVES = {n: Fraction(n, 2) for n in (-3, -1, 1, 3)}
 
 
 def _frame_entry(rng):
-    """The draw of rational(rng, -3, 3, (1, 1, 2)), with the same rng calls,
-    as an int when integral and else as a shared Fraction."""
-    n = rng.randint(-3, 3)
-    if rng.choice((1, 1, 2)) == 1:
+    """The draw of rational(rng, -3, 3, (1, 1, 2)), as an int when integral
+    and else as a shared Fraction.  randrange(7) - 3 and randrange(3) < 2
+    consume the same draws as randint(-3, 3) and choice((1, 1, 2)) == 1, and
+    give the same values, through fewer calls."""
+    n = rng.randrange(7) - 3
+    if rng.randrange(3) < 2:
         return n
     return _HALVES.get(n, n // 2)
 

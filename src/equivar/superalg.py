@@ -28,19 +28,31 @@ exactly and compare and hash alike, so the rule only picks the cheaper
 representation.  A term's even monomial is sorted by name with positive
 exponents, and its odd monomial is sorted by `FormalModel.odd_order`.
 
-`multiply` codes each odd monomial as a bitmask (bit odd_order[g] for each
-generator g), once per term and call.  Two terms with overlapping masks
-multiply to zero, and the Koszul sign is the parity of the inversions,
-counted as popcounts: for each g of the right factor, the left factor's
-generators that come after g are the set bits of mask >> odd_order[g].
-Term degrees are read from two name -> degree tables (form degree, and
-truncation degree, which is 0 on closed arguments) that
-`FormalModel.__post_init__` builds; the generators of a model are never
-reassigned after construction.
+A `Term` is a NamedTuple of its five fields: building one is one tuple
+allocation, and two terms compare as tuples.  `multiply` and `_finalize`
+read three tables that each `FormalModel` fills lazily: odd monomial ->
+bitmask (bit odd_order[g] for each generator g), bitmask -> odd monomial
+sorted by odd_order, and odd monomial -> form degree.  Two terms with
+overlapping masks multiply to zero; otherwise their product's odd monomial
+is the table entry of m1 | m2, with no sort.  The Koszul sign is the parity
+of the pairs (g1, g2), g1 from the left term after g2 from the right one:
+bit i of the right term's parity mask is the parity of its generators below
+i, and the sign is the parity of the popcount of m1 & that mask.  A call
+unpacks the right operand's terms once, with their masks, and checks for a
+delta clash once per left term with a delta, against the right operand's
+first delta, which is the first clashing pair's.  Even degrees come from
+the name -> truncation degree table (0 on closed arguments).
+
+The tables are safe because a model's generators and `odd_order` are fixed
+in `__post_init__` and never reassigned.  They are keyed by name tuples and
+live on the model, not in the terms, because the same monomial has another
+mask in another model: `with_fibre_coordinates` builds a new model, with its
+own odd order and its own tables.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DeltaClash, InvariantViolation, NotDifferentiable
 
@@ -62,6 +74,10 @@ ARG_MOMENT = "moment"
 
 # delta key of a term without a delta factor
 _NO_DELTA = ("", (), "")
+
+# _new_tuple(Term, fields) builds a term without the Python-level __new__
+# that NamedTuple generates; the per-term loops below use it
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,7 @@ def _exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: int | Fraction
     x_mono: tuple[int, ...]
     delta: DeltaFactor | None
@@ -124,16 +139,15 @@ class Element:
         return not self.terms
 
     def __neg__(self):
-        return Element(tuple(
-            Term(-t.coeff, t.x_mono, t.delta, t.odd_mono, t.even_mono) for t in self.terms))
+        return Element(tuple(_new_tuple(Term, (-c, x, d, odd, even))
+                             for c, x, d, odd, even in self.terms))
 
     def scaled(self, c):
         c = _exact(c)
         if c == 0:
             return Element()
-        return Element(tuple(
-            Term(_exact(t.coeff * c), t.x_mono, t.delta, t.odd_mono, t.even_mono)
-            for t in self.terms))
+        return Element(tuple(_new_tuple(Term, (_exact(t_c * c), x, d, odd, even))
+                             for t_c, x, d, odd, even in self.terms))
 
 
 @dataclass(frozen=True)
@@ -167,8 +181,13 @@ class FormalModel:
         odd_names = [g.name for g in self.generators.values() if g.parity == ODD]
         odd_names.sort(key=lambda n: self._order_key(self.generators[n]))
         self.odd_order = {n: i for i, n in enumerate(odd_names)}
+        self._odd_names = tuple(odd_names)
         self.form_degrees = {n: g.form_degree for n, g in self.generators.items()}
         self.truncation_degrees = {n: g.truncation_degree() for n, g in self.generators.items()}
+        # filled lazily by multiply and _finalize (see the module docstring)
+        self._odd_masks = {}        # odd monomial -> bitmask
+        self._odd_by_mask = {}      # bitmask -> odd monomial sorted by odd_order
+        self._odd_degrees = {}      # odd monomial -> form degree
         self._u_frame = {}
         for fr in self.frames.values():
             for j, un in enumerate(fr.u_slots):
@@ -220,7 +239,10 @@ class FormalModel:
         return len(t.odd_mono) % 2
 
     def term_degree(self, t):
-        return _degree(t.odd_mono, t.even_mono, self.form_degrees, self.truncation_degrees)
+        deg = _odd_degree(t.odd_mono, self)
+        for n, e in t.even_mono:
+            deg += e * self.truncation_degrees[n]
+        return deg
 
     def d_image(self, name):
         """D applied to a single generator, as an Element."""
@@ -247,12 +269,28 @@ class FormalModel:
 # ---------------------------------------------------------------------------
 # term assembly
 
-def _degree(odd_mono, even_mono, form_degrees, truncation_degrees):
-    deg = 0
-    for n in odd_mono:
-        deg += form_degrees[n]
-    for n, e in even_mono:
-        deg += e * truncation_degrees[n]
+def _odd_mask(odd_mono, m):
+    """Bit odd_order[g] for each generator g of odd_mono, stored in m's table."""
+    order = m.odd_order
+    mask = 0
+    for g in odd_mono:
+        mask |= 1 << order[g]
+    m._odd_masks[odd_mono] = mask
+    return mask
+
+
+def _odd_of_mask(mask, m):
+    """The odd monomial of a bitmask, sorted by odd_order, stored in m's table."""
+    names = m._odd_names
+    odd = tuple(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
+    m._odd_by_mask[mask] = odd
+    return odd
+
+
+def _odd_degree(odd_mono, m):
+    """Form degree of an odd monomial, stored in m's table."""
+    form_degrees = m.form_degrees
+    deg = m._odd_degrees[odd_mono] = sum(form_degrees[n] for n in odd_mono)
     return deg
 
 
@@ -263,7 +301,7 @@ def _finalize(acc, m):
     another one, so the surviving coefficients are merged again before the
     zeros are dropped."""
     out = {}
-    form_degrees, truncation_degrees = m.form_degrees, m.truncation_degrees
+    odd_degrees, truncation_degrees = m._odd_degrees, m.truncation_degrees
     dim = m.manifold_dim
     for key, coeff in acc.items():
         if coeff == 0:
@@ -274,22 +312,27 @@ def _finalize(acc, m):
             if coeff == 0:
                 continue
             key = (x_mono, dk, odd_mono, even_mono)
-        if _degree(odd_mono, even_mono, form_degrees, truncation_degrees) > dim:
+        deg = odd_degrees.get(odd_mono)
+        if deg is None:
+            deg = _odd_degree(odd_mono, m)
+        for n, e in even_mono:
+            deg += e * truncation_degrees[n]
+        if deg > dim:
             continue
         prev = out.get(key)
         out[key] = coeff if prev is None else prev + coeff
     deltas = {}
     terms = []
-    for key in sorted(out):
-        c = out[key]
+    for (x_mono, dk, odd_mono, even_mono), c in sorted(out.items()):
         if c == 0:
             continue
-        dk = key[1]
+        if c.__class__ is not int:
+            c = _exact(c)
         if dk in deltas:
             delta = deltas[dk]
         else:
             delta = deltas[dk] = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
-        terms.append(Term(_exact(c), key[0], delta, key[2], key[3]))
+        terms.append(_new_tuple(Term, (c, x_mono, delta, odd_mono, even_mono)))
     return Element(tuple(terms))
 
 
@@ -324,10 +367,10 @@ def add_all(elements, m):
     which is finalized once."""
     acc = {}
     for e in elements:
-        for t in e.terms:
-            key = t.key()
+        for c, x_mono, delta, odd_mono, even_mono in e.terms:
+            key = (x_mono, _NO_DELTA if delta is None else delta.key(), odd_mono, even_mono)
             prev = acc.get(key)
-            acc[key] = t.coeff if prev is None else prev + t.coeff
+            acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)
 
 
@@ -340,46 +383,49 @@ def add(a, b, m):
     return add_all((a, b), m)
 
 
-def _odd_mask(odd_mono, order):
-    mask = 0
-    for g in odd_mono:
-        mask |= 1 << order[g]
-    return mask
-
-
 def multiply(a, b, m):
     """Koszul-signed product.  Raises DeltaClash on any delta * delta: the
     source calculus never multiplies two generalized-coefficient forms, so no
     product rule exists (same frame included)."""
-    order = m.odd_order
-    right = [(t2, _odd_mask(t2.odd_mono, order), [order[g] for g in t2.odd_mono],
-              t2.delta.key() if t2.delta is not None else _NO_DELTA, not any(t2.x_mono))
-             for t2 in b.terms]
+    order, masks, by_mask = m.odd_order, m._odd_masks, m._odd_by_mask
+    right = []
+    d2 = None    # the first delta factor of b
+    for c2, x2, delta2, odd2, even2 in b.terms:
+        m2 = masks.get(odd2)
+        if m2 is None:
+            m2 = _odd_mask(odd2, m)
+        # bit i of p2: parity of the generators of odd2 below odd_order i
+        p2 = 0
+        for g in odd2:
+            p2 ^= -2 << order[g]
+        if delta2 is None:
+            dk2 = _NO_DELTA
+        else:
+            dk2 = delta2.key()
+            if d2 is None:
+                d2 = delta2
+        right.append((c2, x2, not any(x2), dk2, m2, p2, even2))
     acc = {}
-    for t1 in a.terms:
-        c1, x1, d1, odd1, even1 = t1.coeff, t1.x_mono, t1.delta, t1.odd_mono, t1.even_mono
-        m1 = _odd_mask(odd1, order)
-        dk1 = d1.key() if d1 is not None else _NO_DELTA
+    for c1, x1, d1, odd1, even1 in a.terms:
+        if d1 is not None:
+            if d2 is not None:
+                if d1.frame_id == d2.frame_id:
+                    raise DeltaClash(f"product of two delta factors on frame {d1.frame_id!r}")
+                raise DeltaClash(f"product of delta factors on distinct frames "
+                                 f"{d1.frame_id!r} and {d2.frame_id!r}")
+            dk1 = d1.key()
+        else:
+            dk1 = None
+        m1 = masks.get(odd1)
+        if m1 is None:
+            m1 = _odd_mask(odd1, m)
         x1_zero = not any(x1)
-        for t2, m2, orders2, dk2, x2_zero in right:
-            if d1 is not None and t2.delta is not None:
-                if d1.frame_id == t2.delta.frame_id:
-                    raise DeltaClash(
-                        f"product of two delta factors on frame {d1.frame_id!r}")
-                raise DeltaClash(
-                    f"product of delta factors on distinct frames "
-                    f"{d1.frame_id!r} and {t2.delta.frame_id!r}")
+        for c2, x2, x2_zero, dk2, m2, p2, even2 in right:
             if m1 & m2:
                 continue
-            inv = 0
-            if m1:
-                for o in orders2:
-                    inv += (m1 >> o).bit_count()
-            if inv:
-                odd = tuple(sorted(odd1 + t2.odd_mono, key=order.__getitem__))
-            else:
-                odd = odd1 + t2.odd_mono
-            even2 = t2.even_mono
+            odd = by_mask.get(m1 | m2)
+            if odd is None:
+                odd = _odd_of_mask(m1 | m2, m)
             if not even2:
                 even = even1
             elif not even1:
@@ -390,15 +436,14 @@ def multiply(a, b, m):
                     merged[n] = merged.get(n, 0) + e
                 even = tuple(sorted(merged.items()))
             if x1_zero:
-                x_mono = t2.x_mono
+                x_mono = x2
             elif x2_zero:
                 x_mono = x1
             else:
-                x_mono = tuple(i + j for i, j in zip(x1, t2.x_mono))
-            key = (x_mono, dk1 if d1 is not None else dk2, odd, even)
-            c = c1 * t2.coeff
-            if inv & 1:
-                c = -c
+                x_mono = tuple(i + j for i, j in zip(x1, x2))
+            key = (x_mono, dk1 or dk2, odd, even)
+            # the Koszul sign: parity of the pairs (g1, g2) with g1 after g2
+            c = -c1 * c2 if (m1 & p2).bit_count() & 1 else c1 * c2
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)

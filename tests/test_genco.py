@@ -229,7 +229,7 @@ def _taylor_reference(e, fid, m):
         if t.delta is None or t.delta.frame_id != fid:
             terms.append(t)
             continue
-        base = Element((dataclasses.replace(t, delta=None),))
+        base = Element((t._replace(delta=None),))
         for jj in multi_indices(fr.rank, m.manifold_dim // 2):
             dal = product([fr.dalpha[s] for s in range(fr.rank) for _ in range(jj[s])], m)
             deriv = tuple(a + b for a, b in zip(t.delta.deriv, jj))

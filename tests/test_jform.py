@@ -259,6 +259,36 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
     assert fractions and coeff_types == {int}
 
 
+def test_trial_runs_the_elimination_once_when_the_first_draw_is_kept(monkeypatch):
+    """random_gl_plus and delta_linear_substitute both ask for det A.  When
+    the first draw has det > 0 and is returned as it is, the whole trial runs
+    the elimination once; a draw with det < 0 is returned with its first row
+    negated, a new matrix, whose determinant is computed again."""
+    runs = []
+    real_det = linalg._bareiss_det
+
+    def counted(a):
+        runs.append(a)
+        return real_det(a)
+
+    monkeypatch.setattr(linalg, "_bareiss_det", counted)
+    rng = random.Random(12)
+    seen = dict.fromkeys(("kept", "negated"), 0)
+    for k, m in sorted(_models_by_rank(set(range(1, 7))).items()):
+        jf = j_form(m, "fr")
+        for _ in range(6):
+            runs.clear()
+            a = random_gl_plus(rng, k)
+            draws, kept = len(runs), runs[-1] is a
+            assert frame_change_compare(m, jf, a)
+            assert len(runs) == draws + (not kept), (k, a)
+            if kept and draws == 1:
+                seen["kept"] += 1
+            elif not kept:
+                seen["negated"] += 1
+    assert all(seen.values()), seen
+
+
 def _unsigned(multiply):
     """multiply with the Koszul sign dropped: each pair of terms is multiplied
     alone and keeps the plain product of the two coefficients.  Only valid
@@ -268,7 +298,7 @@ def _unsigned(multiply):
         for t1 in a.terms:
             for t2 in b.terms:
                 for t in multiply(Element((t1,)), Element((t2,)), m).terms:
-                    pieces.append(Element((dataclasses.replace(t, coeff=t1.coeff * t2.coeff),)))
+                    pieces.append(Element((t._replace(coeff=t1.coeff * t2.coeff),)))
         return add_all(pieces, m)
     return unsigned
 

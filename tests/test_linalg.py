@@ -141,3 +141,12 @@ def test_mat_keeps_fraction_entries_and_converts_the_rest():
     b = linalg.mat(a)
     assert all(x is y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
     assert linalg.inverse(a) == ((half, Fraction(-1, 4)), (Fraction(3, 8), Fraction(1, 16)))
+
+
+def test_det_remembers_only_matrices_of_tuple_rows():
+    a = ((1, 2), (3, 4))
+    assert linalg.det(a) == -2 and linalg.det(a) == -2
+    for rows in ([[1, 2], [3, 4]], ([1, 2], [3, 4])):
+        assert linalg.det(rows) == -2
+        rows[0][0] = 5
+        assert linalg.det(rows) == 14

@@ -188,13 +188,13 @@ def _raw_pieces(rng, m, counts):
             up = tuple(e + (i == j) for i, e in enumerate(t.delta.deriv))
             absorbed = Term(t.coeff, t.x_mono, DeltaFactor("fr", up), t.odd_mono,
                             tuple(sorted({**even, u: even.get(u, 0) + 1}.items())))
-            partner = dataclasses.replace(t, coeff=t.coeff * up[j])
+            partner = t._replace(coeff=t.coeff * up[j])
             pieces += [Element((absorbed,)), Element((partner,))]
             counts["absorbed"] += 1
         elif plain and rng.random() < 0.5:
             name = rng.choice(plain)
             even[name] = even.get(name, 0) + m.manifold_dim // 2 + 1
-            over = dataclasses.replace(t, even_mono=tuple(sorted(even.items())))
+            over = t._replace(even_mono=tuple(sorted(even.items())))
             assert m.term_degree(over) > m.manifold_dim
             pieces.append(Element((over,)))
             counts["truncated"] += 1
