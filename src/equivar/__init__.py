@@ -10,9 +10,8 @@ independent representation-theoretic oracles are all exact over the
 rationals.
 """
 
-from .charclass import (FixedLocusDatum, SeriesPolicy, TaylorSeries,
-                        a_hat_squared, dh_factor, fixed_point_contribution,
-                        j_h_function, localize_index, td_factor)
+from .charclass import (FixedLocusDatum, TaylorSeries, fixed_point_contribution,
+                        localize_index)
 from .characters import (EXAMPLES, cp1_sheaf_character_oracle,
                          frobenius_multiplicity_oracle, hrr_cp1_oracle,
                          index_cp1_pipeline, index_hopf_pipeline,
@@ -21,16 +20,15 @@ from .characters import (EXAMPLES, cp1_sheaf_character_oracle,
 from .errors import (DeltaClash, EquivarError, InvariantViolation,
                      MissingExpansionDirection, MissingFibre,
                      NonIntegerCoefficients, NonOrientable, NotDifferentiable,
-                     NotNormal, NotPrincipal, NotTransverse, OutOfRange,
-                     ParseError, RankDataMissing, SplittingMissing,
-                     UnknownExample, ZeroWeight)
+                     NotPrincipal, NotTransverse, OutOfRange, ParseError,
+                     RankDataMissing, SplittingMissing, UnknownExample,
+                     ZeroWeight)
 from .genco import (delta_linear_substitute, fourier_fibre_integrate,
                     taylor_expand_delta, with_fibre_coordinates)
 from .jform import (JForm, chern_weil_pair, check_closed, check_transversality,
                     frame_change_compare, j_form, transformed_j_form)
 from .laurent import (DenomFactor, DistributionalCharacter, LaurentPoly,
-                      RationalCharacter, expand_box, expand_to_degree,
-                      lattice_comb, multiplicity)
+                      RationalCharacter, expand_box, expand_to_degree, lattice_comb)
 from .modelfile import (builtin_names, load_builtin, load_model, loads_model,
                         parse_element)
 from .report import (make_report, render_element, render_frame_value,

@@ -15,18 +15,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .charclass import (SeriesPolicy, TaylorSeries, a_hat_squared,
-                        fixed_point_contribution, j_h_function, localize_index)
+from .charclass import TaylorSeries, fixed_point_contribution, localize_index
 from .errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
                      UnknownExample)
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
-from .laurent import (DistributionalCharacter, LaurentPoly, RationalCharacter,
-                      expand_to_degree)
+from .laurent import LaurentPoly, RationalCharacter, expand_to_degree, lattice_comb
 from .modelfile import load_builtin
-from .superalg import (ARG_MOMENT, CLOSED_ARGUMENT, EVEN, FRAME_FORM, ODD,
-                       DeltaFactor, Element, FormalModel, FrameDecl, Generator,
-                       Term, add, add_all, multiply, product, validate_model)
+from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
+                       multiply, product)
 
 EXAMPLES = ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")
 
@@ -138,40 +135,22 @@ def _poly_table(p):
 # ---------------------------------------------------------------------------
 # torus zero-operator pipeline
 
-def _torus_model(rank_l):
-    if rank_l == 1:
-        return load_builtin("s1-on-s1")
-    if rank_l == 2:
-        return load_builtin("t2-on-t2")
-    gens = {}
-    alphas = []
-    for j in range(1, rank_l + 1):
-        a, u = f"deta{j}", f"u{j}"
-        gens[a] = Generator(a, ODD, 1, FRAME_FORM, "tau", j)
-        gens[u] = Generator(u, EVEN, 2, CLOSED_ARGUMENT, "tau", j)
-        alphas.append(a)
-    moment = (tuple(tuple(Fraction(-1 if i == j else 0) for i in range(rank_l))
-                    for j in range(rank_l)),)
-    frame = FrameDecl("tau", rank_l, tuple(alphas),
-                      tuple(f"u{j}" for j in range(1, rank_l + 1)), moment, None)
-    m = FormalModel(f"t{rank_l}-on-t{rank_l}", rank_l,
-                    tuple(f"X{j}" for j in range(1, rank_l + 1)),
-                    gens, {}, {}, {"tau": frame})
-    m.frames["tau"] = replace(frame, dalpha=tuple(m.zero() for _ in range(rank_l)))
-    validate_model(m)
-    return m
+# the built-in torus acting on itself, by rank
+_TORUS_MODELS = {1: "s1-on-s1", 2: "t2-on-t2"}
 
 
-def index_torus_zero_op(rank_l, policy=None):
-    """Index of the zero operator on the rank-l torus acting on itself.
+def index_torus_zero_op(rank_l):
+    """Index of the zero operator on the rank-l torus (l = 1 or 2) acting on
+    itself.
 
     Formula side: the canonical form of the full coframe is the delta class
-    of the lattice; its Fourier coefficients give every character once.
-    Oracle side: the regular representation of the torus.
+    of the lattice; its Fourier side is the product of the lattice combs
+    along the coordinate directions, expanded through laurent on the window.
+    Oracle side: the regular representation of the torus, by enumeration.
     """
-    if rank_l < 1:
-        raise OutOfRange(f"torus rank must be >= 1, got {rank_l}")
-    m = _torus_model(rank_l)
+    if rank_l not in _TORUS_MODELS:
+        raise OutOfRange(f"torus rank must be 1 or 2, got {rank_l}")
+    m = load_builtin(_TORUS_MODELS[rank_l])
     fr = m.frames["tau"]
     results = []
     jf = j_form(m, "tau")
@@ -186,12 +165,14 @@ def index_torus_zero_op(rank_l, policy=None):
     results.append(_entry("equivariantly-closed", check_closed(m, jf)))
     ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
     results.append(_entry("frame-annihilation", ann))
-    dist = DistributionalCharacter(rank_l, {}, -1, closed_form=lambda w: 1,
-                                   family="all-ones")
+    rc = RationalCharacter.one(rank_l)
+    for j in range(rank_l):
+        rc = rc * lattice_comb(rank_l, tuple(int(i == j) for i in range(rank_l)))
     window = 50 if rank_l == 1 else 20
-    ok = all(dist.multiplicity(w) == l2_torus_oracle(w) for w in _box(rank_l, window))
-    results.append(_entry(f"regular-representation-window-{window}", ok))
-    results.append(_entry("integer-coefficients", True))
+    dist = expand_to_degree(rc, window)
+    oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
+    results.append(_entry(f"regular-representation-window-{window}",
+                          dist.coeffs == oracle))
     chars = _character_table(dist, window if rank_l == 1 else 5)
     return _finish("torus-zero", results, chars, {"rank": rank_l})
 
@@ -199,16 +180,15 @@ def index_torus_zero_op(rank_l, policy=None):
 # ---------------------------------------------------------------------------
 # projective-line pipelines
 
-def index_cp1_pipeline(case, twist=0, policy=None):
-    policy = policy or SeriesPolicy()
+def index_cp1_pipeline(case, twist=0, max_degree=20):
     if case == "ETM":
-        return _cp1_dolbeault(twist, policy)
+        return _cp1_dolbeault(twist, max_degree)
     if case == "E0":
-        return _cp1_l2(twist, policy)
+        return _cp1_l2(twist, max_degree)
     raise UnknownExample(f"unknown projective-line case {case!r} (ETM or E0)")
 
 
-def _cp1_dolbeault(twist, policy):
+def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     results = []
     jf = j_form(m, "triv")
@@ -219,9 +199,8 @@ def _cp1_dolbeault(twist, policy):
     rc = RationalCharacter.zero(1)
     for d in loci:
         rc = rc + fixed_point_contribution(d, 1)
-    radius = max(policy.max_degree, abs(twist) + 2)
+    radius = max(max_degree, abs(twist) + 2)
     dist = expand_to_degree(rc, radius)
-    results.append(_entry("integer-coefficients", True))
     computed = LaurentPoly(1, {w: Fraction(c) for w, c in dist.coeffs.items()})
     oracle = cp1_sheaf_character_oracle(twist)
     ok = computed == oracle
@@ -238,14 +217,14 @@ def _cp1_dolbeault(twist, policy):
     return _finish("cp1-dolbeault", results, chars, {"case": "ETM", "twist": twist})
 
 
-def _cp1_l2(twist, policy):
+def _cp1_l2(twist, max_degree):
     n = twist
     table = []
-    for mm in range(policy.max_degree + 1):
+    for mm in range(max_degree + 1):
         table.append({"irrep": mm, "multiplicity": frobenius_multiplicity_oracle(n, mm)})
     sym_ok = all(frobenius_multiplicity_oracle(n, mm)
                  == frobenius_multiplicity_oracle(-n, mm)
-                 for mm in range(policy.max_degree + 1))
+                 for mm in range(max_degree + 1))
     # enumeration vs the arithmetic characterization |n| <= m, m = n mod 2
     pattern_ok = all((row["multiplicity"] == 1)
                      == (abs(n) <= row["irrep"] and (row["irrep"] - n) % 2 == 0)
@@ -321,7 +300,7 @@ def hopf_multiplicities(m, fid, isotypes):
     return mults
 
 
-def index_hopf_pipeline(policy=None):
+def index_hopf_pipeline(max_degree=20):
     """Locally free circle action on the total space of the circle bundle
     over the projective line.
 
@@ -332,38 +311,29 @@ def index_hopf_pipeline(policy=None):
     in k (see hopf_multiplicities): one Chern character per run serves every
     isotype in the window.
     """
-    policy = policy or SeriesPolicy()
     m = load_builtin("hopf")
     fid = "conn"
     results = []
-    jh = j_h_function((), (1,), policy.max_degree)
-    results.append(_entry("abelian-jacobian-unit",
-                          jh == TaylorSeries.constant(1, policy.max_degree)))
-    ahat = a_hat_squared((), (1,), policy.max_degree)
-    results.append(_entry("flat-a-hat-unit",
-                          ahat == TaylorSeries.constant(1, policy.max_degree)))
     jf = j_form(m, fid)
     results.append(_entry("equivariantly-closed", check_closed(m, jf)))
 
     lo = -5
-    mults = hopf_multiplicities(m, fid, range(lo, policy.max_degree + 1))
+    mults = hopf_multiplicities(m, fid, range(lo, max_degree + 1))
     bad = [k for k in mults if mults[k] != hrr_cp1_oracle(k)]
     results.append(_entry("orbifold-multiplicities", not bad,
                           witness=None if not bad else
                           {"isotypes": bad, "computed": [mults[k] for k in bad]}))
-    results.append(_entry("integer-coefficients", True))
     chars = [{"weight": [k], "coefficient": v} for k, v in sorted(mults.items())]
-    return _finish("hopf", results, chars, {"window": [lo, policy.max_degree]})
+    return _finish("hopf", results, chars, {"window": [lo, max_degree]})
 
 
 # ---------------------------------------------------------------------------
 # contact pipeline
 
-def index_s3_contact_pipeline(policy=None):
+def index_s3_contact_pipeline(max_degree=20):
     """Two fixed circles of the two-torus action on the three-sphere; each
     contributes its lattice comb times one normal factor.  The nonnegative
     quadrant must reproduce the CR monomial count."""
-    policy = policy or SeriesPolicy()
     m = load_builtin("s3-contact")
     results = []
     jf = j_form(m, "co")
@@ -376,9 +346,8 @@ def index_s3_contact_pipeline(policy=None):
     results.append(_entry("taylor-display-form", disp == expected_disp))
 
     rc = localize_index(m.fixed_loci, 2)
-    dist = expand_to_degree(rc, policy.max_degree)
-    results.append(_entry("integer-coefficients", True))
-    deg = min(20, policy.max_degree)
+    dist = expand_to_degree(rc, max_degree)
+    deg = min(20, max_degree)
     quad_bad = [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)
                 if dist.multiplicity((a, b)) != cr_monomial_oracle(a, b)]
     results.append(_entry("cr-quadrant-oracle", not quad_bad,
@@ -395,22 +364,21 @@ def index_s3_contact_pipeline(policy=None):
 # ---------------------------------------------------------------------------
 # dispatch
 
-def run_pipeline(example, twist=0, policy=None):
-    policy = policy or SeriesPolicy()
+def run_pipeline(example, twist=0, max_degree=20):
     if example == "torus-zero":
-        a = index_torus_zero_op(1, policy)
-        b = index_torus_zero_op(2, policy)
+        a = index_torus_zero_op(1)
+        b = index_torus_zero_op(2)
         results = ([dict(r, check="rank1:" + r["check"]) for r in a["results"]]
                    + [dict(r, check="rank2:" + r["check"]) for r in b["results"]])
         status = "fail" if "fail" in (a["status"], b["status"]) else "pass"
         return {"example": "torus-zero", "status": status, "results": results,
                 "characters": a["characters"]}
     if example == "cp1-dolbeault":
-        return index_cp1_pipeline("ETM", twist, policy)
+        return index_cp1_pipeline("ETM", twist, max_degree)
     if example == "cp1-l2":
-        return index_cp1_pipeline("E0", twist, policy)
+        return index_cp1_pipeline("E0", twist, max_degree)
     if example == "hopf":
-        return index_hopf_pipeline(policy)
+        return index_hopf_pipeline(max_degree)
     if example == "s3-contact":
-        return index_s3_contact_pipeline(policy)
+        return index_s3_contact_pipeline(max_degree)
     raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")

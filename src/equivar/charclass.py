@@ -7,28 +7,16 @@ two directed halves of one geometric factor) times its normal factors.
 Expansion directions are model data fixed by the transversality geometry;
 the engine validates them downstream through integer coefficients and the
 oracle comparisons rather than deriving them from curvature.
-
-The sinh-quotient function of a root system and the squared A-hat factor are
-kept as exact truncated series in one scaling variable; on the curated suite
-the A-hat factor is always 1 (flat or trivial normal data), so only that
-degenerate case is exercised beyond unit tests.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .errors import MissingExpansionDirection, NotNormal, ZeroWeight
+from .errors import MissingExpansionDirection, ZeroWeight
 from .laurent import DenomFactor, LaurentPoly, RationalCharacter, RCTerm, lattice_comb
 
 ISOLATED_POINT = "isolatedPoint"
 CIRCLE = "circle"
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    max_degree: int = 20
-    variable_order: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -57,53 +45,6 @@ def _check_weight(w):
     return tuple(int(x) for x in w)
 
 
-def td_factor(weights, nvars):
-    """Localized Todd contribution prod_w 1/(1 - t^-w) at the identity germ.
-
-    The polynomial w-factors of the Todd class cancel against the Euler class
-    under localization, leaving only these geometric denominators; directions
-    are attached later from the locus data.
-    """
-    factors = []
-    for w in weights:
-        w = _check_weight(w)
-        factors.append(DenomFactor(tuple(-x for x in w), Fraction(1), None))
-    return RationalCharacter.reciprocal(nvars, factors)
-
-
-def character_eval(h, w):
-    """Evaluation of the (rational) torus element h on the weight w."""
-    c = Fraction(1)
-    for hi, wi in zip(h, w):
-        c *= Fraction(hi) ** wi
-    return c
-
-
-def dh_factor(h, normal_weights, nvars):
-    """The twisted normal factor prod_w (1 - c_w t^w), c_w = h^w, expanded as
-    a Laurent numerator.  NotNormal if a factor vanishes identically."""
-    out = LaurentPoly.one(nvars)
-    for w in normal_weights:
-        w = tuple(int(x) for x in w)
-        c = character_eval(h, w)
-        if c == 1 and all(x == 0 for x in w):
-            raise NotNormal(f"factor (1 - c t^{w}) is identically zero")
-        out = out * (LaurentPoly.one(nvars) - LaurentPoly.monomial(w, c))
-    return RationalCharacter.from_poly(out)
-
-
-def dh_denominator_factors(h, normal_weights):
-    """The same factors in denominator position, direction unset."""
-    factors = []
-    for w in normal_weights:
-        w = tuple(int(x) for x in w)
-        c = character_eval(h, w)
-        if c == 1 and all(x == 0 for x in w):
-            raise NotNormal(f"factor (1 - c t^{w}) is identically zero")
-        factors.append(DenomFactor(w, c, None))
-    return tuple(factors)
-
-
 # ---------------------------------------------------------------------------
 # exact truncated series in one scaling variable
 
@@ -115,29 +56,6 @@ class TaylorSeries:
     def __init__(self, coeffs):
         self.coeffs = list(coeffs)
 
-    @classmethod
-    def constant(cls, c, order):
-        return cls([Fraction(c)] + [Fraction(0)] * order)
-
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, TaylorSeries) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        return TaylorSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                out[i + j] += a * b
-        return TaylorSeries(out)
-
     def inverse(self):
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("series has no constant term")
@@ -148,43 +66,6 @@ class TaylorSeries:
             s = sum(self.coeffs[j] * inv[i - j] for j in range(1, i + 1))
             inv[i] = -s / self.coeffs[0]
         return TaylorSeries(inv)
-
-
-def sinh_quotient_series(q, order):
-    """(e^{x/2} - e^{-x/2})/x as a series in the scaling variable, where
-    x^2 = q * eps^2.  Only even powers of x appear, so q rational keeps the
-    coefficients rational even for compact (imaginary) arguments."""
-    coeffs = [Fraction(0)] * (order + 1)
-    qp = Fraction(1)
-    for mm in range(0, order // 2 + 1):
-        coeffs[2 * mm] = qp / (Fraction(4) ** mm * factorial(2 * mm + 1))
-        qp *= Fraction(q)
-    return TaylorSeries(coeffs)
-
-
-def j_h_function(roots, direction, max_degree=12, compact=True):
-    """prod over roots of (e^{a(X)/2} - e^{-a(X)/2})/a(X) along the ray
-    X = eps * direction.  compact=True means a(X) = i <a, direction> eps, the
-    germ relevant to a compact group, so a(X)^2 = -<a, direction>^2 eps^2.
-    Empty root list (abelian case) gives the constant series 1."""
-    out = TaylorSeries.constant(1, max_degree)
-    for a in roots:
-        pair = sum(Fraction(x) * Fraction(y) for x, y in zip(a, direction))
-        q = -(pair ** 2) if compact else pair ** 2
-        out = out * sinh_quotient_series(q, max_degree)
-    return out
-
-
-def a_hat_squared(weights, direction, max_degree=12, compact=True):
-    """det(R/(e^{R/2} - e^{-R/2})) along a ray, for diagonal curvature data.
-    Empty weight list (flat or trivial bundle) gives 1, the only case the
-    curated suite exercises."""
-    out = TaylorSeries.constant(1, max_degree)
-    for w in weights:
-        pair = sum(Fraction(x) * Fraction(y) for x, y in zip(w, direction))
-        q = -(pair ** 2) if compact else pair ** 2
-        out = out * sinh_quotient_series(q, max_degree).inverse()
-    return out
 
 
 # ---------------------------------------------------------------------------

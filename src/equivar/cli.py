@@ -17,7 +17,6 @@ import random
 import sys
 
 from .characters import EXAMPLES, MIN_DEGREE, run_pipeline
-from .charclass import SeriesPolicy
 from .errors import EquivarError, NotTransverse, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
@@ -73,7 +72,7 @@ def run_verify(model, seed=0, frame_trials=25):
 
 
 def run_index(example, twist=0, max_degree=20):
-    rep = run_pipeline(example, twist, SeriesPolicy(max_degree))
+    rep = run_pipeline(example, twist, max_degree)
     extra = {k: rep[k] for k in ("case", "twist", "rank", "window", "branching")
              if k in rep}
     extra["maxDegree"] = max_degree

@@ -49,10 +49,6 @@ class ZeroWeight(EquivarError):
     """A localization denominator weight is zero."""
 
 
-class NotNormal(EquivarError):
-    """A twisted denominator factor degenerates identically to zero."""
-
-
 class MissingExpansionDirection(EquivarError):
     """A denominator factor lacks a usable expansion direction, or the declared
     directions admit no common positivity functional."""

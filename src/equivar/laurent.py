@@ -31,6 +31,7 @@ otherwise.  expand_to_degree is the integrality gate of the index layer.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import ceil, floor, lcm
 
@@ -184,10 +185,6 @@ class RationalCharacter:
     def one(cls, nvars):
         return cls.from_poly(LaurentPoly.one(nvars))
 
-    @classmethod
-    def reciprocal(cls, nvars, factors):
-        return cls(nvars, (RCTerm(LaurentPoly.one(nvars), tuple(factors)),))
-
     def __add__(self, other):
         return RationalCharacter(self.nvars, self.terms + other.terms)
 
@@ -207,8 +204,11 @@ class RationalCharacter:
                                  tuple(RCTerm(t.num.shifted(expo), t.den) for t in self.terms))
 
 
+@lru_cache(maxsize=256)
 def _positivity_functional(steps, nvars):
-    """Integer phi with phi . s >= 1 for every step, or None if none exists.
+    """Integer phi with phi . s >= 1 for every step (a tuple of step
+    vectors), or None if none exists.  Pure, so calls are memoized: every
+    expansion of one model repeats the same few step sets.
 
     Exact: Fourier-Motzkin elimination decides the system s . phi >= 1 over
     the rationals, back substitution picks each coordinate nearest zero (an
@@ -289,7 +289,7 @@ def _add_term(total, term, radius, nvars):
     if not acc:
         return
     steps = [f.step() for f in directed]
-    phi = _positivity_functional(steps, nvars)
+    phi = _positivity_functional(tuple(steps), nvars)
     if phi is None:
         raise MissingExpansionDirection(
             "declared expansion directions admit no common positivity functional")
@@ -336,24 +336,19 @@ def expand_box(rc, radius):
     total = {}
     for term in rc.terms:
         _add_term(total, term, radius, rc.nvars)
-    return {v: _exact(c) for v, c in total.items() if c}
+    return {v: c if c.__class__ is int else _exact(c) for v, c in total.items() if c}
 
 
 class DistributionalCharacter:
-    """Window-exact coefficient table, optionally backed by a closed form.
+    """Window-exact coefficient table: multiplicity(w) answers from the
+    window when |w|_inf <= window and raises OutOfRange otherwise."""
 
-    multiplicity(w) answers from the window when |w|_inf <= window, from the
-    closed form when one is declared, and raises OutOfRange otherwise.
-    """
+    __slots__ = ("nvars", "coeffs", "window")
 
-    __slots__ = ("nvars", "coeffs", "window", "closed_form", "family")
-
-    def __init__(self, nvars, coeffs, window, closed_form=None, family=None):
+    def __init__(self, nvars, coeffs, window):
         self.nvars = nvars
-        self.coeffs = dict(coeffs)
+        self.coeffs = coeffs
         self.window = window
-        self.closed_form = closed_form
-        self.family = family
 
     def multiplicity(self, w):
         w = tuple(w)
@@ -361,32 +356,23 @@ class DistributionalCharacter:
             raise OutOfRange(f"weight length {len(w)} != {self.nvars}")
         if all(abs(x) <= self.window for x in w):
             return self.coeffs.get(w, 0)
-        if self.closed_form is not None:
-            return self.closed_form(w)
         raise OutOfRange(f"weight {w} outside the window (radius {self.window})")
 
-    def support(self):
-        return sorted(self.coeffs)
 
-
-def expand_to_degree(rc, max_degree, closed_form=None, family=None):
+def expand_to_degree(rc, max_degree):
     """DistributionalCharacter exact on the box of radius max_degree.
 
     Raises NonIntegerCoefficients if any window coefficient is not an
     integer; integer multiplicities are part of the character contract, and a
-    fractional value signals a normalization error upstream.
+    fractional value signals a normalization error upstream.  expand_box
+    gives an int wherever the value is integral, so the check is on type,
+    and its table is kept as is.
     """
     box = expand_box(rc, max_degree)
-    out = {}
     for v, c in box.items():
-        if c.denominator != 1:
+        if c.__class__ is not int:
             raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
-        out[v] = c.numerator
-    return DistributionalCharacter(rc.nvars, out, max_degree, closed_form, family)
-
-
-def multiplicity(dist, w):
-    return dist.multiplicity(w)
+    return DistributionalCharacter(rc.nvars, box, max_degree)
 
 
 def lattice_comb(nvars, direction):

@@ -314,14 +314,19 @@ def loads_model(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nesting is too deep") from None
     if not isinstance(doc, dict):
         raise ParseError("model file must hold one JSON object")
     return model_from_dict(doc)
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return loads_model(text)
 
 

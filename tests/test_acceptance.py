@@ -14,7 +14,7 @@ from equivar.characters import (
     run_pipeline,
     weyl_character_oracle,
 )
-from equivar.charclass import SeriesPolicy, localize_index
+from equivar.charclass import localize_index
 from equivar.genco import fourier_fibre_integrate, with_fibre_coordinates
 from equivar.jform import check_closed, chern_weil_pair, frame_change_compare, j_form
 from equivar.laurent import expand_box
@@ -141,7 +141,7 @@ def test_c08_l2_induction_endpoint():
 
 def test_c09_contact_cr_case():
     t0 = time.time()
-    rep = run_pipeline("s3-contact", policy=SeriesPolicy(max_degree=20))
+    rep = run_pipeline("s3-contact", max_degree=20)
     ok = rep["status"] == "pass"
     m = load_builtin("s3-contact")
     box = expand_box(localize_index(m.fixed_loci, 2), 20)

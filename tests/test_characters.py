@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from equivar import characters, genco, jform, laurent, modelfile, superalg
-from equivar.charclass import SeriesPolicy, TaylorSeries
+from equivar.charclass import TaylorSeries
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
@@ -79,6 +79,30 @@ def test_torus_zero_pipeline_both_ranks():
     for rank in (1, 2):
         rep = index_torus_zero_op(rank)
         assert all(c["status"] == "pass" for c in rep["results"]), rank
+
+
+def test_torus_zero_rank_out_of_range():
+    for rank in (0, 3):
+        with pytest.raises(OutOfRange):
+            index_torus_zero_op(rank)
+
+
+def test_torus_zero_formula_side_can_fail(monkeypatch):
+    """Lattice combs that keep only their n >= 0 half miss every weight with
+    a negative entry, so both regular-representation entries fail."""
+    comb = laurent.lattice_comb
+
+    def positive_half(nvars, direction):
+        terms = comb(nvars, direction).terms
+        return laurent.RationalCharacter(
+            nvars, tuple(t for t in terms if t.den[0].direction == laurent.EXPAND_POSITIVE))
+
+    monkeypatch.setattr(characters, "lattice_comb", positive_half)
+    rep = run_pipeline("torus-zero")
+    st = _statuses(rep)
+    assert st["rank1:regular-representation-window-50"] == "fail"
+    assert st["rank2:regular-representation-window-20"] == "fail"
+    assert rep["status"] == "fail"
 
 
 def test_cp1_dolbeault_pipeline_twists():
@@ -239,7 +263,7 @@ def test_hopf_multiply_calls_independent_of_window(monkeypatch):
     counts = []
     for d in (0, 20, 160):
         calls.clear()
-        assert run_pipeline("hopf", policy=SeriesPolicy(d))["status"] == "pass"
+        assert run_pipeline("hopf", max_degree=d)["status"] == "pass"
         counts.append(len(calls))
     assert counts[0] > 0 and counts == [counts[0]] * 3
 

@@ -1,7 +1,6 @@
 """Characteristic factors and fixed-locus localization."""
 
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,123 +9,49 @@ from equivar.characters import cp1_sheaf_character_oracle
 from equivar.charclass import (
     FixedLocusDatum,
     TaylorSeries,
-    a_hat_squared,
-    character_eval,
-    dh_denominator_factors,
-    dh_factor,
     fixed_point_contribution,
-    j_h_function,
     localize_index,
-    sinh_quotient_series,
-    td_factor,
 )
 from equivar.errors import MissingExpansionDirection, ZeroWeight
-from equivar.laurent import expand_box, expand_to_degree, multiplicity
+from equivar.laurent import EXPAND_POSITIVE, expand_box, expand_to_degree
 from equivar.modelfile import load_builtin
 
 F = Fraction
 
 
+def _todd(weights):
+    """The localized Todd factor prod_w 1/(1 - t^-w) of an isolated point
+    with tangent weights w, as fixed_point_contribution builds it."""
+    datum = FixedLocusDatum(
+        locus_id="p", locus_type="isolatedPoint", tangent_weights=weights,
+        twist_weight=(0,), expansion_directions=(EXPAND_POSITIVE,) * len(weights))
+    return fixed_point_contribution(datum, 1)
+
+
 def test_td_factor_structure():
-    td = td_factor(((2,), (3,)), 1)
+    td = _todd(((2,), (3,)))
     assert len(td.terms) == 1
     dens = sorted((f.weight, f.c) for f in td.terms[0].den)
     assert dens == [((-3,), F(1)), ((-2,), F(1))]
 
 
 def test_td_factor_multiplicative():
-    joint = td_factor(((2,), (5,)), 1)
-    split = td_factor(((2,),), 1) * td_factor(((5,),), 1)
-    key = lambda rc: sorted((f.weight, f.c) for f in rc.terms[0].den)
+    joint = _todd(((2,), (5,)))
+    split = _todd(((2,),)) * _todd(((5,),))
+    key = lambda rc: sorted((f.weight, f.c, f.direction) for f in rc.terms[0].den)
     assert key(joint) == key(split)
     assert joint.terms[0].num.coeffs == split.terms[0].num.coeffs
 
 
 def test_td_factor_rejects_zero_weight():
     with pytest.raises(ZeroWeight):
-        td_factor(((0,),), 1)
-
-
-def test_character_eval():
-    assert character_eval((F(2),), (3,)) == 8
-    assert character_eval((F(2), F(3)), (1, -1)) == F(2, 3)
-    assert character_eval((), ()) == 1
-
-
-def test_dh_factor_numerator():
-    dh = dh_factor((F(-1),), ((1,),), 1)
-    assert dh.terms[0].num.coeffs == {(0,): F(1), (1,): F(1)}  # 1 + t
-
-
-def test_dh_factor_multiplicative():
-    h = (F(2),)
-    joint = dh_factor(h, ((1,), (-1,)), 1)
-    split = dh_factor(h, ((1,),), 1) * dh_factor(h, ((-1,),), 1)
-    assert joint.terms[0].num.coeffs == split.terms[0].num.coeffs
-
-
-def test_dh_denominator_matches_numerator_factors():
-    h = (F(3),)
-    for f in dh_denominator_factors(h, ((2,), (-1,))):
-        assert f.c == character_eval(h, f.weight)
-        assert f.direction is None
+        _todd(((0,),))
 
 
 def test_taylor_series_basics():
     one_minus = TaylorSeries([F(1), F(-1)] + [F(0)] * 4)
     inv = one_minus.inverse()
     assert inv.coeffs == [F(1)] * 6
-    assert (one_minus * inv).coeffs[:6] == [F(1), F(0), F(0), F(0), F(0), F(0)]
-    unit = TaylorSeries.constant(F(3), 4)
-    assert unit.coeffs == [F(3), F(0), F(0), F(0), F(0)]
-    assert unit.order() == 4
-
-
-def test_sinh_quotient_series_coefficients():
-    s = sinh_quotient_series(F(1), 4)
-    assert s.coeffs == [F(1), F(0), F(1, 24), F(0), F(1, 1920)]
-    scaled = sinh_quotient_series(F(-4), 2)
-    assert scaled.coeffs[2] == F(-4, 24)
-
-
-def _sin_quotient_squared(c, order):
-    # independent oracle: (sin(c e)/(c e))^2 by exact factorial sums
-    half = [F(0)] * (order + 1)
-    for m in range(0, order // 2 + 1):
-        half[2 * m] = F((-1) ** m) * c ** (2 * m) / math.factorial(2 * m + 1)
-    out = [F(0)] * (order + 1)
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            out[i + j] += half[i] * half[j]
-    return out
-
-
-def test_j_h_su2_reproduces_sine_quotient_identity():
-    samples = [F(n, d) for n in (1, -1, 2, -3, 5) for d in (1, 2, 3, 7)]
-    assert len(samples) == 20
-    for c in samples:
-        jh = j_h_function(((2,), (-2,)), (c,), max_degree=12)
-        assert jh.coeffs[:13] == _sin_quotient_squared(c, 12)
-
-
-def test_j_h_abelian_is_unit():
-    jh = j_h_function((), (F(5),), max_degree=6)
-    assert jh.coeffs[0] == 1 and all(c == 0 for c in jh.coeffs[1:])
-
-
-def test_noncompact_flag_drops_alternation():
-    comp = j_h_function(((2,), (-2,)), (F(1),), max_degree=6)
-    noncomp = j_h_function(((2,), (-2,)), (F(1),), max_degree=6, compact=False)
-    assert [abs(c) for c in comp.coeffs] == [abs(c) for c in noncomp.coeffs]
-    assert comp.coeffs[2] == -noncomp.coeffs[2] != 0
-
-
-def test_a_hat_squared_inverts_j_h():
-    for roots in ((), ((2,), (-2,))):
-        jh = j_h_function(roots, (F(2, 3),), max_degree=10)
-        ah = a_hat_squared(roots, (F(2, 3),), max_degree=10)
-        prod = (ah * jh).coeffs[:11]
-        assert prod[0] == 1 and all(c == 0 for c in prod[1:])
 
 
 def test_fixed_point_contribution_isolated():
@@ -174,4 +99,4 @@ def test_localize_output_has_integer_coefficients():
         rc = localize_index(_cp1_loci(n), 1)
         dist = expand_to_degree(rc, 12)
         for w in range(-12, 13):
-            assert multiplicity(dist, (w,)) == int(multiplicity(dist, (w,)))
+            assert dist.multiplicity((w,)) == int(dist.multiplicity((w,)))

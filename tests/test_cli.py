@@ -91,6 +91,24 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
     assert field in cap.err and "Traceback" not in cap.err, cap.err
 
 
+UNREADABLE_FILES = {
+    "bad.bin": (b"\xff\xfe\x00", "not UTF-8"),
+    "deep.json": (b"[" * 5000 + b"]" * 5000, "nesting"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_unreadable_model_file_exit_two(name, tmp_path, capsys):
+    data, phrase = UNREADABLE_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert phrase in cap.err and "Traceback" not in cap.err, cap.err
+
+
 def test_impossible_dimension_exit_two(tmp_path, capsys):
     for dim, code in ((-1, 2), (0, 2), (1, 2), (2, 0)):
         path = tmp_path / f"t2-dim{dim}.json"

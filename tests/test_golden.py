@@ -6,11 +6,17 @@ form sums were moved to a single accumulator, and verify-flat-moment.json,
 written before the transversality pass was folded into j_form, and
 index-hopf-deg0.json and index-hopf-deg160.json (the shortest and a long
 isotype window), written before the Hopf multiplicities were computed as one
-polynomial per run; each is regenerated in-process here and compared byte
-for byte.  The built-ins
-declare no split of rank above one, so tests/golden/models/split-rank4.json
-(rank 4, dimension 14, written by hand) locks the Taylor display form at
-higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
+polynomial per run.  Ten index reports were rewritten when the report
+entries that passed unconditionally were removed: index-torus-zero,
+index-cp1-dolbeault (also -twist-3 and -twist5), index-hopf (also -deg0 and
+-deg160) and index-s3-contact (also -deg80 and -deg160).  Each lost only its
+integer-coefficients entry (the integrality gate raises instead, exit 2),
+and the hopf reports also lost abelian-jacobian-unit and flat-a-hat-unit,
+which evaluated empty products; every other byte, characters tables
+included, is unchanged.  Each file is regenerated in-process here and
+compared byte for byte.  The built-ins declare no split of rank above one,
+so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
+hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
 sample, so its report locks a failing transversality entry and its witness
 (exit code 1).  Any edit to a golden file is listed in CHANGES.md with its
 reason.
