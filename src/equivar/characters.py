@@ -145,8 +145,9 @@ def index_torus_zero_op(rank_l):
 
     Formula side: the canonical form of the full coframe is the delta class
     of the lattice; its Fourier side is the product of the lattice combs
-    along the coordinate directions, expanded through laurent on the window.
-    Oracle side: the regular representation of the torus, by enumeration.
+    along the rows of the frame's moment matrix (the weights of the torus on
+    the coframe), expanded through laurent on the window.  Oracle side: the
+    regular representation of the torus, by enumeration.
     """
     if rank_l not in _TORUS_MODELS:
         raise OutOfRange(f"torus rank must be 1 or 2, got {rank_l}")
@@ -166,8 +167,8 @@ def index_torus_zero_op(rank_l):
     ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
     results.append(_entry("frame-annihilation", ann))
     rc = RationalCharacter.one(rank_l)
-    for j in range(rank_l):
-        rc = rc * lattice_comb(rank_l, tuple(int(i == j) for i in range(rank_l)))
+    for row in fr.moment_samples[0]:
+        rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
     window = 50 if rank_l == 1 else 20
     dist = expand_to_degree(rc, window)
     oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}

@@ -31,7 +31,6 @@ otherwise.  expand_to_degree is the integrality gate of the index layer.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import ceil, floor, lcm
 
@@ -204,11 +203,8 @@ class RationalCharacter:
                                  tuple(RCTerm(t.num.shifted(expo), t.den) for t in self.terms))
 
 
-@lru_cache(maxsize=256)
 def _positivity_functional(steps, nvars):
-    """Integer phi with phi . s >= 1 for every step (a tuple of step
-    vectors), or None if none exists.  Pure, so calls are memoized: every
-    expansion of one model repeats the same few step sets.
+    """Integer phi with phi . s >= 1 for every step, or None if none exists.
 
     Exact: Fourier-Motzkin elimination decides the system s . phi >= 1 over
     the rationals, back substitution picks each coordinate nearest zero (an
@@ -289,7 +285,7 @@ def _add_term(total, term, radius, nvars):
     if not acc:
         return
     steps = [f.step() for f in directed]
-    phi = _positivity_functional(tuple(steps), nvars)
+    phi = _positivity_functional(steps, nvars)
     if phi is None:
         raise MissingExpansionDirection(
             "declared expansion directions admit no common positivity functional")

@@ -105,6 +105,23 @@ def test_torus_zero_formula_side_can_fail(monkeypatch):
     assert rep["status"] == "fail"
 
 
+def test_torus_zero_formula_side_reads_the_frame(monkeypatch):
+    """The combs run along the frame's moment rows: a torus model whose
+    first coframe weight is doubled expands to the sublattice 2Z x Z, not
+    to the regular representation."""
+    def doubled(name):
+        doc = json.loads(resources.files("equivar.models")
+                         .joinpath(f"{name}.json").read_text(encoding="utf-8"))
+        for sample in doc["frames"][0]["momentSamples"]:
+            sample[0] = [2 * x for x in sample[0]]
+        return model_from_dict(doc)
+
+    monkeypatch.setattr(characters, "load_builtin", doubled)
+    rep = index_torus_zero_op(2)
+    assert _statuses(rep)["regular-representation-window-20"] == "fail"
+    assert rep["status"] == "fail"
+
+
 def test_cp1_dolbeault_pipeline_twists():
     for twist in (0, 1, 5, -1, -3):
         rep = index_cp1_pipeline("ETM", twist=twist)
