@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .charclass import TaylorSeries, fixed_point_contribution, localize_index
+from .charclass import TaylorSeries, localize_index
 from .errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
                      UnknownExample)
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
-from .laurent import LaurentPoly, RationalCharacter, expand_to_degree, lattice_comb
+from .laurent import RationalCharacter, expand_to_degree, lattice_comb
 from .modelfile import load_builtin
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
                        multiply, product)
@@ -41,10 +41,7 @@ def weyl_character_oracle(n):
     compact group with highest weight n, by weight-basis enumeration."""
     if n < 0:
         raise OutOfRange(f"highest weight must be >= 0, got {n}")
-    p = LaurentPoly.zero(1)
-    for i in range(n + 1):
-        p = p + LaurentPoly.monomial((n - 2 * i,))
-    return p
+    return {(n - 2 * i,): 1 for i in range(n + 1)}
 
 
 def cp1_sheaf_character_oracle(n):
@@ -52,18 +49,13 @@ def cp1_sheaf_character_oracle(n):
     projective line, by monomial enumeration.
 
     Sections: x^a y^b with a, b >= 0, a + b = n, torus weight a - b.  First
-    cohomology (two-chart cover): x^a y^b with a, b <= -1, a + b = n.
+    cohomology (two-chart cover): x^a y^b with a, b <= -1, a + b = n.  With
+    b = n - a, the first range is a = 0..n and the second a = n+1..-1; at most
+    one of them is non-empty.
     """
-    p = LaurentPoly.zero(1)
-    for a in range(0, n + 1):
-        b = n - a
-        if b >= 0:
-            p = p + LaurentPoly.monomial((a - b,))
-    for a in range(n + 1, 0):
-        b = n - a
-        if a <= -1 and b <= -1:
-            p = p - LaurentPoly.monomial((a - b,))
-    return p
+    sections = {(a - (n - a),): 1 for a in range(0, n + 1)}
+    first = {(a - (n - a),): -1 for a in range(n + 1, 0)}
+    return sections | first
 
 
 def hrr_cp1_oracle(n):
@@ -129,7 +121,7 @@ def _character_table(dist, radius):
 
 
 def _poly_table(p):
-    return [{"weight": list(w), "coefficient": str(c)} for w, c in sorted(p.coeffs.items())]
+    return [{"weight": list(w), "coefficient": str(c)} for w, c in sorted(p.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +181,29 @@ def index_cp1_pipeline(case, twist=0, max_degree=20):
     raise UnknownExample(f"unknown projective-line case {case!r} (ETM or E0)")
 
 
+def _cp1_loci(m, twist):
+    """The fixed loci of the cp1-dolbeault model m with every twist weight
+    scaled by twist: the localization data of the line bundle O(twist)."""
+    return tuple(replace(d, twist_weight=tuple(twist * x for x in d.twist_weight))
+                 for d in m.fixed_loci)
+
+
 def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     results = []
     jf = j_form(m, "triv")
     results.append(_entry("empty-frame-unit", jf.value == m.one()))
     results.append(_entry("equivariantly-closed", check_closed(m, jf)))
-    loci = tuple(replace(d, twist_weight=tuple(twist * x for x in d.twist_weight))
-                 for d in m.fixed_loci)
-    rc = RationalCharacter.zero(1)
-    for d in loci:
-        rc = rc + fixed_point_contribution(d, 1)
     radius = max(max_degree, abs(twist) + 2)
-    dist = expand_to_degree(rc, radius)
-    computed = LaurentPoly(1, {w: Fraction(c) for w, c in dist.coeffs.items()})
+    dist = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     oracle = cp1_sheaf_character_oracle(twist)
-    ok = computed == oracle
+    ok = dist.coeffs == oracle
     results.append(_entry("sheaf-character-oracle", ok,
-                          witness=None if ok else {"computed": _poly_table(computed),
+                          witness=None if ok else {"computed": _poly_table(dist.coeffs),
                                                    "oracle": _poly_table(oracle)}))
     if twist >= 0:
         results.append(_entry("highest-weight-character",
-                              computed == weyl_character_oracle(twist)))
+                              dist.coeffs == weyl_character_oracle(twist)))
     euler = sum(dist.coeffs.values())
     results.append(_entry("euler-characteristic", euler == hrr_cp1_oracle(twist),
                           witness={"computed": euler, "oracle": hrr_cp1_oracle(twist)}))
@@ -219,20 +212,29 @@ def _cp1_dolbeault(twist, max_degree):
 
 
 def _cp1_l2(twist, max_degree):
+    """Branching of the circle character of weight n = twist, induced to the
+    rank-one group, over the irreducibles V_0..V_max_degree.
+
+    By Frobenius reciprocity the multiplicity of V_m is the multiplicity of
+    the weight n in V_m.  The engine side reads it from the cp1-dolbeault
+    character at twist m (Borel-Weil: the sections of O(m) carry V_m),
+    localized and expanded on the window of radius |n|; the oracle enumerates
+    the weight string of V_m.
+    """
     n = twist
-    table = []
+    m = load_builtin("cp1-dolbeault")
+    table, bad = [], []
     for mm in range(max_degree + 1):
-        table.append({"irrep": mm, "multiplicity": frobenius_multiplicity_oracle(n, mm)})
-    sym_ok = all(frobenius_multiplicity_oracle(n, mm)
-                 == frobenius_multiplicity_oracle(-n, mm)
-                 for mm in range(max_degree + 1))
-    # enumeration vs the arithmetic characterization |n| <= m, m = n mod 2
-    pattern_ok = all((row["multiplicity"] == 1)
-                     == (abs(n) <= row["irrep"] and (row["irrep"] - n) % 2 == 0)
-                     for row in table)
+        dist = expand_to_degree(localize_index(_cp1_loci(m, mm), 1), abs(n))
+        mult = dist.multiplicity((n,))
+        table.append({"irrep": mm, "multiplicity": mult})
+        if mult != frobenius_multiplicity_oracle(n, mm):
+            bad.append(mm)
     results = [
-        _entry("branching-symmetry", sym_ok),
-        _entry("branching-pattern", pattern_ok),
+        _entry("frobenius-branching-oracle", not bad,
+               witness=None if not bad else
+               {"irreps": bad, "computed": [table[mm]["multiplicity"] for mm in bad],
+                "oracle": [frobenius_multiplicity_oracle(n, mm) for mm in bad]}),
         {"check": "zero-operator-formula-side", "status": "skipped-out-of-scope",
          "witness": "the distributional index of the zero operator on the full "
                     "group is reported through branching multiplicities only"},

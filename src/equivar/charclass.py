@@ -4,16 +4,19 @@ Evaluation is torus-only: at an isolated fixed point each tangent weight w
 contributes the localized Todd factor 1/(1 - t^-w); a fixed circle
 contributes the full weight-lattice sum along its direction (split into the
 two directed halves of one geometric factor) times its normal factors.
-Expansion directions are model data fixed by the transversality geometry;
-the engine validates them downstream through integer coefficients and the
-oracle comparisons rather than deriving them from curvature.
+Expansion directions are model data fixed by the transversality geometry,
+one per factor: a locus with fewer or more directions than factors raises
+MissingExpansionDirection.  The engine validates them downstream through
+integer coefficients and the oracle comparisons rather than deriving them
+from curvature.  Each contribution's numerator is the dict
+{twist: orientation sign}.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingExpansionDirection, ZeroWeight
-from .laurent import DenomFactor, LaurentPoly, RationalCharacter, RCTerm, lattice_comb
+from .laurent import DenomFactor, RationalCharacter, RCTerm, lattice_comb
 
 ISOLATED_POINT = "isolatedPoint"
 CIRCLE = "circle"
@@ -79,22 +82,16 @@ def fixed_point_contribution(datum, nvars):
     normal structure times the full lattice comb along circle_weight, the
     comb being the delta class of the orbit circle seen on the Fourier side.
     """
-    factors = []
-    for w in datum.tangent_weights:
-        w = _check_weight(w)
-        factors.append(DenomFactor(tuple(-x for x in w), Fraction(1), None))
-    for w, c in datum.normal_weights:
-        w = _check_weight(w)
-        c = Fraction(c)
-        factors.append(DenomFactor(tuple(w), c, None))
+    weights = [(tuple(-x for x in _check_weight(w)), Fraction(1))
+               for w in datum.tangent_weights]
+    weights += [(_check_weight(w), Fraction(c)) for w, c in datum.normal_weights]
     dirs = datum.expansion_directions
-    if len(dirs) != len(factors):
+    if len(dirs) != len(weights):
         raise MissingExpansionDirection(
-            f"locus {datum.locus_id!r}: {len(factors)} factors, {len(dirs)} directions")
-    factors = tuple(f.directed(d) for f, d in zip(factors, dirs))
+            f"locus {datum.locus_id!r}: {len(weights)} factors, {len(dirs)} directions")
+    factors = tuple(DenomFactor(w, c, d) for (w, c), d in zip(weights, dirs))
     twist = tuple(int(x) for x in datum.twist_weight) or (0,) * nvars
-    num = LaurentPoly.monomial(twist, datum.orientation_sign)
-    rc = RationalCharacter(nvars, (RCTerm(num, factors),))
+    rc = RationalCharacter(nvars, (RCTerm({twist: datum.orientation_sign}, factors),))
     if datum.locus_type == CIRCLE:
         if datum.circle_weight is None:
             raise MissingExpansionDirection(

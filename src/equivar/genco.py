@@ -150,8 +150,7 @@ def with_fibre_coordinates(m, frame_id):
     return FormalModel(
         name=m.name + "+fibre", manifold_dim=m.manifold_dim + 2 * fr.rank,
         parameters=m.parameters, generators=gens, d_table=d_table,
-        iota_table=dict(m.iota_table), frames=dict(m.frames), base=m.base,
-        pipeline_case=m.pipeline_case)
+        iota_table=dict(m.iota_table), frames=dict(m.frames), base=m.base)
 
 
 def _fibre_names(frame_id, j):

@@ -122,10 +122,10 @@ def chern_weil_pair(m, frame_id, poly):
         raise NotPrincipal("frame rank differs from parameter count")
     if fr.moment_samples is None:
         raise RankDataMissing(f"frame {frame_id!r} declares no moment samples")
-    minus_id = tuple(tuple(Fraction(-1 if i == j else 0) for j in range(m.r))
+    minus_id = tuple(tuple(-1 if i == j else 0 for j in range(m.r))
                      for i in range(fr.rank))
     for sample in fr.moment_samples:
-        if linalg.mat(sample) != minus_id:
+        if sample != minus_id:
             raise NotPrincipal("moment data is not the connection pairing f(X) = -X")
     pieces = []
     for expo, c in poly.items():

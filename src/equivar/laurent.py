@@ -1,15 +1,18 @@
 """Exact multivariate Laurent polynomials and factored rational characters.
 
-A RationalCharacter is a finite sum of terms, each a Laurent numerator over a
-factored denominator prod (1 - c t^w).  Every denominator factor carries an
-expansion direction:
+A Laurent polynomial is a dict {exponent tuple: coefficient} with no zero
+entries; a coefficient is an int when it is integral and a Fraction
+otherwise.  expand_box returns such a dict, and the oracles of the index
+layer build them.  A RationalCharacter is a finite sum of terms, each such a
+numerator over a factored denominator prod (1 - c t^w).  Every denominator
+factor carries an expansion direction:
 
     expandPositive   1/(1 - c t^w)  ->  sum_{n>=0} c^n t^{n w}
     expandNegative   1/(1 - c t^w)  ->  -sum_{n>=1} c^{-n} t^{-n w}
 
-A factor with no direction must divide the numerator exactly.  Expansion of a
-term is defined when its directed step vectors admit a common positive linear
-functional phi; an exact rational test decides whether one exists.
+Expansion of a term is defined when its step vectors admit a common
+positive linear functional phi; an exact rational test decides whether one
+exists.
 
 expand_box multiplies the directed series into the numerator one factor at a
 time and keeps only points from which the remaining factors can still reach
@@ -40,127 +43,35 @@ EXPAND_POSITIVE = 1
 EXPAND_NEGATIVE = -1
 
 
-class LaurentPoly:
-    """dict exponent-tuple -> Fraction, exponents in Z^nvars."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars, coeffs=None):
-        self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
-                    self.coeffs[tuple(k)] = v
-
-    @classmethod
-    def monomial(cls, expo, c=1):
-        return cls(len(expo), {tuple(expo): Fraction(c)})
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LaurentPoly(self.nvars, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LaurentPoly(self.nvars, out)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return LaurentPoly(self.nvars, {k: v * c for k, v in self.coeffs.items()})
-
-    def shifted(self, expo):
-        return LaurentPoly(self.nvars,
-                           {tuple(a + b for a, b in zip(k, expo)): v
-                            for k, v in self.coeffs.items()})
-
-    def div_exact_factor(self, w, c):
-        """self / (1 - c t^w) if the division is exact, else None.
-
-        Solved line by line along the w direction via q_v = f_v + c q_{v-w};
-        exactness means the recurrence closes off at the top of each line.
-        """
-        c = Fraction(c)
-        if all(x == 0 for x in w):
-            if c == 1:
-                return None
-            return self.scaled(1 / (1 - c))
-        i0 = next(i for i, x in enumerate(w) if x != 0)
-        lines = {}
-        for v, f in self.coeffs.items():
-            k = v[i0] // w[i0]
-            rep = tuple(a - k * b for a, b in zip(v, w))
-            lines.setdefault(rep, {})[k] = f
-        out = {}
-        for rep, fline in lines.items():
-            lo, hi = min(fline), max(fline)
-            q_prev = Fraction(0)
-            for k in range(lo, hi + 1):
-                q = fline.get(k, Fraction(0)) + c * q_prev
-                if k < hi:
-                    if q != 0:
-                        out[tuple(a + k * b for a, b in zip(rep, w))] = q
-                    q_prev = q
-                else:
-                    if q != 0:
-                        return None
-        return LaurentPoly(self.nvars, out)
-
-
 @dataclass(frozen=True)
 class DenomFactor:
     """One denominator factor (1 - c t^w) with its expansion direction."""
 
     weight: tuple
-    c: Fraction = Fraction(1)
-    direction: int | None = None
-
-    def directed(self, direction):
-        return DenomFactor(self.weight, self.c, direction)
+    c: Fraction
+    direction: int
 
     def step(self):
         """Support step vector of the chosen geometric series."""
         if self.direction == EXPAND_POSITIVE:
             return self.weight
-        if self.direction == EXPAND_NEGATIVE:
-            return tuple(-x for x in self.weight)
-        return None
+        return tuple(-x for x in self.weight)
 
 
 @dataclass(frozen=True)
 class RCTerm:
-    num: LaurentPoly
+    num: dict
     den: tuple = ()
+
+
+def _poly_mul(p, q):
+    """Product of two Laurent polynomials given as exponent-tuple dicts."""
+    out = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: _exact(v) for k, v in out.items() if v}
 
 
 class RationalCharacter:
@@ -177,30 +88,16 @@ class RationalCharacter:
         return cls(nvars)
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p.nvars, (RCTerm(p),))
-
-    @classmethod
     def one(cls, nvars):
-        return cls.from_poly(LaurentPoly.one(nvars))
+        return cls(nvars, (RCTerm({(0,) * nvars: 1}),))
 
     def __add__(self, other):
         return RationalCharacter(self.nvars, self.terms + other.terms)
 
     def __mul__(self, other):
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                out.append(RCTerm(t1.num * t2.num, t1.den + t2.den))
-        return RationalCharacter(self.nvars, tuple(out))
-
-    def scaled(self, c):
-        return RationalCharacter(self.nvars,
-                                 tuple(RCTerm(t.num.scaled(c), t.den) for t in self.terms))
-
-    def shifted(self, expo):
-        return RationalCharacter(self.nvars,
-                                 tuple(RCTerm(t.num.shifted(expo), t.den) for t in self.terms))
+        return RationalCharacter(self.nvars, tuple(
+            RCTerm(_poly_mul(t1.num, t2.num), t1.den + t2.den)
+            for t1 in self.terms for t2 in other.terms))
 
 
 def _positivity_functional(steps, nvars):
@@ -267,31 +164,20 @@ def _clips(later, nvars):
 def _add_term(total, term, radius, nvars):
     """Add the coefficients of one term on the box max_i |v_i| <= radius
     into total."""
-    num = term.num
-    for f in term.den:
-        if f.direction is None:
-            q = num.div_exact_factor(f.weight, f.c)
-            if q is None:
-                raise MissingExpansionDirection(
-                    f"factor (1 - {f.c} t^{f.weight}) has no direction and does not divide")
-            num = q
-    directed = [f for f in term.den if f.direction is not None]
-    acc = {v: _exact(c) for v, c in num.coeffs.items()}
-    if not directed:
+    acc = term.num
+    if not term.den:
         for v, c in acc.items():
             if all(abs(x) <= radius for x in v):
                 total[v] = total.get(v, 0) + c
         return
-    if not acc:
-        return
-    steps = [f.step() for f in directed]
+    steps = [f.step() for f in term.den]
     phi = _positivity_functional(steps, nvars)
     if phi is None:
         raise MissingExpansionDirection(
             "declared expansion directions admit no common positivity functional")
     top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
     last = len(steps) - 1
-    for j, (f, s) in enumerate(zip(directed, steps)):
+    for j, (f, s) in enumerate(zip(term.den, steps)):
         clips = _clips(steps[j + 1:], nvars)
         sigma = sum(p * x for p, x in zip(phi, s))
         if f.direction == EXPAND_POSITIVE:
@@ -374,7 +260,7 @@ def expand_to_degree(rc, max_degree):
 def lattice_comb(nvars, direction):
     """Sum over the full sublattice Z*direction, split as the two directed
     geometric halves of the same factor (n >= 0 and n <= -1)."""
-    one = LaurentPoly.one(nvars)
-    pos = RCTerm(one, (DenomFactor(tuple(direction), Fraction(1), EXPAND_POSITIVE),))
-    neg = RCTerm(-one, (DenomFactor(tuple(direction), Fraction(1), EXPAND_NEGATIVE),))
+    zero = (0,) * nvars
+    pos = RCTerm({zero: 1}, (DenomFactor(tuple(direction), Fraction(1), EXPAND_POSITIVE),))
+    neg = RCTerm({zero: -1}, (DenomFactor(tuple(direction), Fraction(1), EXPAND_NEGATIVE),))
     return RationalCharacter(nvars, (pos, neg))

@@ -12,21 +12,13 @@ converts its own input, since it divides.  det remembers its result for the
 last matrix it was given as a tuple of tuples, so a frame trial, which needs
 the determinant of its matrix twice, runs the elimination once.
 
-No function here needs its input converted first.  mat is for callers that
-want a canonical form of a matrix given as nested sequences: tuple rows of
-Fraction entries, which compare equal exactly when the matrices do.  Frame
-changes do not go through it: they stay int where integral, and the frame
-trial in jform clears their denominators itself.
+No function here needs its input converted first.  Frame changes stay int
+where integral, and the frame trial in jform clears their denominators
+itself.
 """
 
 from fractions import Fraction
 from math import lcm
-
-
-def mat(rows):
-    """rows as a tuple of Fraction row tuples; Fraction entries pass through."""
-    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-                 for row in rows)
 
 
 def _integer_rows(a):

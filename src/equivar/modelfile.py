@@ -7,7 +7,7 @@ A model file is one JSON document:
      "dTable": {gen: element-expr},
      "iotaTable": {gen: [element-expr, one per parameter]},
      "frames": [{"frameId", "rank", "slots", "momentSamples"?, "split"?}],
-     "fixedLoci": [...], "base": {...}, "pipelineCase": str?}
+     "fixedLoci": [...], "base": {...}}
 
 element-expr grammar: sum of '+'/'-' separated terms, each a '*'-separated
 product of rational literals (p or p/q), parameter names, and generator
@@ -230,7 +230,7 @@ def _parse_locus(it, nvars):
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ParseError(f"orientationSign must be +1 or -1 in {lid}")
     return FixedLocusDatum(lid, ltype, tangent, tuple(normal), twist, circle,
-                           tuple(dirs), sign)
+                           tuple(dirs), int(sign))
 
 
 def model_from_dict(doc):
@@ -265,8 +265,7 @@ def model_from_dict(doc):
         if "split" in fd:
             splits[fid] = fd["split"]
 
-    m = FormalModel(name, dim, params, gens, {}, {}, frames, base=None,
-                    pipeline_case=_optional(doc, "pipelineCase", str, name, None))
+    m = FormalModel(name, dim, params, gens, {}, {}, frames, base=None)
 
     d_table = {}
     for gname, expr in _optional(doc, "dTable", dict, name, {}).items():

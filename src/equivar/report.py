@@ -97,13 +97,10 @@ def display_value(m, frame_id, value):
     return genco.taylor_expand_delta(value, frame_id, m)
 
 
-def render_frame_value(m, frame_id, fmt=TEXT, display=True):
+def render_frame_value(m, frame_id, fmt=TEXT):
     """The canonical form of the frame, in Taylor display form when the model
     declares a split, otherwise in closed-argument form."""
-    value = j_form(m, frame_id).value
-    if display:
-        value = display_value(m, frame_id, value)
-    return render_element(value, m, fmt)
+    return render_element(display_value(m, frame_id, j_form(m, frame_id).value), m, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +142,3 @@ def report_status(rep):
 def report_to_json(rep):
     return json.dumps(_jsonable(rep), sort_keys=True, indent=2) + "\n"
 
-
-def report_from_json(text):
-    return json.loads(text)

@@ -173,7 +173,6 @@ class FormalModel:
     iota_table: dict
     frames: dict = field(default_factory=dict)
     base: dict | None = None
-    pipeline_case: str | None = None
     fixed_loci: tuple = ()
 
     def __post_init__(self):

@@ -104,11 +104,11 @@ def test_c06_borel_weil_endpoint():
         rep = index_cp1_pipeline("ETM", twist=n)
         ok = ok and rep["status"] == "pass"
         rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
-        expected = {w: int(v) for w, v in cp1_sheaf_character_oracle(n).coeffs.items()}
+        expected = {w: int(v) for w, v in cp1_sheaf_character_oracle(n).items()}
         ok = ok and rows == expected
         if n >= 0:
             ok = ok and expected == {
-                w: int(v) for w, v in weyl_character_oracle(n).coeffs.items()}
+                w: int(v) for w, v in weyl_character_oracle(n).items()}
         else:
             ok = ok and expected == {}
     _line("Borel-Weil endpoint: CP1 pipeline = Weyl characters for n in 0..10, "

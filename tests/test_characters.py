@@ -34,24 +34,24 @@ def _statuses(rep):
 
 
 def test_weyl_oracle_weight_strings():
-    assert weyl_character_oracle(0).coeffs == {(0,): 1}
-    assert set(weyl_character_oracle(3).coeffs) == {(-3,), (-1,), (1,), (3,)}
-    assert all(v == 1 for v in weyl_character_oracle(7).coeffs.values())
+    assert weyl_character_oracle(0) == {(0,): 1}
+    assert set(weyl_character_oracle(3)) == {(-3,), (-1,), (1,), (3,)}
+    assert all(v == 1 for v in weyl_character_oracle(7).values())
     with pytest.raises(OutOfRange):
         weyl_character_oracle(-1)
 
 
 def test_sheaf_oracle_three_regimes():
-    assert cp1_sheaf_character_oracle(4).coeffs == weyl_character_oracle(4).coeffs
-    assert cp1_sheaf_character_oracle(-1).coeffs == {}
+    assert cp1_sheaf_character_oracle(4) == weyl_character_oracle(4)
+    assert cp1_sheaf_character_oracle(-1) == {}
     neg = cp1_sheaf_character_oracle(-4)
-    assert neg.coeffs == {w: -v for w, v in weyl_character_oracle(2).coeffs.items()}
+    assert neg == {w: -v for w, v in weyl_character_oracle(2).items()}
 
 
 def test_hrr_oracle_is_euler_characteristic():
     for n in range(-8, 11):
         assert hrr_cp1_oracle(n) == n + 1
-        total = sum(cp1_sheaf_character_oracle(n).coeffs.values())
+        total = sum(cp1_sheaf_character_oracle(n).values())
         assert total == n + 1
 
 
@@ -135,18 +135,38 @@ def test_cp1_dolbeault_pipeline_twists():
 def test_cp1_l2_pipeline_reports_branching():
     rep = index_cp1_pipeline("E0")
     st = _statuses(rep)
-    assert st["branching-symmetry"] == "pass"
-    assert st["branching-pattern"] == "pass"
-    assert st["zero-operator-formula-side"] == "skipped-out-of-scope"
+    assert st == {"frobenius-branching-oracle": "pass",
+                  "zero-operator-formula-side": "skipped-out-of-scope"}
     table = {row["irrep"]: row["multiplicity"] for row in rep["branching"]}
     assert table[0] == 1 and table[1] == 0 and table[2] == 1
 
 
 def test_cp1_l2_pipeline_twisted_branching():
-    rep = index_cp1_pipeline("E0", twist=3)
-    table = {row["irrep"]: row["multiplicity"] for row in rep["branching"]}
-    for m, mult in table.items():
-        assert mult == frobenius_multiplicity_oracle(3, m)
+    for twist in (3, -4, 25):
+        rep = index_cp1_pipeline("E0", twist=twist)
+        assert _statuses(rep)["frobenius-branching-oracle"] == "pass", twist
+        table = {row["irrep"]: row["multiplicity"] for row in rep["branching"]}
+        assert sorted(table) == list(range(21))
+        for m, mult in table.items():
+            assert mult == frobenius_multiplicity_oracle(twist, m)
+
+
+def test_cp1_l2_branching_comes_from_the_engine(monkeypatch):
+    """The branching rows are read from the localized cp1-dolbeault
+    characters.  Without the south pole, the character at twist m is the
+    north pole's series t^m + t^(m-2) + ..., which the south pole no longer
+    cancels below -m: at weight -3 it gives V_1 the multiplicity 1, so the
+    entry fails and its witness names that irrep."""
+    localize = characters.localize_index
+
+    def north_only(loci, nvars):
+        return localize(loci[:1], nvars)
+
+    monkeypatch.setattr(characters, "localize_index", north_only)
+    rep = index_cp1_pipeline("E0", twist=-3)
+    entry = next(r for r in rep["results"] if r["check"] == "frobenius-branching-oracle")
+    assert entry["status"] == "fail" and rep["status"] == "fail"
+    assert entry["witness"] == {"irreps": [1], "computed": [1], "oracle": [0]}
 
 
 def test_hopf_pipeline_multiplicities():

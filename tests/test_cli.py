@@ -15,8 +15,8 @@ from equivar.report import (
     CONVENTIONS,
     LATEX,
     TEXT,
+    render_element,
     render_frame_value,
-    report_from_json,
     report_status,
     report_to_json,
 )
@@ -123,7 +123,7 @@ def test_impossible_dimension_exit_two(tmp_path, capsys):
 
 def test_report_round_trip():
     rep = run_verify(load_builtin("s1-on-s1"), seed=3, frame_trials=4)
-    assert report_from_json(report_to_json(rep)) == rep
+    assert json.loads(report_to_json(rep)) == rep
     assert report_status(rep) == "pass"
 
 
@@ -135,11 +135,10 @@ def test_reports_carry_conventions_block():
 
 def test_render_closed_and_display_forms():
     m = load_builtin("t2-on-t2")
-    assert render_frame_value(m, "tau", TEXT, display=False) == \
-        "-deta1*deta2*delta0(u1,u2)"
-    assert render_frame_value(m, "tau", TEXT, display=True) == \
-        "-deta1*deta2*delta0(f[tau])"
-    latex = render_frame_value(m, "tau", LATEX, display=False)
+    closed = jform.j_form(m, "tau").value
+    assert render_element(closed, m, TEXT) == "-deta1*deta2*delta0(u1,u2)"
+    assert render_frame_value(m, "tau", TEXT) == "-deta1*deta2*delta0(f[tau])"
+    latex = render_element(closed, m, LATEX)
     assert "\\wedge" in latex and "\\delta_0" in latex
 
     mh = load_builtin("hopf")
@@ -318,7 +317,7 @@ def test_index_all_examples_exit_zero(capsys):
 
 def test_index_report_round_trip():
     rep = run_index("s3-contact", max_degree=12)
-    assert report_from_json(report_to_json(rep)) == rep
+    assert json.loads(report_to_json(rep)) == rep
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):

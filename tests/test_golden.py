@@ -13,7 +13,9 @@ index-cp1-dolbeault (also -twist-3 and -twist5), index-hopf (also -deg0 and
 integer-coefficients entry (the integrality gate raises instead, exit 2),
 and the hopf reports also lost abelian-jacobian-unit and flat-a-hat-unit,
 which evaluated empty products; every other byte, characters tables
-included, is unchanged.  Each file is regenerated in-process here and
+included, is unchanged.  index-cp1-l2.json was rewritten when its two
+oracle-only checks were replaced by frobenius-branching-oracle, which reads
+the branching rows from the engine; its branching table is unchanged.  Each file is regenerated in-process here and
 compared byte for byte.  The built-ins declare no split of rank above one,
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment

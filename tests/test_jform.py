@@ -159,7 +159,7 @@ def _reference_transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     itself, each put in normal form, and no q^-k step."""
     fr = m.frames[frame_id]
     k = fr.rank
-    a = linalg.mat(a_matrix)
+    a = tuple(tuple(Fraction(x) for x in row) for row in a_matrix)
     zero = (0,) * m.r
     betas = [normal_form(Element(tuple(Term(a[row][col], zero, None, (fr.alpha_slots[col],), ())
                                        for col in range(k) if a[row][col] != 0)), m)

@@ -132,15 +132,10 @@ def test_random_gl_plus_draws_unchanged():
             assert rng.random() == ref.random(), (s, k)
 
 
-def test_mat_keeps_fraction_entries_and_converts_the_rest():
+def test_inverse_takes_int_and_fraction_entries():
     half = Fraction(1, 2)
-    a = linalg.mat([[half, 2], [-3, Fraction(4)]])
-    assert a == ((half, 2), (-3, 4))
-    assert all(type(x) is Fraction for row in a for x in row)
-    assert a[0][0] is half
-    b = linalg.mat(a)
-    assert all(x is y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-    assert linalg.inverse(a) == ((half, Fraction(-1, 4)), (Fraction(3, 8), Fraction(1, 16)))
+    for a in (((half, 2), (-3, 4)), [[half, Fraction(2)], [Fraction(-3), 4]]):
+        assert linalg.inverse(a) == ((half, Fraction(-1, 4)), (Fraction(3, 8), Fraction(1, 16)))
 
 
 def test_det_remembers_only_matrices_of_tuple_rows():

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from equivar.charclass import localize_index
 from equivar.errors import InvariantViolation, ParseError, UnknownExample
 from equivar.jform import j_form
+from equivar.laurent import expand_to_degree
 from equivar.modelfile import (
     builtin_names,
     load_builtin,
@@ -87,7 +90,6 @@ def _s1_doc():
             {"frameId": "tau", "rank": 1, "slots": ["deta"],
              "momentSamples": [[[-1]]], "split": ["0"]},
         ],
-        "pipelineCase": "torus-zero",
     }
 
 
@@ -158,6 +160,20 @@ def test_fixed_locus_parsing():
     circle = ms3.fixed_loci[0]
     assert circle.locus_type == "circle"
     assert circle.circle_weight is not None
+
+
+def test_orientation_sign_is_an_int_numerator_coefficient():
+    """JSON 1.0 and -1.0 pass the +-1 check; the parser stores them as int,
+    so the numerator {twist: sign} keeps integer coefficients and the
+    expansion passes the integrality gate."""
+    doc = json.loads(resources.files("equivar.models").joinpath("s3-contact.json")
+                     .read_text(encoding="utf-8"))
+    for locus in doc["fixedLoci"]:
+        locus["orientationSign"] = 1.0
+    m = model_from_dict(doc)
+    assert all(type(d.orientation_sign) is int for d in m.fixed_loci)
+    expected = expand_to_degree(localize_index(load_builtin("s3-contact").fixed_loci, 2), 4)
+    assert expand_to_degree(localize_index(m.fixed_loci, 2), 4).coeffs == expected.coeffs
 
 
 def test_base_data_parsing():

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "equivar"
 ALLOWED = {
     "randmodels.random_model": "seeded generator of random models for the property tests",
     "randmodels.random_element": "seeded generator of random elements for the property tests",
-    "report.report_from_json": "inverse of report_to_json: the JSON round trip of the report format",
     "superalg.FormalModel.parity_of_term": "term parity read by the Koszul sign tests",
     "superalg.FormalModel.term_degree": "form degree of a term read by the truncation tests",
 }
