@@ -202,7 +202,7 @@ def fourier_fibre_integrate(lambda_model, frame_id):
 
     dxi_set = set(dxi_names)
     xi_slot = {n: j for j, n in enumerate(xi_names)}
-    acc = {}
+    top = []
     pn = m.one()
     cap = 2 * k + m.manifold_dim + 4
     n = 0
@@ -233,12 +233,9 @@ def fourier_fibre_integrate(lambda_model, frame_id):
                 raise InvariantViolation("odd residual power of i in fibre integral")
             sign *= 1 if ipow == 0 else -1
             delta = DeltaFactor(frame_id, tuple(jj), ARG_CLOSED)
-            nt = Term(t.coeff * sign, t.x_mono, delta, tuple(non_dxi), tuple(even_rest))
-            acc[nt.key()] = acc.get(nt.key(), 0) + nt.coeff
+            top.append(Term(t.coeff * sign, t.x_mono, delta, tuple(non_dxi), tuple(even_rest)))
         n += 1
         if n > cap:
             raise InvariantViolation("graded exponential failed to terminate")
         pn = multiply(pn, p_el, m).scaled(Fraction(1, n))
-    terms = tuple(Term(c, kky[0], DeltaFactor(*kky[1]), kky[2], kky[3])
-                  for kky, c in sorted(acc.items()) if c != 0)
-    return normal_form(Element(terms), m)
+    return normal_form(Element(tuple(top)), m)

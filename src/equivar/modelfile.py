@@ -265,13 +265,14 @@ def model_from_dict(doc):
         if "split" in fd:
             splits[fid] = fd["split"]
 
-    m = FormalModel(name, dim, params, gens, {}, {}, frames, base=None)
+    # the expressions only need the generators; the model is built once below
+    bare = FormalModel(name, dim, params, gens, {}, {})
 
     d_table = {}
     for gname, expr in _optional(doc, "dTable", dict, name, {}).items():
         if gname not in gens:
             raise ParseError(f"dTable entry for unknown generator {gname!r}")
-        d_table[gname] = _expression(expr, m, f"dTable entry for {gname!r}")
+        d_table[gname] = _expression(expr, bare, f"dTable entry for {gname!r}")
     iota_table = {}
     for gname, exprs in _optional(doc, "iotaTable", dict, name, {}).items():
         if gname not in gens:
@@ -279,31 +280,31 @@ def model_from_dict(doc):
         if not isinstance(exprs, list) or len(exprs) != len(params):
             raise ParseError(f"iotaTable for {gname!r} needs one entry per parameter")
         for a, expr in enumerate(exprs):
-            el = _expression(expr, m, f"iotaTable entry {a} for {gname!r}")
+            el = _expression(expr, bare, f"iotaTable entry {a} for {gname!r}")
             if not el.is_zero():
                 iota_table[(gname, a)] = el
-    m.d_table = d_table
-    m.iota_table = iota_table
 
     for fid, exprs in splits.items():
         if not isinstance(exprs, list) or len(exprs) != frames[fid].rank:
             raise ParseError(f"split for frame {fid!r} needs one entry per slot")
-        dalpha = tuple(_expression(e, m, f"split entry {j} of frame {fid!r}")
+        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {fid!r}")
                        for j, e in enumerate(exprs))
-        m.frames[fid] = replace(m.frames[fid], dalpha=dalpha)
+        frames[fid] = replace(frames[fid], dalpha=dalpha)
 
+    base = None
     if "base" in doc:
         b = _require(doc, "base", dict, name)
-        m.base = {
+        base = {
             "tangentWeight": parse_rational(_require(b, "tangentWeight", (int, str), "base")),
             "curvatureVolume": parse_rational(_require(b, "curvatureVolume", (int, str), "base")),
             "dimension": _require(b, "dimension", int, "base"),
         }
 
     nloc = len(params)
-    m.fixed_loci = tuple(_parse_locus(it, nloc)
-                         for it in _optional(doc, "fixedLoci", list, name, []))
+    fixed_loci = tuple(_parse_locus(it, nloc)
+                       for it in _optional(doc, "fixedLoci", list, name, []))
 
+    m = FormalModel(name, dim, params, gens, d_table, iota_table, frames, base, fixed_loci)
     validate_model(m)
     return m
 

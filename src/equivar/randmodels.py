@@ -106,17 +106,18 @@ def random_model(rng, max_rank=3, with_theta=True, dim_cap=None):
                       tuple(f"u{j}" for j in range(1, k + 1)),
                       samples if k else None, None)
     params = tuple(f"X{a}" for a in range(1, r + 1))
-    m = FormalModel(f"random-k{k}", dim, params, gens, {}, {}, {"fr": frame})
+    name = f"random-k{k}"
+    # the table entries only need the generators; the model is built once below
+    bare = FormalModel(name, dim, params, gens, {}, {})
 
     d_table, iota_table = {}, {}
     for i in range(n_theta):
-        d_table[f"th{i}"] = m.gen(f"w{i}").scaled(nonzero_rational(rng, -2, 2, (1, 2)))
+        d_table[f"th{i}"] = bare.gen(f"w{i}").scaled(nonzero_rational(rng, -2, 2, (1, 2)))
         for a in range(r):
             s = rational(rng, -2, 2, (1, 2))
             if s:
-                iota_table[(f"th{i}", a)] = m.scalar(s)
-    m.d_table = d_table
-    m.iota_table = iota_table
+                iota_table[(f"th{i}", a)] = bare.scalar(s)
+    m = FormalModel(name, dim, params, gens, d_table, iota_table, {"fr": frame})
     validate_model(m)
     return m
 

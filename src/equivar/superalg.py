@@ -43,11 +43,11 @@ delta clash once per left term with a delta, against the right operand's
 first delta, which is the first clashing pair's.  Even degrees come from
 the name -> truncation degree table (0 on closed arguments).
 
-The tables are safe because a model's generators and `odd_order` are fixed
-in `__post_init__` and never reassigned.  They are keyed by name tuples and
-live on the model, not in the terms, because the same monomial has another
-mask in another model: `with_fibre_coordinates` builds a new model, with its
-own odd order and its own tables.
+The tables, and the `d_image` memo, are safe because a `FormalModel` is
+frozen: `__post_init__` sets its derived tables once.  They are keyed by
+name tuples and live on the model, not in the terms, because the same
+monomial has another mask in another model: `with_fibre_coordinates` builds
+a new model, with its own odd order and its own tables.
 """
 
 from dataclasses import dataclass, field
@@ -72,9 +72,6 @@ _KINDS = (PLAIN_FORM, FRAME_FORM, CLOSED_ARGUMENT, FIBRE_COORDINATE, FIBRE_COFOR
 ARG_CLOSED = "closed"
 ARG_MOMENT = "moment"
 
-# delta key of a term without a delta factor
-_NO_DELTA = ("", (), "")
-
 # _new_tuple(Term, fields) builds a term without the Python-level __new__
 # that NamedTuple generates; the per-term loops below use it
 _new_tuple = tuple.__new__
@@ -93,19 +90,18 @@ class Generator:
         return 0 if self.kind == CLOSED_ARGUMENT else self.form_degree
 
 
-@dataclass(frozen=True)
-class DeltaFactor:
-    """delta_0^(deriv) applied to the closed arguments of one frame."""
+class DeltaFactor(NamedTuple):
+    """delta_0^(deriv) applied to the closed arguments of one frame.  It is
+    its own term key: a tuple, ordered field by field."""
 
     frame_id: str
     deriv: tuple[int, ...]
     argument: str = ARG_CLOSED
 
-    def order(self):
-        return sum(self.deriv)
 
-    def key(self):
-        return (self.frame_id, self.deriv, self.argument)
+# delta key of a term without a delta factor, tested by identity; it sorts
+# before every delta
+_NO_DELTA = DeltaFactor("", (), "")
 
 
 def _exact(q):
@@ -123,10 +119,6 @@ class Term(NamedTuple):
     delta: DeltaFactor | None
     odd_mono: tuple[str, ...]
     even_mono: tuple[tuple[str, int], ...]
-
-    def key(self):
-        dk = self.delta.key() if self.delta is not None else _NO_DELTA
-        return (self.x_mono, dk, self.odd_mono, self.even_mono)
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ class FrameDecl:
     dalpha: tuple | None = None              # tuple of Elements (display split)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormalModel:
     name: str
     manifold_dim: int
@@ -176,22 +168,23 @@ class FormalModel:
     fixed_loci: tuple = ()
 
     def __post_init__(self):
-        self.r = len(self.parameters)
-        odd_names = [g.name for g in self.generators.values() if g.parity == ODD]
-        odd_names.sort(key=lambda n: self._order_key(self.generators[n]))
-        self.odd_order = {n: i for i, n in enumerate(odd_names)}
-        self._odd_names = tuple(odd_names)
-        self.form_degrees = {n: g.form_degree for n, g in self.generators.items()}
-        self.truncation_degrees = {n: g.truncation_degree() for n, g in self.generators.items()}
-        # filled lazily by multiply and _finalize (see the module docstring)
-        self._odd_masks = {}        # odd monomial -> bitmask
-        self._odd_by_mask = {}      # bitmask -> odd monomial sorted by odd_order
-        self._odd_degrees = {}      # odd monomial -> form degree
-        self._u_frame = {}
-        for fr in self.frames.values():
-            for j, un in enumerate(fr.u_slots):
-                self._u_frame[un] = (fr.frame_id, j)
-        self._d_images = {}
+        gens = self.generators
+        odd_names = sorted((g.name for g in gens.values() if g.parity == ODD),
+                           key=lambda n: self._order_key(gens[n]))
+        self.__dict__.update(
+            r=len(self.parameters),
+            odd_order={n: i for i, n in enumerate(odd_names)},
+            _odd_names=tuple(odd_names),
+            form_degrees={n: g.form_degree for n, g in gens.items()},
+            truncation_degrees={n: g.truncation_degree() for n, g in gens.items()},
+            # filled lazily by multiply and _finalize (see the module docstring)
+            _odd_masks={},          # odd monomial -> bitmask
+            _odd_by_mask={},        # bitmask -> odd monomial sorted by odd_order
+            _odd_degrees={},        # odd monomial -> form degree
+            _u_frame={un: (fr.frame_id, j) for fr in self.frames.values()
+                      for j, un in enumerate(fr.u_slots)},
+            _d_images={},           # generator name -> D image, filled by d_image
+        )
 
     @staticmethod
     def _order_key(g):
@@ -306,7 +299,7 @@ def _finalize(acc, m):
         if coeff == 0:
             continue
         x_mono, dk, odd_mono, even_mono = key
-        if even_mono and dk[2] == ARG_CLOSED:
+        if even_mono and dk.argument == ARG_CLOSED:
             coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
             if coeff == 0:
                 continue
@@ -320,25 +313,21 @@ def _finalize(acc, m):
             continue
         prev = out.get(key)
         out[key] = coeff if prev is None else prev + coeff
-    deltas = {}
     terms = []
     for (x_mono, dk, odd_mono, even_mono), c in sorted(out.items()):
         if c == 0:
             continue
         if c.__class__ is not int:
             c = _exact(c)
-        if dk in deltas:
-            delta = deltas[dk]
-        else:
-            delta = deltas[dk] = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
-        terms.append(_new_tuple(Term, (c, x_mono, delta, odd_mono, even_mono)))
+        terms.append(_new_tuple(Term, (c, x_mono, None if dk is _NO_DELTA else dk,
+                                       odd_mono, even_mono)))
     return Element(tuple(terms))
 
 
 def _absorb(coeff, dk, even_mono, m):
     """Apply u_j * delta^(I) = -I_j * delta^(I - e_j) for every closed argument
     u_j of the delta's frame in even_mono; (0, ..) when some u_j^e has e > I_j.
-    Returns (coeff, delta key, even monomial)."""
+    Returns (coeff, delta, even monomial)."""
     frame_id, deriv, argument = dk
     u_frame = m._u_frame
     nd = None
@@ -358,7 +347,7 @@ def _absorb(coeff, dk, even_mono, m):
             nd[j] -= 1
     if nd is None:
         return coeff, dk, even_mono
-    return coeff, (frame_id, tuple(nd), argument), tuple(rest)
+    return coeff, DeltaFactor(frame_id, tuple(nd), argument), tuple(rest)
 
 
 def add_all(elements, m):
@@ -367,7 +356,7 @@ def add_all(elements, m):
     acc = {}
     for e in elements:
         for c, x_mono, delta, odd_mono, even_mono in e.terms:
-            key = (x_mono, _NO_DELTA if delta is None else delta.key(), odd_mono, even_mono)
+            key = (x_mono, _NO_DELTA if delta is None else delta, odd_mono, even_mono)
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)
@@ -398,12 +387,10 @@ def multiply(a, b, m):
         for g in odd2:
             p2 ^= -2 << order[g]
         if delta2 is None:
-            dk2 = _NO_DELTA
-        else:
-            dk2 = delta2.key()
-            if d2 is None:
-                d2 = delta2
-        right.append((c2, x2, not any(x2), dk2, m2, p2, even2))
+            delta2 = _NO_DELTA
+        elif d2 is None:
+            d2 = delta2
+        right.append((c2, x2, not any(x2), delta2, m2, p2, even2))
     acc = {}
     for c1, x1, d1, odd1, even1 in a.terms:
         if d1 is not None:
@@ -412,9 +399,6 @@ def multiply(a, b, m):
                     raise DeltaClash(f"product of two delta factors on frame {d1.frame_id!r}")
                 raise DeltaClash(f"product of delta factors on distinct frames "
                                  f"{d1.frame_id!r} and {d2.frame_id!r}")
-            dk1 = d1.key()
-        else:
-            dk1 = None
         m1 = masks.get(odd1)
         if m1 is None:
             m1 = _odd_mask(odd1, m)
@@ -440,7 +424,7 @@ def multiply(a, b, m):
                 x_mono = x1
             else:
                 x_mono = tuple(i + j for i, j in zip(x1, x2))
-            key = (x_mono, dk1 or dk2, odd, even)
+            key = (x_mono, d1 or dk2, odd, even)
             # the Koszul sign: parity of the pairs (g1, g2) with g1 after g2
             c = -c1 * c2 if (m1 & p2).bit_count() & 1 else c1 * c2
             prev = acc.get(key)
@@ -456,30 +440,33 @@ def product(factors, m):
 
 
 def _derivation_on_term(t, image, m):
-    """Odd derivation applied to one term, as unsummed Leibniz pieces; the
-    delta factor and X-monomial are constants (the delta's argument is
-    D-closed)."""
-    if t.delta is not None and t.delta.argument == ARG_MOMENT:
+    """Odd derivation applied to one term c x delta o_1..o_p (even part), as
+    unsummed Leibniz pieces; the delta factor and X-monomial are constants
+    (the delta's argument is D-closed).  The piece of o_i is
+    (-1)^(i-1) (c x delta o_1..o_(i-1)) image(o_i) (o_(i+1)..o_p even), and
+    that of g^e in the even part is (-1)^p e (c x delta o_1..o_p rest)
+    image(g), rest the even part with g^(e-1).  Each bracket is a part of a
+    normal-form term, so it is built directly as one."""
+    c, x_mono, delta, odd, even = t
+    if delta is not None and delta.argument == ARG_MOMENT:
         raise NotDifferentiable("display-form element (moment-argument delta)")
-    factors = [(n, 1, ODD) for n in t.odd_mono]
-    factors += [(n, e, EVEN) for n, e in t.even_mono]
-    head = Element((Term(t.coeff, t.x_mono, t.delta, (), ()),))
-    sign = 1
-    for i, (name, exp, parity) in enumerate(factors):
+    for i, name in enumerate(odd):
         img = image(name)
-        if img.is_zero():
-            if parity == ODD:
-                sign = -sign
-            continue
-        if parity == ODD:
-            dfi = img
-        else:
-            dfi = multiply(m.gen(name, exp - 1) if exp > 1 else m.one(), img, m).scaled(exp)
-        pre = [m.gen(n, e) for n, e, _ in factors[:i]]
-        post = [m.gen(n, e) for n, e, _ in factors[i + 1:]]
-        yield product([head] + pre + [dfi] + post, m).scaled(sign)
-        if parity == ODD:
-            sign = -sign
+        if img.terms:
+            left = Element((_new_tuple(Term, (c, x_mono, delta, odd[:i], ())),))
+            piece = multiply(left, img, m)
+            after = odd[i + 1:]
+            if after or even:
+                right = _new_tuple(Term, (1, (0,) * m.r, None, after, even))
+                piece = multiply(piece, Element((right,)), m)
+            yield piece
+        c = -c
+    for j, (name, e) in enumerate(even):
+        img = image(name)
+        if img.terms:
+            lower = ((name, e - 1),) if e > 1 else ()
+            rest = even[:j] + lower + even[j + 1:]
+            yield multiply(Element((_new_tuple(Term, (c * e, x_mono, delta, odd, rest)),)), img, m)
 
 
 def equivariant_differential(a, m):

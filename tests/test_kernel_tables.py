@@ -89,13 +89,13 @@ def _prev_odd_mask(odd_mono, order):
 def _prev_multiply(a, b, m, seen=None):
     order = m.odd_order
     right = [(t2, _prev_odd_mask(t2.odd_mono, order), [order[g] for g in t2.odd_mono],
-              t2.delta.key() if t2.delta is not None else _NO_DELTA, not any(t2.x_mono))
+              t2.delta if t2.delta is not None else _NO_DELTA, not any(t2.x_mono))
              for t2 in b.terms]
     acc = {}
     for t1 in a.terms:
         c1, x1, d1, odd1, even1 = t1.coeff, t1.x_mono, t1.delta, t1.odd_mono, t1.even_mono
         m1 = _prev_odd_mask(odd1, order)
-        dk1 = d1.key() if d1 is not None else _NO_DELTA
+        dk1 = d1 if d1 is not None else _NO_DELTA
         x1_zero = not any(x1)
         for t2, m2, orders2, dk2, x2_zero in right:
             if d1 is not None and t2.delta is not None:

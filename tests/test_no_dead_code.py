@@ -2,10 +2,12 @@
 
 Every top-level function and class of src/equivar/*.py, and every public
 method of those classes, must be named somewhere in the package besides its
-own definition.  The re-exports in __init__.py do not count as a use.  The
-match is by word boundary, so a name shared by two definitions needs one
-more occurrence than it has definitions; a dead chain (dead code calling
-dead code) is not caught.
+own definition.  The re-exports in __init__.py do not count as a use.  A
+top-level name is matched by word boundary, so a name shared by two
+definitions needs one more occurrence than it has definitions.  A method is
+matched only by attribute use (`.name`), so a local variable or a keyword
+argument of the same name does not keep it alive.  A dead chain (dead code
+calling dead code) is not caught.
 """
 
 import ast
@@ -38,14 +40,19 @@ def _unreferenced(sources):
                 definitions[node.name] = definitions.get(node.name, 0) + 1
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                candidates.append((f"{mod}.{node.name}", node.name))
+                candidates.append((f"{mod}.{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
                 candidates.extend(
-                    (f"{mod}.{node.name}.{sub.name}", sub.name) for sub in node.body
+                    (f"{mod}.{node.name}.{sub.name}", sub.name, True) for sub in node.body
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
     text = "\n".join(sources.values())
-    return sorted(key for key, name in candidates
-                  if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= definitions[name])
+
+    def unused(name, method):
+        if method:
+            return re.search(rf"\.{re.escape(name)}\b", text) is None
+        return len(re.findall(rf"\b{re.escape(name)}\b", text)) <= definitions[name]
+
+    return sorted(key for key, name, method in candidates if unused(name, method))
 
 
 def test_every_definition_has_a_use():
@@ -60,3 +67,11 @@ def test_allowlist_is_current():
 def test_guard_flags_an_unused_function():
     sources = dict(_sources(), extra="def never_called():\n    return 1\n")
     assert "extra.never_called" in _unreferenced(sources)
+
+
+def test_guard_flags_a_method_named_only_as_a_word():
+    extra = ("class Box:\n    def lonely(self):\n        return 1\n\n\n"
+             "def f(lonely=2):\n    return Box(), lonely\n")
+    assert "extra.Box.lonely" in _unreferenced(dict(_sources(), extra=extra))
+    used = extra + "\n\ndef g(b):\n    return b.lonely()\n"
+    assert "extra.Box.lonely" not in _unreferenced(dict(_sources(), extra=used))

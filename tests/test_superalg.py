@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from equivar.errors import DeltaClash, InvariantViolation
+from equivar.errors import DeltaClash, InvariantViolation, NotDifferentiable
 from equivar.genco import with_fibre_coordinates
 from equivar.modelfile import builtin_names, load_builtin
 from equivar.randmodels import nonzero_rational, random_element, random_model
 from equivar.superalg import (
+    _NO_DELTA,
+    ARG_MOMENT,
     CLOSED_ARGUMENT,
     EVEN,
     FRAME_FORM,
@@ -171,6 +173,11 @@ def test_truncation_is_an_ideal():
     assert not below.is_zero()
 
 
+def _key(t):
+    """The accumulator key of a term in superalg.add_all."""
+    return (t.x_mono, _NO_DELTA if t.delta is None else t.delta, t.odd_mono, t.even_mono)
+
+
 def _raw_pieces(rng, m, counts):
     """Unnormalized pieces built from the terms of a random element: a same-frame
     closed argument multiplied into a delta term (absorbed when finalized), a
@@ -218,7 +225,7 @@ def test_add_all_equals_pairwise_fold_randomized():
         total = add_all(pieces, m)
         assert total == functools.reduce(lambda a, b: add(a, b, m), pieces, Element())
         assert total == add_all([total], m) == normal_form(total, m)
-        merged = {t.key() for p in pieces for t in normal_form(p, m).terms}
+        merged = {_key(t) for p in pieces for t in normal_form(p, m).terms}
         counts["cancelled"] += len(merged) - len(total.terms)
     assert all(counts.values()), counts
 
@@ -254,7 +261,7 @@ def _ref_finalize(acc, m, counts=None):
             if counts is not None:
                 counts["truncated"] += 1
             continue
-        k2 = t.key()
+        k2 = _key(t)
         out[k2] = out.get(k2, 0) + coeff
     terms = tuple(
         Term(c, k[0], None if k[1][0] == "" and not k[1][1] else DeltaFactor(*k[1]), k[2], k[3])
@@ -319,7 +326,7 @@ def _ref_multiply(a, b, m, counts=None):
             delta = t1.delta if t1.delta is not None else t2.delta
             if counts is not None and delta is not None and any(delta.deriv):
                 counts["derivative_delta"] += 1
-            dk = delta.key() if delta is not None else ("", (), "")
+            dk = delta if delta is not None else ("", (), "")
             key = (x_mono, dk, odd, tuple(sorted(even.items())))
             acc[key] = acc.get(key, Fraction(0)) + t1.coeff * t2.coeff * sign
             contributions[key] = contributions.get(key, 0) + 1
@@ -367,7 +374,7 @@ def test_kernel_matches_reference_randomized():
         acc = {}
         for p in pieces:
             for t in p.terms:
-                acc[t.key()] = acc.get(t.key(), Fraction(0)) + t.coeff
+                acc[_key(t)] = acc.get(_key(t), Fraction(0)) + t.coeff
         total = add_all(pieces, m)
         assert total == _ref_finalize(acc, m)
         _assert_canonical(total)
@@ -465,11 +472,9 @@ def test_random_models_validate():
         validate_model(m)  # must not raise
 
 
-def _reference_identities(m):
-    """The identity loop of validate_model with nothing skipped: d d on every
-    generator, iota_a iota_b + iota_b iota_a on every pair (a, b), and every
-    Cartan sum."""
-    frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
+def _bare_images(m):
+    """The image maps validate_model derives with: the bare d table, and the
+    iota_a table of each parameter a; closed arguments map to zero."""
     closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}
 
     def d_img(n):
@@ -480,6 +485,15 @@ def _reference_identities(m):
             return Element() if n in closed_args else m.iota_table.get((n, a), Element())
         return img
 
+    return d_img, [iota_img(a) for a in range(m.r)]
+
+
+def _reference_identities(m):
+    """The identity loop of validate_model with nothing skipped: d d on every
+    generator, iota_a iota_b + iota_b iota_a on every pair (a, b), and every
+    Cartan sum."""
+    frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
+    d_img, iotas = _bare_images(m)
     for name in m.generators:
         if name in frame_forms:
             continue
@@ -487,9 +501,9 @@ def _reference_identities(m):
         if not dd.is_zero():
             raise InvariantViolation(f"d(d({name})) != 0")
         for a in range(m.r):
-            ia = iota_img(a)
+            ia = iotas[a]
             for b in range(m.r):
-                ib = iota_img(b)
+                ib = iotas[b]
                 anti = add(apply_table_derivation(ia(name), ib, m),
                            apply_table_derivation(ib(name), ia, m), m)
                 if not anti.is_zero():
@@ -579,3 +593,138 @@ def test_validate_matches_full_identity_loop():
             if kind == "anticommute":
                 seen["anticommute a>b" if a > b else "anticommute a=b"] += 1
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# reference derivation: the Leibniz rule as products of single generators,
+# which the split-term rule replaced, kept to check it against
+
+def _ref_derivation_on_term(t, image, m):
+    if t.delta is not None and t.delta.argument == ARG_MOMENT:
+        raise NotDifferentiable("display-form element (moment-argument delta)")
+    factors = [(n, 1, ODD) for n in t.odd_mono]
+    factors += [(n, e, EVEN) for n, e in t.even_mono]
+    head = Element((Term(t.coeff, t.x_mono, t.delta, (), ()),))
+    sign = 1
+    for i, (name, exp, parity) in enumerate(factors):
+        img = image(name)
+        if img.is_zero():
+            if parity == ODD:
+                sign = -sign
+            continue
+        if parity == ODD:
+            dfi = img
+        else:
+            dfi = multiply(m.gen(name, exp - 1) if exp > 1 else m.one(), img, m).scaled(exp)
+        pre = [m.gen(n, e) for n, e, _ in factors[:i]]
+        post = [m.gen(n, e) for n, e, _ in factors[i + 1:]]
+        yield product([head] + pre + [dfi] + post, m).scaled(sign)
+        if parity == ODD:
+            sign = -sign
+
+
+def _ref_apply(a, image, m):
+    return add_all((piece for t in a.terms for piece in _ref_derivation_on_term(t, image, m)), m)
+
+
+def _count_leibniz_cases(t, image, m, seen):
+    for name in t.odd_mono:
+        img = image(name)
+        if img.is_zero():
+            seen["zero image"] += 1
+            continue
+        seen["odd piece"] += 1
+        if t.delta is not None and any(m._u_frame.get(n, ("",))[0] == t.delta.frame_id
+                                       for it in img.terms for n, _ in it.even_mono):
+            seen["u absorbed"] += 1
+    for name, e in t.even_mono:
+        if image(name).is_zero():
+            seen["zero image"] += 1
+        elif e > 1:
+            seen["even power"] += 1
+
+
+def _check_derivations(rng, m, seen, n_elements):
+    d_img, iotas = _bare_images(m)
+    for _ in range(n_elements):
+        e = random_element(rng, m, n_terms=rng.randint(1, 4))
+        for image, got in [(m.d_image, equivariant_differential(e, m))] + [
+                (img, apply_table_derivation(e, img, m)) for img in [d_img] + iotas]:
+            want = _ref_apply(e, image, m)
+            assert got.terms == want.terms, (m.name, e)
+            _assert_canonical(got)
+            for t in e.terms:
+                _count_leibniz_cases(t, image, m, seen)
+        for t in e.terms:
+            if t.delta is None:
+                continue
+            moment = Element((t._replace(delta=t.delta._replace(argument=ARG_MOMENT)),))
+            for derive in (lambda x: equivariant_differential(x, m),
+                           lambda x: _ref_apply(x, m.d_image, m)):
+                with pytest.raises(NotDifferentiable):
+                    derive(moment)
+            seen["moment delta"] += 1
+
+
+def test_derivation_matches_product_reference_randomized():
+    """D and the validator's bare d and iota_a, on random elements of random,
+    built-in and fibre-extended models, against the product-based rule."""
+    rng = random.Random(37)
+    seen = dict.fromkeys(("odd piece", "even power", "u absorbed", "zero image",
+                          "moment delta", "random", "builtin", "fibre"), 0)
+    builtins = [load_builtin(name) for name in builtin_names()]
+    for m in builtins:
+        _check_derivations(rng, m, seen, 20)
+        seen["builtin"] += 1
+        for fid in m.frames:
+            _check_derivations(rng, with_fibre_coordinates(m, fid), seen, 10)
+            seen["fibre"] += 1
+    for _ in range(40):
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.6,
+                         dim_cap=rng.choice((4, 6)))
+        _check_derivations(rng, m, seen, 4)
+        _check_derivations(rng, with_fibre_coordinates(m, "fr"), seen, 2)
+        seen["random"] += 1
+        seen["fibre"] += 1
+    assert all(seen.values()), seen
+
+
+def test_models_are_frozen():
+    m = load_builtin("hopf")
+    for model in (m, with_fibre_coordinates(m, "conn"), random_model(random.Random(3))):
+        for attr in ("d_table", "iota_table", "frames", "base", "fixed_loci", "odd_order"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, attr, getattr(model, attr))
+
+
+def test_delta_keys_sort_as_the_old_key_tuples():
+    """A delta is its own key: keys with DeltaFactors sort as the keys with
+    (frame_id, deriv, argument) tuples did, the no-delta key first."""
+    pool = [None, DeltaFactor("", ()), DeltaFactor("", (), ARG_MOMENT),
+            DeltaFactor("fr", (0, 1)), DeltaFactor("fr", (1, 0)),
+            DeltaFactor("fr", (1, 0), ARG_MOMENT), DeltaFactor("gs", (0,))]
+    assert all(_NO_DELTA < d for d in pool if d is not None)
+    rng = random.Random(41)
+    keys = []
+    for name in builtin_names():
+        m = load_builtin(name)
+        for _ in range(30):
+            for t in random_element(rng, m).terms:
+                d = rng.choice(pool)
+                keys.append(_key(t._replace(delta=d)))
+    rng.shuffle(keys)
+
+    def old_key(k):
+        dk = ("", (), "") if k[1] is _NO_DELTA else (k[1].frame_id, k[1].deriv, k[1].argument)
+        return (k[0], dk, k[2], k[3])
+
+    assert sorted(keys) == sorted(keys, key=old_key)
+
+
+def test_empty_frame_id_delta_is_kept():
+    """The no-delta key is told apart by identity: a delta on a rank-0 frame
+    with the empty id survives normal form."""
+    m = FormalModel("empty-frame", 2, ("X",), {}, {}, {}, {"": FrameDecl("", 0, (), ())})
+    d = m.delta("")
+    assert normal_form(d, m).terms[0].delta == DeltaFactor("", ())
+    assert multiply(m.x(0), d, m).terms[0].delta == DeltaFactor("", ())
