@@ -19,7 +19,8 @@ from math import factorial
 from . import linalg
 from .errors import InvariantViolation, MissingFibre, NonOrientable, SplittingMissing
 from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
-                       DeltaFactor, Element, FormalModel, Generator, Term, _exact, add_all,
+                       DeltaFactor, Element, FormalModel, Generator, Term, _NO_DELTA,
+                       _delta_clash, _exact, _finalize, _multiply_acc, add_all,
                        equivariant_differential, multiply, normal_form)
 
 __all__ = [
@@ -81,33 +82,50 @@ def taylor_expand_delta(e, frame_id, m):
     u_j = dalpha_j + f_j.  The moment f stays symbolic (argument tag
     "moment"); dalpha powers are cut by the usual degree truncation.  This is
     a reporting form and is rejected by the differential.
+
+    Every term of a split entry is a 2-form (validate_model), so every term
+    of dalpha^J has degree 2|J|, and a head term of degree d times dalpha^J
+    survives truncation only while d + 2|J| <= dim.  The walk over J stops
+    at (dim - d_min) // 2, d_min the least degree of a head: no larger J
+    leaves a term.  The products go unfinalized into the accumulator of the
+    other terms, re-keyed onto the moment delta delta^(I+J) and scaled by
+    1/J!, and the sum is finalized once.  A moment delta is never absorbed
+    and the re-keying keeps each term's degree, so this gives the terms of
+    finalizing every product alone.
     """
     fr = m.frames[frame_id]
     if fr.dalpha is None:
         raise SplittingMissing(f"frame {frame_id!r} declares no (dalpha, f) split")
-    others, heads = [], []
+    acc, heads, degrees = {}, [], []
     for t in e.terms:
-        if t.delta is None or t.delta.frame_id != frame_id:
-            others.append(Element((t,)))
-        elif t.delta.argument == ARG_MOMENT:
+        delta = t.delta
+        if delta is None or delta.frame_id != frame_id:
+            key = (t.x_mono, _NO_DELTA if delta is None else delta, t.odd_mono, t.even_mono)
+            prev = acc.get(key)
+            acc[key] = t.coeff if prev is None else prev + t.coeff
+        elif delta.argument == ARG_MOMENT:
             raise InvariantViolation("element is already in display form")
         else:
-            heads.append((Element((Term(t.coeff, t.x_mono, None, t.odd_mono, t.even_mono),)),
-                          t.delta.deriv))
-
-    def pieces():
-        yield from others
-        for jj, dal in _dalpha_powers(fr.dalpha, m.manifold_dim // 2, m):
+            heads.append((Element((t._replace(delta=None),)), delta.deriv))
+            degrees.append(m.term_degree(t))
+    if heads:
+        bound = (m.manifold_dim - min(degrees)) // 2
+        for jj, dal in _dalpha_powers(fr.dalpha, bound, m):
             fact = 1
             for x in jj:
                 fact *= factorial(x)
+            scale = Fraction(1, fact)
             for base, i0 in heads:
-                deriv = tuple(a + b for a, b in zip(i0, jj))
-                delta_el = Element((Term(1, (0,) * m.r,
-                                         DeltaFactor(frame_id, deriv, ARG_MOMENT), (), ()),))
-                yield multiply(multiply(base, dal, m), delta_el, m).scaled(Fraction(1, fact))
-
-    return add_all(pieces(), m)
+                moment = DeltaFactor(frame_id, tuple(a + b for a, b in zip(i0, jj)), ARG_MOMENT)
+                for (x_mono, dk, odd, even), c in _multiply_acc(base, dal, m).items():
+                    if dk is not _NO_DELTA:
+                        raise _delta_clash(dk, moment)
+                    key = (x_mono, moment, odd, even)
+                    if fact != 1:
+                        c *= scale
+                    prev = acc.get(key)
+                    acc[key] = c if prev is None else prev + c
+    return _finalize(acc, m)
 
 
 def _dalpha_powers(dalpha, bound, m):

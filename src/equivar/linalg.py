@@ -11,6 +11,9 @@ Gauss-Jordan over Fraction; it runs only for derivative deltas, and it
 converts its own input, since it divides.  det remembers its result for the
 last matrix it was given as a tuple of tuples, so a frame trial, which needs
 the determinant of its matrix twice, runs the elimination once.
+negate_first_row hands that memo on to the negated copy of the matrix, with
+the negated determinant, so a draw turned from det < 0 to det > 0 by a sign
+flip runs no second elimination either.
 
 No function here needs its input converted first.  Frame changes stay int
 where integral, and the frame trial in jform clears their denominators
@@ -71,6 +74,17 @@ def det(a):
     if a.__class__ is tuple and all(row.__class__ is tuple for row in a):
         _last_det = (a, d)
     return d
+
+
+def negate_first_row(a):
+    """a, a tuple of row tuples, with its first row negated.  When a is the
+    matrix det remembers, the copy takes its place with minus its det."""
+    global _last_det
+    b = (tuple(-x for x in a[0]),) + a[1:]
+    last, d = _last_det
+    if a is last:
+        _last_det = (b, -d)
+    return b
 
 
 def _bareiss_det(a):

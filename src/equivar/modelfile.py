@@ -15,8 +15,8 @@ names with optional ^int powers.  No parentheses.
 
 Closed-argument generators are matched to frame slots by their declared
 (frame, slot) pair, so frames list only the slot forms.  "split" gives the
-display decomposition of each closed argument (its exterior-derivative part)
-and is required only by models that render Taylor expansions or declare a
+display decomposition of each closed argument (its exterior-derivative part,
+a 2-form) and is required only by models that render Taylor expansions or declare a
 principal-bundle structure.  Structural problems raise ParseError; semantic
 problems raise InvariantViolation naming the failing invariant.
 """

@@ -33,11 +33,20 @@ _HALVES = {n: Fraction(n, 2) for n in (-3, -1, 1, 3)}
 
 def _frame_entry(rng):
     """The draw of rational(rng, -3, 3, (1, 1, 2)), as an int when integral
-    and else as a shared Fraction.  randrange(7) - 3 and randrange(3) < 2
-    consume the same draws as randint(-3, 3) and choice((1, 1, 2)) == 1, and
-    give the same values, through fewer calls."""
-    n = rng.randrange(7) - 3
-    if rng.randrange(3) < 2:
+    and else as a shared Fraction.  randint(-3, 3) and choice((1, 1, 2)) are
+    randrange(7) and randrange(3), which CPython draws as getrandbits(3) until
+    the value is below 7 and getrandbits(2) until it is below 3; the loops
+    below make the same draws and give the same values, through fewer
+    calls."""
+    getrandbits = rng.getrandbits
+    n = getrandbits(3)
+    while n == 7:
+        n = getrandbits(3)
+    s = getrandbits(2)
+    while s == 3:
+        s = getrandbits(2)
+    n -= 3
+    if s < 2:
         return n
     return _HALVES.get(n, n // 2)
 
@@ -53,7 +62,7 @@ def random_gl_plus(rng, k):
         if d > 0:
             return a
         if d < 0:
-            return (tuple(-x for x in a[0]),) + a[1:]
+            return linalg.negate_first_row(a)
 
 
 def _full_rank_matrix(rng, k, r):

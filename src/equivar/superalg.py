@@ -21,6 +21,11 @@ sum gives the same terms as one pass per summand.  `out = add(out, x, m)`
 in a loop re-finalizes the running sum at every step, which makes building
 a sum quadratic; that idiom is a bug.
 
+`multiply` is the Koszul loop `_multiply_acc`, which returns the product's
+unfinalized accumulator, followed by `_finalize`.  Finalizing is linear on
+the accumulator and idempotent, so a sum of products may add the kernel's
+accumulators into one dict and finalize that once: the Taylor display does.
+
 Coefficients are exact and integer-first: a coefficient is an int when it
 is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
 and every term that `_finalize` emits follow this rule; int and Fraction mix
@@ -375,6 +380,12 @@ def multiply(a, b, m):
     """Koszul-signed product.  Raises DeltaClash on any delta * delta: the
     source calculus never multiplies two generalized-coefficient forms, so no
     product rule exists (same frame included)."""
+    return _finalize(_multiply_acc(a, b, m), m)
+
+
+def _multiply_acc(a, b, m):
+    """The Koszul loop of multiply: the product's unfinalized key ->
+    coefficient accumulator, keyed as in _finalize."""
     order, masks, by_mask = m.odd_order, m._odd_masks, m._odd_by_mask
     right = []
     d2 = None    # the first delta factor of b
@@ -393,12 +404,8 @@ def multiply(a, b, m):
         right.append((c2, x2, not any(x2), delta2, m2, p2, even2))
     acc = {}
     for c1, x1, d1, odd1, even1 in a.terms:
-        if d1 is not None:
-            if d2 is not None:
-                if d1.frame_id == d2.frame_id:
-                    raise DeltaClash(f"product of two delta factors on frame {d1.frame_id!r}")
-                raise DeltaClash(f"product of delta factors on distinct frames "
-                                 f"{d1.frame_id!r} and {d2.frame_id!r}")
+        if d1 is not None and d2 is not None:
+            raise _delta_clash(d1, d2)
         m1 = masks.get(odd1)
         if m1 is None:
             m1 = _odd_mask(odd1, m)
@@ -429,7 +436,14 @@ def multiply(a, b, m):
             c = -c1 * c2 if (m1 & p2).bit_count() & 1 else c1 * c2
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-    return _finalize(acc, m)
+    return acc
+
+
+def _delta_clash(d1, d2):
+    if d1.frame_id == d2.frame_id:
+        return DeltaClash(f"product of two delta factors on frame {d1.frame_id!r}")
+    return DeltaClash(f"product of delta factors on distinct frames "
+                      f"{d1.frame_id!r} and {d2.frame_id!r}")
 
 
 def product(factors, m):
@@ -527,8 +541,19 @@ def validate_model(m):
                 if len(s) != fr.rank or any(len(row) != m.r for row in s):
                     raise InvariantViolation(
                         f"moment sample shape in frame {fr.frame_id!r} is not k x r")
-        if fr.dalpha is not None and len(fr.dalpha) != fr.rank:
-            raise InvariantViolation(f"split length != rank in frame {fr.frame_id!r}")
+        if fr.dalpha is not None:
+            if len(fr.dalpha) != fr.rank:
+                raise InvariantViolation(f"split length != rank in frame {fr.frame_id!r}")
+            # dalpha_j is a 2-form: taylor_expand_delta bounds its walk by degree
+            for j, el in enumerate(fr.dalpha):
+                for t in el.terms:
+                    if t.delta is not None:
+                        raise InvariantViolation(
+                            f"split entry {j} of frame {fr.frame_id!r} carries a delta factor")
+                    deg = m.term_degree(t)
+                    if deg != 2:
+                        raise InvariantViolation(f"split entry {j} of frame {fr.frame_id!r} "
+                                                 f"has a term of degree {deg}, not a 2-form")
 
     frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
     closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,24 @@ def test_unreadable_model_file_exit_two(name, tmp_path, capsys):
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
     assert phrase in cap.err and "Traceback" not in cap.err, cap.err
+
+
+SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
+
+
+# split entries that are not 2-forms: a constant, a moment, an odd 1-form, a
+# closed argument (degree 0), a 4-form, and a 2-form plus a 1-form
+@pytest.mark.parametrize("entry", ["1", "X1", "th0", "u1", "F1*F2", "F1 + th0"])
+def test_split_entry_not_a_two_form_exit_two(entry, tmp_path, capsys):
+    doc = json.loads(SPLIT_RANK4.read_text(encoding="utf-8"))
+    doc["frames"][0]["split"][0] = entry
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert "split entry 0" in cap.err and "Traceback" not in cap.err, cap.err
 
 
 def test_impossible_dimension_exit_two(tmp_path, capsys):

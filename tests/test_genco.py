@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equivar import linalg
+from equivar import genco, linalg
 from equivar.errors import (
     InvariantViolation,
     MissingFibre,
@@ -25,16 +25,25 @@ from equivar.genco import (
 )
 from equivar.jform import j_form
 from equivar.modelfile import load_builtin, load_model
-from equivar.randmodels import random_element, random_gl_plus, random_model
+from equivar.randmodels import nonzero_rational, random_element, random_gl_plus, random_model
 from equivar.superalg import (
+    CLOSED_ARGUMENT,
+    EVEN,
+    FRAME_FORM,
+    ODD,
     DeltaFactor,
     Element,
+    FormalModel,
+    FrameDecl,
+    Generator,
     Term,
     add,
+    add_all,
     equivariant_differential,
     multiply,
     normal_form,
     product,
+    validate_model,
 )
 
 
@@ -249,6 +258,73 @@ def test_taylor_display_matches_reference_at_rank_four():
     assert any(t.delta is None for t in mixed.terms)
     for e in (two_deltas, mixed):
         assert taylor_expand_delta(e, "co", m) == _taylor_reference(e, "co", m)
+
+
+def _split_model(seed, rank, dim):
+    """Seeded model with a split frame "fr": dalpha_j is a multiple of its own
+    curvature F_j, at random plus a multiple of F_1, w0 or th0 th1, or zero;
+    th0 and th1 are 1-forms with d th0 = q w0 and constant contractions."""
+    rng = random.Random(seed)
+    r = rank + rng.randint(0, 1)
+    gens = {}
+    for j in range(1, rank + 1):
+        gens[f"a{j}"] = Generator(f"a{j}", ODD, 1, FRAME_FORM, "fr", j)
+        gens[f"u{j}"] = Generator(f"u{j}", EVEN, 2, CLOSED_ARGUMENT, "fr", j)
+        gens[f"F{j}"] = Generator(f"F{j}", EVEN, 2)
+    gens["th0"], gens["th1"] = Generator("th0", ODD, 1), Generator("th1", ODD, 1)
+    gens["w0"] = Generator("w0", EVEN, 2)
+    params = tuple(f"X{a}" for a in range(1, r + 1))
+    bare = FormalModel("split", dim, params, gens, {}, {})
+    d_table = {"th0": bare.gen("w0").scaled(nonzero_rational(rng, -2, 2, (1, 2)))}
+    iota_table = {(th, a): bare.scalar(nonzero_rational(rng, -2, 2, (1, 2)))
+                  for th in ("th0", "th1") for a in range(r) if rng.random() < 0.6}
+    extras = (bare.gen("F1"), bare.gen("w0"), multiply(bare.gen("th0"), bare.gen("th1"), bare))
+    dalpha = []
+    for j in range(1, rank + 1):
+        entry = bare.gen(f"F{j}").scaled(nonzero_rational(rng, -3, 3, (1, 2)))
+        if rng.random() < 0.5:
+            entry = add(entry, rng.choice(extras).scaled(nonzero_rational(rng)), bare)
+        dalpha.append(entry if j == 1 or rng.random() < 0.85 else bare.zero())
+    sample = tuple(tuple(-1 if a == j else 0 for a in range(r)) for j in range(rank))
+    frame = FrameDecl("fr", rank, tuple(f"a{j}" for j in range(1, rank + 1)),
+                      tuple(f"u{j}" for j in range(1, rank + 1)), (sample,), tuple(dalpha))
+    m = FormalModel("split", dim, params, gens, d_table, iota_table, {"fr": frame})
+    validate_model(m)
+    return m
+
+
+def test_taylor_display_matches_reference_on_split_models():
+    # heads of degree rank (J) and 1 (th0 delta'): the walk stops at the bound
+    # of the 1-form head, where the reference walks the whole dim // 2 box
+    for seed, rank, dim in ((1, 3, 12), (2, 3, 15), (3, 4, 13), (4, 4, 16)):
+        m = _split_model(seed, rank, dim)
+        jv = j_form(m, "fr").value
+        low = multiply(m.gen("th0"), m.delta("fr", (1,) + (0,) * (rank - 1)), m)
+        plain = product([m.x(0), m.gen("w0"), m.gen("F1")], m)
+        joined = add_all((jv, low, plain), m)
+        assert any(t.delta is None for t in joined.terms)
+        for e in (jv, joined, random_element(random.Random(seed), m, n_terms=3)):
+            assert taylor_expand_delta(e, "fr", m) == _taylor_reference(e, "fr", m), (seed, e)
+
+
+def test_taylor_display_walks_only_surviving_multi_indices(monkeypatch):
+    # no dalpha power of split-rank4 vanishes, so the walk under J, a k-form,
+    # yields every |J| <= (dim - k) // 2: C(b + k, k) multi-indices
+    m = load_model(Path(__file__).parent / "golden" / "models" / "split-rank4.json")
+    walked = []
+    powers = genco._dalpha_powers
+
+    def counted(dalpha, bound, m):
+        for jj, dal in powers(dalpha, bound, m):
+            walked.append(jj)
+            yield jj, dal
+
+    monkeypatch.setattr(genco, "_dalpha_powers", counted)
+    k = m.frames["co"].rank
+    b = (m.manifold_dim - k) // 2
+    taylor_expand_delta(j_form(m, "co").value, "co", m)
+    assert sorted(walked) == sorted(multi_indices(k, b))
+    assert len(walked) == math.comb(b + k, k) == 126
 
 
 def test_display_form_is_not_differentiable():

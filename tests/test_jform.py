@@ -259,11 +259,11 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
     assert fractions and coeff_types == {int}
 
 
-def test_trial_runs_the_elimination_once_when_the_first_draw_is_kept(monkeypatch):
-    """random_gl_plus and delta_linear_substitute both ask for det A.  When
-    the first draw has det > 0 and is returned as it is, the whole trial runs
-    the elimination once; a draw with det < 0 is returned with its first row
-    negated, a new matrix, whose determinant is computed again."""
+def test_trial_runs_one_elimination_per_draw(monkeypatch):
+    """random_gl_plus and delta_linear_substitute both ask for det A.  The
+    whole trial runs the elimination once per draw: a draw with det > 0 is
+    returned as it is, and one with det < 0 is returned with its first row
+    negated, a new matrix whose determinant det already knows."""
     runs = []
     real_det = linalg._bareiss_det
 
@@ -281,11 +281,8 @@ def test_trial_runs_the_elimination_once_when_the_first_draw_is_kept(monkeypatch
             a = random_gl_plus(rng, k)
             draws, kept = len(runs), runs[-1] is a
             assert frame_change_compare(m, jf, a)
-            assert len(runs) == draws + (not kept), (k, a)
-            if kept and draws == 1:
-                seen["kept"] += 1
-            elif not kept:
-                seen["negated"] += 1
+            assert len(runs) == draws, (k, a)
+            seen["kept" if kept else "negated"] += 1
     assert all(seen.values()), seen
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from equivar import linalg
-from equivar.randmodels import rational, random_gl_plus
+from equivar.randmodels import _frame_entry, rational, random_gl_plus
 
 
 def _reference_rank(a):
@@ -130,6 +130,38 @@ def test_random_gl_plus_draws_unchanged():
             for _ in range(3):
                 assert random_gl_plus(rng, k) == _reference_gl_plus(ref, k), (s, k)
             assert rng.random() == ref.random(), (s, k)
+
+
+def test_frame_entries_match_rational_on_the_same_stream():
+    # _frame_entry draws with getrandbits; rational goes through randint and
+    # choice.  Same values, int when integral and one shared Fraction per
+    # half-integer value otherwise, and the same generator state afterwards.
+    shared = {}
+    for s in range(200):
+        rng, ref = random.Random(s), random.Random(s)
+        for _ in range(300):
+            got, want = _frame_entry(rng), rational(ref, -3, 3, (1, 1, 2))
+            assert got == want, s
+            if want.denominator == 1:
+                assert type(got) is int, s
+            else:
+                assert type(got) is Fraction and shared.setdefault(got, got) is got, s
+        assert rng.getstate() == ref.getstate(), s
+    assert len(shared) == 4
+
+
+def test_negated_draw_keeps_the_det_memo(monkeypatch):
+    runs = []
+    real_det = linalg._bareiss_det
+    monkeypatch.setattr(linalg, "_bareiss_det", lambda a: runs.append(a) or real_det(a))
+    a = ((1, 2), (3, 4))
+    assert linalg.det(a) == -2 and len(runs) == 1
+    b = linalg.negate_first_row(a)
+    assert b == ((-1, -2), (3, 4))
+    assert linalg.det(b) == 2 and len(runs) == 1
+    # a matrix det does not remember gets no entry
+    c = linalg.negate_first_row(a)
+    assert linalg.det(c) == 2 and len(runs) == 2
 
 
 def test_inverse_takes_int_and_fraction_entries():

@@ -21,7 +21,6 @@ ALLOWED = {
     "randmodels.random_model": "seeded generator of random models for the property tests",
     "randmodels.random_element": "seeded generator of random elements for the property tests",
     "superalg.FormalModel.parity_of_term": "term parity read by the Koszul sign tests",
-    "superalg.FormalModel.term_degree": "form degree of a term read by the truncation tests",
 }
 
 

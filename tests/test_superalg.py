@@ -466,6 +466,24 @@ def test_validate_rejects_delta_in_image():
         validate_model(bad)
 
 
+def _with_split(m, frame_id, dalpha):
+    frames = dict(m.frames)
+    frames[frame_id] = dataclasses.replace(frames[frame_id], dalpha=dalpha)
+    return dataclasses.replace(m, frames=frames)
+
+
+def test_validate_requires_split_entries_to_be_two_forms():
+    # the Taylor display bounds its walk by degree, which needs every term of
+    # dalpha_j to be a 2-form without a delta; u counts 0 toward the degree
+    m = load_builtin("hopf")
+    for bad in (m.one(), m.x(0), m.gen("psi"), m.gen("u1"), m.delta("conn"),
+                add(m.gen("Psi"), m.scalar(2), m)):
+        with pytest.raises(InvariantViolation, match="split entry 0"):
+            validate_model(_with_split(m, "conn", (bad,)))
+    for good in (m.zero(), m.gen("Psi"), multiply(m.x(0), m.gen("Psi"), m)):
+        assert validate_model(_with_split(m, "conn", (good,))) is True
+
+
 def test_random_models_validate():
     for seed in range(40):
         m = random_model(random.Random(seed))
