@@ -14,9 +14,7 @@ from .charclass import (FixedLocusDatum, TaylorSeries, fixed_point_contribution,
                         localize_index)
 from .characters import (EXAMPLES, cp1_sheaf_character_oracle,
                          frobenius_multiplicity_oracle, hrr_cp1_oracle,
-                         index_cp1_pipeline, index_hopf_pipeline,
-                         index_s3_contact_pipeline, index_torus_zero_op,
-                         run_pipeline, weyl_character_oracle)
+                         run_pipeline, s3_contact_character_oracle)
 from .errors import (DeltaClash, EquivarError, InvariantViolation,
                      MissingExpansionDirection, MissingFibre,
                      NonIntegerCoefficients, NonOrientable, NotDifferentiable,

@@ -1,13 +1,13 @@
-"""Representation-theoretic oracles and the end-to-end index pipelines.
+"""Representation-theoretic oracles and the end-to-end index examples.
 
 Every oracle works by direct weight enumeration (monomial bases, branching
-counts), never through the localization engine, so pipeline comparisons are
-genuinely two-route.  Pipelines return plain report dicts:
-
-    {"example", "status", "results": [{"check", "status", "witness"?}],
-     "characters": [{"weight", "coefficient"}]?}
-
-with status "pass", "fail", or "skipped-out-of-scope" per entry.
+counts), never through the localization engine, so each comparison is
+genuinely two-route.  Each example is one function in _EXAMPLES that returns
+(results, characters, extra): the entries [{"check", "status", "witness"?}]
+with status "pass", "fail" or "skipped-out-of-scope", the character table
+[{"weight", "coefficient"}] or None, and the example's own report keys.
+run_pipeline puts them in the report envelope (report.make_report), and
+report.report_status reads the status of the whole report from its entries.
 """
 
 from dataclasses import replace
@@ -16,33 +16,18 @@ from itertools import product as iproduct
 from math import factorial
 
 from .charclass import TaylorSeries, localize_index
-from .errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
-                     UnknownExample)
+from .errors import InvariantViolation, NonIntegerCoefficients, UnknownExample
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import RationalCharacter, expand_to_degree, lattice_comb
 from .modelfile import load_builtin
+from .report import make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
                        multiply, product)
-
-EXAMPLES = ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")
-
-# The s3-contact mixed-cone check reads this weight and its swap from the
-# expansion window, so that example needs a window radius of at least 5.
-_S3_MIXED_PROBE = (5, -1)
-MIN_DEGREE = {"s3-contact": max(abs(x) for x in _S3_MIXED_PROBE)}
 
 
 # ---------------------------------------------------------------------------
 # oracles
-
-def weyl_character_oracle(n):
-    """Torus character of the irreducible representation of the rank-one
-    compact group with highest weight n, by weight-basis enumeration."""
-    if n < 0:
-        raise OutOfRange(f"highest weight must be >= 0, got {n}")
-    return {(n - 2 * i,): 1 for i in range(n + 1)}
-
 
 def cp1_sheaf_character_oracle(n):
     """Virtual torus character of the degree-n line bundle cohomology on the
@@ -74,9 +59,15 @@ def frobenius_multiplicity_oracle(n, m):
     return sum(1 for i in range(m + 1) if m - 2 * i == n)
 
 
-def cr_monomial_oracle(a, b):
-    """1 iff z1^a z2^b is a monomial CR function on the three-sphere."""
-    return 1 if a >= 0 and b >= 0 else 0
+def s3_contact_character_oracle(radius):
+    """Torus character of the tangential Cauchy-Riemann complex of the
+    three-sphere on the box |a|, |b| <= radius, by monomial enumeration, one
+    quadrant at a time: (weights, coefficient) pairs, +1 for each CR monomial
+    z1^a z2^b (a, b >= 0) and -1 for each monomial of the first cohomology
+    (a, b <= -1).  Every other weight of the box, on the mixed cones, has
+    coefficient 0."""
+    pos, neg = range(radius + 1), range(-radius, 0)
+    return ((iproduct(pos, pos), 1), (iproduct(neg, neg), -1))
 
 
 def l2_torus_oracle(w):
@@ -92,19 +83,6 @@ def _entry(check, ok, witness=None):
     if witness is not None:
         e["witness"] = witness
     return e
-
-
-def _finish(example, results, characters=None, extra=None):
-    status = "pass"
-    for r in results:
-        if r["status"] == "fail":
-            status = "fail"
-    out = {"example": example, "status": status, "results": results}
-    if characters is not None:
-        out["characters"] = characters
-    if extra:
-        out.update(extra)
-    return out
 
 
 def _box(nvars, radius):
@@ -125,61 +103,50 @@ def _poly_table(p):
 
 
 # ---------------------------------------------------------------------------
-# torus zero-operator pipeline
+# torus zero operator
 
-# the built-in torus acting on itself, by rank
-_TORUS_MODELS = {1: "s1-on-s1", 2: "t2-on-t2"}
-
-
-def index_torus_zero_op(rank_l):
-    """Index of the zero operator on the rank-l torus (l = 1 or 2) acting on
-    itself.
+def _torus_zero(twist, max_degree):
+    """Index of the zero operator on the torus of rank 1 and of rank 2 acting
+    on itself, with the entries of rank l prefixed "rank<l>:".
 
     Formula side: the canonical form of the full coframe is the delta class
     of the lattice; its Fourier side is the product of the lattice combs
     along the rows of the frame's moment matrix (the weights of the torus on
     the coframe), expanded through laurent on the window.  Oracle side: the
-    regular representation of the torus, by enumeration.
+    regular representation of the torus, by enumeration.  The character
+    table is the rank-one window.
     """
-    if rank_l not in _TORUS_MODELS:
-        raise OutOfRange(f"torus rank must be 1 or 2, got {rank_l}")
-    m = load_builtin(_TORUS_MODELS[rank_l])
-    fr = m.frames["tau"]
-    results = []
-    jf = j_form(m, "tau")
-    k = fr.rank
-    # canonical storage sorts slots ascending, so the descending product
-    # carries the reversal sign
-    sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    odd = tuple(sorted(fr.alpha_slots, key=lambda nm: m.odd_order[nm]))
-    expected = Element((Term(Fraction(sign), (0,) * m.r,
-                             DeltaFactor("tau", (0,) * k), odd, ()),))
-    results.append(_entry("delta-class-shape", jf.value == expected))
-    results.append(_entry("equivariantly-closed", check_closed(m, jf)))
-    ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
-    results.append(_entry("frame-annihilation", ann))
-    rc = RationalCharacter.one(rank_l)
-    for row in fr.moment_samples[0]:
-        rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
-    window = 50 if rank_l == 1 else 20
-    dist = expand_to_degree(rc, window)
-    oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
-    results.append(_entry(f"regular-representation-window-{window}",
-                          dist.coeffs == oracle))
-    chars = _character_table(dist, window if rank_l == 1 else 5)
-    return _finish("torus-zero", results, chars, {"rank": rank_l})
+    results, chars = [], None
+    for rank_l, (name, window) in enumerate((("s1-on-s1", 50), ("t2-on-t2", 20)), 1):
+        m = load_builtin(name)
+        fr = m.frames["tau"]
+        prefix = f"rank{rank_l}:"
+        jf = j_form(m, "tau")
+        k = fr.rank
+        # canonical storage sorts slots ascending, so the descending product
+        # carries the reversal sign
+        sign = -1 if (k * (k - 1) // 2) % 2 else 1
+        odd = tuple(sorted(fr.alpha_slots, key=lambda nm: m.odd_order[nm]))
+        expected = Element((Term(Fraction(sign), (0,) * m.r,
+                                 DeltaFactor("tau", (0,) * k), odd, ()),))
+        results.append(_entry(prefix + "delta-class-shape", jf.value == expected))
+        results.append(_entry(prefix + "equivariantly-closed", check_closed(m, jf)))
+        ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
+        results.append(_entry(prefix + "frame-annihilation", ann))
+        rc = RationalCharacter.one(rank_l)
+        for row in fr.moment_samples[0]:
+            rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
+        dist = expand_to_degree(rc, window)
+        oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
+        results.append(_entry(f"{prefix}regular-representation-window-{window}",
+                              dist.coeffs == oracle))
+        if chars is None:
+            chars = _character_table(dist, window)
+    return results, chars, {}
 
 
 # ---------------------------------------------------------------------------
-# projective-line pipelines
-
-def index_cp1_pipeline(case, twist=0, max_degree=20):
-    if case == "ETM":
-        return _cp1_dolbeault(twist, max_degree)
-    if case == "E0":
-        return _cp1_l2(twist, max_degree)
-    raise UnknownExample(f"unknown projective-line case {case!r} (ETM or E0)")
-
+# projective line
 
 def _cp1_loci(m, twist):
     """The fixed loci of the cp1-dolbeault model m with every twist weight
@@ -190,25 +157,20 @@ def _cp1_loci(m, twist):
 
 def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
-    results = []
     jf = j_form(m, "triv")
-    results.append(_entry("empty-frame-unit", jf.value == m.one()))
-    results.append(_entry("equivariantly-closed", check_closed(m, jf)))
     radius = max(max_degree, abs(twist) + 2)
     dist = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     oracle = cp1_sheaf_character_oracle(twist)
     ok = dist.coeffs == oracle
-    results.append(_entry("sheaf-character-oracle", ok,
-                          witness=None if ok else {"computed": _poly_table(dist.coeffs),
-                                                   "oracle": _poly_table(oracle)}))
-    if twist >= 0:
-        results.append(_entry("highest-weight-character",
-                              dist.coeffs == weyl_character_oracle(twist)))
-    euler = sum(dist.coeffs.values())
-    results.append(_entry("euler-characteristic", euler == hrr_cp1_oracle(twist),
-                          witness={"computed": euler, "oracle": hrr_cp1_oracle(twist)}))
+    results = [
+        _entry("empty-frame-unit", jf.value == m.one()),
+        _entry("equivariantly-closed", check_closed(m, jf)),
+        _entry("sheaf-character-oracle", ok,
+               witness=None if ok else {"computed": _poly_table(dist.coeffs),
+                                        "oracle": _poly_table(oracle)}),
+    ]
     chars = [{"weight": [w[0]], "coefficient": c} for w, c in sorted(dist.coeffs.items())]
-    return _finish("cp1-dolbeault", results, chars, {"case": "ETM", "twist": twist})
+    return results, chars, {"case": "ETM", "twist": twist}
 
 
 def _cp1_l2(twist, max_degree):
@@ -239,12 +201,11 @@ def _cp1_l2(twist, max_degree):
          "witness": "the distributional index of the zero operator on the full "
                     "group is reported through branching multiplicities only"},
     ]
-    return _finish("cp1-l2", results, None,
-                   {"case": "E0", "twist": n, "branching": table})
+    return results, None, {"case": "E0", "twist": n, "branching": table}
 
 
 # ---------------------------------------------------------------------------
-# Hopf pipeline
+# Hopf fibration
 
 def _graded_exp_pieces(e, m):
     """[1, e, e^2/2!, ...] up to the last non-zero power of the even,
@@ -303,7 +264,7 @@ def hopf_multiplicities(m, fid, isotypes):
     return mults
 
 
-def index_hopf_pipeline(max_degree=20):
+def _hopf(twist, max_degree):
     """Locally free circle action on the total space of the circle bundle
     over the projective line.
 
@@ -327,16 +288,16 @@ def index_hopf_pipeline(max_degree=20):
                           witness=None if not bad else
                           {"isotypes": bad, "computed": [mults[k] for k in bad]}))
     chars = [{"weight": [k], "coefficient": v} for k, v in sorted(mults.items())]
-    return _finish("hopf", results, chars, {"window": [lo, max_degree]})
+    return results, chars, {"window": [lo, max_degree]}
 
 
 # ---------------------------------------------------------------------------
-# contact pipeline
+# contact three-sphere
 
-def index_s3_contact_pipeline(max_degree=20):
+def _s3_contact(twist, max_degree):
     """Two fixed circles of the two-torus action on the three-sphere; each
-    contributes its lattice comb times one normal factor.  The nonnegative
-    quadrant must reproduce the CR monomial count."""
+    contributes its lattice comb times one normal factor.  The expansion must
+    equal the monomial-count oracle on the whole box (Atiyah, LNM 401)."""
     m = load_builtin("s3-contact")
     results = []
     jf = j_form(m, "co")
@@ -348,40 +309,47 @@ def index_s3_contact_pipeline(max_degree=20):
         m)
     results.append(_entry("taylor-display-form", disp == expected_disp))
 
-    rc = localize_index(m.fixed_loci, 2)
-    dist = expand_to_degree(rc, max_degree)
-    deg = min(20, max_degree)
-    quad_bad = [(a, b) for a in range(deg + 1) for b in range(deg + 1 - a)
-                if dist.multiplicity((a, b)) != cr_monomial_oracle(a, b)]
-    results.append(_entry("cr-quadrant-oracle", not quad_bad,
-                          witness=None if not quad_bad else {"weights": quad_bad[:10]}))
-    sym_ok = all(dist.coeffs.get((b, a), 0) == c for (a, b), c in dist.coeffs.items())
-    results.append(_entry("variable-exchange-symmetry", sym_ok))
-    mixed_ok = (dist.multiplicity(_S3_MIXED_PROBE) == 0
-                and dist.multiplicity(_S3_MIXED_PROBE[::-1]) == 0)
-    results.append(_entry("mixed-cone-vanishing", mixed_ok))
-    chars = _character_table(dist, 3)
-    return _finish("s3-contact", results, chars)
+    dist = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
+    coeffs = dist.coeffs
+    # each quadrant is read from the table as it is enumerated, and the table
+    # (which holds no zeros) has no other weight; the whole oracle table is
+    # built only for a witness
+    ok, size = True, 0
+    for weights, c in s3_contact_character_oracle(max_degree):
+        got = list(map(coeffs.get, weights))
+        size += len(got)
+        ok = ok and got.count(c) == len(got)
+    ok = ok and size == len(coeffs)
+    witness = None
+    if not ok:
+        oracle = {w: c for weights, c in s3_contact_character_oracle(max_degree)
+                  for w in weights}
+        bad = [w for w in sorted(coeffs.keys() | oracle.keys())
+               if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
+        witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
+                   "oracle": [oracle.get(w, 0) for w in bad]}
+    results.append(_entry("contact-box-oracle", ok, witness))
+    return results, _character_table(dist, min(3, max_degree)), {}
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+_EXAMPLES = {
+    "torus-zero": _torus_zero,
+    "cp1-dolbeault": _cp1_dolbeault,
+    "cp1-l2": _cp1_l2,
+    "hopf": _hopf,
+    "s3-contact": _s3_contact,
+}
+EXAMPLES = tuple(_EXAMPLES)
+
+
 def run_pipeline(example, twist=0, max_degree=20):
-    if example == "torus-zero":
-        a = index_torus_zero_op(1)
-        b = index_torus_zero_op(2)
-        results = ([dict(r, check="rank1:" + r["check"]) for r in a["results"]]
-                   + [dict(r, check="rank2:" + r["check"]) for r in b["results"]])
-        status = "fail" if "fail" in (a["status"], b["status"]) else "pass"
-        return {"example": "torus-zero", "status": status, "results": results,
-                "characters": a["characters"]}
-    if example == "cp1-dolbeault":
-        return index_cp1_pipeline("ETM", twist, max_degree)
-    if example == "cp1-l2":
-        return index_cp1_pipeline("E0", twist, max_degree)
-    if example == "hopf":
-        return index_hopf_pipeline(max_degree)
-    if example == "s3-contact":
-        return index_s3_contact_pipeline(max_degree)
-    raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
+    """The index report of one example: its entries, character table and
+    own keys in the report envelope, with the window as maxDegree."""
+    if example not in _EXAMPLES:
+        raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
+    results, characters, extra = _EXAMPLES[example](twist, max_degree)
+    return make_report("index", example, results, characters,
+                       dict(extra, maxDegree=max_degree))

@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from .characters import EXAMPLES, MIN_DEGREE, run_pipeline
+from .characters import EXAMPLES, run_pipeline
 from .errors import EquivarError, NotTransverse, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
@@ -72,12 +72,7 @@ def run_verify(model, seed=0, frame_trials=25):
 
 
 def run_index(example, twist=0, max_degree=20):
-    rep = run_pipeline(example, twist, max_degree)
-    extra = {k: rep[k] for k in ("case", "twist", "rank", "window", "branching")
-             if k in rep}
-    extra["maxDegree"] = max_degree
-    return make_report("index", rep["example"], rep["results"],
-                       rep.get("characters"), extra)
+    return run_pipeline(example, twist, max_degree)
 
 
 def _emit(rep, json_path):
@@ -124,10 +119,9 @@ def _build_parser():
     return p
 
 
-def _max_degree(flag, example):
+def _max_degree(flag):
     """--max-degree if given, else EQUIVAR_MAX_DEGREE, else 20; UsageError
-    unless the value is a nonnegative integer and reaches the example's
-    minimum window (MIN_DEGREE)."""
+    unless the value is a nonnegative integer."""
     if flag is not None:
         source, value = "--max-degree", flag
     else:
@@ -138,9 +132,6 @@ def _max_degree(flag, example):
             raise UsageError(f"{source} must be a nonnegative integer, got {raw!r}") from None
     if value < 0:
         raise UsageError(f"{source} must be a nonnegative integer, got {value}")
-    low = MIN_DEGREE.get(example, 0)
-    if value < low:
-        raise UsageError(f"{source} must be at least {low} for index {example}, got {value}")
     return value
 
 
@@ -155,7 +146,7 @@ def main(argv=None):
             rep = run_verify(model, args.seed, args.frame_trials)
             return _emit(rep, args.json)
         if args.command == "index":
-            rep = run_index(args.example, args.twist, _max_degree(args.max_degree, args.example))
+            rep = run_index(args.example, args.twist, _max_degree(args.max_degree))
             return _emit(rep, args.json)
         model = _load(args.model)
         if args.frame is not None and args.frame not in model.frames:

@@ -10,7 +10,7 @@ class DeltaClash(EquivarError):
 
 
 class NonOrientable(EquivarError):
-    """Frame change with non-positive determinant outside the test-only mode."""
+    """Frame change that is not a square matrix with positive determinant."""
 
 
 class SplittingMissing(EquivarError):

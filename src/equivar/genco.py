@@ -12,7 +12,6 @@ graded exponential and the Fourier rule
 delta_0^(J)(u) = (2 pi)^(-k) int (-i xi)^J exp(-i<xi, u>) dxi.
 """
 
-import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -25,26 +24,18 @@ from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
 
 __all__ = [
     "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
-    "fourier_fibre_integrate", "with_fibre_coordinates", "multi_indices",
+    "fourier_fibre_integrate", "with_fibre_coordinates",
 ]
 
 
-def multi_indices(k, max_order):
-    """All k-tuples of nonnegative integers with sum <= max_order."""
-    for combo in itertools.product(range(max_order + 1), repeat=k):
-        if sum(combo) <= max_order:
-            yield combo
-
-
-def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
+def delta_linear_substitute(d, a_matrix, m):
     """Expand delta^(I) evaluated at A*u over the delta^(J)(u), |J| = |I|.
 
     The scalar rule is delta_0(A u) = det(A)^(-1) delta_0(u); derivatives pick
     up one factor of A^(-1) per slot, so the inverse is computed only when d
-    has a non-zero derivative order.  det(A) <= 0 raises NonOrientable unless
-    allow_reversal is set, in which case |det A| is used (test-only mode for
-    the orientation-flip check).  Coefficients are int when integral
-    (superalg._exact; derivative terms through normal_form).
+    has a non-zero derivative order.  det(A) <= 0 raises NonOrientable.
+    Coefficients are int when integral (superalg._exact; derivative terms
+    through normal_form).
     """
     k = len(d.deriv)
     if len(a_matrix) != k or any(len(row) != k for row in a_matrix):
@@ -52,9 +43,9 @@ def delta_linear_substitute(d, a_matrix, m, allow_reversal=False):
     det = linalg.det(a_matrix)
     if det == 0:
         raise NonOrientable("singular frame change")
-    if det < 0 and not allow_reversal:
+    if det < 0:
         raise NonOrientable("orientation-reversing frame change (det < 0)")
-    scale = _exact(1 / abs(det))
+    scale = _exact(1 / det)
     if k == 0:
         return m.scalar(scale)
     if not any(d.deriv):
@@ -130,7 +121,7 @@ def taylor_expand_delta(e, frame_id, m):
 
 def _dalpha_powers(dalpha, bound, m):
     """(J, dalpha_1^J_1 ... dalpha_k^J_k) for every |J| <= bound whose product
-    is non-zero, in multi_indices order.
+    is non-zero, in lexicographic order of J.
 
     Each product extends the one above it in the walk by one factor, in the
     same left-to-right order as a product over the whole factor list, so each

@@ -71,12 +71,12 @@ def check_closed(m, j):
     return equivariant_differential(value, m).is_zero()
 
 
-def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
+def transformed_j_form(m, frame_id, a_matrix):
     """J of the frame beta = A alpha, re-expressed in the alpha basis.
 
     beta_j = sum_l A[j][l] alpha_l, u^beta = A u, and delta_0(A u) is
     rewritten through delta_linear_substitute.  For det(A) > 0 this equals
-    j_form exactly; the test-only reversal mode exposes the sign flip.
+    j_form exactly; det(A) <= 0 raises NonOrientable.
     The betas are those of qA (see the module docstring); the delta part
     still comes from A itself, so its determinant and orientation checks see
     the frame change that was asked for.
@@ -84,7 +84,7 @@ def transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
     fr = m.frames[frame_id]
     k = fr.rank
     d0 = DeltaFactor(frame_id, (0,) * k)
-    delta_part = delta_linear_substitute(d0, a_matrix, m, allow_reversal=allow_reversal)
+    delta_part = delta_linear_substitute(d0, a_matrix, m)
     q = lcm(*(x.denominator for row in a_matrix for x in row))
     zero = (0,) * m.r
     betas = [Element(tuple(Term(x.numerator * (q // x.denominator), zero, None,

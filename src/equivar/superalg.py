@@ -232,9 +232,6 @@ class FormalModel:
 
     # -- structure helpers ---------------------------------------------------
 
-    def parity_of_term(self, t):
-        return len(t.odd_mono) % 2
-
     def term_degree(self, t):
         deg = _odd_degree(t.odd_mono, self)
         for n, e in t.even_mono:

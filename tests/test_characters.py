@@ -12,25 +12,29 @@ from equivar.charclass import TaylorSeries
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
-    cr_monomial_oracle,
     frobenius_multiplicity_oracle,
     hrr_cp1_oracle,
-    index_cp1_pipeline,
-    index_hopf_pipeline,
-    index_s3_contact_pipeline,
-    index_torus_zero_op,
     l2_torus_oracle,
     run_pipeline,
-    weyl_character_oracle,
+    s3_contact_character_oracle,
 )
 from equivar.errors import InvariantViolation, NonIntegerCoefficients, OutOfRange, UnknownExample
 from equivar.jform import chern_weil_pair
 from equivar.modelfile import model_from_dict
+from equivar.report import report_status
 from equivar.superalg import add_all, multiply
 
 
 def _statuses(rep):
     return {c["check"]: c["status"] for c in rep["results"]}
+
+
+def weyl_character_oracle(n):
+    """Torus character of the irreducible representation of the rank-one
+    compact group with highest weight n, by weight-basis enumeration."""
+    if n < 0:
+        raise OutOfRange(f"highest weight must be >= 0, got {n}")
+    return {(n - 2 * i,): 1 for i in range(n + 1)}
 
 
 def test_weyl_oracle_weight_strings():
@@ -64,10 +68,19 @@ def test_frobenius_oracle_branching_pattern():
                 frobenius_multiplicity_oracle(-n, m)
 
 
+def _s3_table(radius):
+    return {w: c for weights, c in s3_contact_character_oracle(radius) for w in weights}
+
+
 def test_cr_oracle_counts_holomorphic_monomials():
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            assert cr_monomial_oracle(a, b) == (1 if a >= 0 and b >= 0 else 0)
+    for radius in (0, 1, 3, 7):
+        table = _s3_table(radius)
+        for a in range(-radius, radius + 1):
+            for b in range(-radius, radius + 1):
+                want = 1 if a >= 0 and b >= 0 else -1 if a < 0 and b < 0 else 0
+                assert table.get((a, b), 0) == want, (radius, a, b)
+        assert len(table) == (radius + 1) ** 2 + radius ** 2
+        assert 0 not in table.values()
 
 
 def test_l2_oracle_is_regular_representation():
@@ -76,15 +89,13 @@ def test_l2_oracle_is_regular_representation():
 
 
 def test_torus_zero_pipeline_both_ranks():
-    for rank in (1, 2):
-        rep = index_torus_zero_op(rank)
-        assert all(c["status"] == "pass" for c in rep["results"]), rank
-
-
-def test_torus_zero_rank_out_of_range():
-    for rank in (0, 3):
-        with pytest.raises(OutOfRange):
-            index_torus_zero_op(rank)
+    st = _statuses(run_pipeline("torus-zero"))
+    for rank, window in ((1, 50), (2, 20)):
+        entries = [f"rank{rank}:{c}" for c in (
+            "delta-class-shape", "equivariantly-closed", "frame-annihilation",
+            f"regular-representation-window-{window}")]
+        assert all(st.pop(e) == "pass" for e in entries), rank
+    assert st == {}
 
 
 def test_torus_zero_formula_side_can_fail(monkeypatch):
@@ -102,7 +113,7 @@ def test_torus_zero_formula_side_can_fail(monkeypatch):
     st = _statuses(rep)
     assert st["rank1:regular-representation-window-50"] == "fail"
     assert st["rank2:regular-representation-window-20"] == "fail"
-    assert rep["status"] == "fail"
+    assert report_status(rep) == "fail"
 
 
 def test_torus_zero_formula_side_reads_the_frame(monkeypatch):
@@ -117,23 +128,25 @@ def test_torus_zero_formula_side_reads_the_frame(monkeypatch):
         return model_from_dict(doc)
 
     monkeypatch.setattr(characters, "load_builtin", doubled)
-    rep = index_torus_zero_op(2)
-    assert _statuses(rep)["regular-representation-window-20"] == "fail"
-    assert rep["status"] == "fail"
+    rep = run_pipeline("torus-zero")
+    assert _statuses(rep)["rank2:regular-representation-window-20"] == "fail"
+    assert report_status(rep) == "fail"
 
 
 def test_cp1_dolbeault_pipeline_twists():
     for twist in (0, 1, 5, -1, -3):
-        rep = index_cp1_pipeline("ETM", twist=twist)
-        st = _statuses(rep)
-        assert st["sheaf-character-oracle"] == "pass", twist
-        assert st["euler-characteristic"] == "pass", twist
+        rep = run_pipeline("cp1-dolbeault", twist=twist)
+        assert _statuses(rep) == dict.fromkeys(
+            ("empty-frame-unit", "equivariantly-closed", "sheaf-character-oracle"),
+            "pass"), twist
+        rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
+        assert sum(rows.values()) == hrr_cp1_oracle(twist), twist
         if twist >= 0:
-            assert st["highest-weight-character"] == "pass"
+            assert rows == weyl_character_oracle(twist), twist
 
 
 def test_cp1_l2_pipeline_reports_branching():
-    rep = index_cp1_pipeline("E0")
+    rep = run_pipeline("cp1-l2")
     st = _statuses(rep)
     assert st == {"frobenius-branching-oracle": "pass",
                   "zero-operator-formula-side": "skipped-out-of-scope"}
@@ -143,7 +156,7 @@ def test_cp1_l2_pipeline_reports_branching():
 
 def test_cp1_l2_pipeline_twisted_branching():
     for twist in (3, -4, 25):
-        rep = index_cp1_pipeline("E0", twist=twist)
+        rep = run_pipeline("cp1-l2", twist=twist)
         assert _statuses(rep)["frobenius-branching-oracle"] == "pass", twist
         table = {row["irrep"]: row["multiplicity"] for row in rep["branching"]}
         assert sorted(table) == list(range(21))
@@ -163,14 +176,14 @@ def test_cp1_l2_branching_comes_from_the_engine(monkeypatch):
         return localize(loci[:1], nvars)
 
     monkeypatch.setattr(characters, "localize_index", north_only)
-    rep = index_cp1_pipeline("E0", twist=-3)
+    rep = run_pipeline("cp1-l2", twist=-3)
     entry = next(r for r in rep["results"] if r["check"] == "frobenius-branching-oracle")
-    assert entry["status"] == "fail" and rep["status"] == "fail"
+    assert entry["status"] == "fail" and report_status(rep) == "fail"
     assert entry["witness"] == {"irreps": [1], "computed": [1], "oracle": [0]}
 
 
 def test_hopf_pipeline_multiplicities():
-    rep = index_hopf_pipeline()
+    rep = run_pipeline("hopf")
     assert all(c["status"] == "pass" for c in rep["results"])
     chars = {tuple(row["weight"]): row["coefficient"] for row in rep["characters"]}
     for k in range(-5, 21):
@@ -179,8 +192,9 @@ def test_hopf_pipeline_multiplicities():
 
 
 def test_s3_contact_pipeline():
-    rep = index_s3_contact_pipeline()
-    assert all(c["status"] == "pass" for c in rep["results"])
+    rep = run_pipeline("s3-contact")
+    assert _statuses(rep) == dict.fromkeys(
+        ("equivariantly-closed", "taylor-display-form", "contact-box-oracle"), "pass")
 
 
 def test_s3_contact_expands_once(monkeypatch):
@@ -192,7 +206,7 @@ def test_s3_contact_expands_once(monkeypatch):
         return expand_box(rc, radius)
 
     monkeypatch.setattr(laurent, "expand_box", counted)
-    assert run_pipeline("s3-contact")["status"] == "pass"
+    assert report_status(run_pipeline("s3-contact")) == "pass"
     assert radii == [20]
 
 
@@ -206,7 +220,7 @@ def test_hopf_builds_j_once(monkeypatch):
 
     monkeypatch.setattr(jform, "j_form", counted)
     monkeypatch.setattr(characters, "j_form", counted)
-    assert run_pipeline("hopf")["status"] == "pass"
+    assert report_status(run_pipeline("hopf")) == "pass"
     assert frames == ["conn"]
 
 
@@ -300,7 +314,7 @@ def test_hopf_multiply_calls_independent_of_window(monkeypatch):
     counts = []
     for d in (0, 20, 160):
         calls.clear()
-        assert run_pipeline("hopf", max_degree=d)["status"] == "pass"
+        assert report_status(run_pipeline("hopf", max_degree=d)) == "pass"
         counts.append(len(calls))
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
@@ -310,9 +324,8 @@ def test_run_pipeline_dispatch_and_examples():
         "torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact"}
     for name in EXAMPLES:
         rep = run_pipeline(name)
-        assert rep["example"] == name
-        assert rep["status"] in ("pass", "fail")
-        assert rep["status"] == "pass", name
+        assert rep["command"] == "index" and rep["model"] == name
+        assert report_status(rep) == "pass", name
     with pytest.raises(UnknownExample):
         run_pipeline("moebius")
 
@@ -322,3 +335,74 @@ def test_torus_zero_merges_rank_prefixes():
     checks = [c["check"] for c in rep["results"]]
     assert any(c.startswith("rank1:") for c in checks)
     assert any(c.startswith("rank2:") for c in checks)
+
+
+def _flip_direction(locus):
+    locus["expansionDirections"] = [
+        {"positive": "negative", "negative": "positive"}[d]
+        for d in locus["expansionDirections"]]
+
+
+def _flip_sign(locus):
+    locus["orientationSign"] = -locus["orientationSign"]
+
+
+# fault -> edit of the s3-contact fixed loci
+S3_FAULTS = {
+    "one-direction-flipped": lambda loci: _flip_direction(loci[0]),
+    "one-sign-flipped": lambda loci: _flip_sign(loci[1]),
+    "both-signs-flipped": lambda loci: [_flip_sign(lc) for lc in loci],
+    "twist-shifted": lambda loci: [lc.update(twistWeight=[1, 1]) for lc in loci],
+    "one-locus-dropped": lambda loci: loci.pop(),
+}
+
+
+def _s3_contact_with(monkeypatch, edit):
+    doc = json.loads(resources.files("equivar.models")
+                     .joinpath("s3-contact.json").read_text(encoding="utf-8"))
+    edit(doc["fixedLoci"])
+    monkeypatch.setattr(characters, "load_builtin", lambda name: model_from_dict(doc))
+    return next(r for r in run_pipeline("s3-contact")["results"]
+                if r["check"] == "contact-box-oracle")
+
+
+@pytest.mark.parametrize("fault", sorted(S3_FAULTS))
+def test_contact_box_oracle_catches_injected_faults(fault, monkeypatch):
+    entry = _s3_contact_with(monkeypatch, S3_FAULTS[fault])
+    assert entry["status"] == "fail"
+    witness = entry["witness"]
+    assert 0 < len(witness["weights"]) <= 10
+    oracle = _s3_table(20)
+    assert witness["oracle"] == [oracle.get(w, 0) for w in witness["weights"]]
+    assert all(c != o for c, o in zip(witness["computed"], witness["oracle"]))
+
+
+def test_contact_box_oracle_sees_a_stray_mixed_cone_weight(monkeypatch):
+    """Right quadrants and one extra weight on a mixed cone still fail, and
+    the witness names that weight."""
+    expand = characters.expand_to_degree
+
+    def stray(rc, max_degree):
+        dist = expand(rc, max_degree)
+        dist.coeffs[(5, -1)] = 1
+        return dist
+
+    monkeypatch.setattr(characters, "expand_to_degree", stray)
+    entry = next(r for r in run_pipeline("s3-contact")["results"]
+                 if r["check"] == "contact-box-oracle")
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"weights": [(5, -1)], "computed": [1], "oracle": [0]}
+
+
+def test_contact_box_oracle_passes_in_the_opposite_chamber(monkeypatch):
+    # both directions flipped: the other chamber, the same character
+    entry = _s3_contact_with(monkeypatch, lambda loci: [_flip_direction(lc) for lc in loci])
+    assert entry == {"check": "contact-box-oracle", "status": "pass"}
+
+
+def test_s3_contact_is_exact_at_small_radii():
+    for radius in range(6):
+        rep = run_pipeline("s3-contact", max_degree=radius)
+        assert report_status(rep) == "pass", radius
+        rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
+        assert rows == _s3_table(min(3, radius)), radius

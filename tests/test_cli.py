@@ -305,19 +305,17 @@ def test_verify_checks_transversality_once_per_frame(monkeypatch):
     assert ranks == list(m.frames["tau"].moment_samples)
 
 
-def test_s3_contact_below_minimum_degree_exit_two(monkeypatch, capsys):
+def test_s3_contact_small_degrees_pass(monkeypatch, capsys):
+    # the full-box oracle is exact at every radius, so no minimum window
     for n in ("0", "4"):
-        assert main(["index", "s3-contact", "--max-degree", n]) == 2, n
-        cap = capsys.readouterr()
-        assert cap.out == "", n
-        assert cap.err.count("\n") == 1 and "--max-degree" in cap.err, cap.err
-        assert "at least 5" in cap.err and "Traceback" not in cap.err, cap.err
+        assert main(["index", "s3-contact", "--max-degree", n]) == 0, n
+        assert capsys.readouterr().out.strip().endswith("index s3-contact: pass"), n
     monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "4")
-    assert main(["index", "s3-contact"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "EQUIVAR_MAX_DEGREE" in err and "at least 5" in err, err
-    assert main(["index", "s3-contact", "--max-degree", "5"]) == 0
+    assert main(["index", "s3-contact"]) == 0
     assert capsys.readouterr().out.strip().endswith("index s3-contact: pass")
+    assert main(["index", "s3-contact", "--max-degree", "-1"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1 and "--max-degree" in cap.err, cap.err
 
 
 def test_render_command(capsys):

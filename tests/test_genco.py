@@ -19,7 +19,6 @@ from equivar.errors import (
 from equivar.genco import (
     delta_linear_substitute,
     fourier_fibre_integrate,
-    multi_indices,
     taylor_expand_delta,
     with_fibre_coordinates,
 )
@@ -45,6 +44,13 @@ from equivar.superalg import (
     product,
     validate_model,
 )
+
+
+def multi_indices(k, max_order):
+    """All k-tuples of nonnegative integers with sum <= max_order."""
+    for combo in itertools.product(range(max_order + 1), repeat=k):
+        if sum(combo) <= max_order:
+            yield combo
 
 
 def test_multi_indices():

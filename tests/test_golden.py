@@ -15,8 +15,14 @@ and the hopf reports also lost abelian-jacobian-unit and flat-a-hat-unit,
 which evaluated empty products; every other byte, characters tables
 included, is unchanged.  index-cp1-l2.json was rewritten when its two
 oracle-only checks were replaced by frobenius-branching-oracle, which reads
-the branching rows from the engine; its branching table is unchanged.  Each file is regenerated in-process here and
-compared byte for byte.  The built-ins declare no split of rank above one,
+the branching rows from the engine; its branching table is unchanged.  Six
+index reports were rewritten when each example got one oracle comparison per
+question: the three index-cp1-dolbeault reports lost highest-weight-character
+and euler-characteristic, which sheaf-character-oracle implies, and in the
+three index-s3-contact reports cr-quadrant-oracle, variable-exchange-symmetry
+and mixed-cone-vanishing became one contact-box-oracle entry, which compares
+the whole box; their characters tables are unchanged.  Each file is
+regenerated in-process here and compared byte for byte.  The built-ins declare no split of rank above one,
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
 sample, so its report locks a failing transversality entry and its witness

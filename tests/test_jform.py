@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from equivar import jform, linalg, superalg
+from equivar import genco, jform, linalg, superalg
 from equivar.errors import NonOrientable, NotPrincipal, NotTransverse, RankDataMissing
 from equivar.genco import delta_linear_substitute
 from equivar.jform import (
@@ -118,16 +118,27 @@ def test_frame_change_randomized():
                 assert frame_change_compare(m, jf, random_gl_plus(rng, fr.rank))
 
 
-def test_orientation_reversal_flips_sign():
+def _unsigned_det(monkeypatch):
+    """Let a frame change with det A < 0 through: det A reads |det A|, which
+    keeps the 1/|det A| scale and raises no NonOrientable."""
+    det = linalg.det
+    monkeypatch.setattr(genco.linalg, "det", lambda a: abs(det(a)))
+
+
+def test_orientation_reversal_flips_sign(monkeypatch):
     m = load_builtin("t2-on-t2")
-    flipped = transformed_j_form(m, "tau", ((-1, 0), (0, 1)), allow_reversal=True)
-    assert flipped == -j_form(m, "tau").value
     m1 = load_builtin("s1-on-s1")
-    flipped1 = transformed_j_form(m1, "tau", ((-2,),), allow_reversal=True)
-    assert flipped1 == -j_form(m1, "tau").value
+    jf, jf1 = j_form(m, "tau").value, j_form(m1, "tau").value
+    _unsigned_det(monkeypatch)
+    flipped = transformed_j_form(m, "tau", ((-1, 0), (0, 1)))
+    assert flipped == -jf
+    flipped1 = transformed_j_form(m1, "tau", ((-2,),))
+    assert flipped1 == -jf1
 
 
 def test_reversal_requires_explicit_optin():
+    """A reversing frame change passes NonOrientable only in a test that
+    replaces det by |det| (_unsigned_det); a singular one never does."""
     m = load_builtin("s1-on-s1")
     with pytest.raises(NonOrientable):
         transformed_j_form(m, "tau", ((-1,),))
@@ -154,7 +165,7 @@ def test_chern_weil_needs_principal_data():
         chern_weil_pair(m, fid, {(0,) * m.frames[fid].rank: Fraction(1)})
 
 
-def _reference_transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
+def _reference_transformed_j_form(m, frame_id, a_matrix):
     """The frame trial over Fraction entries: betas from the entries of A
     itself, each put in normal form, and no q^-k step."""
     fr = m.frames[frame_id]
@@ -165,7 +176,7 @@ def _reference_transformed_j_form(m, frame_id, a_matrix, allow_reversal=False):
                                        for col in range(k) if a[row][col] != 0)), m)
              for row in reversed(range(k))]
     d0 = DeltaFactor(frame_id, (0,) * k)
-    delta_part = delta_linear_substitute(d0, a, m, allow_reversal=allow_reversal)
+    delta_part = delta_linear_substitute(d0, a, m)
     return multiply(product(betas, m), delta_part, m)
 
 
@@ -206,7 +217,7 @@ def _trial_matrices(rng, k):
     return [("reversal" if linalg.det(a) < 0 else kind, a) for kind, a in out]
 
 
-def test_integer_trial_matches_fraction_reference():
+def test_integer_trial_matches_fraction_reference(monkeypatch):
     rng = random.Random(2024)
     seen = dict.fromkeys(("gl-plus", "dens", "int", "identity", "permutation", "reversal",
                           "den2", "den3", "den6", "int-entries-only"), 0)
@@ -214,8 +225,11 @@ def test_integer_trial_matches_fraction_reference():
         jf = j_form(m, "fr")
         for kind, a in _trial_matrices(rng, k):
             reversal = kind == "reversal"
-            got = transformed_j_form(m, "fr", a, allow_reversal=reversal)
-            ref = _reference_transformed_j_form(m, "fr", a, allow_reversal=reversal)
+            with monkeypatch.context() as patch:
+                if reversal:
+                    _unsigned_det(patch)
+                got = transformed_j_form(m, "fr", a)
+                ref = _reference_transformed_j_form(m, "fr", a)
             assert got == ref, (k, kind, a)
             assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in ref.terms]
             assert got == (-jf.value if reversal else jf.value), (k, kind, a)
@@ -302,8 +316,8 @@ def _unsigned(multiply):
 
 def _unscaled(substitute):
     """delta_linear_substitute without the 1/|det A| scale."""
-    def unscaled(d, a_matrix, m, allow_reversal=False):
-        return substitute(d, a_matrix, m, allow_reversal).scaled(abs(linalg.det(a_matrix)))
+    def unscaled(d, a_matrix, m):
+        return substitute(d, a_matrix, m).scaled(abs(linalg.det(a_matrix)))
     return unscaled
 
 

@@ -2,16 +2,20 @@
 
 Every top-level function and class of src/equivar/*.py, and every public
 method of those classes, must be named somewhere in the package besides its
-own definition.  The re-exports in __init__.py do not count as a use.  A
-top-level name is matched by word boundary, so a name shared by two
-definitions needs one more occurrence than it has definitions.  A method is
+own definition.  The re-exports in __init__.py do not count as a use, and
+neither do string literals and comments: a name met only in a docstring, a
+message or __all__ is unused.  A top-level name is matched by word boundary,
+so a name shared by two definitions needs one more occurrence than it has
+definitions.  A method is
 matched only by attribute use (`.name`), so a local variable or a keyword
 argument of the same name does not keep it alive.  A dead chain (dead code
 calling dead code) is not caught.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivar"
@@ -20,13 +24,20 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "equivar"
 ALLOWED = {
     "randmodels.random_model": "seeded generator of random models for the property tests",
     "randmodels.random_element": "seeded generator of random elements for the property tests",
-    "superalg.FormalModel.parity_of_term": "term parity read by the Koszul sign tests",
 }
 
 
 def _sources():
     return {p.stem: p.read_text(encoding="utf-8")
             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _code(text):
+    """The tokens of text other than string literals and comments, joined by
+    spaces."""
+    skip = {tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", None)}
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return " ".join(t.string for t in tokens if t.type not in skip)
 
 
 def _unreferenced(sources):
@@ -44,11 +55,11 @@ def _unreferenced(sources):
                 candidates.extend(
                     (f"{mod}.{node.name}.{sub.name}", sub.name, True) for sub in node.body
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
-    text = "\n".join(sources.values())
+    text = "\n".join(_code(t) for t in sources.values())
 
     def unused(name, method):
         if method:
-            return re.search(rf"\.{re.escape(name)}\b", text) is None
+            return re.search(rf"\.\s*{re.escape(name)}\b", text) is None
         return len(re.findall(rf"\b{re.escape(name)}\b", text)) <= definitions[name]
 
     return sorted(key for key, name, method in candidates if unused(name, method))
@@ -74,3 +85,11 @@ def test_guard_flags_a_method_named_only_as_a_word():
     assert "extra.Box.lonely" in _unreferenced(dict(_sources(), extra=extra))
     used = extra + "\n\ndef g(b):\n    return b.lonely()\n"
     assert "extra.Box.lonely" not in _unreferenced(dict(_sources(), extra=used))
+
+
+def test_guard_flags_a_name_met_only_in_strings_and_comments():
+    extra = ('"""helper() is named in this docstring."""\n\n__all__ = ["helper"]\n\n\n'
+             "def helper():  # helper\n    return 1\n")
+    assert "extra.helper" in _unreferenced(dict(_sources(), extra=extra))
+    used = extra + "\n\nVALUE = helper()\n"
+    assert "extra.helper" not in _unreferenced(dict(_sources(), extra=used))
