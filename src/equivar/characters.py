@@ -2,10 +2,11 @@
 
 Every oracle works by direct weight enumeration (monomial bases, branching
 counts), never through the localization engine, so each comparison is
-genuinely two-route.  Each example is one function in _EXAMPLES that returns
-(results, characters, extra): the entries [{"check", "status", "witness"?}]
-with status "pass", "fail" or "skipped-out-of-scope", the character table
-[{"weight", "coefficient"}] or None, and the example's own report keys.
+genuinely two-route.  Each example is one function in _EXAMPLES, listed with
+the run_pipeline arguments it reads, that returns (results, characters,
+extra): the entries [{"check", "status", "witness"?}] with status "pass",
+"fail" or "skipped-out-of-scope", the character table [{"weight",
+"coefficient"}] or None, and the example's own report keys.
 run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
 """
@@ -335,21 +336,32 @@ def _s3_contact(twist, max_degree):
 # ---------------------------------------------------------------------------
 # dispatch
 
+# each example's function and the run_pipeline arguments that it reads
 _EXAMPLES = {
-    "torus-zero": _torus_zero,
-    "cp1-dolbeault": _cp1_dolbeault,
-    "cp1-l2": _cp1_l2,
-    "hopf": _hopf,
-    "s3-contact": _s3_contact,
+    "torus-zero": (_torus_zero, ()),
+    "cp1-dolbeault": (_cp1_dolbeault, ("twist", "max_degree")),
+    "cp1-l2": (_cp1_l2, ("twist", "max_degree")),
+    "hopf": (_hopf, ("max_degree",)),
+    "s3-contact": (_s3_contact, ("max_degree",)),
 }
 EXAMPLES = tuple(_EXAMPLES)
+
+
+def _example(name):
+    if name not in _EXAMPLES:
+        raise UnknownExample(f"unknown example {name!r}; choose from {list(EXAMPLES)}")
+    return _EXAMPLES[name]
+
+
+def example_arguments(example):
+    """The run_pipeline arguments, of "twist" and "max_degree", that example
+    reads; it ignores the others."""
+    return _example(example)[1]
 
 
 def run_pipeline(example, twist=0, max_degree=20):
     """The index report of one example: its entries, character table and
     own keys in the report envelope, with the window as maxDegree."""
-    if example not in _EXAMPLES:
-        raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
-    results, characters, extra = _EXAMPLES[example](twist, max_degree)
+    results, characters, extra = _example(example)[0](twist, max_degree)
     return make_report("index", example, results, characters,
                        dict(extra, maxDegree=max_degree))

@@ -5,7 +5,8 @@
     equivar render <model.json | builtin-name> [--format text|latex] [--frame ID]
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 error (bad input,
-violated model invariant, non-integer coefficients).  EQUIVAR_MAX_DEGREE
+violated model invariant, non-integer coefficients, an expansion window too
+large to hold, an index flag the example does not read).  EQUIVAR_MAX_DEGREE
 overrides the default expansion degree.  Reports are deterministic for
 identical inputs and seed.
 """
@@ -16,7 +17,7 @@ import os
 import random
 import sys
 
-from .characters import EXAMPLES, run_pipeline
+from .characters import EXAMPLES, example_arguments, run_pipeline
 from .errors import EquivarError, NotTransverse, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
@@ -107,7 +108,8 @@ def _build_parser():
 
     ix = sub.add_parser("index", help="run an index pipeline vs its oracle")
     ix.add_argument("example", help="one of: " + ", ".join(EXAMPLES))
-    ix.add_argument("--twist", type=int, default=0)
+    ix.add_argument("--twist", type=int,
+                    help="line-bundle twist or weight of the example (default 0)")
     ix.add_argument("--max-degree", type=int,
                     help="expansion window (default: EQUIVAR_MAX_DEGREE, else 20)")
     ix.add_argument("--json", metavar="PATH")
@@ -146,7 +148,14 @@ def main(argv=None):
             rep = run_verify(model, args.seed, args.frame_trials)
             return _emit(rep, args.json)
         if args.command == "index":
-            rep = run_index(args.example, args.twist, _max_degree(args.max_degree))
+            reads = example_arguments(args.example)
+            unread = [f"--{name.replace('_', '-')}" for name in ("twist", "max_degree")
+                      if getattr(args, name) is not None and name not in reads]
+            if unread:
+                raise UsageError(f"example {args.example!r} does not read "
+                                 f"{' or '.join(unread)}")
+            twist = 0 if args.twist is None else args.twist
+            rep = run_index(args.example, twist, _max_degree(args.max_degree))
             return _emit(rep, args.json)
         model = _load(args.model)
         if args.frame is not None and args.frame not in model.frames:

@@ -59,7 +59,8 @@ class NonIntegerCoefficients(EquivarError):
 
 
 class OutOfRange(EquivarError):
-    """Multiplicity queried outside the guaranteed window of a truncated character."""
+    """Multiplicity queried outside the guaranteed window of a truncated
+    character, or an expansion window with too many cells to hold."""
 
 
 class UsageError(EquivarError):

@@ -24,6 +24,16 @@ along the factor's step s, with n limited to
     (a coordinate that can only grow must already be <= the radius, one that
     can only shrink >= minus the radius); after the last factor this is the
     box itself.
+Every factor but the last walks into a dict of points.  The sum over all
+terms lives in one dense list with a cell for each point of the box, in the
+order of itertools.product(range(-r, r + 1), repeat=n): v sits at
+sum_i (v_i + r) (2r + 1)^(n - 1 - i).  The last factor's lines lie in the
+box, so each one is the arithmetic progression of cells starting at its
+first point with step sum_i s_i (2r + 1)^(n - 1 - i); a line of one point,
+whose step may be longer than the box is wide, writes that one cell.  The
+coefficient dict is built from the non-zero cells in one pass at the end.
+A box with more cells than a list can hold raises OutOfRange.
+
 Coefficients stay Python ints while the data are integral (integer
 numerator coefficients, integer c, and c = +-1 on negative-direction factors,
 as in every bundled model); otherwise the affected values are Fractions.  The
@@ -34,8 +44,9 @@ otherwise.  expand_to_degree is the integrality gate of the index layer.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, product, repeat
 from math import ceil, floor, lcm
+from operator import mul
 
 from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 
@@ -161,15 +172,41 @@ def _clips(later, nvars):
     return out
 
 
-def _add_term(total, term, radius, nvars):
+def _lines(acc, f, ratio, s, phi, top, clips, radius):
+    """(v, lo, hi, coef) for each point v of acc whose line v + n s,
+    lo <= n <= hi, can still end in the box; coef is the coefficient of the
+    first point, n = lo, and ratio that of consecutive points."""
+    if f.direction == EXPAND_POSITIVE:
+        n0, first = 0, 1
+    else:
+        n0, first = 1, -ratio
+    sigma = sum(map(mul, phi, s))
+    for v, a in acc.items():
+        lo, hi = n0, (top - sum(map(mul, phi, v))) // sigma
+        for i, sign in clips:
+            b, slack = sign * s[i], radius - sign * v[i]
+            if b > 0:
+                hi = min(hi, slack // b)
+            elif b < 0:
+                lo = max(lo, -(slack // -b))
+            elif slack < 0:
+                hi = -1
+        if lo <= hi:
+            yield v, lo, hi, a * first * ratio ** (lo - n0)
+
+
+def _add_term(total, term, radius, strides):
     """Add the coefficients of one term on the box max_i |v_i| <= radius
-    into total."""
+    into the dense list total, whose cell for v is
+    radius * sum(strides) + sum_i v_i * strides[i]."""
+    offset = radius * sum(strides)
     acc = term.num
     if not term.den:
         for v, c in acc.items():
             if all(abs(x) <= radius for x in v):
-                total[v] = total.get(v, 0) + c
+                total[offset + sum(map(mul, v, strides))] += c
         return
+    nvars = len(strides)
     steps = [f.step() for f in term.den]
     phi = _positivity_functional(steps, nvars)
     if phi is None:
@@ -178,47 +215,55 @@ def _add_term(total, term, radius, nvars):
     top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
     last = len(steps) - 1
     for j, (f, s) in enumerate(zip(term.den, steps)):
-        clips = _clips(steps[j + 1:], nvars)
-        sigma = sum(p * x for p, x in zip(phi, s))
-        if f.direction == EXPAND_POSITIVE:
-            n0, first, ratio = 0, 1, _exact(Fraction(f.c))
-        else:
-            ratio = _exact(1 / Fraction(f.c))
-            n0, first = 1, -ratio
-        nxt = total if j == last else {}
+        c = Fraction(f.c)
+        ratio = _exact(c if f.direction == EXPAND_POSITIVE else 1 / c)
+        lines = _lines(acc, f, ratio, s, phi, top, _clips(steps[j + 1:], nvars), radius)
+        if j == last:
+            break
+        nxt = {}
         get = nxt.get
-        for v, a in acc.items():
-            # the n with v + n s on a line that can still end in the box
-            lo, hi = n0, (top - sum(p * x for p, x in zip(phi, v))) // sigma
-            for i, sign in clips:
-                b, slack = sign * s[i], radius - sign * v[i]
-                if b > 0:
-                    hi = min(hi, slack // b)
-                elif b < 0:
-                    lo = max(lo, -(slack // -b))
-                elif slack < 0:
-                    hi = -1
-            if lo > hi:
-                continue
-            coef = a * first * ratio ** (lo - n0)
-            line = zip(*(range(x + lo * d, x + (hi + 1) * d, d) if d
-                         else repeat(x, hi - lo + 1) for x, d in zip(v, s)))
-            for w in line:
+        for v, lo, hi, coef in lines:
+            for w in zip(*(range(x + lo * d, x + (hi + 1) * d, d) if d
+                           else repeat(x, hi - lo + 1) for x, d in zip(v, s))):
                 nxt[w] = get(w, 0) + coef
                 coef *= ratio
-        if j < last:
-            acc = {w: c for w, c in nxt.items() if c}
-            if not acc:
-                return
+        acc = {w: c for w, c in nxt.items() if c}
+        if not acc:
+            return
+    # after the last factor the clips are the box itself, so each line lies
+    # in the box and its cells are evenly spaced in total
+    fstep = sum(map(mul, s, strides))
+    for v, lo, hi, coef in lines:
+        k = offset + sum(map(mul, v, strides)) + lo * fstep
+        if lo == hi:
+            # a step longer than the box is wide may have fstep == 0
+            total[k] += coef
+            continue
+        for k in range(k, k + (hi - lo + 1) * fstep, fstep):
+            total[k] += coef
+            coef *= ratio
 
 
 def expand_box(rc, radius):
     """Exact coefficients of rc on the box max_i |v_i| <= radius: an int
-    where the value is integral, a Fraction otherwise."""
-    total = {}
+    where the value is integral, a Fraction otherwise.  Raises OutOfRange
+    when the box has too many cells to hold."""
+    nvars = rc.nvars
+    width = 2 * radius + 1
+    cells = width ** nvars
+    try:
+        total = [0] * cells
+    except (OverflowError, MemoryError):
+        raise OutOfRange(f"the box of radius {radius} has {cells} cells, "
+                         "too many to hold") from None
+    strides = [width ** (nvars - 1 - i) for i in range(nvars)]
     for term in rc.terms:
-        _add_term(total, term, radius, rc.nvars)
-    return {v: c if c.__class__ is int else _exact(c) for v, c in total.items() if c}
+        _add_term(total, term, radius, strides)
+    box = dict(zip(compress(product(range(-radius, radius + 1), repeat=nvars), total),
+                   filter(None, total)))
+    if set(map(type, box.values())) - {int}:
+        box = {v: c if c.__class__ is int else _exact(c) for v, c in box.items()}
+    return box
 
 
 class DistributionalCharacter:
@@ -247,13 +292,14 @@ def expand_to_degree(rc, max_degree):
     Raises NonIntegerCoefficients if any window coefficient is not an
     integer; integer multiplicities are part of the character contract, and a
     fractional value signals a normalization error upstream.  expand_box
-    gives an int wherever the value is integral, so the check is on type,
-    and its table is kept as is.
+    gives an int wherever the value is integral, so the check is one scan
+    of the value types, and its table is kept as is.  The message names the
+    lexicographically first non-integer weight.
     """
     box = expand_box(rc, max_degree)
-    for v, c in box.items():
-        if c.__class__ is not int:
-            raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
+    if set(map(type, box.values())) - {int}:
+        v, c = next((v, c) for v, c in box.items() if c.__class__ is not int)
+        raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
     return DistributionalCharacter(rc.nvars, box, max_degree)
 
 

@@ -230,6 +230,35 @@ def test_negative_max_degree_exit_two(capsys):
     assert err.count("\n") == 1 and "--max-degree" in err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["torus-zero", "--max-degree", "80", "--twist", "7"], ["--twist", "--max-degree"]),
+    (["torus-zero", "--twist", "0"], ["--twist"]),
+    (["torus-zero", "--max-degree", "20"], ["--max-degree"]),
+    (["hopf", "--twist", "7"], ["--twist"]),
+    (["s3-contact", "--twist", "7", "--max-degree", "3"], ["--twist"]),
+])
+def test_index_flag_the_example_does_not_read_exit_two(argv, flags, capsys):
+    assert main(["index"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: example {argv[0]!r} does not read ")
+    assert [f for f in ("--twist", "--max-degree") if f in captured.err] == flags
+
+
+def test_max_degree_env_is_no_request_to_torus_zero(monkeypatch, capsys):
+    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
+    assert main(["index", "torus-zero"]) == 0
+    assert capsys.readouterr().out.strip().endswith("index torus-zero: pass")
+
+
+def test_box_too_large_to_hold_exit_two(capsys):
+    # (2 * 10^10 + 1)^2 cells: more than a list can index, refused unallocated
+    assert main(["index", "s3-contact", "--max-degree", "10000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: the box of radius 10000000000 has 400000000040000000001 cells")
+
+
 def test_bad_max_degree_env_exit_two(monkeypatch, capsys):
     for bad in ("twenty", "2.5", "-3"):
         monkeypatch.setenv("EQUIVAR_MAX_DEGREE", bad)

@@ -2,6 +2,7 @@
 directed expansion."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,10 @@ def test_expand_to_degree_integrality_gate():
     half = _poly(1, {(0,): F(1, 2)})
     with pytest.raises(NonIntegerCoefficients):
         expand_to_degree(half, 3)
+    # the message names the lexicographically first non-integer weight
+    mixed = _poly(2, {(1, 0): F(1, 2), (0, 3): F(1, 3), (-2, 1): 2, (-1, 2): F(5, 2)})
+    with pytest.raises(NonIntegerCoefficients, match=r"coefficient 5/2 at weight \(-1, 2\)$"):
+        expand_to_degree(mixed, 3)
     whole = _poly(1, {(2,): 4})
     dist = expand_to_degree(whole, 3)
     assert dist.multiplicity((2,)) == 4
@@ -181,17 +186,18 @@ _COEFFS = (1, -1, 2, -3, F(1, 2), F(-2, 3))
 _CS = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(3))
 
 
-def _nonzero_weight(rng, nvars):
+def _nonzero_weight(rng, nvars, wmax):
     while True:
-        w = tuple(rng.randint(-2, 2) for _ in range(nvars))
+        w = tuple(rng.randint(-wmax, wmax) for _ in range(nvars))
         if any(w):
             return w
 
 
-def _random_character(rng):
-    """1-3 variables and terms; directions follow a hidden functional, so a
-    common positivity functional exists."""
-    nvars = rng.randint(1, 3)
+def _random_character(rng, nvars=None, wmax=2):
+    """1-3 variables (unless nvars is given) and terms, weights in
+    [-wmax, wmax]; directions follow a hidden functional, so a common
+    positivity functional exists."""
+    nvars = nvars or rng.randint(1, 3)
     hidden = [rng.choice((-2, -1, 1, 2)) for _ in range(nvars)]
     terms = []
     for _ in range(rng.randint(1, 3)):
@@ -199,9 +205,9 @@ def _random_character(rng):
                for _ in range(rng.randint(1, 3))}
         den = []
         for _ in range(rng.randint(0, 3)):
-            w = _nonzero_weight(rng, nvars)
+            w = _nonzero_weight(rng, nvars, wmax)
             while sum(p * x for p, x in zip(hidden, w)) == 0:
-                w = _nonzero_weight(rng, nvars)
+                w = _nonzero_weight(rng, nvars, wmax)
             side = sum(p * x for p, x in zip(hidden, w)) > 0
             den.append(DenomFactor(w, rng.choice(_CS),
                                    EXPAND_POSITIVE if side else EXPAND_NEGATIVE))
@@ -225,6 +231,44 @@ def test_expand_box_matches_reference_on_random_characters():
         seen["fractional"] += any(c.denominator != 1 for c in got.values())
         seen["negative"] += any(f.direction == EXPAND_NEGATIVE and f.c < 0 for f in dens)
     assert all(seen.values()), seen
+
+
+def _flat_steps(rc, radius):
+    """Flat step, in the dense box layout, of the last factor of each term."""
+    width = 2 * radius + 1
+    return [sum(x * width ** (rc.nvars - 1 - i) for i, x in enumerate(t.den[-1].step()))
+            for t in rc.terms if t.den]
+
+
+def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
+    # weights up to +-5 at radii 1-2 step over the box (flat step 0 included);
+    # three-variable boxes reach radius 6
+    rng = random.Random(21)
+    seen = {"long": 0, "zero": 0, "negative": 0, "three_vars_r6": 0}
+    cases = [(rng.randint(1, 2), rng.randint(1, 2), 5) for _ in range(250)]
+    cases += [(3, rng.randint(3, 6), 2) for _ in range(40)]
+    for nvars, radius, wmax in cases:
+        rc = _random_character(rng, nvars, wmax)
+        got = expand_box(rc, radius)
+        assert got == _reference_expand_box(rc, radius), (nvars, radius)
+        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
+        last = [t.den[-1].step() for t in rc.terms if t.den]
+        flat = _flat_steps(rc, radius)
+        seen["long"] += bool(got) and any(max(map(abs, s)) > 2 * radius for s in last)
+        seen["zero"] += bool(got) and 0 in flat
+        seen["negative"] += bool(got) and any(k < 0 for k in flat)
+        seen["three_vars_r6"] += nvars == 3 and radius == 6 and bool(got)
+    assert all(seen.values()), seen
+
+
+def test_expand_box_too_large_to_hold():
+    # cell counts past what a list can index or a malloc can size fail before
+    # anything is allocated
+    past_bytes = sys.maxsize // 16 + 1  # 2r + 1 cells > sys.maxsize // 8
+    with pytest.raises(OutOfRange, match=f"radius {past_bytes} has {2 * past_bytes + 1} cells"):
+        expand_box(_geo((1,), EXPAND_POSITIVE), past_bytes)
+    with pytest.raises(OutOfRange, match="radius 10000000000 has"):
+        expand_box(lattice_comb(2, (1, 0)), 10 ** 10)  # (2r + 1)^2 > sys.maxsize
 
 
 def test_expand_box_accumulator_clipped_to_empty():
