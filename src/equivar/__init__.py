@@ -10,8 +10,7 @@ independent representation-theoretic oracles are all exact over the
 rationals.
 """
 
-from .charclass import (FixedLocusDatum, TaylorSeries, fixed_point_contribution,
-                        localize_index)
+from .charclass import FixedLocusDatum, fixed_point_contribution, localize_index
 from .characters import (EXAMPLES, cp1_sheaf_character_oracle,
                          frobenius_multiplicity_oracle, hrr_cp1_oracle,
                          run_pipeline, s3_contact_character_oracle)
@@ -25,8 +24,8 @@ from .genco import (delta_linear_substitute, fourier_fibre_integrate,
                     taylor_expand_delta, with_fibre_coordinates)
 from .jform import (JForm, chern_weil_pair, check_closed, check_transversality,
                     frame_change_compare, j_form, transformed_j_form)
-from .laurent import (DenomFactor, DistributionalCharacter, RationalCharacter,
-                      expand_box, expand_to_degree, lattice_comb)
+from .laurent import (DenomFactor, RationalCharacter, expand_box,
+                      expand_to_degree, lattice_comb)
 from .modelfile import (builtin_names, load_builtin, load_model, loads_model,
                         parse_element)
 from .report import (make_report, render_element, render_frame_value,

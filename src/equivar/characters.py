@@ -16,15 +16,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .charclass import TaylorSeries, localize_index
-from .errors import InvariantViolation, NonIntegerCoefficients, UnknownExample
+from .charclass import localize_index, series_inverse
+from .errors import NonIntegerCoefficients, UnknownExample
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import RationalCharacter, expand_to_degree, lattice_comb
 from .modelfile import load_builtin
 from .report import make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
-                       multiply, product)
+                       graded_exp_pieces, multiply, product)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +90,11 @@ def _box(nvars, radius):
     return iproduct(range(-radius, radius + 1), repeat=nvars)
 
 
-def _character_table(dist, radius):
-    rows = []
-    for w in _box(dist.nvars, radius):
-        c = dist.multiplicity(w)
-        if c:
-            rows.append({"weight": list(w), "coefficient": c})
-    return rows
+def _character_table(coeffs, nvars, radius):
+    """The rows of the non-zero coefficients on the box of the radius, in
+    the box order, which is the sorted order of the weights."""
+    return [{"weight": list(w), "coefficient": c}
+            for w in _box(nvars, radius) if (c := coeffs.get(w))]
 
 
 def _poly_table(p):
@@ -137,12 +135,12 @@ def _torus_zero(twist, max_degree):
         rc = RationalCharacter.one(rank_l)
         for row in fr.moment_samples[0]:
             rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
-        dist = expand_to_degree(rc, window)
+        coeffs = expand_to_degree(rc, window)
         oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
         results.append(_entry(f"{prefix}regular-representation-window-{window}",
-                              dist.coeffs == oracle))
+                              coeffs == oracle))
         if chars is None:
-            chars = _character_table(dist, window)
+            chars = _character_table(coeffs, rank_l, window)
     return results, chars, {}
 
 
@@ -160,17 +158,17 @@ def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     jf = j_form(m, "triv")
     radius = max(max_degree, abs(twist) + 2)
-    dist = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
+    coeffs = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     oracle = cp1_sheaf_character_oracle(twist)
-    ok = dist.coeffs == oracle
+    ok = coeffs == oracle
     results = [
         _entry("empty-frame-unit", jf.value == m.one()),
         _entry("equivariantly-closed", check_closed(m, jf)),
         _entry("sheaf-character-oracle", ok,
-               witness=None if ok else {"computed": _poly_table(dist.coeffs),
+               witness=None if ok else {"computed": _poly_table(coeffs),
                                         "oracle": _poly_table(oracle)}),
     ]
-    chars = [{"weight": [w[0]], "coefficient": c} for w, c in sorted(dist.coeffs.items())]
+    chars = _character_table(coeffs, 1, radius)
     return results, chars, {"case": "ETM", "twist": twist}
 
 
@@ -188,8 +186,7 @@ def _cp1_l2(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     table, bad = [], []
     for mm in range(max_degree + 1):
-        dist = expand_to_degree(localize_index(_cp1_loci(m, mm), 1), abs(n))
-        mult = dist.multiplicity((n,))
+        mult = expand_to_degree(localize_index(_cp1_loci(m, mm), 1), abs(n)).get((n,), 0)
         table.append({"irrep": mm, "multiplicity": mult})
         if mult != frobenius_multiplicity_oracle(n, mm):
             bad.append(mm)
@@ -207,21 +204,6 @@ def _cp1_l2(twist, max_degree):
 
 # ---------------------------------------------------------------------------
 # Hopf fibration
-
-def _graded_exp_pieces(e, m):
-    """[1, e, e^2/2!, ...] up to the last non-zero power of the even,
-    nilpotent element e; their sum is exp(e)."""
-    pieces = [m.one()]
-    n = 0
-    while True:
-        n += 1
-        piece = multiply(pieces[-1], e, m).scaled(Fraction(1, n))
-        if piece.is_zero():
-            return pieces
-        pieces.append(piece)
-        if n > 2 * m.manifold_dim + 4:
-            raise InvariantViolation("graded exponential failed to terminate")
-
 
 def _even_coefficient(e, name, power):
     target = ((name, power),) if power else ()
@@ -247,13 +229,13 @@ def hopf_multiplicities(m, fid, isotypes):
     vol = m.base["curvatureVolume"]
     half_dim = m.base["dimension"] // 2
     # Todd series 1 / sum_j (-x)^j/(j+1)! up to the base nilpotency order
-    td_series = TaylorSeries(
-        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
+    td_series = series_inverse(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)])
     td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
-                  for j, c in enumerate(td_series.coeffs) if c), m)
+                  for j, c in enumerate(td_series) if c), m)
     c = chern_weil_pair(m, fid, {(1,): 1})
     coeffs = [vol * _even_coefficient(multiply(td, piece, m), "Psi", half_dim)
-              for piece in _graded_exp_pieces(c, m)]
+              for piece in graded_exp_pieces(c, m)]
     mults = {}
     for k in isotypes:
         mult = 0
@@ -310,8 +292,7 @@ def _s3_contact(twist, max_degree):
         m)
     results.append(_entry("taylor-display-form", disp == expected_disp))
 
-    dist = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
-    coeffs = dist.coeffs
+    coeffs = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
     # each quadrant is read from the table as it is enumerated, and the table
     # (which holds no zeros) has no other weight; the whole oracle table is
     # built only for a witness
@@ -330,7 +311,7 @@ def _s3_contact(twist, max_degree):
         witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
                    "oracle": [oracle.get(w, 0) for w in bad]}
     results.append(_entry("contact-box-oracle", ok, witness))
-    return results, _character_table(dist, min(3, max_degree)), {}
+    return results, _character_table(coeffs, 2, min(3, max_degree)), {}
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +342,10 @@ def example_arguments(example):
 
 def run_pipeline(example, twist=0, max_degree=20):
     """The index report of one example: its entries, character table and
-    own keys in the report envelope, with the window as maxDegree."""
-    results, characters, extra = _example(example)[0](twist, max_degree)
-    return make_report("index", example, results, characters,
-                       dict(extra, maxDegree=max_degree))
+    own keys in the report envelope, with the window as maxDegree when the
+    example reads it."""
+    run, reads = _example(example)
+    results, characters, extra = run(twist, max_degree)
+    if "max_degree" in reads:
+        extra = dict(extra, maxDegree=max_degree)
+    return make_report("index", example, results, characters, extra)

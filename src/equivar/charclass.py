@@ -51,24 +51,17 @@ def _check_weight(w):
 # ---------------------------------------------------------------------------
 # exact truncated series in one scaling variable
 
-class TaylorSeries:
-    """Dense rational coefficients c_0..c_n of a series in one variable."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    def inverse(self):
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has no constant term")
-        n = len(self.coeffs)
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / self.coeffs[0]
-        for i in range(1, n):
-            s = sum(self.coeffs[j] * inv[i - j] for j in range(1, i + 1))
-            inv[i] = -s / self.coeffs[0]
-        return TaylorSeries(inv)
+def series_inverse(coeffs):
+    """Coefficients of 1/f up to the length of coeffs, for the series
+    f = sum_i coeffs[i] x^i; ZeroDivisionError when f has no constant term."""
+    if coeffs[0] == 0:
+        raise ZeroDivisionError("series has no constant term")
+    inv = [Fraction(0)] * len(coeffs)
+    inv[0] = 1 / coeffs[0]
+    for i in range(1, len(coeffs)):
+        s = sum(coeffs[j] * inv[i - j] for j in range(1, i + 1))
+        inv[i] = -s / coeffs[0]
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +101,7 @@ def localize_index(loci, nvars):
     Nothing is expanded here: expand_to_degree is the single integrality
     gate, and it raises NonIntegerCoefficients when the supplied data break
     the integer-coefficient contract."""
-    rc = RationalCharacter.zero(nvars)
+    rc = RationalCharacter(nvars)
     for datum in loci:
         rc = rc + fixed_point_contribution(datum, nvars)
     return rc

@@ -59,8 +59,8 @@ class NonIntegerCoefficients(EquivarError):
 
 
 class OutOfRange(EquivarError):
-    """Multiplicity queried outside the guaranteed window of a truncated
-    character, or an expansion window with too many cells to hold."""
+    """An expansion window with too many cells to hold, or a coefficient with
+    more digits than the int-to-str limit lets a report print."""
 
 
 class UsageError(EquivarError):

@@ -20,7 +20,8 @@ from .errors import InvariantViolation, MissingFibre, NonOrientable, SplittingMi
 from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
                        DeltaFactor, Element, FormalModel, Generator, Term, _NO_DELTA,
                        _delta_clash, _exact, _finalize, _multiply_acc, add_all,
-                       equivariant_differential, multiply, normal_form)
+                       equivariant_differential, graded_exp_pieces, multiply,
+                       normal_form)
 
 __all__ = [
     "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
@@ -212,10 +213,7 @@ def fourier_fibre_integrate(lambda_model, frame_id):
     dxi_set = set(dxi_names)
     xi_slot = {n: j for j, n in enumerate(xi_names)}
     top = []
-    pn = m.one()
-    cap = 2 * k + m.manifold_dim + 4
-    n = 0
-    while not pn.is_zero():
+    for n, pn in enumerate(graded_exp_pieces(p_el, m)):
         for t in pn.terms:
             if not dxi_set.issubset(t.odd_mono):
                 continue
@@ -243,8 +241,4 @@ def fourier_fibre_integrate(lambda_model, frame_id):
             sign *= 1 if ipow == 0 else -1
             delta = DeltaFactor(frame_id, tuple(jj), ARG_CLOSED)
             top.append(Term(t.coeff * sign, t.x_mono, delta, tuple(non_dxi), tuple(even_rest)))
-        n += 1
-        if n > cap:
-            raise InvariantViolation("graded exponential failed to terminate")
-        pn = multiply(pn, p_el, m).scaled(Fraction(1, n))
     return normal_form(Element(tuple(top)), m)

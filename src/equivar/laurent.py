@@ -39,7 +39,8 @@ numerator coefficients, integer c, and c = +-1 on negative-direction factors,
 as in every bundled model); otherwise the affected values are Fractions.  The
 two mix exactly, so there is one code path.  expand_box returns the same
 exact values: an int where the coefficient is integral, a Fraction
-otherwise.  expand_to_degree is the integrality gate of the index layer.
+otherwise.  expand_to_degree is the integrality gate of the index layer: it
+returns the expand_box dict when every value in it is an int.
 """
 
 from dataclasses import dataclass
@@ -93,10 +94,6 @@ class RationalCharacter:
     def __init__(self, nvars, terms=()):
         self.nvars = nvars
         self.terms = tuple(t for t in terms if t.num)
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def one(cls, nvars):
@@ -266,41 +263,22 @@ def expand_box(rc, radius):
     return box
 
 
-class DistributionalCharacter:
-    """Window-exact coefficient table: multiplicity(w) answers from the
-    window when |w|_inf <= window and raises OutOfRange otherwise."""
-
-    __slots__ = ("nvars", "coeffs", "window")
-
-    def __init__(self, nvars, coeffs, window):
-        self.nvars = nvars
-        self.coeffs = coeffs
-        self.window = window
-
-    def multiplicity(self, w):
-        w = tuple(w)
-        if len(w) != self.nvars:
-            raise OutOfRange(f"weight length {len(w)} != {self.nvars}")
-        if all(abs(x) <= self.window for x in w):
-            return self.coeffs.get(w, 0)
-        raise OutOfRange(f"weight {w} outside the window (radius {self.window})")
-
-
 def expand_to_degree(rc, max_degree):
-    """DistributionalCharacter exact on the box of radius max_degree.
+    """expand_box(rc, max_degree), the exact coefficients on the box of
+    radius max_degree, after the integrality gate.
 
-    Raises NonIntegerCoefficients if any window coefficient is not an
+    Raises NonIntegerCoefficients if any coefficient of the box is not an
     integer; integer multiplicities are part of the character contract, and a
     fractional value signals a normalization error upstream.  expand_box
     gives an int wherever the value is integral, so the check is one scan
-    of the value types, and its table is kept as is.  The message names the
-    lexicographically first non-integer weight.
+    of the value types, and its dict is returned as is.  The message names
+    the lexicographically first non-integer weight.
     """
     box = expand_box(rc, max_degree)
     if set(map(type, box.values())) - {int}:
         v, c = next((v, c) for v, c in box.items() if c.__class__ is not int)
         raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
-    return DistributionalCharacter(rc.nvars, box, max_degree)
+    return box
 
 
 def lattice_comb(nvars, direction):

@@ -104,7 +104,10 @@ def _parse_term(toks, pos, m):
             raise ParseError("unexpected end of expression", column=toks[-1][2])
         kind, val, col = toks[pos]
         if kind == "rat":
-            factors.append(m.scalar(Fraction(val)))
+            try:
+                factors.append(m.scalar(Fraction(val)))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational literal {val!r}", column=col) from None
             pos += 1
         elif kind == "name":
             exp = 1
@@ -316,6 +319,8 @@ def loads_model(text):
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
         raise ParseError("JSON nesting is too deep") from None
+    except ValueError as e:  # an integer past the int-from-str digit limit
+        raise ParseError(str(e)) from None
     if not isinstance(doc, dict):
         raise ParseError("model file must hold one JSON object")
     return model_from_dict(doc)

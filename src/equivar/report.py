@@ -7,9 +7,11 @@ produce byte-identical files.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from . import genco
+from .errors import OutOfRange
 from .jform import j_form
 from .superalg import ARG_MOMENT
 
@@ -71,7 +73,11 @@ def render_term(t, m, fmt=TEXT):
     body = sep.join(factors)
     c = abs(t.coeff)
     if c != 1 or not body:
-        cs = str(c)
+        try:
+            cs = str(c)
+        except ValueError:  # past the int-to-str digit limit
+            raise OutOfRange(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                             "digits, too many to print") from None
         body = cs + (sep + body if body else "")
     return body
 
@@ -106,15 +112,11 @@ def render_frame_value(m, frame_id, fmt=TEXT):
 # ---------------------------------------------------------------------------
 # report envelope
 
-def _jsonable(x):
+def _json_default(x):
+    """A Fraction as an int when it is integral, else as "p/q"; any other
+    value json cannot write as its str."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
     return str(x)
 
 
@@ -140,5 +142,5 @@ def report_status(rep):
 
 
 def report_to_json(rep):
-    return json.dumps(_jsonable(rep), sort_keys=True, indent=2) + "\n"
+    return json.dumps(rep, default=_json_default, sort_keys=True, indent=2) + "\n"
 

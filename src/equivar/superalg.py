@@ -197,9 +197,6 @@ class FormalModel:
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self):
-        return Element()
-
     def scalar(self, c):
         c = _exact(c)
         if c == 0:
@@ -448,6 +445,19 @@ def product(factors, m):
     for f in factors:
         out = multiply(out, f, m)
     return out
+
+
+def graded_exp_pieces(e, m):
+    """1, e, e^2/2!, ... up to the last non-zero power of the even, nilpotent
+    element e; their sum is exp(e).  InvariantViolation when the power
+    2 * manifold_dim + 5 is still non-zero: e is not nilpotent."""
+    piece, n = m.one(), 0
+    while not piece.is_zero():
+        if n > 2 * m.manifold_dim + 4:
+            raise InvariantViolation("graded exponential failed to terminate")
+        yield piece
+        n += 1
+        piece = multiply(piece, e, m).scaled(Fraction(1, n))
 
 
 def _derivation_on_term(t, image, m):

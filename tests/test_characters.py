@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from equivar import characters, genco, jform, laurent, modelfile, superalg
-from equivar.charclass import TaylorSeries
+from equivar.charclass import series_inverse
 from equivar.characters import (
     EXAMPLES,
     cp1_sheaf_character_oracle,
@@ -242,10 +242,10 @@ def _ref_hopf_multiplicities(m, fid, isotypes):
     tw = m.base["tangentWeight"]
     vol = m.base["curvatureVolume"]
     half_dim = m.base["dimension"] // 2
-    td_series = TaylorSeries(
-        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)]).inverse()
+    td_series = series_inverse(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)])
     td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
-                  for j, c in enumerate(td_series.coeffs) if c), m)
+                  for j, c in enumerate(td_series) if c), m)
     mults = {}
     for k in isotypes:
         ch = _ref_graded_exp(chern_weil_pair(m, fid, {(1,): Fraction(k)}), m)
@@ -286,7 +286,7 @@ def test_hopf_polynomial_matches_per_isotype_route():
     for variant in [None] + HOPF_VARIANTS:
         m = modelfile.load_builtin("hopf") if variant is None else _hopf_variant(**variant)
         c = chern_weil_pair(m, "conn", {(1,): 1})
-        degrees.add(len(characters._graded_exp_pieces(c, m)) - 1)
+        degrees.add(len(list(superalg.graded_exp_pieces(c, m))) - 1)
         whole = _outcome(polynomial, m, window)
         assert whole == _outcome(_ref_hopf_multiplicities, m, window), variant
         for k in window:
@@ -383,9 +383,9 @@ def test_contact_box_oracle_sees_a_stray_mixed_cone_weight(monkeypatch):
     expand = characters.expand_to_degree
 
     def stray(rc, max_degree):
-        dist = expand(rc, max_degree)
-        dist.coeffs[(5, -1)] = 1
-        return dist
+        coeffs = expand(rc, max_degree)
+        coeffs[(5, -1)] = 1
+        return coeffs
 
     monkeypatch.setattr(characters, "expand_to_degree", stray)
     entry = next(r for r in run_pipeline("s3-contact")["results"]

@@ -95,6 +95,7 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
 UNREADABLE_FILES = {
     "bad.bin": (b"\xff\xfe\x00", "not UTF-8"),
     "deep.json": (b"[" * 5000 + b"]" * 5000, "nesting"),
+    "long-int.json": (b'{"manifoldDim": ' + b"1" * 5000 + b"}", "digits"),
 }
 
 
@@ -104,6 +105,30 @@ def test_unreadable_model_file_exit_two(name, tmp_path, capsys):
     path = tmp_path / name
     path.write_bytes(data)
     assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert phrase in cap.err and "Traceback" not in cap.err, cap.err
+
+
+# Model documents that load or compute past a limit of the Python runtime:
+# case -> (built-in to edit, edit, phrase the error must hold).
+RUNTIME_LIMIT_DOCS = {
+    "zero-denominator": ("s3-contact", lambda d: d.update(dTable={"dalpha": "1/0"}),
+                         "bad rational literal '1/0'"),
+    # the display coefficient 1/J! has more digits than int-to-str may print
+    "long-coefficient": ("hopf", lambda d: d.update(manifoldDim=4000),
+                         "digits, too many to print"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("case", sorted(RUNTIME_LIMIT_DOCS))
+def test_runtime_limit_exit_two(case, command, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    name, edit, phrase = RUNTIME_LIMIT_DOCS[case]
+    path.write_text(json.dumps(_edited(name, edit)), encoding="utf-8")
+    assert main([command, str(path)]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
@@ -249,6 +274,19 @@ def test_max_degree_env_is_no_request_to_torus_zero(monkeypatch, capsys):
     monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
     assert main(["index", "torus-zero"]) == 0
     assert capsys.readouterr().out.strip().endswith("index torus-zero: pass")
+
+
+@pytest.mark.parametrize("env", [None, "30"])
+def test_torus_zero_report_has_no_max_degree(env, tmp_path, monkeypatch, capsys):
+    # torus-zero expands on its own windows, so the report names no other
+    if env is None:
+        monkeypatch.delenv("EQUIVAR_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("EQUIVAR_MAX_DEGREE", env)
+    out = tmp_path / "torus-zero.json"
+    assert main(["index", "torus-zero", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert "maxDegree" not in json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_box_too_large_to_hold_exit_two(capsys):

@@ -21,7 +21,9 @@ question: the three index-cp1-dolbeault reports lost highest-weight-character
 and euler-characteristic, which sheaf-character-oracle implies, and in the
 three index-s3-contact reports cr-quadrant-oracle, variable-exchange-symmetry
 and mixed-cone-vanishing became one contact-box-oracle entry, which compares
-the whole box; their characters tables are unchanged.  Each file is
+the whole box; their characters tables are unchanged.  index-torus-zero.json
+lost its maxDegree line when the report kept maxDegree only for an example
+that reads the window; torus-zero expands on fixed windows.  Each file is
 regenerated in-process here and compared byte for byte.  The built-ins declare no split of rank above one,
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment

@@ -20,9 +20,11 @@ from equivar.jform import (
     transformed_j_form,
 )
 from equivar.modelfile import builtin_names, load_builtin, load_model
-from equivar.randmodels import random_gl_plus, random_model
+from equivar.randmodels import random_gl_plus
 from equivar.superalg import (DeltaFactor, Element, Term, add, add_all, multiply,
                               normal_form, product)
+
+from random_models import random_model
 
 ALL_BUILTINS = tuple(builtin_names())
 SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"

@@ -9,7 +9,6 @@ import pytest
 
 from equivar.errors import DeltaClash
 from equivar.genco import with_fibre_coordinates
-from equivar.randmodels import random_element, random_model
 from equivar.superalg import (
     _NO_DELTA,
     ARG_CLOSED,
@@ -28,6 +27,8 @@ from equivar.superalg import (
     add_all,
     multiply,
 )
+
+from random_models import random_element, random_model
 
 # ---------------------------------------------------------------------------
 # previous kernel: multiply masks each odd monomial on every call, sorts the

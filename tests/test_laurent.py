@@ -13,7 +13,6 @@ from equivar.laurent import (
     EXPAND_NEGATIVE,
     EXPAND_POSITIVE,
     DenomFactor,
-    DistributionalCharacter,
     RationalCharacter,
     RCTerm,
     expand_box,
@@ -106,17 +105,7 @@ def test_expand_to_degree_integrality_gate():
     with pytest.raises(NonIntegerCoefficients, match=r"coefficient 5/2 at weight \(-1, 2\)$"):
         expand_to_degree(mixed, 3)
     whole = _poly(1, {(2,): 4})
-    dist = expand_to_degree(whole, 3)
-    assert dist.multiplicity((2,)) == 4
-    assert dist.multiplicity((1,)) == 0
-
-
-def test_distributional_character_window():
-    dist = DistributionalCharacter(1, {(0,): 1, (1,): 2}, window=3)
-    assert dist.multiplicity((1,)) == 2
-    assert dist.multiplicity((3,)) == 0  # inside window, unpopulated
-    with pytest.raises(OutOfRange):
-        dist.multiplicity((4,))
+    assert expand_to_degree(whole, 3) == {(2,): 4}
 
 
 # ---------------------------------------------------------------------------

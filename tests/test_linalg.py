@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 from equivar import linalg
-from equivar.randmodels import _frame_entry, rational, random_gl_plus
+from equivar.randmodels import _frame_entry, random_gl_plus
+
+from random_models import rational
 
 
 def _reference_rank(a):

@@ -6,10 +6,10 @@ own definition.  The re-exports in __init__.py do not count as a use, and
 neither do string literals and comments: a name met only in a docstring, a
 message or __all__ is unused.  A top-level name is matched by word boundary,
 so a name shared by two definitions needs one more occurrence than it has
-definitions.  A method is
-matched only by attribute use (`.name`), so a local variable or a keyword
-argument of the same name does not keep it alive.  A dead chain (dead code
-calling dead code) is not caught.
+definitions.  A method is matched only by attribute use (`.name`), so a local
+variable or a keyword argument of the same name does not keep it alive, and a
+method name that N classes define needs N attribute uses.  A dead chain (dead
+code calling dead code) is not caught.
 """
 
 import ast
@@ -21,10 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivar"
 
 # "module.name" or "module.Class.method" -> why it stays without a caller
-ALLOWED = {
-    "randmodels.random_model": "seeded generator of random models for the property tests",
-    "randmodels.random_element": "seeded generator of random elements for the property tests",
-}
+ALLOWED = {}
 
 
 def _sources():
@@ -41,7 +38,7 @@ def _code(text):
 
 
 def _unreferenced(sources):
-    definitions = {}
+    definitions, methods = {}, {}
     candidates = []
     for mod, text in sources.items():
         tree = ast.parse(text)
@@ -52,14 +49,15 @@ def _unreferenced(sources):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 candidates.append((f"{mod}.{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
-                candidates.extend(
-                    (f"{mod}.{node.name}.{sub.name}", sub.name, True) for sub in node.body
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        candidates.append((f"{mod}.{node.name}.{sub.name}", sub.name, True))
+                        methods[sub.name] = methods.get(sub.name, 0) + 1
     text = "\n".join(_code(t) for t in sources.values())
 
     def unused(name, method):
         if method:
-            return re.search(rf"\.\s*{re.escape(name)}\b", text) is None
+            return len(re.findall(rf"\.\s*{re.escape(name)}\b", text)) < methods[name]
         return len(re.findall(rf"\b{re.escape(name)}\b", text)) <= definitions[name]
 
     return sorted(key for key, name, method in candidates if unused(name, method))
@@ -85,6 +83,17 @@ def test_guard_flags_a_method_named_only_as_a_word():
     assert "extra.Box.lonely" in _unreferenced(dict(_sources(), extra=extra))
     used = extra + "\n\ndef g(b):\n    return b.lonely()\n"
     assert "extra.Box.lonely" not in _unreferenced(dict(_sources(), extra=used))
+
+
+def test_guard_counts_a_method_name_once_per_class():
+    extra = ("class Left:\n    def shared(self):\n        return 1\n\n\n"
+             "class Right:\n    def shared(self):\n        return 2\n\n\n"
+             "def f():\n    return Left().shared()\n")
+    unused = _unreferenced(dict(_sources(), extra=extra))
+    assert {"extra.Left.shared", "extra.Right.shared"} <= set(unused)
+    used = extra + "\n\ndef g():\n    return Right().shared()\n"
+    unused = _unreferenced(dict(_sources(), extra=used))
+    assert not {"extra.Left.shared", "extra.Right.shared"} & set(unused)
 
 
 def test_guard_flags_a_name_met_only_in_strings_and_comments():

@@ -11,7 +11,6 @@ import pytest
 from equivar.errors import DeltaClash, InvariantViolation, NotDifferentiable
 from equivar.genco import with_fibre_coordinates
 from equivar.modelfile import builtin_names, load_builtin
-from equivar.randmodels import nonzero_rational, random_element, random_model
 from equivar.superalg import (
     _NO_DELTA,
     ARG_MOMENT,
@@ -29,11 +28,14 @@ from equivar.superalg import (
     add_all,
     apply_table_derivation,
     equivariant_differential,
+    graded_exp_pieces,
     multiply,
     normal_form,
     product,
     validate_model,
 )
+
+from random_models import nonzero_rational, random_element, random_model
 
 
 def test_odd_square_vanishes():
@@ -421,6 +423,16 @@ def test_scalar_and_x_helpers():
     assert e.terms[0].x_mono == (0, 2)
 
 
+def test_graded_exp_pieces():
+    m = load_builtin("hopf")
+    psi = m.gen("Psi")
+    # Psi is a 2-form on the 3-manifold, so exp(2 Psi) = 1 + 2 Psi
+    assert list(graded_exp_pieces(psi.scaled(2), m)) == [m.one(), psi.scaled(2)]
+    # a scalar is not nilpotent: its powers never vanish
+    with pytest.raises(InvariantViolation, match="failed to terminate"):
+        list(graded_exp_pieces(m.scalar(1), m))
+
+
 def _tiny_model(d_table, iota_table, gens=None):
     gens = gens or {
         "a": Generator("a", "odd", 1, "plainForm", None, None),
@@ -480,7 +492,7 @@ def test_validate_requires_split_entries_to_be_two_forms():
                 add(m.gen("Psi"), m.scalar(2), m)):
         with pytest.raises(InvariantViolation, match="split entry 0"):
             validate_model(_with_split(m, "conn", (bad,)))
-    for good in (m.zero(), m.gen("Psi"), multiply(m.x(0), m.gen("Psi"), m)):
+    for good in (Element(), m.gen("Psi"), multiply(m.x(0), m.gen("Psi"), m)):
         assert validate_model(_with_split(m, "conn", (good,))) is True
 
 
