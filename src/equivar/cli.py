@@ -21,8 +21,8 @@ from .characters import EXAMPLES, example_arguments, run_pipeline
 from .errors import EquivarError, NotTransverse, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
+from .linalg import random_gl_plus
 from .modelfile import builtin_names, load_builtin, load_model
-from .randmodels import random_gl_plus
 from .report import (LATEX, TEXT, display_value, make_report, render_element,
                      render_frame_value, report_status, report_to_json)
 from .superalg import multiply

@@ -11,8 +11,10 @@ factor carries an expansion direction:
     expandNegative   1/(1 - c t^w)  ->  -sum_{n>=1} c^{-n} t^{-n w}
 
 Expansion of a term is defined when its step vectors admit a common
-positive linear functional phi; an exact rational test decides whether one
-exists.
+positive linear functional phi, phi . s >= 1 for every step s.  The test is
+exact: if such a phi exists, one exists at a vertex, where rank(S)
+independent steps are tight, so trying every basis of rank(S) steps through
+linalg's exact determinants finds one or proves there is none.
 
 expand_box multiplies the directed series into the numerator one factor at a
 time and keeps only points from which the remaining factors can still reach
@@ -45,10 +47,10 @@ returns the expand_box dict when every value in it is an int.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, repeat
-from math import ceil, floor, lcm
+from itertools import combinations, compress, product, repeat
 from operator import mul
 
+from . import linalg
 from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 
 EXPAND_POSITIVE = 1
@@ -111,44 +113,26 @@ class RationalCharacter:
 def _positivity_functional(steps, nvars):
     """Integer phi with phi . s >= 1 for every step, or None if none exists.
 
-    Exact: Fourier-Motzkin elimination decides the system s . phi >= 1 over
-    the rationals, back substitution picks each coordinate nearest zero (an
-    integer when the bounds admit one), and the rational solution is scaled by
-    its common denominator, which keeps every s . phi >= 1.
+    Exact, by vertices.  A solution projected onto span(S) is still one, and
+    inside span(S) the solutions form a polyhedron with no lines (a line
+    would be orthogonal to every step and lie in their span).  So when there
+    is a solution there is a vertex, where rank(S) independent steps b are
+    tight.  For a basis B of rank(S) steps with Gram matrix G, the Cramer
+    vector phi = sum_j det(G_j) b_j, G_j being G with column j set to ones,
+    is det G times that vertex: phi . b = det G >= 1 on B when B is
+    independent, and 0 when it is not.  The first phi over the bases in
+    combinations order with phi . s >= 1 for every step is returned.
     """
-    rows = [(tuple(Fraction(x) for x in s), Fraction(1)) for s in steps]
-    stages = []
-    for k in reversed(range(nvars)):
-        stages.append((k, rows))
-        pos = [r for r in rows if r[0][k] > 0]
-        neg = [r for r in rows if r[0][k] < 0]
-        kept = [r for r in rows if r[0][k] == 0]
-        for a, b in pos:
-            for c, d in neg:
-                lam, mu = -c[k], a[k]
-                row = tuple(lam * x + mu * y for x, y in zip(a, c))
-                scale = sum(abs(x) for x in row) or 1
-                kept.append((tuple(x / scale for x in row), (lam * b + mu * d) / scale))
-        rows = list(dict.fromkeys(kept))
-    if any(b > 0 for _, b in rows):
-        return None
-    phi = [Fraction(0)] * nvars
-    for k, rows in reversed(stages):
-        lo = hi = None
-        for a, b in rows:
-            if a[k] == 0:
-                continue
-            bound = (b - sum(x * p for x, p in zip(a[:k], phi))) / a[k]
-            if a[k] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and lo > 0:
-            phi[k] = Fraction(ceil(lo)) if hi is None or ceil(lo) <= hi else lo
-        elif hi is not None and hi < 0:
-            phi[k] = Fraction(floor(hi)) if lo is None or floor(hi) >= lo else hi
-    den = lcm(*(p.denominator for p in phi))
-    return tuple(int(p * den) for p in phi)
+    for basis in combinations(steps, linalg.rank(steps)):
+        # lists, not tuples: det remembers only tuple matrices, and the
+        # frame trials rely on that memo surviving between their det calls
+        gram = [[sum(map(mul, b, c)) for c in basis] for b in basis]
+        weights = [linalg.det([row[:j] + [1] + row[j + 1:] for row in gram]).numerator
+                   for j in range(len(basis))]
+        phi = tuple(sum(w * b[i] for w, b in zip(weights, basis)) for i in range(nvars))
+        if all(sum(map(mul, phi, s)) >= 1 for s in steps):
+            return phi
+    return None
 
 
 def _exact(x):

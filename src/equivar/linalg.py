@@ -1,19 +1,24 @@
-"""Small exact linear algebra over rational matrices.
+"""Small exact linear algebra over rational matrices, and the seeded frame
+changes behind verify's frame-independence trials.
 
 Matrices are tuples of row tuples with int or Fraction entries.  Sizes stay
-tiny (frame ranks and parameter counts).  det and rank clear denominators
-row by row (each row times the lcm of its denominators) and run fraction-free
-Bareiss elimination on Python ints (Bareiss, Math. Comp. 22, 1968): every
-intermediate entry is a minor of the scaled matrix, so each division is
-exact and no Fraction is built inside the loops.  Fractions appear only at
-the boundary: det returns one, rank returns an int.  inverse stays
-Gauss-Jordan over Fraction; it runs only for derivative deltas, and it
-converts its own input, since it divides.  det remembers its result for the
-last matrix it was given as a tuple of tuples, so a frame trial, which needs
-the determinant of its matrix twice, runs the elimination once.
-negate_first_row hands that memo on to the negated copy of the matrix, with
-the negated determinant, so a draw turned from det < 0 to det > 0 by a sign
-flip runs no second elimination either.
+tiny (frame ranks, parameter counts and step sets).  One loop, _bareiss,
+does every elimination: it clears denominators row by row (each row times
+the lcm of its denominators) and runs fraction-free Bareiss elimination on
+Python ints (Bareiss, Math. Comp. 22, 1968), so every intermediate entry is a
+minor of the scaled matrix, each division is exact and no Fraction is built
+inside the loop.  It returns the rank, the last pivot with the sign of the
+row swaps, and the product of the row scales: rank reads the first, and det
+the other two, since the last pivot of a square matrix of full rank is the
+determinant of the scaled matrix.  Fractions appear only at the boundary:
+det returns one, rank an int.  inverse is the matrix of cofactors over det;
+it runs only for derivative deltas.
+
+det remembers its result for the last matrix it was given as a tuple of
+tuples, so a frame trial, which needs the determinant of its matrix twice,
+runs the elimination once.  random_gl_plus draws the frame changes and hands
+that memo on to the negated copy of a draw with det < 0, with the negated
+determinant, so the sign flip runs no second elimination either.
 
 No function here needs its input converted first.  Frame changes stay int
 where integral, and the frame trial in jform clears their denominators
@@ -35,16 +40,21 @@ def _integer_rows(a):
     return rows, scale
 
 
-def rank(a):
-    rows, _ = _integer_rows(a)
+def _bareiss(a):
+    """(rank, signed last pivot, scale) of a, by Bareiss elimination of its
+    integer rows.  scale is the product of the row scales; when a is square
+    of full rank, the signed last pivot over scale is det a."""
+    rows, scale = _integer_rows(a)
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    r, prev = 0, 1
+    r, sign, prev = 0, 1, 1
     for col in range(nc):
         piv = next((i for i in range(r, nr) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pr = rows[r]
         p = pr[col]
         for i in range(r + 1, nr):
@@ -55,7 +65,16 @@ def rank(a):
         r += 1
         if r == nr:
             break
-    return r
+    return r, sign * prev, scale
+
+
+def rank(a):
+    return _bareiss(a)[0]
+
+
+def _bareiss_det(a):
+    r, last, scale = _bareiss(a)
+    return Fraction(last, scale) if r == len(a) else Fraction(0)
 
 
 # (matrix, det) of the last matrix of tuple rows given to det (see the module
@@ -76,7 +95,7 @@ def det(a):
     return d
 
 
-def negate_first_row(a):
+def _negate_first_row(a):
     """a, a tuple of row tuples, with its first row negated.  When a is the
     matrix det remembers, the copy takes its place with minus its det."""
     global _last_det
@@ -87,44 +106,51 @@ def negate_first_row(a):
     return b
 
 
-def _bareiss_det(a):
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    rows, scale = _integer_rows(a)
-    sign, prev = 1, 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pr = rows[col]
-        p = pr[col]
-        for i in range(col + 1, n):
-            row = rows[i]
-            f = row[col]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-        prev = p
-    return Fraction(sign * rows[n - 1][n - 1], scale)
-
-
 def inverse(a):
+    """Entry (i, j) is (-1)^(i+j) det(a without row j and column i) / det a.
+    Raises ZeroDivisionError when a is singular."""
+    d = det(a)
+    if not d:
+        raise ZeroDivisionError("singular matrix")
     n = len(a)
-    rows = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pr = rows[col]
-        f = pr[col]
-        rows[col] = [x / f for x in pr]
-        pr = rows[col]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                g = rows[i][col]
-                rows[i] = [x - g * y for x, y in zip(rows[i], pr)]
-    return tuple(tuple(r[n:]) for r in rows)
+    return tuple(tuple((-1) ** (i + j) / d * _bareiss_det([r[:i] + r[i + 1:]
+                                                           for r in a[:j] + a[j + 1:]])
+                       for j in range(n)) for i in range(n))
+
+
+# the non-integral values of Fraction(randint(-3, 3), choice((1, 1, 2))), built once
+_HALVES = {n: Fraction(n, 2) for n in (-3, -1, 1, 3)}
+
+
+def _frame_entry(rng):
+    """The draw of Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))), as an
+    int when integral and else as a shared Fraction.  randint(-3, 3) and
+    choice((1, 1, 2)) are randrange(7) and randrange(3), which CPython draws
+    as getrandbits(3) until the value is below 7 and getrandbits(2) until it
+    is below 3; the loops below make the same draws and give the same values,
+    through fewer calls."""
+    getrandbits = rng.getrandbits
+    n = getrandbits(3)
+    while n == 7:
+        n = getrandbits(3)
+    s = getrandbits(2)
+    while s == 3:
+        s = getrandbits(2)
+    n -= 3
+    if s < 2:
+        return n
+    return _HALVES.get(n, n // 2)
+
+
+def random_gl_plus(rng, k):
+    """Random k x k rational matrix with positive determinant; an entry is
+    an int when it is integral."""
+    if k == 0:
+        return ()
+    while True:
+        a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
+        d = det(a)
+        if d > 0:
+            return a
+        if d < 0:
+            return _negate_first_row(a)

@@ -135,10 +135,6 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def __neg__(self):
-        return Element(tuple(_new_tuple(Term, (-c, x, d, odd, even))
-                             for c, x, d, odd, even in self.terms))
-
     def scaled(self, c):
         c = _exact(c)
         if c == 0:

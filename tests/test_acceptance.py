@@ -14,8 +14,8 @@ from equivar.charclass import localize_index
 from equivar.genco import fourier_fibre_integrate, with_fibre_coordinates
 from equivar.jform import check_closed, chern_weil_pair, frame_change_compare, j_form
 from equivar.laurent import expand_box
+from equivar.linalg import random_gl_plus
 from equivar.modelfile import builtin_names, load_builtin
-from equivar.randmodels import random_gl_plus
 from equivar.report import report_status
 from equivar.superalg import multiply
 

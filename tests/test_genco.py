@@ -23,8 +23,8 @@ from equivar.genco import (
     with_fibre_coordinates,
 )
 from equivar.jform import j_form
+from equivar.linalg import random_gl_plus
 from equivar.modelfile import load_builtin, load_model
-from equivar.randmodels import random_gl_plus
 from equivar.superalg import (
     CLOSED_ARGUMENT,
     EVEN,

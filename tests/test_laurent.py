@@ -1,12 +1,14 @@
 """Laurent polynomials (exponent-tuple dicts), factored rational characters,
 directed expansion."""
 
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from equivar import linalg
 from equivar.charclass import localize_index
 from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 from equivar.laurent import (
@@ -15,6 +17,7 @@ from equivar.laurent import (
     DenomFactor,
     RationalCharacter,
     RCTerm,
+    _positivity_functional,
     expand_box,
     expand_to_degree,
     lattice_comb,
@@ -286,6 +289,93 @@ def test_functional_outside_small_search_window():
                                        DenomFactor((4, -17), F(2), EXPAND_NEGATIVE))),))
     got = expand_box(rc, 6)
     assert got and got == _reference_expand_box(rc, 6, bound=21)
+
+
+def _fourier_motzkin_functional(steps, nvars):
+    """Integer phi with phi . s >= 1 for every step, or None: Fourier-Motzkin
+    elimination decides the system over the rationals, back substitution
+    picks each coordinate nearest zero, and the solution is scaled by its
+    common denominator."""
+    rows = [(tuple(F(x) for x in s), F(1)) for s in steps]
+    stages = []
+    for k in reversed(range(nvars)):
+        stages.append((k, rows))
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        kept = [r for r in rows if r[0][k] == 0]
+        for a, b in pos:
+            for c, d in neg:
+                lam, mu = -c[k], a[k]
+                row = tuple(lam * x + mu * y for x, y in zip(a, c))
+                scale = sum(abs(x) for x in row) or 1
+                kept.append((tuple(x / scale for x in row), (lam * b + mu * d) / scale))
+        rows = list(dict.fromkeys(kept))
+    if any(b > 0 for _, b in rows):
+        return None
+    phi = [F(0)] * nvars
+    for k, rows in reversed(stages):
+        lo = hi = None
+        for a, b in rows:
+            if a[k] == 0:
+                continue
+            bound = (b - sum(x * p for x, p in zip(a[:k], phi))) / a[k]
+            if a[k] > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and lo > 0:
+            phi[k] = F(math.ceil(lo)) if hi is None or math.ceil(lo) <= hi else lo
+        elif hi is not None and hi < 0:
+            phi[k] = F(math.floor(hi)) if lo is None or math.floor(hi) >= lo else hi
+    den = math.lcm(*(p.denominator for p in phi))
+    return tuple(int(p * den) for p in phi)
+
+
+def _random_steps(rng, seen):
+    """1-5 steps in 1-4 variables, entries in [-3, 3], with duplicate,
+    opposite and dependent steps mixed in, and often three steps in two
+    variables."""
+    if rng.random() < 0.25:
+        nvars, n = 2, 3
+        seen["3-in-2"] += 1
+    else:
+        nvars, n = rng.randint(1, 4), rng.randint(1, 5)
+    steps = [tuple(rng.randint(-3, 3) for _ in range(nvars)) for _ in range(n)]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        kind = rng.choice(("duplicate", "opposite", None) + ("dependent",) * 2 * (n > 2))
+        if kind == "duplicate":
+            steps[i] = steps[j]
+        elif kind == "opposite":
+            steps[i] = tuple(-x for x in steps[j])
+        elif kind == "dependent":
+            k = next(k for k in range(n) if k not in (i, j))
+            a, b = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1, 3))
+            steps[i] = tuple(a * x + b * y for x, y in zip(steps[j], steps[k]))
+        if kind:
+            seen[kind] += 1
+    return steps, nvars
+
+
+def test_functional_agrees_with_fourier_motzkin():
+    rng = random.Random(22)
+    seen = dict.fromkeys(("duplicate", "opposite", "dependent", "3-in-2",
+                          "found", "none"), 0)
+    memo = linalg.det(((2, 1), (1, 1)))
+    last = linalg._last_det
+    for _ in range(2500):
+        steps, nvars = _random_steps(rng, seen)
+        phi = _positivity_functional(steps, nvars)
+        want = _fourier_motzkin_functional(steps, nvars)
+        assert (phi is None) == (want is None), steps
+        if phi is not None:
+            assert type(phi) is tuple and len(phi) == nvars, steps
+            assert all(type(p) is int for p in phi), steps
+            assert all(sum(p * x for p, x in zip(phi, s)) >= 1 for s in steps), steps
+        seen["none" if phi is None else "found"] += 1
+    # frame trials read the det memo: the functional leaves it alone
+    assert linalg._last_det is last and last[1] == memo
+    assert all(v >= 100 for v in seen.values()), seen
 
 
 def test_no_functional_still_rejected():

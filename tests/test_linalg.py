@@ -1,10 +1,13 @@
-"""Fraction-free det and rank against plain Fraction Gaussian elimination."""
+"""Fraction-free det and rank against plain Fraction Gaussian elimination,
+and the cofactor inverse against Gauss-Jordan elimination."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from equivar import linalg
-from equivar.randmodels import _frame_entry, random_gl_plus
+from equivar.linalg import _frame_entry, random_gl_plus
 
 from random_models import rational
 
@@ -109,6 +112,22 @@ def test_det_and_rank_edge_shapes():
     assert linalg.det(((0,),)) == 0 and linalg.rank(((0, 0, 0),)) == 0
     assert linalg.det(((Fraction(-2, 3),),)) == Fraction(-2, 3)
     assert linalg.rank(((1, 2), (2, 4), (3, 6))) == 1
+    # wide: the loop stops once every row holds a pivot
+    assert linalg.rank(((0, 0, 1, 5), (0, 2, 7, 1))) == 2
+    assert linalg.rank(((0, 0, 0, 3), (0, 0, 0, -6))) == 1
+    # tall: more rows than columns, a pivot found below a zero row
+    assert linalg.rank(((0, 0), (0, 0), (0, 4), (Fraction(1, 2), 1))) == 2
+    assert linalg.rank(((1,), (2,), (Fraction(-1, 3),))) == 1
+    # rank-deficient squares: det is zero whether the elimination runs out
+    # of pivots in an early column or only in the last one
+    for a in (((0, 1, 2), (0, 3, 4), (0, 5, 6)),
+              ((1, 2, 3), (2, 4, 6), (1, 0, 1)),
+              ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+              ((Fraction(1, 2), 1), (Fraction(1, 3), Fraction(2, 3)))):
+        assert linalg.det(a) == 0 and linalg.rank(a) == len(a) - 1, a
+    # each row swap flips the sign
+    assert linalg.det(((0, 1), (1, 0))) == -1
+    assert linalg.det(((1, 0, 0), (0, 0, 1), (0, 1, 0))) == -1
 
 
 def _reference_gl_plus(rng, k):
@@ -158,12 +177,54 @@ def test_negated_draw_keeps_the_det_memo(monkeypatch):
     monkeypatch.setattr(linalg, "_bareiss_det", lambda a: runs.append(a) or real_det(a))
     a = ((1, 2), (3, 4))
     assert linalg.det(a) == -2 and len(runs) == 1
-    b = linalg.negate_first_row(a)
+    b = linalg._negate_first_row(a)
     assert b == ((-1, -2), (3, 4))
     assert linalg.det(b) == 2 and len(runs) == 1
     # a matrix det does not remember gets no entry
-    c = linalg.negate_first_row(a)
+    c = linalg._negate_first_row(a)
     assert linalg.det(c) == 2 and len(runs) == 2
+
+
+def _reference_inverse(a):
+    """Gauss-Jordan elimination over Fraction on the augmented matrix."""
+    n = len(a)
+    rows = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+            for i, r in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pr = rows[col]
+        f = pr[col]
+        rows[col] = [x / f for x in pr]
+        pr = rows[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                g = rows[i][col]
+                rows[i] = [x - g * y for x, y in zip(rows[i], pr)]
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def test_inverse_matches_gauss_jordan_reference():
+    rng = random.Random(31)
+    seen = dict.fromkeys(("duplicate", "zero-row", "zero-column", "int", "negative",
+                          "den1", "den2", "den3", "singular"), 0)
+    inverted = set()
+    for _ in range(400):
+        k = rng.randint(0, 6)
+        a = _random_matrix(rng, k, k, seen) if k else ()
+        if _reference_det(a) == 0:
+            seen["singular"] += 1
+            with pytest.raises(ZeroDivisionError):
+                linalg.inverse(a)
+            continue
+        b = linalg.inverse(a)
+        assert b == _reference_inverse(a), a
+        assert all(type(x) is Fraction for row in b for x in row), a
+        inverted.add(k)
+    assert inverted == set(range(7))
+    assert all(seen.values()), seen
 
 
 def test_inverse_takes_int_and_fraction_entries():

@@ -47,7 +47,7 @@ def test_koszul_sign_on_odd_pair():
     m = load_builtin("t2-on-t2")
     ab = multiply(m.gen("deta1"), m.gen("deta2"), m)
     ba = multiply(m.gen("deta2"), m.gen("deta1"), m)
-    assert ab == -ba
+    assert ab == ba.scaled(-1)
     assert not ab.is_zero()
 
 
@@ -222,7 +222,7 @@ def test_add_all_equals_pairwise_fold_randomized():
         pieces = [random_element(rng, m, n_terms=rng.randint(1, 5))
                   for _ in range(rng.randint(0, 4))]
         pieces += _raw_pieces(rng, m, counts)
-        pieces += [-p for p in pieces if rng.random() < 0.3]
+        pieces += [p.scaled(-1) for p in pieces if rng.random() < 0.3]
         rng.shuffle(pieces)
         total = add_all(pieces, m)
         assert total == functools.reduce(lambda a, b: add(a, b, m), pieces, Element())
