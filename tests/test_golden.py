@@ -23,7 +23,11 @@ three index-s3-contact reports cr-quadrant-oracle, variable-exchange-symmetry
 and mixed-cone-vanishing became one contact-box-oracle entry, which compares
 the whole box; their characters tables are unchanged.  index-torus-zero.json
 lost its maxDegree line when the report kept maxDegree only for an example
-that reads the window; torus-zero expands on fixed windows.  Each file is
+that reads the window; torus-zero expands on fixed windows.
+index-s3-contact-deg0.json and -deg1.json (an empty negative quadrant and a
+one-cell one) and index-cp1-l2-twist3-deg8.json and -twist-2-deg8.json
+(branching rows read at cells other than weight 0) were written before the
+index characters were kept as dense cell lists.  Each file is
 regenerated in-process here and compared byte for byte.  The built-ins declare no split of rank above one,
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
@@ -45,6 +49,10 @@ CASES = {
        for ex in ("torus-zero", "cp1-dolbeault", "cp1-l2", "hopf", "s3-contact")},
     "index-s3-contact-deg80.json": ["index", "s3-contact", "--max-degree", "80"],
     "index-s3-contact-deg160.json": ["index", "s3-contact", "--max-degree", "160"],
+    "index-s3-contact-deg0.json": ["index", "s3-contact", "--max-degree", "0"],
+    "index-s3-contact-deg1.json": ["index", "s3-contact", "--max-degree", "1"],
+    "index-cp1-l2-twist3-deg8.json": ["index", "cp1-l2", "--twist", "3", "--max-degree", "8"],
+    "index-cp1-l2-twist-2-deg8.json": ["index", "cp1-l2", "--twist", "-2", "--max-degree", "8"],
     "index-hopf-deg0.json": ["index", "hopf", "--max-degree", "0"],
     "index-hopf-deg160.json": ["index", "hopf", "--max-degree", "160"],
     "index-cp1-dolbeault-twist-3.json": ["index", "cp1-dolbeault", "--twist", "-3"],
