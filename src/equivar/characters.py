@@ -20,7 +20,8 @@ from .charclass import localize_index, series_inverse
 from .errors import NonIntegerCoefficients, UnknownExample
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
-from .laurent import RationalCharacter, expand_to_degree, lattice_comb
+from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
+                      lattice_comb)
 from .modelfile import load_builtin
 from .report import make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
@@ -63,12 +64,13 @@ def frobenius_multiplicity_oracle(n, m):
 def s3_contact_character_oracle(radius):
     """Torus character of the tangential Cauchy-Riemann complex of the
     three-sphere on the box |a|, |b| <= radius, by monomial enumeration, one
-    quadrant at a time: (weights, coefficient) pairs, +1 for each CR monomial
+    quadrant at a time: ((range of a, range of b), coefficient) pairs, the
+    quadrant being the rectangle of those ranges, +1 for each CR monomial
     z1^a z2^b (a, b >= 0) and -1 for each monomial of the first cohomology
     (a, b <= -1).  Every other weight of the box, on the mixed cones, has
     coefficient 0."""
     pos, neg = range(radius + 1), range(-radius, 0)
-    return ((iproduct(pos, pos), 1), (iproduct(neg, neg), -1))
+    return (((pos, pos), 1), ((neg, neg), -1))
 
 
 def l2_torus_oracle(w):
@@ -90,11 +92,12 @@ def _box(nvars, radius):
     return iproduct(range(-radius, radius + 1), repeat=nvars)
 
 
-def _character_table(coeffs, nvars, radius):
-    """The rows of the non-zero coefficients on the box of the radius, in
-    the box order, which is the sorted order of the weights."""
+def _character_table(cells, nvars, radius, window):
+    """The rows of the non-zero coefficients on the box of the window, read
+    from the expand_box cells of the box of the radius, in the box order,
+    which is the sorted order of the weights."""
     return [{"weight": list(w), "coefficient": c}
-            for w in _box(nvars, radius) if (c := coeffs.get(w))]
+            for w in _box(nvars, window) if (c := cells[cell_index(w, radius)])]
 
 
 def _poly_table(p):
@@ -135,12 +138,12 @@ def _torus_zero(twist, max_degree):
         rc = RationalCharacter.one(rank_l)
         for row in fr.moment_samples[0]:
             rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
-        coeffs = expand_to_degree(rc, window)
+        cells = expand_to_degree(rc, window)
         oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
         results.append(_entry(f"{prefix}regular-representation-window-{window}",
-                              coeffs == oracle))
+                              box_dict(cells, rank_l, window) == oracle))
         if chars is None:
-            chars = _character_table(coeffs, rank_l, window)
+            chars = _character_table(cells, rank_l, window, window)
     return results, chars, {}
 
 
@@ -158,7 +161,8 @@ def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     jf = j_form(m, "triv")
     radius = max(max_degree, abs(twist) + 2)
-    coeffs = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
+    cells = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
+    coeffs = box_dict(cells, 1, radius)
     oracle = cp1_sheaf_character_oracle(twist)
     ok = coeffs == oracle
     results = [
@@ -168,7 +172,7 @@ def _cp1_dolbeault(twist, max_degree):
                witness=None if ok else {"computed": _poly_table(coeffs),
                                         "oracle": _poly_table(oracle)}),
     ]
-    chars = _character_table(coeffs, 1, radius)
+    chars = _character_table(cells, 1, radius, radius)
     return results, chars, {"case": "ETM", "twist": twist}
 
 
@@ -186,7 +190,8 @@ def _cp1_l2(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
     table, bad = [], []
     for mm in range(max_degree + 1):
-        mult = expand_to_degree(localize_index(_cp1_loci(m, mm), 1), abs(n)).get((n,), 0)
+        cells = expand_to_degree(localize_index(_cp1_loci(m, mm), 1), abs(n))
+        mult = cells[cell_index((n,), abs(n))]
         table.append({"irrep": mm, "multiplicity": mult})
         if mult != frobenius_multiplicity_oracle(n, mm):
             bad.append(mm)
@@ -280,7 +285,13 @@ def _hopf(twist, max_degree):
 def _s3_contact(twist, max_degree):
     """Two fixed circles of the two-torus action on the three-sphere; each
     contributes its lattice comb times one normal factor.  The expansion must
-    equal the monomial-count oracle on the whole box (Atiyah, LNM 401)."""
+    equal the monomial-count oracle on the whole box (Atiyah, LNM 401).
+
+    Each row of an oracle quadrant is one slice of the expand_box cells, and
+    compares with a run of the quadrant's coefficient.  The quadrants hold
+    every non-zero weight of the oracle, so the box matches when every row
+    does and the cells hold no more non-zero values than the quadrants have
+    weights.  The weight dicts and the witness are built only on a mismatch."""
     m = load_builtin("s3-contact")
     results = []
     jf = j_form(m, "co")
@@ -292,26 +303,26 @@ def _s3_contact(twist, max_degree):
         m)
     results.append(_entry("taylor-display-form", disp == expected_disp))
 
-    coeffs = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
-    # each quadrant is read from the table as it is enumerated, and the table
-    # (which holds no zeros) has no other weight; the whole oracle table is
-    # built only for a witness
+    cells = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
+    quadrants = s3_contact_character_oracle(max_degree)
     ok, size = True, 0
-    for weights, c in s3_contact_character_oracle(max_degree):
-        got = list(map(coeffs.get, weights))
-        size += len(got)
-        ok = ok and got.count(c) == len(got)
-    ok = ok and size == len(coeffs)
+    for (rows, cols), c in quadrants:
+        run = [c] * len(cols)
+        size += len(rows) * len(cols)
+        for a in rows:
+            k = cell_index((a, cols.start), max_degree)
+            ok = ok and cells[k:k + len(cols)] == run
+    ok = ok and len(cells) - cells.count(0) == size
     witness = None
     if not ok:
-        oracle = {w: c for weights, c in s3_contact_character_oracle(max_degree)
-                  for w in weights}
+        coeffs = box_dict(cells, 2, max_degree)
+        oracle = {w: c for rect, c in quadrants for w in iproduct(*rect)}
         bad = [w for w in sorted(coeffs.keys() | oracle.keys())
                if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
         witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
                    "oracle": [oracle.get(w, 0) for w in bad]}
     results.append(_entry("contact-box-oracle", ok, witness))
-    return results, _character_table(coeffs, 2, min(3, max_degree)), {}
+    return results, _character_table(cells, 2, max_degree, min(3, max_degree)), {}
 
 
 # ---------------------------------------------------------------------------

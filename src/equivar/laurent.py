@@ -2,10 +2,9 @@
 
 A Laurent polynomial is a dict {exponent tuple: coefficient} with no zero
 entries; a coefficient is an int when it is integral and a Fraction
-otherwise.  expand_box returns such a dict, and the oracles of the index
-layer build them.  A RationalCharacter is a finite sum of terms, each such a
-numerator over a factored denominator prod (1 - c t^w).  Every denominator
-factor carries an expansion direction:
+otherwise.  Numerators are such dicts.  A RationalCharacter is a finite sum
+of terms, each a numerator over a factored denominator prod (1 - c t^w).
+Every denominator factor carries an expansion direction:
 
     expandPositive   1/(1 - c t^w)  ->  sum_{n>=0} c^n t^{n w}
     expandNegative   1/(1 - c t^w)  ->  -sum_{n>=1} c^{-n} t^{-n w}
@@ -16,33 +15,42 @@ exact: if such a phi exists, one exists at a vertex, where rank(S)
 independent steps are tight, so trying every basis of rank(S) steps through
 linalg's exact determinants finds one or proves there is none.
 
-expand_box multiplies the directed series into the numerator one factor at a
-time and keeps only points from which the remaining factors can still reach
-the box.  For each point v of the running sum it walks one line v + n s
-along the factor's step s, with n limited to
+expand_box returns the coefficients of a character on the box
+max_i |v_i| <= r as one dense list with a cell for each point of the box,
+in the order of itertools.product(range(-r, r + 1), repeat=n), which is the
+lexicographic order of the weights: v sits at
+sum_i (v_i + r) (2r + 1)^(n - 1 - i) (cell_index).  box_dict turns the list
+into the polynomial dict of its non-zero cells, for callers that want one.
+A box with more cells than a list can hold raises OutOfRange.
+
+Terms whose denominators are equal as multisets of (w, c, direction) are
+one series: expand_box adds their numerators first and walks each such
+group once, in its first term's factor order.  The functional is still
+found, or found missing, for every group, also when its numerators cancel.
+A group walks the directed series into its numerator one factor at a time
+and keeps only points from which the remaining factors can still reach the
+box.  For each point v of the running sum it walks one line v + n s along
+the factor's step s, with n limited to
   - the half-space phi . (v + n s) <= max phi on the box, since phi only
     grows along later steps, and
   - the box in each coordinate i where every later step has one sign in i
     (a coordinate that can only grow must already be <= the radius, one that
     can only shrink >= minus the radius); after the last factor this is the
     box itself.
-Every factor but the last walks into a dict of points.  The sum over all
-terms lives in one dense list with a cell for each point of the box, in the
-order of itertools.product(range(-r, r + 1), repeat=n): v sits at
-sum_i (v_i + r) (2r + 1)^(n - 1 - i).  The last factor's lines lie in the
-box, so each one is the arithmetic progression of cells starting at its
-first point with step sum_i s_i (2r + 1)^(n - 1 - i); a line of one point,
-whose step may be longer than the box is wide, writes that one cell.  The
-coefficient dict is built from the non-zero cells in one pass at the end.
-A box with more cells than a list can hold raises OutOfRange.
+Every factor but the last walks into a dict of points.  The last factor's
+lines lie in the box, so each one is the arithmetic progression of cells
+starting at its first point with step sum_i s_i (2r + 1)^(n - 1 - i); a
+line of one point, whose step may be longer than the box is wide, writes
+that one cell.
 
 Coefficients stay Python ints while the data are integral (integer
 numerator coefficients, integer c, and c = +-1 on negative-direction factors,
 as in every bundled model); otherwise the affected values are Fractions.  The
-two mix exactly, so there is one code path.  expand_box returns the same
-exact values: an int where the coefficient is integral, a Fraction
-otherwise.  expand_to_degree is the integrality gate of the index layer: it
-returns the expand_box dict when every value in it is an int.
+two mix exactly, so there is one code path.  When every numerator value and
+series ratio is an int, every cell is one by construction; otherwise
+expand_box turns the integral Fractions into ints in one pass.
+expand_to_degree is the integrality gate of the index layer: one scan of the
+cell types, and it returns the expand_box list when every cell is an int.
 """
 
 from dataclasses import dataclass
@@ -176,28 +184,38 @@ def _lines(acc, f, ratio, s, phi, top, clips, radius):
             yield v, lo, hi, a * first * ratio ** (lo - n0)
 
 
-def _add_term(total, term, radius, strides):
-    """Add the coefficients of one term on the box max_i |v_i| <= radius
+def _like_terms(terms):
+    """(num, den) per group of terms whose denominators are equal as
+    multisets of (weight, c, direction): the numerators summed, without
+    zeros, over the first term's factors in their order."""
+    groups = {}
+    for t in terms:
+        key = tuple(sorted((f.weight, f.c, f.direction) for f in t.den))
+        if key in groups:
+            num = groups[key][0]
+            for v, c in t.num.items():
+                num[v] = num.get(v, 0) + c
+        else:
+            groups[key] = (dict(t.num), t.den)
+    return [({v: c for v, c in num.items() if c}, den) for num, den in groups.values()]
+
+
+def _add_term(total, num, den, steps, ratios, phi, radius, strides):
+    """Add the coefficients of num over the factors den (with their steps,
+    series ratios and common functional phi) on the box max_i |v_i| <= radius
     into the dense list total, whose cell for v is
     radius * sum(strides) + sum_i v_i * strides[i]."""
     offset = radius * sum(strides)
-    acc = term.num
-    if not term.den:
+    acc = num
+    if not den:
         for v, c in acc.items():
             if all(abs(x) <= radius for x in v):
                 total[offset + sum(map(mul, v, strides))] += c
         return
     nvars = len(strides)
-    steps = [f.step() for f in term.den]
-    phi = _positivity_functional(steps, nvars)
-    if phi is None:
-        raise MissingExpansionDirection(
-            "declared expansion directions admit no common positivity functional")
     top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
     last = len(steps) - 1
-    for j, (f, s) in enumerate(zip(term.den, steps)):
-        c = Fraction(f.c)
-        ratio = _exact(c if f.direction == EXPAND_POSITIVE else 1 / c)
+    for j, (f, ratio, s) in enumerate(zip(den, ratios, steps)):
         lines = _lines(acc, f, ratio, s, phi, top, _clips(steps[j + 1:], nvars), radius)
         if j == last:
             break
@@ -226,9 +244,10 @@ def _add_term(total, term, radius, strides):
 
 
 def expand_box(rc, radius):
-    """Exact coefficients of rc on the box max_i |v_i| <= radius: an int
-    where the value is integral, a Fraction otherwise.  Raises OutOfRange
-    when the box has too many cells to hold."""
+    """Exact coefficients of rc on the box max_i |v_i| <= radius, one cell
+    per point in the order of itertools.product(range(-radius, radius + 1),
+    repeat=rc.nvars): an int where the value is integral, a Fraction
+    otherwise.  Raises OutOfRange when the box has too many cells to hold."""
     nvars = rc.nvars
     width = 2 * radius + 1
     cells = width ** nvars
@@ -238,13 +257,35 @@ def expand_box(rc, radius):
         raise OutOfRange(f"the box of radius {radius} has {cells} cells, "
                          "too many to hold") from None
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
-    for term in rc.terms:
-        _add_term(total, term, radius, strides)
-    box = dict(zip(compress(product(range(-radius, radius + 1), repeat=nvars), total),
-                   filter(None, total)))
-    if set(map(type, box.values())) - {int}:
-        box = {v: c if c.__class__ is int else _exact(c) for v, c in box.items()}
-    return box
+    integral = True
+    for num, den in _like_terms(rc.terms):
+        steps = [f.step() for f in den]
+        phi = _positivity_functional(steps, nvars) if den else ()
+        if phi is None:
+            raise MissingExpansionDirection(
+                "declared expansion directions admit no common positivity functional")
+        # c, or 1/c on a negative factor
+        ratios = [_exact(Fraction(f.c) ** f.direction) for f in den]
+        integral = integral and all(x.__class__ is int for x in (*num.values(), *ratios))
+        if num:
+            _add_term(total, num, den, steps, ratios, phi, radius, strides)
+    if integral:
+        return total
+    return [c if c.__class__ is int else _exact(c) for c in total]
+
+
+def box_dict(cells, nvars, radius):
+    """The {weight: coefficient} dict of the non-zero cells of an expand_box list."""
+    return dict(zip(compress(product(range(-radius, radius + 1), repeat=nvars), cells),
+                    filter(None, cells)))
+
+
+def cell_index(weight, radius):
+    """Position of weight in an expand_box list of the box of the radius."""
+    k = 0
+    for x in weight:
+        k = k * (2 * radius + 1) + x + radius
+    return k
 
 
 def expand_to_degree(rc, max_degree):
@@ -255,14 +296,19 @@ def expand_to_degree(rc, max_degree):
     integer; integer multiplicities are part of the character contract, and a
     fractional value signals a normalization error upstream.  expand_box
     gives an int wherever the value is integral, so the check is one scan
-    of the value types, and its dict is returned as is.  The message names
-    the lexicographically first non-integer weight.
+    of the cell types, and its list is returned as is.  The message names
+    the lexicographically first non-integer weight, which is the first
+    non-integer cell.
     """
-    box = expand_box(rc, max_degree)
-    if set(map(type, box.values())) - {int}:
-        v, c = next((v, c) for v, c in box.items() if c.__class__ is not int)
-        raise NonIntegerCoefficients(f"coefficient {c} at weight {v}")
-    return box
+    cells = expand_box(rc, max_degree)
+    if set(map(type, cells)) - {int}:
+        k, c = next((k, c) for k, c in enumerate(cells) if c.__class__ is not int)
+        weight = []
+        for _ in range(rc.nvars):
+            k, x = divmod(k, 2 * max_degree + 1)
+            weight.append(x - max_degree)
+        raise NonIntegerCoefficients(f"coefficient {c} at weight {tuple(reversed(weight))}")
+    return cells
 
 
 def lattice_comb(nvars, direction):

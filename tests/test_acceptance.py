@@ -13,7 +13,7 @@ from equivar.characters import (
 from equivar.charclass import localize_index
 from equivar.genco import fourier_fibre_integrate, with_fibre_coordinates
 from equivar.jform import check_closed, chern_weil_pair, frame_change_compare, j_form
-from equivar.laurent import expand_box
+from equivar.laurent import box_dict, expand_box
 from equivar.linalg import random_gl_plus
 from equivar.modelfile import builtin_names, load_builtin
 from equivar.report import report_status
@@ -142,7 +142,7 @@ def test_c09_contact_cr_case():
     rep = run_pipeline("s3-contact", max_degree=20)
     ok = report_status(rep) == "pass"
     m = load_builtin("s3-contact")
-    box = expand_box(localize_index(m.fixed_loci, 2), 20)
+    box = box_dict(expand_box(localize_index(m.fixed_loci, 2), 20), 2, 20)
     # CR monomials z1^a z2^b (a, b >= 0) count +1, the first cohomology
     # (a, b <= -1) counts -1, and the mixed cones are empty
     for a in range(-20, 21):

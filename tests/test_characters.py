@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from math import factorial
 
 import pytest
@@ -69,7 +70,7 @@ def test_frobenius_oracle_branching_pattern():
 
 
 def _s3_table(radius):
-    return {w: c for weights, c in s3_contact_character_oracle(radius) for w in weights}
+    return {w: c for rect, c in s3_contact_character_oracle(radius) for w in product(*rect)}
 
 
 def test_cr_oracle_counts_holomorphic_monomials():
@@ -383,9 +384,9 @@ def test_contact_box_oracle_sees_a_stray_mixed_cone_weight(monkeypatch):
     expand = characters.expand_to_degree
 
     def stray(rc, max_degree):
-        coeffs = expand(rc, max_degree)
-        coeffs[(5, -1)] = 1
-        return coeffs
+        cells = expand(rc, max_degree)
+        cells[laurent.cell_index((5, -1), max_degree)] = 1
+        return cells
 
     monkeypatch.setattr(characters, "expand_to_degree", stray)
     entry = next(r for r in run_pipeline("s3-contact")["results"]
@@ -406,3 +407,78 @@ def test_s3_contact_is_exact_at_small_radii():
         assert report_status(rep) == "pass", radius
         rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
         assert rows == _s3_table(min(3, radius)), radius
+
+
+def _cell(weight, radius):
+    """The cell of weight clamped into the box of the radius, whose only
+    cell at radius 0 is (0, 0)."""
+    return laurent.cell_index(tuple(max(-radius, min(radius, x)) for x in weight), radius)
+
+
+def _stray_mixed_corner(cells, r):
+    cells[_cell((r, -r), r)] += 1
+
+
+def _missing_cr_corner(cells, r):
+    cells[_cell((r, r), r)] = 0
+
+
+def _wrong_sign(cells, r):
+    k = _cell((-1, -1), r)
+    cells[k] = -cells[k]
+
+
+def _extra_outside_quadrant(cells, r):
+    # (-1, 0) is one step left of the CR quadrant and above the negative one
+    cells[_cell((-1, 0), r)] += 1
+
+
+def _dict_path_entry(cells, radius):
+    """The contact-box-oracle entry by the whole-box dict comparison."""
+    coeffs = laurent.box_dict(cells, 2, radius)
+    oracle = _s3_table(radius)
+    bad = [w for w in sorted(coeffs.keys() | oracle.keys())
+           if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
+    entry = {"check": "contact-box-oracle", "status": "fail" if bad else "pass"}
+    if bad:
+        entry["witness"] = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
+                            "oracle": [oracle.get(w, 0) for w in bad]}
+    return entry
+
+
+@pytest.mark.parametrize("radius", (0, 1, 2, 30))
+@pytest.mark.parametrize("fault", (_stray_mixed_corner, _missing_cr_corner, _wrong_sign,
+                                   _extra_outside_quadrant))
+def test_contact_box_row_slices_catch_cell_faults(fault, radius, monkeypatch):
+    expand = characters.expand_to_degree
+    faulty = []
+
+    def expand_with_fault(rc, max_degree):
+        cells = expand(rc, max_degree)
+        fault(cells, max_degree)
+        faulty.append(cells)
+        return cells
+
+    monkeypatch.setattr(characters, "expand_to_degree", expand_with_fault)
+    entry = next(r for r in run_pipeline("s3-contact", max_degree=radius)["results"]
+                 if r["check"] == "contact-box-oracle")
+    assert entry["status"] == "fail"
+    assert entry == _dict_path_entry(faulty[0], radius)
+
+
+def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
+    calls = []
+    box_dict = laurent.box_dict
+
+    def counted(*args):
+        calls.append(args[1:])
+        return box_dict(*args)
+
+    monkeypatch.setattr(laurent, "box_dict", counted)
+    monkeypatch.setattr(characters, "box_dict", counted)
+    assert report_status(run_pipeline("s3-contact", 0, 30)) == "pass"
+    assert calls == []
+    # a failing check does build it, for its witness
+    monkeypatch.setattr(characters, "expand_to_degree", lambda rc, d: [0] * (2 * d + 1) ** 2)
+    assert report_status(run_pipeline("s3-contact", 0, 30)) == "fail"
+    assert calls == [(2, 30)]

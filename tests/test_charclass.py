@@ -13,10 +13,15 @@ from equivar.charclass import (
     series_inverse,
 )
 from equivar.errors import MissingExpansionDirection, ZeroWeight
-from equivar.laurent import EXPAND_POSITIVE, expand_box, expand_to_degree
+from equivar.laurent import EXPAND_POSITIVE, box_dict, expand_box, expand_to_degree
 from equivar.modelfile import load_builtin
 
 F = Fraction
+
+
+def _dict(expand, rc, radius):
+    """The cells of expand(rc, radius) as the dict of the non-zero ones."""
+    return box_dict(expand(rc, radius), rc.nvars, radius)
 
 
 def _todd(weights):
@@ -57,14 +62,14 @@ def test_taylor_series_basics():
 def test_fixed_point_contribution_isolated():
     m = load_builtin("cp1-dolbeault")
     north = m.fixed_loci[0]
-    box = expand_box(fixed_point_contribution(north, 1), 6)
+    box = _dict(expand_box, fixed_point_contribution(north, 1), 6)
     # t / (1 - t^-2) expanded along the tangent weight
     assert box == {(1,): F(1), (-1,): F(1), (-3,): F(1), (-5,): F(1)}
 
 
 def test_fixed_point_contribution_circle():
     m = load_builtin("s3-contact")
-    box = expand_box(fixed_point_contribution(m.fixed_loci[0], 2), 3)
+    box = _dict(expand_box, fixed_point_contribution(m.fixed_loci[0], 2), 3)
     for a in range(-3, 4):
         for b in range(-3, 4):
             assert box.get((a, b), F(0)) == (F(1) if b >= 0 else F(0))
@@ -88,7 +93,7 @@ def _cp1_loci(n):
 def test_localize_cp1_line_bundles_match_oracle():
     for n in range(-10, 11):
         rc = localize_index(_cp1_loci(n), 1)
-        box = expand_box(rc, abs(n) + 2)
+        box = _dict(expand_box, rc, abs(n) + 2)
         expected = {w: v for w, v in cp1_sheaf_character_oracle(n).items() if v}
         got = {w: v for w, v in box.items() if v}
         assert got == expected, n
@@ -97,6 +102,6 @@ def test_localize_cp1_line_bundles_match_oracle():
 def test_localize_output_has_integer_coefficients():
     for n in (-7, -1, 0, 4):
         rc = localize_index(_cp1_loci(n), 1)
-        coeffs = expand_to_degree(rc, 12)
+        coeffs = _dict(expand_to_degree, rc, 12)
         for w in range(-12, 13):
             assert coeffs.get((w,), 0) == int(coeffs.get((w,), 0))

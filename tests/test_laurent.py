@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from equivar import linalg
+from equivar import laurent, linalg
 from equivar.charclass import localize_index
 from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 from equivar.laurent import (
@@ -17,7 +17,9 @@ from equivar.laurent import (
     DenomFactor,
     RationalCharacter,
     RCTerm,
+    _like_terms,
     _positivity_functional,
+    box_dict,
     expand_box,
     expand_to_degree,
     lattice_comb,
@@ -25,6 +27,11 @@ from equivar.laurent import (
 from equivar.modelfile import load_builtin
 
 F = Fraction
+
+
+def _expand(rc, radius):
+    """expand_box as the dict of its non-zero cells."""
+    return box_dict(expand_box(rc, radius), rc.nvars, radius)
 
 
 def _geo(weight, direction, nvars=1):
@@ -37,21 +44,21 @@ def _poly(nvars, coeffs):
 
 
 def test_geometric_series_positive_side():
-    box = expand_box(_geo((1,), EXPAND_POSITIVE), 4)
+    box = _expand(_geo((1,), EXPAND_POSITIVE), 4)
     assert box == {(n,): F(1) for n in range(5)}
 
 
 def test_geometric_series_negative_side():
     # 1/(1-t) = -t^-1/(1-t^-1) on the other side of the pole
-    box = expand_box(_geo((1,), EXPAND_NEGATIVE), 4)
+    box = _expand(_geo((1,), EXPAND_NEGATIVE), 4)
     assert box == {(-n,): F(-1) for n in range(1, 5)}
 
 
 def test_two_sides_differ_by_the_full_comb():
     # positive minus negative expansion of 1/(1-t) is the delta comb
-    pos = expand_box(_geo((1,), EXPAND_POSITIVE), 6)
-    neg = expand_box(_geo((1,), EXPAND_NEGATIVE), 6)
-    comb = expand_box(lattice_comb(1, (1,)), 6)
+    pos = _expand(_geo((1,), EXPAND_POSITIVE), 6)
+    neg = _expand(_geo((1,), EXPAND_NEGATIVE), 6)
+    comb = _expand(lattice_comb(1, (1,)), 6)
     for n in range(-6, 7):
         assert pos.get((n,), F(0)) - neg.get((n,), F(0)) == comb.get((n,), F(0))
 
@@ -66,9 +73,9 @@ def test_cauchy_product_consistency():
               (rng.randint(3, 4),): rng.randint(-3, -1)}
         r2 = RationalCharacter(
             1, (RCTerm(p2, (DenomFactor((2,), F(1), EXPAND_POSITIVE),)),))
-        prod = expand_box(r1 * r2, 6)
-        b1 = expand_box(r1, 30)
-        b2 = expand_box(r2, 30)
+        prod = _expand(r1 * r2, 6)
+        b1 = _expand(r1, 30)
+        b2 = _expand(r2, 30)
         for n in range(-6, 7):
             conv = sum((b1.get((i,), F(0)) * b2.get((n - i,), F(0))
                         for i in range(-30, 31)), F(0))
@@ -80,7 +87,7 @@ def test_multiplying_back_the_denominator():
     for direction in (EXPAND_POSITIVE, EXPAND_NEGATIVE):
         geo = _geo((3,), direction)
         poly = _poly(1, {(0,): 1, (3,): -1})
-        back = expand_box(poly * geo, 10)
+        back = _expand(poly * geo, 10)
         assert back == {(0,): F(1)}
 
 
@@ -88,12 +95,12 @@ def test_reciprocal_inverse_pair():
     rc = _poly(1, {(0,): 1, (1,): -2})
     inv = RationalCharacter(
         1, (RCTerm({(0,): 1}, (DenomFactor((1,), F(2), EXPAND_POSITIVE),)),))
-    assert expand_box(rc * inv, 8) == {(0,): F(1)}
+    assert _expand(rc * inv, 8) == {(0,): F(1)}
 
 
 def test_lattice_comb_two_variables():
     comb = lattice_comb(2, (1, 0))
-    box = expand_box(comb, 2)
+    box = _expand(comb, 2)
     for a in range(-2, 3):
         assert box.get((a, 0), F(0)) == F(1)
     assert all(w[1] == 0 for w in box)
@@ -108,7 +115,7 @@ def test_expand_to_degree_integrality_gate():
     with pytest.raises(NonIntegerCoefficients, match=r"coefficient 5/2 at weight \(-1, 2\)$"):
         expand_to_degree(mixed, 3)
     whole = _poly(1, {(2,): 4})
-    assert expand_to_degree(whole, 3) == {(2,): 4}
+    assert box_dict(expand_to_degree(whole, 3), 1, 3) == {(2,): 4}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,7 @@ def test_expand_box_matches_reference_on_random_characters():
     for _ in range(300):
         rc = _random_character(rng)
         radius = rng.randint(0, 4)
-        got = expand_box(rc, radius)
+        got = _expand(rc, radius)
         assert got == _reference_expand_box(rc, radius)
         assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
         dens = [f for t in rc.terms for f in t.den]
@@ -241,7 +248,7 @@ def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
     cases += [(3, rng.randint(3, 6), 2) for _ in range(40)]
     for nvars, radius, wmax in cases:
         rc = _random_character(rng, nvars, wmax)
-        got = expand_box(rc, radius)
+        got = _expand(rc, radius)
         assert got == _reference_expand_box(rc, radius), (nvars, radius)
         assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
         last = [t.den[-1].step() for t in rc.terms if t.den]
@@ -267,18 +274,18 @@ def test_expand_box_accumulator_clipped_to_empty():
     # t^5 / (1 - t): every point of the series lies right of the box
     far = RationalCharacter(1, (RCTerm({(5,): 1},
                                        (DenomFactor((1,), F(1), EXPAND_POSITIVE),)),))
-    assert expand_box(far, 3) == {} == _reference_expand_box(far, 3)
+    assert _expand(far, 3) == {} == _reference_expand_box(far, 3)
     # the first factor clips to nothing before the second is walked
     two = RationalCharacter(2, (RCTerm({(0, 4): 1},
                                        (DenomFactor((0, 1), F(2), EXPAND_POSITIVE),
                                         DenomFactor((1, 0), F(1), EXPAND_NEGATIVE))),))
-    assert expand_box(two, 2) == {} == _reference_expand_box(two, 2)
-    assert expand_box(two, 0) == {} and expand_box(_geo((1,), EXPAND_POSITIVE), 0) == {(0,): 1}
+    assert _expand(two, 2) == {} == _reference_expand_box(two, 2)
+    assert _expand(two, 0) == {} and _expand(_geo((1,), EXPAND_POSITIVE), 0) == {(0,): 1}
 
 
 def test_expand_box_matches_reference_on_s3_contact():
     rc = localize_index(load_builtin("s3-contact").fixed_loci, 2)
-    assert expand_box(rc, 30) == _reference_expand_box(rc, 30)
+    assert _expand(rc, 30) == _reference_expand_box(rc, 30)
 
 
 def test_functional_outside_small_search_window():
@@ -287,7 +294,7 @@ def test_functional_outside_small_search_window():
     rc = RationalCharacter(2, (RCTerm({(1, 0): F(3, 2)},
                                       (DenomFactor((1, -4), F(-1), EXPAND_POSITIVE),
                                        DenomFactor((4, -17), F(2), EXPAND_NEGATIVE))),))
-    got = expand_box(rc, 6)
+    got = _expand(rc, 6)
     assert got and got == _reference_expand_box(rc, 6, bound=21)
 
 
@@ -384,3 +391,100 @@ def test_no_functional_still_rejected():
                                              DenomFactor((1,), F(1), EXPAND_NEGATIVE))),))
     with pytest.raises(MissingExpansionDirection):
         expand_box(opposite, 3)
+
+
+# ---------------------------------------------------------------------------
+# terms over like denominators are summed before the walk
+
+def _like_denominator_character(rng, seen):
+    """A seeded character with repeated denominators: copies of its terms'
+    denominators in permuted factor order, over the same, the opposite or
+    a partly changed numerator."""
+    rc = _random_character(rng)
+    terms = list(rc.terms)
+    for t in rc.terms:
+        if not t.den or rng.random() < 0.3:
+            continue
+        den = tuple(rng.sample(t.den, len(t.den)))
+        seen["permuted"] += den != t.den
+        kind = rng.choice(("same", "opposite", "partial"))
+        seen[kind] += 1
+        if kind == "same":
+            num = dict(t.num)
+        elif kind == "opposite":
+            num = {v: -c for v, c in t.num.items()}
+        else:
+            v = rng.choice(sorted(t.num))
+            num = {v: -t.num[v] + rng.choice(_COEFFS),
+                   tuple(rng.randint(-4, 4) for _ in v): rng.choice(_COEFFS)}
+        terms.append(RCTerm(num, den))
+    return RationalCharacter(rc.nvars, terms)
+
+
+def test_like_denominators_summed_match_reference():
+    rng = random.Random(23)
+    seen = dict.fromkeys(("permuted", "same", "opposite", "partial", "merged",
+                          "cancelled"), 0)
+    for _ in range(300):
+        rc = _like_denominator_character(rng, seen)
+        groups = _like_terms(rc.terms)
+        seen["merged"] += len(groups) < len(rc.terms)
+        seen["cancelled"] += any(not num for num, _ in groups)
+        radius = rng.randint(0, 4)
+        got = _expand(rc, radius)
+        assert got == _reference_expand_box(rc, radius)
+        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
+    assert all(seen.values()), seen
+
+
+def test_cancelled_group_without_functional_still_raises():
+    pos = DenomFactor((1,), F(1), EXPAND_POSITIVE)
+    neg = DenomFactor((1,), F(1), EXPAND_NEGATIVE)
+    rc = RationalCharacter(1, (RCTerm({(0,): 1}, (pos, neg)), RCTerm({(0,): -1}, (neg, pos))))
+    assert _like_terms(rc.terms) == [({}, (pos, neg))]
+    with pytest.raises(MissingExpansionDirection):
+        expand_box(rc, 3)
+
+
+def test_integral_sums_of_fraction_data_come_back_as_int():
+    half = F(1, 2)
+    pos = DenomFactor((1, 0), F(1), EXPAND_POSITIVE)
+    whole_c = DenomFactor((0, 1), F(3), EXPAND_POSITIVE)  # a Fraction c that is integral
+    cases = [
+        RationalCharacter(2, (RCTerm({(0, 0): half}, (pos,)), RCTerm({(0, 0): half}, (pos,)))),
+        RationalCharacter(2, (RCTerm({(1, -1): F(4, 3)}, (whole_c, pos)),
+                              RCTerm({(1, -1): F(2, 3)}, (pos, whole_c)))),
+        RationalCharacter(2, (RCTerm({(-1, 0): F(5)}, (whole_c,)),)),
+    ]
+    for rc in cases:
+        cells = expand_box(rc, 3)
+        assert all(type(c) is int for c in cells)
+        assert box_dict(cells, 2, 3) == _reference_expand_box(rc, 3) != {}
+
+
+def test_integrality_message_on_a_2d_box():
+    # -sum_{n >= 1} 2^-n t1^-n plus an integral series along t2
+    rc = RationalCharacter(2, (
+        RCTerm({(0, 0): 1}, (DenomFactor((1, 0), F(2), EXPAND_NEGATIVE),)),
+        RCTerm({(0, -2): 3}, (DenomFactor((0, 1), F(1), EXPAND_POSITIVE),))))
+    box = _reference_expand_box(rc, 2)
+    v, c = next((v, c) for v, c in sorted(box.items()) if c.denominator != 1)
+    assert (v, c) == ((-2, 0), F(-1, 4))
+    with pytest.raises(NonIntegerCoefficients, match=r"^coefficient -1/4 at weight \(-2, 0\)$"):
+        expand_to_degree(rc, 2)
+
+
+def test_s3_contact_expansion_walks_two_groups(monkeypatch):
+    # the mixed-cone terms of the two circles cancel: 4 terms, 2 walks
+    calls = []
+    add_term = laurent._add_term
+
+    def counted(*args):
+        calls.append(1)
+        return add_term(*args)
+
+    monkeypatch.setattr(laurent, "_add_term", counted)
+    rc = localize_index(load_builtin("s3-contact").fixed_loci, 2)
+    assert len(rc.terms) == 4
+    expand_box(rc, 20)
+    assert len(calls) == 2
