@@ -24,7 +24,7 @@ from .genco import (delta_linear_substitute, fourier_fibre_integrate,
                     taylor_expand_delta, with_fibre_coordinates)
 from .jform import (JForm, chern_weil_pair, check_closed, check_transversality,
                     frame_change_compare, j_form, transformed_j_form)
-from .laurent import (DenomFactor, RationalCharacter, expand_box,
+from .laurent import (DenomFactor, RationalCharacter, box_dict, expand_box,
                       expand_to_degree, lattice_comb)
 from .modelfile import (builtin_names, load_builtin, load_model, loads_model,
                         parse_element)

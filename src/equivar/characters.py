@@ -21,7 +21,7 @@ from .errors import NonIntegerCoefficients, UnknownExample
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
-                      lattice_comb)
+                      lattice_comb, window_cells)
 from .modelfile import load_builtin
 from .report import make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
@@ -92,12 +92,11 @@ def _box(nvars, radius):
     return iproduct(range(-radius, radius + 1), repeat=nvars)
 
 
-def _character_table(cells, nvars, radius, window):
-    """The rows of the non-zero coefficients on the box of the window, read
-    from the expand_box cells of the box of the radius, in the box order,
-    which is the sorted order of the weights."""
+def _character_table(cells, nvars, radius):
+    """The rows of the non-zero expand_box cells of the box of the radius, in
+    the box order, which is the sorted order of the weights."""
     return [{"weight": list(w), "coefficient": c}
-            for w in _box(nvars, window) if (c := cells[cell_index(w, radius)])]
+            for w, c in zip(_box(nvars, radius), cells) if c]
 
 
 def _poly_table(p):
@@ -143,7 +142,7 @@ def _torus_zero(twist, max_degree):
         results.append(_entry(f"{prefix}regular-representation-window-{window}",
                               box_dict(cells, rank_l, window) == oracle))
         if chars is None:
-            chars = _character_table(cells, rank_l, window, window)
+            chars = _character_table(cells, rank_l, window)
     return results, chars, {}
 
 
@@ -172,7 +171,7 @@ def _cp1_dolbeault(twist, max_degree):
                witness=None if ok else {"computed": _poly_table(coeffs),
                                         "oracle": _poly_table(oracle)}),
     ]
-    chars = _character_table(cells, 1, radius, radius)
+    chars = _character_table(cells, 1, radius)
     return results, chars, {"case": "ETM", "twist": twist}
 
 
@@ -322,7 +321,9 @@ def _s3_contact(twist, max_degree):
         witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
                    "oracle": [oracle.get(w, 0) for w in bad]}
     results.append(_entry("contact-box-oracle", ok, witness))
-    return results, _character_table(cells, 2, max_degree, min(3, max_degree)), {}
+    window = min(3, max_degree)
+    chars = _character_table(window_cells(cells, 2, max_degree, window), 2, window)
+    return results, chars, {}
 
 
 # ---------------------------------------------------------------------------

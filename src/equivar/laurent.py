@@ -190,7 +190,8 @@ def _like_terms(terms):
     zeros, over the first term's factors in their order."""
     groups = {}
     for t in terms:
-        key = tuple(sorted((f.weight, f.c, f.direction) for f in t.den))
+        key = tuple(sorted((f.weight, f.direction, f.c.numerator, f.c.denominator)
+                           for f in t.den))
         if key in groups:
             num = groups[key][0]
             for v, c in t.num.items():
@@ -286,6 +287,15 @@ def cell_index(weight, radius):
     for x in weight:
         k = k * (2 * radius + 1) + x + radius
     return k
+
+
+def window_cells(cells, nvars, radius, window):
+    """The expand_box list of the box of the window, cut from the cells of
+    the box of the radius (window <= radius)."""
+    width = 2 * radius + 1
+    axes = ([(x + radius) * width ** i for x in range(-window, window + 1)]
+            for i in reversed(range(nvars)))
+    return [cells[k] for k in map(sum, product(*axes))]
 
 
 def expand_to_degree(rc, max_degree):
