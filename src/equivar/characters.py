@@ -3,10 +3,11 @@
 Every oracle works by direct weight enumeration (monomial bases, branching
 counts), never through the localization engine, so each comparison is
 genuinely two-route.  Each example is one function in _EXAMPLES, listed with
-the run_pipeline arguments it reads, that returns (results, characters,
-extra): the entries [{"check", "status", "witness"?}] with status "pass",
-"fail" or "skipped-out-of-scope", the character table [{"weight",
-"coefficient"}] or None, and the example's own report keys.
+the run_pipeline arguments it reads, which are exactly its parameters, that
+returns (results, characters, extra): the entries [{"check", "status",
+"witness"?}] with status "pass", "fail" or "skipped-out-of-scope", the
+character table [{"weight", "coefficient"}] or None, and the example's own
+report keys.
 run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
 """
@@ -17,7 +18,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .charclass import localize_index, series_inverse
-from .errors import NonIntegerCoefficients, UnknownExample
+from .errors import NonIntegerCoefficients, UnknownExample, UsageError
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
@@ -106,7 +107,7 @@ def _poly_table(p):
 # ---------------------------------------------------------------------------
 # torus zero operator
 
-def _torus_zero(twist, max_degree):
+def _torus_zero():
     """Index of the zero operator on the torus of rank 1 and of rank 2 acting
     on itself, with the entries of rank l prefixed "rank<l>:".
 
@@ -251,7 +252,7 @@ def hopf_multiplicities(m, fid, isotypes):
     return mults
 
 
-def _hopf(twist, max_degree):
+def _hopf(max_degree):
     """Locally free circle action on the total space of the circle bundle
     over the projective line.
 
@@ -281,7 +282,7 @@ def _hopf(twist, max_degree):
 # ---------------------------------------------------------------------------
 # contact three-sphere
 
-def _s3_contact(twist, max_degree):
+def _s3_contact(max_degree):
     """Two fixed circles of the two-torus action on the three-sphere; each
     contributes its lattice comb times one normal factor.  The expansion must
     equal the monomial-count oracle on the whole box (Atiyah, LNM 401).
@@ -329,7 +330,8 @@ def _s3_contact(twist, max_degree):
 # ---------------------------------------------------------------------------
 # dispatch
 
-# each example's function and the run_pipeline arguments that it reads
+# each example's function and the run_pipeline arguments that it reads, by
+# the names of its parameters
 _EXAMPLES = {
     "torus-zero": (_torus_zero, ()),
     "cp1-dolbeault": (_cp1_dolbeault, ("twist", "max_degree")),
@@ -339,25 +341,29 @@ _EXAMPLES = {
 }
 EXAMPLES = tuple(_EXAMPLES)
 
-
-def _example(name):
-    if name not in _EXAMPLES:
-        raise UnknownExample(f"unknown example {name!r}; choose from {list(EXAMPLES)}")
-    return _EXAMPLES[name]
+_DEFAULTS = {"twist": 0, "max_degree": 20}
 
 
-def example_arguments(example):
-    """The run_pipeline arguments, of "twist" and "max_degree", that example
-    reads; it ignores the others."""
-    return _example(example)[1]
-
-
-def run_pipeline(example, twist=0, max_degree=20):
+def run_pipeline(example, **arguments):
     """The index report of one example: its entries, character table and
     own keys in the report envelope, with the window as maxDegree when the
-    example reads it."""
-    run, reads = _example(example)
-    results, characters, extra = run(twist, max_degree)
-    if "max_degree" in reads:
-        extra = dict(extra, maxDegree=max_degree)
+    example reads it.
+
+    arguments holds those of "twist" and "max_degree" that are given; the
+    example runs on the _DEFAULTS of the others that it reads.  Raises
+    UnknownExample for a name not in EXAMPLES, and UsageError for a given
+    argument that the example does not read or a negative max_degree."""
+    if example not in _EXAMPLES:
+        raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
+    run, reads = _EXAMPLES[example]
+    unread = [f"--{name.replace('_', '-')}" for name in arguments if name not in reads]
+    if unread:
+        raise UsageError(f"example {example!r} does not read {' or '.join(unread)}")
+    if arguments.get("max_degree", 0) < 0:
+        raise UsageError("--max-degree must be a nonnegative integer, "
+                         f"got {arguments['max_degree']}")
+    values = {name: arguments.get(name, _DEFAULTS[name]) for name in reads}
+    results, characters, extra = run(**values)
+    if "max_degree" in values:
+        extra = dict(extra, maxDegree=values["max_degree"])
     return make_report("index", example, results, characters, extra)

@@ -6,9 +6,11 @@
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 error (bad input,
 violated model invariant, non-integer coefficients, an expansion window too
-large to hold, an index flag the example does not read).  EQUIVAR_MAX_DEGREE
-overrides the default expansion degree.  Reports are deterministic for
-identical inputs and seed.
+large to hold, a negative --max-degree, an index flag the example does not
+read, a --frame-trials below 1).  run_verify and characters.run_pipeline
+check their own arguments; main passes them only the flags given.  The
+expansion window defaults to 20.  Reports are deterministic for identical
+inputs and seed.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import os
 import random
 import sys
 
-from .characters import EXAMPLES, example_arguments, run_pipeline
+from .characters import EXAMPLES, run_pipeline
 from .errors import EquivarError, NotTransverse, UsageError
 from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
@@ -38,6 +40,8 @@ def _load(source):
 
 
 def run_verify(model, seed=0, frame_trials=25):
+    if frame_trials < 1:
+        raise UsageError(f"--frame-trials must be a positive integer, got {frame_trials}")
     rng = random.Random(seed)
     results = []
     rendered = {}
@@ -72,8 +76,8 @@ def run_verify(model, seed=0, frame_trials=25):
                               "frameTrials": frame_trials})
 
 
-def run_index(example, twist=0, max_degree=20):
-    return run_pipeline(example, twist, max_degree)
+def run_index(example, **arguments):
+    return run_pipeline(example, **arguments)
 
 
 def _emit(rep, json_path):
@@ -93,7 +97,7 @@ def _emit(rep, json_path):
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first main call and reused: it
-    holds no per-call state (EQUIVAR_MAX_DEGREE is read in _max_degree)."""
+    holds no per-call state."""
     p = argparse.ArgumentParser(
         prog="equivar",
         description="Equivariant forms with delta coefficients: verification "
@@ -111,7 +115,7 @@ def _build_parser():
     ix.add_argument("--twist", type=int,
                     help="line-bundle twist or weight of the example (default 0)")
     ix.add_argument("--max-degree", type=int,
-                    help="expansion window (default: EQUIVAR_MAX_DEGREE, else 20)")
+                    help="expansion window (default 20)")
     ix.add_argument("--json", metavar="PATH")
 
     rd = sub.add_parser("render", help="print the canonical form of each frame")
@@ -121,42 +125,16 @@ def _build_parser():
     return p
 
 
-def _max_degree(flag):
-    """--max-degree if given, else EQUIVAR_MAX_DEGREE, else 20; UsageError
-    unless the value is a nonnegative integer."""
-    if flag is not None:
-        source, value = "--max-degree", flag
-    else:
-        source, raw = "EQUIVAR_MAX_DEGREE", os.environ.get("EQUIVAR_MAX_DEGREE", "20")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"{source} must be a nonnegative integer, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{source} must be a nonnegative integer, got {value}")
-    return value
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            if args.frame_trials < 1:
-                raise UsageError(
-                    f"--frame-trials must be a positive integer, got {args.frame_trials}")
-            model = _load(args.model)
-            rep = run_verify(model, args.seed, args.frame_trials)
+            rep = run_verify(_load(args.model), args.seed, args.frame_trials)
             return _emit(rep, args.json)
         if args.command == "index":
-            reads = example_arguments(args.example)
-            unread = [f"--{name.replace('_', '-')}" for name in ("twist", "max_degree")
-                      if getattr(args, name) is not None and name not in reads]
-            if unread:
-                raise UsageError(f"example {args.example!r} does not read "
-                                 f"{' or '.join(unread)}")
-            twist = 0 if args.twist is None else args.twist
-            rep = run_index(args.example, twist, _max_degree(args.max_degree))
-            return _emit(rep, args.json)
+            given = {name: value for name in ("twist", "max_degree")
+                     if (value := getattr(args, name)) is not None}
+            return _emit(run_index(args.example, **given), args.json)
         model = _load(args.model)
         if args.frame is not None and args.frame not in model.frames:
             raise UsageError(f"--frame {args.frame!r} names no frame of model "
@@ -165,10 +143,7 @@ def main(argv=None):
         for fid in frames:
             print(f"{fid}: {render_frame_value(model, fid, args.format)}")
         return 0
-    except EquivarError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (EquivarError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

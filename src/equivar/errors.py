@@ -64,7 +64,8 @@ class OutOfRange(EquivarError):
 
 
 class UsageError(EquivarError):
-    """A command-line flag or environment variable has an invalid value."""
+    """An argument of a command has an invalid value, or the command does not
+    read it."""
 
 
 class UnknownExample(EquivarError):

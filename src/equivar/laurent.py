@@ -47,10 +47,11 @@ Coefficients stay Python ints while the data are integral (integer
 numerator coefficients, integer c, and c = +-1 on negative-direction factors,
 as in every bundled model); otherwise the affected values are Fractions.  The
 two mix exactly, so there is one code path.  When every numerator value and
-series ratio is an int, every cell is one by construction; otherwise
-expand_box turns the integral Fractions into ints in one pass.
-expand_to_degree is the integrality gate of the index layer: one scan of the
-cell types, and it returns the expand_box list when every cell is an int.
+series ratio of the terms is an int (_integral), every cell is one by
+construction; otherwise expand_box turns the integral Fractions into ints in
+one pass.  expand_to_degree is the integrality gate of the index layer: it
+scans the cell types only when _integral does not hold, and it returns the
+expand_box list when every cell is an int.
 """
 
 from dataclasses import dataclass
@@ -132,8 +133,6 @@ def _positivity_functional(steps, nvars):
     combinations order with phi . s >= 1 for every step is returned.
     """
     for basis in combinations(steps, linalg.rank(steps)):
-        # lists, not tuples: det remembers only tuple matrices, and the
-        # frame trials rely on that memo surviving between their det calls
         gram = [[sum(map(mul, b, c)) for c in basis] for b in basis]
         weights = [linalg.det([row[:j] + [1] + row[j + 1:] for row in gram]).numerator
                    for j in range(len(basis))]
@@ -182,6 +181,18 @@ def _lines(acc, f, ratio, s, phi, top, clips, radius):
                 hi = -1
         if lo <= hi:
             yield v, lo, hi, a * first * ratio ** (lo - n0)
+
+
+def _ratio(f):
+    """The series ratio of the factor f: c, or 1/c on a negative factor."""
+    return _exact(Fraction(f.c) ** f.direction)
+
+
+def _integral(rc):
+    """True when every numerator value and series ratio of rc's terms is an
+    int, so that every expand_box cell of rc is an int by construction."""
+    return all(x.__class__ is int for t in rc.terms
+               for x in (*t.num.values(), *map(_ratio, t.den)))
 
 
 def _like_terms(terms):
@@ -258,19 +269,16 @@ def expand_box(rc, radius):
         raise OutOfRange(f"the box of radius {radius} has {cells} cells, "
                          "too many to hold") from None
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
-    integral = True
     for num, den in _like_terms(rc.terms):
         steps = [f.step() for f in den]
         phi = _positivity_functional(steps, nvars) if den else ()
         if phi is None:
             raise MissingExpansionDirection(
                 "declared expansion directions admit no common positivity functional")
-        # c, or 1/c on a negative factor
-        ratios = [_exact(Fraction(f.c) ** f.direction) for f in den]
-        integral = integral and all(x.__class__ is int for x in (*num.values(), *ratios))
+        ratios = [_ratio(f) for f in den]
         if num:
             _add_term(total, num, den, steps, ratios, phi, radius, strides)
-    if integral:
+    if _integral(rc):
         return total
     return [c if c.__class__ is int else _exact(c) for c in total]
 
@@ -306,12 +314,12 @@ def expand_to_degree(rc, max_degree):
     integer; integer multiplicities are part of the character contract, and a
     fractional value signals a normalization error upstream.  expand_box
     gives an int wherever the value is integral, so the check is one scan
-    of the cell types, and its list is returned as is.  The message names
-    the lexicographically first non-integer weight, which is the first
-    non-integer cell.
+    of the cell types, skipped when the data of rc are integral (_integral),
+    and its list is returned as is.  The message names the lexicographically
+    first non-integer weight, which is the first non-integer cell.
     """
     cells = expand_box(rc, max_degree)
-    if set(map(type, cells)) - {int}:
+    if not _integral(rc) and set(map(type, cells)) - {int}:
         k, c = next((k, c) for k, c in enumerate(cells) if c.__class__ is not int)
         weight = []
         for _ in range(rc.nvars):

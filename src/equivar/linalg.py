@@ -14,11 +14,10 @@ determinant of the scaled matrix.  Fractions appear only at the boundary:
 det returns one, rank an int.  inverse is the matrix of cofactors over det;
 it runs only for derivative deltas.
 
-det remembers its result for the last matrix it was given as a tuple of
-tuples, so a frame trial, which needs the determinant of its matrix twice,
-runs the elimination once.  random_gl_plus draws the frame changes and hands
-that memo on to the negated copy of a draw with det < 0, with the negated
-determinant, so the sign flip runs no second elimination either.
+random_gl_plus draws the frame changes and remembers the matrix it returns
+with its determinant, negated or not; det reads that memo and writes none.
+So a frame trial, which asks for the determinant of its matrix again after
+the draw, runs the elimination once.
 
 No function here needs its input converted first.  Frame changes stay int
 where integral, and the frame trial in jform clears their denominators
@@ -77,7 +76,7 @@ def _bareiss_det(a):
     return Fraction(last, scale) if r == len(a) else Fraction(0)
 
 
-# (matrix, det) of the last matrix of tuple rows given to det (see the module
+# (matrix, det) of the last matrix random_gl_plus returned (see the module
 # docstring).  Keyed by identity: hashing a matrix runs a Python-level
 # Fraction.__hash__ per Fraction entry, which costs more than it saves, and a
 # tuple of tuples of numbers cannot change.
@@ -85,25 +84,10 @@ _last_det = (None, None)
 
 
 def det(a):
-    global _last_det
     last, d = _last_det
     if a is last:
         return d
-    d = _bareiss_det(a)
-    if a.__class__ is tuple and all(row.__class__ is tuple for row in a):
-        _last_det = (a, d)
-    return d
-
-
-def _negate_first_row(a):
-    """a, a tuple of row tuples, with its first row negated.  When a is the
-    matrix det remembers, the copy takes its place with minus its det."""
-    global _last_det
-    b = (tuple(-x for x in a[0]),) + a[1:]
-    last, d = _last_det
-    if a is last:
-        _last_det = (b, -d)
-    return b
+    return _bareiss_det(a)
 
 
 def inverse(a):
@@ -144,13 +128,16 @@ def _frame_entry(rng):
 
 def random_gl_plus(rng, k):
     """Random k x k rational matrix with positive determinant; an entry is
-    an int when it is integral."""
+    an int when it is integral.  A draw with det < 0 is returned with its
+    first row negated.  det remembers the returned matrix."""
+    global _last_det
     if k == 0:
         return ()
     while True:
         a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
-        d = det(a)
-        if d > 0:
-            return a
+        d = _bareiss_det(a)
         if d < 0:
-            return _negate_first_row(a)
+            a, d = (tuple(-x for x in a[0]),) + a[1:], -d
+        if d > 0:
+            _last_det = (a, d)
+            return a

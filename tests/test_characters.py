@@ -19,7 +19,8 @@ from equivar.characters import (
     run_pipeline,
     s3_contact_character_oracle,
 )
-from equivar.errors import InvariantViolation, NonIntegerCoefficients, OutOfRange, UnknownExample
+from equivar.errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
+                            UnknownExample, UsageError)
 from equivar.jform import chern_weil_pair
 from equivar.modelfile import model_from_dict
 from equivar.report import report_status
@@ -331,6 +332,25 @@ def test_run_pipeline_dispatch_and_examples():
         run_pipeline("moebius")
 
 
+@pytest.mark.parametrize("example, arguments, message", [
+    ("cp1-l2", {"max_degree": -1}, "--max-degree must be a nonnegative integer, got -1"),
+    ("s3-contact", {"max_degree": -3}, "--max-degree must be a nonnegative integer, got -3"),
+    ("hopf", {"twist": 3}, "example 'hopf' does not read --twist"),
+    ("torus-zero", {"max_degree": 20}, "example 'torus-zero' does not read --max-degree"),
+    ("torus-zero", {"twist": 0, "max_degree": -1},
+     "example 'torus-zero' does not read --twist or --max-degree"),
+], ids=["cp1-l2-negative", "s3-contact-negative", "hopf-twist", "torus-zero-window",
+        "torus-zero-both"])
+def test_run_pipeline_checks_its_arguments(example, arguments, message):
+    # the window and the symbol data a report names are the ones it ran on
+    with pytest.raises(UsageError) as err:
+        run_pipeline(example, **arguments)
+    assert str(err.value) == message
+    # an unknown name is reported before its arguments
+    with pytest.raises(UnknownExample):
+        run_pipeline("moebius", **arguments)
+
+
 def test_torus_zero_merges_rank_prefixes():
     rep = run_pipeline("torus-zero")
     checks = [c["check"] for c in rep["results"]]
@@ -476,9 +496,9 @@ def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
 
     monkeypatch.setattr(laurent, "box_dict", counted)
     monkeypatch.setattr(characters, "box_dict", counted)
-    assert report_status(run_pipeline("s3-contact", 0, 30)) == "pass"
+    assert report_status(run_pipeline("s3-contact", max_degree=30)) == "pass"
     assert calls == []
     # a failing check does build it, for its witness
     monkeypatch.setattr(characters, "expand_to_degree", lambda rc, d: [0] * (2 * d + 1) ** 2)
-    assert report_status(run_pipeline("s3-contact", 0, 30)) == "fail"
+    assert report_status(run_pipeline("s3-contact", max_degree=30)) == "fail"
     assert calls == [(2, 30)]

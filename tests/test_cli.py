@@ -11,6 +11,7 @@ import pytest
 
 from equivar import cli, genco, jform, linalg
 from equivar.cli import main, run_index, run_verify
+from equivar.errors import UsageError
 from equivar.modelfile import load_builtin
 from equivar.report import (
     CONVENTIONS,
@@ -240,15 +241,6 @@ def test_seeded_reports_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_max_degree_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
-    out = tmp_path / "rep.json"
-    assert main(["index", "hopf", "--json", str(out)]) == 0
-    rep = json.loads(out.read_text(encoding="utf-8"))
-    assert rep["maxDegree"] == 24
-    capsys.readouterr()
-
-
 def test_negative_max_degree_exit_two(capsys):
     assert main(["index", "s3-contact", "--max-degree", "-1"]) == 2
     err = capsys.readouterr().err
@@ -270,19 +262,8 @@ def test_index_flag_the_example_does_not_read_exit_two(argv, flags, capsys):
     assert [f for f in ("--twist", "--max-degree") if f in captured.err] == flags
 
 
-def test_max_degree_env_is_no_request_to_torus_zero(monkeypatch, capsys):
-    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
-    assert main(["index", "torus-zero"]) == 0
-    assert capsys.readouterr().out.strip().endswith("index torus-zero: pass")
-
-
-@pytest.mark.parametrize("env", [None, "30"])
-def test_torus_zero_report_has_no_max_degree(env, tmp_path, monkeypatch, capsys):
+def test_torus_zero_report_has_no_max_degree(tmp_path, capsys):
     # torus-zero expands on its own windows, so the report names no other
-    if env is None:
-        monkeypatch.delenv("EQUIVAR_MAX_DEGREE", raising=False)
-    else:
-        monkeypatch.setenv("EQUIVAR_MAX_DEGREE", env)
     out = tmp_path / "torus-zero.json"
     assert main(["index", "torus-zero", "--json", str(out)]) == 0
     capsys.readouterr()
@@ -295,14 +276,6 @@ def test_box_too_large_to_hold_exit_two(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: the box of radius 10000000000 has 400000000040000000001 cells")
-
-
-def test_bad_max_degree_env_exit_two(monkeypatch, capsys):
-    for bad in ("twenty", "2.5", "-3"):
-        monkeypatch.setenv("EQUIVAR_MAX_DEGREE", bad)
-        assert main(["index", "hopf"]) == 2, bad
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "EQUIVAR_MAX_DEGREE" in err, err
 
 
 def test_render_unknown_frame_exit_two(capsys):
@@ -318,6 +291,22 @@ def test_nonpositive_frame_trials_exit_two(capsys):
         cap = capsys.readouterr()
         assert cap.out == "", bad
         assert cap.err.count("\n") == 1 and "--frame-trials" in cap.err, cap.err
+
+
+def test_run_verify_checks_its_frame_trials():
+    # zero trials would report frame-independence-0 as passed
+    for bad in (0, -3):
+        with pytest.raises(UsageError) as err:
+            run_verify(load_builtin("s1-on-s1"), 0, bad)
+        assert str(err.value) == f"--frame-trials must be a positive integer, got {bad}"
+
+
+def test_environment_sets_no_window(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
+    out = tmp_path / "rep.json"
+    assert main(["index", "hopf", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 20
 
 
 def test_verify_expands_display_once_per_frame(monkeypatch):
@@ -372,14 +361,11 @@ def test_verify_checks_transversality_once_per_frame(monkeypatch):
     assert ranks == list(m.frames["tau"].moment_samples)
 
 
-def test_s3_contact_small_degrees_pass(monkeypatch, capsys):
+def test_s3_contact_small_degrees_pass(capsys):
     # the full-box oracle is exact at every radius, so no minimum window
     for n in ("0", "4"):
         assert main(["index", "s3-contact", "--max-degree", n]) == 0, n
         assert capsys.readouterr().out.strip().endswith("index s3-contact: pass"), n
-    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "4")
-    assert main(["index", "s3-contact"]) == 0
-    assert capsys.readouterr().out.strip().endswith("index s3-contact: pass")
     assert main(["index", "s3-contact", "--max-degree", "-1"]) == 2
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.count("\n") == 1 and "--max-degree" in cap.err, cap.err
@@ -404,7 +390,7 @@ def test_index_report_round_trip():
     assert json.loads(report_to_json(rep)) == rep
 
 
-def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+def test_parser_built_once_per_process(tmp_path, capsys):
     # not at import: a fresh interpreter that imports the CLI builds nothing
     probe = "import equivar.cli as c; print(c._build_parser.cache_info().misses)"
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
@@ -415,13 +401,13 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert main(["verify", "s1-on-s1", "--frame-trials", "3"]) == 0
     assert main(["verify", str(bad_model)]) == 1
     assert main(["render", "hopf", "--format", "latex"]) == 0
-    # EQUIVAR_MAX_DEGREE is still read on every call
-    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "twenty")
-    assert main(["index", "hopf"]) == 2
-    monkeypatch.setenv("EQUIVAR_MAX_DEGREE", "24")
+    # the reused parser keeps no flag of an earlier call
+    assert main(["index", "hopf", "--max-degree", "-1"]) == 2
     out = tmp_path / "rep.json"
-    assert main(["index", "hopf", "--json", str(out)]) == 0
+    assert main(["index", "hopf", "--max-degree", "24", "--json", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 24
+    assert main(["index", "hopf", "--json", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 20
     with pytest.raises(SystemExit) as err:
         main(["verify", "s1-on-s1", "--no-such-flag"])
     assert err.value.code == 2

@@ -70,8 +70,7 @@ def test_every_golden_file_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("EQUIVAR_MAX_DEGREE", raising=False)
+def test_report_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(CASES[name] + ["--json", str(out)]) == EXIT_CODES.get(name, 0)
     capsys.readouterr()

@@ -368,8 +368,9 @@ def test_functional_agrees_with_fourier_motzkin():
     rng = random.Random(22)
     seen = dict.fromkeys(("duplicate", "opposite", "dependent", "3-in-2",
                           "found", "none"), 0)
-    memo = linalg.det(((2, 1), (1, 1)))
+    drawn = linalg.random_gl_plus(random.Random(22), 2)
     last = linalg._last_det
+    assert last[0] is drawn
     for _ in range(2500):
         steps, nvars = _random_steps(rng, seen)
         phi = _positivity_functional(steps, nvars)
@@ -381,7 +382,7 @@ def test_functional_agrees_with_fourier_motzkin():
             assert all(sum(p * x for p, x in zip(phi, s)) >= 1 for s in steps), steps
         seen["none" if phi is None else "found"] += 1
     # frame trials read the det memo: the functional leaves it alone
-    assert linalg._last_det is last and last[1] == memo
+    assert linalg._last_det is last and linalg.det(drawn) == last[1]
     assert all(v >= 100 for v in seen.values()), seen
 
 

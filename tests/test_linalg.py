@@ -175,14 +175,23 @@ def test_negated_draw_keeps_the_det_memo(monkeypatch):
     runs = []
     real_det = linalg._bareiss_det
     monkeypatch.setattr(linalg, "_bareiss_det", lambda a: runs.append(a) or real_det(a))
-    a = ((1, 2), (3, 4))
-    assert linalg.det(a) == -2 and len(runs) == 1
-    b = linalg._negate_first_row(a)
-    assert b == ((-1, -2), (3, 4))
-    assert linalg.det(b) == 2 and len(runs) == 1
-    # a matrix det does not remember gets no entry
-    c = linalg._negate_first_row(a)
-    assert linalg.det(c) == 2 and len(runs) == 2
+    rng = random.Random(5)
+    while True:
+        runs.clear()
+        b = random_gl_plus(rng, 2)
+        a = runs[-1]
+        if a is not b:
+            break
+    # the draw a had det < 0 and came back with its first row negated
+    assert b == (tuple(-x for x in a[0]),) + a[1:]
+    d = real_det(b)
+    assert d > 0 and len(runs) == 1
+    assert linalg.det(b) == d and len(runs) == 1
+    # a matrix det does not remember gets no entry, and leaves the memo alone
+    c = (b[0],) + b[1:]
+    assert linalg.det(c) == d and len(runs) == 2
+    assert linalg.det(a) == -d and len(runs) == 3
+    assert linalg.det(b) == d and len(runs) == 3
 
 
 def _reference_inverse(a):
