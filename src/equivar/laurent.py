@@ -184,8 +184,13 @@ def _lines(acc, f, ratio, s, phi, top, clips, radius):
 
 
 def _ratio(f):
-    """The series ratio of the factor f: c, or 1/c on a negative factor."""
-    return _exact(Fraction(f.c) ** f.direction)
+    """The series ratio of the factor f: c, or 1/c on a negative factor, as
+    an int when it is integral.  Read off the numerator and denominator of
+    c, since expand_box and the integrality gate ask for it again."""
+    n, d = f.c.numerator, f.c.denominator
+    if f.direction == EXPAND_NEGATIVE:
+        n, d = d, n
+    return n * d if d in (1, -1) else Fraction(n, d)
 
 
 def _integral(rc):

@@ -19,6 +19,7 @@ from equivar.laurent import (
     RCTerm,
     _like_terms,
     _positivity_functional,
+    _ratio,
     box_dict,
     expand_box,
     expand_to_degree,
@@ -445,6 +446,20 @@ def test_cancelled_group_without_functional_still_raises():
     assert _like_terms(rc.terms) == [({}, (pos, neg))]
     with pytest.raises(MissingExpansionDirection):
         expand_box(rc, 3)
+
+
+def test_series_ratio_is_the_exact_power_of_c():
+    # c ** direction, an int when integral; 1/0 raises as Fraction does
+    for c in [F(n, d) for n in range(-6, 7) for d in range(1, 5)]:
+        for direction in (EXPAND_POSITIVE, EXPAND_NEGATIVE):
+            f = DenomFactor((1,), c, direction)
+            if not c and direction == EXPAND_NEGATIVE:
+                with pytest.raises(ZeroDivisionError):
+                    _ratio(f)
+                continue
+            want = c ** direction
+            got = _ratio(f)
+            assert got == want and (type(got) is int) == (want.denominator == 1), (c, direction)
 
 
 def test_integral_sums_of_fraction_data_come_back_as_int():
