@@ -186,7 +186,8 @@ def _lines(acc, f, ratio, s, phi, top, clips, radius):
 def _ratio(f):
     """The series ratio of the factor f: c, or 1/c on a negative factor, as
     an int when it is integral.  Read off the numerator and denominator of
-    c, since expand_box and the integrality gate ask for it again."""
+    c, with no Fraction built for an int ratio: _integral asks for every
+    ratio on each expand_box and expand_to_degree call."""
     n, d = f.c.numerator, f.c.denominator
     if f.direction == EXPAND_NEGATIVE:
         n, d = d, n

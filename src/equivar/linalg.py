@@ -131,8 +131,6 @@ def random_gl_plus(rng, k):
     an int when it is integral.  A draw with det < 0 is returned with its
     first row negated.  det remembers the returned matrix."""
     global _last_det
-    if k == 0:
-        return ()
     while True:
         a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
         d = _bareiss_det(a)
