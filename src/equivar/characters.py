@@ -5,9 +5,9 @@ counts), never through the localization engine, so each comparison is
 genuinely two-route.  Each example is one function in _EXAMPLES, listed with
 the run_pipeline arguments it reads, which are exactly its parameters, that
 returns (results, characters, extra): the entries [{"check", "status",
-"witness"?}] with status "pass", "fail" or "skipped-out-of-scope", the
-character table [{"weight", "coefficient"}] or None, and the example's own
-report keys.
+"witness"?}] (report.entry) with status "pass", "fail" or
+"skipped-out-of-scope", the character table [{"weight", "coefficient"}] or
+None, and the example's own report keys.
 run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
 """
@@ -24,7 +24,7 @@ from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
                       lattice_comb, window_cells)
 from .modelfile import load_builtin
-from .report import make_report
+from .report import entry, make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
                        graded_exp_pieces, multiply, product)
 
@@ -79,16 +79,6 @@ def l2_torus_oracle(w):
     return 1
 
 
-# ---------------------------------------------------------------------------
-# report plumbing
-
-def _entry(check, ok, witness=None):
-    e = {"check": check, "status": "pass" if ok else "fail"}
-    if witness is not None:
-        e["witness"] = witness
-    return e
-
-
 def _box(nvars, radius):
     return iproduct(range(-radius, radius + 1), repeat=nvars)
 
@@ -131,17 +121,17 @@ def _torus_zero():
         odd = tuple(sorted(fr.alpha_slots, key=lambda nm: m.odd_order[nm]))
         expected = Element((Term(Fraction(sign), (0,) * m.r,
                                  DeltaFactor("tau", (0,) * k), odd, ()),))
-        results.append(_entry(prefix + "delta-class-shape", jf.value == expected))
-        results.append(_entry(prefix + "equivariantly-closed", check_closed(m, jf)))
+        results.append(entry(prefix + "delta-class-shape", jf.value == expected))
+        results.append(entry(prefix + "equivariantly-closed", check_closed(m, jf)))
         ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
-        results.append(_entry(prefix + "frame-annihilation", ann))
+        results.append(entry(prefix + "frame-annihilation", ann))
         rc = RationalCharacter.one(rank_l)
         for row in fr.moment_samples[0]:
             rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
         cells = expand_to_degree(rc, window)
         oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
-        results.append(_entry(f"{prefix}regular-representation-window-{window}",
-                              box_dict(cells, rank_l, window) == oracle))
+        results.append(entry(f"{prefix}regular-representation-window-{window}",
+                             box_dict(cells, rank_l, window) == oracle))
         if chars is None:
             chars = _character_table(cells, rank_l, window)
     return results, chars, {}
@@ -166,11 +156,11 @@ def _cp1_dolbeault(twist, max_degree):
     oracle = cp1_sheaf_character_oracle(twist)
     ok = coeffs == oracle
     results = [
-        _entry("empty-frame-unit", jf.value == m.one()),
-        _entry("equivariantly-closed", check_closed(m, jf)),
-        _entry("sheaf-character-oracle", ok,
-               witness=None if ok else {"computed": _poly_table(coeffs),
-                                        "oracle": _poly_table(oracle)}),
+        entry("empty-frame-unit", jf.value == m.one()),
+        entry("equivariantly-closed", check_closed(m, jf)),
+        entry("sheaf-character-oracle", ok,
+              witness=None if ok else {"computed": _poly_table(coeffs),
+                                       "oracle": _poly_table(oracle)}),
     ]
     chars = _character_table(cells, 1, radius)
     return results, chars, {"case": "ETM", "twist": twist}
@@ -196,10 +186,10 @@ def _cp1_l2(twist, max_degree):
         if mult != frobenius_multiplicity_oracle(n, mm):
             bad.append(mm)
     results = [
-        _entry("frobenius-branching-oracle", not bad,
-               witness=None if not bad else
-               {"irreps": bad, "computed": [table[mm]["multiplicity"] for mm in bad],
-                "oracle": [frobenius_multiplicity_oracle(n, mm) for mm in bad]}),
+        entry("frobenius-branching-oracle", not bad,
+              witness=None if not bad else
+              {"irreps": bad, "computed": [table[mm]["multiplicity"] for mm in bad],
+               "oracle": [frobenius_multiplicity_oracle(n, mm) for mm in bad]}),
         {"check": "zero-operator-formula-side", "status": "skipped-out-of-scope",
          "witness": "the distributional index of the zero operator on the full "
                     "group is reported through branching multiplicities only"},
@@ -267,14 +257,14 @@ def _hopf(max_degree):
     fid = "conn"
     results = []
     jf = j_form(m, fid)
-    results.append(_entry("equivariantly-closed", check_closed(m, jf)))
+    results.append(entry("equivariantly-closed", check_closed(m, jf)))
 
     lo = -5
     mults = hopf_multiplicities(m, fid, range(lo, max_degree + 1))
     bad = [k for k in mults if mults[k] != hrr_cp1_oracle(k)]
-    results.append(_entry("orbifold-multiplicities", not bad,
-                          witness=None if not bad else
-                          {"isotypes": bad, "computed": [mults[k] for k in bad]}))
+    results.append(entry("orbifold-multiplicities", not bad,
+                         witness=None if not bad else
+                         {"isotypes": bad, "computed": [mults[k] for k in bad]}))
     chars = [{"weight": [k], "coefficient": v} for k, v in sorted(mults.items())]
     return results, chars, {"window": [lo, max_degree]}
 
@@ -295,13 +285,13 @@ def _s3_contact(max_degree):
     m = load_builtin("s3-contact")
     results = []
     jf = j_form(m, "co")
-    results.append(_entry("equivariantly-closed", check_closed(m, jf)))
+    results.append(entry("equivariantly-closed", check_closed(m, jf)))
     disp = taylor_expand_delta(jf.value, "co", m)
     expected_disp = add(
         multiply(m.gen("alpha"), m.delta("co", (0,), ARG_MOMENT), m),
         product([m.gen("alpha"), m.gen("dalpha"), m.delta("co", (1,), ARG_MOMENT)], m),
         m)
-    results.append(_entry("taylor-display-form", disp == expected_disp))
+    results.append(entry("taylor-display-form", disp == expected_disp))
 
     cells = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
     quadrants = s3_contact_character_oracle(max_degree)
@@ -321,7 +311,7 @@ def _s3_contact(max_degree):
                if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
         witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
                    "oracle": [oracle.get(w, 0) for w in bad]}
-    results.append(_entry("contact-box-oracle", ok, witness))
+    results.append(entry("contact-box-oracle", ok, witness))
     window = min(3, max_degree)
     chars = _character_table(window_cells(cells, 2, max_degree, window), 2, window)
     return results, chars, {}
@@ -352,16 +342,18 @@ def run_pipeline(example, **arguments):
     arguments holds those of "twist" and "max_degree" that are given; the
     example runs on the _DEFAULTS of the others that it reads.  Raises
     UnknownExample for a name not in EXAMPLES, and UsageError for a given
-    argument that the example does not read or a negative max_degree."""
+    argument that the example does not read, that is not an int (bool
+    included), or a negative max_degree."""
     if example not in _EXAMPLES:
         raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
     run, reads = _EXAMPLES[example]
     unread = [f"--{name.replace('_', '-')}" for name in arguments if name not in reads]
     if unread:
         raise UsageError(f"example {example!r} does not read {' or '.join(unread)}")
-    if arguments.get("max_degree", 0) < 0:
-        raise UsageError("--max-degree must be a nonnegative integer, "
-                         f"got {arguments['max_degree']}")
+    for name, value in arguments.items():
+        if type(value) is not int or (name == "max_degree" and value < 0):
+            kind = "a nonnegative integer" if name == "max_degree" else "an integer"
+            raise UsageError(f"--{name.replace('_', '-')} must be {kind}, got {value!r}")
     values = {name: arguments.get(name, _DEFAULTS[name]) for name in reads}
     results, characters, extra = run(**values)
     if "max_degree" in values:

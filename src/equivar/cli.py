@@ -1,16 +1,16 @@
 """Command-line entry points.
 
-    equivar verify <model.json | builtin-name> [--seed N] [--frame-trials N] [--json PATH]
+    equivar verify <model.json | builtin-name> [--seed N] [--json PATH]
     equivar index  <example> [--twist n] [--max-degree N] [--json PATH]
     equivar render <model.json | builtin-name> [--format text|latex] [--frame ID]
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 error (bad input,
 violated model invariant, non-integer coefficients, an expansion window too
-large to hold, a negative --max-degree, an index flag the example does not
-read, a --frame-trials below 1).  run_verify and characters.run_pipeline
-check their own arguments; main passes them only the flags given.  The
-expansion window defaults to 20.  Reports are deterministic for identical
-inputs and seed.
+large to hold, a --max-degree that is not a nonnegative integer, an index
+flag the example does not read).  characters.run_pipeline checks its own
+arguments; main passes it only the flags given.  The expansion window
+defaults to 20.  verify runs FRAME_TRIALS frame changes per frame.  Reports
+are deterministic for identical inputs and seed.
 """
 
 import argparse
@@ -25,9 +25,12 @@ from .genco import fourier_fibre_integrate, with_fibre_coordinates
 from .jform import check_closed, frame_change_compare, j_form
 from .linalg import random_gl_plus
 from .modelfile import builtin_names, load_builtin, load_model
-from .report import (LATEX, TEXT, display_value, make_report, render_element,
+from .report import (LATEX, TEXT, display_value, entry, make_report, render_element,
                      render_frame_value, report_status, report_to_json)
 from .superalg import multiply
+
+# random frame changes per frame in verify; the entry name carries the count
+FRAME_TRIALS = 25
 
 
 def _load(source):
@@ -39,9 +42,7 @@ def _load(source):
     return load_model(source)  # raise the file error
 
 
-def run_verify(model, seed=0, frame_trials=25):
-    if frame_trials < 1:
-        raise UsageError(f"--frame-trials must be a positive integer, got {frame_trials}")
+def run_verify(model, seed=0):
     rng = random.Random(seed)
     results = []
     rendered = {}
@@ -50,30 +51,25 @@ def run_verify(model, seed=0, frame_trials=25):
         try:
             jf = j_form(model, fid)
         except NotTransverse as e:
-            results.append({"check": f"{fid}:transversality", "status": "fail",
-                            "witness": e.witness})
+            results.append(entry(f"{fid}:transversality", False, e.witness))
             continue
-        results.append({"check": f"{fid}:transversality", "status": "pass"})
-        results.append({"check": f"{fid}:closedness",
-                        "status": "pass" if check_closed(model, jf) else "fail"})
+        results.append(entry(f"{fid}:transversality", True))
+        results.append(entry(f"{fid}:closedness", check_closed(model, jf)))
         ann = all(multiply(model.gen(a), jf.value, model).is_zero()
                   for a in fr.alpha_slots)
-        results.append({"check": f"{fid}:frame-annihilation",
-                        "status": "pass" if ann else "fail"})
+        results.append(entry(f"{fid}:frame-annihilation", ann))
         frames_ok = all(
             frame_change_compare(model, jf, random_gl_plus(rng, fr.rank))
-            for _ in range(frame_trials))
-        results.append({"check": f"{fid}:frame-independence-{frame_trials}",
-                        "status": "pass" if frames_ok else "fail"})
+            for _ in range(FRAME_TRIALS))
+        results.append(entry(f"{fid}:frame-independence-{FRAME_TRIALS}", frames_ok))
         lam = with_fibre_coordinates(model, fid)
         four_ok = fourier_fibre_integrate(lam, fid) == jf.value
-        results.append({"check": f"{fid}:fourier-integral-identity",
-                        "status": "pass" if four_ok else "fail"})
+        results.append(entry(f"{fid}:fourier-integral-identity", four_ok))
         shown = display_value(model, fid, jf.value)
         rendered[fid] = {fmt: render_element(shown, model, fmt) for fmt in (TEXT, LATEX)}
     return make_report("verify", model.name, results,
                        extra={"rendered": rendered, "seed": seed,
-                              "frameTrials": frame_trials})
+                              "frameTrials": FRAME_TRIALS})
 
 
 def run_index(example, **arguments):
@@ -107,7 +103,6 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the property suite on a model")
     v.add_argument("model", help="model file path or built-in name")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--frame-trials", type=int, default=25)
     v.add_argument("--json", metavar="PATH", help="write the report as JSON")
 
     ix = sub.add_parser("index", help="run an index pipeline vs its oracle")
@@ -129,7 +124,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            rep = run_verify(_load(args.model), args.seed, args.frame_trials)
+            rep = run_verify(_load(args.model), args.seed)
             return _emit(rep, args.json)
         if args.command == "index":
             given = {name: value for name in ("twist", "max_degree")

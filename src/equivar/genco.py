@@ -35,8 +35,7 @@ def delta_linear_substitute(d, a_matrix, m):
     The scalar rule is delta_0(A u) = det(A)^(-1) delta_0(u); derivatives pick
     up one factor of A^(-1) per slot, so the inverse is computed only when d
     has a non-zero derivative order.  det(A) <= 0 raises NonOrientable.
-    Coefficients are int when integral (superalg._exact; derivative terms
-    through normal_form).
+    The result is a normal form, so at rank 0 it is the scalar 1.
     """
     k = len(d.deriv)
     if len(a_matrix) != k or any(len(row) != k for row in a_matrix):
@@ -47,12 +46,8 @@ def delta_linear_substitute(d, a_matrix, m):
     if det < 0:
         raise NonOrientable("orientation-reversing frame change (det < 0)")
     scale = _exact(1 / det)
-    if k == 0:
-        return m.scalar(scale)
-    if not any(d.deriv):
-        return Element((Term(scale, (0,) * m.r, d, (), ()),))
-    b = linalg.inverse(a_matrix)
-    combos = {(0,) * k: Fraction(1)}
+    b = linalg.inverse(a_matrix) if any(d.deriv) else None
+    combos = {(0,) * k: 1}
     for slot in range(k):
         for _ in range(d.deriv[slot]):
             nxt = {}
@@ -181,8 +176,6 @@ def fourier_fibre_integrate(lambda_model, frame_id):
     m = lambda_model
     fr = m.frames[frame_id]
     k = fr.rank
-    if k == 0:
-        return m.one()
     xi_names, dxi_names = [], []
     for j in range(1, k + 1):
         xi, dxi = _fibre_names(frame_id, j)

@@ -6,20 +6,17 @@ alpha_1..alpha_k with closed arguments u_j, the canonical value is
     J = alpha_k ^ ... ^ alpha_1 * delta_0(u)
 
 in descending slot order; reversing the order flips the sign by
-(-1)^(k(k-1)/2).  The empty frame gives J = 1.
+(-1)^(k(k-1)/2).  The empty frame takes the same route: its J is the empty
+product times delta_0 of no arguments, which normal form reads as 1.
 
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
 the betas is expanded through `multiply`, never replaced by det(A), so a
-wrong Koszul sign or delta scale makes the comparison fail.  The expansion
-runs in integer arithmetic.  With q the lcm of A's denominators, the betas
-are built from the integer matrix qA; the wedge is multilinear, so
-beta_k ^ ... ^ beta_1 for A is q^-k times the one for qA, and that factor
-goes once onto the delta part, which is a single term.
+wrong Koszul sign or delta scale makes the comparison fail.  The frame
+changes that verify draws are integer matrices (linalg.random_gl_plus), so
+the expansion runs in integer arithmetic.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
@@ -59,8 +56,6 @@ def j_form(m, frame_id):
     ok, witness = check_transversality(m, frame_id)
     if not ok:
         raise NotTransverse(f"frame {frame_id!r} moment data not full rank: {witness}", witness)
-    if fr.rank == 0:
-        return JForm(frame_id, m.one())
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
     value = multiply(product(alphas, m), m.delta(frame_id), m)
     return JForm(frame_id, value)
@@ -77,21 +72,15 @@ def transformed_j_form(m, frame_id, a_matrix):
     beta_j = sum_l A[j][l] alpha_l, u^beta = A u, and delta_0(A u) is
     rewritten through delta_linear_substitute.  For det(A) > 0 this equals
     j_form exactly; det(A) <= 0 raises NonOrientable.
-    The betas are those of qA (see the module docstring); the delta part
-    still comes from A itself, so its determinant and orientation checks see
-    the frame change that was asked for.
     """
     fr = m.frames[frame_id]
-    k = fr.rank
-    d0 = DeltaFactor(frame_id, (0,) * k)
+    d0 = DeltaFactor(frame_id, (0,) * fr.rank)
     delta_part = delta_linear_substitute(d0, a_matrix, m)
-    q = lcm(*(x.denominator for row in a_matrix for x in row))
     zero = (0,) * m.r
-    betas = [Element(tuple(Term(x.numerator * (q // x.denominator), zero, None,
-                                (fr.alpha_slots[col],), ())
+    betas = [Element(tuple(Term(x, zero, None, (fr.alpha_slots[col],), ())
                            for col, x in enumerate(row) if x))
              for row in reversed(a_matrix)]
-    return multiply(product(betas, m), delta_part.scaled(Fraction(1, q ** k)), m)
+    return multiply(product(betas, m), delta_part, m)
 
 
 def frame_change_compare(m, jf, a_matrix):

@@ -14,14 +14,11 @@ determinant of the scaled matrix.  Fractions appear only at the boundary:
 det returns one, rank an int.  inverse is the matrix of cofactors over det;
 it runs only for derivative deltas.
 
-random_gl_plus draws the frame changes and remembers the matrix it returns
-with its determinant, negated or not; det reads that memo and writes none.
-So a frame trial, which asks for the determinant of its matrix again after
-the draw, runs the elimination once.
-
-No function here needs its input converted first.  Frame changes stay int
-where integral, and the frame trial in jform clears their denominators
-itself.
+random_gl_plus draws the frame changes, integer matrices with entries
+uniform on -3..3, and remembers the matrix it returns with its determinant,
+negated or not; det reads that memo and writes none.  So a frame trial,
+which asks for the determinant of its matrix again after the draw, runs the
+elimination once.  No function here needs its input converted first.
 """
 
 from fractions import Fraction
@@ -102,34 +99,21 @@ def inverse(a):
                        for j in range(n)) for i in range(n))
 
 
-# the non-integral values of Fraction(randint(-3, 3), choice((1, 1, 2))), built once
-_HALVES = {n: Fraction(n, 2) for n in (-3, -1, 1, 3)}
-
-
 def _frame_entry(rng):
-    """The draw of Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))), as an
-    int when integral and else as a shared Fraction.  randint(-3, 3) and
-    choice((1, 1, 2)) are randrange(7) and randrange(3), which CPython draws
-    as getrandbits(3) until the value is below 7 and getrandbits(2) until it
-    is below 3; the loops below make the same draws and give the same values,
-    through fewer calls."""
+    """The draw of rng.randint(-3, 3).  That is randrange(7), which CPython
+    draws as getrandbits(3) until the value is below 7; the loop below makes
+    the same draws and gives the same value, through fewer calls."""
     getrandbits = rng.getrandbits
     n = getrandbits(3)
     while n == 7:
         n = getrandbits(3)
-    s = getrandbits(2)
-    while s == 3:
-        s = getrandbits(2)
-    n -= 3
-    if s < 2:
-        return n
-    return _HALVES.get(n, n // 2)
+    return n - 3
 
 
 def random_gl_plus(rng, k):
-    """Random k x k rational matrix with positive determinant; an entry is
-    an int when it is integral.  A draw with det < 0 is returned with its
-    first row negated.  det remembers the returned matrix."""
+    """Random k x k integer matrix with positive determinant, entries
+    uniform on -3..3.  A draw with det < 0 is returned with its first row
+    negated.  det remembers the returned matrix."""
     global _last_det
     while True:
         a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))

@@ -135,6 +135,15 @@ def make_report(command, model_name, results, characters=None, extra=None):
     return rep
 
 
+def entry(check, ok, witness=None):
+    """One report entry: status "pass" or "fail" by ok, and the witness when
+    one is given."""
+    e = {"check": check, "status": "pass" if ok else "fail"}
+    if witness is not None:
+        e["witness"] = witness
+    return e
+
+
 def report_status(rep):
     if any(r["status"] == "fail" for r in rep["results"]):
         return "fail"

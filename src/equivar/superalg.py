@@ -15,8 +15,8 @@ zero, so truncating on their nominal degree would be wrong.
 
 Sums are built with add_all, which merges the terms of all summands into
 one key -> coefficient accumulator and finalizes it once.  Finalizing acts
-term by term (absorption, truncation and zero-dropping depend only on a
-term's key) and is idempotent on normal forms, so one pass over the whole
+term by term (absorption, the rule that delta_0 of no arguments is 1,
+truncation and zero-dropping depend only on a term's key) and is idempotent on normal forms, so one pass over the whole
 sum gives the same terms as one pass per summand.  `out = add(out, x, m)`
 in a loop re-finalizes the running sum at every step, which makes building
 a sum quadratic; that idiom is a bug.
@@ -282,11 +282,14 @@ def _odd_degree(odd_mono, m):
 
 
 def _finalize(acc, m):
-    """Absorb closed arguments into deltas, truncate by degree, drop zeros.
+    """Absorb closed arguments into deltas, read a delta of no arguments as
+    1, truncate by degree, drop zeros.
 
-    acc maps term keys to coefficients.  Absorption can move a key onto
-    another one, so the surviving coefficients are merged again before the
-    zeros are dropped."""
+    acc maps term keys to coefficients.  A closed-argument delta of a rank-0
+    frame has no slots, and delta_0 of no arguments is 1, so its key moves
+    to _NO_DELTA.  Absorption and that rule can move a key onto another one,
+    so the surviving coefficients are merged again before the zeros are
+    dropped."""
     out = {}
     odd_degrees, truncation_degrees = m._odd_degrees, m.truncation_degrees
     dim = m.manifold_dim
@@ -299,6 +302,8 @@ def _finalize(acc, m):
             if coeff == 0:
                 continue
             key = (x_mono, dk, odd_mono, even_mono)
+        if dk is not _NO_DELTA and not dk.deriv and dk.argument == ARG_CLOSED:
+            key = (x_mono, _NO_DELTA, odd_mono, even_mono)
         deg = odd_degrees.get(odd_mono)
         if deg is None:
             deg = _odd_degree(odd_mono, m)

@@ -351,6 +351,20 @@ def test_run_pipeline_checks_its_arguments(example, arguments, message):
         run_pipeline("moebius", **arguments)
 
 
+@pytest.mark.parametrize("example, arguments, message", [
+    ("cp1-l2", {"max_degree": 2.5}, "--max-degree must be a nonnegative integer, got 2.5"),
+    ("hopf", {"max_degree": "20"}, "--max-degree must be a nonnegative integer, got '20'"),
+    ("cp1-l2", {"max_degree": True}, "--max-degree must be a nonnegative integer, got True"),
+    ("cp1-dolbeault", {"twist": 1.5}, "--twist must be an integer, got 1.5"),
+], ids=["float-window", "str-window", "bool-window", "float-twist"])
+def test_run_pipeline_takes_only_int_arguments(example, arguments, message):
+    # a float or str would escape from inside the example as a TypeError, and
+    # True would run as 1 and be written as "maxDegree": true
+    with pytest.raises(UsageError) as err:
+        run_pipeline(example, **arguments)
+    assert str(err.value) == message
+
+
 def test_torus_zero_merges_rank_prefixes():
     rep = run_pipeline("torus-zero")
     checks = [c["check"] for c in rep["results"]]

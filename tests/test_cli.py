@@ -11,7 +11,6 @@ import pytest
 
 from equivar import cli, genco, jform, linalg
 from equivar.cli import main, run_index, run_verify
-from equivar.errors import UsageError
 from equivar.modelfile import load_builtin
 from equivar.report import (
     CONVENTIONS,
@@ -167,7 +166,7 @@ def test_impossible_dimension_exit_two(tmp_path, capsys):
 
 
 def test_report_round_trip():
-    rep = run_verify(load_builtin("s1-on-s1"), seed=3, frame_trials=4)
+    rep = run_verify(load_builtin("s1-on-s1"), seed=3)
     assert json.loads(report_to_json(rep)) == rep
     assert report_status(rep) == "pass"
 
@@ -192,7 +191,7 @@ def test_render_closed_and_display_forms():
 
 
 def test_verify_exit_zero(capsys):
-    assert main(["verify", "s1-on-s1", "--frame-trials", "3"]) == 0
+    assert main(["verify", "s1-on-s1"]) == 0
     out = capsys.readouterr().out
     assert "[pass] tau:closedness" in out
     assert out.strip().endswith("verify s1-on-s1: pass")
@@ -234,7 +233,7 @@ def test_seeded_reports_are_byte_identical(tmp_path):
     for i in (1, 2):
         p = tmp_path / f"r{i}.json"
         cmd = [sys.executable, "-m", "equivar.cli", "verify", "t2-on-t2",
-               "--seed", "7", "--frame-trials", "20", "--json", str(p)]
+               "--seed", "7", "--json", str(p)]
         r = subprocess.run(cmd, capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         outs.append(p.read_bytes())
@@ -285,20 +284,41 @@ def test_render_unknown_frame_exit_two(capsys):
     assert cap.err.count("\n") == 1 and "--frame" in cap.err and "nope" in cap.err
 
 
-def test_nonpositive_frame_trials_exit_two(capsys):
-    for bad in ("0", "-3"):
-        assert main(["verify", "s1-on-s1", "--frame-trials", bad]) == 2, bad
-        cap = capsys.readouterr()
-        assert cap.out == "", bad
-        assert cap.err.count("\n") == 1 and "--frame-trials" in cap.err, cap.err
+def test_frame_trials_flag_is_unknown_exit_two(capsys):
+    # the trial count is cli.FRAME_TRIALS, which the entry name carries
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "s1-on-s1", "--frame-trials", "3"])
+    assert err.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "unrecognized arguments: --frame-trials 3" in cap.err, cap.err
+    rep = run_verify(load_builtin("s1-on-s1"))
+    assert rep["frameTrials"] == cli.FRAME_TRIALS == 25
+    assert "tau:frame-independence-25" in [r["check"] for r in rep["results"]]
 
 
-def test_run_verify_checks_its_frame_trials():
-    # zero trials would report frame-independence-0 as passed
-    for bad in (0, -3):
-        with pytest.raises(UsageError) as err:
-            run_verify(load_builtin("s1-on-s1"), 0, bad)
-        assert str(err.value) == f"--frame-trials must be a positive integer, got {bad}"
+def _statuses(rep):
+    return {r["check"]: r["status"] for r in rep["results"]}
+
+
+def _doubled(f):
+    def doubled(*args):
+        return f(*args).scaled(2)
+    return doubled
+
+
+def test_empty_frame_entries_see_injected_faults(monkeypatch):
+    """cp1-dolbeault's frame triv has rank 0.  Its J and its Fourier integral
+    come from the general code, through delta_0 of no arguments, so a fault
+    in that code turns the entries that compare them to fail."""
+    m = load_builtin("cp1-dolbeault")
+    assert _statuses(run_index("cp1-dolbeault"))["empty-frame-unit"] == "pass"
+    assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "pass"
+    with monkeypatch.context() as patch:
+        patch.setattr(jform, "multiply", _doubled(jform.multiply))
+        assert _statuses(run_index("cp1-dolbeault"))["empty-frame-unit"] == "fail"
+        assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
+    monkeypatch.setattr(genco, "normal_form", _doubled(genco.normal_form))
+    assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
 
 
 def test_environment_sets_no_window(tmp_path, monkeypatch, capsys):
@@ -340,7 +360,7 @@ def test_verify_builds_j_once_per_frame_without_inverse(monkeypatch):
     monkeypatch.setattr(jform, "j_form", counted_j)
     monkeypatch.setattr(cli, "j_form", counted_j)
     monkeypatch.setattr(linalg, "inverse", counted_inverse)
-    rep = run_verify(load_builtin("t2-on-t2"), seed=5, frame_trials=25)
+    rep = run_verify(load_builtin("t2-on-t2"), seed=5)
     assert report_status(rep) == "pass"
     assert frames == ["tau"]
     assert inverses == []
@@ -356,7 +376,7 @@ def test_verify_checks_transversality_once_per_frame(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", counted)
     m = load_builtin("t2-on-t2")
-    rep = run_verify(m, seed=5, frame_trials=25)
+    rep = run_verify(m, seed=5)
     assert report_status(rep) == "pass"
     assert ranks == list(m.frames["tau"].moment_samples)
 
@@ -398,7 +418,7 @@ def test_parser_built_once_per_process(tmp_path, capsys):
     cli._build_parser.cache_clear()
     bad_model = tmp_path / "flat-moment.json"
     bad_model.write_text(json.dumps(BAD_MOMENT_DOC), encoding="utf-8")
-    assert main(["verify", "s1-on-s1", "--frame-trials", "3"]) == 0
+    assert main(["verify", "s1-on-s1", "--seed", "3"]) == 0
     assert main(["verify", str(bad_model)]) == 1
     assert main(["render", "hopf", "--format", "latex"]) == 0
     # the reused parser keeps no flag of an earlier call

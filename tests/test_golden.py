@@ -32,14 +32,20 @@ regenerated in-process here and compared byte for byte.  The built-ins declare n
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
 sample, so its report locks a failing transversality entry and its witness
-(exit code 1).  Any edit to a golden file is listed in CHANGES.md with its
+(exit code 1).  The reports are also written under two hash seeds, one
+interpreter each, since set and dict order of str keys follows the seed.
+Any edit to a golden file is listed in CHANGES.md with its
 reason.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import equivar
 from equivar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,3 +81,28 @@ def test_report_matches_golden(name, tmp_path, capsys):
     assert main(CASES[name] + ["--json", str(out)]) == EXIT_CODES.get(name, 0)
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# writes every CASES report into the directory argv[1], in one interpreter
+_WRITE_ALL = """
+import sys
+from equivar.cli import main
+from test_golden import CASES, EXIT_CODES
+for name, argv in CASES.items():
+    assert main(argv + ["--json", sys.argv[1] + "/" + name]) == EXIT_CODES.get(name, 0), name
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    path = os.pathsep.join((str(Path(equivar.__file__).parents[1]), str(Path(__file__).parent)))
+    written = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        r = subprocess.run([sys.executable, "-c", _WRITE_ALL, str(out)],
+                           env=env, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        written[seed] = {name: (out / name).read_bytes() for name in sorted(CASES)}
+    assert written["0"] == written["12345"]
+    assert written["0"] == {name: (GOLDEN / name).read_bytes() for name in sorted(CASES)}

@@ -168,8 +168,8 @@ def test_chern_weil_needs_principal_data():
 
 
 def _reference_transformed_j_form(m, frame_id, a_matrix):
-    """The frame trial over Fraction entries: betas from the entries of A
-    itself, each put in normal form, and no q^-k step."""
+    """The frame trial over Fraction entries: betas from the entries of A,
+    each put in normal form."""
     fr = m.frames[frame_id]
     k = fr.rank
     a = tuple(tuple(Fraction(x) for x in row) for row in a_matrix)
@@ -264,15 +264,13 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
     monkeypatch.setattr(jform, "multiply", counted)
     monkeypatch.setattr(jform, "product", checked_product)
     rng = random.Random(8)
-    fractions = 0
     for k, m in sorted(models.items()):
         for _ in range(6):
             a = random_gl_plus(rng, k)
-            fractions += any(type(x) is Fraction for row in a for x in row)
             calls.clear()
             assert frame_change_compare(m, jfs[k], a)
             assert len(calls) == k + 1, (k, a)
-    assert fractions and coeff_types == {int}
+    assert coeff_types == {int}
 
 
 def test_trial_runs_one_elimination_per_draw(monkeypatch):
@@ -333,7 +331,6 @@ def test_frame_trial_catches_injected_faults(fault, monkeypatch):
     assert len(cases) == 2
     rng = random.Random(31)
     draws = [[random_gl_plus(rng, k) for _ in range(10)] for _, _, k in cases]
-    assert any(type(x) is Fraction for ms in draws for a in ms for row in a for x in row)
     for (m, jf, _), ms in zip(cases, draws):
         assert all(frame_change_compare(m, jf, a) for a in ms)
     if fault == "koszul-sign":

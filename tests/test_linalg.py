@@ -9,8 +9,6 @@ import pytest
 from equivar import linalg
 from equivar.linalg import _frame_entry, random_gl_plus
 
-from random_models import rational
-
 
 def _reference_rank(a):
     rows = [[Fraction(x) for x in r] for r in a]
@@ -131,12 +129,11 @@ def test_det_and_rank_edge_shapes():
 
 
 def _reference_gl_plus(rng, k):
-    """random_gl_plus built on the Fraction reference det."""
+    """random_gl_plus built on randint and the Fraction reference det."""
     if k == 0:
         return ()
     while True:
-        a = tuple(tuple(rational(rng, -3, 3, (1, 1, 2)) for _ in range(k))
-                  for _ in range(k))
+        a = tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k))
         d = _reference_det(a)
         if d > 0:
             return a
@@ -153,22 +150,19 @@ def test_random_gl_plus_draws_unchanged():
             assert rng.random() == ref.random(), (s, k)
 
 
-def test_frame_entries_match_rational_on_the_same_stream():
-    # _frame_entry draws with getrandbits; rational goes through randint and
-    # choice.  Same values, int when integral and one shared Fraction per
-    # half-integer value otherwise, and the same generator state afterwards.
-    shared = {}
+def test_frame_entries_match_randint_on_the_same_stream():
+    # _frame_entry draws with getrandbits, the reference through randint:
+    # the same int values, every one of -3..3, and the same generator state
+    # afterwards
+    seen = set()
     for s in range(200):
         rng, ref = random.Random(s), random.Random(s)
         for _ in range(300):
-            got, want = _frame_entry(rng), rational(ref, -3, 3, (1, 1, 2))
-            assert got == want, s
-            if want.denominator == 1:
-                assert type(got) is int, s
-            else:
-                assert type(got) is Fraction and shared.setdefault(got, got) is got, s
+            got, want = _frame_entry(rng), ref.randint(-3, 3)
+            assert got == want and type(got) is int, s
+            seen.add(got)
         assert rng.getstate() == ref.getstate(), s
-    assert len(shared) == 4
+    assert seen == set(range(-3, 4))
 
 
 def test_negated_draw_keeps_the_det_memo(monkeypatch):

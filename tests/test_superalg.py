@@ -752,9 +752,23 @@ def test_delta_keys_sort_as_the_old_key_tuples():
 
 
 def test_empty_frame_id_delta_is_kept():
-    """The no-delta key is told apart by identity: a delta on a rank-0 frame
-    with the empty id survives normal form."""
-    m = FormalModel("empty-frame", 2, ("X",), {}, {}, {}, {"": FrameDecl("", 0, (), ())})
+    """The no-delta key is told apart by identity: a delta on a rank-1 frame
+    with the empty id survives normal form and stays apart from 1."""
+    m = FormalModel("empty-frame", 2, ("X",), {}, {}, {}, {"": FrameDecl("", 1, ("a",), ("u",))})
     d = m.delta("")
-    assert normal_form(d, m).terms[0].delta == DeltaFactor("", ())
-    assert multiply(m.x(0), d, m).terms[0].delta == DeltaFactor("", ())
+    assert normal_form(d, m).terms[0].delta == DeltaFactor("", (0,))
+    assert multiply(m.x(0), d, m).terms[0].delta == DeltaFactor("", (0,))
+    assert [t.delta for t in add(d, m.one(), m).terms] == [None, DeltaFactor("", (0,))]
+
+
+def test_delta_of_no_arguments_is_one():
+    """delta_0 of a rank-0 frame has no slots, and normal form reads it as 1,
+    merged with the terms that carry no delta."""
+    m = load_builtin("cp1-dolbeault")
+    assert m.frames["triv"].rank == 0
+    assert normal_form(m.delta("triv"), m) == m.one()
+    assert add(m.delta("triv"), m.one(), m) == m.scalar(2)
+    assert multiply(m.x(0), m.delta("triv"), m) == m.x(0)
+    # a moment-argument delta is a display form; the rule leaves it alone
+    shown = normal_form(m.delta("triv", argument=ARG_MOMENT), m)
+    assert shown.terms[0].delta == DeltaFactor("triv", (), ARG_MOMENT)
