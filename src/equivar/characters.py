@@ -20,7 +20,7 @@ from math import factorial
 from .charclass import localize_index, series_inverse
 from .errors import NonIntegerCoefficients, UnknownExample, UsageError
 from .genco import taylor_expand_delta
-from .jform import chern_weil_pair, check_closed, j_form
+from .jform import chern_weil_pair, check_annihilated, check_closed, j_form
 from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
                       lattice_comb, window_cells)
 from .modelfile import load_builtin
@@ -113,7 +113,7 @@ def _torus_zero():
         m = load_builtin(name)
         fr = m.frames["tau"]
         prefix = f"rank{rank_l}:"
-        jf = j_form(m, "tau")
+        j = j_form(m, "tau")
         k = fr.rank
         # canonical storage sorts slots ascending, so the descending product
         # carries the reversal sign
@@ -121,10 +121,9 @@ def _torus_zero():
         odd = tuple(sorted(fr.alpha_slots, key=lambda nm: m.odd_order[nm]))
         expected = Element((Term(Fraction(sign), (0,) * m.r,
                                  DeltaFactor("tau", (0,) * k), odd, ()),))
-        results.append(entry(prefix + "delta-class-shape", jf.value == expected))
-        results.append(entry(prefix + "equivariantly-closed", check_closed(m, jf)))
-        ann = all(multiply(m.gen(a), jf.value, m).is_zero() for a in fr.alpha_slots)
-        results.append(entry(prefix + "frame-annihilation", ann))
+        results.append(entry(prefix + "delta-class-shape", j == expected))
+        results.append(entry(prefix + "equivariantly-closed", check_closed(m, j)))
+        results.append(entry(prefix + "frame-annihilation", check_annihilated(m, "tau", j)))
         rc = RationalCharacter.one(rank_l)
         for row in fr.moment_samples[0]:
             rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
@@ -149,15 +148,15 @@ def _cp1_loci(m, twist):
 
 def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
-    jf = j_form(m, "triv")
+    j = j_form(m, "triv")
     radius = max(max_degree, abs(twist) + 2)
     cells = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     coeffs = box_dict(cells, 1, radius)
     oracle = cp1_sheaf_character_oracle(twist)
     ok = coeffs == oracle
     results = [
-        entry("empty-frame-unit", jf.value == m.one()),
-        entry("equivariantly-closed", check_closed(m, jf)),
+        entry("empty-frame-unit", j == m.one()),
+        entry("equivariantly-closed", check_closed(m, j)),
         entry("sheaf-character-oracle", ok,
               witness=None if ok else {"computed": _poly_table(coeffs),
                                        "oracle": _poly_table(oracle)}),
@@ -256,8 +255,7 @@ def _hopf(max_degree):
     m = load_builtin("hopf")
     fid = "conn"
     results = []
-    jf = j_form(m, fid)
-    results.append(entry("equivariantly-closed", check_closed(m, jf)))
+    results.append(entry("equivariantly-closed", check_closed(m, j_form(m, fid))))
 
     lo = -5
     mults = hopf_multiplicities(m, fid, range(lo, max_degree + 1))
@@ -284,9 +282,9 @@ def _s3_contact(max_degree):
     weights.  The weight dicts and the witness are built only on a mismatch."""
     m = load_builtin("s3-contact")
     results = []
-    jf = j_form(m, "co")
-    results.append(entry("equivariantly-closed", check_closed(m, jf)))
-    disp = taylor_expand_delta(jf.value, "co", m)
+    j = j_form(m, "co")
+    results.append(entry("equivariantly-closed", check_closed(m, j)))
+    disp = taylor_expand_delta(j, "co", m)
     expected_disp = add(
         multiply(m.gen("alpha"), m.delta("co", (0,), ARG_MOMENT), m),
         product([m.gen("alpha"), m.gen("dalpha"), m.delta("co", (1,), ARG_MOMENT)], m),

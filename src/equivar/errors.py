@@ -17,10 +17,6 @@ class SplittingMissing(EquivarError):
     """Display expansion requested but the model declares no (dalpha, moment) split."""
 
 
-class MissingFibre(EquivarError):
-    """Fibre coordinates/coforms absent from the model handed to the fibre integral."""
-
-
 class NotDifferentiable(EquivarError):
     """Differential applied to a display-only element (moment-argument delta)."""
 
@@ -75,7 +71,11 @@ class UnknownExample(EquivarError):
 class ParseError(EquivarError):
     """Model file or element expression failed to parse.
 
-    Carries best-effort line/column information in ``line`` and ``column``.
+    ``line`` and ``column`` locate a JSON syntax error (both 1-based) or an
+    element expression error (``column`` only, the 0-based offset into the
+    expression); they are None where no position is known.  The message of
+    a model file's error names the place: the JSON line and column, or the
+    table entry and the 1-based column in its expression.
     """
 
     def __init__(self, message, line=None, column=None):

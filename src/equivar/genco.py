@@ -9,16 +9,18 @@ u_1..u_k of a single frame.  Three rewrite families live here:
 
 plus the fibre-side construction that recovers the assembled form from a
 graded exponential and the Fourier rule
-delta_0^(J)(u) = (2 pi)^(-k) int (-i xi)^J exp(-i<xi, u>) dxi.
+delta_0^(J)(u) = (2 pi)^(-k) int (-i xi)^J exp(-i<xi, u>) dxi:
+fourier_fibre_integrate(m, frame_id) takes the model itself and extends it
+by the frame's fibre coordinates (with_fibre_coordinates) on every call.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .errors import InvariantViolation, MissingFibre, NonOrientable, SplittingMissing
-from .superalg import (ARG_CLOSED, ARG_MOMENT, FIBRE_COFORM, FIBRE_COORDINATE,
-                       DeltaFactor, Element, FormalModel, Generator, Term, _NO_DELTA,
+from .errors import InvariantViolation, NonOrientable, SplittingMissing
+from .superalg import (ARG_CLOSED, ARG_MOMENT, PLAIN_FORM, DeltaFactor, Element,
+                       FormalModel, Generator, Term, _NO_DELTA,
                        _delta_clash, _exact, _finalize, _multiply_acc, add_all,
                        equivariant_differential, graded_exp_pieces, multiply,
                        normal_form)
@@ -141,7 +143,9 @@ def _dalpha_powers(dalpha, bound, m):
 
 def with_fibre_coordinates(m, frame_id):
     """Copy of the model extended by fibre coordinates xi^j and coforms dxi^j
-    for the frame, with d(xi^j) = dxi^j and all contractions zero."""
+    for the frame, with d(xi^j) = dxi^j and all contractions zero.  They are
+    plain forms that carry the frame and slot j, which place dxi^j next to
+    alpha_j in the odd order."""
     fr = m.frames[frame_id]
     gens = dict(m.generators)
     d_table = dict(m.d_table)
@@ -149,8 +153,8 @@ def with_fibre_coordinates(m, frame_id):
         xi, dxi = _fibre_names(frame_id, j)
         if xi in gens or dxi in gens:
             raise InvariantViolation(f"fibre coordinate names collide in {m.name!r}")
-        gens[xi] = Generator(xi, "even", 0, FIBRE_COORDINATE, frame_id, j)
-        gens[dxi] = Generator(dxi, "odd", 1, FIBRE_COFORM, frame_id, j)
+        gens[xi] = Generator(xi, "even", 0, PLAIN_FORM, frame_id, j)
+        gens[dxi] = Generator(dxi, "odd", 1, PLAIN_FORM, frame_id, j)
         d_table[xi] = Element((Term(1, (0,) * m.r, None, (dxi,), ()),))
     return FormalModel(
         name=m.name + "+fibre", manifold_dim=m.manifold_dim + 2 * fr.rank,
@@ -162,28 +166,24 @@ def _fibre_names(frame_id, j):
     return f"xi_{frame_id}_{j}", f"dxi_{frame_id}_{j}"
 
 
-def fourier_fibre_integrate(lambda_model, frame_id):
+def fourier_fibre_integrate(m, frame_id):
     """Fibre integral of exp(i D(lambda)) for lambda = -sum xi^j alpha_j.
 
-    D(lambda) splits as P - <xi, u> with P nilpotent; the <xi, u> part is the
-    formal phase.  The finite exponential of iP is expanded, the coefficient
+    The integral runs in with_fibre_coordinates(m, frame_id), built here.
+    D(lambda) splits as P - <xi, u> with P nilpotent; the <xi, u> part is
+    the formal phase.  The finite exponential of iP is expanded, the coefficient
     of dxi^1...dxi^k (top fibre degree) extracted, and each xi^J monomial is
     mapped through the Fourier rule onto delta_0^(J)(u).  Powers of i are
     tracked mod 4 and the 2 pi factors cancel against the inverse-rank
     prefactor, so all coefficients stay rational.  Lower fibre-degree terms
     integrate to zero and are dropped.
     """
-    m = lambda_model
+    m = with_fibre_coordinates(m, frame_id)
     fr = m.frames[frame_id]
     k = fr.rank
-    xi_names, dxi_names = [], []
-    for j in range(1, k + 1):
-        xi, dxi = _fibre_names(frame_id, j)
-        if xi not in m.generators or dxi not in m.generators:
-            raise MissingFibre(
-                f"model {m.name!r} lacks fibre coordinates for frame {frame_id!r}")
-        xi_names.append(xi)
-        dxi_names.append(dxi)
+    names = [_fibre_names(frame_id, j) for j in range(1, k + 1)]
+    xi_names = [xi for xi, _ in names]
+    dxi_names = [dxi for _, dxi in names]
 
     lam = add_all((multiply(m.gen(xi_names[j]), m.gen(fr.alpha_slots[j]), m).scaled(-1)
                    for j in range(k)), m)

@@ -9,6 +9,11 @@ in descending slot order; reversing the order flips the sign by
 (-1)^(k(k-1)/2).  The empty frame takes the same route: its J is the empty
 product times delta_0 of no arguments, which normal form reads as 1.
 
+j_form returns J as a plain Element.  J is fixed by the distribution the
+frame presents, so every check of the frame is a function of the model, the
+frame id and J: check_closed(m, j), check_annihilated(m, frame_id, j) and
+frame_change_compare(m, frame_id, j, a_matrix).
+
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
 the betas is expanded through `multiply`, never replaced by det(A), so a
 wrong Koszul sign or delta scale makes the comparison fail.  The frame
@@ -16,19 +21,11 @@ changes that verify draws are integer matrices (linalg.random_gl_plus), so
 the expansion runs in integer arithmetic.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
 from .superalg import (DeltaFactor, Element, Term, add_all, equivariant_differential,
                        multiply, product)
-
-
-@dataclass(frozen=True)
-class JForm:
-    frame_id: str
-    value: Element
 
 
 def check_transversality(m, frame_id):
@@ -52,18 +49,22 @@ def check_transversality(m, frame_id):
 
 
 def j_form(m, frame_id):
+    """J of the frame, after its transversality check."""
     fr = m.frames[frame_id]
     ok, witness = check_transversality(m, frame_id)
     if not ok:
         raise NotTransverse(f"frame {frame_id!r} moment data not full rank: {witness}", witness)
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
-    value = multiply(product(alphas, m), m.delta(frame_id), m)
-    return JForm(frame_id, value)
+    return multiply(product(alphas, m), m.delta(frame_id), m)
 
 
 def check_closed(m, j):
-    value = j.value if isinstance(j, JForm) else j
-    return equivariant_differential(value, m).is_zero()
+    return equivariant_differential(j, m).is_zero()
+
+
+def check_annihilated(m, frame_id, j):
+    """True iff every frame form alpha_j of the frame multiplies J to zero."""
+    return all(multiply(m.gen(a), j, m).is_zero() for a in m.frames[frame_id].alpha_slots)
 
 
 def transformed_j_form(m, frame_id, a_matrix):
@@ -83,15 +84,14 @@ def transformed_j_form(m, frame_id, a_matrix):
     return multiply(product(betas, m), delta_part, m)
 
 
-def frame_change_compare(m, jf, a_matrix):
+def frame_change_compare(m, frame_id, j, a_matrix):
     """True iff the frame change by A (constant, det > 0) preserves J exactly.
 
-    jf is the JForm of the frame (from j_form, which has checked
-    transversality); the frame is jf.frame_id.  The transformed wedge times
-    delta_0(A u) is compared with jf.value, so J is built once per frame, not
-    once per trial.
+    j is the J of the frame (from j_form, which has checked transversality).
+    The transformed wedge times delta_0(A u) is compared with j, so J is
+    built once per frame, not once per trial.
     """
-    return transformed_j_form(m, jf.frame_id, a_matrix) == jf.value
+    return transformed_j_form(m, frame_id, a_matrix) == j
 
 
 def chern_weil_pair(m, frame_id, poly):

@@ -18,7 +18,10 @@ Closed-argument generators are matched to frame slots by their declared
 display decomposition of each closed argument (its exterior-derivative part,
 a 2-form) and is required only by models that render Taylor expansions or declare a
 principal-bundle structure.  Structural problems raise ParseError; semantic
-problems raise InvariantViolation naming the failing invariant.
+problems raise InvariantViolation naming the failing invariant.  A generator
+or frame name declared twice is a ParseError, and so is a kind outside
+superalg.KINDS.  A ParseError's message names its place: the JSON line and
+column, or the table entry and the column in its expression.
 """
 
 import json
@@ -30,20 +33,12 @@ from importlib import resources
 from .charclass import CIRCLE, ISOLATED_POINT, FixedLocusDatum
 from .errors import InvariantViolation, ParseError, UnknownExample
 from .laurent import EXPAND_NEGATIVE, EXPAND_POSITIVE
-from .superalg import (CLOSED_ARGUMENT, EVEN, FIBRE_COFORM, FIBRE_COORDINATE,
-                       FRAME_FORM, ODD, PLAIN_FORM, FormalModel, FrameDecl,
-                       Generator, add_all, product, validate_model)
+from .superalg import (CLOSED_ARGUMENT, EVEN, KINDS, ODD, PLAIN_FORM, FormalModel,
+                       FrameDecl, Generator, add_all, product, validate_model)
 # Unused here; perfbench/tests/test_bench_spans.py checks that tracing rebinds
 # superalg.add in every module that imported it, and probes modelfile.add.
 from .superalg import add  # noqa: F401
 
-_KIND_NAMES = {
-    "plainForm": PLAIN_FORM,
-    "frameForm": FRAME_FORM,
-    "closedArgument": CLOSED_ARGUMENT,
-    "fibreCoordinate": FIBRE_COORDINATE,
-    "fibreCoform": FIBRE_COFORM,
-}
 _DIRECTION_NAMES = {"positive": EXPAND_POSITIVE, "negative": EXPAND_NEGATIVE}
 
 _RAT = re.compile(r"\d+(?:/\d+)?")
@@ -166,9 +161,13 @@ def _optional(doc, key, types, where, default):
 
 
 def _expression(v, m, where):
+    """parse_element of v; an error names the entry and the column."""
     if not isinstance(v, str):
         raise ParseError(f"{where} must be an element expression string")
-    return parse_element(v, m)
+    try:
+        return parse_element(v, m)
+    except ParseError as e:
+        raise ParseError(f"{where}, column {e.column + 1}: {e}", column=e.column) from None
 
 
 def _moment_samples(v, where):
@@ -188,14 +187,15 @@ def _parse_generators(items):
         if parity not in (ODD, EVEN):
             raise ParseError(f"bad parity {parity!r} on {name!r}")
         degree = _require(it, "formDegree", int, name)
-        kind_name = _optional(it, "kind", str, name, "plainForm")
-        kind = _KIND_NAMES.get(kind_name)
-        if kind is None:
-            raise ParseError(f"unknown kind {kind_name!r} on {name!r}")
+        kind = _optional(it, "kind", str, name, PLAIN_FORM)
+        if kind not in KINDS:
+            raise ParseError(f"unknown kind {kind!r} on {name!r}")
         frame = _optional(it, "frame", str, name, None)
         slot = _optional(it, "slot", int, name, None)
         if kind != PLAIN_FORM and (frame is None or slot is None):
-            raise ParseError(f"{kind_name} generator {name!r} needs frame and slot")
+            raise ParseError(f"{kind} generator {name!r} needs frame and slot")
+        if name in gens:
+            raise ParseError(f"duplicate generator {name!r}")
         gens[name] = Generator(name, parity, degree, kind, frame, slot)
     return gens
 
@@ -250,6 +250,8 @@ def model_from_dict(doc):
     splits = {}
     for fd in _optional(doc, "frames", list, name, []):
         fid = _require(fd, "frameId", str, "frame")
+        if fid in frames:
+            raise ParseError(f"duplicate frame {fid!r}")
         rank = _require(fd, "rank", int, fid)
         slots = tuple(_require(fd, "slots", list, fid))
         if not all(isinstance(s, str) for s in slots):
@@ -316,7 +318,8 @@ def loads_model(text):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
+                         line=e.lineno, column=e.colno) from None
     except RecursionError:
         raise ParseError("JSON nesting is too deep") from None
     except ValueError as e:  # an integer past the int-from-str digit limit

@@ -106,7 +106,7 @@ def display_value(m, frame_id, value):
 def render_frame_value(m, frame_id, fmt=TEXT):
     """The canonical form of the frame, in Taylor display form when the model
     declares a split, otherwise in closed-argument form."""
-    return render_element(display_value(m, frame_id, j_form(m, frame_id).value), m, fmt)
+    return render_element(display_value(m, frame_id, j_form(m, frame_id)), m, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,12 @@ delta clash once per left term with a delta, against the right operand's
 first delta, which is the first clashing pair's.  Even degrees come from
 the name -> truncation degree table (0 on closed arguments).
 
-The tables, and the `d_image` memo, are safe because a `FormalModel` is
-frozen: `__post_init__` sets its derived tables once.  They are keyed by
-name tuples and live on the model, not in the terms, because the same
-monomial has another mask in another model: `with_fibre_coordinates` builds
-a new model, with its own odd order and its own tables.
+The tables are safe because a `FormalModel` is frozen: `__post_init__`
+sets its derived tables once.  They are keyed by name tuples and live on
+the model, not in the terms, because the same monomial has another mask in
+another model: `with_fibre_coordinates` builds a new model, with its own
+odd order and its own tables.  `d_image` keeps no memo: the checks apply D
+once per generator per model, to J and to lambda in a new fibre model.
 """
 
 from dataclasses import dataclass, field
@@ -67,10 +68,8 @@ EVEN = "even"
 PLAIN_FORM = "plainForm"
 FRAME_FORM = "frameForm"
 CLOSED_ARGUMENT = "closedArgument"
-FIBRE_COORDINATE = "fibreCoordinate"
-FIBRE_COFORM = "fibreCoform"
 
-_KINDS = (PLAIN_FORM, FRAME_FORM, CLOSED_ARGUMENT, FIBRE_COORDINATE, FIBRE_COFORM)
+KINDS = (PLAIN_FORM, FRAME_FORM, CLOSED_ARGUMENT)
 
 # Delta argument tags.  "closed" is the computational form delta(u); "moment"
 # marks the display expansion delta(f), which no operation differentiates.
@@ -184,7 +183,6 @@ class FormalModel:
             _odd_degrees={},        # odd monomial -> form degree
             _u_frame={un: (fr.frame_id, j) for fr in self.frames.values()
                       for j, un in enumerate(fr.u_slots)},
-            _d_images={},           # generator name -> D image, filled by d_image
         )
 
     @staticmethod
@@ -217,11 +215,13 @@ class FormalModel:
         return Element((Term(1, (0,) * self.r, None, (), ((name, exp),)),))
 
     def delta(self, frame_id, deriv=None, argument=ARG_CLOSED):
+        """delta_0^(deriv) of the frame's arguments, in normal form: a closed
+        delta of a rank-0 frame is 1."""
         fr = self.frames[frame_id]
         if deriv is None:
             deriv = (0,) * fr.rank
         d = DeltaFactor(frame_id, tuple(deriv), argument)
-        return Element((Term(1, (0,) * self.r, d, (), ()),))
+        return _finalize({((0,) * self.r, d, (), ()): 1}, self)
 
     # -- structure helpers ---------------------------------------------------
 
@@ -233,24 +233,17 @@ class FormalModel:
 
     def d_image(self, name):
         """D applied to a single generator, as an Element."""
-        cached = self._d_images.get(name)
-        if cached is not None:
-            return cached
         g = self.generators[name]
         if g.kind == FRAME_FORM:
-            fr = self.frames[g.frame_id]
-            el = self.gen(fr.u_slots[g.slot - 1])
-        elif g.kind == CLOSED_ARGUMENT:
-            el = Element()
-        else:
-            pieces = [self.d_table.get(name, Element())]
-            for a in range(self.r):
-                it = self.iota_table.get((name, a))
-                if it is not None and not it.is_zero():
-                    pieces.append(multiply(self.x(a), it, self).scaled(-1))
-            el = add_all(pieces, self)
-        self._d_images[name] = el
-        return el
+            return self.gen(self.frames[g.frame_id].u_slots[g.slot - 1])
+        if g.kind == CLOSED_ARGUMENT:
+            return Element()
+        pieces = [self.d_table.get(name, Element())]
+        for a in range(self.r):
+            it = self.iota_table.get((name, a))
+            if it is not None and not it.is_zero():
+                pieces.append(multiply(self.x(a), it, self).scaled(-1))
+        return add_all(pieces, self)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +503,10 @@ def apply_table_derivation(a, image, m):
 def validate_model(m):
     if m.manifold_dim < 0:
         raise InvariantViolation(f"negative manifold dimension {m.manifold_dim}")
-    names = set()
     for g in m.generators.values():
-        if g.name in names:
-            raise InvariantViolation(f"duplicate generator {g.name!r}")
-        names.add(g.name)
         if g.parity not in (ODD, EVEN):
             raise InvariantViolation(f"bad parity on {g.name!r}")
-        if g.kind not in _KINDS:
+        if g.kind not in KINDS:
             raise InvariantViolation(f"bad kind on {g.name!r}")
         if g.form_degree < 0:
             raise InvariantViolation(f"negative degree on {g.name!r}")

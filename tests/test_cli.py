@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from equivar import cli, genco, jform, linalg
+from equivar import cli, genco, jform, linalg, superalg
 from equivar.cli import main, run_index, run_verify
-from equivar.modelfile import load_builtin
+from equivar.errors import ParseError
+from equivar.modelfile import load_builtin, load_model, loads_model
 from equivar.report import (
     CONVENTIONS,
     LATEX,
@@ -77,6 +78,16 @@ MALFORMED_DOCS = {
     "generator-slot-bool": ("t2-on-t2", lambda d: [g.update(slot=True)
                                                    for g in d["generators"]
                                                    if g["slot"] == 1], "'slot'"),
+    # a second declaration of a name would silently replace the first
+    "duplicate-generator": ("s3-contact", lambda d: d["generators"].insert(
+        0, {"name": "dalpha", "parity": "odd", "formDegree": 3}),
+        "duplicate generator 'dalpha'"),
+    "duplicate-frame": ("s3-contact", lambda d: d["frames"].insert(
+        0, dict(d["frames"][0], momentSamples=[[[0, 0]]])), "duplicate frame 'co'"),
+    # fibre coordinates exist only in the model the Fourier integral builds
+    "fibre-kind": ("hopf", lambda d: d["generators"].append(
+        {"name": "xi", "parity": "even", "formDegree": 0, "kind": "fibreCoordinate",
+         "frame": "conn", "slot": 1}), "unknown kind 'fibreCoordinate'"),
 }
 
 
@@ -90,6 +101,35 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
     assert field in cap.err and "Traceback" not in cap.err, cap.err
+
+
+def test_json_syntax_error_names_line_and_column(tmp_path, capsys):
+    text = '{\n  "name": "hopf",,\n  "manifoldDim": 3\n}'
+    column = text.splitlines()[1].index(",,") + 2
+    with pytest.raises(ParseError) as exc:
+        loads_model(text)
+    assert (exc.value.line, exc.value.column) == (2, column)
+    path = tmp_path / "commas.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == (f"error: line 2, column {column}: "
+                       "Expecting property name enclosed in double quotes\n")
+
+
+def test_expression_error_names_entry_and_column(tmp_path, capsys):
+    doc = _edited("hopf", lambda d: d["dTable"].update(Psi="1 + 2*$"))
+    with pytest.raises(ParseError) as exc:
+        loads_model(json.dumps(doc))
+    # the attributes keep the expression's 0-based offset; the message counts from 1
+    assert (exc.value.line, exc.value.column) == (None, 6)
+    path = tmp_path / "dollar.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: dTable entry for 'Psi', column 7: unexpected character '$'\n"
 
 
 UNREADABLE_FILES = {
@@ -179,7 +219,7 @@ def test_reports_carry_conventions_block():
 
 def test_render_closed_and_display_forms():
     m = load_builtin("t2-on-t2")
-    closed = jform.j_form(m, "tau").value
+    closed = jform.j_form(m, "tau")
     assert render_element(closed, m, TEXT) == "-deta1*deta2*delta0(u1,u2)"
     assert render_frame_value(m, "tau", TEXT) == "-deta1*deta2*delta0(f[tau])"
     latex = render_element(closed, m, LATEX)
@@ -319,6 +359,39 @@ def test_empty_frame_entries_see_injected_faults(monkeypatch):
         assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
     monkeypatch.setattr(genco, "normal_form", _doubled(genco.normal_form))
     assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
+
+
+# fault -> (module, function, a map from that function to its faulty stand-in,
+# the entry of each frame that the fault turns to fail)
+VERIFY_FAULTS = {
+    "rank-one-less": (linalg, "rank", lambda rank: lambda a: rank(a) - 1,
+                      "transversality"),
+    "no-absorption": (superalg, "_absorb",
+                      lambda _: lambda coeff, dk, even_mono, m: (coeff, dk, even_mono),
+                      "closedness"),
+    "product-drops-last-factor": (jform, "product",
+                                  lambda product: lambda factors, m:
+                                  product(list(factors)[:-1], m),
+                                  "frame-annihilation"),
+    "det-doubled": (linalg, "det", lambda det: lambda a: 2 * det(a),
+                    "frame-independence-25"),
+    "exp-drops-last-piece": (genco, "graded_exp_pieces",
+                             lambda pieces: lambda e, m: list(pieces(e, m))[:-1],
+                             "fourier-integral-identity"),
+}
+
+
+@pytest.mark.parametrize("model", ["s3-contact", "hopf", "split-rank4"])
+@pytest.mark.parametrize("fault", sorted(VERIFY_FAULTS))
+def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
+    m = load_model(SPLIT_RANK4) if model == "split-rank4" else load_builtin(model)
+    module, name, faulty, check = VERIFY_FAULTS[fault]
+    entries = [f"{fid}:{check}" for fid in sorted(m.frames)]
+    statuses = _statuses(run_verify(m))
+    assert [statuses[e] for e in entries] == ["pass"] * len(entries)
+    monkeypatch.setattr(module, name, faulty(getattr(module, name)))
+    statuses = _statuses(run_verify(m))
+    assert [statuses[e] for e in entries] == ["fail"] * len(entries)
 
 
 def test_environment_sets_no_window(tmp_path, monkeypatch, capsys):

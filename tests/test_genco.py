@@ -12,7 +12,6 @@ import pytest
 from equivar import genco, linalg
 from equivar.errors import (
     InvariantViolation,
-    MissingFibre,
     NotDifferentiable,
     SplittingMissing,
 )
@@ -260,7 +259,7 @@ def test_taylor_display_matches_reference_at_rank_four():
     # rank 4, dim 14: dalpha powers up to total order 7; the bare delta term
     # keeps them all, J cuts those of order 6 and 7 by degree
     m = load_model(Path(__file__).parent / "golden" / "models" / "split-rank4.json")
-    two_deltas = add(j_form(m, "co").value, m.delta("co", (1, 0, 2, 0)), m)
+    two_deltas = add(j_form(m, "co"), m.delta("co", (1, 0, 2, 0)), m)
     mixed = random_element(random.Random(23), m, n_terms=4)
     assert len(two_deltas.terms) == 2
     assert any(t.delta is None for t in mixed.terms)
@@ -306,7 +305,7 @@ def test_taylor_display_matches_reference_on_split_models():
     # of the 1-form head, where the reference walks the whole dim // 2 box
     for seed, rank, dim in ((1, 3, 12), (2, 3, 15), (3, 4, 13), (4, 4, 16)):
         m = _split_model(seed, rank, dim)
-        jv = j_form(m, "fr").value
+        jv = j_form(m, "fr")
         low = multiply(m.gen("th0"), m.delta("fr", (1,) + (0,) * (rank - 1)), m)
         plain = product([m.x(0), m.gen("w0"), m.gen("F1")], m)
         joined = add_all((jv, low, plain), m)
@@ -330,7 +329,7 @@ def test_taylor_display_walks_only_surviving_multi_indices(monkeypatch):
     monkeypatch.setattr(genco, "_dalpha_powers", counted)
     k = m.frames["co"].rank
     b = (m.manifold_dim - k) // 2
-    taylor_expand_delta(j_form(m, "co").value, "co", m)
+    taylor_expand_delta(j_form(m, "co"), "co", m)
     assert sorted(walked) == sorted(multi_indices(k, b))
     assert len(walked) == math.comb(b + k, k) == 126
 
@@ -349,24 +348,35 @@ def test_taylor_display_requires_splitting():
         taylor_expand_delta(m.delta(fid), fid, m)
 
 
-def test_fourier_requires_fibre_coordinates():
+def test_fourier_builds_its_own_fibre_coordinates(monkeypatch):
+    # the model handed in has no fibre coordinates; the integral extends it
+    # once per call, and a model that already has them collides
     m = load_builtin("s1-on-s1")
-    with pytest.raises(MissingFibre):
-        fourier_fibre_integrate(m, "tau")
+    assert not any(n.startswith("xi_") for n in m.generators)
+    calls = []
+    real = genco.with_fibre_coordinates
+
+    def counted(model, frame_id):
+        calls.append(frame_id)
+        return real(model, frame_id)
+
+    monkeypatch.setattr(genco, "with_fibre_coordinates", counted)
+    assert fourier_fibre_integrate(m, "tau") == j_form(m, "tau")
+    assert calls == ["tau"]
+    with pytest.raises(InvariantViolation):
+        fourier_fibre_integrate(real(m, "tau"), "tau")
 
 
 def test_fourier_rank_one():
     m = load_builtin("s1-on-s1")
-    lam = with_fibre_coordinates(m, "tau")
-    assert fourier_fibre_integrate(lam, "tau") == \
+    assert fourier_fibre_integrate(m, "tau") == \
         multiply(m.gen("deta"), m.delta("tau"), m)
 
 
 def test_fourier_rank_two_sign():
     # canonical storage of deta2 deta1 delta_0 carries the reversal sign
     m = load_builtin("t2-on-t2")
-    lam = with_fibre_coordinates(m, "tau")
-    got = fourier_fibre_integrate(lam, "tau")
+    got = fourier_fibre_integrate(m, "tau")
     expected = product([m.gen("deta1"), m.gen("deta2")], m)
     expected = multiply(expected, m.delta("tau"), m).scaled(-1)
     assert got == expected
@@ -388,5 +398,4 @@ def test_fourier_equals_j_form_on_builtins():
     for name in ("s1-on-s1", "t2-on-t2", "s3-contact", "hopf", "cp1-dolbeault"):
         m = load_builtin(name)
         for fid in sorted(m.frames):
-            lam = with_fibre_coordinates(m, fid) if m.frames[fid].rank else m
-            assert fourier_fibre_integrate(lam, fid) == j_form(m, fid).value, name
+            assert fourier_fibre_integrate(m, fid) == j_form(m, fid), name

@@ -12,6 +12,7 @@ from equivar import genco, jform, linalg, superalg
 from equivar.errors import NonOrientable, NotPrincipal, NotTransverse, RankDataMissing
 from equivar.genco import delta_linear_substitute
 from equivar.jform import (
+    check_annihilated,
     check_closed,
     check_transversality,
     chern_weil_pair,
@@ -62,11 +63,11 @@ def test_transversality_requires_sample_data():
 
 def test_j_form_values():
     m = load_builtin("s1-on-s1")
-    assert j_form(m, "tau").value == multiply(m.gen("deta"), m.delta("tau"), m)
+    assert j_form(m, "tau") == multiply(m.gen("deta"), m.delta("tau"), m)
     m = load_builtin("s3-contact")
-    assert j_form(m, "co").value == multiply(m.gen("alpha"), m.delta("co"), m)
+    assert j_form(m, "co") == multiply(m.gen("alpha"), m.delta("co"), m)
     m = load_builtin("cp1-dolbeault")
-    assert j_form(m, "triv").value == m.one()
+    assert j_form(m, "triv") == m.one()
 
 
 def test_j_form_closed_on_builtins():
@@ -80,9 +81,10 @@ def test_frame_forms_annihilate_j():
     for name in ALL_BUILTINS:
         m = load_builtin(name)
         for fid, fr in m.frames.items():
-            jf = j_form(m, fid)
+            j = j_form(m, fid)
+            assert check_annihilated(m, fid, j), name
             for a in fr.alpha_slots:
-                assert multiply(m.gen(a), jf.value, m).is_zero(), (name, a)
+                assert multiply(m.gen(a), j, m).is_zero(), (name, a)
 
 
 def test_closedness_detects_corruption():
@@ -98,15 +100,16 @@ def test_dropped_slot_stays_closed_but_fails_annihilation():
     partial = multiply(m.gen("deta2"), m.delta("tau"), m)
     assert check_closed(m, partial)
     assert not multiply(m.gen("deta1"), partial, m).is_zero()
+    assert not check_annihilated(m, "tau", partial)
 
 
 def test_frame_change_scalar_and_unipotent():
     m = load_builtin("s1-on-s1")
-    assert frame_change_compare(m, j_form(m, "tau"), ((Fraction(5, 3),),))
+    assert frame_change_compare(m, "tau", j_form(m, "tau"), ((Fraction(5, 3),),))
     m = load_builtin("t2-on-t2")
-    jf = j_form(m, "tau")
-    assert frame_change_compare(m, jf, ((1, 1), (0, 1)))
-    assert frame_change_compare(m, jf, ((0, -1), (1, 0)))  # rotation
+    j = j_form(m, "tau")
+    assert frame_change_compare(m, "tau", j, ((1, 1), (0, 1)))
+    assert frame_change_compare(m, "tau", j, ((0, -1), (1, 0)))  # rotation
 
 
 def test_frame_change_randomized():
@@ -115,9 +118,9 @@ def test_frame_change_randomized():
     models.append((random_model(random.Random(0), max_rank=3, with_theta=False),))
     for (m,) in models:
         for fid, fr in m.frames.items():
-            jf = j_form(m, fid)
+            j = j_form(m, fid)
             for _ in range(50):
-                assert frame_change_compare(m, jf, random_gl_plus(rng, fr.rank))
+                assert frame_change_compare(m, fid, j, random_gl_plus(rng, fr.rank))
 
 
 def _unsigned_det(monkeypatch):
@@ -130,12 +133,12 @@ def _unsigned_det(monkeypatch):
 def test_orientation_reversal_flips_sign(monkeypatch):
     m = load_builtin("t2-on-t2")
     m1 = load_builtin("s1-on-s1")
-    jf, jf1 = j_form(m, "tau").value, j_form(m1, "tau").value
+    j, j1 = j_form(m, "tau"), j_form(m1, "tau")
     _unsigned_det(monkeypatch)
     flipped = transformed_j_form(m, "tau", ((-1, 0), (0, 1)))
-    assert flipped == jf.scaled(-1)
+    assert flipped == j.scaled(-1)
     flipped1 = transformed_j_form(m1, "tau", ((-2,),))
-    assert flipped1 == jf1.scaled(-1)
+    assert flipped1 == j1.scaled(-1)
 
 
 def test_reversal_requires_explicit_optin():
@@ -224,7 +227,7 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
     seen = dict.fromkeys(("gl-plus", "dens", "int", "identity", "permutation", "reversal",
                           "den2", "den3", "den6", "int-entries-only"), 0)
     for k, m in sorted(_models_by_rank(set(range(1, 7))).items()):
-        jf = j_form(m, "fr")
+        j = j_form(m, "fr")
         for kind, a in _trial_matrices(rng, k):
             reversal = kind == "reversal"
             with monkeypatch.context() as patch:
@@ -234,7 +237,7 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
                 ref = _reference_transformed_j_form(m, "fr", a)
             assert got == ref, (k, kind, a)
             assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in ref.terms]
-            assert got == (jf.value.scaled(-1) if reversal else jf.value), (k, kind, a)
+            assert got == (j.scaled(-1) if reversal else j), (k, kind, a)
             seen[kind] += 1
             dens = {Fraction(x).denominator for row in a for x in row}
             for d in (2, 3, 6):
@@ -247,7 +250,7 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
     """Each trial still expands the wedge through multiply, once per beta and
     once for the delta part, and every beta coefficient is an int."""
     models = _models_by_rank(set(range(1, 7)))
-    jfs = {k: j_form(m, "fr") for k, m in models.items()}
+    js = {k: j_form(m, "fr") for k, m in models.items()}
     calls, coeff_types = [], set()
     real_multiply, real_product = superalg.multiply, superalg.product
 
@@ -268,7 +271,7 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
         for _ in range(6):
             a = random_gl_plus(rng, k)
             calls.clear()
-            assert frame_change_compare(m, jfs[k], a)
+            assert frame_change_compare(m, "fr", js[k], a)
             assert len(calls) == k + 1, (k, a)
     assert coeff_types == {int}
 
@@ -289,12 +292,12 @@ def test_trial_runs_one_elimination_per_draw(monkeypatch):
     rng = random.Random(12)
     seen = dict.fromkeys(("kept", "negated"), 0)
     for k, m in sorted(_models_by_rank(set(range(1, 7))).items()):
-        jf = j_form(m, "fr")
+        j = j_form(m, "fr")
         for _ in range(6):
             runs.clear()
             a = random_gl_plus(rng, k)
             draws, kept = len(runs), runs[-1] is a
-            assert frame_change_compare(m, jf, a)
+            assert frame_change_compare(m, "fr", j, a)
             assert len(runs) == draws, (k, a)
             seen["kept" if kept else "negated"] += 1
     assert all(seen.values()), seen
@@ -327,12 +330,12 @@ def test_frame_trial_catches_injected_faults(fault, monkeypatch):
     for m in (load_builtin("t2-on-t2"), load_model(SPLIT_RANK4)):
         for fid, fr in sorted(m.frames.items()):
             if fr.rank >= 2:
-                cases.append((m, j_form(m, fid), fr.rank))
+                cases.append((m, fid, j_form(m, fid), fr.rank))
     assert len(cases) == 2
     rng = random.Random(31)
-    draws = [[random_gl_plus(rng, k) for _ in range(10)] for _, _, k in cases]
-    for (m, jf, _), ms in zip(cases, draws):
-        assert all(frame_change_compare(m, jf, a) for a in ms)
+    draws = [[random_gl_plus(rng, k) for _ in range(10)] for _, _, _, k in cases]
+    for (m, fid, j, _), ms in zip(cases, draws):
+        assert all(frame_change_compare(m, fid, j, a) for a in ms)
     if fault == "koszul-sign":
         unsigned = _unsigned(superalg.multiply)
         monkeypatch.setattr(superalg, "multiply", unsigned)
@@ -340,5 +343,5 @@ def test_frame_trial_catches_injected_faults(fault, monkeypatch):
     else:
         monkeypatch.setattr(jform, "delta_linear_substitute",
                             _unscaled(jform.delta_linear_substitute))
-    for (m, jf, _), ms in zip(cases, draws):
-        assert not all(frame_change_compare(m, jf, a) for a in ms), m.name
+    for (m, fid, j, _), ms in zip(cases, draws):
+        assert not all(frame_change_compare(m, fid, j, a) for a in ms), m.name

@@ -149,7 +149,7 @@ def test_load_model_from_path(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_s1_doc()), encoding="utf-8")
     m = load_model(str(path))
-    assert j_form(m, "tau").value == multiply(m.gen("deta"), m.delta("tau"), m)
+    assert j_form(m, "tau") == multiply(m.gen("deta"), m.delta("tau"), m)
 
 
 def test_fixed_locus_parsing():

@@ -403,7 +403,9 @@ def test_coefficients_are_canonical():
 def test_degree_tables_match_generators():
     models = [load_builtin(name) for name in builtin_names()]
     models += [with_fibre_coordinates(m, fid) for m in list(models) for fid in m.frames]
-    assert any(g.kind == "fibreCoform" for m in models for g in m.generators.values())
+    # fibre coforms are plain forms that carry their frame and slot
+    assert any(g.name.startswith("dxi_") and g.kind == "plainForm" and g.slot == 1
+               for m in models for g in m.generators.values())
     for m in models:
         assert m.form_degrees == {n: g.form_degree for n, g in m.generators.items()}
         assert m.truncation_degrees == {
@@ -766,6 +768,7 @@ def test_delta_of_no_arguments_is_one():
     merged with the terms that carry no delta."""
     m = load_builtin("cp1-dolbeault")
     assert m.frames["triv"].rank == 0
+    assert m.delta("triv") == m.one()
     assert normal_form(m.delta("triv"), m) == m.one()
     assert add(m.delta("triv"), m.one(), m) == m.scalar(2)
     assert multiply(m.x(0), m.delta("triv"), m) == m.x(0)
