@@ -61,7 +61,7 @@ def delta_linear_substitute(d, a_matrix, m):
                     nxt[j2] = nxt.get(j2, Fraction(0)) + c * b[t][slot]
             combos = nxt
     terms = tuple(
-        Term(scale * c, (0,) * m.r, DeltaFactor(d.frame_id, jj, d.argument), (), ())
+        Term(scale * c, DeltaFactor(d.frame_id, jj, d.argument), (), ())
         for jj, c in sorted(combos.items()) if c != 0)
     return normal_form(Element(terms), m)
 
@@ -89,7 +89,7 @@ def taylor_expand_delta(e, frame_id, m):
     for t in e.terms:
         delta = t.delta
         if delta is None or delta.frame_id != frame_id:
-            key = (t.x_mono, _NO_DELTA if delta is None else delta, t.odd_mono, t.even_mono)
+            key = (_NO_DELTA if delta is None else delta, t.odd_mono, t.even_mono)
             prev = acc.get(key)
             acc[key] = t.coeff if prev is None else prev + t.coeff
         elif delta.argument == ARG_MOMENT:
@@ -106,10 +106,10 @@ def taylor_expand_delta(e, frame_id, m):
             scale = Fraction(1, fact)
             for base, i0 in heads:
                 moment = DeltaFactor(frame_id, tuple(a + b for a, b in zip(i0, jj)), ARG_MOMENT)
-                for (x_mono, dk, odd, even), c in _multiply_acc(base, dal, m).items():
+                for (dk, odd, even), c in _multiply_acc(base, dal, m).items():
                     if dk is not _NO_DELTA:
                         raise _delta_clash(dk, moment)
-                    key = (x_mono, moment, odd, even)
+                    key = (moment, odd, even)
                     if fact != 1:
                         c *= scale
                     prev = acc.get(key)
@@ -149,21 +149,26 @@ def with_fibre_coordinates(m, frame_id):
     fr = m.frames[frame_id]
     gens = dict(m.generators)
     d_table = dict(m.d_table)
-    for j in range(1, fr.rank + 1):
-        xi, dxi = _fibre_names(frame_id, j)
-        if xi in gens or dxi in gens:
-            raise InvariantViolation(f"fibre coordinate names collide in {m.name!r}")
+    for j, (xi, dxi) in enumerate(_fibre_names(m, frame_id), start=1):
         gens[xi] = Generator(xi, "even", 0, PLAIN_FORM, frame_id, j)
         gens[dxi] = Generator(dxi, "odd", 1, PLAIN_FORM, frame_id, j)
-        d_table[xi] = Element((Term(1, (0,) * m.r, None, (dxi,), ()),))
+        d_table[xi] = Element((Term(1, None, (dxi,), ()),))
     return FormalModel(
         name=m.name + "+fibre", manifold_dim=m.manifold_dim + 2 * fr.rank,
         parameters=m.parameters, generators=gens, d_table=d_table,
         iota_table=dict(m.iota_table), frames=dict(m.frames), base=m.base)
 
 
-def _fibre_names(frame_id, j):
-    return f"xi_{frame_id}_{j}", f"dxi_{frame_id}_{j}"
+def _fibre_names(m, frame_id):
+    """[(xi_<frame>_<j>, dxi_<frame>_<j>)] for the frame's slots j, primed
+    until no generator or parameter of m (truncation_degrees) has one."""
+    prime = ""
+    while True:
+        names = [(f"xi_{frame_id}_{j}{prime}", f"dxi_{frame_id}_{j}{prime}")
+                 for j in range(1, m.frames[frame_id].rank + 1)]
+        if m.truncation_degrees.keys().isdisjoint(sum(names, ())):
+            return names
+        prime += "'"
 
 
 def fourier_fibre_integrate(m, frame_id):
@@ -178,10 +183,10 @@ def fourier_fibre_integrate(m, frame_id):
     prefactor, so all coefficients stay rational.  Lower fibre-degree terms
     integrate to zero and are dropped.
     """
+    names = _fibre_names(m, frame_id)
     m = with_fibre_coordinates(m, frame_id)
     fr = m.frames[frame_id]
     k = fr.rank
-    names = [_fibre_names(frame_id, j) for j in range(1, k + 1)]
     xi_names = [xi for xi, _ in names]
     dxi_names = [dxi for _, dxi in names]
 
@@ -233,5 +238,5 @@ def fourier_fibre_integrate(m, frame_id):
                 raise InvariantViolation("odd residual power of i in fibre integral")
             sign *= 1 if ipow == 0 else -1
             delta = DeltaFactor(frame_id, tuple(jj), ARG_CLOSED)
-            top.append(Term(t.coeff * sign, t.x_mono, delta, tuple(non_dxi), tuple(even_rest)))
+            top.append(Term(t.coeff * sign, delta, tuple(non_dxi), tuple(even_rest)))
     return normal_form(Element(tuple(top)), m)

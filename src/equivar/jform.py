@@ -77,8 +77,7 @@ def transformed_j_form(m, frame_id, a_matrix):
     fr = m.frames[frame_id]
     d0 = DeltaFactor(frame_id, (0,) * fr.rank)
     delta_part = delta_linear_substitute(d0, a_matrix, m)
-    zero = (0,) * m.r
-    betas = [Element(tuple(Term(x, zero, None, (fr.alpha_slots[col],), ())
+    betas = [Element(tuple(Term(x, None, (fr.alpha_slots[col],), ())
                            for col, x in enumerate(row) if x))
              for row in reversed(a_matrix)]
     return multiply(product(betas, m), delta_part, m)

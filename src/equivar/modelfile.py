@@ -19,9 +19,10 @@ display decomposition of each closed argument (its exterior-derivative part,
 a 2-form) and is required only by models that render Taylor expansions or declare a
 principal-bundle structure.  Structural problems raise ParseError; semantic
 problems raise InvariantViolation naming the failing invariant.  A generator
-or frame name declared twice is a ParseError, and so is a kind outside
-superalg.KINDS.  A ParseError's message names its place: the JSON line and
-column, or the table entry and the column in its expression.
+or frame name declared twice, a key repeated in one JSON object and a kind
+outside superalg.KINDS are ParseErrors; validate_model rejects a parameter
+named like a generator.  A ParseError's message names its place: the JSON
+line and column, or the table entry and the column in its expression.
 """
 
 import json
@@ -84,14 +85,6 @@ def _tokenize(src):
     return toks
 
 
-def _name_element(name, exp, m, col):
-    if name in m.parameters:
-        return m.x(m.parameters.index(name), exp)
-    if name in m.generators:
-        return m.gen(name, exp)
-    raise ParseError(f"unknown symbol {name!r}", column=col)
-
-
 def _parse_term(toks, pos, m):
     factors = []
     while True:
@@ -113,7 +106,10 @@ def _parse_term(toks, pos, m):
                     raise ParseError("expected integer exponent after '^'", column=col)
                 exp = int(toks[pos][1])
                 pos += 1
-            factors.append(_name_element(val, exp, m, col))
+            try:
+                factors.append(m.gen(val, exp))
+            except KeyError:
+                raise ParseError(f"unknown symbol {val!r}", column=col) from None
         else:
             raise ParseError(f"unexpected {val!r}", column=col)
         if pos < len(toks) and toks[pos][:2] == ("op", "*"):
@@ -243,8 +239,6 @@ def model_from_dict(doc):
     if not all(isinstance(p, str) for p in params):
         raise ParseError(f"parameters must be names in {name}")
     gens = _parse_generators(_require(doc, "generators", list, name))
-    if set(params) & set(gens):
-        raise InvariantViolation("a parameter name collides with a generator name")
 
     frames = {}
     splits = {}
@@ -314,9 +308,19 @@ def model_from_dict(doc):
     return m
 
 
+def _object(pairs):
+    """A JSON object as a dict; a repeated key is a ParseError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads_model(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
                          line=e.lineno, column=e.colno) from None

@@ -60,9 +60,6 @@ def render_term(t, m, fmt=TEXT):
     """Body of one term without its sign; coefficient magnitude included."""
     odd = [_name(n, fmt) for n in t.odd_mono]
     factors = []
-    for a, e in enumerate(t.x_mono):
-        if e:
-            factors.append(_pow(m.parameters[a], e, fmt))
     if odd:
         factors.append((r" \wedge " if fmt == LATEX else "*").join(odd))
     if t.delta is not None:

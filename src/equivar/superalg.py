@@ -1,11 +1,11 @@
 """Graded-commutative calculus with delta-distribution coefficients.
 
-Elements are finite sums of terms over exact rationals.  A term is a
-rational coefficient times a monomial in the equivariant parameters
-X_1..X_r, an optional delta-derivative factor, a square-free product of
-odd generators, and a monomial in even generators.  The equivariant
-differential D = d - iota(X) acts through per-generator tables, except
-that a frame form's D-image is its primitive closed argument u_j by
+Elements are finite sums of terms over exact rationals.  A term has four
+fields: a rational coefficient, an optional delta-derivative factor, a
+square-free product of odd generators, and a monomial in even generators,
+the parameters X_1..X_r among them (even, truncation degree 0, D(X) = 0, as
+in the Cartan model).  D = d - iota(X) acts through per-generator tables,
+except that a frame form's D-image is its primitive closed argument u_j by
 construction; the u_j are D-closed symbols of even parity.
 
 Degree bookkeeping truncates any term whose total form degree exceeds
@@ -33,7 +33,7 @@ exactly and compare and hash alike, so the rule only picks the cheaper
 representation.  A term's even monomial is sorted by name with positive
 exponents, and its odd monomial is sorted by `FormalModel.odd_order`.
 
-A `Term` is a NamedTuple of its five fields: building one is one tuple
+A `Term` is a NamedTuple of its four fields: building one is one tuple
 allocation, and two terms compare as tuples.  `multiply` and `_finalize`
 read three tables that each `FormalModel` fills lazily: odd monomial ->
 bitmask (bit odd_order[g] for each generator g), bitmask -> odd monomial
@@ -46,7 +46,7 @@ i, and the sign is the parity of the popcount of m1 & that mask.  A call
 unpacks the right operand's terms once, with their masks, and checks for a
 delta clash once per left term with a delta, against the right operand's
 first delta, which is the first clashing pair's.  Even degrees come from
-the name -> truncation degree table (0 on closed arguments).
+the name -> truncation degree table (0 on closed arguments and parameters).
 
 The tables are safe because a `FormalModel` is frozen: `__post_init__`
 sets its derived tables once.  They are keyed by name tuples and live on
@@ -119,7 +119,6 @@ def _exact(q):
 
 class Term(NamedTuple):
     coeff: int | Fraction
-    x_mono: tuple[int, ...]
     delta: DeltaFactor | None
     odd_mono: tuple[str, ...]
     even_mono: tuple[tuple[str, int], ...]
@@ -138,8 +137,8 @@ class Element:
         c = _exact(c)
         if c == 0:
             return Element()
-        return Element(tuple(_new_tuple(Term, (_exact(t_c * c), x, d, odd, even))
-                             for t_c, x, d, odd, even in self.terms))
+        return Element(tuple(_new_tuple(Term, (_exact(t_c * c), d, odd, even))
+                             for t_c, d, odd, even in self.terms))
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,8 @@ class FormalModel:
             odd_order={n: i for i, n in enumerate(odd_names)},
             _odd_names=tuple(odd_names),
             form_degrees={n: g.form_degree for n, g in gens.items()},
-            truncation_degrees={n: g.truncation_degree() for n, g in gens.items()},
+            truncation_degrees=dict.fromkeys(self.parameters, 0)
+            | {n: g.truncation_degree() for n, g in gens.items()},
             # filled lazily by multiply and _finalize (see the module docstring)
             _odd_masks={},          # odd monomial -> bitmask
             _odd_by_mask={},        # bitmask -> odd monomial sorted by odd_order
@@ -195,24 +195,23 @@ class FormalModel:
         c = _exact(c)
         if c == 0:
             return Element()
-        return Element((Term(c, (0,) * self.r, None, (), ()),))
+        return Element((Term(c, None, (), ()),))
 
     def one(self):
         return self.scalar(1)
 
-    def x(self, a, exp=1):
-        mono = tuple(exp if i == a else 0 for i in range(self.r))
-        return Element((Term(1, mono, None, (), ()),))
-
     def gen(self, name, exp=1):
-        g = self.generators[name]
+        """A generator or a parameter (an even generator) to the power exp."""
+        g = self.generators.get(name)
+        if g is None and name not in self.parameters:
+            raise KeyError(name)
         if exp == 0:
             return self.one()
-        if g.parity == ODD:
+        if g is not None and g.parity == ODD:
             if exp > 1:
                 return Element()
-            return Element((Term(1, (0,) * self.r, None, (name,), ()),))
-        return Element((Term(1, (0,) * self.r, None, (), ((name, exp),)),))
+            return Element((Term(1, None, (name,), ()),))
+        return Element((Term(1, None, (), ((name, exp),)),))
 
     def delta(self, frame_id, deriv=None, argument=ARG_CLOSED):
         """delta_0^(deriv) of the frame's arguments, in normal form: a closed
@@ -221,7 +220,7 @@ class FormalModel:
         if deriv is None:
             deriv = (0,) * fr.rank
         d = DeltaFactor(frame_id, tuple(deriv), argument)
-        return _finalize({((0,) * self.r, d, (), ()): 1}, self)
+        return _finalize({(d, (), ()): 1}, self)
 
     # -- structure helpers ---------------------------------------------------
 
@@ -232,7 +231,9 @@ class FormalModel:
         return deg
 
     def d_image(self, name):
-        """D applied to a single generator, as an Element."""
+        """D applied to a single generator, as an Element: 0 on a parameter."""
+        if name in self.parameters:
+            return Element()
         g = self.generators[name]
         if g.kind == FRAME_FORM:
             return self.gen(self.frames[g.frame_id].u_slots[g.slot - 1])
@@ -242,7 +243,7 @@ class FormalModel:
         for a in range(self.r):
             it = self.iota_table.get((name, a))
             if it is not None and not it.is_zero():
-                pieces.append(multiply(self.x(a), it, self).scaled(-1))
+                pieces.append(multiply(self.gen(self.parameters[a]), it, self).scaled(-1))
         return add_all(pieces, self)
 
 
@@ -289,14 +290,14 @@ def _finalize(acc, m):
     for key, coeff in acc.items():
         if coeff == 0:
             continue
-        x_mono, dk, odd_mono, even_mono = key
+        dk, odd_mono, even_mono = key
         if even_mono and dk.argument == ARG_CLOSED:
             coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
             if coeff == 0:
                 continue
-            key = (x_mono, dk, odd_mono, even_mono)
+            key = (dk, odd_mono, even_mono)
         if dk is not _NO_DELTA and not dk.deriv and dk.argument == ARG_CLOSED:
-            key = (x_mono, _NO_DELTA, odd_mono, even_mono)
+            key = (_NO_DELTA, odd_mono, even_mono)
         deg = odd_degrees.get(odd_mono)
         if deg is None:
             deg = _odd_degree(odd_mono, m)
@@ -307,13 +308,12 @@ def _finalize(acc, m):
         prev = out.get(key)
         out[key] = coeff if prev is None else prev + coeff
     terms = []
-    for (x_mono, dk, odd_mono, even_mono), c in sorted(out.items()):
+    for (dk, odd_mono, even_mono), c in sorted(out.items()):
         if c == 0:
             continue
         if c.__class__ is not int:
             c = _exact(c)
-        terms.append(_new_tuple(Term, (c, x_mono, None if dk is _NO_DELTA else dk,
-                                       odd_mono, even_mono)))
+        terms.append(_new_tuple(Term, (c, None if dk is _NO_DELTA else dk, odd_mono, even_mono)))
     return Element(tuple(terms))
 
 
@@ -348,8 +348,8 @@ def add_all(elements, m):
     which is finalized once."""
     acc = {}
     for e in elements:
-        for c, x_mono, delta, odd_mono, even_mono in e.terms:
-            key = (x_mono, _NO_DELTA if delta is None else delta, odd_mono, even_mono)
+        for c, delta, odd_mono, even_mono in e.terms:
+            key = (_NO_DELTA if delta is None else delta, odd_mono, even_mono)
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)
@@ -377,7 +377,7 @@ def _multiply_acc(a, b, m):
     order, masks, by_mask = m.odd_order, m._odd_masks, m._odd_by_mask
     right = []
     d2 = None    # the first delta factor of b
-    for c2, x2, delta2, odd2, even2 in b.terms:
+    for c2, delta2, odd2, even2 in b.terms:
         m2 = masks.get(odd2)
         if m2 is None:
             m2 = _odd_mask(odd2, m)
@@ -389,16 +389,15 @@ def _multiply_acc(a, b, m):
             delta2 = _NO_DELTA
         elif d2 is None:
             d2 = delta2
-        right.append((c2, x2, not any(x2), delta2, m2, p2, even2))
+        right.append((c2, delta2, m2, p2, even2))
     acc = {}
-    for c1, x1, d1, odd1, even1 in a.terms:
+    for c1, d1, odd1, even1 in a.terms:
         if d1 is not None and d2 is not None:
             raise _delta_clash(d1, d2)
         m1 = masks.get(odd1)
         if m1 is None:
             m1 = _odd_mask(odd1, m)
-        x1_zero = not any(x1)
-        for c2, x2, x2_zero, dk2, m2, p2, even2 in right:
+        for c2, dk2, m2, p2, even2 in right:
             if m1 & m2:
                 continue
             odd = by_mask.get(m1 | m2)
@@ -413,13 +412,7 @@ def _multiply_acc(a, b, m):
                 for n, e in even2:
                     merged[n] = merged.get(n, 0) + e
                 even = tuple(sorted(merged.items()))
-            if x1_zero:
-                x_mono = x2
-            elif x2_zero:
-                x_mono = x1
-            else:
-                x_mono = tuple(i + j for i, j in zip(x1, x2))
-            key = (x_mono, d1 or dk2, odd, even)
+            key = (d1 or dk2, odd, even)
             # the Koszul sign: parity of the pairs (g1, g2) with g1 after g2
             c = -c1 * c2 if (m1 & p2).bit_count() & 1 else c1 * c2
             prev = acc.get(key)
@@ -455,24 +448,24 @@ def graded_exp_pieces(e, m):
 
 
 def _derivation_on_term(t, image, m):
-    """Odd derivation applied to one term c x delta o_1..o_p (even part), as
-    unsummed Leibniz pieces; the delta factor and X-monomial are constants
-    (the delta's argument is D-closed).  The piece of o_i is
-    (-1)^(i-1) (c x delta o_1..o_(i-1)) image(o_i) (o_(i+1)..o_p even), and
-    that of g^e in the even part is (-1)^p e (c x delta o_1..o_p rest)
+    """Odd derivation applied to one term c delta o_1..o_p (even part), as
+    unsummed Leibniz pieces; the delta factor is a constant (its argument is
+    D-closed).  The piece of o_i is
+    (-1)^(i-1) (c delta o_1..o_(i-1)) image(o_i) (o_(i+1)..o_p even), and
+    that of g^e in the even part is (-1)^p e (c delta o_1..o_p rest)
     image(g), rest the even part with g^(e-1).  Each bracket is a part of a
     normal-form term, so it is built directly as one."""
-    c, x_mono, delta, odd, even = t
+    c, delta, odd, even = t
     if delta is not None and delta.argument == ARG_MOMENT:
         raise NotDifferentiable("display-form element (moment-argument delta)")
     for i, name in enumerate(odd):
         img = image(name)
         if img.terms:
-            left = Element((_new_tuple(Term, (c, x_mono, delta, odd[:i], ())),))
+            left = Element((_new_tuple(Term, (c, delta, odd[:i], ())),))
             piece = multiply(left, img, m)
             after = odd[i + 1:]
             if after or even:
-                right = _new_tuple(Term, (1, (0,) * m.r, None, after, even))
+                right = _new_tuple(Term, (1, None, after, even))
                 piece = multiply(piece, Element((right,)), m)
             yield piece
         c = -c
@@ -481,7 +474,7 @@ def _derivation_on_term(t, image, m):
         if img.terms:
             lower = ((name, e - 1),) if e > 1 else ()
             rest = even[:j] + lower + even[j + 1:]
-            yield multiply(Element((_new_tuple(Term, (c * e, x_mono, delta, odd, rest)),)), img, m)
+            yield multiply(Element((_new_tuple(Term, (c * e, delta, odd, rest)),)), img, m)
 
 
 def equivariant_differential(a, m):
@@ -517,6 +510,8 @@ def validate_model(m):
             raise InvariantViolation(f"parity/degree mismatch on {g.name!r}")
     if len(set(m.parameters)) != m.r:
         raise InvariantViolation("duplicate parameter names")
+    if not m.generators.keys().isdisjoint(m.parameters):
+        raise InvariantViolation("a parameter name collides with a generator name")
 
     for fr in m.frames.values():
         if len(fr.alpha_slots) != fr.rank or len(fr.u_slots) != fr.rank:

@@ -104,7 +104,7 @@ def random_element(rng, m, with_delta=True, n_terms=3, max_exp=2):
         for a in range(m.r):
             e = rng.randint(0, max_exp)
             if e:
-                factors.append(m.x(a, e))
+                factors.append(m.gen(m.parameters[a], e))
         for nm in odd_names:
             if rng.random() < 0.4:
                 factors.append(m.gen(nm))

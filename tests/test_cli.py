@@ -4,15 +4,17 @@ import copy
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from equivar import cli, genco, jform, linalg, superalg
+from equivar import characters, charclass, cli, genco, jform, linalg, superalg
 from equivar.cli import main, run_index, run_verify
 from equivar.errors import ParseError
-from equivar.modelfile import load_builtin, load_model, loads_model
+from equivar.laurent import RationalCharacter
+from equivar.modelfile import load_builtin, load_model, loads_model, parse_element
 from equivar.report import (
     CONVENTIONS,
     LATEX,
@@ -84,6 +86,10 @@ MALFORMED_DOCS = {
         "duplicate generator 'dalpha'"),
     "duplicate-frame": ("s3-contact", lambda d: d["frames"].insert(
         0, dict(d["frames"][0], momentSamples=[[[0, 0]]])), "duplicate frame 'co'"),
+    # a parameter is an even generator, so the two may not share a name
+    "parameter-named-like-generator": ("s3-contact", lambda d: d["generators"].append(
+        {"name": "X1", "parity": "even", "formDegree": 2}),
+        "a parameter name collides with a generator name"),
     # fibre coordinates exist only in the model the Fourier integral builds
     "fibre-kind": ("hopf", lambda d: d["generators"].append(
         {"name": "xi", "parity": "even", "formDegree": 0, "kind": "fibreCoordinate",
@@ -101,6 +107,43 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
     assert field in cap.err and "Traceback" not in cap.err, cap.err
+
+
+# A key repeated inside one JSON object: json keeps the last copy, so the
+# copy that won depended on its place.  The rows of MALFORMED_DOCS edit
+# dicts, which cannot repeat a key, so these edit the JSON text of
+# s3-contact: a second "momentSamples" of rank 0 before or after the real
+# one in frame co, or a second "name" at the top level.
+REPEATED_KEYS = {
+    "first": ('"frameId": "co"', '"momentSamples": [[[0, 0]]], "frameId": "co"',
+              "momentSamples"),
+    "last": ('"split"', '"momentSamples": [[[0, 0]]], "split"', "momentSamples"),
+    "top-level": ('"manifoldDim"', '"name": "other", "manifoldDim"', "name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_key_exit_two(case, tmp_path, capsys):
+    old, new, key = REPEATED_KEYS[case]
+    text = json.dumps(_builtin_doc("s3-contact"))
+    assert text.count(old) == 1
+    path = tmp_path / f"{case}.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: duplicate key {key!r}\n"
+
+
+def test_generator_with_a_fibre_coordinate_name_verifies(tmp_path, capsys):
+    # the Fourier integral names its fibre coordinates around the model's own
+    doc = _edited("s3-contact", lambda d: (
+        d["generators"].append({"name": "xi_co_1", "parity": "even", "formDegree": 2}),
+        d["dTable"].update(xi_co_1="0")))
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith("verify s3-contact: pass")
 
 
 def test_json_syntax_error_names_line_and_column(tmp_path, capsys):
@@ -228,6 +271,16 @@ def test_render_closed_and_display_forms():
     mh = load_builtin("hopf")
     assert render_frame_value(mh, "conn", TEXT) == \
         "psi*delta0(f[conn]) + psi*delta0^(1)(f[conn])*Psi"
+
+
+def test_parameter_factors_render_among_the_even_factors():
+    # a parameter is an even generator: its factors sort by name with the
+    # other even factors, and its terms sort by their even monomials
+    m = load_builtin("hopf")
+    e = parse_element("2*X*Psi - 3*X^2*psi + psi", m)
+    assert render_element(e, m, TEXT) == "2*Psi*X + psi - 3*psi*X^2"
+    assert render_element(e, m, LATEX) == \
+        "2\\,\\mathrm{Psi}\\,X + \\mathrm{psi} - 3\\,\\mathrm{psi}\\,X^{2}"
 
 
 def test_verify_exit_zero(capsys):
@@ -392,6 +445,75 @@ def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
     monkeypatch.setattr(module, name, faulty(getattr(module, name)))
     statuses = _statuses(run_verify(m))
     assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+
+
+# fault -> (module, function, a map from that function to its faulty stand-in,
+# {example: the entries of its default report that the fault turns to fail})
+INDEX_FAULTS = {
+    "orientation-negated": (
+        charclass, "fixed_point_contribution",
+        lambda contribution: lambda datum, nvars: contribution(
+            replace(datum, orientation_sign=-datum.orientation_sign), nvars),
+        {"cp1-dolbeault": ["sheaf-character-oracle"],
+         "cp1-l2": ["frobenius-branching-oracle"],
+         "s3-contact": ["contact-box-oracle"]}),
+    "comb-drops-negative-half": (
+        characters, "lattice_comb",
+        lambda comb: lambda nvars, direction: RationalCharacter(
+            nvars, comb(nvars, direction).terms[:1]),
+        {"torus-zero": ["rank1:regular-representation-window-50",
+                        "rank2:regular-representation-window-20"]}),
+    "taylor-drops-last-term": (
+        characters, "taylor_expand_delta",
+        lambda taylor: lambda e, frame_id, m: superalg.Element(
+            taylor(e, frame_id, m).terms[:-1]),
+        {"s3-contact": ["taylor-display-form"]}),
+    "chern-weil-doubled": (
+        characters, "chern_weil_pair",
+        lambda pair: lambda m, frame_id, poly: pair(m, frame_id, poly).scaled(2),
+        {"hopf": ["orbifold-multiplicities"]}),
+    "no-absorption": (
+        superalg, "_absorb",
+        lambda _: lambda coeff, dk, even_mono, m: (coeff, dk, even_mono),
+        {"torus-zero": ["rank1:equivariantly-closed", "rank2:equivariantly-closed"],
+         "hopf": ["equivariantly-closed"],
+         "s3-contact": ["equivariantly-closed"]}),
+    # at rank 0 J is 1, so closedness only checks D(1) = 0
+    "differential-is-identity": (
+        jform, "equivariant_differential", lambda _: lambda a, m: a,
+        {"cp1-dolbeault": ["equivariantly-closed"]}),
+    "product-drops-last-factor": (
+        jform, "product",
+        lambda product: lambda factors, m: product(list(factors)[:-1], m),
+        {"torus-zero": ["rank1:delta-class-shape", "rank2:delta-class-shape",
+                        "rank1:frame-annihilation", "rank2:frame-annihilation"]}),
+    "multiply-doubled": (
+        jform, "multiply", lambda multiply: lambda a, b, m: multiply(a, b, m).scaled(2),
+        {"cp1-dolbeault": ["empty-frame-unit"]}),
+}
+
+INDEX_FAULT_CASES = sorted((fault, example) for fault, (*_, by_example) in INDEX_FAULTS.items()
+                           for example in by_example)
+
+
+@pytest.mark.parametrize("fault, example", INDEX_FAULT_CASES)
+def test_each_index_entry_fails_under_its_fault(fault, example, monkeypatch):
+    module, name, faulty, by_example = INDEX_FAULTS[fault]
+    entries = by_example[example]
+    statuses = _statuses(run_index(example))
+    assert [statuses[e] for e in entries] == ["pass"] * len(entries)
+    monkeypatch.setattr(module, name, faulty(getattr(module, name)))
+    statuses = _statuses(run_index(example))
+    assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+
+
+def test_index_faults_reach_every_entry_that_can_pass():
+    reached = {(example, e) for *_, by_example in INDEX_FAULTS.values()
+               for example, entries in by_example.items() for e in entries}
+    for example in characters.EXAMPLES:
+        for r in run_index(example)["results"]:
+            if r["status"] != "skipped-out-of-scope":
+                assert (example, r["check"]) in reached, (example, r["check"])
 
 
 def test_environment_sets_no_window(tmp_path, monkeypatch, capsys):

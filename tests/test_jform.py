@@ -176,8 +176,7 @@ def _reference_transformed_j_form(m, frame_id, a_matrix):
     fr = m.frames[frame_id]
     k = fr.rank
     a = tuple(tuple(Fraction(x) for x in row) for row in a_matrix)
-    zero = (0,) * m.r
-    betas = [normal_form(Element(tuple(Term(a[row][col], zero, None, (fr.alpha_slots[col],), ())
+    betas = [normal_form(Element(tuple(Term(a[row][col], None, (fr.alpha_slots[col],), ())
                                        for col in range(k) if a[row][col] != 0)), m)
              for row in reversed(range(k))]
     d0 = DeltaFactor(frame_id, (0,) * k)

@@ -34,7 +34,8 @@ from random_models import random_element, random_model
 # previous kernel: multiply masks each odd monomial on every call, sorts the
 # merged odd tuple of each pair with an inversion, and _finalize sums the
 # degree of every key from the name -> degree tables.  Kept as it was, except
-# that _prev_finalize counts the keys it truncates.
+# that _prev_finalize counts the keys it truncates, and that a key is the
+# four-field (delta, odd, even) one: the parameters are even generators.
 
 
 def _prev_degree(odd_mono, even_mono, form_degrees, truncation_degrees):
@@ -53,12 +54,12 @@ def _prev_finalize(acc, m, seen=None):
     for key, coeff in acc.items():
         if coeff == 0:
             continue
-        x_mono, dk, odd_mono, even_mono = key
+        dk, odd_mono, even_mono = key
         if even_mono and dk[2] == ARG_CLOSED:
             coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
             if coeff == 0:
                 continue
-            key = (x_mono, dk, odd_mono, even_mono)
+            key = (dk, odd_mono, even_mono)
         if _prev_degree(odd_mono, even_mono, form_degrees, truncation_degrees) > dim:
             if seen is not None:
                 seen["truncated"] += 1
@@ -71,12 +72,12 @@ def _prev_finalize(acc, m, seen=None):
         c = out[key]
         if c == 0:
             continue
-        dk = key[1]
+        dk = key[0]
         if dk in deltas:
             delta = deltas[dk]
         else:
             delta = deltas[dk] = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
-        terms.append(Term(_exact(c), key[0], delta, key[2], key[3]))
+        terms.append(Term(_exact(c), delta, key[1], key[2]))
     return Element(tuple(terms))
 
 
@@ -90,15 +91,14 @@ def _prev_odd_mask(odd_mono, order):
 def _prev_multiply(a, b, m, seen=None):
     order = m.odd_order
     right = [(t2, _prev_odd_mask(t2.odd_mono, order), [order[g] for g in t2.odd_mono],
-              t2.delta if t2.delta is not None else _NO_DELTA, not any(t2.x_mono))
+              t2.delta if t2.delta is not None else _NO_DELTA)
              for t2 in b.terms]
     acc = {}
     for t1 in a.terms:
-        c1, x1, d1, odd1, even1 = t1.coeff, t1.x_mono, t1.delta, t1.odd_mono, t1.even_mono
+        c1, d1, odd1, even1 = t1.coeff, t1.delta, t1.odd_mono, t1.even_mono
         m1 = _prev_odd_mask(odd1, order)
         dk1 = d1 if d1 is not None else _NO_DELTA
-        x1_zero = not any(x1)
-        for t2, m2, orders2, dk2, x2_zero in right:
+        for t2, m2, orders2, dk2 in right:
             if d1 is not None and t2.delta is not None:
                 if d1.frame_id == t2.delta.frame_id:
                     raise DeltaClash(
@@ -126,13 +126,7 @@ def _prev_multiply(a, b, m, seen=None):
                 for n, e in even2:
                     merged[n] = merged.get(n, 0) + e
                 even = tuple(sorted(merged.items()))
-            if x1_zero:
-                x_mono = t2.x_mono
-            elif x2_zero:
-                x_mono = x1
-            else:
-                x_mono = tuple(i + j for i, j in zip(x1, t2.x_mono))
-            key = (x_mono, dk1 if d1 is not None else dk2, odd, even)
+            key = (dk1 if d1 is not None else dk2, odd, even)
             c = c1 * t2.coeff
             if inv & 1:
                 c = -c
@@ -173,7 +167,7 @@ def _check_pair(a, b, m, seen):
     assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in want.terms]
     assert all(type(t) is Term for t in got.terms)
     for side, e in (("left", a), ("right", b)):
-        seen[f"x-{side}"] += any(any(t.x_mono) for t in e.terms)
+        seen[f"x-{side}"] += any(n in m.parameters for t in e.terms for n, _ in t.even_mono)
         seen[f"even-{side}"] += any(t.even_mono for t in e.terms)
         seen[f"delta-{side}"] += any(t.delta is not None for t in e.terms)
     seen["inversion"] += _odd_inversion(a, b, m)
@@ -245,7 +239,7 @@ def test_delta_clash_messages_match_previous_kernel():
     frame the right operand's first delta is on."""
     m = _two_frame_model()
     fr1 = add_all((m.gen("c"), m.delta("fr", (1, 0))), m)
-    gs1 = add_all((m.x(0), m.delta("gs", (0, 2))), m)
+    gs1 = add_all((m.gen("X1"), m.delta("gs", (0, 2))), m)
     both = add_all((m.gen("a1"), m.delta("fr"), m.delta("gs", (1, 1))), m)
     seen = Counter()
     for a in (fr1, gs1, both):

@@ -39,7 +39,7 @@ def test_parse_element_products_and_sums():
     e = parse_element("3/2*X1^2*deta1", m)
     t = e.terms[0]
     assert t.coeff == F(3, 2)
-    assert t.x_mono == (2, 0)
+    assert t.even_mono == (("X1", 2),)
     assert t.odd_mono == ("deta1",)
 
     s = parse_element("u1 - 2*u2 + X2*deta1*deta2", m)

@@ -53,8 +53,8 @@ def test_koszul_sign_on_odd_pair():
 
 def test_even_factors_commute():
     m = load_builtin("hopf")
-    a = multiply(m.gen("Psi"), m.x(0, 2), m)
-    b = multiply(m.x(0, 2), m.gen("Psi"), m)
+    a = multiply(m.gen("Psi"), m.gen(m.parameters[0], 2), m)
+    b = multiply(m.gen(m.parameters[0], 2), m.gen("Psi"), m)
     assert a == b
 
 
@@ -168,7 +168,7 @@ def test_normal_form_multiplication_compatible():
 def test_truncation_is_an_ideal():
     # dim 3: dalpha^2 has degree 4, so it kills any product it enters.
     m = load_builtin("s3-contact")
-    over = Element((Term(Fraction(1), (0, 0), None, (), (("dalpha", 2),)),))
+    over = Element((Term(Fraction(1), None, (), (("dalpha", 2),)),))
     assert normal_form(over, m).is_zero()
     assert multiply(over, m.gen("alpha"), m).is_zero()
     below = multiply(m.gen("alpha"), m.gen("dalpha"), m)  # degree 3 survives
@@ -177,7 +177,7 @@ def test_truncation_is_an_ideal():
 
 def _key(t):
     """The accumulator key of a term in superalg.add_all."""
-    return (t.x_mono, _NO_DELTA if t.delta is None else t.delta, t.odd_mono, t.even_mono)
+    return (_NO_DELTA if t.delta is None else t.delta, t.odd_mono, t.even_mono)
 
 
 def _raw_pieces(rng, m, counts):
@@ -195,7 +195,7 @@ def _raw_pieces(rng, m, counts):
             j = rng.randrange(fr.rank)
             u = fr.u_slots[j]
             up = tuple(e + (i == j) for i, e in enumerate(t.delta.deriv))
-            absorbed = Term(t.coeff, t.x_mono, DeltaFactor("fr", up), t.odd_mono,
+            absorbed = Term(t.coeff, DeltaFactor("fr", up), t.odd_mono,
                             tuple(sorted({**even, u: even.get(u, 0) + 1}.items())))
             partner = t._replace(coeff=t.coeff * up[j])
             pieces += [Element((absorbed,)), Element((partner,))]
@@ -238,7 +238,8 @@ def test_add_all_equals_pairwise_fold_randomized():
 
 def _ref_term_degree(m, t):
     deg = sum(m.generators[n].form_degree for n in t.odd_mono)
-    deg += sum(e * m.generators[n].truncation_degree() for n, e in t.even_mono)
+    deg += sum(e * (0 if n in m.parameters else m.generators[n].truncation_degree())
+               for n, e in t.even_mono)
     return deg
 
 
@@ -247,7 +248,7 @@ def _ref_finalize(acc, m, counts=None):
     for key, coeff in acc.items():
         if coeff == 0:
             continue
-        x_mono, dk, odd_mono, even_mono = key
+        dk, odd_mono, even_mono = key
         delta = None if dk[0] == "" and not dk[1] else DeltaFactor(*dk)
         even = dict(even_mono)
         if delta is not None and delta.argument == "closed":
@@ -258,7 +259,7 @@ def _ref_finalize(acc, m, counts=None):
             if coeff == 0:
                 continue
         even_mono = tuple(sorted((n, e) for n, e in even.items() if e != 0))
-        t = Term(coeff, x_mono, delta, odd_mono, even_mono)
+        t = Term(coeff, delta, odd_mono, even_mono)
         if _ref_term_degree(m, t) > m.manifold_dim:
             if counts is not None:
                 counts["truncated"] += 1
@@ -266,7 +267,7 @@ def _ref_finalize(acc, m, counts=None):
         k2 = _key(t)
         out[k2] = out.get(k2, 0) + coeff
     terms = tuple(
-        Term(c, k[0], None if k[1][0] == "" and not k[1][1] else DeltaFactor(*k[1]), k[2], k[3])
+        Term(c, None if k[0][0] == "" and not k[0][1] else DeltaFactor(*k[0]), k[1], k[2])
         for k, c in sorted(out.items()) if c != 0)
     return Element(terms)
 
@@ -324,12 +325,11 @@ def _ref_multiply(a, b, m, counts=None):
             even = dict(t1.even_mono)
             for n, e in t2.even_mono:
                 even[n] = even.get(n, 0) + e
-            x_mono = tuple(i + j for i, j in zip(t1.x_mono, t2.x_mono))
             delta = t1.delta if t1.delta is not None else t2.delta
             if counts is not None and delta is not None and any(delta.deriv):
                 counts["derivative_delta"] += 1
             dk = delta if delta is not None else ("", (), "")
-            key = (x_mono, dk, odd, tuple(sorted(even.items())))
+            key = (dk, odd, tuple(sorted(even.items())))
             acc[key] = acc.get(key, Fraction(0)) + t1.coeff * t2.coeff * sign
             contributions[key] = contributions.get(key, 0) + 1
     if counts is not None:
@@ -408,7 +408,8 @@ def test_degree_tables_match_generators():
                for m in models for g in m.generators.values())
     for m in models:
         assert m.form_degrees == {n: g.form_degree for n, g in m.generators.items()}
-        assert m.truncation_degrees == {
+        # a parameter is an even generator of truncation degree 0
+        assert m.truncation_degrees == dict.fromkeys(m.parameters, 0) | {
             n: 0 if g.kind == CLOSED_ARGUMENT else g.form_degree
             for n, g in m.generators.items()}
 
@@ -420,9 +421,11 @@ def test_zeroth_power_is_one():
 
 def test_scalar_and_x_helpers():
     m = load_builtin("t2-on-t2")
-    e = multiply(m.scalar(Fraction(3, 2)), m.x(1, 2), m)
+    e = multiply(m.scalar(Fraction(3, 2)), m.gen(m.parameters[1], 2), m)
     assert e.terms[0].coeff == Fraction(3, 2)
-    assert e.terms[0].x_mono == (0, 2)
+    assert e.terms[0].even_mono == (("X2", 2),)
+    with pytest.raises(KeyError):
+        m.gen("X3")
 
 
 def test_graded_exp_pieces():
@@ -447,8 +450,8 @@ def _tiny_model(d_table, iota_table, gens=None):
 
 
 def test_validate_rejects_nonvanishing_d_squared():
-    m = _tiny_model({"a": Element((Term(Fraction(1), (0,), None, (), (("w", 1),)),)),
-                     "w": Element((Term(Fraction(1), (0,), None, ("a",), (("w", 1),)),))},
+    m = _tiny_model({"a": Element((Term(Fraction(1), None, (), (("w", 1),)),)),
+                     "w": Element((Term(Fraction(1), None, ("a",), (("w", 1),)),))},
                     {})
     with pytest.raises(InvariantViolation):
         validate_model(m)
@@ -456,10 +459,29 @@ def test_validate_rejects_nonvanishing_d_squared():
 
 def test_validate_rejects_cartan_violation():
     # L(X) a = iota(d a) + d(iota a) = iota(w) must vanish for invariant a
-    m = _tiny_model({"a": Element((Term(Fraction(1), (0,), None, (), (("w", 1),)),))},
-                    {("w", 0): Element((Term(Fraction(1), (0,), None, (), ()),))})
+    m = _tiny_model({"a": Element((Term(Fraction(1), None, (), (("w", 1),)),))},
+                    {("w", 0): Element((Term(Fraction(1), None, (), ()),))})
     with pytest.raises(InvariantViolation):
         validate_model(m)
+
+
+def test_validate_rejects_a_parameter_named_like_a_generator():
+    # a parameter is an even generator: the two would share one monomial
+    gens = {"a": Generator("a", "odd", 1, "plainForm", None, None),
+            "X": Generator("X", "even", 2, "plainForm", None, None)}
+    with pytest.raises(InvariantViolation,
+                       match="^a parameter name collides with a generator name$"):
+        validate_model(_tiny_model({}, {}, gens))
+
+
+def test_differential_of_a_parameter_is_zero():
+    # D(X) = 0, so D(X w) = X D(w) for any w
+    m = load_builtin("hopf")
+    x = m.gen("X")
+    assert equivariant_differential(x, m).is_zero()
+    psi = m.gen("psi")
+    assert equivariant_differential(multiply(x, psi, m), m) == \
+        multiply(x, equivariant_differential(psi, m), m)
 
 
 def test_validate_rejects_frame_form_table_entry():
@@ -490,11 +512,11 @@ def test_validate_requires_split_entries_to_be_two_forms():
     # the Taylor display bounds its walk by degree, which needs every term of
     # dalpha_j to be a 2-form without a delta; u counts 0 toward the degree
     m = load_builtin("hopf")
-    for bad in (m.one(), m.x(0), m.gen("psi"), m.gen("u1"), m.delta("conn"),
+    for bad in (m.one(), m.gen(m.parameters[0]), m.gen("psi"), m.gen("u1"), m.delta("conn"),
                 add(m.gen("Psi"), m.scalar(2), m)):
         with pytest.raises(InvariantViolation, match="split entry 0"):
             validate_model(_with_split(m, "conn", (bad,)))
-    for good in (Element(), m.gen("Psi"), multiply(m.x(0), m.gen("Psi"), m)):
+    for good in (Element(), m.gen("Psi"), multiply(m.gen(m.parameters[0]), m.gen("Psi"), m)):
         assert validate_model(_with_split(m, "conn", (good,))) is True
 
 
@@ -568,13 +590,13 @@ def _with_block(rng, m, kind):
     d_table, iota_table = dict(m.d_table), dict(m.iota_table)
     s = nonzero_rational(rng)
     b, a = sorted(rng.sample(range(m.r), 2)) if m.r > 1 else (0, 0)
-    one = Element((Term(1, (0,) * m.r, None, (), ()),))
+    one = Element((Term(1, None, (), ()),))
 
     def gen(name):
         g = new[name]
         if g.parity == ODD:
-            return Element((Term(1, (0,) * m.r, None, (name,), ()),))
-        return Element((Term(1, (0,) * m.r, None, (), ((name, 1),)),))
+            return Element((Term(1, None, (name,), ()),))
+        return Element((Term(1, None, (), ((name, 1),)),))
 
     if kind == "valid":
         iota_table[("zp", a)] = gen("zq")
@@ -636,7 +658,7 @@ def _ref_derivation_on_term(t, image, m):
         raise NotDifferentiable("display-form element (moment-argument delta)")
     factors = [(n, 1, ODD) for n in t.odd_mono]
     factors += [(n, e, EVEN) for n, e in t.even_mono]
-    head = Element((Term(t.coeff, t.x_mono, t.delta, (), ()),))
+    head = Element((Term(t.coeff, t.delta, (), ()),))
     sign = 1
     for i, (name, exp, parity) in enumerate(factors):
         img = image(name)
@@ -747,8 +769,8 @@ def test_delta_keys_sort_as_the_old_key_tuples():
     rng.shuffle(keys)
 
     def old_key(k):
-        dk = ("", (), "") if k[1] is _NO_DELTA else (k[1].frame_id, k[1].deriv, k[1].argument)
-        return (k[0], dk, k[2], k[3])
+        dk = ("", (), "") if k[0] is _NO_DELTA else (k[0].frame_id, k[0].deriv, k[0].argument)
+        return (dk, k[1], k[2])
 
     assert sorted(keys) == sorted(keys, key=old_key)
 
@@ -759,7 +781,7 @@ def test_empty_frame_id_delta_is_kept():
     m = FormalModel("empty-frame", 2, ("X",), {}, {}, {}, {"": FrameDecl("", 1, ("a",), ("u",))})
     d = m.delta("")
     assert normal_form(d, m).terms[0].delta == DeltaFactor("", (0,))
-    assert multiply(m.x(0), d, m).terms[0].delta == DeltaFactor("", (0,))
+    assert multiply(m.gen("X"), d, m).terms[0].delta == DeltaFactor("", (0,))
     assert [t.delta for t in add(d, m.one(), m).terms] == [None, DeltaFactor("", (0,))]
 
 
@@ -771,7 +793,8 @@ def test_delta_of_no_arguments_is_one():
     assert m.delta("triv") == m.one()
     assert normal_form(m.delta("triv"), m) == m.one()
     assert add(m.delta("triv"), m.one(), m) == m.scalar(2)
-    assert multiply(m.x(0), m.delta("triv"), m) == m.x(0)
+    x = m.gen(m.parameters[0])
+    assert multiply(x, m.delta("triv"), m) == x
     # a moment-argument delta is a display form; the rule leaves it alone
     shown = normal_form(m.delta("triv", argument=ARG_MOMENT), m)
     assert shown.terms[0].delta == DeltaFactor("triv", (), ARG_MOMENT)
