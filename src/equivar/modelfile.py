@@ -21,8 +21,9 @@ principal-bundle structure.  Structural problems raise ParseError; semantic
 problems raise InvariantViolation naming the failing invariant.  A generator
 or frame name declared twice, a key repeated in one JSON object and a kind
 outside superalg.KINDS are ParseErrors; validate_model rejects a parameter
-named like a generator.  A ParseError's message names its place: the JSON
-line and column, or the table entry and the column in its expression.
+named like a generator or inside a table image.  A ParseError's message
+names its place: the JSON line and column, the object with a repeated key,
+or the table entry and the column in its expression.
 """
 
 import json
@@ -309,11 +310,17 @@ def model_from_dict(doc):
 
 
 def _object(pairs):
-    """A JSON object as a dict; a repeated key is a ParseError."""
+    """A JSON object as a dict; a repeated key is a ParseError that names the
+    object by the first value of its frameId, locusId or name."""
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ParseError(f"duplicate key {key!r}")
+            first = dict(reversed(pairs))
+            kinds = {"frameId": "frame", "locusId": "locus",
+                     "name": "generator" if "parity" in first else "model"}
+            place = next((f" in {kinds[k]} {first[k]!r}" for k in kinds
+                          if isinstance(first.get(k), str)), "")
+            raise ParseError(f"duplicate key {key!r}{place}")
         doc[key] = value
     return doc
 

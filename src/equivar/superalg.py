@@ -4,9 +4,11 @@ Elements are finite sums of terms over exact rationals.  A term has four
 fields: a rational coefficient, an optional delta-derivative factor, a
 square-free product of odd generators, and a monomial in even generators,
 the parameters X_1..X_r among them (even, truncation degree 0, D(X) = 0, as
-in the Cartan model).  D = d - iota(X) acts through per-generator tables,
-except that a frame form's D-image is its primitive closed argument u_j by
-construction; the u_j are D-closed symbols of even parity.
+in the Cartan model).  D = d - iota(X) is the one derivation: it acts
+through per-generator tables, except that a frame form's D-image is its
+primitive closed argument u_j by construction; the u_j are D-closed symbols
+of even parity.  validate_model checks D^2 = 0 on each generator, which holds
+d^2 = 0, Cartan's identity and the anticommuting contractions at once.
 
 Degree bookkeeping truncates any term whose total form degree exceeds
 the declared manifold dimension.  Closed arguments count 0 toward that
@@ -16,10 +18,11 @@ zero, so truncating on their nominal degree would be wrong.
 Sums are built with add_all, which merges the terms of all summands into
 one key -> coefficient accumulator and finalizes it once.  Finalizing acts
 term by term (absorption, the rule that delta_0 of no arguments is 1,
-truncation and zero-dropping depend only on a term's key) and is idempotent on normal forms, so one pass over the whole
-sum gives the same terms as one pass per summand.  `out = add(out, x, m)`
-in a loop re-finalizes the running sum at every step, which makes building
-a sum quadratic; that idiom is a bug.
+truncation and zero-dropping depend only on a term's key) and is
+idempotent on normal forms, so one pass over the whole sum gives the same
+terms as one pass per summand.  `out = add(out, x, m)` in a loop
+re-finalizes the running sum at every step, which makes building a sum
+quadratic; that idiom is a bug.
 
 `multiply` is the Koszul loop `_multiply_acc`, which returns the product's
 unfinalized accumulator, followed by `_finalize`.  Finalizing is linear on
@@ -52,8 +55,8 @@ The tables are safe because a `FormalModel` is frozen: `__post_init__`
 sets its derived tables once.  They are keyed by name tuples and live on
 the model, not in the terms, because the same monomial has another mask in
 another model: `with_fibre_coordinates` builds a new model, with its own
-odd order and its own tables.  `d_image` keeps no memo: the checks apply D
-once per generator per model, to J and to lambda in a new fibre model.
+odd order and its own tables.  `d_image` keeps no memo: an image is one
+table lookup and at most r products.
 """
 
 from dataclasses import dataclass, field
@@ -447,19 +450,19 @@ def graded_exp_pieces(e, m):
         piece = multiply(piece, e, m).scaled(Fraction(1, n))
 
 
-def _derivation_on_term(t, image, m):
-    """Odd derivation applied to one term c delta o_1..o_p (even part), as
-    unsummed Leibniz pieces; the delta factor is a constant (its argument is
+def _derivation_on_term(t, m):
+    """D applied to one term c delta o_1..o_p (even part), as unsummed
+    Leibniz pieces; the delta factor is a constant (its argument is
     D-closed).  The piece of o_i is
-    (-1)^(i-1) (c delta o_1..o_(i-1)) image(o_i) (o_(i+1)..o_p even), and
-    that of g^e in the even part is (-1)^p e (c delta o_1..o_p rest)
-    image(g), rest the even part with g^(e-1).  Each bracket is a part of a
-    normal-form term, so it is built directly as one."""
+    (-1)^(i-1) (c delta o_1..o_(i-1)) D(o_i) (o_(i+1)..o_p even), and that
+    of g^e in the even part is (-1)^p e (c delta o_1..o_p rest) D(g), rest
+    the even part with g^(e-1).  Each bracket is a part of a normal-form
+    term, so it is built directly as one."""
     c, delta, odd, even = t
     if delta is not None and delta.argument == ARG_MOMENT:
         raise NotDifferentiable("display-form element (moment-argument delta)")
     for i, name in enumerate(odd):
-        img = image(name)
+        img = m.d_image(name)
         if img.terms:
             left = Element((_new_tuple(Term, (c, delta, odd[:i], ())),))
             piece = multiply(left, img, m)
@@ -470,7 +473,7 @@ def _derivation_on_term(t, image, m):
             yield piece
         c = -c
     for j, (name, e) in enumerate(even):
-        img = image(name)
+        img = m.d_image(name)
         if img.terms:
             lower = ((name, e - 1),) if e > 1 else ()
             rest = even[:j] + lower + even[j + 1:]
@@ -478,16 +481,10 @@ def _derivation_on_term(t, image, m):
 
 
 def equivariant_differential(a, m):
-    """D = d - iota(X).  Frame forms map to their closed arguments, closed
-    arguments and delta factors to zero; everything else follows the tables."""
-    return apply_table_derivation(a, m.d_image, m)
-
-
-def apply_table_derivation(a, image, m):
-    """Odd derivation from an arbitrary generator->Element image map: D uses
-    m.d_image, the model validator the bare d and iota(e_a) tables.  All
-    Leibniz pieces of all terms are summed in one accumulator."""
-    return add_all((piece for t in a.terms for piece in _derivation_on_term(t, image, m)), m)
+    """D = d - iota(X), its Leibniz pieces summed in one accumulator.  Frame
+    forms map to their closed arguments; closed arguments, parameters and
+    delta factors to zero; everything else follows the tables."""
+    return add_all((piece for t in a.terms for piece in _derivation_on_term(t, m)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +555,8 @@ def validate_model(m):
             if used & frame_forms:
                 raise InvariantViolation(
                     f"frame form inside table image {where}: d is not defined there")
+            if not used.isdisjoint(m.parameters):
+                raise InvariantViolation(f"parameter inside table image {where}")
 
     for name, el in m.d_table.items():
         if name in frame_forms:
@@ -572,47 +571,21 @@ def validate_model(m):
             raise InvariantViolation(f"closed argument {name!r} must have zero iota-image")
         check_table_element(el, f"iota_{a}({name})")
 
-    def d_img(n):
-        if n in closed_args:
-            return Element()
-        return m.d_table.get(n, Element())
-
-    def iota_img(a):
-        def img(n):
-            if n in closed_args:
-                return Element()
-            return m.iota_table.get((n, a), Element())
-        return img
-
-    # A derivation maps zero to zero, so a check whose inputs are all zero is
-    # skipped.  iota_a iota_b + iota_b iota_a is symmetric in (a, b), and for
-    # b < a the pair (b, a) has already passed, so only b >= a is computed.
-    # The first failure and its message are the same as over all pairs.
-    iotas = [iota_img(a) for a in range(m.r)]
+    # D^2 g = d^2 g - sum_a X_a (d iota_a + iota_a d) g + sum_(a,b) X_a X_b iota_b iota_a g.
+    # No table image holds a parameter, so the parameter factors of a term of D^2 g name
+    # the identity it breaks: none d^2, X_a the Cartan sum of a, X_a X_b (a <= b) the pair
+    # (a, b).  The first is reported: d^2, then for each a its pairs, then its Cartan sum.
+    index = {p: a for a, p in enumerate(m.parameters)}
     for name in m.generators:
-        if name in frame_forms:
-            continue
-        dn = d_img(name)
-        if not dn.is_zero():
-            dd = apply_table_derivation(dn, d_img, m)
-            if not dd.is_zero():
+        broken = [tuple(index[n] for n, e in t.even_mono if n in index for _ in range(e))
+                  for t in equivariant_differential(m.d_image(name), m).terms]
+        if broken:
+            xs = min(broken, key=lambda xs: (xs[:1], len(xs) == 1, xs))
+            if not xs:
                 raise InvariantViolation(f"d(d({name})) != 0")
-        contractions = [ia(name) for ia in iotas]
-        for a, ia in enumerate(iotas):
-            ca = contractions[a]
-            for b in range(a, m.r):
-                cb = contractions[b]
-                if ca.is_zero() and cb.is_zero():
-                    continue
-                anti = add(apply_table_derivation(ca, iotas[b], m),
-                           apply_table_derivation(cb, ia, m), m)
-                if not anti.is_zero():
-                    raise InvariantViolation(f"iota_{a} iota_{b} fails to anticommute on {name!r}")
-            if ca.is_zero() and dn.is_zero():
-                continue
-            cartan = add(apply_table_derivation(ca, d_img, m),
-                         apply_table_derivation(dn, ia, m), m)
-            if not cartan.is_zero():
+            if len(xs) == 2:
                 raise InvariantViolation(
-                    f"generator {name!r} is not invariant: (d iota_{a} + iota_{a} d) != 0")
+                    f"iota_{xs[0]} iota_{xs[1]} fails to anticommute on {name!r}")
+            raise InvariantViolation(
+                f"generator {name!r} is not invariant: (d iota_{xs[0]} + iota_{xs[0]} d) != 0")
     return True

@@ -90,6 +90,10 @@ MALFORMED_DOCS = {
     "parameter-named-like-generator": ("s3-contact", lambda d: d["generators"].append(
         {"name": "X1", "parity": "even", "formDegree": 2}),
         "a parameter name collides with a generator name"),
+    # a table image with a parameter would blur the identities that D^2 = 0 holds
+    "parameter-in-table": ("hopf", lambda d: (
+        d["generators"].append({"name": "th", "parity": "odd", "formDegree": 1}),
+        d["iotaTable"].update(th=["X"])), "parameter inside table image iota_0(th)"),
     # fibre coordinates exist only in the model the Fourier integral builds
     "fibre-kind": ("hopf", lambda d: d["generators"].append(
         {"name": "xi", "parity": "even", "formDegree": 0, "kind": "fibreCoordinate",
@@ -113,18 +117,26 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
 # copy that won depended on its place.  The rows of MALFORMED_DOCS edit
 # dicts, which cannot repeat a key, so these edit the JSON text of
 # s3-contact: a second "momentSamples" of rank 0 before or after the real
-# one in frame co, or a second "name" at the top level.
+# one in frame co, a second "name" at the top level, a second "parity" in
+# generator dalpha, or a second "twistWeight" in the last fixed locus.  The
+# message names the object that holds the copy.
 REPEATED_KEYS = {
     "first": ('"frameId": "co"', '"momentSamples": [[[0, 0]]], "frameId": "co"',
-              "momentSamples"),
-    "last": ('"split"', '"momentSamples": [[[0, 0]]], "split"', "momentSamples"),
-    "top-level": ('"manifoldDim"', '"name": "other", "manifoldDim"', "name"),
+              "duplicate key 'momentSamples' in frame 'co'"),
+    "last": ('"split"', '"momentSamples": [[[0, 0]]], "split"',
+             "duplicate key 'momentSamples' in frame 'co'"),
+    "top-level": ('"manifoldDim"', '"name": "other", "manifoldDim"',
+                  "duplicate key 'name' in model 's3-contact'"),
+    "generator": ('"formDegree": 2}', '"formDegree": 2, "parity": "odd"}',
+                  "duplicate key 'parity' in generator 'dalpha'"),
+    "locus": ('"orientationSign": 1}]', '"orientationSign": 1, "twistWeight": [0, 0]}]',
+              "duplicate key 'twistWeight' in locus 'circle-z1-zero'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
 def test_repeated_key_exit_two(case, tmp_path, capsys):
-    old, new, key = REPEATED_KEYS[case]
+    old, new, message = REPEATED_KEYS[case]
     text = json.dumps(_builtin_doc("s3-contact"))
     assert text.count(old) == 1
     path = tmp_path / f"{case}.json"
@@ -132,7 +144,7 @@ def test_repeated_key_exit_two(case, tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err == f"error: duplicate key {key!r}\n"
+    assert cap.err == f"error: {message}\n"
 
 
 def test_generator_with_a_fibre_coordinate_name_verifies(tmp_path, capsys):

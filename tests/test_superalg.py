@@ -26,7 +26,6 @@ from equivar.superalg import (
     Term,
     add,
     add_all,
-    apply_table_derivation,
     equivariant_differential,
     graded_exp_pieces,
     multiply,
@@ -527,7 +526,7 @@ def test_random_models_validate():
 
 
 def _bare_images(m):
-    """The image maps validate_model derives with: the bare d table, and the
+    """The bare image maps of the three identities: the d table, and the
     iota_a table of each parameter a; closed arguments map to zero."""
     closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}
 
@@ -543,27 +542,28 @@ def _bare_images(m):
 
 
 def _reference_identities(m):
-    """The identity loop of validate_model with nothing skipped: d d on every
-    generator, iota_a iota_b + iota_b iota_a on every pair (a, b), and every
-    Cartan sum."""
+    """The three table identities that D^2 = 0 holds, checked one by one with
+    nothing skipped: d d on every generator, iota_a iota_b + iota_b iota_a on
+    every pair (a, b), and every Cartan sum.  The derivations are the
+    product-based _ref_apply, which shares no code with D."""
     frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
     d_img, iotas = _bare_images(m)
     for name in m.generators:
         if name in frame_forms:
             continue
-        dd = apply_table_derivation(d_img(name), d_img, m)
+        dd = _ref_apply(d_img(name), d_img, m)
         if not dd.is_zero():
             raise InvariantViolation(f"d(d({name})) != 0")
         for a in range(m.r):
             ia = iotas[a]
             for b in range(m.r):
                 ib = iotas[b]
-                anti = add(apply_table_derivation(ia(name), ib, m),
-                           apply_table_derivation(ib(name), ia, m), m)
+                anti = add(_ref_apply(ia(name), ib, m),
+                           _ref_apply(ib(name), ia, m), m)
                 if not anti.is_zero():
                     raise InvariantViolation(f"iota_{a} iota_{b} fails to anticommute on {name!r}")
-            cartan = add(apply_table_derivation(ia(name), d_img, m),
-                         apply_table_derivation(d_img(name), ia, m), m)
+            cartan = add(_ref_apply(ia(name), d_img, m),
+                         _ref_apply(d_img(name), ia, m), m)
             if not cartan.is_zero():
                 raise InvariantViolation(
                     f"generator {name!r} is not invariant: (d iota_{a} + iota_{a} d) != 0")
@@ -580,6 +580,14 @@ def _with_block(rng, m, kind):
                    the model has one parameter)
       invariance   iota_a zp = zq, d zq = zc
       dd           d zq = s zp, d zp = zs
+
+    and two kinds where one generator breaks two identities:
+
+      dd+invariance           d zq = s zc, d zc = zs, iota_a zc = zr
+                              (zq breaks d^2 and the Cartan sum of a)
+      anticommute+invariance  iota_a zp = zq, iota_a zq = s (the pair (a, a)),
+                              and iota_b zp = zr, d zr = zc if a != b (the
+                              Cartan sum of b < a), else d zq = zc (of a)
     """
     new = {"zp": Generator("zp", EVEN, 2), "zq": Generator("zq", ODD, 1),
            "zr": Generator("zr", ODD, 1), "zc": Generator("zc", EVEN, 2),
@@ -610,9 +618,21 @@ def _with_block(rng, m, kind):
     elif kind == "invariance":
         iota_table[("zp", a)] = gen("zq")
         d_table["zq"] = gen("zc")
-    else:
+    elif kind == "dd":
         d_table["zq"] = gen("zp").scaled(s)
         d_table["zp"] = gen("zs")
+    elif kind == "dd+invariance":
+        d_table["zq"] = gen("zc").scaled(s)
+        d_table["zc"] = gen("zs")
+        iota_table[("zc", a)] = gen("zr")
+    else:
+        iota_table[("zp", a)] = gen("zq")
+        iota_table[("zq", a)] = one.scaled(s)
+        if a != b:
+            iota_table[("zp", b)] = gen("zr")
+            d_table["zr"] = gen("zc")
+        else:
+            d_table["zq"] = gen("zc")
     return dataclasses.replace(m, manifold_dim=max(m.manifold_dim, 4), generators=gens,
                                d_table=d_table, iota_table=iota_table), (a, b)
 
@@ -647,6 +667,50 @@ def test_validate_matches_full_identity_loop():
             if kind == "anticommute":
                 seen["anticommute a>b" if a > b else "anticommute a=b"] += 1
     assert all(seen.values()), seen
+
+
+def test_validate_reports_the_first_broken_identity():
+    """When one generator breaks two identities, the message names the first
+    in the order d^2, then for each a the pairs (a, b >= a) before the Cartan
+    sum of a."""
+    expected = {
+        "dd+invariance": lambda a, b: "d(d(zq)) != 0",
+        "anticommute+invariance": lambda a, b: (
+            f"generator 'zp' is not invariant: (d iota_{b} + iota_{b} d) != 0" if a != b
+            else f"iota_{a} iota_{a} fails to anticommute on 'zp'"),
+    }
+    seen = dict.fromkeys(("dd+invariance", "cartan first", "anticommute first"), 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        m = random_model(rng, max_rank=3, with_theta=seed % 3 != 0)
+        for kind, message in expected.items():
+            broken, (a, b) = _with_block(rng, m, kind)
+            got = _outcome(validate_model, broken)
+            assert got == message(a, b), (seed, kind, got)
+            assert got == _outcome(_reference_identities, broken), (seed, kind)
+        seen["dd+invariance"] += 1
+        # (a, b) of the last kind, anticommute+invariance
+        seen["cartan first" if a != b else "anticommute first"] += 1
+    assert all(seen.values()), seen
+
+
+def test_validate_rejects_a_parameter_in_a_table_image():
+    # the parameter factors of D^2 g name the identity it breaks only when
+    # the tables themselves hold no parameter
+    m = load_builtin("hopf")
+    x = m.gen("X")
+    d_table = dict(m.d_table)
+    d_table["Psi"] = multiply(x, m.gen("Psi"), m)
+    with pytest.raises(InvariantViolation, match=r"^parameter inside table image d\(Psi\)$"):
+        validate_model(dataclasses.replace(m, d_table=d_table))
+    gens = dict(m.generators, th=Generator("th", ODD, 1))
+    with pytest.raises(InvariantViolation,
+                       match=r"^parameter inside table image iota_0\(th\)$"):
+        validate_model(dataclasses.replace(m, generators=gens,
+                                           iota_table={("th", 0): x}))
+    # the same model with a scalar contraction is valid
+    assert validate_model(dataclasses.replace(m, generators=gens,
+                                              iota_table={("th", 0): m.one()})) is True
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +763,13 @@ def _count_leibniz_cases(t, image, m, seen):
 
 
 def _check_derivations(rng, m, seen, n_elements):
-    d_img, iotas = _bare_images(m)
     for _ in range(n_elements):
         e = random_element(rng, m, n_terms=rng.randint(1, 4))
-        for image, got in [(m.d_image, equivariant_differential(e, m))] + [
-                (img, apply_table_derivation(e, img, m)) for img in [d_img] + iotas]:
-            want = _ref_apply(e, image, m)
-            assert got.terms == want.terms, (m.name, e)
-            _assert_canonical(got)
-            for t in e.terms:
-                _count_leibniz_cases(t, image, m, seen)
+        got = equivariant_differential(e, m)
+        assert got.terms == _ref_apply(e, m.d_image, m).terms, (m.name, e)
+        _assert_canonical(got)
+        for t in e.terms:
+            _count_leibniz_cases(t, m.d_image, m, seen)
         for t in e.terms:
             if t.delta is None:
                 continue
@@ -721,8 +782,8 @@ def _check_derivations(rng, m, seen, n_elements):
 
 
 def test_derivation_matches_product_reference_randomized():
-    """D and the validator's bare d and iota_a, on random elements of random,
-    built-in and fibre-extended models, against the product-based rule."""
+    """D on random elements of random, built-in and fibre-extended models,
+    against the product-based rule."""
     rng = random.Random(37)
     seen = dict.fromkeys(("odd piece", "even power", "u absorbed", "zero image",
                           "moment delta", "random", "builtin", "fibre"), 0)
