@@ -15,17 +15,20 @@ frame id and J: check_closed(m, j), check_annihilated(m, frame_id, j) and
 frame_change_compare(m, frame_id, j, a_matrix).
 
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
-the betas is expanded through `multiply`, never replaced by det(A), so a
-wrong Koszul sign or delta scale makes the comparison fail.  The frame
-changes that verify draws are integer matrices (linalg.random_gl_plus), so
-the expansion runs in integer arithmetic.
+the betas times delta_0(A u) is expanded through the Koszul loop
+(superalg._product_acc), once per beta and once for the delta part, and put
+in normal form once; it is never replaced by det(A), so a wrong Koszul sign
+or delta scale makes the comparison fail.  Only the delta part carries a
+delta factor, which is the fold's condition.  The frame changes that verify
+draws are integer matrices (linalg.random_gl_plus), so the expansion runs
+in integer arithmetic.
 """
 
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
-from .superalg import (DeltaFactor, Element, Term, add_all, equivariant_differential,
-                       multiply, product)
+from .superalg import (DeltaFactor, Element, Term, _finalize, _new_tuple, _product_acc,
+                       add_all, equivariant_differential, multiply, product)
 
 
 def check_transversality(m, frame_id):
@@ -77,10 +80,12 @@ def transformed_j_form(m, frame_id, a_matrix):
     fr = m.frames[frame_id]
     d0 = DeltaFactor(frame_id, (0,) * fr.rank)
     delta_part = delta_linear_substitute(d0, a_matrix, m)
-    betas = [Element(tuple(Term(x, None, (fr.alpha_slots[col],), ())
-                           for col, x in enumerate(row) if x))
-             for row in reversed(a_matrix)]
-    return multiply(product(betas, m), delta_part, m)
+    slots = [(name,) for name in fr.alpha_slots]
+    factors = [Element(tuple(_new_tuple(Term, (x, None, odd, ()))
+                             for odd, x in zip(slots, row) if x))
+               for row in reversed(a_matrix)]
+    factors.append(delta_part)
+    return _finalize(_product_acc(factors, m), m)
 
 
 def frame_change_compare(m, frame_id, j, a_matrix):

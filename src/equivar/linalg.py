@@ -3,22 +3,24 @@ changes behind verify's frame-independence trials.
 
 Matrices are tuples of row tuples with int or Fraction entries.  Sizes stay
 tiny (frame ranks, parameter counts and step sets).  One loop, _bareiss,
-does every elimination: it clears denominators row by row (each row times
-the lcm of its denominators) and runs fraction-free Bareiss elimination on
-Python ints (Bareiss, Math. Comp. 22, 1968), so every intermediate entry is a
-minor of the scaled matrix, each division is exact and no Fraction is built
-inside the loop.  It returns the rank, the last pivot with the sign of the
-row swaps, and the product of the row scales: rank reads the first, and det
-the other two, since the last pivot of a square matrix of full rank is the
-determinant of the scaled matrix.  Fractions appear only at the boundary:
-det returns one, rank an int.  inverse is the matrix of cofactors over det;
-it runs only for derivative deltas.
+does every elimination.  It runs fraction-free Bareiss elimination on rows
+of Python ints (Bareiss, Math. Comp. 22, 1968), so every intermediate entry
+is a minor of its input, each division is exact and no Fraction is built
+inside the loop, and returns the rank and the last pivot with the sign of
+the row swaps, which is the determinant when the rows are square of full
+rank.  _integer_rows feeds it a rational matrix: each row times the lcm of
+its denominators, with the product of those row scales, which det divides
+out.  Fractions appear only at the boundary: det returns one, rank an int.
+inverse is the matrix of cofactors over det; it runs only for derivative
+deltas.
 
 random_gl_plus draws the frame changes, integer matrices with entries
-uniform on -3..3, and remembers the matrix it returns with its determinant,
-negated or not; det reads that memo and writes none.  So a frame trial,
-which asks for the determinant of its matrix again after the draw, runs the
-elimination once.  No function here needs its input converted first.
+uniform on -3..3, and eliminates the integer rows it drew directly, with no
+denominators to clear.  It remembers the matrix it returns with its
+determinant as a Fraction, negated or not; det reads that memo and writes
+none.  So a frame trial, which asks for the determinant of its matrix again
+after the draw, runs the elimination once, and delta_linear_substitute gets
+an exact 1/det.  No function here needs its input converted first.
 """
 
 from fractions import Fraction
@@ -36,11 +38,11 @@ def _integer_rows(a):
     return rows, scale
 
 
-def _bareiss(a):
-    """(rank, signed last pivot, scale) of a, by Bareiss elimination of its
-    integer rows.  scale is the product of the row scales; when a is square
-    of full rank, the signed last pivot over scale is det a."""
-    rows, scale = _integer_rows(a)
+def _bareiss(rows):
+    """(rank, signed last pivot) of the integer rows, by Bareiss elimination.
+    The list rows is reordered and its rows replaced; no row is changed in
+    place.  When the rows are square of full rank, the signed last pivot is
+    their determinant."""
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     r, sign, prev = 0, 1, 1
@@ -61,15 +63,18 @@ def _bareiss(a):
         r += 1
         if r == nr:
             break
-    return r, sign * prev, scale
+    return r, sign * prev
 
 
 def rank(a):
-    return _bareiss(a)[0]
+    return _bareiss(_integer_rows(a)[0])[0]
 
 
 def _bareiss_det(a):
-    r, last, scale = _bareiss(a)
+    """det a: the determinant of a's integer rows over the product of the row
+    scales."""
+    rows, scale = _integer_rows(a)
+    r, last = _bareiss(rows)
     return Fraction(last, scale) if r == len(a) else Fraction(0)
 
 
@@ -117,9 +122,10 @@ def random_gl_plus(rng, k):
     global _last_det
     while True:
         a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
-        d = _bareiss_det(a)
+        r, d = _bareiss(list(a))
+        if r < k:
+            continue
         if d < 0:
             a, d = (tuple(-x for x in a[0]),) + a[1:], -d
-        if d > 0:
-            _last_det = (a, d)
-            return a
+        _last_det = (a, Fraction(d))
+        return a

@@ -22,8 +22,10 @@ problems raise InvariantViolation naming the failing invariant.  A generator
 or frame name declared twice, a key repeated in one JSON object and a kind
 outside superalg.KINDS are ParseErrors; validate_model rejects a parameter
 named like a generator or inside a table image.  A ParseError's message
-names its place: the JSON line and column, the object with a repeated key,
-or the table entry and the column in its expression.
+names its place: the JSON line and column, the object with a repeated key
+(by its frameId, locusId or name, else by the key that holds it, as in
+"duplicate key 'Psi' in dTable"), or the table entry and the column in its
+expression.
 """
 
 import json
@@ -309,25 +311,49 @@ def model_from_dict(doc):
     return m
 
 
-def _object(pairs):
-    """A JSON object as a dict; a repeated key is a ParseError that names the
-    object by the first value of its frameId, locusId or name."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            first = dict(reversed(pairs))
-            kinds = {"frameId": "frame", "locusId": "locus",
-                     "name": "generator" if "parity" in first else "model"}
-            place = next((f" in {kinds[k]} {first[k]!r}" for k in kinds
-                          if isinstance(first.get(k), str)), "")
-            raise ParseError(f"duplicate key {key!r}{place}")
-        doc[key] = value
-    return doc
+def _holds(value, error):
+    return value is error or (value.__class__ is list
+                              and any(_holds(v, error) for v in value))
+
+
+def _object_hook():
+    """(hook, pending) for one json.loads.  The hook builds each JSON object
+    as a dict.  A repeated key is a ParseError that names the object by the
+    first value of its frameId, locusId or name.  An object with none of them
+    returns its error unraised in its place, and the first such error waits
+    in pending until the hook of an enclosing object finds it under one of
+    its keys, in a list or not, and raises it with that key.  Until an error
+    is pending, no hook looks at its values."""
+    pending = []
+
+    def hook(pairs):
+        if pending:
+            for key, value in pairs:
+                if _holds(value, pending[0]):
+                    raise ParseError(f"{pending[0]} in {key}")
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                first = dict(reversed(pairs))
+                kinds = {"frameId": "frame", "locusId": "locus",
+                         "name": "generator" if "parity" in first else "model"}
+                place = next((f" in {kinds[k]} {first[k]!r}" for k in kinds
+                              if isinstance(first.get(k), str)), None)
+                error = ParseError(f"duplicate key {key!r}{place or ''}")
+                if place:
+                    raise error
+                pending.append(error)
+                return error
+            doc[key] = value
+        return doc
+
+    return hook, pending
 
 
 def loads_model(text):
+    hook, pending = _object_hook()
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
                          line=e.lineno, column=e.colno) from None
@@ -335,6 +361,8 @@ def loads_model(text):
         raise ParseError("JSON nesting is too deep") from None
     except ValueError as e:  # an integer past the int-from-str digit limit
         raise ParseError(str(e)) from None
+    if pending:  # a repeat with no enclosing object
+        raise pending[0]
     if not isinstance(doc, dict):
         raise ParseError("model file must hold one JSON object")
     return model_from_dict(doc)

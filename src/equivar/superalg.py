@@ -28,6 +28,14 @@ quadratic; that idiom is a bug.
 unfinalized accumulator, followed by `_finalize`.  Finalizing is linear on
 the accumulator and idempotent, so a sum of products may add the kernel's
 accumulators into one dict and finalize that once: the Taylor display does.
+`_product_acc` folds a whole product the same way: each partial
+accumulator is multiplied on as raw terms, and only the last is finalized.
+Finalizing is term-local and truncation is an ideal (degrees only add), and
+absorbing u^e into delta^(I) gives the same coefficient in one step as in e
+steps, so this is product's normal form whenever at most one factor carries
+a delta, as in a frame trial.  With two, a per-step finalize can absorb a
+term to zero before the later delta meets it, so the fold can raise
+DeltaClash where product does not.
 
 Coefficients are exact and integer-first: a coefficient is an int when it
 is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
@@ -435,6 +443,24 @@ def product(factors, m):
     for f in factors:
         out = multiply(out, f, m)
     return out
+
+
+def _product_acc(factors, m):
+    """The unfinalized accumulator of the left-to-right product of factors:
+    each partial accumulator goes back into _multiply_acc as raw terms, its
+    zero coefficients dropped, and is never finalized.  The finalized result
+    is product(factors, m) when at most one factor carries a delta factor
+    (see the module docstring).  The left operand never leaves this loop
+    and _multiply_acc only iterates and unpacks its terms, so they are plain
+    (coeff, delta, odd, even) tuples in a list: a tuple of Terms built from
+    a generator costs more time, and more peak memory over the frame
+    trials."""
+    acc = {(_NO_DELTA, (), ()): 1}
+    for f in factors:
+        left = Element([(c, None if dk is _NO_DELTA else dk, odd, even)
+                        for (dk, odd, even), c in acc.items() if c])
+        acc = _multiply_acc(left, f, m)
+    return acc
 
 
 def graded_exp_pieces(e, m):

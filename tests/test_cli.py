@@ -115,29 +115,42 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
 
 # A key repeated inside one JSON object: json keeps the last copy, so the
 # copy that won depended on its place.  The rows of MALFORMED_DOCS edit
-# dicts, which cannot repeat a key, so these edit the JSON text of
-# s3-contact: a second "momentSamples" of rank 0 before or after the real
-# one in frame co, a second "name" at the top level, a second "parity" in
-# generator dalpha, or a second "twistWeight" in the last fixed locus.  The
-# message names the object that holds the copy.
+# dicts, which cannot repeat a key, so these edit the JSON text of a
+# built-in: a second "momentSamples" of rank 0 before or after the real one
+# in s3-contact's frame co, a second "name" at the top level, a second
+# "parity" in generator dalpha, or a second "twistWeight" in the last fixed
+# locus.  The message names the object that holds the copy, or, for an
+# object with no frameId, locusId or name, the key that holds that object:
+# hopf's dTable and base, and s3-contact's list normalWeights.  A repeat with
+# no enclosing object names no place.
 REPEATED_KEYS = {
-    "first": ('"frameId": "co"', '"momentSamples": [[[0, 0]]], "frameId": "co"',
+    "first": ("s3-contact", '"frameId": "co"', '"momentSamples": [[[0, 0]]], "frameId": "co"',
               "duplicate key 'momentSamples' in frame 'co'"),
-    "last": ('"split"', '"momentSamples": [[[0, 0]]], "split"',
+    "last": ("s3-contact", '"split"', '"momentSamples": [[[0, 0]]], "split"',
              "duplicate key 'momentSamples' in frame 'co'"),
-    "top-level": ('"manifoldDim"', '"name": "other", "manifoldDim"',
+    "top-level": ("s3-contact", '"manifoldDim"', '"name": "other", "manifoldDim"',
                   "duplicate key 'name' in model 's3-contact'"),
-    "generator": ('"formDegree": 2}', '"formDegree": 2, "parity": "odd"}',
+    "generator": ("s3-contact", '"formDegree": 2}', '"formDegree": 2, "parity": "odd"}',
                   "duplicate key 'parity' in generator 'dalpha'"),
-    "locus": ('"orientationSign": 1}]', '"orientationSign": 1, "twistWeight": [0, 0]}]',
+    "locus": ("s3-contact", '"orientationSign": 1}]',
+              '"orientationSign": 1, "twistWeight": [0, 0]}]',
               "duplicate key 'twistWeight' in locus 'circle-z1-zero'"),
+    "table": ("hopf", '"dTable": {"Psi": "0"}', '"dTable": {"Psi": "0", "Psi": "Psi"}',
+              "duplicate key 'Psi' in dTable"),
+    "base": ("hopf", '"tangentWeight": 2', '"tangentWeight": 2, "tangentWeight": 3',
+             "duplicate key 'tangentWeight' in base"),
+    "in-list": ("s3-contact", '"weight": [1, 0], "eval": 1}',
+                '"weight": [1, 0], "eval": 1, "eval": 2}',
+                "duplicate key 'eval' in normalWeights"),
+    "unplaced": ("s3-contact", '"name": "s3-contact"', '"name": 3, "name": 4',
+                 "duplicate key 'name'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
 def test_repeated_key_exit_two(case, tmp_path, capsys):
-    old, new, message = REPEATED_KEYS[case]
-    text = json.dumps(_builtin_doc("s3-contact"))
+    builtin, old, new, message = REPEATED_KEYS[case]
+    text = json.dumps(_builtin_doc(builtin))
     assert text.count(old) == 1
     path = tmp_path / f"{case}.json"
     path.write_text(text.replace(old, new), encoding="utf-8")

@@ -32,10 +32,14 @@ regenerated in-process here and compared byte for byte.  The built-ins declare n
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment
 sample, so its report locks a failing transversality entry and its witness
-(exit code 1).  The reports are also written under two hash seeds, one
-interpreter each, since set and dict order of str keys follows the seed.
-Any edit to a golden file is listed in CHANGES.md with its
-reason.
+(exit code 1).  tests/golden/models/frames-rank6.json (rank 6, dimension 8,
+no split, with theta pairs and inert generators; perfbench's
+genmodels.generate_model(37, 6, 8, False, "frames-rank6")) locks the frame
+trials at the highest rank the benchmark verifies; its report was written
+before the trials folded their wedge into one accumulator.  The reports are
+also written under two hash seeds, one interpreter each, since set and dict
+order of str keys follows the seed.  Any edit to a golden file is listed in
+CHANGES.md with its reason.
 """
 
 import os
@@ -67,6 +71,7 @@ CASES = {
        for b in ("cp1-dolbeault", "hopf", "s1-on-s1", "s3-contact", "t2-on-t2")},
     "verify-split-rank4.json": ["verify", str(GOLDEN / "models" / "split-rank4.json")],
     "verify-flat-moment.json": ["verify", str(GOLDEN / "models" / "flat-moment.json")],
+    "verify-frames-rank6.json": ["verify", str(GOLDEN / "models" / "frames-rank6.json")],
 }
 EXIT_CODES = {"verify-flat-moment.json": 1}
 

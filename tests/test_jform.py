@@ -22,13 +22,14 @@ from equivar.jform import (
 )
 from equivar.linalg import random_gl_plus
 from equivar.modelfile import builtin_names, load_builtin, load_model
-from equivar.superalg import (DeltaFactor, Element, Term, add, add_all, multiply,
-                              normal_form, product)
+from equivar.superalg import (DeltaFactor, Element, Term, add, multiply, normal_form,
+                              product)
 
 from random_models import random_model
 
 ALL_BUILTINS = tuple(builtin_names())
 SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
+FRAMES_RANK6 = Path(__file__).parent / "golden" / "models" / "frames-rank6.json"
 
 
 def test_transversality_on_builtins():
@@ -246,32 +247,30 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
 
 
 def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
-    """Each trial still expands the wedge through multiply, once per beta and
-    once for the delta part, and every beta coefficient is an int."""
+    """Each trial still expands the wedge through the Koszul loop, once per
+    beta and once for the delta part, and every beta coefficient is an int."""
     models = _models_by_rank(set(range(1, 7)))
     js = {k: j_form(m, "fr") for k, m in models.items()}
-    calls, coeff_types = [], set()
-    real_multiply, real_product = superalg.multiply, superalg.product
+    rights = []
+    real_multiply_acc = superalg._multiply_acc
 
     def counted(a, b, m):
-        calls.append(1)
-        return real_multiply(a, b, m)
+        rights.append(b)
+        return real_multiply_acc(a, b, m)
 
-    def checked_product(factors, m):
-        factors = list(factors)
-        coeff_types.update(type(t.coeff) for f in factors for t in f.terms)
-        return real_product(factors, m)
-
-    monkeypatch.setattr(superalg, "multiply", counted)
-    monkeypatch.setattr(jform, "multiply", counted)
-    monkeypatch.setattr(jform, "product", checked_product)
+    monkeypatch.setattr(superalg, "_multiply_acc", counted)
     rng = random.Random(8)
+    coeff_types = set()
     for k, m in sorted(models.items()):
         for _ in range(6):
             a = random_gl_plus(rng, k)
-            calls.clear()
+            rights.clear()
             assert frame_change_compare(m, "fr", js[k], a)
-            assert len(calls) == k + 1, (k, a)
+            assert len(rights) == k + 1, (k, a)
+            betas, delta_part = rights[:k], rights[k]
+            assert all(t.delta is None and len(t.odd_mono) == 1 for b in betas for t in b.terms)
+            assert [t.delta for t in delta_part.terms] == [DeltaFactor("fr", (0,) * k)]
+            coeff_types.update(type(t.coeff) for b in betas for t in b.terms)
     assert coeff_types == {int}
 
 
@@ -281,13 +280,13 @@ def test_trial_runs_one_elimination_per_draw(monkeypatch):
     returned as it is, and one with det < 0 is returned with its first row
     negated, a new matrix whose determinant det already knows."""
     runs = []
-    real_det = linalg._bareiss_det
+    real_bareiss = linalg._bareiss
 
-    def counted(a):
-        runs.append(a)
-        return real_det(a)
+    def counted(rows):
+        runs.append(tuple(rows))
+        return real_bareiss(rows)
 
-    monkeypatch.setattr(linalg, "_bareiss_det", counted)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
     rng = random.Random(12)
     seen = dict.fromkeys(("kept", "negated"), 0)
     for k, m in sorted(_models_by_rank(set(range(1, 7))).items()):
@@ -295,24 +294,25 @@ def test_trial_runs_one_elimination_per_draw(monkeypatch):
         for _ in range(6):
             runs.clear()
             a = random_gl_plus(rng, k)
-            draws, kept = len(runs), runs[-1] is a
+            draws, kept = len(runs), runs[-1] == a
             assert frame_change_compare(m, "fr", j, a)
             assert len(runs) == draws, (k, a)
             seen["kept" if kept else "negated"] += 1
     assert all(seen.values()), seen
 
 
-def _unsigned(multiply):
-    """multiply with the Koszul sign dropped: each pair of terms is multiplied
+def _unsigned(multiply_acc):
+    """The Koszul loop with the sign dropped: each pair of terms is multiplied
     alone and keeps the plain product of the two coefficients.  Only valid
     where no closed argument meets a delta factor, as in a frame trial."""
     def unsigned(a, b, m):
-        pieces = []
+        acc = {}
         for t1 in a.terms:
             for t2 in b.terms:
-                for t in multiply(Element((t1,)), Element((t2,)), m).terms:
-                    pieces.append(Element((t._replace(coeff=t1.coeff * t2.coeff),)))
-        return add_all(pieces, m)
+                # a left term may be a plain tuple (superalg._product_acc)
+                for key in multiply_acc(Element((t1,)), Element((t2,)), m):
+                    acc[key] = acc.get(key, 0) + t1[0] * t2[0]
+        return acc
     return unsigned
 
 
@@ -326,19 +326,17 @@ def _unscaled(substitute):
 @pytest.mark.parametrize("fault", ("koszul-sign", "det-scale"))
 def test_frame_trial_catches_injected_faults(fault, monkeypatch):
     cases = []
-    for m in (load_builtin("t2-on-t2"), load_model(SPLIT_RANK4)):
+    for m in (load_builtin("t2-on-t2"), load_model(SPLIT_RANK4), load_model(FRAMES_RANK6)):
         for fid, fr in sorted(m.frames.items()):
             if fr.rank >= 2:
                 cases.append((m, fid, j_form(m, fid), fr.rank))
-    assert len(cases) == 2
+    assert len(cases) == 3
     rng = random.Random(31)
     draws = [[random_gl_plus(rng, k) for _ in range(10)] for _, _, _, k in cases]
     for (m, fid, j, _), ms in zip(cases, draws):
         assert all(frame_change_compare(m, fid, j, a) for a in ms)
     if fault == "koszul-sign":
-        unsigned = _unsigned(superalg.multiply)
-        monkeypatch.setattr(superalg, "multiply", unsigned)
-        monkeypatch.setattr(jform, "multiply", unsigned)
+        monkeypatch.setattr(superalg, "_multiply_acc", _unsigned(superalg._multiply_acc))
     else:
         monkeypatch.setattr(jform, "delta_linear_substitute",
                             _unscaled(jform.delta_linear_substitute))

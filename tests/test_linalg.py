@@ -167,18 +167,19 @@ def test_frame_entries_match_randint_on_the_same_stream():
 
 def test_negated_draw_keeps_the_det_memo(monkeypatch):
     runs = []
-    real_det = linalg._bareiss_det
-    monkeypatch.setattr(linalg, "_bareiss_det", lambda a: runs.append(a) or real_det(a))
+    real_bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda rows: runs.append(tuple(rows))
+                        or real_bareiss(rows))
     rng = random.Random(5)
     while True:
         runs.clear()
         b = random_gl_plus(rng, 2)
         a = runs[-1]
-        if a is not b:
+        if a != b:
             break
     # the draw a had det < 0 and came back with its first row negated
     assert b == (tuple(-x for x in a[0]),) + a[1:]
-    d = real_det(b)
+    d = _reference_det(b)
     assert d > 0 and len(runs) == 1
     assert linalg.det(b) == d and len(runs) == 1
     # a matrix det does not remember gets no entry, and leaves the memo alone

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from equivar import modelfile
 from equivar.charclass import localize_index
 from equivar.errors import InvariantViolation, ParseError, UnknownExample
 from equivar.jform import j_form
@@ -186,3 +187,17 @@ def test_base_data_parsing():
     assert m.base["tangentWeight"] == 2
     assert m.base["curvatureVolume"] == 1
     assert m.base["dimension"] == 2
+
+
+def test_documents_without_repeats_look_at_no_value_twice(monkeypatch):
+    """A hook searches its values for a handed-up repeat only while one is
+    pending, so loading a document with no repeated key makes no such pass."""
+    searched = []
+    real_holds = modelfile._holds
+    monkeypatch.setattr(modelfile, "_holds", lambda v, r: searched.append(v) or real_holds(v, r))
+    for name in builtin_names():
+        load_builtin(name)
+    assert searched == []
+    with pytest.raises(ParseError, match="duplicate key 'Psi' in dTable"):
+        loads_model('{"name": 1, "dTable": {"Psi": "0", "Psi": "Psi"}}')
+    assert searched

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from equivar import superalg
 from equivar.errors import DeltaClash, InvariantViolation, NotDifferentiable
 from equivar.genco import with_fibre_coordinates
 from equivar.modelfile import builtin_names, load_builtin
@@ -229,6 +230,66 @@ def test_add_all_equals_pairwise_fold_randomized():
         merged = {_key(t) for p in pieces for t in normal_form(p, m).terms}
         counts["cancelled"] += len(merged) - len(total.terms)
     assert all(counts.values()), counts
+
+
+def _fold_cases(acc, m, counts):
+    """Count the keys of an unfinalized product that finalizing truncates, or
+    whose same-frame closed arguments it absorbs into the delta: to zero when
+    an exponent exceeds the derivative order, else to a lower order."""
+    for (dk, odd, even), c in acc.items():
+        if not c:
+            continue
+        deg = sum(m.form_degrees[n] for n in odd)
+        deg += sum(e * m.truncation_degrees[n] for n, e in even)
+        counts["truncated"] += deg > m.manifold_dim
+        if dk is _NO_DELTA:
+            continue
+        slots = [(m._u_frame[n][1], e) for n, e in even
+                 if n in m._u_frame and m._u_frame[n][0] == dk.frame_id]
+        if slots:
+            zero = any(e > dk.deriv[j] for j, e in slots)
+            counts["absorbed-to-zero" if zero else "absorbed-lower"] += 1
+
+
+def test_product_fold_equals_product_randomized():
+    """_finalize of _product_acc is product's normal form when at most one
+    factor, here the last, carries a delta."""
+    rng = random.Random(37)
+    counts = dict.fromkeys(("single", "truncated", "absorbed-to-zero", "absorbed-lower",
+                            "cancelled"), 0)
+    for _ in range(200):
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.3, dim_cap=6)
+        factors = [random_element(rng, m, with_delta=False, n_terms=rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 3))]
+        odd = [n for n, g in m.generators.items() if g.parity == ODD]
+        if len(odd) >= 2 and rng.random() < 0.3:
+            # an odd element squares to zero only once its two cross terms
+            # cancel in the accumulator
+            o = add(m.gen(odd[0]).scaled(nonzero_rational(rng)),
+                    m.gen(odd[1]).scaled(nonzero_rational(rng)), m)
+            factors[rng.randint(0, len(factors)):0] = [o, o]
+        if rng.random() < 0.7:
+            factors.append(random_element(rng, m, with_delta=True, n_terms=rng.randint(1, 3)))
+        counts["single"] += len(factors) == 1
+        for i in range(1, len(factors)):
+            partial = superalg._product_acc(factors[:i], m)
+            counts["cancelled"] += any(c == 0 for c in partial.values())
+        acc = superalg._product_acc(factors, m)
+        _fold_cases(acc, m, counts)
+        got = superalg._finalize(acc, m)
+        assert got == product(factors, m), (m.name, factors)
+        _assert_canonical(got)
+    assert all(counts.values()), counts
+
+
+def test_product_fold_needs_one_delta_factor():
+    """With two delta factors the fold may raise where product does not:
+    u1 delta_0 is zero once finalized, before the second delta meets it."""
+    m = load_builtin("s1-on-s1")
+    factors = [m.delta("tau"), m.gen("u1"), m.delta("tau")]
+    assert product(factors, m).is_zero()
+    with pytest.raises(DeltaClash):
+        superalg._product_acc(factors, m)
 
 
 # ---------------------------------------------------------------------------
