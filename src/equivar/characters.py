@@ -25,7 +25,7 @@ from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
                       lattice_comb, window_cells)
 from .modelfile import load_builtin
 from .report import entry, make_report
-from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add, add_all,
+from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
                        graded_exp_pieces, multiply, product)
 
 
@@ -223,8 +223,7 @@ def hopf_multiplicities(m, fid, isotypes):
     # Todd series 1 / sum_j (-x)^j/(j+1)! up to the base nilpotency order
     td_series = series_inverse(
         [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)])
-    td = add_all((chern_weil_pair(m, fid, {(j,): c * tw ** j})
-                  for j, c in enumerate(td_series) if c), m)
+    td = chern_weil_pair(m, fid, {(j,): c * tw ** j for j, c in enumerate(td_series) if c})
     c = chern_weil_pair(m, fid, {(1,): 1})
     coeffs = [vol * _even_coefficient(multiply(td, piece, m), "Psi", half_dim)
               for piece in graded_exp_pieces(c, m)]

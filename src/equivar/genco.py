@@ -20,10 +20,8 @@ from math import factorial
 from . import linalg
 from .errors import InvariantViolation, NonOrientable, SplittingMissing
 from .superalg import (ARG_CLOSED, ARG_MOMENT, PLAIN_FORM, DeltaFactor, Element,
-                       FormalModel, Generator, Term, _NO_DELTA,
-                       _delta_clash, _exact, _finalize, _multiply_acc, add_all,
-                       equivariant_differential, graded_exp_pieces, multiply,
-                       normal_form)
+                       FormalModel, Generator, Term, _new_tuple, equivariant_differential,
+                       fold, graded_exp_pieces, multiply, normal_form)
 
 __all__ = [
     "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
@@ -47,7 +45,7 @@ def delta_linear_substitute(d, a_matrix, m):
         raise NonOrientable("singular frame change")
     if det < 0:
         raise NonOrientable("orientation-reversing frame change (det < 0)")
-    scale = _exact(1 / det)
+    scale = 1 / det
     b = linalg.inverse(a_matrix) if any(d.deriv) else None
     combos = {(0,) * k: 1}
     for slot in range(k):
@@ -76,45 +74,36 @@ def taylor_expand_delta(e, frame_id, m):
     of dalpha^J has degree 2|J|, and a head term of degree d times dalpha^J
     survives truncation only while d + 2|J| <= dim.  The walk over J stops
     at (dim - d_min) // 2, d_min the least degree of a head: no larger J
-    leaves a term.  The products go unfinalized into the accumulator of the
-    other terms, re-keyed onto the moment delta delta^(I+J) and scaled by
-    1/J!, and the sum is finalized once.  A moment delta is never absorbed
-    and the re-keying keeps each term's degree, so this gives the terms of
-    finalizing every product alone.
+    leaves a term.  Each head term times dalpha^J is one product of a
+    fold: the head carries its moment delta delta^(I+J)(f) and the
+    coefficient c/J!, so the Koszul loop keys every term of the product onto
+    that delta, and the sum is finalized once.
     """
     fr = m.frames[frame_id]
     if fr.dalpha is None:
         raise SplittingMissing(f"frame {frame_id!r} declares no (dalpha, f) split")
-    acc, heads, degrees = {}, [], []
+    rest, heads = [], []
     for t in e.terms:
         delta = t.delta
         if delta is None or delta.frame_id != frame_id:
-            key = (_NO_DELTA if delta is None else delta, t.odd_mono, t.even_mono)
-            prev = acc.get(key)
-            acc[key] = t.coeff if prev is None else prev + t.coeff
+            rest.append(t)
         elif delta.argument == ARG_MOMENT:
             raise InvariantViolation("element is already in display form")
         else:
-            heads.append((Element((t._replace(delta=None),)), delta.deriv))
-            degrees.append(m.term_degree(t))
+            heads.append(t)
+    products = [(Element(tuple(rest)),)]
     if heads:
-        bound = (m.manifold_dim - min(degrees)) // 2
+        bound = (m.manifold_dim - min(map(m.term_degree, heads))) // 2
         for jj, dal in _dalpha_powers(fr.dalpha, bound, m):
             fact = 1
             for x in jj:
                 fact *= factorial(x)
-            scale = Fraction(1, fact)
-            for base, i0 in heads:
-                moment = DeltaFactor(frame_id, tuple(a + b for a, b in zip(i0, jj)), ARG_MOMENT)
-                for (dk, odd, even), c in _multiply_acc(base, dal, m).items():
-                    if dk is not _NO_DELTA:
-                        raise _delta_clash(dk, moment)
-                    key = (moment, odd, even)
-                    if fact != 1:
-                        c *= scale
-                    prev = acc.get(key)
-                    acc[key] = c if prev is None else prev + c
-    return _finalize(acc, m)
+            for c, delta, odd, even in heads:
+                moment = DeltaFactor(frame_id, tuple(a + b for a, b in zip(delta.deriv, jj)),
+                                     ARG_MOMENT)
+                head = (c if fact == 1 else Fraction(c, fact), moment, odd, even)
+                products.append((Element((_new_tuple(Term, head),)), dal))
+    return fold(products, m)
 
 
 def _dalpha_powers(dalpha, bound, m):
@@ -190,8 +179,8 @@ def fourier_fibre_integrate(m, frame_id):
     xi_names = [xi for xi, _ in names]
     dxi_names = [dxi for _, dxi in names]
 
-    lam = add_all((multiply(m.gen(xi_names[j]), m.gen(fr.alpha_slots[j]), m).scaled(-1)
-                   for j in range(k)), m)
+    lam = fold(((m.gen(xi).scaled(-1), m.gen(a)) for xi, a in zip(xi_names, fr.alpha_slots)),
+               m)
     dlam = equivariant_differential(lam, m)
 
     u_set = set(fr.u_slots)
@@ -201,8 +190,8 @@ def fourier_fibre_integrate(m, frame_id):
             phase_terms.append(t)
         else:
             p_terms.append(t)
-    expected_phase = add_all((multiply(m.gen(xi_names[j]), m.gen(fr.u_slots[j]), m).scaled(-1)
-                              for j in range(k)), m)
+    expected_phase = fold(((m.gen(xi).scaled(-1), m.gen(u))
+                           for xi, u in zip(xi_names, fr.u_slots)), m)
     if normal_form(Element(tuple(phase_terms)), m) != expected_phase:
         raise InvariantViolation(
             "phase part of D(lambda) is not -<xi, u>; model outside the supported calculus")

@@ -15,20 +15,20 @@ frame id and J: check_closed(m, j), check_annihilated(m, frame_id, j) and
 frame_change_compare(m, frame_id, j, a_matrix).
 
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
-the betas times delta_0(A u) is expanded through the Koszul loop
-(superalg._product_acc), once per beta and once for the delta part, and put
-in normal form once; it is never replaced by det(A), so a wrong Koszul sign
-or delta scale makes the comparison fail.  Only the delta part carries a
-delta factor, which is the fold's condition.  The frame changes that verify
-draws are integer matrices (linalg.random_gl_plus), so the expansion runs
-in integer arithmetic.
+the betas times delta_0(A u) is one product of superalg.fold: the first
+beta is the left operand, each further beta and the delta part go through
+the Koszul loop once, and the result is put in normal form once.  It is
+never replaced by det(A), so a wrong Koszul sign or delta scale makes the
+comparison fail.  Only the delta part carries a delta factor, which is the
+fold's condition.  The frame changes that verify draws are integer matrices
+(linalg.random_gl_plus), so the expansion runs in integer arithmetic.
 """
 
 from . import linalg
 from .errors import NotPrincipal, NotTransverse, RankDataMissing
 from .genco import delta_linear_substitute
-from .superalg import (DeltaFactor, Element, Term, _finalize, _new_tuple, _product_acc,
-                       add_all, equivariant_differential, multiply, product)
+from .superalg import (DeltaFactor, Element, Term, _new_tuple, equivariant_differential,
+                       fold, multiply, product)
 
 
 def check_transversality(m, frame_id):
@@ -85,7 +85,7 @@ def transformed_j_form(m, frame_id, a_matrix):
                              for odd, x in zip(slots, row) if x))
                for row in reversed(a_matrix)]
     factors.append(delta_part)
-    return _finalize(_product_acc(factors, m), m)
+    return fold((factors,), m)
 
 
 def frame_change_compare(m, frame_id, j, a_matrix):
@@ -120,11 +120,6 @@ def chern_weil_pair(m, frame_id, poly):
     for sample in fr.moment_samples:
         if sample != minus_id:
             raise NotPrincipal("moment data is not the connection pairing f(X) = -X")
-    pieces = []
-    for expo, c in poly.items():
-        piece = m.scalar(c)
-        for slot, e in enumerate(expo):
-            for _ in range(e):
-                piece = multiply(piece, fr.dalpha[slot], m)
-        pieces.append(piece)
-    return add_all(pieces, m)
+    products = ([m.scalar(c)] + [fr.dalpha[slot] for slot, e in enumerate(expo) for _ in range(e)]
+                for expo, c in poly.items())
+    return fold(products, m)

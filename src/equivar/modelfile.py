@@ -38,7 +38,7 @@ from .charclass import CIRCLE, ISOLATED_POINT, FixedLocusDatum
 from .errors import InvariantViolation, ParseError, UnknownExample
 from .laurent import EXPAND_NEGATIVE, EXPAND_POSITIVE
 from .superalg import (CLOSED_ARGUMENT, EVEN, KINDS, ODD, PLAIN_FORM, FormalModel,
-                       FrameDecl, Generator, add_all, product, validate_model)
+                       FrameDecl, Generator, fold, validate_model)
 # Unused here; perfbench/tests/test_bench_spans.py checks that tracing rebinds
 # superalg.add in every module that imported it, and probes modelfile.add.
 from .superalg import add  # noqa: F401
@@ -89,6 +89,7 @@ def _tokenize(src):
 
 
 def _parse_term(toks, pos, m):
+    """(the factors of the product term at pos, the position after it)"""
     factors = []
     while True:
         if pos >= len(toks):
@@ -119,7 +120,7 @@ def _parse_term(toks, pos, m):
             pos += 1
             continue
         break
-    return product(factors, m), pos
+    return factors, pos
 
 
 def parse_element(src, m):
@@ -127,7 +128,7 @@ def parse_element(src, m):
     toks = _tokenize(src)
     if not toks:
         raise ParseError("empty element expression", column=0)
-    terms = []
+    products = []
     pos = 0
     while pos < len(toks):
         sign = 1
@@ -135,12 +136,12 @@ def parse_element(src, m):
             if toks[pos][1] == "-":
                 sign = -sign
             pos += 1
-        term, pos = _parse_term(toks, pos, m)
-        terms.append(term.scaled(sign))
+        factors, pos = _parse_term(toks, pos, m)
+        products.append([factors[0].scaled(sign), *factors[1:]])
         if pos < len(toks) and not (toks[pos][0] == "op" and toks[pos][1] in "+-"):
             raise ParseError(f"expected '+' or '-' before {toks[pos][1]!r}",
                              column=toks[pos][2])
-    return add_all(terms, m)
+    return fold(products, m)
 
 
 def _require(doc, key, types, where):

@@ -15,27 +15,27 @@ the declared manifold dimension.  Closed arguments count 0 toward that
 degree: they stand for dalpha_j + f_j(X) and the moment part has degree
 zero, so truncating on their nominal degree would be wrong.
 
-Sums are built with add_all, which merges the terms of all summands into
-one key -> coefficient accumulator and finalizes it once.  Finalizing acts
-term by term (absorption, the rule that delta_0 of no arguments is 1,
-truncation and zero-dropping depend only on a term's key) and is
-idempotent on normal forms, so one pass over the whole sum gives the same
-terms as one pass per summand.  `out = add(out, x, m)` in a loop
-re-finalizes the running sum at every step, which makes building a sum
-quadratic; that idiom is a bug.
+Every sum of products is built by `fold`, add_all (a sum of one-factor
+products) included: Sigma_i Pi_j f_ij in one key -> coefficient
+accumulator, finalized once.  Finalizing acts term by term (absorption, the
+rule that delta_0 of no arguments is 1, truncation and zero-dropping depend
+only on a term's key) and is idempotent on normal forms, so one pass over
+the whole sum gives the same terms as one pass per summand.
+`out = add(out, x, m)` in a loop re-finalizes the running sum at every
+step, which makes building a sum quadratic; that idiom is a bug.
 
 `multiply` is the Koszul loop `_multiply_acc`, which returns the product's
-unfinalized accumulator, followed by `_finalize`.  Finalizing is linear on
-the accumulator and idempotent, so a sum of products may add the kernel's
-accumulators into one dict and finalize that once: the Taylor display does.
-`_product_acc` folds a whole product the same way: each partial
-accumulator is multiplied on as raw terms, and only the last is finalized.
-Finalizing is term-local and truncation is an ideal (degrees only add), and
-absorbing u^e into delta^(I) gives the same coefficient in one step as in e
-steps, so this is product's normal form whenever at most one factor carries
-a delta, as in a frame trial.  With two, a per-step finalize can absorb a
-term to zero before the later delta meets it, so the fold can raise
-DeltaClash where product does not.
+unfinalized accumulator, followed by `_finalize`.  `fold` multiplies each
+product left to right from its first factor, feeding each partial
+accumulator back into the Koszul loop as raw terms, and finalizes only the
+sum.  Finalizing is term-local and truncation is an ideal (degrees only
+add), and absorbing u^e into delta^(I) gives the same coefficient in one
+step as in e steps, so this is the sum of the products' normal forms
+whenever at most one factor of each product carries a delta.  With two,
+`fold` raises DeltaClash when a delta term of the partial product meets the
+second delta factor, even where `product`, finalizing at every step, would
+first have absorbed that term to zero.  So `fold` either returns
+add_all(product(fs, m) for fs in products) or raises.
 
 Coefficients are exact and integer-first: a coefficient is an int when it
 is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
@@ -250,12 +250,12 @@ class FormalModel:
             return self.gen(self.frames[g.frame_id].u_slots[g.slot - 1])
         if g.kind == CLOSED_ARGUMENT:
             return Element()
-        pieces = [self.d_table.get(name, Element())]
-        for a in range(self.r):
+        products = [(self.d_table.get(name, Element()),)]
+        for a, x in enumerate(self.parameters):
             it = self.iota_table.get((name, a))
-            if it is not None and not it.is_zero():
-                pieces.append(multiply(self.gen(self.parameters[a]), it, self).scaled(-1))
-        return add_all(pieces, self)
+            if it is not None:
+                products.append((self.gen(x).scaled(-1), it))
+        return fold(products, self)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +355,8 @@ def _absorb(coeff, dk, even_mono, m):
 
 
 def add_all(elements, m):
-    """Normal form of the sum of elements: all terms go into one accumulator,
-    which is finalized once."""
-    acc = {}
-    for e in elements:
-        for c, delta, odd_mono, even_mono in e.terms:
-            key = (_NO_DELTA if delta is None else delta, odd_mono, even_mono)
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    return _finalize(acc, m)
+    """Normal form of the sum of elements."""
+    return fold(((e,) for e in elements), m)
 
 
 def normal_form(a, m):
@@ -445,22 +438,35 @@ def product(factors, m):
     return out
 
 
-def _product_acc(factors, m):
-    """The unfinalized accumulator of the left-to-right product of factors:
-    each partial accumulator goes back into _multiply_acc as raw terms, its
-    zero coefficients dropped, and is never finalized.  The finalized result
-    is product(factors, m) when at most one factor carries a delta factor
-    (see the module docstring).  The left operand never leaves this loop
-    and _multiply_acc only iterates and unpacks its terms, so they are plain
-    (coeff, delta, odd, even) tuples in a list: a tuple of Terms built from
-    a generator costs more time, and more peak memory over the frame
-    trials."""
-    acc = {(_NO_DELTA, (), ()): 1}
-    for f in factors:
-        left = Element([(c, None if dk is _NO_DELTA else dk, odd, even)
-                        for (dk, odd, even), c in acc.items() if c])
-        acc = _multiply_acc(left, f, m)
-    return acc
+_ONE = Element((Term(1, None, (), ()),))
+
+
+def fold(products, m):
+    """Normal form of sum_i prod_j f_ij, products being the factor lists
+    [f_i1, f_i2, ...]; an empty list is the product 1.  Each product is
+    multiplied left to right from its first factor, each partial accumulator
+    going back into _multiply_acc as raw terms, its zero coefficients
+    dropped, and only the sum is finalized.  This is
+    add_all(product(fs, m) for fs in products) when at most one factor of
+    each product carries a delta factor; with two, DeltaClash is raised when
+    a delta term of the partial product meets the second (see the module
+    docstring).  The partial products never leave
+    this loop and _multiply_acc only iterates and unpacks the terms of its
+    left operand, so they are plain (coeff, delta, odd, even) tuples in a
+    list: a tuple of Terms built from a generator costs more time, and more
+    peak memory over the frame trials."""
+    acc = {}
+    for factors in products:
+        factors = iter(factors)
+        terms = next(factors, _ONE).terms
+        for f in factors:
+            terms = [(c, None if dk is _NO_DELTA else dk, odd, even)
+                     for (dk, odd, even), c in _multiply_acc(Element(terms), f, m).items() if c]
+        for c, delta, odd, even in terms:
+            key = (_NO_DELTA if delta is None else delta, odd, even)
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+    return _finalize(acc, m)
 
 
 def graded_exp_pieces(e, m):
@@ -477,9 +483,9 @@ def graded_exp_pieces(e, m):
 
 
 def _derivation_on_term(t, m):
-    """D applied to one term c delta o_1..o_p (even part), as unsummed
-    Leibniz pieces; the delta factor is a constant (its argument is
-    D-closed).  The piece of o_i is
+    """D applied to one term c delta o_1..o_p (even part), as its Leibniz
+    pieces, each a tuple of factors; the delta factor is a constant (its
+    argument is D-closed).  The piece of o_i is
     (-1)^(i-1) (c delta o_1..o_(i-1)) D(o_i) (o_(i+1)..o_p even), and that
     of g^e in the even part is (-1)^p e (c delta o_1..o_p rest) D(g), rest
     the even part with g^(e-1).  Each bracket is a part of a normal-form
@@ -491,26 +497,25 @@ def _derivation_on_term(t, m):
         img = m.d_image(name)
         if img.terms:
             left = Element((_new_tuple(Term, (c, delta, odd[:i], ())),))
-            piece = multiply(left, img, m)
             after = odd[i + 1:]
             if after or even:
-                right = _new_tuple(Term, (1, None, after, even))
-                piece = multiply(piece, Element((right,)), m)
-            yield piece
+                yield left, img, Element((_new_tuple(Term, (1, None, after, even)),))
+            else:
+                yield left, img
         c = -c
     for j, (name, e) in enumerate(even):
         img = m.d_image(name)
         if img.terms:
             lower = ((name, e - 1),) if e > 1 else ()
             rest = even[:j] + lower + even[j + 1:]
-            yield multiply(Element((_new_tuple(Term, (c * e, delta, odd, rest)),)), img, m)
+            yield Element((_new_tuple(Term, (c * e, delta, odd, rest)),)), img
 
 
 def equivariant_differential(a, m):
-    """D = d - iota(X), its Leibniz pieces summed in one accumulator.  Frame
-    forms map to their closed arguments; closed arguments, parameters and
-    delta factors to zero; everything else follows the tables."""
-    return add_all((piece for t in a.terms for piece in _derivation_on_term(t, m)), m)
+    """D = d - iota(X), the fold of its Leibniz pieces.  Frame forms map to
+    their closed arguments; closed arguments, parameters and delta factors
+    to zero; everything else follows the tables."""
+    return fold((piece for t in a.terms for piece in _derivation_on_term(t, m)), m)
 
 
 # ---------------------------------------------------------------------------

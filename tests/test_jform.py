@@ -246,16 +246,17 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
-    """Each trial still expands the wedge through the Koszul loop, once per
-    beta and once for the delta part, and every beta coefficient is an int."""
+def test_trial_multiplies_k_times_over_int_betas(monkeypatch):
+    """Each trial still expands the wedge through the Koszul loop: the first
+    beta is the left operand, and each further beta and the delta part are
+    multiplied on once.  Every beta coefficient is an int."""
     models = _models_by_rank(set(range(1, 7)))
     js = {k: j_form(m, "fr") for k, m in models.items()}
-    rights = []
+    operands = []
     real_multiply_acc = superalg._multiply_acc
 
     def counted(a, b, m):
-        rights.append(b)
+        operands.append((a, b))
         return real_multiply_acc(a, b, m)
 
     monkeypatch.setattr(superalg, "_multiply_acc", counted)
@@ -264,10 +265,11 @@ def test_trial_multiplies_k_plus_one_times_over_int_betas(monkeypatch):
     for k, m in sorted(models.items()):
         for _ in range(6):
             a = random_gl_plus(rng, k)
-            rights.clear()
+            operands.clear()
             assert frame_change_compare(m, "fr", js[k], a)
-            assert len(rights) == k + 1, (k, a)
-            betas, delta_part = rights[:k], rights[k]
+            assert len(operands) == k, (k, a)
+            betas = [operands[0][0]] + [b for _, b in operands[:-1]]
+            delta_part = operands[-1][1]
             assert all(t.delta is None and len(t.odd_mono) == 1 for b in betas for t in b.terms)
             assert [t.delta for t in delta_part.terms] == [DeltaFactor("fr", (0,) * k)]
             coeff_types.update(type(t.coeff) for b in betas for t in b.terms)
@@ -309,7 +311,7 @@ def _unsigned(multiply_acc):
         acc = {}
         for t1 in a.terms:
             for t2 in b.terms:
-                # a left term may be a plain tuple (superalg._product_acc)
+                # a left term may be a plain tuple (superalg.fold)
                 for key in multiply_acc(Element((t1,)), Element((t2,)), m):
                     acc[key] = acc.get(key, 0) + t1[0] * t2[0]
         return acc

@@ -251,45 +251,81 @@ def _fold_cases(acc, m, counts):
             counts["absorbed-to-zero" if zero else "absorbed-lower"] += 1
 
 
-def test_product_fold_equals_product_randomized():
-    """_finalize of _product_acc is product's normal form when at most one
-    factor, here the last, carries a delta."""
+def _random_product(rng, m):
+    """0-3 delta-free factors, sometimes with an odd element twice (it
+    squares to zero only once its two cross terms cancel in the
+    accumulator), and with probability 0.7 one delta factor at a random
+    place."""
+    factors = [random_element(rng, m, with_delta=False, n_terms=rng.randint(1, 3))
+               for _ in range(rng.randint(0, 3))]
+    odd = [n for n, g in m.generators.items() if g.parity == ODD]
+    if len(odd) >= 2 and rng.random() < 0.3:
+        o = add(m.gen(odd[0]).scaled(nonzero_rational(rng)),
+                m.gen(odd[1]).scaled(nonzero_rational(rng)), m)
+        factors[rng.randint(0, len(factors)):0] = [o, o]
+    if rng.random() < 0.7:
+        delta = random_element(rng, m, with_delta=True, n_terms=rng.randint(1, 3))
+        factors.insert(rng.randint(0, len(factors)), delta)
+    return factors
+
+
+def test_product_fold_equals_product_randomized(monkeypatch):
+    """fold is add_all of the products' normal forms when at most one
+    factor of each product carries a delta, wherever it stands; two
+    products may share keys.  The reference kernel below gives the same sum
+    without fold, which add_all and product also run through.  The Koszul
+    loop's accumulators are recorded: a partial product, any but the last
+    of its product, may hold a cancelled term, and the accumulator that
+    fold finalizes is searched for terms that finalizing truncates or
+    absorbs."""
     rng = random.Random(37)
-    counts = dict.fromkeys(("single", "truncated", "absorbed-to-zero", "absorbed-lower",
+    counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower",
                             "cancelled"), 0)
+    real_multiply_acc, real_finalize = superalg._multiply_acc, superalg._finalize
+    seen = []
+
+    def recorded_multiply_acc(a, b, m):
+        seen.append(real_multiply_acc(a, b, m))
+        return seen[-1]
+
+    def recorded_finalize(acc, m):
+        _fold_cases(acc, m, counts)
+        return real_finalize(acc, m)
+
     for _ in range(200):
         m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.3, dim_cap=6)
-        factors = [random_element(rng, m, with_delta=False, n_terms=rng.randint(1, 3))
-                   for _ in range(rng.randint(0, 3))]
-        odd = [n for n, g in m.generators.items() if g.parity == ODD]
-        if len(odd) >= 2 and rng.random() < 0.3:
-            # an odd element squares to zero only once its two cross terms
-            # cancel in the accumulator
-            o = add(m.gen(odd[0]).scaled(nonzero_rational(rng)),
-                    m.gen(odd[1]).scaled(nonzero_rational(rng)), m)
-            factors[rng.randint(0, len(factors)):0] = [o, o]
-        if rng.random() < 0.7:
-            factors.append(random_element(rng, m, with_delta=True, n_terms=rng.randint(1, 3)))
-        counts["single"] += len(factors) == 1
-        for i in range(1, len(factors)):
-            partial = superalg._product_acc(factors[:i], m)
-            counts["cancelled"] += any(c == 0 for c in partial.values())
-        acc = superalg._product_acc(factors, m)
-        _fold_cases(acc, m, counts)
-        got = superalg._finalize(acc, m)
-        assert got == product(factors, m), (m.name, factors)
+        products = [_random_product(rng, m) for _ in range(rng.randint(0, 3))]
+        if len(products) >= 2 and rng.random() < 0.5:
+            # a rescaled copy: two products whose terms share every key
+            first = products[0]
+            products[-1] = [first[0].scaled(nonzero_rational(rng)), *first[1:]] if first else []
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(superalg, "_multiply_acc", recorded_multiply_acc)
+            patch.setattr(superalg, "_finalize", recorded_finalize)
+            got = superalg.fold(products, m)
+        for factors in products:
+            calls = max(len(factors) - 1, 0)
+            partials = seen[:calls][:-1]
+            del seen[:calls]
+            counts["cancelled"] += any(c == 0 for acc in partials for c in acc.values())
+        assert seen == []
+        assert got == add_all([product(fs, m) for fs in products], m), (m.name, products)
+        assert got == _ref_fold(products, m), (m.name, products)
         _assert_canonical(got)
     assert all(counts.values()), counts
 
 
 def test_product_fold_needs_one_delta_factor():
-    """With two delta factors the fold may raise where product does not:
-    u1 delta_0 is zero once finalized, before the second delta meets it."""
+    """With two delta factors in one product fold may raise where product
+    does not: u1 delta_0 is zero once finalized, before the second delta
+    meets it."""
     m = load_builtin("s1-on-s1")
     factors = [m.delta("tau"), m.gen("u1"), m.delta("tau")]
     assert product(factors, m).is_zero()
     with pytest.raises(DeltaClash):
-        superalg._product_acc(factors, m)
+        superalg.fold([factors], m)
+    assert superalg.fold([factors[:2], factors[2:]], m) == m.delta("tau")
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +431,19 @@ def _ref_multiply(a, b, m, counts=None):
     if counts is not None:
         counts["cancelled"] += sum(1 for k, c in acc.items() if c == 0 and contributions[k] > 1)
     return _ref_finalize(acc, m, counts)
+
+
+def _ref_fold(products, m):
+    """The sum of the products, each multiplied stepwise from 1 by the
+    reference kernel, with the sum finalized by the reference finalize."""
+    acc = {}
+    for factors in products:
+        piece = Element((Term(1, None, (), ()),))
+        for f in factors:
+            piece = _ref_multiply(piece, f, m)
+        for t in piece.terms:
+            acc[_key(t)] = acc.get(_key(t), 0) + t.coeff
+    return _ref_finalize(acc, m)
 
 
 def _assert_canonical(e):
