@@ -10,6 +10,10 @@ definitions.  A method is matched only by attribute use (`.name`), so a local
 variable or a keyword argument of the same name does not keep it alive, and a
 method name that N classes define needs N attribute uses.  A dead chain (dead
 code calling dead code) is not caught.
+
+Every name that a module (not __init__.py) imports must also be used in
+that module's code, as a name or as the base of an attribute; an import
+statement marked `# noqa: F401` is exempt.
 """
 
 import ast
@@ -61,6 +65,38 @@ def _unreferenced(sources):
         return len(re.findall(rf"\b{re.escape(name)}\b", text)) <= definitions[name]
 
     return sorted(key for key, name, method in candidates if unused(name, method))
+
+
+def _unused_imports(sources):
+    """"module.name" for each name a module imports and never uses."""
+    unused = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{mod}.{name}")
+    return sorted(unused)
+
+
+def test_every_import_has_a_use():
+    assert _unused_imports(_sources()) == []
+
+
+def test_guard_flags_an_unused_import():
+    extra = ("import json\nfrom fractions import Fraction\n"
+             "from .superalg import add  # noqa: F401\n\n\n"
+             "def f(x):\n    return json.dumps(x)\n")
+    assert _unused_imports(dict(_sources(), extra=extra)) == ["extra.Fraction"]
+    used = extra + "\n\nHALF = Fraction(1, 2)\n"
+    assert _unused_imports(dict(_sources(), extra=used)) == []
 
 
 def test_every_definition_has_a_use():
