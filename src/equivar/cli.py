@@ -62,7 +62,7 @@ def run_verify(model, seed=0):
         four_ok = fourier_fibre_integrate(model, fid) == j
         results.append(entry(f"{fid}:fourier-integral-identity", four_ok))
         shown = display_value(model, fid, j)
-        rendered[fid] = {fmt: render_element(shown, model, fmt) for fmt in (TEXT, LATEX)}
+        rendered[fid] = {TEXT: render_element(shown, model)}
     return make_report("verify", model.name, results,
                        extra={"rendered": rendered, "seed": seed,
                               "frameTrials": FRAME_TRIALS})

@@ -561,8 +561,8 @@ def test_verify_expands_display_once_per_frame(monkeypatch):
     rep = run_verify(load_builtin("hopf"))
     assert report_status(rep) == "pass"
     assert frames == ["conn"]
-    assert rep["rendered"]["conn"]["text"] == \
-        "psi*delta0(f[conn]) + psi*delta0^(1)(f[conn])*Psi"
+    assert rep["rendered"] == {
+        "conn": {"text": "psi*delta0(f[conn]) + psi*delta0^(1)(f[conn])*Psi"}}
 
 
 def test_verify_builds_j_once_per_frame_without_inverse(monkeypatch):

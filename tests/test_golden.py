@@ -36,7 +36,10 @@ sample, so its report locks a failing transversality entry and its witness
 no split, with theta pairs and inert generators; perfbench's
 genmodels.generate_model(37, 6, 8, False, "frames-rank6")) locks the frame
 trials at the highest rank the benchmark verifies; its report was written
-before the trials folded their wedge into one accumulator.  The reports are
+before the trials folded their wedge into one accumulator.  The seven
+verify reports that render a frame (all but verify-flat-moment.json) lost
+their "latex" line when a verify report kept only the text rendering;
+`render --format latex` gives the LaTeX.  The reports are
 also written under two hash seeds, one interpreter each, since set and dict
 order of str keys follows the seed.  Any edit to a golden file is listed in
 CHANGES.md with its reason.
