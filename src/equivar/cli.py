@@ -9,8 +9,9 @@ violated model invariant, non-integer coefficients, an expansion window too
 large to hold, a --max-degree that is not a nonnegative integer, an index
 flag the example does not read).  characters.run_pipeline checks its own
 arguments; main passes it only the flags given.  The expansion window
-defaults to 20.  verify runs FRAME_TRIALS frame changes per frame.  Reports
-are deterministic for identical inputs and seed.
+defaults to 20.  verify runs FRAME_TRIALS frame changes per frame, up to the
+first that changes J, whose index and matrix are the entry's witness.
+Reports are deterministic for identical inputs and seed.
 """
 
 import argparse
@@ -55,10 +56,14 @@ def run_verify(model, seed=0):
         results.append(entry(f"{fid}:transversality", True))
         results.append(entry(f"{fid}:closedness", check_closed(model, j)))
         results.append(entry(f"{fid}:frame-annihilation", check_annihilated(model, fid, j)))
-        frames_ok = all(
-            frame_change_compare(model, fid, j, random_gl_plus(rng, fr.rank))
-            for _ in range(FRAME_TRIALS))
-        results.append(entry(f"{fid}:frame-independence-{FRAME_TRIALS}", frames_ok))
+        witness = None
+        for trial in range(FRAME_TRIALS):
+            a = random_gl_plus(rng, fr.rank)
+            if not frame_change_compare(model, fid, j, a):
+                witness = {"trial": trial, "matrix": a}
+                break
+        results.append(entry(f"{fid}:frame-independence-{FRAME_TRIALS}", witness is None,
+                             witness))
         four_ok = fourier_fibre_integrate(model, fid) == j
         results.append(entry(f"{fid}:fourier-integral-identity", four_ok))
         shown = display_value(model, fid, j)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -468,8 +469,14 @@ def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
     statuses = _statuses(run_verify(m))
     assert [statuses[e] for e in entries] == ["pass"] * len(entries)
     monkeypatch.setattr(module, name, faulty(getattr(module, name)))
-    statuses = _statuses(run_verify(m))
+    rep = run_verify(m)
+    statuses = _statuses(rep)
     assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+    if fault == "det-doubled" and len(m.frames) == 1:
+        # every trial fails, so the witness is the first draw of the seed-0 stream
+        fr, = m.frames.values()
+        witness, = [r["witness"] for r in rep["results"] if r["check"] == entries[0]]
+        assert witness == {"trial": 0, "matrix": linalg.random_gl_plus(random.Random(0), fr.rank)}
 
 
 # fault -> (module, function, a map from that function to its faulty stand-in,
