@@ -10,7 +10,9 @@ large to hold, a --max-degree that is not a nonnegative integer, an index
 flag the example does not read).  characters.run_pipeline checks its own
 arguments; main passes it only the flags given.  The expansion window
 defaults to 20.  verify runs FRAME_TRIALS frame changes per frame, up to the
-first that changes J, whose index and matrix are the entry's witness.
+first that changes J, whose index and matrix are the entry's witness.  A
+failing closedness entry carries D J, and a failing Fourier identity the
+Fourier integral minus J, as their term count and first three terms.
 Reports are deterministic for identical inputs and seed.
 """
 
@@ -26,8 +28,9 @@ from .genco import fourier_fibre_integrate
 from .jform import check_annihilated, check_closed, frame_change_compare, j_form
 from .linalg import random_gl_plus
 from .modelfile import builtin_names, load_builtin, load_model
-from .report import (LATEX, TEXT, display_value, entry, make_report, render_element,
-                     render_frame_value, report_status, report_to_json)
+from .report import (LATEX, TEXT, display_value, entry, make_report, nonzero_witness,
+                     render_element, render_frame_value, report_status, report_to_json)
+from .superalg import add, equivariant_differential
 
 # random frame changes per frame in verify; the entry name carries the count
 FRAME_TRIALS = 25
@@ -54,7 +57,10 @@ def run_verify(model, seed=0):
             results.append(entry(f"{fid}:transversality", False, e.witness))
             continue
         results.append(entry(f"{fid}:transversality", True))
-        results.append(entry(f"{fid}:closedness", check_closed(model, j)))
+        closed = check_closed(model, j)
+        results.append(entry(f"{fid}:closedness", closed,
+                             None if closed else
+                             nonzero_witness(equivariant_differential(j, model), model)))
         results.append(entry(f"{fid}:frame-annihilation", check_annihilated(model, fid, j)))
         witness = None
         for trial in range(FRAME_TRIALS):
@@ -64,8 +70,10 @@ def run_verify(model, seed=0):
                 break
         results.append(entry(f"{fid}:frame-independence-{FRAME_TRIALS}", witness is None,
                              witness))
-        four_ok = fourier_fibre_integrate(model, fid) == j
-        results.append(entry(f"{fid}:fourier-integral-identity", four_ok))
+        four = fourier_fibre_integrate(model, fid)
+        results.append(entry(f"{fid}:fourier-integral-identity", four == j,
+                             None if four == j else
+                             nonzero_witness(add(four, j.scaled(-1), model), model)))
         shown = display_value(model, fid, j)
         rendered[fid] = {TEXT: render_element(shown, model)}
     return make_report("verify", model.name, results,

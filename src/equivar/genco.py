@@ -12,21 +12,34 @@ graded exponential and the Fourier rule
 delta_0^(J)(u) = (2 pi)^(-k) int (-i xi)^J exp(-i<xi, u>) dxi:
 fourier_fibre_integrate(m, frame_id) takes the model itself and extends it
 by the frame's fibre coordinates (with_fibre_coordinates) on every call.
+
+The Taylor display reads u_j = dalpha_j + f_j, the split the frame declares,
+and expands each term t delta^(I)(u) of an element as its Taylor series in
+dalpha: the Mathai-Quillen reading of a form with generalized coefficients
+(Paradan-Vergne, arXiv:0711.3898).  The series is finite because dalpha_j is
+a 2-form and degrees above the manifold dimension vanish; its multi-indices
+J are walked once by superalg.taylor_fold, heads included, and a model
+whose walk would pass MAX_TAYLOR_INDICES stops with OutOfRange first.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from . import linalg
-from .errors import InvariantViolation, NonOrientable, SplittingMissing
+from .errors import InvariantViolation, NonOrientable, OutOfRange, SplittingMissing
 from .superalg import (ARG_CLOSED, ARG_MOMENT, PLAIN_FORM, DeltaFactor, Element,
-                       FormalModel, Generator, Term, _new_tuple, equivariant_differential,
-                       fold, graded_exp_pieces, multiply, normal_form)
+                       FormalModel, Generator, Term, _new_tuple, add, equivariant_differential,
+                       fold, graded_exp_pieces, normal_form, taylor_fold)
 
 __all__ = [
     "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
     "fourier_fibre_integrate", "with_fibre_coordinates",
 ]
+
+# most multi-indices J, C(bound + k, k) of them, that one Taylor display may
+# walk: every golden (126) and perfbench model (at most 210) stays below it,
+# split-rank4 up to dim 29 (1820)
+MAX_TAYLOR_INDICES = 2048
 
 
 def delta_linear_substitute(d, a_matrix, m):
@@ -35,7 +48,10 @@ def delta_linear_substitute(d, a_matrix, m):
     The scalar rule is delta_0(A u) = det(A)^(-1) delta_0(u); derivatives pick
     up one factor of A^(-1) per slot, so the inverse is computed only when d
     has a non-zero derivative order.  det(A) <= 0 raises NonOrientable.
-    The result is a normal form, so at rank 0 it is the scalar 1.
+    The result is a normal form, so at rank 0 it is the scalar 1.  At
+    derivative order zero it is the one term det(A)^(-1) delta_0(u), built
+    directly (det(A)^(-1) alone at rank 0, where delta_0 of no arguments is
+    1): its coefficient is an int when det(A) is 1/n.
     """
     k = len(d.deriv)
     if len(a_matrix) != k or any(len(row) != k for row in a_matrix):
@@ -45,8 +61,12 @@ def delta_linear_substitute(d, a_matrix, m):
         raise NonOrientable("singular frame change")
     if det < 0:
         raise NonOrientable("orientation-reversing frame change (det < 0)")
+    if not any(d.deriv):
+        p, q = det.numerator, det.denominator
+        delta = None if not k and d.argument == ARG_CLOSED else d
+        return Element((_new_tuple(Term, (q if p == 1 else Fraction(q, p), delta, (), ())),))
     scale = 1 / det
-    b = linalg.inverse(a_matrix) if any(d.deriv) else None
+    b = linalg.inverse(a_matrix)
     combos = {(0,) * k: 1}
     for slot in range(k):
         for _ in range(d.deriv[slot]):
@@ -74,10 +94,10 @@ def taylor_expand_delta(e, frame_id, m):
     of dalpha^J has degree 2|J|, and a head term of degree d times dalpha^J
     survives truncation only while d + 2|J| <= dim.  The walk over J stops
     at (dim - d_min) // 2, d_min the least degree of a head: no larger J
-    leaves a term.  Each head term times dalpha^J is one product of a
-    fold: the head carries its moment delta delta^(I+J)(f) and the
-    coefficient c/J!, so the Koszul loop keys every term of the product onto
-    that delta, and the sum is finalized once.
+    leaves a term.  OutOfRange is raised before the walk when it would visit
+    more than MAX_TAYLOR_INDICES multi-indices.  superalg.taylor_fold walks
+    the heads times dalpha^J / J! and rekeys each head's delta^(I)(u) to
+    delta^(I+J)(f) at the leaf J; the other terms are added unchanged.
     """
     fr = m.frames[frame_id]
     if fr.dalpha is None:
@@ -91,43 +111,20 @@ def taylor_expand_delta(e, frame_id, m):
             raise InvariantViolation("element is already in display form")
         else:
             heads.append(t)
-    products = [(Element(tuple(rest)),)]
-    if heads:
-        bound = (m.manifold_dim - min(map(m.term_degree, heads))) // 2
-        for jj, dal in _dalpha_powers(fr.dalpha, bound, m):
-            fact = 1
-            for x in jj:
-                fact *= factorial(x)
-            for c, delta, odd, even in heads:
-                moment = DeltaFactor(frame_id, tuple(a + b for a, b in zip(delta.deriv, jj)),
-                                     ARG_MOMENT)
-                head = (c if fact == 1 else Fraction(c, fact), moment, odd, even)
-                products.append((Element((_new_tuple(Term, head),)), dal))
-    return fold(products, m)
+    rest = Element(tuple(rest))
+    if not heads:
+        return normal_form(rest, m)
+    bound = (m.manifold_dim - min(map(m.term_degree, heads))) // 2
+    indices = comb(bound + fr.rank, fr.rank)
+    if indices > MAX_TAYLOR_INDICES:
+        raise OutOfRange(f"the Taylor display of frame {frame_id!r} would walk {indices} "
+                         f"multi-indices, more than {MAX_TAYLOR_INDICES}")
 
+    def moment(delta, jj):
+        return DeltaFactor(frame_id, tuple(a + b for a, b in zip(delta.deriv, jj)), ARG_MOMENT)
 
-def _dalpha_powers(dalpha, bound, m):
-    """(J, dalpha_1^J_1 ... dalpha_k^J_k) for every |J| <= bound whose product
-    is non-zero, in lexicographic order of J.
-
-    Each product extends the one above it in the walk by one factor, in the
-    same left-to-right order as a product over the whole factor list, so each
-    index costs one multiplication and only one partial product per slot is
-    alive.  A zero product has only zero extensions; its subtree is skipped.
-    """
-    def walk(jj, dal, left):
-        if len(jj) == len(dalpha):
-            yield jj, dal
-            return
-        s = len(jj)
-        for e in range(left + 1):
-            if e:
-                dal = multiply(dal, dalpha[s], m)
-                if dal.is_zero():
-                    return
-            yield from walk(jj + (e,), dal, left - e)
-
-    return walk((), m.one(), bound)
+    shown = taylor_fold(Element(tuple(heads)), fr.dalpha, bound, moment, m)
+    return add(shown, rest, m) if rest.terms else shown
 
 
 def with_fibre_coordinates(m, frame_id):

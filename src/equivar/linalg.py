@@ -104,15 +104,20 @@ def inverse(a):
                        for j in range(n)) for i in range(n))
 
 
-def _frame_entry(rng):
-    """The draw of rng.randint(-3, 3).  That is randrange(7), which CPython
-    draws as getrandbits(3) until the value is below 7; the loop below makes
-    the same draws and gives the same value, through fewer calls."""
-    getrandbits = rng.getrandbits
-    n = getrandbits(3)
-    while n == 7:
-        n = getrandbits(3)
-    return n - 3
+def _frame_draw(rng, k):
+    """The k x k matrix of k^2 rng.randint(-3, 3) draws, row by row.  Each
+    draw is randrange(7), which CPython makes as getrandbits(3), the top 3
+    bits of one 32-bit word, until the value is below 7.  getrandbits(32 w)
+    gives the next w words, lowest first, so one call per pass draws a word
+    for every entry still missing and a rejected 7 costs only its word: the
+    same stream, word for word, as the k^2 randint calls."""
+    n = k * k
+    entries = []
+    while len(entries) < n:
+        w = n - len(entries)
+        top = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
+        entries += [(b >> 5) - 3 for b in top if b < 0xe0]
+    return tuple(tuple(entries[i * k:i * k + k]) for i in range(k))
 
 
 def random_gl_plus(rng, k):
@@ -121,7 +126,7 @@ def random_gl_plus(rng, k):
     negated.  det remembers the returned matrix."""
     global _last_det
     while True:
-        a = tuple(tuple(_frame_entry(rng) for _ in range(k)) for _ in range(k))
+        a = _frame_draw(rng, k)
         r, d = _bareiss(list(a))
         if r < k:
             continue

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import genco
 from .errors import OutOfRange
 from .jform import j_form
-from .superalg import ARG_MOMENT
+from .superalg import ARG_MOMENT, Element
 
 CONVENTIONS = {
     "twoPiPolicy": "the (2 pi i)^-k prefactor and all Haar volumes are "
@@ -90,6 +90,12 @@ def render_element(e, m, fmt=TEXT):
         else:
             out.append((" - " if t.coeff < 0 else " + ") + body)
     return "".join(out)
+
+
+def nonzero_witness(e, m):
+    """The witness of a check that wanted e to be zero: its term count and
+    its first three terms as text."""
+    return {"terms": len(e.terms), "first": render_element(Element(e.terms[:3]), m)}
 
 
 def display_value(m, frame_id, value):

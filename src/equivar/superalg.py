@@ -37,6 +37,16 @@ second delta factor, even where `product`, finalizing at every step, would
 first have absorbed that term to zero.  So `fold` either returns
 add_all(product(fs, m) for fs in products) or raises.
 
+`taylor_fold` is the second sum builder, for the Taylor series
+sum_J t_J x^J / J! of the display form.  Its products share prefixes: each
+multi-index J extends a shorter one by one factor, so a depth-first walk
+needs one Koszul call per index where `fold`, given every product as a
+factor list, would redo the shared prefix each time.  The walk carries the
+heads in its raw partial products and rekeys each head's delta at the leaf,
+which `fold` cannot: a closed delta carried through the walk would absorb
+the closed arguments of the factors once finalized, and the display keeps
+them.  It accumulates and finalizes once, like `fold`.
+
 Coefficients are exact and integer-first: a coefficient is an int when it
 is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
 and every term that `_finalize` emits follow this rule; int and Fraction mix
@@ -460,12 +470,64 @@ def fold(products, m):
         factors = iter(factors)
         terms = next(factors, _ONE).terms
         for f in factors:
-            terms = [(c, None if dk is _NO_DELTA else dk, odd, even)
-                     for (dk, odd, even), c in _multiply_acc(Element(terms), f, m).items() if c]
+            terms = _raw_product(terms, f, m)
         for c, delta, odd, even in terms:
             key = (_NO_DELTA if delta is None else delta, odd, even)
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
+    return _finalize(acc, m)
+
+
+def _raw_product(terms, f, m):
+    """The raw terms times f: the Koszul loop's accumulator as a list of
+    (coeff, delta, odd, even) tuples, its zero coefficients dropped."""
+    return [(c, None if dk is _NO_DELTA else dk, odd, even)
+            for (dk, odd, even), c in _multiply_acc(Element(terms), f, m).items() if c]
+
+
+def taylor_fold(heads, xs, bound, rekey, m):
+    """Normal form of sum_t sum_(|J| <= bound) t_J x_1^J_1 ... x_k^J_k / J!,
+    t running over the terms of heads, t_J being t with its delta factor
+    replaced by rekey(delta of t, J).  Every term of heads carries a delta
+    factor, and no x_s does.
+
+    The multi-indices J are walked depth first in lexicographic order.  A
+    node extends its parent's raw partial product, the heads included, by
+    one factor x_s through _multiply_acc, so only one partial product per
+    slot is alive, and a partial product with no terms ends its subtree.  At
+    a leaf rekey is called once for each distinct delta of heads, and the
+    leaf's terms, rekeyed and divided by J!, go into one accumulator that is
+    finalized once, which gives the sum of the leaves' normal forms (see
+    fold).  The heads' own deltas never reach _finalize, so nothing is
+    absorbed into them mid-walk.  1/J! is applied at the leaf, so the
+    partial products keep the coefficients of the heads and the x_s, ints
+    when those are."""
+    terms = heads.terms
+    deltas = {t.delta for t in terms}
+    k = len(xs)
+    acc = {}
+
+    def walk(jj, terms, left, fact):
+        s = len(jj)
+        if s == k:
+            keyed = {d: rekey(d, jj) for d in deltas}
+            for c, delta, odd, even in terms:
+                key = (keyed[delta], odd, even)
+                if fact != 1:
+                    c = Fraction(c, fact)
+                prev = acc.get(key)
+                acc[key] = c if prev is None else prev + c
+            return
+        x = xs[s]
+        for e in range(left + 1):
+            if e:
+                terms = _raw_product(terms, x, m)
+                if not terms:
+                    return
+                fact *= e
+            walk(jj + (e,), terms, left - e, fact)
+
+    walk((), terms, bound, 1)
     return _finalize(acc, m)
 
 

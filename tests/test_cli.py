@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -262,6 +263,25 @@ def test_split_entry_not_a_two_form_exit_two(entry, tmp_path, capsys):
     assert "split entry 0" in cap.err and "Traceback" not in cap.err, cap.err
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("dim, indices", [(30, 2380), (98, 249900)])
+def test_taylor_walk_past_its_bound_exit_two(dim, indices, command, tmp_path, capsys):
+    # split-rank4's display walks C((dim - 4) // 2 + 4, 4) multi-indices: 1820
+    # at dim 29, within genco.MAX_TAYLOR_INDICES; from dim 30 on it stops first
+    doc = json.loads(SPLIT_RANK4.read_text(encoding="utf-8"))
+    doc["manifoldDim"] = dim
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+    assert f"would walk {indices} multi-indices, more than 2048" in cap.err, cap.err
+    assert genco.MAX_TAYLOR_INDICES == 2048
+
+
 def test_impossible_dimension_exit_two(tmp_path, capsys):
     for dim, code in ((-1, 2), (0, 2), (1, 2), (2, 0)):
         path = tmp_path / f"t2-dim{dim}.json"
@@ -472,11 +492,23 @@ def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
     rep = run_verify(m)
     statuses = _statuses(rep)
     assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+    witnesses = [r.get("witness") for r in rep["results"] if r["check"] in entries]
     if fault == "det-doubled" and len(m.frames) == 1:
         # every trial fails, so the witness is the first draw of the seed-0 stream
         fr, = m.frames.values()
-        witness, = [r["witness"] for r in rep["results"] if r["check"] == entries[0]]
-        assert witness == {"trial": 0, "matrix": linalg.random_gl_plus(random.Random(0), fr.rank)}
+        assert witnesses == [{"trial": 0, "matrix": linalg.random_gl_plus(random.Random(0),
+                                                                           fr.rank)}]
+    # the element that should have been zero, computed under the same fault:
+    # its term count and its first three terms
+    nonzero = {"no-absorption": lambda fid, j: superalg.equivariant_differential(j, m),
+               "exp-drops-last-piece": lambda fid, j: superalg.add(
+                   genco.fourier_fibre_integrate(m, fid), j.scaled(-1), m)}.get(fault)
+    if nonzero is not None:
+        for fid, witness in zip(sorted(m.frames), witnesses):
+            e = nonzero(fid, jform.j_form(m, fid))
+            assert witness == {"terms": len(e.terms),
+                               "first": render_element(superalg.Element(e.terms[:3]), m)}
+            assert witness["terms"] > 0, witness
 
 
 # fault -> (module, function, a map from that function to its faulty stand-in,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equivar import genco, linalg
+from equivar import genco, linalg, superalg
 from equivar.errors import (
     InvariantViolation,
     NotDifferentiable,
@@ -267,10 +267,12 @@ def test_taylor_display_matches_reference_at_rank_four():
         assert taylor_expand_delta(e, "co", m) == _taylor_reference(e, "co", m)
 
 
-def _split_model(seed, rank, dim):
+def _split_model(seed, rank, dim, closed_slot=None):
     """Seeded model with a split frame "fr": dalpha_j is a multiple of its own
     curvature F_j, at random plus a multiple of F_1, w0 or th0 th1, or zero;
-    th0 and th1 are 1-forms with d th0 = q w0 and constant contractions."""
+    th0 and th1 are 1-forms with d th0 = q w0 and constant contractions.
+    Entry j = closed_slot, if given and non-zero, also gets u_j F_j (a closed
+    argument times a 2-form is a 2-form)."""
     rng = random.Random(seed)
     r = rank + rng.randint(0, 1)
     gens = {}
@@ -292,6 +294,8 @@ def _split_model(seed, rank, dim):
         if rng.random() < 0.5:
             entry = add(entry, rng.choice(extras).scaled(nonzero_rational(rng)), bare)
         dalpha.append(entry if j == 1 or rng.random() < 0.85 else Element())
+        if j == closed_slot and dalpha[-1].terms:
+            dalpha[-1] = add(entry, multiply(bare.gen(f"u{j}"), bare.gen(f"F{j}"), bare), bare)
     sample = tuple(tuple(-1 if a == j else 0 for a in range(r)) for j in range(rank))
     frame = FrameDecl("fr", rank, tuple(f"a{j}" for j in range(1, rank + 1)),
                       tuple(f"u{j}" for j in range(1, rank + 1)), (sample,), tuple(dalpha))
@@ -301,37 +305,55 @@ def _split_model(seed, rank, dim):
 
 
 def test_taylor_display_matches_reference_on_split_models():
-    # heads of degree rank (J) and 1 (th0 delta'): the walk stops at the bound
-    # of the 1-form head, where the reference walks the whole dim // 2 box
-    for seed, rank, dim in ((1, 3, 12), (2, 3, 15), (3, 4, 13), (4, 4, 16)):
-        m = _split_model(seed, rank, dim)
+    # heads of degree rank (J), 1 (th0 delta') and 4 (th0 th1 w0 delta''): the
+    # walk stops at the bound of the 1-form head, where the reference walks the
+    # whole dim // 2 box, and the 4-form head's terms past dim are truncated at
+    # the end.  Split entries with a closed-argument term keep it next to the
+    # moment delta; a zero entry, or (th0 th1)^2, ends a subtree
+    closed_entries = vanishing = 0
+    for seed, rank, dim, closed_slot in ((1, 3, 12, None), (2, 3, 15, None), (3, 4, 13, None),
+                                         (4, 4, 16, None), (5, 3, 11, 2), (6, 4, 14, 2),
+                                         (7, 2, 10, 1)):
+        m = _split_model(seed, rank, dim, closed_slot)
         jv = j_form(m, "fr")
         low = multiply(m.gen("th0"), m.delta("fr", (1,) + (0,) * (rank - 1)), m)
+        high = product([m.gen("th0"), m.gen("th1"), m.gen("w0"),
+                        m.delta("fr", (0,) * (rank - 1) + (2,))], m)
         plain = product([m.gen(m.parameters[0]), m.gen("w0"), m.gen("F1")], m)
-        joined = add_all((jv, low, plain), m)
+        joined = add_all((jv, low, high, plain), m)
         assert any(t.delta is None for t in joined.terms)
+        assert len({m.term_degree(t) for t in joined.terms if t.delta is not None}) >= 2
+        entries = m.frames["fr"].dalpha
+        closed = {f"u{j}" for j in range(1, rank + 1)}
+        closed_entries += any(n in closed for x in entries for t in x.terms for n, _ in t.even_mono)
+        vanishing += any(not x.terms or any("th0" in t.odd_mono for t in x.terms)
+                         for x in entries)
         for e in (jv, joined, random_element(random.Random(seed), m, n_terms=3)):
-            assert taylor_expand_delta(e, "fr", m) == _taylor_reference(e, "fr", m), (seed, e)
+            got = taylor_expand_delta(e, "fr", m)
+            assert got == _taylor_reference(e, "fr", m), (seed, e)
+            if e is jv and any(n in closed for x in entries for t in x.terms
+                               for n, _ in t.even_mono):
+                assert any(n in closed for t in got.terms for n, _ in t.even_mono), seed
+    assert closed_entries >= 2 and vanishing >= 2, (closed_entries, vanishing)
 
 
 def test_taylor_display_walks_only_surviving_multi_indices(monkeypatch):
     # no dalpha power of split-rank4 vanishes, so the walk under J, a k-form,
-    # yields every |J| <= (dim - k) // 2: C(b + k, k) multi-indices
+    # reaches every |J| <= (dim - k) // 2 as a leaf: C(b + k, k) multi-indices.
+    # J has one delta, so taylor_fold calls rekey once per leaf
     m = load_model(Path(__file__).parent / "golden" / "models" / "split-rank4.json")
-    walked = []
-    powers = genco._dalpha_powers
+    leaves = []
+    fold = superalg.taylor_fold
 
-    def counted(dalpha, bound, m):
-        for jj, dal in powers(dalpha, bound, m):
-            walked.append(jj)
-            yield jj, dal
+    def counted(heads, xs, bound, rekey, m):
+        return fold(heads, xs, bound, lambda d, jj: leaves.append(jj) or rekey(d, jj), m)
 
-    monkeypatch.setattr(genco, "_dalpha_powers", counted)
+    monkeypatch.setattr(genco, "taylor_fold", counted)
     k = m.frames["co"].rank
     b = (m.manifold_dim - k) // 2
     taylor_expand_delta(j_form(m, "co"), "co", m)
-    assert sorted(walked) == sorted(multi_indices(k, b))
-    assert len(walked) == math.comb(b + k, k) == 126
+    assert leaves == sorted(multi_indices(k, b))
+    assert len(leaves) == math.comb(b + k, k) == 126
 
 
 def test_display_form_is_not_differentiable():

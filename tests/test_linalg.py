@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from equivar import linalg
-from equivar.linalg import _frame_entry, random_gl_plus
+from equivar.linalg import _frame_draw, random_gl_plus
 
 
 def _reference_rank(a):
@@ -151,16 +151,17 @@ def test_random_gl_plus_draws_unchanged():
 
 
 def test_frame_entries_match_randint_on_the_same_stream():
-    # _frame_entry draws with getrandbits, the reference through randint:
-    # the same int values, every one of -3..3, and the same generator state
-    # afterwards
+    # _frame_draw takes whole getrandbits words, the reference k^2 randint
+    # calls: the same int entries, every one of -3..3, and the same generator
+    # state afterwards
     seen = set()
     for s in range(200):
         rng, ref = random.Random(s), random.Random(s)
-        for _ in range(300):
-            got, want = _frame_entry(rng), ref.randint(-3, 3)
-            assert got == want and type(got) is int, s
-            seen.add(got)
+        for k in (0, 1, 2, 3, 4, 5, 6, 4, 6, 1):
+            got = _frame_draw(rng, k)
+            want = tuple(tuple(ref.randint(-3, 3) for _ in range(k)) for _ in range(k))
+            assert got == want and all(type(x) is int for row in got for x in row), (s, k)
+            seen.update(x for row in got for x in row)
         assert rng.getstate() == ref.getstate(), s
     assert seen == set(range(-3, 4))
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -326,6 +328,103 @@ def test_product_fold_needs_one_delta_factor():
     with pytest.raises(DeltaClash):
         superalg.fold([factors], m)
     assert superalg.fold([factors[:2], factors[2:]], m) == m.delta("tau")
+
+
+def _ref_taylor_fold(heads, xs, bound, rekey, m):
+    """taylor_fold by its definition: for every |J| <= bound and head term t,
+    t with its delta rekeyed, times the normal form of x^J, over J!."""
+    pieces = []
+    for jj in itertools.product(range(bound + 1), repeat=len(xs)):
+        if sum(jj) > bound:
+            continue
+        xj = product([x for x, e in zip(xs, jj) for _ in range(e)], m)
+        scale = Fraction(1, math.prod(map(math.factorial, jj)))
+        for t in heads.terms:
+            head = Element((t._replace(delta=rekey(t.delta, jj)),))
+            pieces.append(multiply(head, xj, m).scaled(scale))
+    return add_all(pieces, m)
+
+
+def _taylor_rekeys(fid):
+    """delta^(I) -> delta^(I+J)(f), the display's rekey; -> delta^(I+J)(u),
+    which absorbs the closed arguments of x^J; -> delta^(I)(u), which
+    absorbs them to zero once J exceeds I."""
+    def shifted(d, jj, argument):
+        return DeltaFactor(fid, tuple(a + b for a, b in zip(d.deriv, jj)), argument)
+    return (lambda d, jj: shifted(d, jj, ARG_MOMENT),
+            lambda d, jj: shifted(d, jj, "closed"),
+            lambda d, jj: d)
+
+
+def test_taylor_fold_equals_its_definition_randomized(monkeypatch):
+    """taylor_fold against the sum of its terms one multi-index at a time.
+    The heads carry one or more deltas and have several degrees, so the
+    bound leaves some of their terms to the final truncation; the x_s
+    include an odd generator (its square vanishes) and a two-term odd
+    element (its square cancels), so subtrees end early.  Every partial
+    product is recorded, and the accumulator taylor_fold finalizes is
+    searched for terms that finalizing truncates or absorbs."""
+    rng = random.Random(61)
+    counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower", "cancelled",
+                            "vanished", "several-deltas", "several-degrees"), 0)
+    real_multiply_acc, real_finalize = superalg._multiply_acc, superalg._finalize
+    seen = []
+
+    def recorded_multiply_acc(a, b, m):
+        seen.append(real_multiply_acc(a, b, m))
+        return seen[-1]
+
+    def recorded_finalize(acc, m):
+        _fold_cases(acc, m, counts)
+        return real_finalize(acc, m)
+
+    cases = 0
+    while cases < 150:
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.4, dim_cap=8)
+        k = m.frames["fr"].rank
+        heads = Element(tuple(t for t in random_element(rng, m, n_terms=4).terms
+                              if t.delta is not None))
+        if not k or not heads.terms:
+            continue
+        cases += 1
+        odd = sorted(n for n, g in m.generators.items() if g.parity == ODD)
+        xs = []
+        for _ in range(k):
+            roll = rng.random()
+            if roll < 0.2:
+                xs.append(m.gen(rng.choice(odd)).scaled(nonzero_rational(rng)))
+            elif roll < 0.35 and len(odd) >= 2:
+                a, b = rng.sample(odd, 2)
+                xs.append(add(m.gen(a), m.gen(b).scaled(nonzero_rational(rng)), m))
+            else:
+                xs.append(random_element(rng, m, with_delta=False, n_terms=rng.randint(1, 3)))
+        bound = rng.randint(0, 4)
+        rekey = rng.choice(_taylor_rekeys("fr"))
+        counts["several-deltas"] += len({t.delta for t in heads.terms}) > 1
+        counts["several-degrees"] += len({m.term_degree(t) for t in heads.terms}) > 1
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(superalg, "_multiply_acc", recorded_multiply_acc)
+            patch.setattr(superalg, "_finalize", recorded_finalize)
+            got = superalg.taylor_fold(heads, xs, bound, rekey, m)
+        counts["cancelled"] += any(c == 0 for acc in seen for c in acc.values())
+        counts["vanished"] += any(not any(acc.values()) for acc in seen)
+        assert got == _ref_taylor_fold(heads, xs, bound, rekey, m), (m.name, heads, xs, bound)
+        _assert_canonical(got)
+    assert all(counts.values()), counts
+
+
+def test_taylor_fold_keeps_closed_arguments_of_the_factors():
+    """A closed argument of a factor x_s stays next to the rekeyed moment
+    delta: the head's own closed delta never absorbs it mid-walk."""
+    m = load_builtin("hopf")
+    moment = _taylor_rekeys("conn")[0]
+    x = multiply(m.gen("u1"), m.gen("Psi"), m)
+    got = superalg.taylor_fold(m.delta("conn", (1,)), [x], 1, moment, m)
+    assert got == add(m.delta("conn", (1,), ARG_MOMENT),
+                      multiply(m.delta("conn", (2,), ARG_MOMENT), x, m), m)
+    assert len(got.terms) == 2 and got.terms[1].even_mono == (("Psi", 1), ("u1", 1))
+    assert superalg.taylor_fold(Element(), [x], 3, moment, m) == Element()
 
 
 # ---------------------------------------------------------------------------
