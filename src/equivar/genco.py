@@ -22,6 +22,7 @@ J are walked once by superalg.taylor_fold, heads included, and a model
 whose walk would pass MAX_TAYLOR_INDICES stops with OutOfRange first.
 """
 
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -121,7 +122,8 @@ def taylor_expand_delta(e, frame_id, m):
                          f"multi-indices, more than {MAX_TAYLOR_INDICES}")
 
     def moment(delta, jj):
-        return DeltaFactor(frame_id, tuple(a + b for a, b in zip(delta.deriv, jj)), ARG_MOMENT)
+        return _new_tuple(DeltaFactor, (frame_id, tuple(map(operator.add, delta.deriv, jj)),
+                                        ARG_MOMENT))
 
     shown = taylor_fold(Element(tuple(heads)), fr.dalpha, bound, moment, m)
     return add(shown, rest, m) if rest.terms else shown
