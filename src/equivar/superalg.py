@@ -16,8 +16,8 @@ degree: they stand for dalpha_j + f_j(X) and the moment part has degree
 zero, so truncating on their nominal degree would be wrong.
 
 Every sum of products is built by `fold`, add_all (a sum of one-factor
-products) included: Sigma_i Pi_j f_ij in one key -> coefficient
-accumulator, finalized once.  Finalizing acts term by term (absorption, the
+products) included, or by `taylor_fold` (below): Sigma_i Pi_j f_ij in one
+key -> coefficient accumulator, finalized once.  Finalizing acts term by term (absorption, the
 rule that delta_0 of no arguments is 1, truncation and zero-dropping depend
 only on a term's key) and is idempotent on normal forms, so one pass over
 the whole sum gives the same terms as one pass per summand.
