@@ -24,56 +24,68 @@ the whole sum gives the same terms as one pass per summand.
 `out = add(out, x, m)` in a loop re-finalizes the running sum at every
 step, which makes building a sum quadratic; that idiom is a bug.
 
-`multiply` is the Koszul loop `_multiply_acc`, which returns the product's
-unfinalized accumulator, followed by `_finalize`.  `fold` multiplies each
-product left to right from its first factor, feeding each partial
-accumulator back into the Koszul loop as raw terms, and finalizes only the
-sum.  Finalizing is term-local and truncation is an ideal (degrees only
-add), and absorbing u^e into delta^(I) gives the same coefficient in one
-step as in e steps, so this is the sum of the products' normal forms
-whenever at most one factor of each product carries a delta.  With two,
-`fold` raises DeltaClash when a delta term of the partial product meets the
-second delta factor, even where `product`, finalizing at every step, would
-first have absorbed that term to zero.  So `fold` either returns
-add_all(product(fs, m) for fs in products) or raises.
+Sums and products are built on raw items ((delta, odd mask, even), coeff):
+the term's delta factor, None when it has none; the bitmask of its odd
+monomial (below); its even monomial, as in a term.  `_raw` makes the terms
+of an element raw, and the Koszul loop `_koszul` multiplies raw items by an
+element into a raw accumulator, keyed the same way, which is unfinalized.
+`multiply` is `_multiply_acc` (the two in turn) followed by `_finalize`.
+Masks become odd monomials, and None the `_NO_DELTA` key, only in
+`_finalize`, once per key, before absorption, truncation and the sort, so
+no partial product builds an odd tuple.  `fold` makes each product's first
+factor raw, feeds each partial accumulator's items back into the Koszul
+loop as they are, merges the last one into the sum's accumulator and
+finalizes only the sum.  Finalizing is term-local and truncation is an
+ideal (degrees only add), and absorbing u^e into delta^(I) gives the same
+coefficient in one step as in e steps, so this is the sum of the products'
+normal forms whenever at most one factor of each product carries a delta.
+With two, `fold` raises DeltaClash when a delta term of the partial
+product meets the second delta factor, even where `product`, finalizing at
+every step, would first have absorbed that term to zero.  So `fold` either
+returns add_all(product(fs, m) for fs in products) or raises.
 
 `taylor_fold` is the second sum builder, for the Taylor series
 sum_J t_J x^J / J! of the display form.  Its products share prefixes: each
 multi-index J extends a shorter one by one factor, so a depth-first walk
 needs one Koszul call per index where `fold`, given every product as a
 factor list, would redo the shared prefix each time.  The walk carries the
-heads in its raw partial products and rekeys each head's delta at the leaf,
-which `fold` cannot: a closed delta carried through the walk would absorb
-the closed arguments of the factors once finalized, and the display keeps
-them.  It accumulates and finalizes once, like `fold`.
+heads in its raw partial products and swaps each head's delta inside the
+raw key at the leaf, which `fold` cannot: a closed delta carried through
+the walk would absorb the closed arguments of the factors once finalized,
+and the display keeps them.  It accumulates and finalizes once, like
+`fold`.
 
 Coefficients are exact and integer-first: a coefficient is an int when it
 is integral and a Fraction otherwise (`_exact`).  The constructors, `scaled`
 and every term that `_finalize` emits follow this rule; int and Fraction mix
 exactly and compare and hash alike, so the rule only picks the cheaper
-representation.  A term's even monomial is sorted by name with positive
-exponents, and its odd monomial is sorted by `FormalModel.odd_order`.
+representation.  `graded_exp_pieces` divides the n-th power by n in its raw
+accumulator, as an int where n divides the coefficient, before finalizing.
+A term's even monomial is sorted by name with positive exponents, and its
+odd monomial is sorted by `FormalModel.odd_order`.
 
 A `Term` is a NamedTuple of its four fields: building one is one tuple
-allocation, and two terms compare as tuples.  `multiply` and `_finalize`
-read three tables that each `FormalModel` fills lazily: odd monomial ->
-bitmask (bit odd_order[g] for each generator g), bitmask -> odd monomial
-sorted by odd_order, and odd monomial -> form degree.  Two terms with
-overlapping masks multiply to zero; otherwise their product's odd monomial
-is the table entry of m1 | m2, with no sort.  The Koszul sign is the parity
-of the pairs (g1, g2), g1 from the left term after g2 from the right one:
-bit i of the right term's parity mask is the parity of its generators below
-i, and the sign is the parity of the popcount of m1 & that mask.  A call
-unpacks the right operand's terms once, with their masks, and checks for a
-delta clash once per left term with a delta, against the right operand's
-first delta, which is the first clashing pair's.  Even degrees come from
-the name -> truncation degree table (0 on closed arguments and parameters).
+allocation, and two terms compare as tuples.  Raw items use two tables
+that each `FormalModel` fills lazily: odd monomial -> bitmask (bit
+odd_order[g] for each generator g), read by `_raw` and the Koszul loop, and
+bitmask -> (odd monomial sorted by odd_order, its form degree), read by
+`_finalize`.  Two terms with overlapping masks multiply to zero; otherwise
+their product's mask is m1 | m2, whose odd monomial `_finalize` reads from
+the table, with no sort.  The Koszul sign is the parity of the pairs
+(g1, g2), g1 from the left term after g2 from the right one: bit i of the
+right term's parity mask is the parity of its generators below i, and the
+sign is the parity of the popcount of m1 & that mask.  A call unpacks the
+right operand's terms once, with their masks, skips the left items with a
+zero coefficient, and checks for a delta clash once per left item with a
+delta, against the right operand's first delta, which is the first
+clashing pair's.  Even degrees come from the name -> truncation degree
+table (0 on closed arguments and parameters).
 
 The tables are safe because a `FormalModel` is frozen: `__post_init__`
-sets its derived tables once.  They are keyed by name tuples and live on
-the model, not in the terms, because the same monomial has another mask in
-another model: `with_fibre_coordinates` builds a new model, with its own
-odd order and its own tables.  `d_image` keeps no memo: an image is one
+sets its derived tables once.  They are keyed by name tuples and masks and
+live on the model, not in the terms, because the same monomial has another
+mask in another model: `with_fibre_coordinates` builds a new model, with its
+own odd order and its own tables.  `d_image` keeps no memo: an image is one
 table lookup and at most r products.
 """
 
@@ -198,10 +210,9 @@ class FormalModel:
             form_degrees={n: g.form_degree for n, g in gens.items()},
             truncation_degrees=dict.fromkeys(self.parameters, 0)
             | {n: g.truncation_degree() for n, g in gens.items()},
-            # filled lazily by multiply and _finalize (see the module docstring)
+            # filled lazily by the Koszul loop and _finalize (see the module docstring)
             _odd_masks={},          # odd monomial -> bitmask
-            _odd_by_mask={},        # bitmask -> odd monomial sorted by odd_order
-            _odd_degrees={},        # odd monomial -> form degree
+            _odd_by_mask={},        # bitmask -> (odd monomial sorted by odd_order, form degree)
             _u_frame={un: (fr.frame_id, j) for fr in self.frames.values()
                       for j, un in enumerate(fr.u_slots)},
         )
@@ -241,12 +252,12 @@ class FormalModel:
         if deriv is None:
             deriv = (0,) * fr.rank
         d = DeltaFactor(frame_id, tuple(deriv), argument)
-        return _finalize({(d, (), ()): 1}, self)
+        return _finalize({(d, 0, ()): 1}, self)
 
     # -- structure helpers ---------------------------------------------------
 
     def term_degree(self, t):
-        deg = _odd_degree(t.odd_mono, self)
+        deg = sum(self.form_degrees[n] for n in t.odd_mono)
         for n, e in t.even_mono:
             deg += e * self.truncation_degrees[n]
         return deg
@@ -282,50 +293,49 @@ def _odd_mask(odd_mono, m):
 
 
 def _odd_of_mask(mask, m):
-    """The odd monomial of a bitmask, sorted by odd_order, stored in m's table."""
-    names = m._odd_names
+    """(odd monomial of a bitmask, sorted by odd_order, its form degree),
+    stored in m's table."""
+    names, form_degrees = m._odd_names, m.form_degrees
     odd = tuple(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
-    m._odd_by_mask[mask] = odd
-    return odd
-
-
-def _odd_degree(odd_mono, m):
-    """Form degree of an odd monomial, stored in m's table."""
-    form_degrees = m.form_degrees
-    deg = m._odd_degrees[odd_mono] = sum(form_degrees[n] for n in odd_mono)
-    return deg
+    m._odd_by_mask[mask] = entry = (odd, sum(form_degrees[n] for n in odd))
+    return entry
 
 
 def _finalize(acc, m):
     """Absorb closed arguments into deltas, read a delta of no arguments as
     1, truncate by degree, drop zeros.
 
-    acc maps term keys to coefficients.  A closed-argument delta of a rank-0
-    frame has no slots, and delta_0 of no arguments is 1, so its key moves
-    to _NO_DELTA.  Absorption and that rule can move a key onto another one,
-    so the surviving coefficients are merged again before the zeros are
-    dropped."""
+    acc maps raw keys (delta or None, odd mask, even monomial) to
+    coefficients.  Each key's mask becomes its odd monomial here, and its
+    None the _NO_DELTA key, so the terms sort as (delta, odd, even) tuples.
+    A closed-argument delta of a rank-0 frame has no slots, and delta_0 of no
+    arguments is 1, so its key moves to _NO_DELTA.  Absorption and that rule
+    can move a key onto another one, so the surviving coefficients are
+    merged again before the zeros are dropped."""
     out = {}
-    odd_degrees, truncation_degrees = m._odd_degrees, m.truncation_degrees
+    by_mask, truncation_degrees = m._odd_by_mask, m.truncation_degrees
     dim = m.manifold_dim
-    for key, coeff in acc.items():
+    for (dk, mask, even_mono), coeff in acc.items():
         if coeff == 0:
             continue
-        dk, odd_mono, even_mono = key
-        if even_mono and dk.argument == ARG_CLOSED:
-            coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
-            if coeff == 0:
-                continue
-            key = (dk, odd_mono, even_mono)
-        if dk is not _NO_DELTA and not dk.deriv and dk.argument == ARG_CLOSED:
-            key = (_NO_DELTA, odd_mono, even_mono)
-        deg = odd_degrees.get(odd_mono)
-        if deg is None:
-            deg = _odd_degree(odd_mono, m)
+        odd = by_mask.get(mask)
+        if odd is None:
+            odd = _odd_of_mask(mask, m)
+        odd_mono, deg = odd
+        if dk is None:
+            dk = _NO_DELTA
+        elif dk.argument == ARG_CLOSED:
+            if even_mono:
+                coeff, dk, even_mono = _absorb(coeff, dk, even_mono, m)
+                if coeff == 0:
+                    continue
+            if not dk.deriv:
+                dk = _NO_DELTA
         for n, e in even_mono:
             deg += e * truncation_degrees[n]
         if deg > dim:
             continue
+        key = (dk, odd_mono, even_mono)
         prev = out.get(key)
         out[key] = coeff if prev is None else prev + coeff
     terms = []
@@ -386,9 +396,26 @@ def multiply(a, b, m):
 
 
 def _multiply_acc(a, b, m):
-    """The Koszul loop of multiply: the product's unfinalized key ->
-    coefficient accumulator, keyed as in _finalize."""
-    order, masks, by_mask = m.odd_order, m._odd_masks, m._odd_by_mask
+    """The product's unfinalized raw accumulator, keyed as in _finalize."""
+    return _koszul(_raw(a.terms, m), b, m)
+
+
+def _raw(terms, m):
+    """The terms as raw items ((delta or None, odd mask, even), coeff)."""
+    masks = m._odd_masks
+    items = []
+    for c, d, odd, even in terms:
+        mask = masks.get(odd)
+        if mask is None:
+            mask = _odd_mask(odd, m)
+        items.append(((d, mask, even), c))
+    return items
+
+
+def _koszul(items, b, m):
+    """The Koszul loop: raw items times the element b, as the product's
+    unfinalized raw accumulator.  Items with a zero coefficient are skipped."""
+    order, masks = m.odd_order, m._odd_masks
     right = []
     d2 = None    # the first delta factor of b
     for c2, delta2, odd2, even2 in b.terms:
@@ -399,24 +426,18 @@ def _multiply_acc(a, b, m):
         p2 = 0
         for g in odd2:
             p2 ^= -2 << order[g]
-        if delta2 is None:
-            delta2 = _NO_DELTA
-        elif d2 is None:
+        if d2 is None:
             d2 = delta2
         right.append((c2, delta2, m2, p2, even2))
     acc = {}
-    for c1, d1, odd1, even1 in a.terms:
+    for (d1, m1, even1), c1 in items:
+        if not c1:
+            continue
         if d1 is not None and d2 is not None:
             raise _delta_clash(d1, d2)
-        m1 = masks.get(odd1)
-        if m1 is None:
-            m1 = _odd_mask(odd1, m)
         for c2, dk2, m2, p2, even2 in right:
             if m1 & m2:
                 continue
-            odd = by_mask.get(m1 | m2)
-            if odd is None:
-                odd = _odd_of_mask(m1 | m2, m)
             if not even2:
                 even = even1
             elif not even1:
@@ -426,7 +447,7 @@ def _multiply_acc(a, b, m):
                 for n, e in even2:
                     merged[n] = merged.get(n, 0) + e
                 even = tuple(sorted(merged.items()))
-            key = (d1 or dk2, odd, even)
+            key = (d1 or dk2, m1 | m2, even)
             # the Koszul sign: parity of the pairs (g1, g2) with g1 after g2
             c = -c1 * c2 if (m1 & p2).bit_count() & 1 else c1 * c2
             prev = acc.get(key)
@@ -454,35 +475,23 @@ _ONE = Element((Term(1, None, (), ()),))
 def fold(products, m):
     """Normal form of sum_i prod_j f_ij, products being the factor lists
     [f_i1, f_i2, ...]; an empty list is the product 1.  Each product is
-    multiplied left to right from its first factor, each partial accumulator
-    going back into _multiply_acc as raw terms, its zero coefficients
-    dropped, and only the sum is finalized.  This is
-    add_all(product(fs, m) for fs in products) when at most one factor of
-    each product carries a delta factor; with two, DeltaClash is raised when
-    a delta term of the partial product meets the second (see the module
-    docstring).  The partial products never leave
-    this loop and _multiply_acc only iterates and unpacks the terms of its
-    left operand, so they are plain (coeff, delta, odd, even) tuples in a
-    list: a tuple of Terms built from a generator costs more time, and more
-    peak memory over the frame trials."""
+    multiplied left to right from its first factor, made raw once, each
+    partial accumulator going back into the Koszul loop as it is, and its
+    last accumulator is merged into the sum's, which alone is finalized.
+    This is add_all(product(fs, m) for fs in products) when at most one
+    factor of each product carries a delta factor; with two, DeltaClash is
+    raised when a delta term of the partial product meets the second (see
+    the module docstring)."""
     acc = {}
     for factors in products:
         factors = iter(factors)
-        terms = next(factors, _ONE).terms
+        items = _raw(next(factors, _ONE).terms, m)
         for f in factors:
-            terms = _raw_product(terms, f, m)
-        for c, delta, odd, even in terms:
-            key = (_NO_DELTA if delta is None else delta, odd, even)
+            items = _koszul(items, f, m).items()
+        for key, c in items:
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
     return _finalize(acc, m)
-
-
-def _raw_product(terms, f, m):
-    """The raw terms times f: the Koszul loop's accumulator as a list of
-    (coeff, delta, odd, even) tuples, its zero coefficients dropped."""
-    return [(c, None if dk is _NO_DELTA else dk, odd, even)
-            for (dk, odd, even), c in _multiply_acc(Element(terms), f, m).items() if c]
 
 
 def taylor_fold(heads, xs, bound, rekey, m):
@@ -493,26 +502,26 @@ def taylor_fold(heads, xs, bound, rekey, m):
 
     The multi-indices J are walked depth first in lexicographic order.  A
     node extends its parent's raw partial product, the heads included, by
-    one factor x_s through _multiply_acc, so only one partial product per
-    slot is alive, and a partial product with no terms ends its subtree.  At
-    a leaf rekey is called once for each distinct delta of heads, and the
-    leaf's terms, rekeyed and divided by J!, go into one accumulator that is
+    one factor x_s through the Koszul loop, so only one partial product per
+    slot is alive, and a partial product with no non-zero coefficient ends
+    its subtree.  At a leaf rekey is called once for each distinct delta of
+    heads, and the leaf's raw items, their delta swapped inside the key and
+    their coefficients divided by J!, go into one accumulator that is
     finalized once, which gives the sum of the leaves' normal forms (see
     fold).  The heads' own deltas never reach _finalize, so nothing is
     absorbed into them mid-walk.  1/J! is applied at the leaf, so the
     partial products keep the coefficients of the heads and the x_s, ints
     when those are."""
-    terms = heads.terms
-    deltas = {t.delta for t in terms}
+    deltas = {t.delta for t in heads.terms}
     k = len(xs)
     acc = {}
 
-    def walk(jj, terms, left, fact):
+    def walk(jj, items, left, fact):
         s = len(jj)
         if s == k:
             keyed = {d: rekey(d, jj) for d in deltas}
-            for c, delta, odd, even in terms:
-                key = (keyed[delta], odd, even)
+            for (delta, mask, even), c in items:
+                key = (keyed[delta], mask, even)
                 if fact != 1:
                     c = Fraction(c, fact)
                 prev = acc.get(key)
@@ -521,19 +530,22 @@ def taylor_fold(heads, xs, bound, rekey, m):
         x = xs[s]
         for e in range(left + 1):
             if e:
-                terms = _raw_product(terms, x, m)
-                if not terms:
+                part = _koszul(items, x, m)
+                if not any(part.values()):
                     return
+                items = part.items()
                 fact *= e
-            walk(jj + (e,), terms, left - e, fact)
+            walk(jj + (e,), items, left - e, fact)
 
-    walk((), terms, bound, 1)
+    walk((), _raw(heads.terms, m), bound, 1)
     return _finalize(acc, m)
 
 
 def graded_exp_pieces(e, m):
     """1, e, e^2/2!, ... up to the last non-zero power of the even, nilpotent
-    element e; their sum is exp(e).  InvariantViolation when the power
+    element e; their sum is exp(e).  Each power is the previous one times e,
+    divided by n in its raw accumulator (an int where n divides the
+    coefficient) and then finalized.  InvariantViolation when the power
     2 * manifold_dim + 5 is still non-zero: e is not nilpotent."""
     piece, n = m.one(), 0
     while not piece.is_zero():
@@ -541,7 +553,10 @@ def graded_exp_pieces(e, m):
             raise InvariantViolation("graded exponential failed to terminate")
         yield piece
         n += 1
-        piece = multiply(piece, e, m).scaled(Fraction(1, n))
+        acc = _multiply_acc(piece, e, m)
+        for key, c in acc.items():
+            acc[key] = c // n if c.__class__ is int and not c % n else Fraction(c, n)
+        piece = _finalize(acc, m)
 
 
 def _derivation_on_term(t, m):

@@ -248,18 +248,20 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
 
 def test_trial_multiplies_k_times_over_int_betas(monkeypatch):
     """Each trial still expands the wedge through the Koszul loop: the first
-    beta is the left operand, and each further beta and the delta part are
-    multiplied on once.  Every beta coefficient is an int."""
+    beta is the left operand, as raw items, and each further beta and the
+    delta part are multiplied on once.  The first beta's raw keys carry no
+    delta and a one-bit odd mask; every beta coefficient is an int."""
     models = _models_by_rank(set(range(1, 7)))
     js = {k: j_form(m, "fr") for k, m in models.items()}
     operands = []
-    real_multiply_acc = superalg._multiply_acc
+    real_koszul = superalg._koszul
 
-    def counted(a, b, m):
-        operands.append((a, b))
-        return real_multiply_acc(a, b, m)
+    def counted(items, b, m):
+        items = list(items)
+        operands.append((items, b))
+        return real_koszul(items, b, m)
 
-    monkeypatch.setattr(superalg, "_multiply_acc", counted)
+    monkeypatch.setattr(superalg, "_koszul", counted)
     rng = random.Random(8)
     coeff_types = set()
     for k, m in sorted(models.items()):
@@ -268,10 +270,17 @@ def test_trial_multiplies_k_times_over_int_betas(monkeypatch):
             operands.clear()
             assert frame_change_compare(m, "fr", js[k], a)
             assert len(operands) == k, (k, a)
-            betas = [operands[0][0]] + [b for _, b in operands[:-1]]
+            first = operands[0][0]
+            assert first and all(d is None and mask.bit_count() == 1
+                                 for (d, mask, even), _ in first)
+            assert [mask for (_, mask, _), _ in first] == \
+                [1 << m.odd_order[name] for name, x in zip(m.frames["fr"].alpha_slots, a[-1])
+                 if x]
+            betas = [b for _, b in operands[:-1]]
             delta_part = operands[-1][1]
             assert all(t.delta is None and len(t.odd_mono) == 1 for b in betas for t in b.terms)
             assert [t.delta for t in delta_part.terms] == [DeltaFactor("fr", (0,) * k)]
+            coeff_types.update(type(c) for _, c in first)
             coeff_types.update(type(t.coeff) for b in betas for t in b.terms)
     assert coeff_types == {int}
 
@@ -303,17 +312,17 @@ def test_trial_runs_one_elimination_per_draw(monkeypatch):
     assert all(seen.values()), seen
 
 
-def _unsigned(multiply_acc):
-    """The Koszul loop with the sign dropped: each pair of terms is multiplied
-    alone and keeps the plain product of the two coefficients.  Only valid
-    where no closed argument meets a delta factor, as in a frame trial."""
-    def unsigned(a, b, m):
+def _unsigned(koszul):
+    """The Koszul loop with the sign dropped: each raw item is multiplied by
+    each right term alone and keeps the plain product of the two
+    coefficients.  Only valid where no closed argument meets a delta factor,
+    as in a frame trial."""
+    def unsigned(items, b, m):
         acc = {}
-        for t1 in a.terms:
+        for item in items:
             for t2 in b.terms:
-                # a left term may be a plain tuple (superalg.fold)
-                for key in multiply_acc(Element((t1,)), Element((t2,)), m):
-                    acc[key] = acc.get(key, 0) + t1[0] * t2[0]
+                for key in koszul([item], Element((t2,)), m):
+                    acc[key] = acc.get(key, 0) + item[1] * t2.coeff
         return acc
     return unsigned
 
@@ -338,7 +347,7 @@ def test_frame_trial_catches_injected_faults(fault, monkeypatch):
     for (m, fid, j, _), ms in zip(cases, draws):
         assert all(frame_change_compare(m, fid, j, a) for a in ms)
     if fault == "koszul-sign":
-        monkeypatch.setattr(superalg, "_multiply_acc", _unsigned(superalg._multiply_acc))
+        monkeypatch.setattr(superalg, "_koszul", _unsigned(superalg._koszul))
     else:
         monkeypatch.setattr(jform, "delta_linear_substitute",
                             _unscaled(jform.delta_linear_substitute))

@@ -237,14 +237,16 @@ def test_add_all_equals_pairwise_fold_randomized():
 def _fold_cases(acc, m, counts):
     """Count the keys of an unfinalized product that finalizing truncates, or
     whose same-frame closed arguments it absorbs into the delta: to zero when
-    an exponent exceeds the derivative order, else to a lower order."""
-    for (dk, odd, even), c in acc.items():
+    an exponent exceeds the derivative order, else to a lower order.  A raw
+    key is (delta or None, odd bitmask, even monomial)."""
+    for (dk, mask, even), c in acc.items():
+        assert type(mask) is int and dk is not _NO_DELTA, (dk, mask)
         if not c:
             continue
-        deg = sum(m.form_degrees[n] for n in odd)
+        deg = sum(m.form_degrees[n] for n, i in m.odd_order.items() if mask >> i & 1)
         deg += sum(e * m.truncation_degrees[n] for n, e in even)
         counts["truncated"] += deg > m.manifold_dim
-        if dk is _NO_DELTA:
+        if dk is None:
             continue
         slots = [(m._u_frame[n][1], e) for n, e in even
                  if n in m._u_frame and m._u_frame[n][0] == dk.frame_id]
@@ -276,18 +278,18 @@ def test_product_fold_equals_product_randomized(monkeypatch):
     factor of each product carries a delta, wherever it stands; two
     products may share keys.  The reference kernel below gives the same sum
     without fold, which add_all and product also run through.  The Koszul
-    loop's accumulators are recorded: a partial product, any but the last
-    of its product, may hold a cancelled term, and the accumulator that
+    loop's raw accumulators are recorded: a partial product, any but the
+    last of its product, may hold a cancelled term, and the accumulator that
     fold finalizes is searched for terms that finalizing truncates or
     absorbs."""
     rng = random.Random(37)
     counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower",
                             "cancelled"), 0)
-    real_multiply_acc, real_finalize = superalg._multiply_acc, superalg._finalize
+    real_koszul, real_finalize = superalg._koszul, superalg._finalize
     seen = []
 
-    def recorded_multiply_acc(a, b, m):
-        seen.append(real_multiply_acc(a, b, m))
+    def recorded_koszul(items, b, m):
+        seen.append(real_koszul(items, b, m))
         return seen[-1]
 
     def recorded_finalize(acc, m):
@@ -303,7 +305,7 @@ def test_product_fold_equals_product_randomized(monkeypatch):
             products[-1] = [first[0].scaled(nonzero_rational(rng)), *first[1:]] if first else []
         seen.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(superalg, "_multiply_acc", recorded_multiply_acc)
+            patch.setattr(superalg, "_koszul", recorded_koszul)
             patch.setattr(superalg, "_finalize", recorded_finalize)
             got = superalg.fold(products, m)
         for factors in products:
@@ -367,11 +369,11 @@ def test_taylor_fold_equals_its_definition_randomized(monkeypatch):
     rng = random.Random(61)
     counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower", "cancelled",
                             "vanished", "several-deltas", "several-degrees"), 0)
-    real_multiply_acc, real_finalize = superalg._multiply_acc, superalg._finalize
+    real_koszul, real_finalize = superalg._koszul, superalg._finalize
     seen = []
 
-    def recorded_multiply_acc(a, b, m):
-        seen.append(real_multiply_acc(a, b, m))
+    def recorded_koszul(items, b, m):
+        seen.append(real_koszul(items, b, m))
         return seen[-1]
 
     def recorded_finalize(acc, m):
@@ -404,7 +406,7 @@ def test_taylor_fold_equals_its_definition_randomized(monkeypatch):
         counts["several-degrees"] += len({m.term_degree(t) for t in heads.terms}) > 1
         seen.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(superalg, "_multiply_acc", recorded_multiply_acc)
+            patch.setattr(superalg, "_koszul", recorded_koszul)
             patch.setattr(superalg, "_finalize", recorded_finalize)
             got = superalg.taylor_fold(heads, xs, bound, rekey, m)
         counts["cancelled"] += any(c == 0 for acc in seen for c in acc.values())
