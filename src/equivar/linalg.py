@@ -42,25 +42,32 @@ def _bareiss(rows):
     """(rank, signed last pivot) of the integer rows, by Bareiss elimination.
     The list rows is reordered and its rows replaced; no row is changed in
     place.  When the rows are square of full rank, the signed last pivot is
-    their determinant."""
+    their determinant.  A row operation runs only on the columns right of
+    its pivot, the only ones read again, so the rows from rows[r] on hold
+    the columns from `first` on."""
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    r, sign, prev = 0, 1, 1
+    r, sign, prev, first = 0, 1, 1, 0
     for col in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][col]), None)
-        if piv is None:
+        j = col - first
+        for piv in range(r, nr):
+            if rows[piv][j]:
+                break
+        else:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
         pr = rows[r]
-        p = pr[col]
+        p = pr[j]
+        right = pr[j + 1:]
         for i in range(r + 1, nr):
             row = rows[i]
-            f = row[col]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+            f = row[j]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row[j + 1:], right)]
         prev = p
         r += 1
+        first = col + 1
         if r == nr:
             break
     return r, sign * prev

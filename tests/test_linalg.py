@@ -105,6 +105,63 @@ def test_det_and_rank_match_fraction_reference():
     assert all(seen.values()), seen
 
 
+def _reference_pivots(a):
+    """(rank, signed product of the pivots) of Fraction Gaussian elimination
+    that takes the first non-zero entry at or below the pivot row, as
+    _bareiss does: the product of the first i Gaussian pivots is Bareiss'
+    i-th pivot."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    r, sign, prod = 0, 1, Fraction(1)
+    for col in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pr = rows[r]
+        prod *= pr[col]
+        for i in range(r + 1, nr):
+            f = rows[i][col] / pr[col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        r += 1
+        if r == nr:
+            break
+    return r, sign * prod
+
+
+def test_bareiss_matches_fraction_gauss_on_int_rows():
+    """Rank and signed last pivot of _bareiss, which eliminates only the
+    columns right of each pivot, against the Fraction reference on random
+    rectangular int matrices, zero columns and rows included."""
+    rng = random.Random(19)
+    seen = dict.fromkeys(("wide", "tall", "square", "zero-column", "zero-row", "deficient",
+                          "swapped", "negative-pivot"), 0)
+    for _ in range(2400):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        for j in range(nc):
+            if rng.random() < 0.15:
+                for row in rows:
+                    row[j] = 0
+        if rng.random() < 0.1:
+            rows[rng.randrange(nr)] = [0] * nc
+        a = tuple(map(tuple, rows))
+        got = linalg._bareiss([list(row) for row in a])
+        want = _reference_pivots(a)
+        assert got == want and type(got[1]) is int, a
+        seen["wide" if nc > nr else "tall" if nr > nc else "square"] += 1
+        seen["zero-column"] += any(not any(row[j] for row in a) for j in range(nc))
+        seen["zero-row"] += any(not any(row) for row in a)
+        seen["deficient"] += got[0] < min(nr, nc)
+        first = next((j for j in range(nc) if any(row[j] for row in a)), None)
+        seen["swapped"] += first is not None and not a[0][first]
+        seen["negative-pivot"] += got[1] < 0
+    assert all(seen.values()), seen
+
+
 def test_det_and_rank_edge_shapes():
     assert linalg.det(()) == 1 and linalg.rank(()) == 0
     assert linalg.det(((0,),)) == 0 and linalg.rank(((0, 0, 0),)) == 0
