@@ -57,7 +57,9 @@ def _delta(d, m, fmt):
 
 
 def render_term(t, m, fmt=TEXT):
-    """Body of one term without its sign; coefficient magnitude included."""
+    """Body of one term without its sign; coefficient magnitude included.
+    The magnitude is str of the coefficient with its "-" stripped, which
+    needs no abs of a Fraction."""
     odd = [_name(n, fmt) for n in t.odd_mono]
     factors = []
     if odd:
@@ -68,27 +70,31 @@ def render_term(t, m, fmt=TEXT):
         factors.append(_pow(n, e, fmt))
     sep = r"\," if fmt == LATEX else "*"
     body = sep.join(factors)
-    c = abs(t.coeff)
-    if c != 1 or not body:
+    c = t.coeff
+    if not body or c.denominator != 1 or abs(c.numerator) != 1:
         try:
             cs = str(c)
         except ValueError:  # past the int-to-str digit limit
             raise OutOfRange(f"a coefficient has more than {sys.get_int_max_str_digits()} "
                              "digits, too many to print") from None
+        if cs[0] == "-":
+            cs = cs[1:]
         body = cs + (sep + body if body else "")
     return body
 
 
 def render_element(e, m, fmt=TEXT):
+    """The terms joined by their signs, each read from the coefficient's
+    numerator."""
     if e.is_zero():
         return "0"
     out = []
     for i, t in enumerate(e.terms):
         body = render_term(t, m, fmt)
         if i == 0:
-            out.append(("-" if t.coeff < 0 else "") + body)
+            out.append(("-" if t.coeff.numerator < 0 else "") + body)
         else:
-            out.append((" - " if t.coeff < 0 else " + ") + body)
+            out.append((" - " if t.coeff.numerator < 0 else " + ") + body)
     return "".join(out)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -16,16 +17,19 @@ from equivar import characters, charclass, cli, genco, jform, linalg, superalg
 from equivar.cli import main, run_index, run_verify
 from equivar.errors import ParseError
 from equivar.laurent import RationalCharacter
-from equivar.modelfile import load_builtin, load_model, loads_model, parse_element
+from equivar.modelfile import builtin_names, load_builtin, load_model, loads_model, parse_element
 from equivar.report import (
     CONVENTIONS,
     LATEX,
     TEXT,
     render_element,
     render_frame_value,
+    render_term,
     report_status,
     report_to_json,
 )
+
+from random_models import random_element
 
 BAD_MOMENT_DOC = {
     "name": "flat-moment",
@@ -327,6 +331,49 @@ def test_parameter_factors_render_among_the_even_factors():
     assert render_element(e, m, TEXT) == "2*Psi*X + psi - 3*psi*X^2"
     assert render_element(e, m, LATEX) == \
         "2\\,\\mathrm{Psi}\\,X + \\mathrm{psi} - 3\\,\\mathrm{psi}\\,X^{2}"
+
+
+def _abs_sign_render(e, m, fmt):
+    """render_element with each term's magnitude from abs(coeff) and its
+    sign from coeff < 0; the factors come from render_term on the term with
+    coefficient 1."""
+    sep = r"\," if fmt == LATEX else "*"
+    out = []
+    for i, t in enumerate(e.terms):
+        has_factors = t.odd_mono or t.delta is not None or t.even_mono
+        body = render_term(t._replace(coeff=1), m, fmt) if has_factors else ""
+        c = abs(t.coeff)
+        if c != 1 or not body:
+            body = str(c) + (sep + body if body else "")
+        sign = ("-" if t.coeff < 0 else "") if i == 0 else (" - " if t.coeff < 0 else " + ")
+        out.append(sign + body)
+    return "".join(out) or "0"
+
+
+def test_render_signs_and_magnitudes_match_abs_reference():
+    """Signs read from the numerator and magnitudes from str(coeff) with its
+    "-" stripped give the text and LaTeX of abs(coeff) and coeff < 0."""
+    rng = random.Random(17)
+    seen = dict.fromkeys(("unit", "minus-unit", "unit-fraction", "fraction", "int",
+                          "scalar", "negative-first"), 0)
+    scales = (1, -1, 2, -7, Fraction(1, 3), Fraction(-1, 3), Fraction(-22, 7), 10 ** 30)
+    for name in builtin_names():
+        m = load_builtin(name)
+        for _ in range(40):
+            e = random_element(rng, m, n_terms=rng.randint(1, 4))
+            e = superalg.add(e.scaled(rng.choice(scales)),
+                             m.scalar(rng.choice((0,) + scales)), m)
+            for fmt in (TEXT, LATEX):
+                assert render_element(e, m, fmt) == _abs_sign_render(e, m, fmt), (name, e)
+            for t in e.terms:
+                c = t.coeff
+                seen["unit"] += c == 1
+                seen["minus-unit"] += c == -1
+                seen["unit-fraction"] += type(c) is Fraction and abs(c.numerator) == 1
+                seen["fraction" if type(c) is Fraction else "int"] += 1
+                seen["scalar"] += not (t.odd_mono or t.delta or t.even_mono)
+            seen["negative-first"] += bool(e.terms) and e.terms[0].coeff < 0
+    assert all(seen.values()), seen
 
 
 def test_verify_exit_zero(capsys):
