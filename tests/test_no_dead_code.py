@@ -14,6 +14,11 @@ code calling dead code) is not caught.
 Every name that a module (not __init__.py) imports must also be used in
 that module's code, as a name or as the base of an attribute; an import
 statement marked `# noqa: F401` is exempt.
+
+The raw accumulator of superalg (its keys, the Koszul loop, finalize) stays
+private to superalg: no other module of the package, __init__.py included,
+imports a superalg name that starts with "_" or reads one as an attribute of
+the superalg module, except _new_tuple, the term constructor.
 """
 
 import ast
@@ -84,6 +89,51 @@ def _unused_imports(sources):
                 if name not in used:
                     unused.append(f"{mod}.{name}")
     return sorted(unused)
+
+
+# private superalg names that other modules may import
+SHARED_PRIVATE = {"_new_tuple"}
+
+
+def _private_superalg_uses(sources):
+    """"module.name" for each private superalg name, other than those in
+    SHARED_PRIVATE, that a module other than superalg imports or reads as
+    superalg.name."""
+    found = []
+    for mod, text in sources.items():
+        if mod == "superalg":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            names = []
+            if isinstance(node, ast.ImportFrom) and node.module in ("superalg",
+                                                                    "equivar.superalg"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "superalg":
+                names = [node.attr]
+            found += [f"{mod}.{n}" for n in names
+                      if n.startswith("_") and n not in SHARED_PRIVATE]
+    return sorted(found)
+
+
+def _package_sources():
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def test_superalg_keeps_its_accumulator_private():
+    assert _private_superalg_uses(_package_sources()) == []
+
+
+def test_guard_flags_a_private_superalg_import():
+    extra = ("from . import superalg\n"
+             "from .superalg import _koszul, _new_tuple, fold\n"
+             "from equivar.superalg import _NO_DELTA\n\n\n"
+             "def f(acc, m):\n    return superalg._finalize(acc, m), superalg.multiply\n")
+    assert _private_superalg_uses(dict(_package_sources(), extra=extra)) == \
+        ["extra._NO_DELTA", "extra._finalize", "extra._koszul"]
+    public = ("from .superalg import Term, _new_tuple\n\n"
+              "ONE = _new_tuple(Term, (1, None, (), ()))\n")
+    assert _private_superalg_uses(dict(_package_sources(), extra=public)) == []
 
 
 def test_every_import_has_a_use():
