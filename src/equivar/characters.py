@@ -79,15 +79,12 @@ def l2_torus_oracle(w):
     return 1
 
 
-def _box(nvars, radius):
-    return iproduct(range(-radius, radius + 1), repeat=nvars)
-
-
 def _character_table(cells, nvars, radius):
     """The rows of the non-zero expand_box cells of the box of the radius, in
-    the box order, which is the sorted order of the weights."""
+    the box order (box_dict keeps it), which is the sorted order of the
+    weights."""
     return [{"weight": list(w), "coefficient": c}
-            for w, c in zip(_box(nvars, radius), cells) if c]
+            for w, c in box_dict(cells, nvars, radius).items()]
 
 
 def _poly_table(p):
@@ -127,7 +124,8 @@ def _torus_zero():
         for row in fr.moment_samples[0]:
             rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
         cells = expand_to_degree(rc, window)
-        oracle = {w: c for w in _box(rank_l, window) if (c := l2_torus_oracle(w))}
+        oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
+                  if (c := l2_torus_oracle(w))}
         results.append(entry(f"{prefix}regular-representation-window-{window}",
                              box_dict(cells, rank_l, window) == oracle))
         if chars is None:

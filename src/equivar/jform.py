@@ -15,9 +15,9 @@ frame id and J: check_closed(m, j), check_annihilated(m, frame_id, j) and
 frame_change_compare(m, frame_id, j, a_matrix).
 
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
-the betas times delta_0(A u) is one product of superalg.fold: the first
-beta is the left operand, each further beta and the delta part go through
-the Koszul loop once, and the result is put in normal form once.  It is
+the betas times delta_0(A u) is one product of superalg.fold: it starts
+from the unit, each beta and the delta part go through the Koszul loop
+once, and the result is put in normal form once.  It is
 never replaced by det(A), so a wrong Koszul sign or delta scale makes the
 comparison fail.  Only the delta part carries a delta factor, which is the
 fold's condition.  The frame changes that verify draws are integer matrices

@@ -290,7 +290,8 @@ def expand_box(rc, radius):
 
 
 def box_dict(cells, nvars, radius):
-    """The {weight: coefficient} dict of the non-zero cells of an expand_box list."""
+    """The {weight: coefficient} dict of the non-zero cells of an expand_box
+    list, in box order, which is the sorted order of the weights."""
     return dict(zip(compress(product(range(-radius, radius + 1), repeat=nvars), cells),
                     filter(None, cells)))
 

@@ -30,6 +30,7 @@ expression.
 
 import json
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -108,7 +109,11 @@ def _parse_term(toks, pos, m):
                 pos += 1
                 if pos >= len(toks) or toks[pos][0] != "rat" or "/" in toks[pos][1]:
                     raise ParseError("expected integer exponent after '^'", column=col)
-                exp = int(toks[pos][1])
+                try:
+                    exp = int(toks[pos][1])
+                except ValueError:  # past the str-to-int digit limit
+                    raise ParseError(f"exponent has more than {sys.get_int_max_str_digits()} "
+                                     "digits", column=toks[pos][2]) from None
                 pos += 1
             try:
                 factors.append(m.gen(val, exp))

@@ -33,12 +33,22 @@ def _name(n, fmt):
     return n
 
 
+def _printed(q, what):
+    """str(q); OutOfRange past the int-to-str digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        raise OutOfRange(f"{what} has more than {sys.get_int_max_str_digits()} "
+                         "digits, too many to print") from None
+
+
 def _pow(n, e, fmt):
     if e == 1:
         return _name(n, fmt)
+    e = _printed(e, "an exponent")
     if fmt == LATEX:
-        return _name(n, fmt) + "^{" + str(e) + "}"
-    return n + "^" + str(e)
+        return _name(n, fmt) + "^{" + e + "}"
+    return n + "^" + e
 
 
 def _delta(d, m, fmt):
@@ -72,11 +82,7 @@ def render_term(t, m, fmt=TEXT):
     body = sep.join(factors)
     c = t.coeff
     if not body or c.denominator != 1 or abs(c.numerator) != 1:
-        try:
-            cs = str(c)
-        except ValueError:  # past the int-to-str digit limit
-            raise OutOfRange(f"a coefficient has more than {sys.get_int_max_str_digits()} "
-                             "digits, too many to print") from None
+        cs = _printed(c, "a coefficient")
         if cs[0] == "-":
             cs = cs[1:]
         body = cs + (sep + body if body else "")

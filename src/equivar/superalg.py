@@ -26,23 +26,25 @@ step, which makes building a sum quadratic; that idiom is a bug.
 
 Sums and products are built on raw items ((delta, odd mask, even), coeff):
 the term's delta factor, None when it has none; the bitmask of its odd
-monomial (below); its even monomial, as in a term.  `_raw` makes the terms
-of an element raw, and the Koszul loop `_koszul` multiplies raw items by an
-element into a raw accumulator, keyed the same way, which is unfinalized.
-`multiply` is `_multiply_acc` (the two in turn) followed by `_finalize`.
-Masks become odd monomials, and None the `_NO_DELTA` key, only in
-`_finalize`, once per key, before absorption, truncation and the sort, so
-no partial product builds an odd tuple.  `fold` makes each product's first
-factor raw, feeds each partial accumulator's items back into the Koszul
-loop as they are, merges the last one into the sum's accumulator and
-finalizes only the sum.  Finalizing is term-local and truncation is an
-ideal (degrees only add), and absorbing u^e into delta^(I) gives the same
-coefficient in one step as in e steps, so this is the sum of the products'
-normal forms whenever at most one factor of each product carries a delta.
-With two, `fold` raises DeltaClash when a delta term of the partial
-product meets the second delta factor, even where `product`, finalizing at
-every step, would first have absorbed that term to zero.  So `fold` either
-returns add_all(product(fs, m) for fs in products) or raises.
+monomial (below); its even monomial, as in a term.  The Koszul loop
+`_koszul` multiplies raw items by an element into a raw accumulator, keyed
+the same way, which is unfinalized.  Every product starts from `_UNIT`, the
+raw items of the empty product 1, so an element's terms become raw items
+only as the right operand of the Koszul loop, and that loop is the one
+place where an odd monomial becomes a mask.  Masks become odd monomials
+again, and None the `_NO_DELTA` key, only in `_finalize`, once per key,
+before absorption, truncation and the sort, so no partial product builds an
+odd tuple.  `fold` starts each product at `_UNIT`, feeds each partial
+accumulator's items back into the Koszul loop as they are, merges the last
+one into the sum's accumulator and finalizes only the sum; `multiply` is
+the fold of one two-factor product.  Finalizing is term-local and truncation
+is an ideal (degrees only add), and absorbing u^e into delta^(I) gives the
+same coefficient in one step as in e steps, so this is the sum of the
+products' normal forms whenever at most one factor of each product carries
+a delta.  With two, `fold` raises DeltaClash when a delta term of the
+partial product meets the second delta factor, even where `product`,
+finalizing at every step, would first have absorbed that term to zero.  So
+`fold` either returns add_all(product(fs, m) for fs in products) or raises.
 
 `taylor_fold` is the second sum builder, for the Taylor series
 sum_J t_J x^J / J! of the display form.  Its products share prefixes: each
@@ -65,28 +67,29 @@ A term's even monomial is sorted by name with positive exponents, and its
 odd monomial is sorted by `FormalModel.odd_order`.
 
 A `Term` is a NamedTuple of its four fields: building one is one tuple
-allocation, and two terms compare as tuples.  Raw items use two tables
-that each `FormalModel` fills lazily: odd monomial -> bitmask (bit
-odd_order[g] for each generator g), read by `_raw` and the Koszul loop, and
-bitmask -> (odd monomial sorted by odd_order, its form degree), read by
-`_finalize`.  Two terms with overlapping masks multiply to zero; otherwise
-their product's mask is m1 | m2, whose odd monomial `_finalize` reads from
-the table, with no sort.  The Koszul sign is the parity of the pairs
-(g1, g2), g1 from the left term after g2 from the right one: bit i of the
-right term's parity mask is the parity of its generators below i, and the
-sign is the parity of the popcount of m1 & that mask.  A call unpacks the
-right operand's terms once, with their masks, skips the left items with a
-zero coefficient, and checks for a delta clash once per left item with a
-delta, against the right operand's first delta, which is the first
-clashing pair's.  Even degrees come from the name -> truncation degree
-table (0 on closed arguments and parameters).
+allocation, and two terms compare as tuples.  An odd monomial's mask has bit
+odd_order[g] for each generator g; the Koszul loop builds it in the same
+walk over the right term's generators that builds its parity mask.  The one
+table, which each `FormalModel` fills lazily, maps a bitmask to (odd
+monomial sorted by odd_order, its form degree) for `_finalize`.  Two terms
+with overlapping masks multiply to zero; otherwise their product's mask is
+m1 | m2, whose odd monomial `_finalize` reads from the table, with no
+sort.  The Koszul sign is the parity of the pairs (g1, g2), g1 from the left
+term after g2 from the right one: bit i of the right term's parity mask is
+the parity of its generators below i, and the sign is the parity of the
+popcount of m1 & that mask.  A call unpacks the right operand's terms once,
+with their masks, skips the left items with a zero coefficient, and checks
+for a delta clash once per left item with a delta, against the right
+operand's first delta, which is the first clashing pair's.  Even degrees
+come from the name -> truncation degree table (0 on closed arguments and
+parameters).
 
-The tables are safe because a `FormalModel` is frozen: `__post_init__`
-sets its derived tables once.  They are keyed by name tuples and masks and
-live on the model, not in the terms, because the same monomial has another
-mask in another model: `with_fibre_coordinates` builds a new model, with its
-own odd order and its own tables.  `d_image` keeps no memo: an image is one
-table lookup and at most r products.
+The tables are safe because a `FormalModel` is frozen: `__post_init__` sets
+its derived tables once.  The mask table lives on the model, not in the
+terms, because the same mask stands for another monomial in another model:
+`with_fibre_coordinates` builds a new model, with its own odd order and its
+own tables.  `d_image` keeps no memo: an image is one table lookup and at
+most r products.
 """
 
 from dataclasses import dataclass, field
@@ -210,8 +213,7 @@ class FormalModel:
             form_degrees={n: g.form_degree for n, g in gens.items()},
             truncation_degrees=dict.fromkeys(self.parameters, 0)
             | {n: g.truncation_degree() for n, g in gens.items()},
-            # filled lazily by the Koszul loop and _finalize (see the module docstring)
-            _odd_masks={},          # odd monomial -> bitmask
+            # filled lazily by _finalize (see the module docstring)
             _odd_by_mask={},        # bitmask -> (odd monomial sorted by odd_order, form degree)
             _u_frame={un: (fr.frame_id, j) for fr in self.frames.values()
                       for j, un in enumerate(fr.u_slots)},
@@ -281,16 +283,6 @@ class FormalModel:
 
 # ---------------------------------------------------------------------------
 # term assembly
-
-def _odd_mask(odd_mono, m):
-    """Bit odd_order[g] for each generator g of odd_mono, stored in m's table."""
-    order = m.odd_order
-    mask = 0
-    for g in odd_mono:
-        mask |= 1 << order[g]
-    m._odd_masks[odd_mono] = mask
-    return mask
-
 
 def _odd_of_mask(mask, m):
     """(odd monomial of a bitmask, sorted by odd_order, its form degree),
@@ -389,43 +381,30 @@ def add(a, b, m):
 
 
 def multiply(a, b, m):
-    """Koszul-signed product.  Raises DeltaClash on any delta * delta: the
-    source calculus never multiplies two generalized-coefficient forms, so no
-    product rule exists (same frame included)."""
-    return _finalize(_multiply_acc(a, b, m), m)
+    """Koszul-signed product, the fold of the one product a b.  DeltaClash on
+    any delta * delta: the source calculus never multiplies two
+    generalized-coefficient forms, so no product rule exists (same frame
+    included)."""
+    return fold(((a, b),), m)
 
 
-def _multiply_acc(a, b, m):
-    """The product's unfinalized raw accumulator, keyed as in _finalize."""
-    return _koszul(_raw(a.terms, m), b, m)
-
-
-def _raw(terms, m):
-    """The terms as raw items ((delta or None, odd mask, even), coeff)."""
-    masks = m._odd_masks
-    items = []
-    for c, d, odd, even in terms:
-        mask = masks.get(odd)
-        if mask is None:
-            mask = _odd_mask(odd, m)
-        items.append(((d, mask, even), c))
-    return items
+# the raw items of the empty product, 1: every product starts here
+_UNIT = (((None, 0, ()), 1),)
 
 
 def _koszul(items, b, m):
     """The Koszul loop: raw items times the element b, as the product's
     unfinalized raw accumulator.  Items with a zero coefficient are skipped."""
-    order, masks = m.odd_order, m._odd_masks
+    order = m.odd_order
     right = []
     d2 = None    # the first delta factor of b
     for c2, delta2, odd2, even2 in b.terms:
-        m2 = masks.get(odd2)
-        if m2 is None:
-            m2 = _odd_mask(odd2, m)
-        # bit i of p2: parity of the generators of odd2 below odd_order i
-        p2 = 0
+        # bit i of m2: odd_order i in odd2; of p2: parity of odd2 below i
+        m2 = p2 = 0
         for g in odd2:
-            p2 ^= -2 << order[g]
+            i = order[g]
+            m2 |= 1 << i
+            p2 ^= -2 << i
         if d2 is None:
             d2 = delta2
         right.append((c2, delta2, m2, p2, even2))
@@ -469,14 +448,11 @@ def product(factors, m):
     return out
 
 
-_ONE = Element((Term(1, None, (), ()),))
-
-
 def fold(products, m):
     """Normal form of sum_i prod_j f_ij, products being the factor lists
     [f_i1, f_i2, ...]; an empty list is the product 1.  Each product is
-    multiplied left to right from its first factor, made raw once, each
-    partial accumulator going back into the Koszul loop as it is, and its
+    multiplied left to right from _UNIT, each factor through the Koszul
+    loop once, each partial accumulator going back into it as it is, and its
     last accumulator is merged into the sum's, which alone is finalized.
     This is add_all(product(fs, m) for fs in products) when at most one
     factor of each product carries a delta factor; with two, DeltaClash is
@@ -484,8 +460,7 @@ def fold(products, m):
     the module docstring)."""
     acc = {}
     for factors in products:
-        factors = iter(factors)
-        items = _raw(next(factors, _ONE).terms, m)
+        items = _UNIT
         for f in factors:
             items = _koszul(items, f, m).items()
         for key, c in items:
@@ -500,18 +475,18 @@ def taylor_fold(heads, xs, bound, rekey, m):
     replaced by rekey(delta of t, J).  Every term of heads carries a delta
     factor, and no x_s does.
 
-    The multi-indices J are walked depth first in lexicographic order.  A
-    node extends its parent's raw partial product, the heads included, by
-    one factor x_s through the Koszul loop, so only one partial product per
-    slot is alive, and a partial product with no non-zero coefficient ends
-    its subtree.  At a leaf rekey is called once for each distinct delta of
-    heads, and the leaf's raw items, their delta swapped inside the key and
-    their coefficients divided by J!, go into one accumulator that is
-    finalized once, which gives the sum of the leaves' normal forms (see
-    fold).  The heads' own deltas never reach _finalize, so nothing is
-    absorbed into them mid-walk.  1/J! is applied at the leaf, so the
-    partial products keep the coefficients of the heads and the x_s, ints
-    when those are."""
+    The multi-indices J are walked depth first in lexicographic order from
+    the raw product _UNIT times heads.  A node extends its parent's raw
+    partial product by one factor x_s through the Koszul loop, so only one
+    partial product per slot is alive, and a partial product with no
+    non-zero coefficient ends its subtree.  At a leaf rekey is called once
+    for each distinct delta of heads, and the leaf's raw items, their delta
+    swapped inside the key and their coefficients divided by J!, go into one
+    accumulator that is finalized once, which gives the sum of the leaves'
+    normal forms (see fold).  The heads' own deltas never reach _finalize,
+    so nothing is absorbed into them mid-walk.  1/J! is applied at the leaf,
+    so the partial products keep the coefficients of the heads and the x_s,
+    ints when those are."""
     deltas = {t.delta for t in heads.terms}
     k = len(xs)
     acc = {}
@@ -537,23 +512,24 @@ def taylor_fold(heads, xs, bound, rekey, m):
                 fact *= e
             walk(jj + (e,), items, left - e, fact)
 
-    walk((), _raw(heads.terms, m), bound, 1)
+    walk((), _koszul(_UNIT, heads, m).items(), bound, 1)
     return _finalize(acc, m)
 
 
 def graded_exp_pieces(e, m):
     """1, e, e^2/2!, ... up to the last non-zero power of the even, nilpotent
-    element e; their sum is exp(e).  Each power is the previous one times e,
-    divided by n in its raw accumulator (an int where n divides the
-    coefficient) and then finalized.  InvariantViolation when the power
-    2 * manifold_dim + 5 is still non-zero: e is not nilpotent."""
+    element e; their sum is exp(e).  Each power is _UNIT times the previous
+    one times e, two Koszul passes, divided by n in its raw accumulator (an
+    int where n divides the coefficient) and then finalized.
+    InvariantViolation when the power 2 * manifold_dim + 5 is still
+    non-zero: e is not nilpotent."""
     piece, n = m.one(), 0
     while not piece.is_zero():
         if n > 2 * m.manifold_dim + 4:
             raise InvariantViolation("graded exponential failed to terminate")
         yield piece
         n += 1
-        acc = _multiply_acc(piece, e, m)
+        acc = _koszul(_koszul(_UNIT, piece, m).items(), e, m)
         for key, c in acc.items():
             acc[key] = c // n if c.__class__ is int and not c % n else Fraction(c, n)
         piece = _finalize(acc, m)
@@ -651,6 +627,13 @@ def validate_model(m):
                     if deg != 2:
                         raise InvariantViolation(f"split entry {j} of frame {fr.frame_id!r} "
                                                  f"has a term of degree {deg}, not a 2-form")
+    # the loop above checked each slot's generator; d_image reads the frame of each
+    # frame-slot generator, so it must be one of them
+    slotted = {n for fr in m.frames.values() for n in fr.alpha_slots + fr.u_slots}
+    for g in m.generators.values():
+        if g.kind != PLAIN_FORM and g.name not in slotted:
+            raise InvariantViolation(f"{g.kind} {g.name!r} is not a slot of a declared frame "
+                                     f"(frame {g.frame_id!r}, slot {g.slot})")
 
     frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
     closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}

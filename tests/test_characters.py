@@ -502,6 +502,8 @@ def test_contact_box_row_slices_catch_cell_faults(fault, radius, monkeypatch):
 
 
 def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
+    """No weight dict of the box: the one box_dict call of a passing run is
+    the character table's, on the window of radius 3."""
     calls = []
     box_dict = laurent.box_dict
 
@@ -512,8 +514,9 @@ def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
     monkeypatch.setattr(laurent, "box_dict", counted)
     monkeypatch.setattr(characters, "box_dict", counted)
     assert report_status(run_pipeline("s3-contact", max_degree=30)) == "pass"
-    assert calls == []
+    assert calls == [(2, 3)]
     # a failing check does build it, for its witness
+    calls.clear()
     monkeypatch.setattr(characters, "expand_to_degree", lambda rc, d: [0] * (2 * d + 1) ** 2)
     assert report_status(run_pipeline("s3-contact", max_degree=30)) == "fail"
-    assert calls == [(2, 30)]
+    assert calls == [(2, 30), (2, 3)]

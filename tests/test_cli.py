@@ -104,6 +104,18 @@ MALFORMED_DOCS = {
     "fibre-kind": ("hopf", lambda d: d["generators"].append(
         {"name": "xi", "parity": "even", "formDegree": 0, "kind": "fibreCoordinate",
          "frame": "conn", "slot": 1}), "unknown kind 'fibreCoordinate'"),
+    # D(alpha) is read from the frame slot a frame form claims, so that slot must hold it
+    "frames-removed": ("s3-contact", lambda d: d.pop("frames"),
+                       "frameForm 'alpha' is not a slot of a declared frame"),
+    "frame-form-slot-past-rank": ("s3-contact", lambda d: d["generators"].append(
+        {"name": "beta", "parity": "odd", "formDegree": 1, "kind": "frameForm",
+         "frame": "co", "slot": 2}), "frameForm 'beta' is not a slot of a declared frame"),
+    "frame-form-slot-zero": ("s3-contact", lambda d: d["generators"].append(
+        {"name": "beta", "parity": "odd", "formDegree": 1, "kind": "frameForm",
+         "frame": "co", "slot": 0}), "frameForm 'beta' is not a slot of a declared frame"),
+    "closed-argument-undeclared-frame": ("s3-contact", lambda d: d["generators"].append(
+        {"name": "v1", "parity": "even", "formDegree": 2, "kind": "closedArgument",
+         "frame": "zz", "slot": 1}), "closedArgument 'v1' is not a slot of a declared frame"),
 }
 
 
@@ -112,11 +124,12 @@ def test_malformed_model_exit_two(case, tmp_path, capsys):
     path = tmp_path / f"{case}.json"
     name, edit, field = MALFORMED_DOCS[case]
     path.write_text(json.dumps(_edited(name, edit)), encoding="utf-8")
-    assert main(["verify", str(path)]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
-    assert field in cap.err and "Traceback" not in cap.err, cap.err
+    for command in ("verify", "render"):
+        assert main([command, str(path)]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
+        assert field in cap.err and "Traceback" not in cap.err, cap.err
 
 
 # A key repeated inside one JSON object: json keeps the last copy, so the
@@ -233,6 +246,16 @@ RUNTIME_LIMIT_DOCS = {
     # the display coefficient 1/J! has more digits than int-to-str may print
     "long-coefficient": ("hopf", lambda d: d.update(manifoldDim=4000),
                          "digits, too many to print"),
+    # an exponent literal that int() may not read
+    "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
+                              "dTable entry for 'Psi', column 5: exponent has more than"),
+    # a readable exponent that the display raises past what str() may print
+    "long-display-exponent": ("hopf", lambda d: (
+        d.update(manifoldDim=5), d["frames"][0].update(split=["Psi*u1^" + "9" * 4300])),
+        "an exponent has more than"),
+    # C(bound + k, k) itself has too many digits to print
+    "long-walk-count": ("t2-on-t2", lambda d: d.update(manifoldDim=int("9" * 4000)),
+                        "would walk at least 10^"),
 }
 
 

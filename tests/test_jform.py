@@ -247,17 +247,17 @@ def test_integer_trial_matches_fraction_reference(monkeypatch):
 
 
 def test_trial_multiplies_k_times_over_int_betas(monkeypatch):
-    """Each trial still expands the wedge through the Koszul loop: the first
-    beta is the left operand, as raw items, and each further beta and the
-    delta part are multiplied on once.  The first beta's raw keys carry no
-    delta and a one-bit odd mask; every beta coefficient is an int."""
+    """Each trial still expands the wedge through the Koszul loop: the
+    product starts from the unit's raw items, and each beta and the delta
+    part are multiplied on once, k + 1 calls.  The second call's left items
+    are the first beta's raw keys: no delta and a one-bit odd mask each;
+    every beta coefficient is an int."""
     models = _models_by_rank(set(range(1, 7)))
     js = {k: j_form(m, "fr") for k, m in models.items()}
     operands = []
     real_koszul = superalg._koszul
 
     def counted(items, b, m):
-        items = list(items)
         operands.append((items, b))
         return real_koszul(items, b, m)
 
@@ -269,8 +269,9 @@ def test_trial_multiplies_k_times_over_int_betas(monkeypatch):
             a = random_gl_plus(rng, k)
             operands.clear()
             assert frame_change_compare(m, "fr", js[k], a)
-            assert len(operands) == k, (k, a)
-            first = operands[0][0]
+            assert len(operands) == k + 1, (k, a)
+            assert operands[0][0] is superalg._UNIT
+            first = list(operands[1][0])
             assert first and all(d is None and mask.bit_count() == 1
                                  for (d, mask, even), _ in first)
             assert [mask for (_, mask, _), _ in first] == \

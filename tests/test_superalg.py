@@ -278,8 +278,9 @@ def test_product_fold_equals_product_randomized(monkeypatch):
     factor of each product carries a delta, wherever it stands; two
     products may share keys.  The reference kernel below gives the same sum
     without fold, which add_all and product also run through.  The Koszul
-    loop's raw accumulators are recorded: a partial product, any but the
-    last of its product, may hold a cancelled term, and the accumulator that
+    loop's raw accumulators are recorded, one per factor, since each product
+    starts from the unit: a partial product, any but the last of its
+    product, may hold a cancelled term, and the accumulator that
     fold finalizes is searched for terms that finalizing truncates or
     absorbs."""
     rng = random.Random(37)
@@ -309,7 +310,7 @@ def test_product_fold_equals_product_randomized(monkeypatch):
             patch.setattr(superalg, "_finalize", recorded_finalize)
             got = superalg.fold(products, m)
         for factors in products:
-            calls = max(len(factors) - 1, 0)
+            calls = len(factors)
             partials = seen[:calls][:-1]
             del seen[:calls]
             counts["cancelled"] += any(c == 0 for acc in partials for c in acc.values())
