@@ -12,10 +12,9 @@ run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, lcm
 
 from .charclass import localize_index, series_inverse
 from .errors import NonIntegerCoefficients, UnknownExample, UsageError
@@ -139,7 +138,7 @@ def _torus_zero():
 def _cp1_loci(m, twist):
     """The fixed loci of the cp1-dolbeault model m with every twist weight
     scaled by twist: the localization data of the line bundle O(twist)."""
-    return tuple(replace(d, twist_weight=tuple(twist * x for x in d.twist_weight))
+    return tuple(d._replace(twist_weight=tuple(twist * x for x in d.twist_weight))
                  for d in m.fixed_loci)
 
 
@@ -213,7 +212,8 @@ def hopf_multiplicities(m, fid, isotypes):
     exp(k c) = sum_j k^j c^j/j! is a finite sum, and pairing with Todd is
     linear: the multiplicity is the polynomial sum_j a_j k^j with
     a_j = vol * [Psi^h](Todd * c^j/j!).  The a_j are computed once and the
-    polynomial is evaluated exactly (int or Fraction) at each k, in order.
+    polynomial is evaluated at each k, in order, in ints: scaled once by the
+    lcm L of the a_j's denominators, with one divmod by L per isotype.
     """
     tw = m.base["tangentWeight"]
     vol = m.base["curvatureVolume"]
@@ -225,14 +225,17 @@ def hopf_multiplicities(m, fid, isotypes):
     c = chern_weil_pair(m, fid, {(1,): 1})
     coeffs = [vol * _even_coefficient(multiply(td, piece, m), "Psi", half_dim)
               for piece in graded_exp_pieces(c, m)]
+    den = lcm(*(a.denominator for a in coeffs))
+    scaled = [a.numerator * (den // a.denominator) for a in reversed(coeffs)]
     mults = {}
     for k in isotypes:
         mult = 0
-        for a in reversed(coeffs):
-            mult = mult * k + a
-        if mult.denominator != 1:
-            raise NonIntegerCoefficients(f"orbifold multiplicity {mult} at isotype {k}")
-        mults[k] = int(mult)
+        for b in scaled:
+            mult = mult * k + b
+        mults[k], rest = divmod(mult, den)
+        if rest:
+            raise NonIntegerCoefficients(
+                f"orbifold multiplicity {Fraction(mult, den)} at isotype {k}")
     return mults
 
 

@@ -12,8 +12,8 @@ from curvature.  Each contribution's numerator is the dict
 {twist: orientation sign}.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MissingExpansionDirection, ZeroWeight
 from .laurent import DenomFactor, RationalCharacter, RCTerm, lattice_comb
@@ -22,8 +22,7 @@ ISOLATED_POINT = "isolatedPoint"
 CIRCLE = "circle"
 
 
-@dataclass(frozen=True)
-class FixedLocusDatum:
+class FixedLocusDatum(NamedTuple):
     """Weight data of one fixed locus of the torus action.
 
     tangent_weights feed localized Todd factors; normal_weights are

@@ -54,10 +54,11 @@ scans the cell types only when _integral does not hold, and it returns the
 expand_box list when every cell is an int.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
@@ -66,8 +67,7 @@ EXPAND_POSITIVE = 1
 EXPAND_NEGATIVE = -1
 
 
-@dataclass(frozen=True)
-class DenomFactor:
+class DenomFactor(NamedTuple):
     """One denominator factor (1 - c t^w) with its expansion direction."""
 
     weight: tuple
@@ -81,8 +81,7 @@ class DenomFactor:
         return tuple(-x for x in self.weight)
 
 
-@dataclass(frozen=True)
-class RCTerm:
+class RCTerm(NamedTuple):
     num: dict
     den: tuple = ()
 
@@ -140,6 +139,14 @@ def _positivity_functional(steps, nvars):
         if all(sum(map(mul, phi, s)) >= 1 for s in steps):
             return phi
     return None
+
+
+@lru_cache(maxsize=256)
+def _functional(steps, nvars):
+    """_positivity_functional of a tuple of steps, searched once per step
+    tuple: step sets recur, as in cp1-l2, whose expansion at each irreducible
+    has the same steps."""
+    return _positivity_functional(steps, nvars)
 
 
 def _exact(x):
@@ -276,8 +283,8 @@ def expand_box(rc, radius):
                          "too many to hold") from None
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
     for num, den in _like_terms(rc.terms):
-        steps = [f.step() for f in den]
-        phi = _positivity_functional(steps, nvars) if den else ()
+        steps = tuple(f.step() for f in den)
+        phi = _functional(steps, nvars) if den else ()
         if phi is None:
             raise MissingExpansionDirection(
                 "declared expansion directions admit no common positivity functional")

@@ -29,11 +29,10 @@ expression.
 """
 
 import json
+import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from importlib import resources
 
 from .charclass import CIRCLE, ISOLATED_POINT, FixedLocusDatum
 from .errors import InvariantViolation, ParseError, UnknownExample
@@ -50,6 +49,15 @@ _RAT = re.compile(r"\d+(?:/\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+def _bad_literal(text):
+    """The message for a rational literal that Fraction rejects.  One past the
+    int-from-str digit limit has thousands of digits, so a literal longer
+    than 40 characters is named by its length, not echoed."""
+    if len(text) > 40:
+        return f"bad rational literal of {len(text)} characters"
+    return f"bad rational literal {text!r}"
+
+
 def parse_rational(v, where=""):
     if isinstance(v, bool):
         raise ParseError(f"boolean is not a rational {where}")
@@ -59,7 +67,7 @@ def parse_rational(v, where=""):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational literal {v!r} {where}") from None
+            raise ParseError(f"{_bad_literal(v)} {where}") from None
     raise ParseError(f"bad rational {v!r} {where}")
 
 
@@ -100,7 +108,7 @@ def _parse_term(toks, pos, m):
             try:
                 factors.append(m.scalar(Fraction(val)))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational literal {val!r}", column=col) from None
+                raise ParseError(_bad_literal(val), column=col) from None
             pos += 1
         elif kind == "name":
             exp = 1
@@ -297,7 +305,7 @@ def model_from_dict(doc):
             raise ParseError(f"split for frame {fid!r} needs one entry per slot")
         dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {fid!r}")
                        for j, e in enumerate(exprs))
-        frames[fid] = replace(frames[fid], dalpha=dalpha)
+        frames[fid] = frames[fid]._replace(dalpha=dalpha)
 
     base = None
     if "base" in doc:
@@ -383,14 +391,16 @@ def load_model(path):
     return loads_model(text)
 
 
+_MODELS = os.path.join(os.path.dirname(__file__), "models")
+
+
 def builtin_names():
-    root = resources.files("equivar").joinpath("models")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(n[:-5] for n in os.listdir(_MODELS) if n.endswith(".json"))
 
 
 def load_builtin(name):
-    root = resources.files("equivar").joinpath("models")
-    path = root.joinpath(name + ".json")
-    if not path.is_file():
+    path = os.path.join(_MODELS, name + ".json")
+    if not os.path.isfile(path):
         raise UnknownExample(f"no built-in model {name!r}; have {builtin_names()}")
-    return loads_model(path.read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return loads_model(fh.read())

@@ -67,7 +67,11 @@ A term's even monomial is sorted by name with positive exponents, and its
 odd monomial is sorted by `FormalModel.odd_order`.
 
 A `Term` is a NamedTuple of its four fields: building one is one tuple
-allocation, and two terms compare as tuples.  An odd monomial's mask has bit
+allocation, and two terms compare as tuples.  `Generator`, `Element` and
+`FrameDecl` are NamedTuples too, and `FormalModel` a plain class: no record
+is a dataclass, since importing `dataclasses` (inspect, ast, dis, tokenize)
+and exec-ing each class's methods would add about 10 ms to every CLI
+start-up.  An odd monomial's mask has bit
 odd_order[g] for each generator g; the Koszul loop builds it in the same
 walk over the right term's generators that builds its parity mask.  The one
 table, which each `FormalModel` fills lazily, maps a bitmask to (odd
@@ -84,15 +88,14 @@ operand's first delta, which is the first clashing pair's.  Even degrees
 come from the name -> truncation degree table (0 on closed arguments and
 parameters).
 
-The tables are safe because a `FormalModel` is frozen: `__post_init__` sets
-its derived tables once.  The mask table lives on the model, not in the
+The tables are safe because a `FormalModel` is frozen: `__init__` sets its
+derived tables once.  The mask table lives on the model, not in the
 terms, because the same mask stands for another monomial in another model:
 `with_fibre_coordinates` builds a new model, with its own odd order and its
 own tables.  `d_image` keeps no memo: an image is one table lookup and at
 most r products.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -117,8 +120,7 @@ ARG_MOMENT = "moment"
 _new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     parity: str
     form_degree: int
@@ -160,8 +162,7 @@ class Term(NamedTuple):
     even_mono: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """Normal-form sum of terms; construct through FormalModel helpers."""
 
     terms: tuple[Term, ...] = ()
@@ -177,8 +178,7 @@ class Element:
                              for t_c, d, odd, even in self.terms))
 
 
-@dataclass(frozen=True)
-class FrameDecl:
+class FrameDecl(NamedTuple):
     """A co-orientation frame: slot forms alpha_1..alpha_k and their closed
     arguments u_1..u_k, plus optional moment samples and display split."""
 
@@ -190,34 +190,43 @@ class FrameDecl:
     dalpha: tuple | None = None              # tuple of Elements (display split)
 
 
-@dataclass(frozen=True)
 class FormalModel:
-    name: str
-    manifold_dim: int
-    parameters: tuple[str, ...]
-    generators: dict
-    d_table: dict
-    iota_table: dict
-    frames: dict = field(default_factory=dict)
-    base: dict | None = None
-    fixed_loci: tuple = ()
+    """A finitely presented model: its nine constructor fields and the tables
+    derived from them, set once here.  Frozen: setting or deleting an
+    attribute raises AttributeError.  Two models compare by identity."""
 
-    def __post_init__(self):
-        gens = self.generators
-        odd_names = sorted((g.name for g in gens.values() if g.parity == ODD),
-                           key=lambda n: self._order_key(gens[n]))
+    def __init__(self, name, manifold_dim, parameters, generators, d_table, iota_table,
+                 frames=None, base=None, fixed_loci=()):
+        frames = {} if frames is None else frames
+        odd_names = sorted((g.name for g in generators.values() if g.parity == ODD),
+                           key=lambda n: self._order_key(generators[n]))
         self.__dict__.update(
-            r=len(self.parameters),
+            name=name,
+            manifold_dim=manifold_dim,
+            parameters=parameters,
+            generators=generators,
+            d_table=d_table,
+            iota_table=iota_table,
+            frames=frames,
+            base=base,
+            fixed_loci=fixed_loci,
+            r=len(parameters),
             odd_order={n: i for i, n in enumerate(odd_names)},
             _odd_names=tuple(odd_names),
-            form_degrees={n: g.form_degree for n, g in gens.items()},
-            truncation_degrees=dict.fromkeys(self.parameters, 0)
-            | {n: g.truncation_degree() for n, g in gens.items()},
+            form_degrees={n: g.form_degree for n, g in generators.items()},
+            truncation_degrees=dict.fromkeys(parameters, 0)
+            | {n: g.truncation_degree() for n, g in generators.items()},
             # filled lazily by _finalize (see the module docstring)
             _odd_by_mask={},        # bitmask -> (odd monomial sorted by odd_order, form degree)
-            _u_frame={un: (fr.frame_id, j) for fr in self.frames.values()
+            _u_frame={un: (fr.frame_id, j) for fr in frames.values()
                       for j, un in enumerate(fr.u_slots)},
         )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen FormalModel")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen FormalModel")
 
     @staticmethod
     def _order_key(g):

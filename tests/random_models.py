@@ -35,6 +35,16 @@ def _full_rank_matrix(rng, k, r):
             return a
 
 
+_MODEL_FIELDS = ("name", "manifold_dim", "parameters", "generators", "d_table",
+                 "iota_table", "frames", "base", "fixed_loci")
+
+
+def model_with(m, **changes):
+    """A new model from m's constructor arguments, with the named ones
+    changed; the new model derives its own tables."""
+    return FormalModel(**({f: getattr(m, f) for f in _MODEL_FIELDS} | changes))
+
+
 def random_model(rng, max_rank=3, with_theta=True, dim_cap=None):
     """A consistent random model with one frame of rank <= max_rank.
 

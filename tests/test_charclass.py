@@ -1,6 +1,5 @@
 """Characteristic factors and fixed-locus localization."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -86,7 +85,7 @@ def test_contribution_requires_directions():
 
 def _cp1_loci(n):
     m = load_builtin("cp1-dolbeault")
-    return [dataclasses.replace(d, twist_weight=tuple(n * w for w in d.twist_weight))
+    return [d._replace(twist_weight=tuple(n * w for w in d.twist_weight))
             for d in m.fixed_loci]
 
 

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -246,6 +245,14 @@ RUNTIME_LIMIT_DOCS = {
     # the display coefficient 1/J! has more digits than int-to-str may print
     "long-coefficient": ("hopf", lambda d: d.update(manifoldDim=4000),
                          "digits, too many to print"),
+    # a rational literal that Fraction may not read, in an expression and in a
+    # locus: named by its length, not echoed
+    "long-rational-literal": ("hopf", lambda d: d["dTable"].update(Psi="1" * 4301 + "*Psi"),
+                              "dTable entry for 'Psi', column 1: "
+                              "bad rational literal of 4301 characters"),
+    "long-rational-eval": ("s3-contact", lambda d: d["fixedLoci"][0]["normalWeights"][0]
+                           .update(eval="1" * 4301),
+                           "bad rational literal of 4301 characters in circle-z2-zero"),
     # an exponent literal that int() may not read
     "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
                               "dTable entry for 'Psi', column 5: exponent has more than"),
@@ -270,6 +277,7 @@ def test_runtime_limit_exit_two(case, command, tmp_path, capsys):
     assert cap.out == ""
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
     assert phrase in cap.err and "Traceback" not in cap.err, cap.err
+    assert len(cap.err) < 200, cap.err
 
 
 SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
@@ -587,7 +595,7 @@ INDEX_FAULTS = {
     "orientation-negated": (
         charclass, "fixed_point_contribution",
         lambda contribution: lambda datum, nvars: contribution(
-            replace(datum, orientation_sign=-datum.orientation_sign), nvars),
+            datum._replace(orientation_sign=-datum.orientation_sign), nvars),
         {"cp1-dolbeault": ["sheaf-character-oracle"],
          "cp1-l2": ["frobenius-branching-oracle"],
          "s3-contact": ["contact-box-oracle"]}),

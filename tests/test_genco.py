@@ -1,6 +1,5 @@
 """Delta-coefficient calculus: rewrites, substitution, display form, Fourier."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -44,7 +43,7 @@ from equivar.superalg import (
     validate_model,
 )
 
-from random_models import nonzero_rational, random_element, random_model
+from random_models import model_with, nonzero_rational, random_element, random_model
 
 
 def multi_indices(k, max_order):
@@ -229,7 +228,7 @@ def test_taylor_display_k1():
     assert by_deriv[(1,)].even_mono == (("Psi", 1),)
     assert by_deriv[(1,)].coeff == 1
 
-    deep = dataclasses.replace(m, manifold_dim=5)  # j <= 2 now
+    deep = model_with(m, manifold_dim=5)  # j <= 2 now
     disp5 = taylor_expand_delta(deep.delta("conn"), "conn", deep)
     by_deriv5 = {t.delta.deriv: t for t in disp5.terms}
     assert by_deriv5[(2,)].even_mono == (("Psi", 2),)
@@ -418,7 +417,7 @@ def test_fibre_names_must_be_fresh():
     assert twice.generators.keys() - lam.generators.keys() == {"xi_tau_1'", "dxi_tau_1'"}
     assert sorted(twice.odd_order, key=twice.odd_order.get) == ["deta", "dxi_tau_1",
                                                                  "dxi_tau_1'"]
-    named = with_fibre_coordinates(dataclasses.replace(m, parameters=("dxi_tau_1",)), "tau")
+    named = with_fibre_coordinates(model_with(m, parameters=("dxi_tau_1",)), "tau")
     assert named.generators.keys() - m.generators.keys() == {"xi_tau_1'", "dxi_tau_1'"}
     assert sorted(named.odd_order, key=named.odd_order.get) == ["deta", "dxi_tau_1'"]
 

@@ -1,6 +1,5 @@
 """The canonical closed form: construction, closedness, frame independence."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -25,7 +24,7 @@ from equivar.modelfile import builtin_names, load_builtin, load_model
 from equivar.superalg import (DeltaFactor, Element, Term, add, multiply, normal_form,
                               product)
 
-from random_models import random_model
+from random_models import model_with, random_model
 
 ALL_BUILTINS = tuple(builtin_names())
 SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
@@ -43,8 +42,8 @@ def test_transversality_on_builtins():
 def test_transversality_failure_carries_witness():
     m = load_builtin("t2-on-t2")
     fr = m.frames["tau"]
-    bad = dataclasses.replace(fr, moment_samples=(((0, 0), (0, 0)),))
-    m2 = dataclasses.replace(m, frames={"tau": bad})
+    bad = fr._replace(moment_samples=(((0, 0), (0, 0)),))
+    m2 = model_with(m, frames={"tau": bad})
     ok, witness = check_transversality(m2, "tau")
     assert not ok
     assert witness["sampleIndex"] == 0
@@ -56,8 +55,8 @@ def test_transversality_failure_carries_witness():
 
 def test_transversality_requires_sample_data():
     m = load_builtin("s1-on-s1")
-    fr = dataclasses.replace(m.frames["tau"], moment_samples=None)
-    m2 = dataclasses.replace(m, frames={"tau": fr})
+    fr = m.frames["tau"]._replace(moment_samples=None)
+    m2 = model_with(m, frames={"tau": fr})
     with pytest.raises(RankDataMissing):
         check_transversality(m2, "tau")
 

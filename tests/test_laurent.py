@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from equivar import laurent, linalg
+from equivar.characters import run_pipeline
 from equivar.charclass import localize_index
 from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
 from equivar.laurent import (
@@ -26,6 +27,7 @@ from equivar.laurent import (
     lattice_comb,
 )
 from equivar.modelfile import load_builtin
+from equivar.report import report_status
 
 F = Fraction
 
@@ -385,6 +387,29 @@ def test_functional_agrees_with_fourier_motzkin():
     # frame trials read the det memo: the functional leaves it alone
     assert linalg._last_det is last and last[1] == linalg._bareiss_det(drawn)
     assert all(v >= 100 for v in seen.values()), seen
+
+
+def test_functional_searched_once_per_step_set(monkeypatch):
+    """A cp1-l2 run expands one character per irreducible, all over the same
+    steps: every expansion asks for the functional, and each distinct step
+    set is searched once."""
+    asked, searched = [], []
+    memo, search = laurent._functional, laurent._positivity_functional
+
+    def ask(steps, nvars):
+        asked.append(steps)
+        return memo(steps, nvars)
+
+    def count(steps, nvars):
+        searched.append(steps)
+        return search(steps, nvars)
+
+    monkeypatch.setattr(laurent, "_functional", ask)
+    monkeypatch.setattr(laurent, "_positivity_functional", count)
+    memo.cache_clear()
+    assert report_status(run_pipeline("cp1-l2")) == "pass"
+    assert len(asked) == 42
+    assert searched == list(dict.fromkeys(asked)) == [((-2,),)]
 
 
 def test_no_functional_still_rejected():

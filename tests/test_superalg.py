@@ -1,6 +1,5 @@
 """Algebra kernel: signs, absorption, the differential, and model validation."""
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -37,7 +36,7 @@ from equivar.superalg import (
     validate_model,
 )
 
-from random_models import nonzero_rational, random_element, random_model
+from random_models import model_with, nonzero_rational, random_element, random_model
 
 
 def test_odd_square_vanishes():
@@ -699,7 +698,7 @@ def test_validate_rejects_frame_form_table_entry():
     m = load_builtin("s1-on-s1")
     d_table = dict(m.d_table)
     d_table["deta"] = m.gen("u1")
-    bad = dataclasses.replace(m, d_table=d_table)
+    bad = model_with(m, d_table=d_table)
     with pytest.raises(InvariantViolation):
         validate_model(bad)
 
@@ -708,15 +707,15 @@ def test_validate_rejects_delta_in_image():
     m = load_builtin("hopf")
     d_table = dict(m.d_table)
     d_table["Psi"] = m.delta("conn")
-    bad = dataclasses.replace(m, d_table=d_table)
+    bad = model_with(m, d_table=d_table)
     with pytest.raises(InvariantViolation):
         validate_model(bad)
 
 
 def _with_split(m, frame_id, dalpha):
     frames = dict(m.frames)
-    frames[frame_id] = dataclasses.replace(frames[frame_id], dalpha=dalpha)
-    return dataclasses.replace(m, frames=frames)
+    frames[frame_id] = frames[frame_id]._replace(dalpha=dalpha)
+    return model_with(m, frames=frames)
 
 
 def test_validate_requires_split_entries_to_be_two_forms():
@@ -845,8 +844,8 @@ def _with_block(rng, m, kind):
             d_table["zr"] = gen("zc")
         else:
             d_table["zq"] = gen("zc")
-    return dataclasses.replace(m, manifold_dim=max(m.manifold_dim, 4), generators=gens,
-                               d_table=d_table, iota_table=iota_table), (a, b)
+    return model_with(m, manifold_dim=max(m.manifold_dim, 4), generators=gens,
+                      d_table=d_table, iota_table=iota_table), (a, b)
 
 
 def _outcome(check, m):
@@ -914,15 +913,14 @@ def test_validate_rejects_a_parameter_in_a_table_image():
     d_table = dict(m.d_table)
     d_table["Psi"] = multiply(x, m.gen("Psi"), m)
     with pytest.raises(InvariantViolation, match=r"^parameter inside table image d\(Psi\)$"):
-        validate_model(dataclasses.replace(m, d_table=d_table))
+        validate_model(model_with(m, d_table=d_table))
     gens = dict(m.generators, th=Generator("th", ODD, 1))
     with pytest.raises(InvariantViolation,
                        match=r"^parameter inside table image iota_0\(th\)$"):
-        validate_model(dataclasses.replace(m, generators=gens,
-                                           iota_table={("th", 0): x}))
+        validate_model(model_with(m, generators=gens, iota_table={("th", 0): x}))
     # the same model with a scalar contraction is valid
-    assert validate_model(dataclasses.replace(m, generators=gens,
-                                              iota_table={("th", 0): m.one()})) is True
+    assert validate_model(model_with(m, generators=gens,
+                                     iota_table={("th", 0): m.one()})) is True
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1018,7 @@ def test_models_are_frozen():
     m = load_builtin("hopf")
     for model in (m, with_fibre_coordinates(m, "conn"), random_model(random.Random(3))):
         for attr in ("d_table", "iota_table", "frames", "base", "fixed_loci", "odd_order"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(model, attr, getattr(model, attr))
 
 
