@@ -16,12 +16,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial, lcm
 
-from .charclass import localize_index, series_inverse
+from .charclass import CIRCLE, FixedLocusDatum, localize_index, series_inverse
 from .errors import NonIntegerCoefficients, UnknownExample, UsageError
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_annihilated, check_closed, j_form
-from .laurent import (RationalCharacter, box_dict, cell_index, expand_to_degree,
-                      lattice_comb, window_cells)
+from .laurent import box_dict, cell_index, expand_to_degree, window_cells
 from .modelfile import load_builtin
 from .report import entry, make_report
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
@@ -98,11 +97,11 @@ def _torus_zero():
     on itself, with the entries of rank l prefixed "rank<l>:".
 
     Formula side: the canonical form of the full coframe is the delta class
-    of the lattice; its Fourier side is the product of the lattice combs
-    along the rows of the frame's moment matrix (the weights of the torus on
-    the coframe), expanded through laurent on the window.  Oracle side: the
-    regular representation of the torus, by enumeration.  The character
-    table is the rank-one window.
+    of the lattice; its Fourier side is the localization of the torus as one
+    orbit locus, orbit_comb of the frame's first moment sample (the weights
+    of the torus on the coframe), expanded through laurent on the window.
+    Oracle side: the regular representation of the torus, by enumeration.
+    The character table is the rank-one window.
     """
     results, chars = [], None
     for rank_l, (name, window) in enumerate((("s1-on-s1", 50), ("t2-on-t2", 20)), 1):
@@ -119,10 +118,8 @@ def _torus_zero():
         results.append(entry(prefix + "delta-class-shape", j == expected))
         results.append(entry(prefix + "equivariantly-closed", check_closed(m, j)))
         results.append(entry(prefix + "frame-annihilation", check_annihilated(m, "tau", j)))
-        rc = RationalCharacter.one(rank_l)
-        for row in fr.moment_samples[0]:
-            rc = rc * lattice_comb(rank_l, tuple(int(x) for x in row))
-        cells = expand_to_degree(rc, window)
+        orbit = FixedLocusDatum(name, CIRCLE, moment_sample=fr.moment_samples[0])
+        cells = expand_to_degree(localize_index((orbit,), rank_l), window)
         oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
                   if (c := l2_torus_oracle(w))}
         results.append(entry(f"{prefix}regular-representation-window-{window}",

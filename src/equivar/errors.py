@@ -51,7 +51,9 @@ class MissingExpansionDirection(EquivarError):
 
 
 class NonIntegerCoefficients(EquivarError):
-    """Expansion produced a non-integer multiplicity; signals a convention error."""
+    """Expansion produced a non-integer multiplicity, or a localization weight
+    (a comb's moment-sample row among them) is not an integer vector; signals
+    a convention error."""
 
 
 class OutOfRange(EquivarError):

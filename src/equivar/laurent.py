@@ -208,6 +208,7 @@ def _integral(rc):
                for x in (*t.num.values(), *map(_ratio, t.den)))
 
 
+# orbit_comb's sign rule lets this cancel a term of each s3-contact circle: 2 walks, not 4
 def _like_terms(terms):
     """(num, den) per group of terms whose denominators are equal as
     multisets of (weight, c, direction): the numerators summed, without

@@ -11,7 +11,12 @@ A model file is one JSON document:
 
 element-expr grammar: sum of '+'/'-' separated terms, each a '*'-separated
 product of rational literals (p or p/q), parameter names, and generator
-names with optional ^int powers.  No parentheses.
+names with optional ^int powers.  No parentheses.  A rational field outside
+an expression is an int or such a literal with an optional sign.
+
+A circle locus names the moment sample of its orbit by "frame" and
+"momentSample" (an index into that frame's "momentSamples"); the loader
+resolves it into FixedLocusDatum.moment_sample.
 
 Closed-argument generators are matched to frame slots by their declared
 (frame, slot) pair, so frames list only the slot forms.  "split" gives the
@@ -46,29 +51,30 @@ from .superalg import add  # noqa: F401
 _DIRECTION_NAMES = {"positive": EXPAND_POSITIVE, "negative": EXPAND_NEGATIVE}
 
 _RAT = re.compile(r"\d+(?:/\d+)?")
+_SIGNED_RAT = re.compile(r"[+-]?" + _RAT.pattern)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _bad_literal(text):
-    """The message for a rational literal that Fraction rejects.  One past the
-    int-from-str digit limit has thousands of digits, so a literal longer
-    than 40 characters is named by its length, not echoed."""
-    if len(text) > 40:
-        return f"bad rational literal of {len(text)} characters"
-    return f"bad rational literal {text!r}"
-
-
-def parse_rational(v, where=""):
-    if isinstance(v, bool):
-        raise ParseError(f"boolean is not a rational {where}")
-    if isinstance(v, int):
+def parse_rational(v, where="", column=None):
+    """v as a Fraction: an int, or a string of an optional sign and a literal
+    of the element grammar, p or p/q (_RAT).  Anything else, a zero
+    denominator included, is a ParseError that names where and column.  A
+    rejected value is not echoed when it is long: a string longer than 40
+    characters (one past the int-from-str digit limit has thousands of
+    digits) is named by its length, a list or object by its type and
+    length."""
+    if v.__class__ is int:
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            if _SIGNED_RAT.fullmatch(v):
+                return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{_bad_literal(v)} {where}") from None
-    raise ParseError(f"bad rational {v!r} {where}")
+            pass
+        shown = f"of {len(v)} characters" if len(v) > 40 else repr(v)
+        raise ParseError(f"bad rational literal {shown} {where}".rstrip(), column=column)
+    shown = f"of length {len(v)}" if isinstance(v, (list, dict)) else repr(v)
+    raise ParseError(f"bad rational: {type(v).__name__} {shown} {where}")
 
 
 def _tokenize(src):
@@ -105,10 +111,7 @@ def _parse_term(toks, pos, m):
             raise ParseError("unexpected end of expression", column=toks[-1][2])
         kind, val, col = toks[pos]
         if kind == "rat":
-            try:
-                factors.append(m.scalar(Fraction(val)))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(_bad_literal(val), column=col) from None
+            factors.append(m.scalar(parse_rational(val, column=col)))
             pos += 1
         elif kind == "name":
             exp = 1
@@ -188,8 +191,8 @@ def _moment_samples(v, where):
     if not isinstance(v, list) or not all(
             isinstance(s, list) and all(isinstance(row, list) for row in s) for s in v):
         raise ParseError(f"'momentSamples' in {where} must be a list of lists of rows")
-    return tuple(tuple(tuple(parse_rational(x, f"in {where}") for x in row) for row in s)
-                 for s in v)
+    where = f"in {where}, field 'momentSamples'"
+    return tuple(tuple(tuple(parse_rational(x, where) for x in row) for row in s) for s in v)
 
 
 def _parse_generators(items):
@@ -220,19 +223,18 @@ def _parse_weight(v, nvars, where):
     return tuple(v)
 
 
-def _parse_locus(it, nvars):
+def _parse_locus(it, nvars, frames):
     lid = _require(it, "locusId", str, "fixed locus")
     ltype = _require(it, "locusType", str, lid)
     if ltype not in (ISOLATED_POINT, CIRCLE):
         raise ParseError(f"unknown locus type {ltype!r} in {lid}")
     tangent = tuple(_parse_weight(w, nvars, lid)
                     for w in _optional(it, "tangentWeights", list, lid, []))
-    normal = []
-    for nw in _optional(it, "normalWeights", list, lid, []):
-        where = f"normal weight of {lid}"
-        w = _parse_weight(_require(nw, "weight", list, where), nvars, lid)
-        c = parse_rational(_require(nw, "eval", (int, str), where), f"in {lid}")
-        normal.append((w, c))
+    where = f"normal weight of {lid}"
+    normal = tuple((_parse_weight(_require(nw, "weight", list, where), nvars, lid),
+                    parse_rational(_require(nw, "eval", (int, str), where),
+                                   f"in {lid}, field 'eval'"))
+                   for nw in _optional(it, "normalWeights", list, lid, []))
     dirs = []
     for d in _optional(it, "expansionDirections", list, lid, []):
         if not isinstance(d, str) or d not in _DIRECTION_NAMES:
@@ -240,12 +242,18 @@ def _parse_locus(it, nvars):
         dirs.append(_DIRECTION_NAMES[d])
     twist = it.get("twistWeight")
     twist = _parse_weight(twist, nvars, lid) if twist is not None else (0,) * nvars
-    circle = it.get("circleWeight")
-    circle = _parse_weight(circle, nvars, lid) if circle is not None else None
+    sample = None
+    if ltype == CIRCLE:
+        fid, k = _require(it, "frame", str, lid), _require(it, "momentSample", int, lid)
+        if fid not in frames:
+            raise ParseError(f"locus {lid!r} names no frame {fid!r}")
+        if not 0 <= k < len(frames[fid].moment_samples or ()):
+            raise ParseError(f"locus {lid!r}: frame {fid!r} has no momentSample {k}")
+        sample = frames[fid].moment_samples[k]
     sign = it.get("orientationSign", 1)
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ParseError(f"orientationSign must be +1 or -1 in {lid}")
-    return FixedLocusDatum(lid, ltype, tangent, tuple(normal), twist, circle,
+    return FixedLocusDatum(lid, ltype, tangent, normal, twist, sample,
                            tuple(dirs), int(sign))
 
 
@@ -310,14 +318,12 @@ def model_from_dict(doc):
     base = None
     if "base" in doc:
         b = _require(doc, "base", dict, name)
-        base = {
-            "tangentWeight": parse_rational(_require(b, "tangentWeight", (int, str), "base")),
-            "curvatureVolume": parse_rational(_require(b, "curvatureVolume", (int, str), "base")),
-            "dimension": _require(b, "dimension", int, "base"),
-        }
+        base = {key: parse_rational(_require(b, key, (int, str), "base"),
+                                    f"in base, field {key!r}")
+                for key in ("tangentWeight", "curvatureVolume")}
+        base["dimension"] = _require(b, "dimension", int, "base")
 
-    nloc = len(params)
-    fixed_loci = tuple(_parse_locus(it, nloc)
+    fixed_loci = tuple(_parse_locus(it, len(params), frames)
                        for it in _optional(doc, "fixedLoci", list, name, []))
 
     m = FormalModel(name, dim, params, gens, d_table, iota_table, frames, base, fixed_loci)

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from equivar import characters, jform, laurent, modelfile, superalg
+from equivar import characters, charclass, jform, laurent, modelfile, superalg
 from equivar.charclass import series_inverse
 from equivar.characters import (
     EXAMPLES,
@@ -110,7 +110,7 @@ def test_torus_zero_formula_side_can_fail(monkeypatch):
         return laurent.RationalCharacter(
             nvars, tuple(t for t in terms if t.den[0].direction == laurent.EXPAND_POSITIVE))
 
-    monkeypatch.setattr(characters, "lattice_comb", positive_half)
+    monkeypatch.setattr(charclass, "lattice_comb", positive_half)
     rep = run_pipeline("torus-zero")
     st = _statuses(rep)
     assert st["rank1:regular-representation-window-50"] == "fail"

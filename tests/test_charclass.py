@@ -6,13 +6,16 @@ import pytest
 
 from equivar.characters import cp1_sheaf_character_oracle
 from equivar.charclass import (
+    CIRCLE,
     FixedLocusDatum,
     fixed_point_contribution,
     localize_index,
+    orbit_comb,
     series_inverse,
 )
-from equivar.errors import MissingExpansionDirection, ZeroWeight
-from equivar.laurent import EXPAND_POSITIVE, box_dict, expand_box, expand_to_degree
+from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, ZeroWeight
+from equivar.laurent import (EXPAND_NEGATIVE, EXPAND_POSITIVE, _like_terms, box_dict,
+                             expand_box, expand_to_degree)
 from equivar.modelfile import load_builtin
 
 F = Fraction
@@ -74,10 +77,59 @@ def test_fixed_point_contribution_circle():
             assert box.get((a, b), F(0)) == (F(1) if b >= 0 else F(0))
 
 
+def _comb_directions(rc):
+    return [(f.weight, f.direction) for t in rc.terms for f in t.den]
+
+
+def test_orbit_comb_flips_each_row_to_a_positive_first_entry():
+    """Each row gives one comb along the row itself, its sign flipped so that
+    the first non-zero entry is positive; it is not made primitive."""
+    rc = orbit_comb(((F(0), F(-2)), (F(-3), F(1))), 2)
+    assert _comb_directions(rc) == [
+        ((0, 2), EXPAND_POSITIVE), ((3, -1), EXPAND_POSITIVE),
+        ((0, 2), EXPAND_POSITIVE), ((3, -1), EXPAND_NEGATIVE),
+        ((0, 2), EXPAND_NEGATIVE), ((3, -1), EXPAND_POSITIVE),
+        ((0, 2), EXPAND_NEGATIVE), ((3, -1), EXPAND_NEGATIVE)]
+    assert [t.num for t in rc.terms] == [{(0, 0): c} for c in (1, -1, -1, 1)]
+    assert all(type(x) is int for f in rc.terms[0].den for x in f.weight)
+    # the comb is symmetric: the flip changes no cell
+    assert expand_box(rc, 6) == expand_box(orbit_comb(((0, 2), (3, -1)), 2), 6)
+
+
+def _orbit(rows):
+    return FixedLocusDatum("orbit", CIRCLE, moment_sample=rows)
+
+
+def test_orbit_comb_rejects_a_zero_row():
+    with pytest.raises(ZeroWeight, match=r"\(0, 0\)"):
+        localize_index((_orbit(((F(1), F(0)), (F(0), F(0)))),), 2)
+
+
+def test_orbit_comb_rejects_a_fractional_row_instead_of_truncating():
+    # s3-contact's sample 1 is the row (-1/2, -1/2), non-zero, which int()
+    # would truncate to (0, 0)
+    sample = load_builtin("s3-contact").frames["co"].moment_samples[1]
+    with pytest.raises(NonIntegerCoefficients, match=r"\(-1/2, -1/2\) is not an integer"):
+        localize_index((_orbit(sample),), 2)
+    with pytest.raises(NonIntegerCoefficients, match=r"\(3/2, 1\)"):
+        localize_index((_orbit(((F(3, 2), F(1)),)),), 2)
+
+
+def test_s3_contact_circles_cancel_one_term_each():
+    """The sign rule of orbit_comb puts the negative half of the first
+    circle's comb (over its normal (0,1) positive) and the positive half of
+    the second's (over its normal (1,0) negative) over one denominator with
+    opposite numerators, so _like_terms leaves two series to walk.  The raw
+    rows (-1, 0) and (0, -1) give the same cells but four series."""
+    rc = localize_index(load_builtin("s3-contact").fixed_loci, 2)
+    assert len(rc.terms) == 4
+    assert sum(1 for num, _ in _like_terms(rc.terms) if num) == 2
+
+
 def test_contribution_requires_directions():
     datum = FixedLocusDatum(
         locus_id="p", locus_type="isolatedPoint", tangent_weights=((2,),),
-        normal_weights=(), twist_weight=(0,), circle_weight=None,
+        normal_weights=(), twist_weight=(0,), moment_sample=None,
         expansion_directions=(), orientation_sign=1)
     with pytest.raises(MissingExpansionDirection):
         fixed_point_contribution(datum, 1)

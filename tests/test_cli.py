@@ -104,7 +104,8 @@ MALFORMED_DOCS = {
         {"name": "xi", "parity": "even", "formDegree": 0, "kind": "fibreCoordinate",
          "frame": "conn", "slot": 1}), "unknown kind 'fibreCoordinate'"),
     # D(alpha) is read from the frame slot a frame form claims, so that slot must hold it
-    "frames-removed": ("s3-contact", lambda d: d.pop("frames"),
+    # (the loci go too: a circle locus naming the removed frame fails to load first)
+    "frames-removed": ("s3-contact", lambda d: (d.pop("frames"), d.pop("fixedLoci")),
                        "frameForm 'alpha' is not a slot of a declared frame"),
     "frame-form-slot-past-rank": ("s3-contact", lambda d: d["generators"].append(
         {"name": "beta", "parity": "odd", "formDegree": 1, "kind": "frameForm",
@@ -115,6 +116,26 @@ MALFORMED_DOCS = {
     "closed-argument-undeclared-frame": ("s3-contact", lambda d: d["generators"].append(
         {"name": "v1", "parity": "even", "formDegree": 2, "kind": "closedArgument",
          "frame": "zz", "slot": 1}), "closedArgument 'v1' is not a slot of a declared frame"),
+    # a circle locus names its comb's moment sample by frame and index
+    "locus-unknown-frame": ("s3-contact", lambda d: d["fixedLoci"][0].update(frame="zz"),
+                            "locus 'circle-z2-zero' names no frame 'zz'"),
+    "locus-sample-past-end": ("s3-contact", lambda d: d["fixedLoci"][1].update(momentSample=3),
+                              "locus 'circle-z1-zero': frame 'co' has no momentSample 3"),
+    "locus-sample-negative": ("s3-contact", lambda d: d["fixedLoci"][0].update(momentSample=-1),
+                              "locus 'circle-z2-zero': frame 'co' has no momentSample -1"),
+    "locus-sample-bool": ("s3-contact", lambda d: d["fixedLoci"][0].update(momentSample=True),
+                          "bad type for 'momentSample' in circle-z2-zero"),
+    "locus-sample-string": ("s3-contact", lambda d: d["fixedLoci"][0].update(momentSample="0"),
+                            "bad type for 'momentSample' in circle-z2-zero"),
+    "locus-frame-int": ("s3-contact", lambda d: d["fixedLoci"][0].update(frame=0),
+                        "bad type for 'frame' in circle-z2-zero"),
+    "locus-without-frame": ("s3-contact", lambda d: d["fixedLoci"][0].pop("frame"),
+                            "missing 'frame' in circle-z2-zero"),
+    "locus-without-sample": ("s3-contact", lambda d: d["fixedLoci"][1].pop("momentSample"),
+                             "missing 'momentSample' in circle-z1-zero"),
+    # a frame whose momentSamples is absent has no sample to name
+    "locus-frame-without-samples": ("s3-contact", lambda d: d["frames"][0].pop("momentSamples"),
+                                    "frame 'co' has no momentSample 0"),
 }
 
 
@@ -253,6 +274,16 @@ RUNTIME_LIMIT_DOCS = {
     "long-rational-eval": ("s3-contact", lambda d: d["fixedLoci"][0]["normalWeights"][0]
                            .update(eval="1" * 4301),
                            "bad rational literal of 4301 characters in circle-z2-zero"),
+    # a literal that Fraction reads but the element grammar does not, with
+    # an exponent that Fraction would take seconds to expand
+    "exponent-eval": ("s3-contact", lambda d: d["fixedLoci"][0]["normalWeights"][0]
+                      .update(eval="1e1000000"),
+                      "bad rational literal '1e1000000' in circle-z2-zero, field 'eval'"),
+    # a long list where a rational belongs: named by its type and length
+    "long-list-moment-entry": ("t2-on-t2", lambda d: d["frames"][0]["momentSamples"][0][0]
+                               .__setitem__(0, [1] * 3000),
+                               "bad rational: list of length 3000 in frame 'tau', "
+                               "field 'momentSamples'"),
     # an exponent literal that int() may not read
     "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
                               "dTable entry for 'Psi', column 5: exponent has more than"),
@@ -278,6 +309,16 @@ def test_runtime_limit_exit_two(case, command, tmp_path, capsys):
     assert cap.err.count("\n") == 1 and cap.err.startswith("error: "), cap.err
     assert phrase in cap.err and "Traceback" not in cap.err, cap.err
     assert len(cap.err) < 200, cap.err
+
+
+def test_exponent_literal_rejected_at_once(tmp_path, capsys):
+    path = tmp_path / "s3-exponent.json"
+    path.write_text(json.dumps(_edited("s3-contact", RUNTIME_LIMIT_DOCS["exponent-eval"][1])),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 SPLIT_RANK4 = Path(__file__).parent / "golden" / "models" / "split-rank4.json"
@@ -598,13 +639,18 @@ INDEX_FAULTS = {
             datum._replace(orientation_sign=-datum.orientation_sign), nvars),
         {"cp1-dolbeault": ["sheaf-character-oracle"],
          "cp1-l2": ["frobenius-branching-oracle"],
-         "s3-contact": ["contact-box-oracle"]}),
+         "s3-contact": ["contact-box-oracle"],
+         # the torus is one orbit locus, so its comb changes sign too
+         "torus-zero": ["rank1:regular-representation-window-50",
+                        "rank2:regular-representation-window-20"]}),
+    # charclass.orbit_comb builds every comb, torus-zero's and the circles'
     "comb-drops-negative-half": (
-        characters, "lattice_comb",
+        charclass, "lattice_comb",
         lambda comb: lambda nvars, direction: RationalCharacter(
             nvars, comb(nvars, direction).terms[:1]),
         {"torus-zero": ["rank1:regular-representation-window-50",
-                        "rank2:regular-representation-window-20"]}),
+                        "rank2:regular-representation-window-20"],
+         "s3-contact": ["contact-box-oracle"]}),
     "taylor-drops-last-term": (
         characters, "taylor_expand_delta",
         lambda taylor: lambda e, frame_id, m: superalg.Element(
@@ -647,6 +693,27 @@ def test_each_index_entry_fails_under_its_fault(fault, example, monkeypatch):
     monkeypatch.setattr(module, name, faulty(getattr(module, name)))
     statuses = _statuses(run_index(example))
     assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+
+
+def test_swapped_comb_samples_exit_two(monkeypatch, capsys):
+    """The two s3-contact circles read each other's moment sample.  Each comb
+    then runs along its locus's own normal weight, where its two halves step
+    both ways along the normal factor's step: no common positivity functional
+    exists, so the index stops with exit 2 before the oracle compares."""
+    localize = characters.localize_index
+
+    def swapped(loci, nvars):
+        samples = [d.moment_sample for d in reversed(loci)]
+        return localize([d._replace(moment_sample=s) for d, s in zip(loci, samples)], nvars)
+
+    assert main(["index", "s3-contact", "--max-degree", "3"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(characters, "localize_index", swapped)
+    assert main(["index", "s3-contact", "--max-degree", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("error: declared expansion directions admit no common "
+                       "positivity functional\n")
 
 
 def test_index_faults_reach_every_entry_that_can_pass():

@@ -1,6 +1,7 @@
 """Model file parsing: expression grammar, schema checks, built-ins."""
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -28,11 +29,30 @@ F = Fraction
 def test_parse_rational():
     assert parse_rational(5) == F(5)
     assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("+3/4") == F(3, 4)
     assert parse_rational("12") == F(12)
     with pytest.raises(ParseError):
         parse_rational("a/b")
     with pytest.raises(ParseError):
         parse_rational(1.5)
+
+
+# strings that Fraction reads but the element grammar does not
+@pytest.mark.parametrize("text", ["1e3", "0.5", " 3", "3 ", "1_000", "--3", "+-3", "3/-4",
+                                  "1/2/3", "inf", "nan", ""])
+def test_parse_rational_reads_only_the_element_grammar(text):
+    with pytest.raises(ParseError, match=re.escape(f"bad rational literal {text!r} in base")):
+        parse_rational(text, "in base")
+
+
+def test_parse_rational_names_a_rejected_value_by_type_and_length():
+    with pytest.raises(ParseError, match="^bad rational: list of length 3000 in frame 'tau'$"):
+        parse_rational([1] * 3000, "in frame 'tau'")
+    with pytest.raises(ParseError, match="^bad rational: dict of length 1 here$"):
+        parse_rational({"a": 1}, "here")
+    for v, shown in ((True, "bool True"), (None, "NoneType None"), (1.5, "float 1.5")):
+        with pytest.raises(ParseError, match=f"^bad rational: {shown} here$"):
+            parse_rational(v, "here")
 
 
 def test_parse_element_products_and_sums():
@@ -163,9 +183,11 @@ def test_fixed_locus_parsing():
     assert north.expansion_directions == (1,)
 
     ms3 = load_builtin("s3-contact")
-    circle = ms3.fixed_loci[0]
-    assert circle.locus_type == "circle"
-    assert circle.circle_weight is not None
+    assert [d.locus_type for d in ms3.fixed_loci] == ["circle", "circle"]
+    # the circles name samples 0 and 2 of frame co
+    samples = ms3.frames["co"].moment_samples
+    assert [d.moment_sample for d in ms3.fixed_loci] == [samples[0], samples[2]]
+    assert [d.moment_sample for d in ms3.fixed_loci] == [((-1, 0),), ((0, -1),)]
 
 
 def test_orientation_sign_is_an_int_numerator_coefficient():
