@@ -22,7 +22,7 @@ from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_annihilated, check_closed, j_form
 from .laurent import box_dict, cell_index, expand_to_degree, window_cells
 from .modelfile import load_builtin
-from .report import entry, make_report
+from .report import entry, make_report, nonzero_witness
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
                        graded_exp_pieces, multiply, product)
 
@@ -89,6 +89,15 @@ def _poly_table(p):
     return [{"weight": list(w), "coefficient": str(c)} for w, c in sorted(p.items())]
 
 
+def _mismatch_witness(coeffs, oracle):
+    """The witness of a failed comparison of two {weight: coefficient} dicts:
+    the first 10 weights, in order, where they differ, with both values."""
+    bad = [w for w in sorted(coeffs.keys() | oracle.keys())
+           if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
+    return {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
+            "oracle": [oracle.get(w, 0) for w in bad]}
+
+
 # ---------------------------------------------------------------------------
 # torus zero operator
 
@@ -122,8 +131,10 @@ def _torus_zero():
         cells = expand_to_degree(localize_index((orbit,), rank_l), window)
         oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
                   if (c := l2_torus_oracle(w))}
-        results.append(entry(f"{prefix}regular-representation-window-{window}",
-                             box_dict(cells, rank_l, window) == oracle))
+        coeffs = box_dict(cells, rank_l, window)
+        ok = coeffs == oracle
+        results.append(entry(f"{prefix}regular-representation-window-{window}", ok,
+                             None if ok else _mismatch_witness(coeffs, oracle)))
         if chars is None:
             chars = _character_table(cells, rank_l, window)
     return results, chars, {}
@@ -284,7 +295,9 @@ def _s3_contact(max_degree):
         multiply(m.gen("alpha"), m.delta("co", (0,), ARG_MOMENT), m),
         product([m.gen("alpha"), m.gen("dalpha"), m.delta("co", (1,), ARG_MOMENT)], m),
         m)
-    results.append(entry("taylor-display-form", disp == expected_disp))
+    ok = disp == expected_disp
+    results.append(entry("taylor-display-form", ok, None if ok else
+                         nonzero_witness(add(disp, expected_disp.scaled(-1), m), m)))
 
     cells = expand_to_degree(localize_index(m.fixed_loci, 2), max_degree)
     quadrants = s3_contact_character_oracle(max_degree)
@@ -296,15 +309,9 @@ def _s3_contact(max_degree):
             k = cell_index((a, cols.start), max_degree)
             ok = ok and cells[k:k + len(cols)] == run
     ok = ok and len(cells) - cells.count(0) == size
-    witness = None
-    if not ok:
-        coeffs = box_dict(cells, 2, max_degree)
-        oracle = {w: c for rect, c in quadrants for w in iproduct(*rect)}
-        bad = [w for w in sorted(coeffs.keys() | oracle.keys())
-               if coeffs.get(w, 0) != oracle.get(w, 0)][:10]
-        witness = {"weights": bad, "computed": [coeffs.get(w, 0) for w in bad],
-                   "oracle": [oracle.get(w, 0) for w in bad]}
-    results.append(entry("contact-box-oracle", ok, witness))
+    results.append(entry("contact-box-oracle", ok, None if ok else _mismatch_witness(
+        box_dict(cells, 2, max_degree),
+        {w: c for rect, c in quadrants for w in iproduct(*rect)})))
     window = min(3, max_degree)
     chars = _character_table(window_cells(cells, 2, max_degree, window), 2, window)
     return results, chars, {}

@@ -94,8 +94,11 @@ def _emit(rep, json_path):
     status = report_status(rep)
     print(f"{rep['command']} {rep['model']}: {status}")
     if json_path:
+        # encoded before the file is opened, so an encoding error leaves a
+        # report already at json_path whole
+        text = report_to_json(rep)
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(rep))
+            fh.write(text)
     return 0 if status == "pass" else 1
 
 

@@ -55,14 +55,25 @@ _SIGNED_RAT = re.compile(r"[+-]?" + _RAT.pattern)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+def _rejected(what, v, where="", column=None):
+    """The ParseError "<what> <v> <where>", naming v without echoing it whole
+    when long: a string by its repr, or past 40 characters by its length (one
+    past the int-from-str digit limit has thousands of digits); a list or
+    object by its type and length; any other value by its type and repr."""
+    if isinstance(v, str):
+        shown = f"of {len(v)} characters" if len(v) > 40 else repr(v)
+    elif isinstance(v, (list, dict)):
+        shown = f"{type(v).__name__} of length {len(v)}"
+    else:
+        shown = f"{type(v).__name__} {v!r}"
+    return ParseError(f"{what} {shown} {where}".rstrip(), column=column)
+
+
 def parse_rational(v, where="", column=None):
     """v as a Fraction: an int, or a string of an optional sign and a literal
     of the element grammar, p or p/q (_RAT).  Anything else, a zero
-    denominator included, is a ParseError that names where and column.  A
-    rejected value is not echoed when it is long: a string longer than 40
-    characters (one past the int-from-str digit limit has thousands of
-    digits) is named by its length, a list or object by its type and
-    length."""
+    denominator included, is a ParseError (_rejected) that names where and
+    column."""
     if v.__class__ is int:
         return Fraction(v)
     if isinstance(v, str):
@@ -71,10 +82,8 @@ def parse_rational(v, where="", column=None):
                 return Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
-        shown = f"of {len(v)} characters" if len(v) > 40 else repr(v)
-        raise ParseError(f"bad rational literal {shown} {where}".rstrip(), column=column)
-    shown = f"of length {len(v)}" if isinstance(v, (list, dict)) else repr(v)
-    raise ParseError(f"bad rational: {type(v).__name__} {shown} {where}")
+        raise _rejected("bad rational literal", v, where, column)
+    raise _rejected("bad rational:", v, where)
 
 
 def _tokenize(src):
@@ -201,11 +210,11 @@ def _parse_generators(items):
         name = _require(it, "name", str, "generator")
         parity = _require(it, "parity", str, name)
         if parity not in (ODD, EVEN):
-            raise ParseError(f"bad parity {parity!r} on {name!r}")
+            raise _rejected("bad parity", parity, f"on {name!r}")
         degree = _require(it, "formDegree", int, name)
         kind = _optional(it, "kind", str, name, PLAIN_FORM)
         if kind not in KINDS:
-            raise ParseError(f"unknown kind {kind!r} on {name!r}")
+            raise _rejected("unknown kind", kind, f"on {name!r}")
         frame = _optional(it, "frame", str, name, None)
         slot = _optional(it, "slot", int, name, None)
         if kind != PLAIN_FORM and (frame is None or slot is None):
@@ -219,7 +228,7 @@ def _parse_generators(items):
 def _parse_weight(v, nvars, where):
     if not isinstance(v, list) or len(v) != nvars \
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-        raise ParseError(f"bad weight {v!r} in {where}")
+        raise _rejected("bad weight", v, f"in {where}: want {nvars} ints")
     return tuple(v)
 
 
@@ -227,7 +236,7 @@ def _parse_locus(it, nvars, frames):
     lid = _require(it, "locusId", str, "fixed locus")
     ltype = _require(it, "locusType", str, lid)
     if ltype not in (ISOLATED_POINT, CIRCLE):
-        raise ParseError(f"unknown locus type {ltype!r} in {lid}")
+        raise _rejected("unknown locus type", ltype, f"in {lid}")
     tangent = tuple(_parse_weight(w, nvars, lid)
                     for w in _optional(it, "tangentWeights", list, lid, []))
     where = f"normal weight of {lid}"
@@ -238,7 +247,7 @@ def _parse_locus(it, nvars, frames):
     dirs = []
     for d in _optional(it, "expansionDirections", list, lid, []):
         if not isinstance(d, str) or d not in _DIRECTION_NAMES:
-            raise ParseError(f"unknown expansion direction {d!r} in {lid}")
+            raise _rejected("unknown expansion direction", d, f"in {lid}")
         dirs.append(_DIRECTION_NAMES[d])
     twist = it.get("twistWeight")
     twist = _parse_weight(twist, nvars, lid) if twist is not None else (0,) * nvars

@@ -284,6 +284,18 @@ RUNTIME_LIMIT_DOCS = {
                                .__setitem__(0, [1] * 3000),
                                "bad rational: list of length 3000 in frame 'tau', "
                                "field 'momentSamples'"),
+    # a long list or string where a weight, an expansion direction or a
+    # locus type belongs: named by its type and length, not echoed
+    "long-list-tangent-weight": ("cp1-dolbeault", lambda d: d["fixedLoci"][0]
+                                 .update(tangentWeights=[[1] * 3000]),
+                                 "bad weight list of length 3000 in north: want 1 ints"),
+    "long-list-expansion-direction": ("cp1-dolbeault", lambda d: d["fixedLoci"][0]
+                                      .update(expansionDirections=[[1] * 3000]),
+                                      "unknown expansion direction list of length 3000 "
+                                      "in north"),
+    "long-locus-type": ("cp1-dolbeault", lambda d: d["fixedLoci"][0]
+                        .update(locusType="x" * 3000),
+                        "unknown locus type of 3000 characters in north"),
     # an exponent literal that int() may not read
     "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
                               "dTable entry for 'Psi', column 5: exponent has more than"),
@@ -527,6 +539,22 @@ def test_torus_zero_report_has_no_max_degree(tmp_path, capsys):
     assert "maxDegree" not in json.loads(out.read_text(encoding="utf-8"))
 
 
+def test_encoding_error_leaves_an_existing_report_whole(tmp_path, monkeypatch, capsys):
+    # the report is encoded before PATH is opened for writing
+    out = tmp_path / "rep.json"
+    old = b'{\n  "command": "index",\n  "model": "hopf"\n}\n'
+    out.write_bytes(old)
+
+    def broken(rep):
+        raise ValueError("Circular reference detected")
+
+    monkeypatch.setattr(cli, "report_to_json", broken)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        main(["index", "torus-zero", "--json", str(out)])
+    capsys.readouterr()
+    assert out.read_bytes() == old
+
+
 def test_box_too_large_to_hold_exit_two(capsys):
     # (2 * 10^10 + 1)^2 cells: more than a list can index, refused unallocated
     assert main(["index", "s3-contact", "--max-degree", "10000000000"]) == 2
@@ -683,16 +711,47 @@ INDEX_FAULTS = {
 INDEX_FAULT_CASES = sorted((fault, example) for fault, (*_, by_example) in INDEX_FAULTS.items()
                            for example in by_example)
 
+_BOX_WITNESS = {"weights", "computed", "oracle"}
+# fault -> {entry: the keys of the witness its failing entry carries}
+INDEX_FAULT_WITNESSES = {
+    "comb-drops-negative-half": {"rank1:regular-representation-window-50": _BOX_WITNESS,
+                                 "rank2:regular-representation-window-20": _BOX_WITNESS,
+                                 "contact-box-oracle": _BOX_WITNESS},
+    "taylor-drops-last-term": {"taylor-display-form": {"terms", "first"}},
+}
+
+
+def _check_witness(entry, keys):
+    w = entry["witness"]
+    assert set(w) == keys, entry
+    if keys == _BOX_WITNESS:
+        # the first mismatching weights, each with its two differing values
+        assert 0 < len(w["weights"]) <= 10
+        assert w["weights"] == sorted(w["weights"])
+        assert len(w["computed"]) == len(w["oracle"]) == len(w["weights"])
+        assert all(c != o for c, o in zip(w["computed"], w["oracle"]))
+    else:
+        assert w["terms"] > 0 and w["first"] not in ("", "0")
+
 
 @pytest.mark.parametrize("fault, example", INDEX_FAULT_CASES)
 def test_each_index_entry_fails_under_its_fault(fault, example, monkeypatch):
     module, name, faulty, by_example = INDEX_FAULTS[fault]
     entries = by_example[example]
-    statuses = _statuses(run_index(example))
+    witnesses = {e: keys for e, keys in INDEX_FAULT_WITNESSES.get(fault, {}).items()
+                 if e in entries}
+    rep = run_index(example)
+    statuses = _statuses(rep)
     assert [statuses[e] for e in entries] == ["pass"] * len(entries)
+    # the witness is computed only on failure
+    assert all("witness" not in r for r in rep["results"] if r["check"] in witnesses)
     monkeypatch.setattr(module, name, faulty(getattr(module, name)))
-    statuses = _statuses(run_index(example))
+    rep = run_index(example)
+    statuses = _statuses(rep)
     assert [statuses[e] for e in entries] == ["fail"] * len(entries)
+    for r in rep["results"]:
+        if r["check"] in witnesses:
+            _check_witness(r, witnesses[r["check"]])
 
 
 def test_swapped_comb_samples_exit_two(monkeypatch, capsys):

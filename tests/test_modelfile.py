@@ -147,6 +147,18 @@ def test_model_from_dict_rejects_unknown_kind():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("kind", "unknown kind 'mystery' on 'deta'"),
+    ("kind", "unknown kind of 3000 characters on 'deta'"),
+    ("parity", "bad parity 'mystery' on 'deta'"),
+    ("parity", "bad parity of 3000 characters on 'deta'")])
+def test_rejected_parity_and_kind_are_named_not_echoed_when_long(field, message):
+    doc = _s1_doc()
+    doc["generators"][0][field] = "mystery" if "'mystery'" in message else "x" * 3000
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        model_from_dict(doc)
+
+
 def test_model_from_dict_rejects_missing_slot_form():
     doc = _s1_doc()
     doc["frames"][0]["slots"] = ["absent"]
