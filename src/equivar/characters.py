@@ -10,6 +10,13 @@ returns (results, characters, extra): the entries [{"check", "status",
 None, and the example's own report keys.
 run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
+
+A printed character table holds only compared numbers: it is the
+{weight: coefficient} dict that an oracle entry compared (_table), or, for
+s3-contact, the window that contact-box-oracle compared.  Only a failing
+entry carries a witness.  An entry that compares two weight dicts names the
+first 10 weights where they differ, with both values (_mismatch_witness);
+cp1-l2's names its first 10 failing irreducibles the same way.
 """
 
 from fractions import Fraction
@@ -20,7 +27,7 @@ from .charclass import CIRCLE, FixedLocusDatum, localize_index, series_inverse
 from .errors import NonIntegerCoefficients, UnknownExample, UsageError
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, check_annihilated, check_closed, j_form
-from .laurent import box_dict, cell_index, expand_to_degree, window_cells
+from .laurent import box_dict, cell_index, expand_to_degree
 from .modelfile import load_builtin
 from .report import entry, make_report, nonzero_witness
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
@@ -46,17 +53,14 @@ def cp1_sheaf_character_oracle(n):
 
 def hrr_cp1_oracle(n):
     """Euler characteristic of the degree-n line bundle on the projective
-    line, by the same monomial counts (comes out to n + 1)."""
-    h0 = sum(1 for a in range(0, n + 1) if n - a >= 0)
-    h1 = sum(1 for a in range(n + 1, 0) if a <= -1 and n - a <= -1)
-    return h0 - h1
+    line, by the same monomial counts (comes out to n + 1): the sections
+    a = 0..n less the first cohomology a = n+1..-1."""
+    return len(range(0, n + 1)) - len(range(n + 1, 0))
 
 
 def frobenius_multiplicity_oracle(n, m):
     """Multiplicity of the torus weight n in the highest-weight-m irreducible,
-    by enumerating the weight string m, m-2, .., -m."""
-    if m < 0:
-        return 0
+    by enumerating the weight string m, m-2, .., -m (none for m < 0)."""
     return sum(1 for i in range(m + 1) if m - 2 * i == n)
 
 
@@ -77,16 +81,10 @@ def l2_torus_oracle(w):
     return 1
 
 
-def _character_table(cells, nvars, radius):
-    """The rows of the non-zero expand_box cells of the box of the radius, in
-    the box order (box_dict keeps it), which is the sorted order of the
-    weights."""
-    return [{"weight": list(w), "coefficient": c}
-            for w, c in box_dict(cells, nvars, radius).items()]
-
-
-def _poly_table(p):
-    return [{"weight": list(w), "coefficient": str(c)} for w, c in sorted(p.items())]
+def _table(coeffs):
+    """The character table of a compared {weight: coefficient} dict, one row
+    per weight in the dict's order (every caller builds it sorted)."""
+    return [{"weight": list(w), "coefficient": c} for w, c in coeffs.items()]
 
 
 def _mismatch_witness(coeffs, oracle):
@@ -136,7 +134,7 @@ def _torus_zero():
         results.append(entry(f"{prefix}regular-representation-window-{window}", ok,
                              None if ok else _mismatch_witness(coeffs, oracle)))
         if chars is None:
-            chars = _character_table(cells, rank_l, window)
+            chars = _table(coeffs)
     return results, chars, {}
 
 
@@ -162,11 +160,9 @@ def _cp1_dolbeault(twist, max_degree):
         entry("empty-frame-unit", j == m.one()),
         entry("equivariantly-closed", check_closed(m, j)),
         entry("sheaf-character-oracle", ok,
-              witness=None if ok else {"computed": _poly_table(coeffs),
-                                       "oracle": _poly_table(oracle)}),
+              None if ok else _mismatch_witness(coeffs, oracle)),
     ]
-    chars = _character_table(cells, 1, radius)
-    return results, chars, {"case": "ETM", "twist": twist}
+    return results, _table(coeffs), {"case": "ETM", "twist": twist}
 
 
 def _cp1_l2(twist, max_degree):
@@ -188,9 +184,9 @@ def _cp1_l2(twist, max_degree):
         table.append({"irrep": mm, "multiplicity": mult})
         if mult != frobenius_multiplicity_oracle(n, mm):
             bad.append(mm)
+    bad = bad[:10]
     results = [
-        entry("frobenius-branching-oracle", not bad,
-              witness=None if not bad else
+        entry("frobenius-branching-oracle", not bad, None if not bad else
               {"irreps": bad, "computed": [table[mm]["multiplicity"] for mm in bad],
                "oracle": [frobenius_multiplicity_oracle(n, mm) for mm in bad]}),
         {"check": "zero-operator-formula-side", "status": "skipped-out-of-scope",
@@ -264,13 +260,13 @@ def _hopf(max_degree):
     results.append(entry("equivariantly-closed", check_closed(m, j_form(m, fid))))
 
     lo = -5
-    mults = hopf_multiplicities(m, fid, range(lo, max_degree + 1))
-    bad = [k for k in mults if mults[k] != hrr_cp1_oracle(k)]
-    results.append(entry("orbifold-multiplicities", not bad,
-                         witness=None if not bad else
-                         {"isotypes": bad, "computed": [mults[k] for k in bad]}))
-    chars = [{"weight": [k], "coefficient": v} for k, v in sorted(mults.items())]
-    return results, chars, {"window": [lo, max_degree]}
+    isotypes = range(lo, max_degree + 1)
+    coeffs = {(k,): v for k, v in hopf_multiplicities(m, fid, isotypes).items()}
+    oracle = {(k,): hrr_cp1_oracle(k) for k in isotypes}
+    ok = coeffs == oracle
+    results.append(entry("orbifold-multiplicities", ok,
+                         None if ok else _mismatch_witness(coeffs, oracle)))
+    return results, _table(coeffs), {"window": [lo, max_degree]}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,11 @@ def _s3_contact(max_degree):
     compares with a run of the quadrant's coefficient.  The quadrants hold
     every non-zero weight of the oracle, so the box matches when every row
     does and the cells hold no more non-zero values than the quadrants have
-    weights.  The weight dicts and the witness are built only on a mismatch."""
+    weights.  The printed table is the window of radius min(3, max_degree),
+    at most 49 cells read from the checked cells through cell_index, and the
+    same entry compares it with the oracle on the box of the window, whose
+    quadrants are the window's part of the quadrants above.  The dict of the
+    whole box and the witness are built only on a mismatch."""
     m = load_builtin("s3-contact")
     results = []
     j = j_form(m, "co")
@@ -309,12 +309,18 @@ def _s3_contact(max_degree):
             k = cell_index((a, cols.start), max_degree)
             ok = ok and cells[k:k + len(cols)] == run
     ok = ok and len(cells) - cells.count(0) == size
-    results.append(entry("contact-box-oracle", ok, None if ok else _mismatch_witness(
-        box_dict(cells, 2, max_degree),
-        {w: c for rect, c in quadrants for w in iproduct(*rect)})))
     window = min(3, max_degree)
-    chars = _character_table(window_cells(cells, 2, max_degree, window), 2, window)
-    return results, chars, {}
+    span = range(-window, window + 1)
+    printed = {w: c for w in iproduct(span, span) if (c := cells[cell_index(w, max_degree)])}
+    expected = {w: c for rect, c in s3_contact_character_oracle(window) for w in iproduct(*rect)}
+    witness = None
+    if not ok:
+        witness = _mismatch_witness(box_dict(cells, 2, max_degree),
+                                    {w: c for rect, c in quadrants for w in iproduct(*rect)})
+    elif printed != expected:
+        witness = _mismatch_witness(printed, expected)
+    results.append(entry("contact-box-oracle", witness is None, witness))
+    return results, _table(printed), {}
 
 
 # ---------------------------------------------------------------------------

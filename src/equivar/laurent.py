@@ -312,15 +312,6 @@ def cell_index(weight, radius):
     return k
 
 
-def window_cells(cells, nvars, radius, window):
-    """The expand_box list of the box of the window, cut from the cells of
-    the box of the radius (window <= radius)."""
-    width = 2 * radius + 1
-    axes = ([(x + radius) * width ** i for x in range(-window, window + 1)]
-            for i in reversed(range(nvars)))
-    return [cells[k] for k in map(sum, product(*axes))]
-
-
 def expand_to_degree(rc, max_degree):
     """expand_box(rc, max_degree), the exact coefficients on the box of
     radius max_degree, after the integrality gate.

@@ -55,13 +55,22 @@ _SIGNED_RAT = re.compile(r"[+-]?" + _RAT.pattern)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+def _shown(s, bare=False):
+    """The string s as a message echoes it: its repr (s itself when bare), or
+    past 40 characters only its length, "of N characters" ("a name of N
+    characters" when bare), since a name or literal from a model file may be
+    thousands of characters long."""
+    if len(s) > 40:
+        return f"{'a name ' if bare else ''}of {len(s)} characters"
+    return s if bare else repr(s)
+
+
 def _rejected(what, v, where="", column=None):
     """The ParseError "<what> <v> <where>", naming v without echoing it whole
-    when long: a string by its repr, or past 40 characters by its length (one
-    past the int-from-str digit limit has thousands of digits); a list or
-    object by its type and length; any other value by its type and repr."""
+    when long: a string by _shown; a list or object by its type and length;
+    any other value by its type and repr."""
     if isinstance(v, str):
-        shown = f"of {len(v)} characters" if len(v) > 40 else repr(v)
+        shown = _shown(v)
     elif isinstance(v, (list, dict)):
         shown = f"{type(v).__name__} of length {len(v)}"
     else:
@@ -138,7 +147,7 @@ def _parse_term(toks, pos, m):
             try:
                 factors.append(m.gen(val, exp))
             except KeyError:
-                raise ParseError(f"unknown symbol {val!r}", column=col) from None
+                raise ParseError(f"unknown symbol {_shown(val)}", column=col) from None
         else:
             raise ParseError(f"unexpected {val!r}", column=col)
         if pos < len(toks) and toks[pos][:2] == ("op", "*"):
@@ -164,7 +173,7 @@ def parse_element(src, m):
         factors, pos = _parse_term(toks, pos, m)
         products.append([factors[0].scaled(sign), *factors[1:]])
         if pos < len(toks) and not (toks[pos][0] == "op" and toks[pos][1] in "+-"):
-            raise ParseError(f"expected '+' or '-' before {toks[pos][1]!r}",
+            raise ParseError(f"expected '+' or '-' before {_shown(toks[pos][1])}",
                              column=toks[pos][2])
     return fold(products, m)
 
@@ -208,19 +217,20 @@ def _parse_generators(items):
     gens = {}
     for it in items:
         name = _require(it, "name", str, "generator")
-        parity = _require(it, "parity", str, name)
+        at, quoted = _shown(name, bare=True), _shown(name)
+        parity = _require(it, "parity", str, at)
         if parity not in (ODD, EVEN):
-            raise _rejected("bad parity", parity, f"on {name!r}")
-        degree = _require(it, "formDegree", int, name)
-        kind = _optional(it, "kind", str, name, PLAIN_FORM)
+            raise _rejected("bad parity", parity, f"on {quoted}")
+        degree = _require(it, "formDegree", int, at)
+        kind = _optional(it, "kind", str, at, PLAIN_FORM)
         if kind not in KINDS:
-            raise _rejected("unknown kind", kind, f"on {name!r}")
-        frame = _optional(it, "frame", str, name, None)
-        slot = _optional(it, "slot", int, name, None)
+            raise _rejected("unknown kind", kind, f"on {quoted}")
+        frame = _optional(it, "frame", str, at, None)
+        slot = _optional(it, "slot", int, at, None)
         if kind != PLAIN_FORM and (frame is None or slot is None):
-            raise ParseError(f"{kind} generator {name!r} needs frame and slot")
+            raise ParseError(f"{kind} generator {quoted} needs frame and slot")
         if name in gens:
-            raise ParseError(f"duplicate generator {name!r}")
+            raise ParseError(f"duplicate generator {quoted}")
         gens[name] = Generator(name, parity, degree, kind, frame, slot)
     return gens
 
@@ -234,66 +244,69 @@ def _parse_weight(v, nvars, where):
 
 def _parse_locus(it, nvars, frames):
     lid = _require(it, "locusId", str, "fixed locus")
-    ltype = _require(it, "locusType", str, lid)
+    at = _shown(lid, bare=True)
+    ltype = _require(it, "locusType", str, at)
     if ltype not in (ISOLATED_POINT, CIRCLE):
-        raise _rejected("unknown locus type", ltype, f"in {lid}")
-    tangent = tuple(_parse_weight(w, nvars, lid)
-                    for w in _optional(it, "tangentWeights", list, lid, []))
-    where = f"normal weight of {lid}"
-    normal = tuple((_parse_weight(_require(nw, "weight", list, where), nvars, lid),
+        raise _rejected("unknown locus type", ltype, f"in {at}")
+    tangent = tuple(_parse_weight(w, nvars, at)
+                    for w in _optional(it, "tangentWeights", list, at, []))
+    where = f"normal weight of {at}"
+    normal = tuple((_parse_weight(_require(nw, "weight", list, where), nvars, at),
                     parse_rational(_require(nw, "eval", (int, str), where),
-                                   f"in {lid}, field 'eval'"))
-                   for nw in _optional(it, "normalWeights", list, lid, []))
+                                   f"in {at}, field 'eval'"))
+                   for nw in _optional(it, "normalWeights", list, at, []))
     dirs = []
-    for d in _optional(it, "expansionDirections", list, lid, []):
+    for d in _optional(it, "expansionDirections", list, at, []):
         if not isinstance(d, str) or d not in _DIRECTION_NAMES:
-            raise _rejected("unknown expansion direction", d, f"in {lid}")
+            raise _rejected("unknown expansion direction", d, f"in {at}")
         dirs.append(_DIRECTION_NAMES[d])
     twist = it.get("twistWeight")
-    twist = _parse_weight(twist, nvars, lid) if twist is not None else (0,) * nvars
+    twist = _parse_weight(twist, nvars, at) if twist is not None else (0,) * nvars
     sample = None
     if ltype == CIRCLE:
-        fid, k = _require(it, "frame", str, lid), _require(it, "momentSample", int, lid)
+        fid, k = _require(it, "frame", str, at), _require(it, "momentSample", int, at)
         if fid not in frames:
-            raise ParseError(f"locus {lid!r} names no frame {fid!r}")
+            raise ParseError(f"locus {_shown(lid)} names no frame {_shown(fid)}")
         if not 0 <= k < len(frames[fid].moment_samples or ()):
-            raise ParseError(f"locus {lid!r}: frame {fid!r} has no momentSample {k}")
+            raise ParseError(f"locus {_shown(lid)}: frame {_shown(fid)} has no momentSample {k}")
         sample = frames[fid].moment_samples[k]
     sign = it.get("orientationSign", 1)
     if isinstance(sign, bool) or sign not in (1, -1):
-        raise ParseError(f"orientationSign must be +1 or -1 in {lid}")
+        raise ParseError(f"orientationSign must be +1 or -1 in {at}")
     return FixedLocusDatum(lid, ltype, tangent, normal, twist, sample,
                            tuple(dirs), int(sign))
 
 
 def model_from_dict(doc):
     name = _require(doc, "name", str, "model")
-    dim = _require(doc, "manifoldDim", int, name)
-    params = tuple(_require(doc, "parameters", list, name))
+    at = _shown(name, bare=True)
+    dim = _require(doc, "manifoldDim", int, at)
+    params = tuple(_require(doc, "parameters", list, at))
     if not all(isinstance(p, str) for p in params):
-        raise ParseError(f"parameters must be names in {name}")
-    gens = _parse_generators(_require(doc, "generators", list, name))
+        raise ParseError(f"parameters must be names in {at}")
+    gens = _parse_generators(_require(doc, "generators", list, at))
 
     frames = {}
     splits = {}
-    for fd in _optional(doc, "frames", list, name, []):
+    for fd in _optional(doc, "frames", list, at, []):
         fid = _require(fd, "frameId", str, "frame")
         if fid in frames:
-            raise ParseError(f"duplicate frame {fid!r}")
-        rank = _require(fd, "rank", int, fid)
-        slots = tuple(_require(fd, "slots", list, fid))
+            raise ParseError(f"duplicate frame {_shown(fid)}")
+        frame_at = _shown(fid, bare=True)
+        rank = _require(fd, "rank", int, frame_at)
+        slots = tuple(_require(fd, "slots", list, frame_at))
         if not all(isinstance(s, str) for s in slots):
-            raise ParseError(f"'slots' in frame {fid!r} must be generator names")
+            raise ParseError(f"'slots' in frame {_shown(fid)} must be generator names")
         u_by_slot = {g.slot: g.name for g in gens.values()
                      if g.kind == CLOSED_ARGUMENT and g.frame_id == fid}
         try:
             u_slots = tuple(u_by_slot[j] for j in range(1, rank + 1))
         except KeyError as e:
             raise InvariantViolation(
-                f"frame {fid!r} has no closed argument for slot {e.args[0]}") from None
+                f"frame {_shown(fid)} has no closed argument for slot {e.args[0]}") from None
         samples = fd.get("momentSamples")
         if samples is not None:
-            samples = _moment_samples(samples, f"frame {fid!r}")
+            samples = _moment_samples(samples, f"frame {_shown(fid)}")
         frames[fid] = FrameDecl(fid, rank, slots, u_slots, samples, None)
         if "split" in fd:
             splits[fid] = fd["split"]
@@ -302,38 +315,38 @@ def model_from_dict(doc):
     bare = FormalModel(name, dim, params, gens, {}, {})
 
     d_table = {}
-    for gname, expr in _optional(doc, "dTable", dict, name, {}).items():
+    for gname, expr in _optional(doc, "dTable", dict, at, {}).items():
         if gname not in gens:
-            raise ParseError(f"dTable entry for unknown generator {gname!r}")
-        d_table[gname] = _expression(expr, bare, f"dTable entry for {gname!r}")
+            raise ParseError(f"dTable entry for unknown generator {_shown(gname)}")
+        d_table[gname] = _expression(expr, bare, f"dTable entry for {_shown(gname)}")
     iota_table = {}
-    for gname, exprs in _optional(doc, "iotaTable", dict, name, {}).items():
+    for gname, exprs in _optional(doc, "iotaTable", dict, at, {}).items():
         if gname not in gens:
-            raise ParseError(f"iotaTable entry for unknown generator {gname!r}")
+            raise ParseError(f"iotaTable entry for unknown generator {_shown(gname)}")
         if not isinstance(exprs, list) or len(exprs) != len(params):
-            raise ParseError(f"iotaTable for {gname!r} needs one entry per parameter")
+            raise ParseError(f"iotaTable for {_shown(gname)} needs one entry per parameter")
         for a, expr in enumerate(exprs):
-            el = _expression(expr, bare, f"iotaTable entry {a} for {gname!r}")
+            el = _expression(expr, bare, f"iotaTable entry {a} for {_shown(gname)}")
             if not el.is_zero():
                 iota_table[(gname, a)] = el
 
     for fid, exprs in splits.items():
         if not isinstance(exprs, list) or len(exprs) != frames[fid].rank:
-            raise ParseError(f"split for frame {fid!r} needs one entry per slot")
-        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {fid!r}")
+            raise ParseError(f"split for frame {_shown(fid)} needs one entry per slot")
+        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {_shown(fid)}")
                        for j, e in enumerate(exprs))
         frames[fid] = frames[fid]._replace(dalpha=dalpha)
 
     base = None
     if "base" in doc:
-        b = _require(doc, "base", dict, name)
+        b = _require(doc, "base", dict, at)
         base = {key: parse_rational(_require(b, key, (int, str), "base"),
                                     f"in base, field {key!r}")
                 for key in ("tangentWeight", "curvatureVolume")}
         base["dimension"] = _require(b, "dimension", int, "base")
 
     fixed_loci = tuple(_parse_locus(it, len(params), frames)
-                       for it in _optional(doc, "fixedLoci", list, name, []))
+                       for it in _optional(doc, "fixedLoci", list, at, []))
 
     m = FormalModel(name, dim, params, gens, d_table, iota_table, frames, base, fixed_loci)
     validate_model(m)
@@ -359,16 +372,16 @@ def _object_hook():
         if pending:
             for key, value in pairs:
                 if _holds(value, pending[0]):
-                    raise ParseError(f"{pending[0]} in {key}")
+                    raise ParseError(f"{pending[0]} in {_shown(key, bare=True)}")
         doc = {}
         for key, value in pairs:
             if key in doc:
                 first = dict(reversed(pairs))
                 kinds = {"frameId": "frame", "locusId": "locus",
                          "name": "generator" if "parity" in first else "model"}
-                place = next((f" in {kinds[k]} {first[k]!r}" for k in kinds
+                place = next((f" in {kinds[k]} {_shown(first[k])}" for k in kinds
                               if isinstance(first.get(k), str)), None)
-                error = ParseError(f"duplicate key {key!r}{place or ''}")
+                error = ParseError(f"duplicate key {_shown(key)}{place or ''}")
                 if place:
                     raise error
                 pending.append(error)

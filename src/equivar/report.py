@@ -30,7 +30,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import genco
-from .errors import OutOfRange
+from .errors import InvariantViolation, OutOfRange
 from .jform import j_form
 from .superalg import ARG_MOMENT, Element
 
@@ -155,25 +155,22 @@ def _json_default(x):
 
 
 def make_report(command, model_name, results, characters=None, extra=None):
-    rep = {
-        "command": command,
-        "model": model_name,
-        "conventions": dict(CONVENTIONS),
-        "results": results,
-    }
+    """The report envelope; a key of extra never replaces one of its own."""
+    rep = {**(extra or {}), "command": command, "model": model_name,
+           "conventions": dict(CONVENTIONS), "results": results}
     if characters is not None:
         rep["characters"] = characters
-    if extra:
-        for k, v in extra.items():
-            rep.setdefault(k, v)
     return rep
 
 
 def entry(check, ok, witness=None):
     """One report entry: status "pass" or "fail" by ok, and the witness when
-    one is given."""
+    one is given.  A witness shows why a check failed, so a passing entry
+    that carries one is an InvariantViolation."""
     e = {"check": check, "status": "pass" if ok else "fail"}
     if witness is not None:
+        if ok:
+            raise InvariantViolation(f"passing entry {check!r} carries a witness")
         e["witness"] = witness
     return e
 

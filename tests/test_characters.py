@@ -502,8 +502,9 @@ def test_contact_box_row_slices_catch_cell_faults(fault, radius, monkeypatch):
 
 
 def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
-    """No weight dict of the box: the one box_dict call of a passing run is
-    the character table's, on the window of radius 3."""
+    """No weight dict of the box: a passing run makes no box_dict call, since
+    its character table is the window that contact-box-oracle compared, read
+    through cell_index."""
     calls = []
     box_dict = laurent.box_dict
 
@@ -514,9 +515,30 @@ def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
     monkeypatch.setattr(laurent, "box_dict", counted)
     monkeypatch.setattr(characters, "box_dict", counted)
     assert report_status(run_pipeline("s3-contact", max_degree=30)) == "pass"
-    assert calls == [(2, 3)]
-    # a failing check does build it, for its witness
-    calls.clear()
+    assert calls == []
+    # a failing check does build it, once, for its witness
     monkeypatch.setattr(characters, "expand_to_degree", lambda rc, d: [0] * (2 * d + 1) ** 2)
     assert report_status(run_pipeline("s3-contact", max_degree=30)) == "fail"
-    assert calls == [(2, 30), (2, 3)]
+    assert calls == [(2, 30)]
+
+
+def test_printed_window_is_compared(monkeypatch):
+    """contact-box-oracle also compares the printed window with the oracle on
+    the box of the window: an oracle that is negated only there turns the
+    entry to fail, with the window's first 10 mismatches as its witness."""
+    oracle = characters.s3_contact_character_oracle
+
+    def negated_on_the_window(radius):
+        quadrants = oracle(radius)
+        return quadrants if radius == 20 else tuple((rect, -c) for rect, c in quadrants)
+
+    monkeypatch.setattr(characters, "s3_contact_character_oracle", negated_on_the_window)
+    rep = run_pipeline("s3-contact")
+    assert _statuses(rep)["contact-box-oracle"] == "fail"
+    entry, = [r for r in rep["results"] if r["check"] == "contact-box-oracle"]
+    negative = list(product((-3, -2, -1), repeat=2))
+    assert entry["witness"] == {"weights": negative + [(0, 0)],
+                                "computed": [-1] * 9 + [1], "oracle": [1] * 9 + [-1]}
+    # the printed table is still the window of the checked cells
+    rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
+    assert rows == _s3_table(3)

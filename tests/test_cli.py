@@ -14,13 +14,15 @@ import pytest
 
 from equivar import characters, charclass, cli, genco, jform, linalg, superalg
 from equivar.cli import main, run_index, run_verify
-from equivar.errors import ParseError
+from equivar.errors import InvariantViolation, ParseError
 from equivar.laurent import RationalCharacter
 from equivar.modelfile import builtin_names, load_builtin, load_model, loads_model, parse_element
 from equivar.report import (
     CONVENTIONS,
     LATEX,
     TEXT,
+    entry,
+    nonzero_witness,
     render_element,
     render_frame_value,
     render_term,
@@ -133,6 +135,16 @@ MALFORMED_DOCS = {
                             "missing 'frame' in circle-z2-zero"),
     "locus-without-sample": ("s3-contact", lambda d: d["fixedLoci"][1].pop("momentSample"),
                              "missing 'momentSample' in circle-z1-zero"),
+    # validate_model's guards at their boundaries: each clause of a shape check
+    # alone, and a closed argument's non-zero iota image
+    "frame-slots-past-rank": ("s3-contact", lambda d: d["frames"][0]["slots"].append("dalpha"),
+                              "frame 'co' slot count != rank"),
+    "moment-sample-rows-past-rank": ("hopf", lambda d: d["frames"][0].update(
+        momentSamples=[[[-1], [-1]]]), "moment sample shape in frame 'conn' is not k x r"),
+    "moment-row-past-parameters": ("hopf", lambda d: d["frames"][0].update(
+        momentSamples=[[[-1, 0]]]), "moment sample shape in frame 'conn' is not k x r"),
+    "closed-argument-iota-image": ("hopf", lambda d: d["iotaTable"].update(u1=["Psi"]),
+                                   "closed argument 'u1' must have zero iota-image"),
     # a frame whose momentSamples is absent has no sample to name
     "locus-frame-without-samples": ("s3-contact", lambda d: d["frames"][0].pop("momentSamples"),
                                     "frame 'co' has no momentSample 0"),
@@ -296,6 +308,16 @@ RUNTIME_LIMIT_DOCS = {
     "long-locus-type": ("cp1-dolbeault", lambda d: d["fixedLoci"][0]
                         .update(locusType="x" * 3000),
                         "unknown locus type of 3000 characters in north"),
+    # a long name echoed in a message: named by its length, not echoed
+    "long-locus-id": ("cp1-dolbeault", lambda d: d["fixedLoci"][0]
+                      .update(locusId="x" * 3000, locusType="bogus"),
+                      "unknown locus type 'bogus' in a name of 3000 characters"),
+    "long-unknown-symbol": ("hopf", lambda d: d["dTable"].update(Psi="Q" * 3000),
+                            "dTable entry for 'Psi', column 1: "
+                            "unknown symbol of 3000 characters"),
+    "long-duplicate-generator": ("hopf", lambda d: d["generators"].extend(
+        [{"name": "g" * 3000, "parity": "even", "formDegree": 2}] * 2),
+        "duplicate generator of 3000 characters"),
     # an exponent literal that int() may not read
     "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
                               "dTable entry for 'Psi', column 5: exponent has more than"),
@@ -386,6 +408,26 @@ def test_report_round_trip():
     rep = run_verify(load_builtin("s1-on-s1"), seed=3)
     assert json.loads(report_to_json(rep)) == rep
     assert report_status(rep) == "pass"
+
+
+def test_passing_entry_with_a_witness_is_an_invariant_violation():
+    assert entry("c", False, {"n": 1}) == {"check": "c", "status": "fail", "witness": {"n": 1}}
+    assert entry("c", True) == {"check": "c", "status": "pass"}
+    with pytest.raises(InvariantViolation, match="passing entry 'c' carries a witness"):
+        entry("c", True, {"n": 1})
+
+
+def test_index_witness_on_a_pass_exit_two(monkeypatch, capsys):
+    """An example whose entry attaches a witness to a pass stops with exit 2
+    before any report is printed."""
+    def always_witnessed(check, ok, witness=None):
+        return entry(check, ok, {"n": 1} if witness is None else witness)
+
+    monkeypatch.setattr(characters, "entry", always_witnessed)
+    assert main(["index", "hopf"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: passing entry 'equivariantly-closed' carries a witness\n"
 
 
 def test_reports_carry_conventions_block():
@@ -718,6 +760,8 @@ INDEX_FAULT_WITNESSES = {
                                  "rank2:regular-representation-window-20": _BOX_WITNESS,
                                  "contact-box-oracle": _BOX_WITNESS},
     "taylor-drops-last-term": {"taylor-display-form": {"terms", "first"}},
+    "orientation-negated": {"sheaf-character-oracle": _BOX_WITNESS},
+    "chern-weil-doubled": {"orbifold-multiplicities": _BOX_WITNESS},
 }
 
 
@@ -752,6 +796,32 @@ def test_each_index_entry_fails_under_its_fault(fault, example, monkeypatch):
     for r in rep["results"]:
         if r["check"] in witnesses:
             _check_witness(r, witnesses[r["check"]])
+
+
+def test_taylor_display_witness_is_the_difference(monkeypatch):
+    """Under taylor-drops-last-term the witness of taylor-display-form is the
+    nonzero_witness of the faulty display less the expected one: the display
+    that passes before the fault."""
+    m = load_builtin("s3-contact")
+    j = jform.j_form(m, "co")
+    expected = genco.taylor_expand_delta(j, "co", m)
+    module, name, faulty, _ = INDEX_FAULTS["taylor-drops-last-term"]
+    monkeypatch.setattr(module, name, faulty(getattr(module, name)))
+    display = characters.taylor_expand_delta(j, "co", m)
+    witness, = [r["witness"] for r in run_index("s3-contact")["results"]
+                if r["check"] == "taylor-display-form"]
+    assert witness == nonzero_witness(superalg.add(display, expected.scaled(-1), m), m)
+
+
+def test_branching_witness_names_the_first_ten_irreps(monkeypatch):
+    """Under orientation-negated every V_m with the weight 0, m = 0, 2, .., 20,
+    gets multiplicity -1: the witness names the first 10 of these 11."""
+    module, name, faulty, _ = INDEX_FAULTS["orientation-negated"]
+    monkeypatch.setattr(module, name, faulty(getattr(module, name)))
+    witness, = [r["witness"] for r in run_index("cp1-l2")["results"]
+                if r["check"] == "frobenius-branching-oracle"]
+    assert witness == {"irreps": list(range(0, 20, 2)), "computed": [-1] * 10,
+                       "oracle": [1] * 10}
 
 
 def test_swapped_comb_samples_exit_two(monkeypatch, capsys):

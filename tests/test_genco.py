@@ -1,6 +1,7 @@
 """Delta-coefficient calculus: rewrites, substitution, display form, Fourier."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,9 @@ import pytest
 from equivar import genco, linalg, superalg
 from equivar.errors import (
     InvariantViolation,
+    NonOrientable,
     NotDifferentiable,
+    OutOfRange,
     SplittingMissing,
 )
 from equivar.genco import (
@@ -22,7 +25,7 @@ from equivar.genco import (
 )
 from equivar.jform import j_form
 from equivar.linalg import random_gl_plus
-from equivar.modelfile import load_builtin, load_model
+from equivar.modelfile import load_builtin, load_model, model_from_dict
 from equivar.superalg import (
     CLOSED_ARGUMENT,
     EVEN,
@@ -183,6 +186,29 @@ def test_substitute_coefficients_are_int_when_integral():
     assert t.coeff == 2
     (t,) = delta_linear_substitute(d0, ((2, 0), (0, 1)), m).terms
     assert t.coeff == half
+
+
+def test_substitute_rejects_a_matrix_of_the_wrong_shape():
+    m = load_builtin("t2-on-t2")
+    d = m.delta("tau").terms[0].delta
+    for a in (((1, 0),), ((1,), (0,)), ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(NonOrientable, match="^substitution matrix is not 2 x 2$"):
+            delta_linear_substitute(d, a, m)
+
+
+def test_taylor_walk_of_exactly_the_bound_runs():
+    """s3-contact's display walks C((dim - 1) // 2 + 1, 1) multi-indices J:
+    MAX_TAYLOR_INDICES = 2048 itself at dim 4095, which walks, and 2049 at
+    dim 4097, which stops before the walk."""
+    doc = json.loads((Path(genco.__file__).parent / "models" / "s3-contact.json")
+                     .read_text(encoding="utf-8"))
+    doc["manifoldDim"] = 4095
+    m = model_from_dict(doc)
+    assert len(taylor_expand_delta(j_form(m, "co"), "co", m).terms) == 2048
+    doc["manifoldDim"] = 4097
+    m = model_from_dict(doc)
+    with pytest.raises(OutOfRange, match="would walk 2049 multi-indices, more than 2048$"):
+        taylor_expand_delta(j_form(m, "co"), "co", m)
 
 
 def _pair(e, phi, m):

@@ -126,6 +126,20 @@ def test_model_from_dict_minimal():
     validate_model(m)
 
 
+def _point_doc(dim, degree):
+    return {"name": "point", "manifoldDim": dim, "parameters": [],
+            "generators": [{"name": "c", "parity": "even", "formDegree": degree}]}
+
+
+def test_dimension_and_degree_zero_load_and_minus_one_do_not():
+    m = model_from_dict(_point_doc(0, 0))
+    assert (m.manifold_dim, m.generators["c"].form_degree) == (0, 0)
+    with pytest.raises(InvariantViolation, match="^negative manifold dimension -1$"):
+        model_from_dict(_point_doc(-1, 0))
+    with pytest.raises(InvariantViolation, match="^negative degree on 'c'$"):
+        model_from_dict(_point_doc(0, -1))
+
+
 def test_model_from_dict_rejects_frame_form_d_entry():
     doc = _s1_doc()
     doc["dTable"] = {"deta": "u1"}
@@ -157,6 +171,17 @@ def test_rejected_parity_and_kind_are_named_not_echoed_when_long(field, message)
     doc["generators"][0][field] = "mystery" if "'mystery'" in message else "x" * 3000
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         model_from_dict(doc)
+
+
+def test_long_places_are_named_by_their_length():
+    long = "x" * 3000
+    with pytest.raises(ParseError, match="^bad type for 'manifoldDim' in a name of 3000 "
+                                         "characters$"):
+        model_from_dict({"name": long, "manifoldDim": "1"})
+    with pytest.raises(ParseError, match="^duplicate key 'rank' in frame of 3000 characters$"):
+        loads_model('{"frames": [{"frameId": "%s", "rank": 1, "rank": 2}]}' % long)
+    with pytest.raises(ParseError, match="^duplicate key 'a' in a name of 3000 characters$"):
+        loads_model('{"dTable": {"%s": {"a": 1, "a": 2}}}' % long)
 
 
 def test_model_from_dict_rejects_missing_slot_form():

@@ -684,6 +684,17 @@ def test_validate_rejects_a_parameter_named_like_a_generator():
         validate_model(_tiny_model({}, {}, gens))
 
 
+def test_validate_rejects_a_slot_that_is_not_the_frames_closed_argument():
+    """The loader matches closed arguments to slots itself, so only a model
+    built in code can name another generator as a frame's closed argument."""
+    m = load_builtin("s3-contact")
+    frames = {"co": m.frames["co"]._replace(u_slots=("dalpha",))}
+    bad = FormalModel(m.name, m.manifold_dim, m.parameters, m.generators, m.d_table,
+                      m.iota_table, frames, m.base, m.fixed_loci)
+    with pytest.raises(InvariantViolation, match="^bad closed argument 'dalpha' in 'co'$"):
+        validate_model(bad)
+
+
 def test_differential_of_a_parameter_is_zero():
     # D(X) = 0, so D(X w) = X D(w) for any w
     m = load_builtin("hopf")
