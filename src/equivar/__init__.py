@@ -21,9 +21,9 @@ from .errors import (DeltaClash, EquivarError, InvariantViolation,
                      SplittingMissing, UnknownExample, ZeroWeight)
 from .genco import (delta_linear_substitute, fourier_fibre_integrate,
                     taylor_expand_delta, with_fibre_coordinates)
-from .jform import (chern_weil_pair, check_annihilated, check_closed,
-                    check_transversality, frame_change_compare, j_form,
-                    transformed_j_form)
+from .jform import (chern_weil_pair, check_closed, check_transversality,
+                    frame_change_compare, j_form, transformed_j_form,
+                    unannihilated_slot)
 from .laurent import (DenomFactor, RationalCharacter, box_dict, expand_box,
                       expand_to_degree, lattice_comb)
 from .modelfile import (builtin_names, load_builtin, load_model, loads_model,

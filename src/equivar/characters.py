@@ -24,12 +24,12 @@ from itertools import product as iproduct
 from math import factorial, lcm
 
 from .charclass import CIRCLE, FixedLocusDatum, localize_index, series_inverse
-from .errors import NonIntegerCoefficients, UnknownExample, UsageError
+from .errors import NonIntegerCoefficients, OutOfRange, UnknownExample, UsageError, shown
 from .genco import taylor_expand_delta
-from .jform import chern_weil_pair, check_annihilated, check_closed, j_form
+from .jform import chern_weil_pair, check_closed, j_form
 from .laurent import box_dict, cell_index, expand_to_degree
 from .modelfile import load_builtin
-from .report import entry, make_report, nonzero_witness
+from .report import annihilation_witness, entry, make_report, nonzero_witness
 from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
                        graded_exp_pieces, multiply, product)
 
@@ -124,7 +124,8 @@ def _torus_zero():
         expected = Element((Term(Fraction(sign), DeltaFactor("tau", (0,) * k), odd, ()),))
         results.append(entry(prefix + "delta-class-shape", j == expected))
         results.append(entry(prefix + "equivariantly-closed", check_closed(m, j)))
-        results.append(entry(prefix + "frame-annihilation", check_annihilated(m, "tau", j)))
+        witness = annihilation_witness(m, "tau", j)
+        results.append(entry(prefix + "frame-annihilation", witness is None, witness))
         orbit = FixedLocusDatum(name, CIRCLE, moment_sample=fr.moment_samples[0])
         cells = expand_to_degree(localize_index((orbit,), rank_l), window)
         oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
@@ -165,6 +166,13 @@ def _cp1_dolbeault(twist, max_degree):
     return results, _table(coeffs), {"case": "ETM", "twist": twist}
 
 
+# the most cells that cp1-l2 expands, over all its rows.  Worst time at
+# the cap (Python 3.11, 2-core Intel Xeon): --max-degree 4999 at twist 0,
+# 0.86 s, since each row's walk grows with its irreducible.  The golden jobs
+# expand at most 63 cells.
+MAX_BRANCHING_CELLS = 5_000
+
+
 def _cp1_l2(twist, max_degree):
     """Branching of the circle character of weight n = twist, induced to the
     rank-one group, over the irreducibles V_0..V_max_degree.
@@ -173,9 +181,14 @@ def _cp1_l2(twist, max_degree):
     the weight n in V_m.  The engine side reads it from the cp1-dolbeault
     character at twist m (Borel-Weil: the sections of O(m) carry V_m),
     localized and expanded on the window of radius |n|; the oracle enumerates
-    the weight string of V_m.
+    the weight string of V_m.  Each irreducible is one row of 2|n| + 1 cells;
+    past MAX_BRANCHING_CELLS cells in all, OutOfRange before any row.
     """
     n = twist
+    cells = (max_degree + 1) * (2 * abs(n) + 1)
+    if cells > MAX_BRANCHING_CELLS:
+        raise OutOfRange(f"cp1-l2 at twist {shown(n)} and max-degree {shown(max_degree)} "
+                         f"would expand {shown(cells)} cells, more than {MAX_BRANCHING_CELLS}")
     m = load_builtin("cp1-dolbeault")
     table, bad = [], []
     for mm in range(max_degree + 1):
@@ -243,6 +256,13 @@ def hopf_multiplicities(m, fid, isotypes):
     return mults
 
 
+# the most isotypes that hopf evaluates.  Worst time at the cap (Python
+# 3.11, 2-core Intel Xeon): --max-degree 99994, 0.18 s and 77 MB.  The
+# golden and benchmark jobs reach degree 180.
+MAX_HOPF_ISOTYPES = 100_000
+_HOPF_LOW = -5
+
+
 def _hopf(max_degree):
     """Locally free circle action on the total space of the circle bundle
     over the projective line.
@@ -252,21 +272,25 @@ def _hopf(max_degree):
     oracle (k + 1).  The curvature is even and nilpotent, so exp(k c) is a
     finite sum of k^j c^j/j! and each multiplicity is exactly a polynomial
     in k (see hopf_multiplicities): one Chern character per run serves every
-    isotype in the window.
+    isotype in the window, -5..max_degree: past MAX_HOPF_ISOTYPES isotypes,
+    OutOfRange before any work.
     """
+    count = max_degree - _HOPF_LOW + 1
+    if count > MAX_HOPF_ISOTYPES:
+        raise OutOfRange(f"hopf at max-degree {shown(max_degree)} has {shown(count)} isotypes, "
+                         f"more than {MAX_HOPF_ISOTYPES}")
     m = load_builtin("hopf")
     fid = "conn"
     results = []
     results.append(entry("equivariantly-closed", check_closed(m, j_form(m, fid))))
 
-    lo = -5
-    isotypes = range(lo, max_degree + 1)
+    isotypes = range(_HOPF_LOW, max_degree + 1)
     coeffs = {(k,): v for k, v in hopf_multiplicities(m, fid, isotypes).items()}
     oracle = {(k,): hrr_cp1_oracle(k) for k in isotypes}
     ok = coeffs == oracle
     results.append(entry("orbifold-multiplicities", ok,
                          None if ok else _mismatch_witness(coeffs, oracle)))
-    return results, _table(coeffs), {"window": [lo, max_degree]}
+    return results, _table(coeffs), {"window": [_HOPF_LOW, max_degree]}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +375,7 @@ def run_pipeline(example, **arguments):
     argument that the example does not read, that is not an int (bool
     included), or a negative max_degree."""
     if example not in _EXAMPLES:
-        raise UnknownExample(f"unknown example {example!r}; choose from {list(EXAMPLES)}")
+        raise UnknownExample(f"unknown example {shown(example)}; choose from {list(EXAMPLES)}")
     run, reads = _EXAMPLES[example]
     unread = [f"--{name.replace('_', '-')}" for name in arguments if name not in reads]
     if unread:
@@ -359,7 +383,7 @@ def run_pipeline(example, **arguments):
     for name, value in arguments.items():
         if type(value) is not int or (name == "max_degree" and value < 0):
             kind = "a nonnegative integer" if name == "max_degree" else "an integer"
-            raise UsageError(f"--{name.replace('_', '-')} must be {kind}, got {value!r}")
+            raise UsageError(f"--{name.replace('_', '-')} must be {kind}, got {shown(value)}")
     values = {name: arguments.get(name, _DEFAULTS[name]) for name in reads}
     results, characters, extra = run(**values)
     if "max_degree" in values:

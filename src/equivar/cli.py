@@ -11,8 +11,10 @@ flag the example does not read).  characters.run_pipeline checks its own
 arguments; main passes it only the flags given.  The expansion window
 defaults to 20.  verify runs FRAME_TRIALS frame changes per frame, up to the
 first that changes J, whose index and matrix are the entry's witness.  A
-failing closedness entry carries D J, and a failing Fourier identity the
-Fourier integral minus J, as their term count and first three terms.
+failing closedness entry carries D J, a failing frame-annihilation entry the
+first slot a whose alpha_a J is not zero and that product, and a failing
+Fourier identity the Fourier integral minus J, each element as its term
+count and first three terms.
 Reports are deterministic for identical inputs and seed.
 """
 
@@ -23,13 +25,14 @@ import random
 import sys
 
 from .characters import EXAMPLES, run_pipeline
-from .errors import EquivarError, NotTransverse, UsageError
+from .errors import EquivarError, NotTransverse, UsageError, shown
 from .genco import fourier_fibre_integrate
-from .jform import check_annihilated, check_closed, frame_change_compare, j_form
+from .jform import check_closed, frame_change_compare, j_form
 from .linalg import random_gl_plus
 from .modelfile import builtin_names, load_builtin, load_model
-from .report import (LATEX, TEXT, display_value, entry, make_report, nonzero_witness,
-                     render_element, render_frame_value, report_status, report_to_json)
+from .report import (LATEX, TEXT, annihilation_witness, display_value, entry, make_report,
+                     nonzero_witness, render_element, render_frame_value, report_status,
+                     report_to_json)
 from .superalg import add, equivariant_differential
 
 # random frame changes per frame in verify; the entry name carries the count
@@ -61,7 +64,8 @@ def run_verify(model, seed=0):
         results.append(entry(f"{fid}:closedness", closed,
                              None if closed else
                              nonzero_witness(equivariant_differential(j, model), model)))
-        results.append(entry(f"{fid}:frame-annihilation", check_annihilated(model, fid, j)))
+        witness = annihilation_witness(model, fid, j)
+        results.append(entry(f"{fid}:frame-annihilation", witness is None, witness))
         witness = None
         for trial in range(FRAME_TRIALS):
             a = random_gl_plus(rng, fr.rank)
@@ -74,8 +78,8 @@ def run_verify(model, seed=0):
         results.append(entry(f"{fid}:fourier-integral-identity", four == j,
                              None if four == j else
                              nonzero_witness(add(four, j.scaled(-1), model), model)))
-        shown = display_value(model, fid, j)
-        rendered[fid] = {TEXT: render_element(shown, model)}
+        display = display_value(model, fid, j)
+        rendered[fid] = {TEXT: render_element(display, model)}
     return make_report("verify", model.name, results,
                        extra={"rendered": rendered, "seed": seed,
                               "frameTrials": FRAME_TRIALS})
@@ -102,6 +106,15 @@ def _emit(rep, json_path):
     return 0 if status == "pass" else 1
 
 
+def _int_flag(text):
+    """The int value of an index flag; argparse's own message for text that
+    is not one, with the text named by errors.shown."""
+    try:
+        return int(text)
+    except ValueError:  # not an int, or past the int-from-str digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first main call and reused: it
@@ -119,9 +132,9 @@ def _build_parser():
 
     ix = sub.add_parser("index", help="run an index pipeline vs its oracle")
     ix.add_argument("example", help="one of: " + ", ".join(EXAMPLES))
-    ix.add_argument("--twist", type=int,
+    ix.add_argument("--twist", type=_int_flag,
                     help="line-bundle twist or weight of the example (default 0)")
-    ix.add_argument("--max-degree", type=int,
+    ix.add_argument("--max-degree", type=_int_flag,
                     help="expansion window (default 20)")
     ix.add_argument("--json", metavar="PATH")
 
@@ -144,14 +157,19 @@ def main(argv=None):
             return _emit(run_index(args.example, **given), args.json)
         model = _load(args.model)
         if args.frame is not None and args.frame not in model.frames:
-            raise UsageError(f"--frame {args.frame!r} names no frame of model "
-                             f"{model.name!r} (frames: {', '.join(sorted(model.frames))})")
+            frames = ", ".join(shown(fid, bare=True) for fid in sorted(model.frames))
+            raise UsageError(f"--frame {shown(args.frame)} names no frame of model "
+                             f"{shown(model.name)} (frames: {frames})")
         frames = [args.frame] if args.frame is not None else sorted(model.frames)
         for fid in frames:
             print(f"{fid}: {render_frame_value(model, fid, args.format)}")
         return 0
     except (EquivarError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        text = str(e)
+        if isinstance(e, OSError) and e.filename is not None:
+            # str(e) with the file name named by errors.shown
+            text = f"[Errno {e.errno}] {e.strerror}: {shown(e.filename)}"
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,26 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the one rule by which a
+message echoes a name or a number that came from outside."""
+
+# the longest name, literal or number that a message echoes whole
+SHOWN_CHARS = 40
+
+
+def shown(v, bare=False):
+    """v as a message echoes it: a string by its repr (itself when bare),
+    an int in decimal, anything else by its repr.  A string past SHOWN_CHARS
+    characters is named only by its length, "of N characters" ("a name of N
+    characters" when bare), and an int of more than SHOWN_CHARS digits only
+    by its bound, "at least 10^40" (or "at most -10^40"), since a name, a
+    literal or a flag may be thousands of characters long."""
+    if isinstance(v, int):
+        if abs(v) < 10 ** SHOWN_CHARS:
+            return str(v)
+        return f"at most -10^{SHOWN_CHARS}" if v < 0 else f"at least 10^{SHOWN_CHARS}"
+    if not isinstance(v, str):
+        return repr(v)
+    if len(v) > SHOWN_CHARS:
+        return f"{'a name ' if bare else ''}of {len(v)} characters"
+    return v if bare else repr(v)
 
 
 class EquivarError(Exception):

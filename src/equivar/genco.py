@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .errors import InvariantViolation, NonOrientable, OutOfRange, SplittingMissing
+from .errors import InvariantViolation, NonOrientable, OutOfRange, SplittingMissing, shown
 from .superalg import (ARG_CLOSED, ARG_MOMENT, PLAIN_FORM, DeltaFactor, Element,
                        FormalModel, Generator, Term, _new_tuple, add, equivariant_differential,
                        fold, graded_exp_pieces, normal_form, taylor_fold)
@@ -123,15 +123,15 @@ def taylor_expand_delta(e, frame_id, m):
             count = str(indices)
         except ValueError:  # past the int-to-str digit limit
             count = f"at least 10^{sys.get_int_max_str_digits()}"
-        raise OutOfRange(f"the Taylor display of frame {frame_id!r} would walk {count} "
+        raise OutOfRange(f"the Taylor display of frame {shown(frame_id)} would walk {count} "
                          f"multi-indices, more than {MAX_TAYLOR_INDICES}")
 
     def moment(delta, jj):
         return _new_tuple(DeltaFactor, (frame_id, tuple(map(operator.add, delta.deriv, jj)),
                                         ARG_MOMENT))
 
-    shown = taylor_fold(Element(tuple(heads)), fr.dalpha, bound, moment, m)
-    return add(shown, rest, m) if rest.terms else shown
+    display = taylor_fold(Element(tuple(heads)), fr.dalpha, bound, moment, m)
+    return add(display, rest, m) if rest.terms else display
 
 
 def with_fibre_coordinates(m, frame_id):

@@ -11,7 +11,7 @@ product times delta_0 of no arguments, which normal form reads as 1.
 
 j_form returns J as a plain Element.  J is fixed by the distribution the
 frame presents, so every check of the frame is a function of the model, the
-frame id and J: check_closed(m, j), check_annihilated(m, frame_id, j) and
+frame id and J: check_closed(m, j), unannihilated_slot(m, frame_id, j) and
 frame_change_compare(m, frame_id, j, a_matrix).
 
 A frame trial rebuilds J under a frame change beta = A alpha: the wedge of
@@ -25,7 +25,7 @@ fold's condition.  The frame changes that verify draws are integer matrices
 """
 
 from . import linalg
-from .errors import NotPrincipal, NotTransverse, RankDataMissing
+from .errors import NotPrincipal, NotTransverse, RankDataMissing, shown
 from .genco import delta_linear_substitute
 from .superalg import (DeltaFactor, Element, Term, _new_tuple, equivariant_differential,
                        fold, multiply, product)
@@ -42,7 +42,7 @@ def check_transversality(m, frame_id):
     if fr.rank == 0:
         return True, None
     if fr.moment_samples is None:
-        raise RankDataMissing(f"frame {frame_id!r} declares no moment samples")
+        raise RankDataMissing(f"frame {shown(frame_id)} declares no moment samples")
     for i, sample in enumerate(fr.moment_samples):
         r = linalg.rank(sample)
         if r != fr.rank:
@@ -56,7 +56,8 @@ def j_form(m, frame_id):
     fr = m.frames[frame_id]
     ok, witness = check_transversality(m, frame_id)
     if not ok:
-        raise NotTransverse(f"frame {frame_id!r} moment data not full rank: {witness}", witness)
+        raise NotTransverse(f"frame {shown(frame_id)} moment data not full rank: {witness}",
+                            witness)
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
     return multiply(product(alphas, m), m.delta(frame_id), m)
 
@@ -65,9 +66,14 @@ def check_closed(m, j):
     return equivariant_differential(j, m).is_zero()
 
 
-def check_annihilated(m, frame_id, j):
-    """True iff every frame form alpha_j of the frame multiplies J to zero."""
-    return all(multiply(m.gen(a), j, m).is_zero() for a in m.frames[frame_id].alpha_slots)
+def unannihilated_slot(m, frame_id, j):
+    """(a, alpha_a J) for the first slot a (1-based) of the frame whose form
+    alpha_a does not multiply J to zero; None when every one does."""
+    for a, name in enumerate(m.frames[frame_id].alpha_slots, start=1):
+        p = multiply(m.gen(name), j, m)
+        if p.terms:
+            return a, p
+    return None
 
 
 def transformed_j_form(m, frame_id, a_matrix):
@@ -114,7 +120,7 @@ def chern_weil_pair(m, frame_id, poly):
     if fr.rank != m.r:
         raise NotPrincipal("frame rank differs from parameter count")
     if fr.moment_samples is None:
-        raise RankDataMissing(f"frame {frame_id!r} declares no moment samples")
+        raise RankDataMissing(f"frame {shown(frame_id)} declares no moment samples")
     minus_id = tuple(tuple(-1 if i == j else 0 for j in range(m.r))
                      for i in range(fr.rank))
     for sample in fr.moment_samples:

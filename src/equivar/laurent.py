@@ -21,7 +21,8 @@ in the order of itertools.product(range(-r, r + 1), repeat=n), which is the
 lexicographic order of the weights: v sits at
 sum_i (v_i + r) (2r + 1)^(n - 1 - i) (cell_index).  box_dict turns the list
 into the polynomial dict of its non-zero cells, for callers that want one.
-A box with more cells than a list can hold raises OutOfRange.
+A box with more than MAX_BOX_CELLS cells raises OutOfRange before its list
+is allocated.
 
 Terms whose denominators are equal as multisets of (w, c, direction) are
 one series: expand_box adds their numerators first and walks each such
@@ -61,10 +62,16 @@ from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
+from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange, shown
 
 EXPAND_POSITIVE = 1
 EXPAND_NEGATIVE = -1
+
+# the most cells expand_box allocates.  Worst time at the cap (Python 3.11,
+# 2-core Intel Xeon): cp1-dolbeault --twist 124997, 0.17 s and 85 MB; the
+# s3-contact box of radius 249 (249,001 cells), 0.01 s.  The largest golden
+# or benchmark box is s3-contact at degree 160, 103,041 cells.
+MAX_BOX_CELLS = 250_000
 
 
 class DenomFactor(NamedTuple):
@@ -273,10 +280,14 @@ def expand_box(rc, radius):
     """Exact coefficients of rc on the box max_i |v_i| <= radius, one cell
     per point in the order of itertools.product(range(-radius, radius + 1),
     repeat=rc.nvars): an int where the value is integral, a Fraction
-    otherwise.  Raises OutOfRange when the box has too many cells to hold."""
+    otherwise.  Raises OutOfRange when the box has more than MAX_BOX_CELLS
+    cells or too many to hold."""
     nvars = rc.nvars
     width = 2 * radius + 1
     cells = width ** nvars
+    if cells > MAX_BOX_CELLS:
+        raise OutOfRange(f"the box of radius {shown(radius)} has {shown(cells)} cells, "
+                         f"more than {MAX_BOX_CELLS}")
     try:
         total = [0] * cells
     except (OverflowError, MemoryError):

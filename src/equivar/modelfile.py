@@ -40,7 +40,7 @@ import sys
 from fractions import Fraction
 
 from .charclass import CIRCLE, ISOLATED_POINT, FixedLocusDatum
-from .errors import InvariantViolation, ParseError, UnknownExample
+from .errors import InvariantViolation, ParseError, UnknownExample, shown
 from .laurent import EXPAND_NEGATIVE, EXPAND_POSITIVE
 from .superalg import (CLOSED_ARGUMENT, EVEN, KINDS, ODD, PLAIN_FORM, FormalModel,
                        FrameDecl, Generator, fold, validate_model)
@@ -55,27 +55,17 @@ _SIGNED_RAT = re.compile(r"[+-]?" + _RAT.pattern)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _shown(s, bare=False):
-    """The string s as a message echoes it: its repr (s itself when bare), or
-    past 40 characters only its length, "of N characters" ("a name of N
-    characters" when bare), since a name or literal from a model file may be
-    thousands of characters long."""
-    if len(s) > 40:
-        return f"{'a name ' if bare else ''}of {len(s)} characters"
-    return s if bare else repr(s)
-
-
 def _rejected(what, v, where="", column=None):
     """The ParseError "<what> <v> <where>", naming v without echoing it whole
-    when long: a string by _shown; a list or object by its type and length;
-    any other value by its type and repr."""
+    when long: a string by errors.shown; a list or object by its type and
+    length; any other value by its type and repr."""
     if isinstance(v, str):
-        shown = _shown(v)
+        named = shown(v)
     elif isinstance(v, (list, dict)):
-        shown = f"{type(v).__name__} of length {len(v)}"
+        named = f"{type(v).__name__} of length {len(v)}"
     else:
-        shown = f"{type(v).__name__} {v!r}"
-    return ParseError(f"{what} {shown} {where}".rstrip(), column=column)
+        named = f"{type(v).__name__} {v!r}"
+    return ParseError(f"{what} {named} {where}".rstrip(), column=column)
 
 
 def parse_rational(v, where="", column=None):
@@ -147,7 +137,7 @@ def _parse_term(toks, pos, m):
             try:
                 factors.append(m.gen(val, exp))
             except KeyError:
-                raise ParseError(f"unknown symbol {_shown(val)}", column=col) from None
+                raise ParseError(f"unknown symbol {shown(val)}", column=col) from None
         else:
             raise ParseError(f"unexpected {val!r}", column=col)
         if pos < len(toks) and toks[pos][:2] == ("op", "*"):
@@ -173,7 +163,7 @@ def parse_element(src, m):
         factors, pos = _parse_term(toks, pos, m)
         products.append([factors[0].scaled(sign), *factors[1:]])
         if pos < len(toks) and not (toks[pos][0] == "op" and toks[pos][1] in "+-"):
-            raise ParseError(f"expected '+' or '-' before {_shown(toks[pos][1])}",
+            raise ParseError(f"expected '+' or '-' before {shown(toks[pos][1])}",
                              column=toks[pos][2])
     return fold(products, m)
 
@@ -217,7 +207,7 @@ def _parse_generators(items):
     gens = {}
     for it in items:
         name = _require(it, "name", str, "generator")
-        at, quoted = _shown(name, bare=True), _shown(name)
+        at, quoted = shown(name, bare=True), shown(name)
         parity = _require(it, "parity", str, at)
         if parity not in (ODD, EVEN):
             raise _rejected("bad parity", parity, f"on {quoted}")
@@ -244,7 +234,7 @@ def _parse_weight(v, nvars, where):
 
 def _parse_locus(it, nvars, frames):
     lid = _require(it, "locusId", str, "fixed locus")
-    at = _shown(lid, bare=True)
+    at = shown(lid, bare=True)
     ltype = _require(it, "locusType", str, at)
     if ltype not in (ISOLATED_POINT, CIRCLE):
         raise _rejected("unknown locus type", ltype, f"in {at}")
@@ -266,9 +256,9 @@ def _parse_locus(it, nvars, frames):
     if ltype == CIRCLE:
         fid, k = _require(it, "frame", str, at), _require(it, "momentSample", int, at)
         if fid not in frames:
-            raise ParseError(f"locus {_shown(lid)} names no frame {_shown(fid)}")
+            raise ParseError(f"locus {shown(lid)} names no frame {shown(fid)}")
         if not 0 <= k < len(frames[fid].moment_samples or ()):
-            raise ParseError(f"locus {_shown(lid)}: frame {_shown(fid)} has no momentSample {k}")
+            raise ParseError(f"locus {shown(lid)}: frame {shown(fid)} has no momentSample {k}")
         sample = frames[fid].moment_samples[k]
     sign = it.get("orientationSign", 1)
     if isinstance(sign, bool) or sign not in (1, -1):
@@ -279,7 +269,7 @@ def _parse_locus(it, nvars, frames):
 
 def model_from_dict(doc):
     name = _require(doc, "name", str, "model")
-    at = _shown(name, bare=True)
+    at = shown(name, bare=True)
     dim = _require(doc, "manifoldDim", int, at)
     params = tuple(_require(doc, "parameters", list, at))
     if not all(isinstance(p, str) for p in params):
@@ -291,22 +281,22 @@ def model_from_dict(doc):
     for fd in _optional(doc, "frames", list, at, []):
         fid = _require(fd, "frameId", str, "frame")
         if fid in frames:
-            raise ParseError(f"duplicate frame {_shown(fid)}")
-        frame_at = _shown(fid, bare=True)
+            raise ParseError(f"duplicate frame {shown(fid)}")
+        frame_at = shown(fid, bare=True)
         rank = _require(fd, "rank", int, frame_at)
         slots = tuple(_require(fd, "slots", list, frame_at))
         if not all(isinstance(s, str) for s in slots):
-            raise ParseError(f"'slots' in frame {_shown(fid)} must be generator names")
+            raise ParseError(f"'slots' in frame {shown(fid)} must be generator names")
         u_by_slot = {g.slot: g.name for g in gens.values()
                      if g.kind == CLOSED_ARGUMENT and g.frame_id == fid}
         try:
             u_slots = tuple(u_by_slot[j] for j in range(1, rank + 1))
         except KeyError as e:
             raise InvariantViolation(
-                f"frame {_shown(fid)} has no closed argument for slot {e.args[0]}") from None
+                f"frame {shown(fid)} has no closed argument for slot {e.args[0]}") from None
         samples = fd.get("momentSamples")
         if samples is not None:
-            samples = _moment_samples(samples, f"frame {_shown(fid)}")
+            samples = _moment_samples(samples, f"frame {shown(fid)}")
         frames[fid] = FrameDecl(fid, rank, slots, u_slots, samples, None)
         if "split" in fd:
             splits[fid] = fd["split"]
@@ -317,23 +307,23 @@ def model_from_dict(doc):
     d_table = {}
     for gname, expr in _optional(doc, "dTable", dict, at, {}).items():
         if gname not in gens:
-            raise ParseError(f"dTable entry for unknown generator {_shown(gname)}")
-        d_table[gname] = _expression(expr, bare, f"dTable entry for {_shown(gname)}")
+            raise ParseError(f"dTable entry for unknown generator {shown(gname)}")
+        d_table[gname] = _expression(expr, bare, f"dTable entry for {shown(gname)}")
     iota_table = {}
     for gname, exprs in _optional(doc, "iotaTable", dict, at, {}).items():
         if gname not in gens:
-            raise ParseError(f"iotaTable entry for unknown generator {_shown(gname)}")
+            raise ParseError(f"iotaTable entry for unknown generator {shown(gname)}")
         if not isinstance(exprs, list) or len(exprs) != len(params):
-            raise ParseError(f"iotaTable for {_shown(gname)} needs one entry per parameter")
+            raise ParseError(f"iotaTable for {shown(gname)} needs one entry per parameter")
         for a, expr in enumerate(exprs):
-            el = _expression(expr, bare, f"iotaTable entry {a} for {_shown(gname)}")
+            el = _expression(expr, bare, f"iotaTable entry {a} for {shown(gname)}")
             if not el.is_zero():
                 iota_table[(gname, a)] = el
 
     for fid, exprs in splits.items():
         if not isinstance(exprs, list) or len(exprs) != frames[fid].rank:
-            raise ParseError(f"split for frame {_shown(fid)} needs one entry per slot")
-        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {_shown(fid)}")
+            raise ParseError(f"split for frame {shown(fid)} needs one entry per slot")
+        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {shown(fid)}")
                        for j, e in enumerate(exprs))
         frames[fid] = frames[fid]._replace(dalpha=dalpha)
 
@@ -372,16 +362,16 @@ def _object_hook():
         if pending:
             for key, value in pairs:
                 if _holds(value, pending[0]):
-                    raise ParseError(f"{pending[0]} in {_shown(key, bare=True)}")
+                    raise ParseError(f"{pending[0]} in {shown(key, bare=True)}")
         doc = {}
         for key, value in pairs:
             if key in doc:
                 first = dict(reversed(pairs))
                 kinds = {"frameId": "frame", "locusId": "locus",
                          "name": "generator" if "parity" in first else "model"}
-                place = next((f" in {kinds[k]} {_shown(first[k])}" for k in kinds
+                place = next((f" in {kinds[k]} {shown(first[k])}" for k in kinds
                               if isinstance(first.get(k), str)), None)
-                error = ParseError(f"duplicate key {_shown(key)}{place or ''}")
+                error = ParseError(f"duplicate key {shown(key)}{place or ''}")
                 if place:
                     raise error
                 pending.append(error)
@@ -415,7 +405,8 @@ def load_model(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        raise ParseError(f"{shown(str(path), bare=True)}: not UTF-8 text "
+                         f"({e.reason} at byte {e.start})") from None
     return loads_model(text)
 
 
@@ -429,6 +420,6 @@ def builtin_names():
 def load_builtin(name):
     path = os.path.join(_MODELS, name + ".json")
     if not os.path.isfile(path):
-        raise UnknownExample(f"no built-in model {name!r}; have {builtin_names()}")
+        raise UnknownExample(f"no built-in model {shown(name)}; have {builtin_names()}")
     with open(path, encoding="utf-8") as fh:
         return loads_model(fh.read())

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import genco
 from .errors import InvariantViolation, OutOfRange
-from .jform import j_form
+from .jform import j_form, unannihilated_slot
 from .superalg import ARG_MOMENT, Element
 
 CONVENTIONS = {
@@ -127,6 +127,17 @@ def nonzero_witness(e, m):
     """The witness of a check that wanted e to be zero: its term count and
     its first three terms as text."""
     return {"terms": len(e.terms), "first": render_element(Element(e.terms[:3]), m)}
+
+
+def annihilation_witness(m, frame_id, j):
+    """The witness of a failing frame-annihilation check: the first slot a
+    whose frame form alpha_a does not multiply J to zero, with the
+    nonzero_witness of alpha_a J; None when every frame form does."""
+    failure = unannihilated_slot(m, frame_id, j)
+    if failure is None:
+        return None
+    a, p = failure
+    return {"slot": a, **nonzero_witness(p, m)}
 
 
 def display_value(m, frame_id, value):

@@ -99,7 +99,7 @@ most r products.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DeltaClash, InvariantViolation, NotDifferentiable
+from .errors import DeltaClash, InvariantViolation, NotDifferentiable, shown
 
 ODD = "odd"
 EVEN = "even"
@@ -588,16 +588,16 @@ def validate_model(m):
         raise InvariantViolation(f"negative manifold dimension {m.manifold_dim}")
     for g in m.generators.values():
         if g.parity not in (ODD, EVEN):
-            raise InvariantViolation(f"bad parity on {g.name!r}")
+            raise InvariantViolation(f"bad parity on {shown(g.name)}")
         if g.kind not in KINDS:
-            raise InvariantViolation(f"bad kind on {g.name!r}")
+            raise InvariantViolation(f"bad kind on {shown(g.name)}")
         if g.form_degree < 0:
-            raise InvariantViolation(f"negative degree on {g.name!r}")
+            raise InvariantViolation(f"negative degree on {shown(g.name)}")
         nominal = g.form_degree % 2
         if g.kind == CLOSED_ARGUMENT:
             nominal = 0
         if (g.parity == ODD) != (nominal == 1):
-            raise InvariantViolation(f"parity/degree mismatch on {g.name!r}")
+            raise InvariantViolation(f"parity/degree mismatch on {shown(g.name)}")
     if len(set(m.parameters)) != m.r:
         raise InvariantViolation("duplicate parameter names")
     if not m.generators.keys().isdisjoint(m.parameters):
@@ -605,44 +605,45 @@ def validate_model(m):
 
     for fr in m.frames.values():
         if len(fr.alpha_slots) != fr.rank or len(fr.u_slots) != fr.rank:
-            raise InvariantViolation(f"frame {fr.frame_id!r} slot count != rank")
+            raise InvariantViolation(f"frame {shown(fr.frame_id)} slot count != rank")
         if fr.rank > m.manifold_dim:
             # k independent one-forms need k <= n
-            raise InvariantViolation(f"frame {fr.frame_id!r} has rank {fr.rank} above "
+            raise InvariantViolation(f"frame {shown(fr.frame_id)} has rank {fr.rank} above "
                                      f"the manifold dimension {m.manifold_dim}")
         for j, (an, un) in enumerate(zip(fr.alpha_slots, fr.u_slots), start=1):
             ga, gu = m.generators.get(an), m.generators.get(un)
             if ga is None or ga.kind != FRAME_FORM or ga.frame_id != fr.frame_id \
                     or ga.slot != j or ga.form_degree != 1:
-                raise InvariantViolation(f"bad frame form {an!r} in {fr.frame_id!r}")
+                raise InvariantViolation(f"bad frame form {shown(an)} in {shown(fr.frame_id)}")
             if gu is None or gu.kind != CLOSED_ARGUMENT or gu.frame_id != fr.frame_id \
                     or gu.slot != j:
-                raise InvariantViolation(f"bad closed argument {un!r} in {fr.frame_id!r}")
+                raise InvariantViolation(
+                    f"bad closed argument {shown(un)} in {shown(fr.frame_id)}")
         if fr.moment_samples is not None:
             for s in fr.moment_samples:
                 if len(s) != fr.rank or any(len(row) != m.r for row in s):
                     raise InvariantViolation(
-                        f"moment sample shape in frame {fr.frame_id!r} is not k x r")
+                        f"moment sample shape in frame {shown(fr.frame_id)} is not k x r")
         if fr.dalpha is not None:
             if len(fr.dalpha) != fr.rank:
-                raise InvariantViolation(f"split length != rank in frame {fr.frame_id!r}")
+                raise InvariantViolation(f"split length != rank in frame {shown(fr.frame_id)}")
             # dalpha_j is a 2-form: taylor_expand_delta bounds its walk by degree
             for j, el in enumerate(fr.dalpha):
                 for t in el.terms:
                     if t.delta is not None:
-                        raise InvariantViolation(
-                            f"split entry {j} of frame {fr.frame_id!r} carries a delta factor")
+                        raise InvariantViolation(f"split entry {j} of frame "
+                                                 f"{shown(fr.frame_id)} carries a delta factor")
                     deg = m.term_degree(t)
                     if deg != 2:
-                        raise InvariantViolation(f"split entry {j} of frame {fr.frame_id!r} "
+                        raise InvariantViolation(f"split entry {j} of frame {shown(fr.frame_id)} "
                                                  f"has a term of degree {deg}, not a 2-form")
     # the loop above checked each slot's generator; d_image reads the frame of each
     # frame-slot generator, so it must be one of them
     slotted = {n for fr in m.frames.values() for n in fr.alpha_slots + fr.u_slots}
     for g in m.generators.values():
         if g.kind != PLAIN_FORM and g.name not in slotted:
-            raise InvariantViolation(f"{g.kind} {g.name!r} is not a slot of a declared frame "
-                                     f"(frame {g.frame_id!r}, slot {g.slot})")
+            raise InvariantViolation(f"{g.kind} {shown(g.name)} is not a slot of a declared "
+                                     f"frame (frame {shown(g.frame_id)}, slot {shown(g.slot)})")
 
     frame_forms = {g.name for g in m.generators.values() if g.kind == FRAME_FORM}
     closed_args = {g.name for g in m.generators.values() if g.kind == CLOSED_ARGUMENT}
@@ -660,16 +661,17 @@ def validate_model(m):
 
     for name, el in m.d_table.items():
         if name in frame_forms:
-            raise InvariantViolation(f"d-table entry for frame form {name!r}; D(alpha)=u is implied")
+            raise InvariantViolation(
+                f"d-table entry for frame form {shown(name)}; D(alpha)=u is implied")
         if name in closed_args and not el.is_zero():
-            raise InvariantViolation(f"closed argument {name!r} must have zero d-image")
-        check_table_element(el, f"d({name})")
+            raise InvariantViolation(f"closed argument {shown(name)} must have zero d-image")
+        check_table_element(el, f"d({shown(name, bare=True)})")
     for (name, a), el in m.iota_table.items():
         if name in frame_forms:
-            raise InvariantViolation(f"iota-table entry for frame form {name!r}")
+            raise InvariantViolation(f"iota-table entry for frame form {shown(name)}")
         if name in closed_args and not el.is_zero():
-            raise InvariantViolation(f"closed argument {name!r} must have zero iota-image")
-        check_table_element(el, f"iota_{a}({name})")
+            raise InvariantViolation(f"closed argument {shown(name)} must have zero iota-image")
+        check_table_element(el, f"iota_{a}({shown(name, bare=True)})")
 
     # D^2 g = d^2 g - sum_a X_a (d iota_a + iota_a d) g + sum_(a,b) X_a X_b iota_b iota_a g.
     # No table image holds a parameter, so the parameter factors of a term of D^2 g name
@@ -682,10 +684,10 @@ def validate_model(m):
         if broken:
             xs = min(broken, key=lambda xs: (xs[:1], len(xs) == 1, xs))
             if not xs:
-                raise InvariantViolation(f"d(d({name})) != 0")
+                raise InvariantViolation(f"d(d({shown(name, bare=True)})) != 0")
             if len(xs) == 2:
                 raise InvariantViolation(
-                    f"iota_{xs[0]} iota_{xs[1]} fails to anticommute on {name!r}")
-            raise InvariantViolation(
-                f"generator {name!r} is not invariant: (d iota_{xs[0]} + iota_{xs[0]} d) != 0")
+                    f"iota_{xs[0]} iota_{xs[1]} fails to anticommute on {shown(name)}")
+            raise InvariantViolation(f"generator {shown(name)} is not invariant: "
+                                     f"(d iota_{xs[0]} + iota_{xs[0]} d) != 0")
     return True

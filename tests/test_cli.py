@@ -318,6 +318,14 @@ RUNTIME_LIMIT_DOCS = {
     "long-duplicate-generator": ("hopf", lambda d: d["generators"].extend(
         [{"name": "g" * 3000, "parity": "even", "formDegree": 2}] * 2),
         "duplicate generator of 3000 characters"),
+    # a long name in validate_model's message, and in j_form's
+    "long-mismatched-generator": ("hopf", lambda d: d["generators"].append(
+        {"name": "g" * 3000, "parity": "odd", "formDegree": 2}),
+        "parity/degree mismatch on of 3000 characters"),
+    "long-frame-id": ("s1-on-s1", lambda d: (
+        d["frames"][0].update(frameId="f" * 3000), d["frames"][0].pop("momentSamples"),
+        [g.update(frame="f" * 3000) for g in d["generators"] if "frame" in g]),
+        "frame of 3000 characters declares no moment samples"),
     # an exponent literal that int() may not read
     "long-exponent-literal": ("hopf", lambda d: d["dTable"].update(Psi="Psi^" + "1" * 4301),
                               "dTable entry for 'Psi', column 5: exponent has more than"),
@@ -605,6 +613,47 @@ def test_box_too_large_to_hold_exit_two(capsys):
     assert err.startswith("error: the box of radius 10000000000 has 400000000040000000001 cells")
 
 
+# argv past a cap of its work -> its error line; each is refused before the
+# work starts
+CAP_ROWS = {
+    # laurent.MAX_BOX_CELLS, on s3-contact's box and cp1-dolbeault's window
+    "box-cells": (["s3-contact", "--max-degree", "250"],
+                  "the box of radius 250 has 251001 cells, more than 250000"),
+    "twist-window": (["cp1-dolbeault", "--twist", "5000000"],
+                     "the box of radius 5000002 has 10000005 cells, more than 250000"),
+    "hopf-isotypes": (["hopf", "--max-degree", "99995"],
+                      "hopf at max-degree 99995 has 100001 isotypes, more than 100000"),
+    "branching-cells": (["cp1-l2", "--twist", "1", "--max-degree", "1666"],
+                        "cp1-l2 at twist 1 and max-degree 1666 would expand 5001 cells, "
+                        "more than 5000"),
+    "huge-flag": (["hopf", "--max-degree", "9" * 4000],
+                  "hopf at max-degree at least 10^40 has at least 10^40 isotypes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAP_ROWS))
+def test_work_past_a_cap_exit_two(case, capsys):
+    argv, message = CAP_ROWS[case]
+    start = time.perf_counter()
+    assert main(["index"] + argv) == 2
+    assert time.perf_counter() - start < 0.5
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {message}") and cap.err.count("\n") == 1, cap.err
+
+
+@pytest.mark.parametrize("argv", [["index", "x" * 3000],
+                                  ["render", "hopf", "--frame", "x" * 3000],
+                                  ["verify", "x" * 3000]])
+def test_long_argument_is_named_by_its_length_exit_two(argv, capsys):
+    # an unknown example, a frame no model has, a file name too long to open
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1, cap.err
+    assert "of 3000 characters" in cap.err and len(cap.err) < 200, cap.err
+
+
 def test_render_unknown_frame_exit_two(capsys):
     assert main(["render", "hopf", "--frame", "nope"]) == 2
     cap = capsys.readouterr()
@@ -688,14 +737,18 @@ def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
         assert witnesses == [{"trial": 0, "matrix": linalg.random_gl_plus(random.Random(0),
                                                                            fr.rank)}]
     # the element that should have been zero, computed under the same fault:
-    # its term count and its first three terms
+    # its term count and its first three terms.  The fault drops alpha_1 from
+    # J, so the annihilation witness names slot 1 and alpha_1 J.
     nonzero = {"no-absorption": lambda fid, j: superalg.equivariant_differential(j, m),
+               "product-drops-last-factor": lambda fid, j: superalg.multiply(
+                   m.gen(m.frames[fid].alpha_slots[0]), j, m),
                "exp-drops-last-piece": lambda fid, j: superalg.add(
                    genco.fourier_fibre_integrate(m, fid), j.scaled(-1), m)}.get(fault)
     if nonzero is not None:
+        slot = {"slot": 1} if fault == "product-drops-last-factor" else {}
         for fid, witness in zip(sorted(m.frames), witnesses):
             e = nonzero(fid, jform.j_form(m, fid))
-            assert witness == {"terms": len(e.terms),
+            assert witness == {**slot, "terms": len(e.terms),
                                "first": render_element(superalg.Element(e.terms[:3]), m)}
             assert witness["terms"] > 0, witness
 
@@ -754,8 +807,11 @@ INDEX_FAULT_CASES = sorted((fault, example) for fault, (*_, by_example) in INDEX
                            for example in by_example)
 
 _BOX_WITNESS = {"weights", "computed", "oracle"}
+_SLOT_WITNESS = {"slot", "terms", "first"}
 # fault -> {entry: the keys of the witness its failing entry carries}
 INDEX_FAULT_WITNESSES = {
+    "product-drops-last-factor": {"rank1:frame-annihilation": _SLOT_WITNESS,
+                                  "rank2:frame-annihilation": _SLOT_WITNESS},
     "comb-drops-negative-half": {"rank1:regular-representation-window-50": _BOX_WITNESS,
                                  "rank2:regular-representation-window-20": _BOX_WITNESS,
                                  "contact-box-oracle": _BOX_WITNESS},

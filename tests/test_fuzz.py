@@ -11,6 +11,14 @@ limit.  The exit code is 0, 1 or 2; no exception escapes main; exit 2 prints
 one "error:" line and nothing on stdout; exit 1 comes only from a verify
 whose report has a failing entry.  A case over the time limit is a defect,
 not a case to drop.
+
+A second arm runs index on every example with --twist and --max-degree
+drawn from a pool of small and huge ints, under the same contract: every
+case ends within the time limit, since each example bounds its work before
+it starts.  An int past the int/str digit limit is refused by argparse,
+whose exit 2 prints its usage and then one "equivar index: error:" line.
+Every error line of that arm is under 200 characters: no flag is echoed
+whole.
 """
 
 import copy
@@ -20,6 +28,7 @@ import signal
 from importlib import resources
 from pathlib import Path
 
+from equivar.characters import EXAMPLES
 from equivar.cli import main
 from equivar.modelfile import builtin_names
 
@@ -141,6 +150,8 @@ def _run(argv, capsys):
     signal.alarm(TIME_LIMIT_S)
     try:
         code = main(argv)
+    except SystemExit as e:  # argparse refused an argument
+        code = ("argparse", e.code)
     except Exception as e:  # every escape is a finding, _CaseTimeout included
         code = e
     finally:
@@ -153,6 +164,11 @@ def _breach(command, code, out, err):
     """What the outcome breaks of the contract, or None."""
     if isinstance(code, Exception):
         return f"{type(code).__name__} escaped: {code!s:.200}"
+    if isinstance(code, tuple):
+        last = err.splitlines()[-1] if err else ""
+        if code[1] != 2 or out or not last.startswith(f"equivar {command}: error: "):
+            return f"argparse exit {code[1]!r}: {err[-200:]!r}"
+        return None
     if code not in (0, 1, 2):
         return f"exit {code!r}"
     if code == 2 and not (out == "" and err.startswith("error: ") and err.count("\n") == 1):
@@ -184,3 +200,35 @@ def test_exit_code_contract_under_fuzz(tmp_path, capsys):
     assert breaches == []
     # the value mutations take a fair share of the cases past loading
     assert codes.count(0) + codes.count(1) > len(codes) // 5, codes
+
+
+INDEX_SEED = 4517
+INDEX_CASES = 60
+# flag values: small ones that run, and huge ones that each example must
+# refuse before its work starts; the last is past the int/str digit limit
+_FLAG_POOL = ("0", "3", "-3", "7", str(10 ** 6), str(-10 ** 6), str(10 ** 11),
+              str(-10 ** 11), "9" * 4000, "-" + "9" * 4000, _PAST_LIMIT)
+
+
+def test_index_flags_keep_the_exit_code_contract(capsys):
+    rng = random.Random(INDEX_SEED)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    breaches, codes = [], []
+    try:
+        for case in range(INDEX_CASES):
+            argv = ["index", rng.choice(EXAMPLES)]
+            for flag in ("--twist", "--max-degree"):
+                if rng.random() < 0.7:
+                    argv += [flag, rng.choice(_FLAG_POOL)]
+            code, out, err = _run(argv, capsys)
+            codes.append(code)
+            breach = _breach("index", code, out, err)
+            if not breach and max(map(len, err.splitlines()), default=0) >= 200:
+                breach = f"error line of {len(err)} characters"
+            if breach:
+                breaches.append((case, [a[:20] for a in argv], breach))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert breaches == []
+    # the cases run jobs, refuse work past a cap, and refuse flags argparse cannot read
+    assert {0, 2, ("argparse", 2)} <= set(codes), codes

@@ -11,13 +11,13 @@ from equivar import genco, jform, linalg, superalg
 from equivar.errors import NonOrientable, NotPrincipal, NotTransverse, RankDataMissing
 from equivar.genco import delta_linear_substitute
 from equivar.jform import (
-    check_annihilated,
     check_closed,
     check_transversality,
     chern_weil_pair,
     frame_change_compare,
     j_form,
     transformed_j_form,
+    unannihilated_slot,
 )
 from equivar.linalg import random_gl_plus
 from equivar.modelfile import builtin_names, load_builtin, load_model
@@ -82,7 +82,7 @@ def test_frame_forms_annihilate_j():
         m = load_builtin(name)
         for fid, fr in m.frames.items():
             j = j_form(m, fid)
-            assert check_annihilated(m, fid, j), name
+            assert unannihilated_slot(m, fid, j) is None, name
             for a in fr.alpha_slots:
                 assert multiply(m.gen(a), j, m).is_zero(), (name, a)
 
@@ -100,7 +100,7 @@ def test_dropped_slot_stays_closed_but_fails_annihilation():
     partial = multiply(m.gen("deta2"), m.delta("tau"), m)
     assert check_closed(m, partial)
     assert not multiply(m.gen("deta1"), partial, m).is_zero()
-    assert not check_annihilated(m, "tau", partial)
+    assert unannihilated_slot(m, "tau", partial) == (1, multiply(m.gen("deta1"), partial, m))
 
 
 def test_frame_change_scalar_and_unipotent():

@@ -19,6 +19,12 @@ The raw accumulator of superalg (its keys, the Koszul loop, finalize) stays
 private to superalg: no other module of the package, __init__.py included,
 imports a superalg name that starts with "_" or reads one as an attribute of
 the superalg module, except _new_tuple, the term constructor.
+
+A test that reads a private part of the Koszul loop must be ported whenever
+the loop changes, so the test modules that name one (anywhere in their
+text, strings and comments included) are listed in PRIVATE_READERS, each
+with the names it reads and the reason.  A module or a name not listed
+there fails the check, and so does a listed one that is no longer read.
 """
 
 import ast
@@ -114,6 +120,59 @@ def _private_superalg_uses(sources):
             found += [f"{mod}.{n}" for n in names
                       if n.startswith("_") and n not in SHARED_PRIVATE]
     return sorted(found)
+
+
+TESTS = Path(__file__).resolve().parent
+
+# the private parts of superalg's loop and tables
+SUPERALG_PRIVATES = ("_koszul", "_finalize", "_absorb", "_UNIT", "_NO_DELTA", "_exact",
+                     "_odd_by_mask", "_u_frame")
+
+# test module -> (the SUPERALG_PRIVATES it names, why it reads them)
+PRIVATE_READERS = {
+    "test_cli": ({"_absorb"},
+                 "the no-absorption fault of the verify and index fault tables replaces "
+                 "_absorb: no public function absorbs alone"),
+    "test_jform": ({"_koszul", "_UNIT"},
+                   "k + 1 Koszul calls per frame trial, the first from the unit, and an "
+                   "unsigned Koszul loop as a fault (item 23's ledger replaces the count)"),
+    "test_superalg": ({"_koszul", "_finalize", "_NO_DELTA", "_u_frame"},
+                      "the fold tests record the raw accumulators of the Koszul loop and of "
+                      "_finalize (item 23's ledger replaces the recorder); the reference "
+                      "kernel reads each closed argument's frame slot, and term keys sort "
+                      "with the no-delta key"),
+}
+
+
+def _private_readers(sources):
+    """{module: the SUPERALG_PRIVATES that its text names} for each module
+    of sources that names one, matched by word boundary."""
+    found = {}
+    for mod, text in sources.items():
+        names = {n for n in SUPERALG_PRIVATES if re.search(rf"\b{n}\b", text)}
+        if names:
+            found[mod] = names
+    return found
+
+
+def _test_sources():
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))
+            if p.name != Path(__file__).name}
+
+
+def test_tests_read_superalg_privates_only_where_listed():
+    assert _private_readers(_test_sources()) == \
+        {mod: names for mod, (names, _) in PRIVATE_READERS.items()}
+
+
+def test_guard_flags_a_new_private_reader():
+    extra = ("from equivar import superalg\n\n\n"
+             "def test_x(monkeypatch):\n    monkeypatch.setattr(superalg, \"_exact\", int)\n")
+    assert _private_readers(dict(_test_sources(), test_extra=extra))["test_extra"] == {"_exact"}
+    jform = _test_sources()["test_jform"] + "\n# m._odd_by_mask\n"
+    assert _private_readers({"test_jform": jform})["test_jform"] == \
+        {"_koszul", "_UNIT", "_odd_by_mask"}
+    assert _private_readers({"test_x": "real_koszul = recorded_finalize\n"}) == {}
 
 
 def _package_sources():

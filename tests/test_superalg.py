@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,27 @@ def _random_product(rng, m):
     return factors
 
 
+def _recorded(run, monkeypatch, counts):
+    """run() with the Koszul loop and _finalize recorded: (its value, the raw
+    accumulators that the Koszul loop returned, in call order).  Each
+    accumulator that _finalize receives is searched by _fold_cases."""
+    real_koszul, real_finalize = superalg._koszul, superalg._finalize
+    seen = []
+
+    def recorded_koszul(items, b, m):
+        seen.append(real_koszul(items, b, m))
+        return seen[-1]
+
+    def recorded_finalize(acc, m):
+        _fold_cases(acc, m, counts)
+        return real_finalize(acc, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(superalg, "_koszul", recorded_koszul)
+        patch.setattr(superalg, "_finalize", recorded_finalize)
+        return run(), seen
+
+
 def test_product_fold_equals_product_randomized(monkeypatch):
     """fold is add_all of the products' normal forms when at most one
     factor of each product carries a delta, wherever it stands; two
@@ -285,17 +307,6 @@ def test_product_fold_equals_product_randomized(monkeypatch):
     rng = random.Random(37)
     counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower",
                             "cancelled"), 0)
-    real_koszul, real_finalize = superalg._koszul, superalg._finalize
-    seen = []
-
-    def recorded_koszul(items, b, m):
-        seen.append(real_koszul(items, b, m))
-        return seen[-1]
-
-    def recorded_finalize(acc, m):
-        _fold_cases(acc, m, counts)
-        return real_finalize(acc, m)
-
     for _ in range(200):
         m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.3, dim_cap=6)
         products = [_random_product(rng, m) for _ in range(rng.randint(0, 3))]
@@ -303,11 +314,7 @@ def test_product_fold_equals_product_randomized(monkeypatch):
             # a rescaled copy: two products whose terms share every key
             first = products[0]
             products[-1] = [first[0].scaled(nonzero_rational(rng)), *first[1:]] if first else []
-        seen.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(superalg, "_koszul", recorded_koszul)
-            patch.setattr(superalg, "_finalize", recorded_finalize)
-            got = superalg.fold(products, m)
+        got, seen = _recorded(lambda: superalg.fold(products, m), monkeypatch, counts)
         for factors in products:
             calls = len(factors)
             partials = seen[:calls][:-1]
@@ -369,17 +376,6 @@ def test_taylor_fold_equals_its_definition_randomized(monkeypatch):
     rng = random.Random(61)
     counts = dict.fromkeys(("truncated", "absorbed-to-zero", "absorbed-lower", "cancelled",
                             "vanished", "several-deltas", "several-degrees"), 0)
-    real_koszul, real_finalize = superalg._koszul, superalg._finalize
-    seen = []
-
-    def recorded_koszul(items, b, m):
-        seen.append(real_koszul(items, b, m))
-        return seen[-1]
-
-    def recorded_finalize(acc, m):
-        _fold_cases(acc, m, counts)
-        return real_finalize(acc, m)
-
     cases = 0
     while cases < 150:
         m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.4, dim_cap=8)
@@ -404,11 +400,8 @@ def test_taylor_fold_equals_its_definition_randomized(monkeypatch):
         rekey = rng.choice(_taylor_rekeys("fr"))
         counts["several-deltas"] += len({t.delta for t in heads.terms}) > 1
         counts["several-degrees"] += len({m.term_degree(t) for t in heads.terms}) > 1
-        seen.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(superalg, "_koszul", recorded_koszul)
-            patch.setattr(superalg, "_finalize", recorded_finalize)
-            got = superalg.taylor_fold(heads, xs, bound, rekey, m)
+        got, seen = _recorded(lambda: superalg.taylor_fold(heads, xs, bound, rekey, m),
+                              monkeypatch, counts)
         counts["cancelled"] += any(c == 0 for acc in seen for c in acc.values())
         counts["vanished"] += any(not any(acc.values()) for acc in seen)
         assert got == _ref_taylor_fold(heads, xs, bound, rekey, m), (m.name, heads, xs, bound)
@@ -518,7 +511,8 @@ def _ref_multiply(a, b, m, counts=None):
                 counts["odd_inversions"] += 1
             odd = tuple(sorted(t1.odd_mono + t2.odd_mono, key=order.__getitem__))
             if counts is not None and odd != t1.odd_mono + t2.odd_mono:
-                counts["resorted"] += 1
+                # a generator of t1 after one of t2 in odd_order
+                counts["inversion"] += 1
             even = dict(t1.even_mono)
             for n, e in t2.even_mono:
                 even[n] = even.get(n, 0) + e
@@ -553,36 +547,59 @@ def _assert_canonical(e):
         assert type(c) is (int if c.denominator == 1 else Fraction), t
 
 
+# what the products of the randomized kernel tests must have exercised
+OPERAND_KINDS = ("x-left", "x-right", "even-left", "even-right", "delta-left", "delta-right")
+PRODUCT_KINDS = OPERAND_KINDS + ("inversion", "truncated", "same-frame clash")
+
+
+def _check_pair(a, b, m, seen):
+    """multiply(a, b) against the reference kernel: the same terms in the
+    same order, each a Term with a canonical coefficient, or the same
+    DeltaClash message."""
+    try:
+        want = _ref_multiply(a, b, m, seen)
+    except DeltaClash as e:
+        with pytest.raises(DeltaClash, match=f"^{re.escape(str(e))}$"):
+            multiply(a, b, m)
+        seen["distinct-frame clash" if "distinct" in str(e) else "same-frame clash"] += 1
+        return
+    got = multiply(a, b, m)
+    assert got.terms == want.terms, (m.name, a, b)
+    assert all(type(t) is Term for t in got.terms)
+    _assert_canonical(got)
+    for t in got.terms:
+        seen["int_coeff" if type(t.coeff) is int else "fraction_coeff"] += 1
+    for side, e in (("left", a), ("right", b)):
+        seen[f"x-{side}"] += any(n in m.parameters for t in e.terms for n, _ in t.even_mono)
+        seen[f"even-{side}"] += any(t.even_mono for t in e.terms)
+        seen[f"delta-{side}"] += any(t.delta is not None for t in e.terms)
+
+
+def _operands(rng, m):
+    a = random_element(rng, m, with_delta=rng.random() < 0.8, n_terms=rng.randint(1, 4))
+    b = random_element(rng, m, with_delta=rng.random() < 0.3, n_terms=rng.randint(1, 4))
+    return a, b
+
+
 def test_kernel_matches_reference_randomized():
+    """multiply and add_all against the reference kernel on seeded random
+    models of dimension cap 2 to 8, with and without theta generators; each
+    pair of operands is multiplied in both orders and each operand by
+    itself."""
     rng = random.Random(23)
-    counts = dict.fromkeys(("overlap", "resorted", "odd_inversions", "absorbed",
-                            "derivative_delta", "truncated", "cancelled", "clash",
-                            "int_coeff", "fraction_coeff"), 0)
-    models = 0
-    while models < 160:
+    seen = Counter()
+    while seen["models"] < 240:
         m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.4,
-                         dim_cap=rng.choice((4, 6, 8)))
+                         dim_cap=rng.choice((2, 3, 4, 6, 8)))
         if m.frames["fr"].rank == 0:
             continue
-        models += 1
+        seen["models"] += 1
+        seen["theta" if any(n.startswith("th") for n in m.generators) else "theta-free"] += 1
         for _ in range(3):
-            a = random_element(rng, m, with_delta=True, n_terms=rng.randint(1, 4))
-            b = random_element(rng, m, with_delta=rng.random() < 0.2,
-                               n_terms=rng.randint(1, 4))
-            for x, y in ((a, b), (b, a), (b, b)):
-                try:
-                    want = _ref_multiply(x, y, m, counts)
-                except DeltaClash as e:
-                    with pytest.raises(DeltaClash, match=re.escape(str(e))):
-                        multiply(x, y, m)
-                    counts["clash"] += 1
-                    continue
-                got = multiply(x, y, m)
-                assert got == want, (m.name, x, y)
-                _assert_canonical(got)
-                for t in got.terms:
-                    counts["int_coeff" if type(t.coeff) is int else "fraction_coeff"] += 1
-        pieces = _raw_pieces(rng, m, dict.fromkeys(("absorbed", "truncated"), 0))
+            a, b = _operands(rng, m)
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                _check_pair(x, y, m, seen)
+        pieces = _raw_pieces(rng, m, Counter())
         acc = {}
         for p in pieces:
             for t in p.terms:
@@ -590,7 +607,64 @@ def test_kernel_matches_reference_randomized():
         total = add_all(pieces, m)
         assert total == _ref_finalize(acc, m)
         _assert_canonical(total)
-    assert all(counts.values()), counts
+    assert all(seen[k] for k in PRODUCT_KINDS + (
+        "theta", "theta-free", "overlap", "odd_inversions", "absorbed", "derivative_delta",
+        "cancelled", "int_coeff", "fraction_coeff")), seen
+
+
+def test_tables_stay_with_their_model():
+    """A model and its fibre extension order their odd generators
+    differently.  The same operands, multiplied in turn in each, agree with
+    the reference kernel in each, so no table entry crosses between them."""
+    rng = random.Random(53)
+    seen = Counter()
+    while seen["models"] < 40:
+        m = random_model(rng, max_rank=3, with_theta=rng.random() < 0.5, dim_cap=3)
+        if m.frames["fr"].rank == 0:
+            continue
+        seen["models"] += 1
+        mf = with_fibre_coordinates(m, "fr")
+        seen["reordered"] += any(mf.odd_order[n] != i for n, i in m.odd_order.items())
+        for _ in range(3):
+            a, b = _operands(rng, m)
+            for model in (m, mf, m, mf):
+                _check_pair(a, b, model, seen)
+                _check_pair(b, a, model, seen)
+            fa = random_element(rng, mf, with_delta=rng.random() < 0.5, n_terms=3)
+            seen["fibre operand"] += any(n.startswith("dxi") for t in fa.terms
+                                         for n in t.odd_mono)
+            _check_pair(fa, b, mf, seen)
+            _check_pair(b, fa, mf, seen)
+    assert all(seen[k] for k in PRODUCT_KINDS + ("reordered", "fibre operand")), seen
+
+
+def _two_frame_model():
+    gens, frames = {}, {}
+    for fid, a, u in (("fr", "a", "u"), ("gs", "b", "v")):
+        for j in (1, 2):
+            gens[f"{a}{j}"] = Generator(f"{a}{j}", ODD, 1, FRAME_FORM, fid, j)
+            gens[f"{u}{j}"] = Generator(f"{u}{j}", EVEN, 2, CLOSED_ARGUMENT, fid, j)
+        frames[fid] = FrameDecl(fid, 2, (f"{a}1", f"{a}2"), (f"{u}1", f"{u}2"))
+    gens["c"] = Generator("c", EVEN, 2)
+    return FormalModel("two-frames", 6, ("X1", "X2"), gens, {}, {}, frames)
+
+
+def test_delta_clash_messages_match_reference():
+    """The first clashing pair in term order names the error: a delta
+    meeting a delta on its own frame or on another one, whichever frame the
+    right operand's first delta is on."""
+    m = _two_frame_model()
+    fr1 = add_all((m.gen("c"), m.delta("fr", (1, 0))), m)
+    gs1 = add_all((m.gen("X1"), m.delta("gs", (0, 2))), m)
+    both = add_all((m.gen("a1"), m.delta("fr"), m.delta("gs", (1, 1))), m)
+    seen = Counter()
+    for a in (fr1, gs1, both):
+        for b in (fr1, gs1, both):
+            _check_pair(a, b, m, seen)
+    assert seen["same-frame clash"] and seen["distinct-frame clash"], seen
+    with pytest.raises(DeltaClash, match="^product of delta factors on distinct frames "
+                                         "'gs' and 'fr'$"):
+        multiply(gs1, both, m)
 
 
 def test_coefficients_are_canonical():
