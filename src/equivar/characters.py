@@ -1,14 +1,16 @@
-"""Representation-theoretic oracles and the end-to-end index examples.
+"""The end-to-end index examples.
 
-Every oracle works by direct weight enumeration (monomial bases, branching
-counts), never through the localization engine, so each comparison is
-genuinely two-route.  Each example is one function in _EXAMPLES, listed with
-the run_pipeline arguments it reads, which are exactly its parameters, that
-returns (results, characters, extra): the entries [{"check", "status",
-"witness"?}] (report.entry) with status "pass", "fail" or
-"skipped-out-of-scope", the character table [{"weight", "coefficient"}] or
-None, and the example's own report keys.
-run_pipeline puts them in the report envelope (report.make_report), and
+Each entry that can pass compares an engine route (localization and
+expansion, or the curvature pairing) with an oracle of the oracles module,
+which cannot see the engine, except taylor-display-form, which compares the
+Taylor display with a hand-built element.  The J identities of a built-in
+(closedness, frame annihilation) are checked by verify, not here.  Each
+example is one function in _EXAMPLES, listed with the run_pipeline
+arguments it reads, which are exactly its parameters, that returns
+(results, characters, extra): the entries [{"check", "status", "witness"?}]
+(report.entry) with status "pass", "fail" or "skipped-out-of-scope", the
+character table [{"weight", "coefficient"}] or None, and the example's own
+report keys.  run_pipeline puts them in the report envelope (report.make_report), and
 report.report_status reads the status of the whole report from its entries.
 
 A printed character table holds only compared numbers: it is the
@@ -26,60 +28,17 @@ from math import factorial, lcm
 from .charclass import CIRCLE, FixedLocusDatum, localize_index, series_inverse
 from .errors import NonIntegerCoefficients, OutOfRange, UnknownExample, UsageError, shown
 from .genco import taylor_expand_delta
-from .jform import chern_weil_pair, check_closed, j_form
+from .jform import chern_weil_pair, j_form
 from .laurent import box_dict, cell_index, expand_to_degree
 from .modelfile import load_builtin
-from .report import annihilation_witness, entry, make_report, nonzero_witness
-from .superalg import (ARG_MOMENT, DeltaFactor, Element, Term, add,
-                       graded_exp_pieces, multiply, product)
+from .oracles import (cp1_sheaf_character_oracle, frobenius_multiplicity_oracle,
+                      hrr_cp1_oracle, l2_torus_oracle, s3_contact_character_oracle)
+from .report import entry, make_report, nonzero_witness
+from .superalg import ARG_MOMENT, add, graded_exp_pieces, multiply, product
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-def cp1_sheaf_character_oracle(n):
-    """Virtual torus character of the degree-n line bundle cohomology on the
-    projective line, by monomial enumeration.
-
-    Sections: x^a y^b with a, b >= 0, a + b = n, torus weight a - b.  First
-    cohomology (two-chart cover): x^a y^b with a, b <= -1, a + b = n.  With
-    b = n - a, the first range is a = 0..n and the second a = n+1..-1; at most
-    one of them is non-empty.
-    """
-    sections = {(a - (n - a),): 1 for a in range(0, n + 1)}
-    first = {(a - (n - a),): -1 for a in range(n + 1, 0)}
-    return sections | first
-
-
-def hrr_cp1_oracle(n):
-    """Euler characteristic of the degree-n line bundle on the projective
-    line, by the same monomial counts (comes out to n + 1): the sections
-    a = 0..n less the first cohomology a = n+1..-1."""
-    return len(range(0, n + 1)) - len(range(n + 1, 0))
-
-
-def frobenius_multiplicity_oracle(n, m):
-    """Multiplicity of the torus weight n in the highest-weight-m irreducible,
-    by enumerating the weight string m, m-2, .., -m (none for m < 0)."""
-    return sum(1 for i in range(m + 1) if m - 2 * i == n)
-
-
-def s3_contact_character_oracle(radius):
-    """Torus character of the tangential Cauchy-Riemann complex of the
-    three-sphere on the box |a|, |b| <= radius, by monomial enumeration, one
-    quadrant at a time: ((range of a, range of b), coefficient) pairs, the
-    quadrant being the rectangle of those ranges, +1 for each CR monomial
-    z1^a z2^b (a, b >= 0) and -1 for each monomial of the first cohomology
-    (a, b <= -1).  Every other weight of the box, on the mixed cones, has
-    coefficient 0."""
-    pos, neg = range(radius + 1), range(-radius, 0)
-    return (((pos, pos), 1), ((neg, neg), -1))
-
-
-def l2_torus_oracle(w):
-    """Multiplicity of any character in the regular representation of a torus."""
-    return 1
-
+# comparison
 
 def _table(coeffs):
     """The character table of a compared {weight: coefficient} dict, one row
@@ -103,30 +62,18 @@ def _torus_zero():
     """Index of the zero operator on the torus of rank 1 and of rank 2 acting
     on itself, with the entries of rank l prefixed "rank<l>:".
 
-    Formula side: the canonical form of the full coframe is the delta class
-    of the lattice; its Fourier side is the localization of the torus as one
-    orbit locus, orbit_comb of the frame's first moment sample (the weights
-    of the torus on the coframe), expanded through laurent on the window.
-    Oracle side: the regular representation of the torus, by enumeration.
-    The character table is the rank-one window.
+    Formula side: the delta class of the lattice (the canonical form of the
+    full coframe, which verify checks) has as its Fourier side the
+    localization of the torus as one orbit locus, orbit_comb of the frame's
+    first moment sample (the weights of the torus on the coframe), expanded
+    through laurent on the window.  Oracle side: the regular representation
+    of the torus, by enumeration.  The character table is the rank-one window.
     """
     results, chars = [], None
     for rank_l, (name, window) in enumerate((("s1-on-s1", 50), ("t2-on-t2", 20)), 1):
         m = load_builtin(name)
-        fr = m.frames["tau"]
         prefix = f"rank{rank_l}:"
-        j = j_form(m, "tau")
-        k = fr.rank
-        # canonical storage sorts slots ascending, so the descending product
-        # carries the reversal sign
-        sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        odd = tuple(sorted(fr.alpha_slots, key=lambda nm: m.odd_order[nm]))
-        expected = Element((Term(Fraction(sign), DeltaFactor("tau", (0,) * k), odd, ()),))
-        results.append(entry(prefix + "delta-class-shape", j == expected))
-        results.append(entry(prefix + "equivariantly-closed", check_closed(m, j)))
-        witness = annihilation_witness(m, "tau", j)
-        results.append(entry(prefix + "frame-annihilation", witness is None, witness))
-        orbit = FixedLocusDatum(name, CIRCLE, moment_sample=fr.moment_samples[0])
+        orbit = FixedLocusDatum(name, CIRCLE, moment_sample=m.frames["tau"].moment_samples[0])
         cells = expand_to_degree(localize_index((orbit,), rank_l), window)
         oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
                   if (c := l2_torus_oracle(w))}
@@ -151,18 +98,13 @@ def _cp1_loci(m, twist):
 
 def _cp1_dolbeault(twist, max_degree):
     m = load_builtin("cp1-dolbeault")
-    j = j_form(m, "triv")
     radius = max(max_degree, abs(twist) + 2)
     cells = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     coeffs = box_dict(cells, 1, radius)
     oracle = cp1_sheaf_character_oracle(twist)
     ok = coeffs == oracle
-    results = [
-        entry("empty-frame-unit", j == m.one()),
-        entry("equivariantly-closed", check_closed(m, j)),
-        entry("sheaf-character-oracle", ok,
-              None if ok else _mismatch_witness(coeffs, oracle)),
-    ]
+    results = [entry("sheaf-character-oracle", ok,
+                     None if ok else _mismatch_witness(coeffs, oracle))]
     return results, _table(coeffs), {"case": "ETM", "twist": twist}
 
 
@@ -280,16 +222,12 @@ def _hopf(max_degree):
         raise OutOfRange(f"hopf at max-degree {shown(max_degree)} has {shown(count)} isotypes, "
                          f"more than {MAX_HOPF_ISOTYPES}")
     m = load_builtin("hopf")
-    fid = "conn"
-    results = []
-    results.append(entry("equivariantly-closed", check_closed(m, j_form(m, fid))))
-
     isotypes = range(_HOPF_LOW, max_degree + 1)
-    coeffs = {(k,): v for k, v in hopf_multiplicities(m, fid, isotypes).items()}
+    coeffs = {(k,): v for k, v in hopf_multiplicities(m, "conn", isotypes).items()}
     oracle = {(k,): hrr_cp1_oracle(k) for k in isotypes}
     ok = coeffs == oracle
-    results.append(entry("orbifold-multiplicities", ok,
-                         None if ok else _mismatch_witness(coeffs, oracle)))
+    results = [entry("orbifold-multiplicities", ok,
+                     None if ok else _mismatch_witness(coeffs, oracle))]
     return results, _table(coeffs), {"window": [_HOPF_LOW, max_degree]}
 
 
@@ -312,9 +250,7 @@ def _s3_contact(max_degree):
     whole box and the witness are built only on a mismatch."""
     m = load_builtin("s3-contact")
     results = []
-    j = j_form(m, "co")
-    results.append(entry("equivariantly-closed", check_closed(m, j)))
-    disp = taylor_expand_delta(j, "co", m)
+    disp = taylor_expand_delta(j_form(m, "co"), "co", m)
     expected_disp = add(
         multiply(m.gen("alpha"), m.delta("co", (0,), ARG_MOMENT), m),
         product([m.gen("alpha"), m.gen("dalpha"), m.delta("co", (1,), ARG_MOMENT)], m),

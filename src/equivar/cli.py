@@ -7,9 +7,10 @@
 Exit codes: 0 all checks pass, 1 some check failed, 2 error (bad input,
 violated model invariant, non-integer coefficients, an expansion window too
 large to hold, a --max-degree that is not a nonnegative integer, an index
-flag the example does not read).  characters.run_pipeline checks its own
-arguments; main passes it only the flags given.  The expansion window
-defaults to 20.  verify runs FRAME_TRIALS frame changes per frame, up to the
+flag the example does not read, a flag or argument that argparse refuses);
+exit 2 prints one "error:" line on stderr and nothing else.
+characters.run_pipeline checks its own arguments; main passes it only the
+flags given.  The expansion window defaults to 20.  verify runs FRAME_TRIALS frame changes per frame, up to the
 first that changes J, whose index and matrix are the entry's witness.  A
 failing closedness entry carries D J, a failing frame-annihilation entry the
 first slot a whose alpha_a J is not zero and that product, and a failing
@@ -115,11 +116,19 @@ def _int_flag(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, which main prints
+    as its one error: line, in place of argparse's usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first main call and reused: it
-    holds no per-call state."""
-    p = argparse.ArgumentParser(
+    holds no per-call state.  Its subparsers are of its own class."""
+    p = _Parser(
         prog="equivar",
         description="Equivariant forms with delta coefficients: verification "
                     "and index pipelines over exact rational arithmetic.")
@@ -146,8 +155,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             rep = run_verify(_load(args.model), args.seed)
             return _emit(rep, args.json)

@@ -10,19 +10,13 @@ import pytest
 
 from equivar import characters, charclass, jform, laurent, modelfile, superalg
 from equivar.charclass import series_inverse
-from equivar.characters import (
-    EXAMPLES,
-    cp1_sheaf_character_oracle,
-    frobenius_multiplicity_oracle,
-    hrr_cp1_oracle,
-    l2_torus_oracle,
-    run_pipeline,
-    s3_contact_character_oracle,
-)
+from equivar.characters import EXAMPLES, run_pipeline
 from equivar.errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
                             UnknownExample, UsageError)
 from equivar.jform import chern_weil_pair
 from equivar.modelfile import model_from_dict
+from equivar.oracles import (cp1_sheaf_character_oracle, frobenius_multiplicity_oracle,
+                             hrr_cp1_oracle, l2_torus_oracle, s3_contact_character_oracle)
 from equivar.report import report_status
 from equivar.superalg import add_all, multiply
 
@@ -92,12 +86,8 @@ def test_l2_oracle_is_regular_representation():
 
 def test_torus_zero_pipeline_both_ranks():
     st = _statuses(run_pipeline("torus-zero"))
-    for rank, window in ((1, 50), (2, 20)):
-        entries = [f"rank{rank}:{c}" for c in (
-            "delta-class-shape", "equivariantly-closed", "frame-annihilation",
-            f"regular-representation-window-{window}")]
-        assert all(st.pop(e) == "pass" for e in entries), rank
-    assert st == {}
+    assert st == {"rank1:regular-representation-window-50": "pass",
+                  "rank2:regular-representation-window-20": "pass"}
 
 
 def test_torus_zero_formula_side_can_fail(monkeypatch):
@@ -138,9 +128,7 @@ def test_torus_zero_formula_side_reads_the_frame(monkeypatch):
 def test_cp1_dolbeault_pipeline_twists():
     for twist in (0, 1, 5, -1, -3):
         rep = run_pipeline("cp1-dolbeault", twist=twist)
-        assert _statuses(rep) == dict.fromkeys(
-            ("empty-frame-unit", "equivariantly-closed", "sheaf-character-oracle"),
-            "pass"), twist
+        assert _statuses(rep) == {"sheaf-character-oracle": "pass"}, twist
         rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
         assert sum(rows.values()) == hrr_cp1_oracle(twist), twist
         if twist >= 0:
@@ -195,8 +183,7 @@ def test_hopf_pipeline_multiplicities():
 
 def test_s3_contact_pipeline():
     rep = run_pipeline("s3-contact")
-    assert _statuses(rep) == dict.fromkeys(
-        ("equivariantly-closed", "taylor-display-form", "contact-box-oracle"), "pass")
+    assert _statuses(rep) == dict.fromkeys(("taylor-display-form", "contact-box-oracle"), "pass")
 
 
 def test_s3_contact_expands_once(monkeypatch):
@@ -212,7 +199,8 @@ def test_s3_contact_expands_once(monkeypatch):
     assert radii == [20]
 
 
-def test_hopf_builds_j_once(monkeypatch):
+def test_hopf_builds_no_j(monkeypatch):
+    """hopf reads the curvature pairing only; its J identities are verify's."""
     frames = []
     j_form = jform.j_form
 
@@ -223,7 +211,7 @@ def test_hopf_builds_j_once(monkeypatch):
     monkeypatch.setattr(jform, "j_form", counted)
     monkeypatch.setattr(characters, "j_form", counted)
     assert report_status(run_pipeline("hopf")) == "pass"
-    assert frames == ["conn"]
+    assert frames == []
 
 
 def _ref_graded_exp(e, m):

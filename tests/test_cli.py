@@ -435,7 +435,7 @@ def test_index_witness_on_a_pass_exit_two(monkeypatch, capsys):
     assert main(["index", "hopf"]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err == "error: passing entry 'equivariantly-closed' carries a witness\n"
+    assert cap.err == "error: passing entry 'orbifold-multiplicities' carries a witness\n"
 
 
 def test_reports_carry_conventions_block():
@@ -663,11 +663,9 @@ def test_render_unknown_frame_exit_two(capsys):
 
 def test_frame_trials_flag_is_unknown_exit_two(capsys):
     # the trial count is cli.FRAME_TRIALS, which the entry name carries
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "s1-on-s1", "--frame-trials", "3"])
-    assert err.value.code == 2
+    assert main(["verify", "s1-on-s1", "--frame-trials", "3"]) == 2
     cap = capsys.readouterr()
-    assert cap.out == "" and "unrecognized arguments: --frame-trials 3" in cap.err, cap.err
+    assert cap.out == "" and cap.err == "error: unrecognized arguments: --frame-trials 3\n"
     rep = run_verify(load_builtin("s1-on-s1"))
     assert rep["frameTrials"] == cli.FRAME_TRIALS == 25
     assert "tau:frame-independence-25" in [r["check"] for r in rep["results"]]
@@ -686,13 +684,17 @@ def _doubled(f):
 def test_empty_frame_entries_see_injected_faults(monkeypatch):
     """cp1-dolbeault's frame triv has rank 0.  Its J and its Fourier integral
     come from the general code, through delta_0 of no arguments, so a fault
-    in that code turns the entries that compare them to fail."""
+    in that code turns the entries that compare them to fail.  At rank 0 J
+    is 1, so closedness only checks D(1) = 0: a differential that is the
+    identity turns that entry, and no other, to fail."""
     m = load_builtin("cp1-dolbeault")
-    assert _statuses(run_index("cp1-dolbeault"))["empty-frame-unit"] == "pass"
-    assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "pass"
+    statuses = _statuses(run_verify(m))
+    assert set(statuses.values()) == {"pass"}
+    with monkeypatch.context() as patch:
+        patch.setattr(jform, "equivariant_differential", lambda a, m: a)
+        assert _statuses(run_verify(m)) == dict(statuses, **{"triv:closedness": "fail"})
     with monkeypatch.context() as patch:
         patch.setattr(jform, "multiply", _doubled(jform.multiply))
-        assert _statuses(run_index("cp1-dolbeault"))["empty-frame-unit"] == "fail"
         assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
     monkeypatch.setattr(genco, "normal_form", _doubled(genco.normal_form))
     assert _statuses(run_verify(m))["triv:fourier-integral-identity"] == "fail"
@@ -718,7 +720,7 @@ VERIFY_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("model", ["s3-contact", "hopf", "split-rank4"])
+@pytest.mark.parametrize("model", ["s3-contact", "hopf", "split-rank4", "s1-on-s1", "t2-on-t2"])
 @pytest.mark.parametrize("fault", sorted(VERIFY_FAULTS))
 def test_each_verify_entry_fails_under_its_fault(fault, model, monkeypatch):
     m = load_model(SPLIT_RANK4) if model == "split-rank4" else load_builtin(model)
@@ -783,35 +785,14 @@ INDEX_FAULTS = {
         characters, "chern_weil_pair",
         lambda pair: lambda m, frame_id, poly: pair(m, frame_id, poly).scaled(2),
         {"hopf": ["orbifold-multiplicities"]}),
-    "no-absorption": (
-        superalg, "_absorb",
-        lambda _: lambda coeff, dk, even_mono, m: (coeff, dk, even_mono),
-        {"torus-zero": ["rank1:equivariantly-closed", "rank2:equivariantly-closed"],
-         "hopf": ["equivariantly-closed"],
-         "s3-contact": ["equivariantly-closed"]}),
-    # at rank 0 J is 1, so closedness only checks D(1) = 0
-    "differential-is-identity": (
-        jform, "equivariant_differential", lambda _: lambda a, m: a,
-        {"cp1-dolbeault": ["equivariantly-closed"]}),
-    "product-drops-last-factor": (
-        jform, "product",
-        lambda product: lambda factors, m: product(list(factors)[:-1], m),
-        {"torus-zero": ["rank1:delta-class-shape", "rank2:delta-class-shape",
-                        "rank1:frame-annihilation", "rank2:frame-annihilation"]}),
-    "multiply-doubled": (
-        jform, "multiply", lambda multiply: lambda a, b, m: multiply(a, b, m).scaled(2),
-        {"cp1-dolbeault": ["empty-frame-unit"]}),
 }
 
 INDEX_FAULT_CASES = sorted((fault, example) for fault, (*_, by_example) in INDEX_FAULTS.items()
                            for example in by_example)
 
 _BOX_WITNESS = {"weights", "computed", "oracle"}
-_SLOT_WITNESS = {"slot", "terms", "first"}
 # fault -> {entry: the keys of the witness its failing entry carries}
 INDEX_FAULT_WITNESSES = {
-    "product-drops-last-factor": {"rank1:frame-annihilation": _SLOT_WITNESS,
-                                  "rank2:frame-annihilation": _SLOT_WITNESS},
     "comb-drops-negative-half": {"rank1:regular-representation-window-50": _BOX_WITNESS,
                                  "rank2:regular-representation-window-20": _BOX_WITNESS,
                                  "contact-box-oracle": _BOX_WITNESS},
@@ -1017,9 +998,7 @@ def test_parser_built_once_per_process(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 24
     assert main(["index", "hopf", "--json", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["maxDegree"] == 20
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "s1-on-s1", "--no-such-flag"])
-    assert err.value.code == 2
+    assert main(["verify", "s1-on-s1", "--no-such-flag"]) == 2
     assert main(["render", "s1-on-s1"]) == 0
     assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()

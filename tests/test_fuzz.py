@@ -9,14 +9,15 @@ the int/str digit limit), so that a fair share of the cases reach the engine.
 verify and render run on every case, in process, under a per-case time
 limit.  The exit code is 0, 1 or 2; no exception escapes main; exit 2 prints
 one "error:" line and nothing on stdout; exit 1 comes only from a verify
-whose report has a failing entry.  A case over the time limit is a defect,
-not a case to drop.
+whose report has a failing entry.  Every entry that a verify report prints
+is named in test_entry_kinds.ENTRY_KINDS.  A case over the time limit is a
+defect, not a case to drop.
 
 A second arm runs index on every example with --twist and --max-degree
 drawn from a pool of small and huge ints, under the same contract: every
 case ends within the time limit, since each example bounds its work before
-it starts.  An int past the int/str digit limit is refused by argparse,
-whose exit 2 prints its usage and then one "equivar index: error:" line.
+it starts.  An int past the int/str digit limit is refused by the flag
+parser, with exit 2 and the same one "error:" line as every other error.
 Every error line of that arm is under 200 characters: no flag is echoed
 whole.
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 from equivar.characters import EXAMPLES
 from equivar.cli import main
 from equivar.modelfile import builtin_names
+from test_entry_kinds import ENTRY_KINDS, entry_key
 
 SEED = 1729
 CASES = 400
@@ -150,8 +152,6 @@ def _run(argv, capsys):
     signal.alarm(TIME_LIMIT_S)
     try:
         code = main(argv)
-    except SystemExit as e:  # argparse refused an argument
-        code = ("argparse", e.code)
     except Exception as e:  # every escape is a finding, _CaseTimeout included
         code = e
     finally:
@@ -164,17 +164,18 @@ def _breach(command, code, out, err):
     """What the outcome breaks of the contract, or None."""
     if isinstance(code, Exception):
         return f"{type(code).__name__} escaped: {code!s:.200}"
-    if isinstance(code, tuple):
-        last = err.splitlines()[-1] if err else ""
-        if code[1] != 2 or out or not last.startswith(f"equivar {command}: error: "):
-            return f"argparse exit {code[1]!r}: {err[-200:]!r}"
-        return None
     if code not in (0, 1, 2):
         return f"exit {code!r}"
     if code == 2 and not (out == "" and err.startswith("error: ") and err.count("\n") == 1):
         return f"exit 2 without one error line: {err[:200]!r}"
     if code == 1 and not (command == "verify" and "\n[fail] " in "\n" + out):
         return "exit 1 with no failing entry"
+    # an entry line is "[status] check", then "  witness: ..." on a failure
+    checks = [line.partition("] ")[2].partition("  witness: ")[0]
+              for line in out.splitlines() if line.startswith("[")]
+    unlisted = [check for check in checks if entry_key(check) not in ENTRY_KINDS]
+    if unlisted:
+        return f"entries not in ENTRY_KINDS: {unlisted[:3]}"
     return None
 
 
@@ -213,7 +214,7 @@ _FLAG_POOL = ("0", "3", "-3", "7", str(10 ** 6), str(-10 ** 6), str(10 ** 11),
 def test_index_flags_keep_the_exit_code_contract(capsys):
     rng = random.Random(INDEX_SEED)
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    breaches, codes = [], []
+    breaches, codes, errors = [], [], []
     try:
         for case in range(INDEX_CASES):
             argv = ["index", rng.choice(EXAMPLES)]
@@ -222,6 +223,7 @@ def test_index_flags_keep_the_exit_code_contract(capsys):
                     argv += [flag, rng.choice(_FLAG_POOL)]
             code, out, err = _run(argv, capsys)
             codes.append(code)
+            errors.append(err)
             breach = _breach("index", code, out, err)
             if not breach and max(map(len, err.splitlines()), default=0) >= 200:
                 breach = f"error line of {len(err)} characters"
@@ -230,5 +232,6 @@ def test_index_flags_keep_the_exit_code_contract(capsys):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert breaches == []
-    # the cases run jobs, refuse work past a cap, and refuse flags argparse cannot read
-    assert {0, 2, ("argparse", 2)} <= set(codes), codes
+    # the cases run jobs, refuse work past a cap, and refuse flags that are not ints
+    assert {0, 2} <= set(codes), codes
+    assert any(e.startswith("error: argument --") for e in errors), errors

@@ -11,7 +11,6 @@ import pytest
 
 from equivar import genco, linalg, superalg
 from equivar.errors import (
-    InvariantViolation,
     NonOrientable,
     NotDifferentiable,
     OutOfRange,

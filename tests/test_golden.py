@@ -27,7 +27,13 @@ that reads the window; torus-zero expands on fixed windows.
 index-s3-contact-deg0.json and -deg1.json (an empty negative quadrant and a
 one-cell one) and index-cp1-l2-twist3-deg8.json and -twist-2-deg8.json
 (branching rows read at cells other than weight 0) were written before the
-index characters were kept as dense cell lists.  Each file is
+index characters were kept as dense cell lists.  Twelve index reports were rewritten
+when the index entries that repeated verify's J identities were removed:
+index-torus-zero lost delta-class-shape, equivariantly-closed and
+frame-annihilation of both ranks, the three index-cp1-dolbeault reports
+empty-frame-unit and equivariantly-closed, and the three index-hopf and five
+index-s3-contact reports equivariantly-closed; every other byte is
+unchanged.  Each file is
 regenerated in-process here and compared byte for byte.  The built-ins declare no split of rank above one,
 so tests/golden/models/split-rank4.json (rank 4, dimension 14, written by
 hand) locks the Taylor display form at higher rank.  tests/golden/models/flat-moment.json has a rank-0 moment

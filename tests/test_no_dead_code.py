@@ -2,18 +2,25 @@
 
 Every top-level function and class of src/equivar/*.py, and every public
 method of those classes, must be named somewhere in the package besides its
-own definition.  The re-exports in __init__.py do not count as a use, and
-neither do string literals and comments: a name met only in a docstring, a
-message or __all__ is unused.  A top-level name is matched by word boundary,
-so a name shared by two definitions needs one more occurrence than it has
-definitions.  A method is matched only by attribute use (`.name`), so a local
-variable or a keyword argument of the same name does not keep it alive, and a
-method name that N classes define needs N attribute uses.  A dead chain (dead
+own definition.  String literals and comments do not count as a use: a name
+met only in a docstring, a message or __all__ is unused.  A top-level name is
+matched by word boundary, so a name shared by two definitions needs one more
+occurrence than it has definitions.  A method is matched only by attribute
+use (`.name`), so a local variable or a keyword argument of the same name does
+not keep it alive, and a method name that N classes define needs N attribute
+uses.  A dead chain (dead
 code calling dead code) is not caught.
 
-Every name that a module (not __init__.py) imports must also be used in
-that module's code, as a name or as the base of an attribute; an import
-statement marked `# noqa: F401` is exempt.
+Every name that a module of the package, of tests/, of perfbench/ or of
+perfbench/tests/ imports must also be used in that module's code, as a name
+or as the base of an attribute; an import statement marked `# noqa: F401` is
+exempt.  __init__.py re-exports nothing but INIT_IMPORTS: every test and
+perfbench module imports the submodule it uses.
+
+The oracle module is walled off from the engine it checks: oracles.py
+imports only from ORACLE_IMPORTS and nothing of the package, and no module
+of the package other than characters imports it.  An oracle that called the
+localization or the expansion would pass every comparison with the engine.
 
 The raw accumulator of superalg (its keys, the Koszul loop, finalize) stays
 private to superalg: no other module of the package, __init__.py included,
@@ -33,15 +40,25 @@ import re
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "equivar"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "equivar"
 
 # "module.name" or "module.Class.method" -> why it stays without a caller
-ALLOWED = {}
+ALLOWED = {"cli._Parser.error": "argparse calls it on every error it finds in argv"}
 
 
 def _sources():
-    return {p.stem: p.read_text(encoding="utf-8")
-            for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+# the directories whose modules the unused-import check reads
+IMPORT_DIRS = ("src/equivar", "tests", "perfbench", "perfbench/tests")
+
+
+def _import_sources():
+    """{"dir/stem": text} for every module of IMPORT_DIRS."""
+    return {f"{d}/{p.stem}": p.read_text(encoding="utf-8")
+            for d in IMPORT_DIRS for p in sorted((ROOT / d).glob("*.py"))}
 
 
 def _code(text):
@@ -131,8 +148,8 @@ SUPERALG_PRIVATES = ("_koszul", "_finalize", "_absorb", "_UNIT", "_NO_DELTA", "_
 # test module -> (the SUPERALG_PRIVATES it names, why it reads them)
 PRIVATE_READERS = {
     "test_cli": ({"_absorb"},
-                 "the no-absorption fault of the verify and index fault tables replaces "
-                 "_absorb: no public function absorbs alone"),
+                 "the no-absorption fault of the verify fault table replaces _absorb: no "
+                 "public function absorbs alone"),
     "test_jform": ({"_koszul", "_UNIT"},
                    "k + 1 Koszul calls per frame trial, the first from the unit, and an "
                    "unsigned Koszul loop as a fault (item 23's ledger replaces the count)"),
@@ -175,12 +192,8 @@ def test_guard_flags_a_new_private_reader():
     assert _private_readers({"test_x": "real_koszul = recorded_finalize\n"}) == {}
 
 
-def _package_sources():
-    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-
-
 def test_superalg_keeps_its_accumulator_private():
-    assert _private_superalg_uses(_package_sources()) == []
+    assert _private_superalg_uses(_sources()) == []
 
 
 def test_guard_flags_a_private_superalg_import():
@@ -188,15 +201,23 @@ def test_guard_flags_a_private_superalg_import():
              "from .superalg import _koszul, _new_tuple, fold\n"
              "from equivar.superalg import _NO_DELTA\n\n\n"
              "def f(acc, m):\n    return superalg._finalize(acc, m), superalg.multiply\n")
-    assert _private_superalg_uses(dict(_package_sources(), extra=extra)) == \
+    assert _private_superalg_uses(dict(_sources(), extra=extra)) == \
         ["extra._NO_DELTA", "extra._finalize", "extra._koszul"]
     public = ("from .superalg import Term, _new_tuple\n\n"
               "ONE = _new_tuple(Term, (1, None, (), ()))\n")
-    assert _private_superalg_uses(dict(_package_sources(), extra=public)) == []
+    assert _private_superalg_uses(dict(_sources(), extra=public)) == []
 
 
 def test_every_import_has_a_use():
-    assert _unused_imports(_sources()) == []
+    assert _unused_imports(_import_sources()) == []
+
+
+def test_guard_reads_the_imports_of_tests_and_perfbench():
+    sources = _import_sources()
+    assert {key.rpartition("/")[0] for key in sources} == set(IMPORT_DIRS)
+    for key in ("tests/test_genco", "perfbench/run", "perfbench/tests/test_bench_spans"):
+        assert _unused_imports({key: "import colorsys\n" + sources[key]}) == \
+            [f"{key}.colorsys"], key
 
 
 def test_guard_flags_an_unused_import():
@@ -247,3 +268,82 @@ def test_guard_flags_a_name_met_only_in_strings_and_comments():
     assert "extra.helper" in _unreferenced(dict(_sources(), extra=extra))
     used = extra + "\n\nVALUE = helper()\n"
     assert "extra.helper" not in _unreferenced(dict(_sources(), extra=used))
+
+
+# the only modules that oracles.py may import from
+ORACLE_IMPORTS = {"fractions", "itertools", "math"}
+
+
+def _imported(text):
+    """The absolute name of each module that text imports; a relative import
+    in a package module names a module of equivar."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("equivar" if node.level else "", node.module)))
+            if module == "equivar":  # from . import x, from equivar import x
+                yield from (f"equivar.{alias.name}" for alias in node.names)
+            else:
+                yield module
+
+
+def _oracle_wall_breaches(sources):
+    """"oracles imports X" for each module X that oracles.py imports outside
+    ORACLE_IMPORTS, and "M imports oracles" for each package module M other
+    than characters that imports oracles.py."""
+    found = []
+    for mod, text in sources.items():
+        for name in _imported(text):
+            if mod == "oracles" and name.partition(".")[0] not in ORACLE_IMPORTS:
+                found.append(f"oracles imports {name}")
+            elif mod not in ("oracles", "characters") and name == "equivar.oracles":
+                found.append(f"{mod} imports oracles")
+    return sorted(found)
+
+
+def test_oracles_cannot_see_the_engine():
+    assert "oracles" in _sources()
+    assert _oracle_wall_breaches(_sources()) == []
+
+
+def test_guard_flags_an_oracle_that_imports_the_engine():
+    oracles = _sources()["oracles"]
+    for line, breach in (("from .laurent import expand_box", "equivar.laurent"),
+                         ("from . import laurent", "equivar.laurent"),
+                         ("from equivar.laurent import expand_box", "equivar.laurent"),
+                         ("import equivar.laurent", "equivar.laurent"),
+                         ("import equivar", "equivar"),
+                         ("import json", "json")):
+        sources = dict(_sources(), oracles=f"{line}\n{oracles}")
+        assert _oracle_wall_breaches(sources) == [f"oracles imports {breach}"], line
+    sources = dict(_sources(), oracles="from math import comb\nfrom fractions import Fraction\n"
+                                       "from itertools import product\n" + oracles)
+    assert _oracle_wall_breaches(sources) == []
+
+
+def test_guard_flags_an_engine_module_that_imports_the_oracles():
+    for line in ("from .oracles import hrr_cp1_oracle", "from . import oracles",
+                 "import equivar.oracles", "from equivar import oracles"):
+        sources = dict(_sources(), laurent=f"{line}\n{_sources()['laurent']}")
+        assert _oracle_wall_breaches(sources) == ["laurent imports oracles"], line
+
+
+# the names that __init__.py imports -> why each stays
+INIT_IMPORTS = {"add": "perfbench/tests/test_bench_spans.py checks that the traced superalg.add "
+                       "is bound as equivar.add too (perfbench is changed only by a benchmark "
+                       "change)"}
+
+
+def _imported_names(text):
+    return sorted(alias.asname or alias.name for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
+
+
+def test_package_init_re_exports_only_what_perfbench_reads():
+    assert _imported_names(_sources()["__init__"]) == sorted(INIT_IMPORTS)
+
+
+def test_guard_flags_a_re_export():
+    init = _sources()["__init__"] + "\nfrom .characters import EXAMPLES, run_pipeline\n"
+    assert _imported_names(init) == ["EXAMPLES", "add", "run_pipeline"]
