@@ -5,8 +5,8 @@
     equivar render <model.json | builtin-name> [--format text|latex] [--frame ID]
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 error (bad input,
-violated model invariant, non-integer coefficients, an expansion window too
-large to hold, a --max-degree that is not a nonnegative integer, an index
+violated model invariant, non-integer coefficients, work past one of its
+caps, a --max-degree that is not a nonnegative integer, an index
 flag the example does not read, a flag or argument that argparse refuses);
 exit 2 prints one "error:" line on stderr and nothing else.
 characters.run_pipeline checks its own arguments; main passes it only the
@@ -26,7 +26,7 @@ import random
 import sys
 
 from .characters import EXAMPLES, run_pipeline
-from .errors import EquivarError, NotTransverse, UsageError, shown
+from .errors import SHOWN_CHARS, EquivarError, NotTransverse, UsageError, shown
 from .genco import fourier_fibre_integrate
 from .jform import check_closed, frame_change_compare, j_form
 from .linalg import random_gl_plus
@@ -107,15 +107,6 @@ def _emit(rep, json_path):
     return 0 if status == "pass" else 1
 
 
-def _int_flag(text):
-    """The int value of an index flag; argparse's own message for text that
-    is not one, with the text named by errors.shown."""
-    try:
-        return int(text)
-    except ValueError:  # not an int, or past the int-from-str digit limit
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise UsageError, which main prints
     as its one error: line, in place of argparse's usage and exit."""
@@ -141,9 +132,9 @@ def _build_parser():
 
     ix = sub.add_parser("index", help="run an index pipeline vs its oracle")
     ix.add_argument("example", help="one of: " + ", ".join(EXAMPLES))
-    ix.add_argument("--twist", type=_int_flag,
+    ix.add_argument("--twist", type=int,
                     help="line-bundle twist or weight of the example (default 0)")
-    ix.add_argument("--max-degree", type=_int_flag,
+    ix.add_argument("--max-degree", type=int,
                     help="expansion window (default 20)")
     ix.add_argument("--json", metavar="PATH")
 
@@ -154,9 +145,24 @@ def _build_parser():
     return p
 
 
+def _parse(argv):
+    """The parsed argv.  argparse's own error echoes an argument whole, so
+    each argument, or value after "=", longer than SHOWN_CHARS is named in
+    it by errors.shown."""
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        return _build_parser().parse_args(argv)
+    except UsageError as e:
+        text = str(e)
+        for a in sorted({*argv, *(a.partition("=")[2] for a in argv)}, key=len, reverse=True):
+            if len(a) > SHOWN_CHARS:
+                text = text.replace(repr(a), shown(a)).replace(a, shown(a))
+        raise UsageError(text) from None
+
+
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.command == "verify":
             rep = run_verify(_load(args.model), args.seed)
             return _emit(rep, args.json)

@@ -47,7 +47,8 @@ class NotTransverse(EquivarError):
     """Moment data fails the full-rank condition required by the frame construction.
 
     ``witness`` holds the first failing sample: its index, its rank, the
-    required rank and the matrix.
+    required rank and the matrix.  The message names all but the matrix,
+    whose entries may be thousands of digits long.
     """
 
     def __init__(self, message, witness=None):
@@ -79,8 +80,9 @@ class NonIntegerCoefficients(EquivarError):
 
 
 class OutOfRange(EquivarError):
-    """An expansion window with too many cells to hold, or a coefficient with
-    more digits than the int-to-str limit lets a report print."""
+    """Work past one of its caps, such as an expansion window with more cells
+    than laurent.MAX_BOX_CELLS, or a coefficient with more digits than the
+    int-to-str limit lets a report print."""
 
 
 class UsageError(EquivarError):

@@ -23,7 +23,6 @@ whose walk would pass MAX_TAYLOR_INDICES stops with OutOfRange first.
 """
 
 import operator
-import sys
 from fractions import Fraction
 from math import comb
 
@@ -119,12 +118,8 @@ def taylor_expand_delta(e, frame_id, m):
     bound = (m.manifold_dim - min(map(m.term_degree, heads))) // 2
     indices = comb(bound + fr.rank, fr.rank)
     if indices > MAX_TAYLOR_INDICES:
-        try:
-            count = str(indices)
-        except ValueError:  # past the int-to-str digit limit
-            count = f"at least 10^{sys.get_int_max_str_digits()}"
-        raise OutOfRange(f"the Taylor display of frame {shown(frame_id)} would walk {count} "
-                         f"multi-indices, more than {MAX_TAYLOR_INDICES}")
+        raise OutOfRange(f"the Taylor display of frame {shown(frame_id)} would walk "
+                         f"{shown(indices)} multi-indices, more than {MAX_TAYLOR_INDICES}")
 
     def moment(delta, jj):
         return _new_tuple(DeltaFactor, (frame_id, tuple(map(operator.add, delta.deriv, jj)),

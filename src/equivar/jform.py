@@ -56,8 +56,9 @@ def j_form(m, frame_id):
     fr = m.frames[frame_id]
     ok, witness = check_transversality(m, frame_id)
     if not ok:
-        raise NotTransverse(f"frame {shown(frame_id)} moment data not full rank: {witness}",
-                            witness)
+        raise NotTransverse(f"frame {shown(frame_id)} moment data not full rank: sample "
+                            f"{witness['sampleIndex']} has rank {witness['rank']}, "
+                            f"not {witness['required']}", witness)
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
     return multiply(product(alphas, m), m.delta(frame_id), m)
 

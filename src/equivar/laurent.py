@@ -281,18 +281,14 @@ def expand_box(rc, radius):
     per point in the order of itertools.product(range(-radius, radius + 1),
     repeat=rc.nvars): an int where the value is integral, a Fraction
     otherwise.  Raises OutOfRange when the box has more than MAX_BOX_CELLS
-    cells or too many to hold."""
+    cells."""
     nvars = rc.nvars
     width = 2 * radius + 1
     cells = width ** nvars
     if cells > MAX_BOX_CELLS:
         raise OutOfRange(f"the box of radius {shown(radius)} has {shown(cells)} cells, "
                          f"more than {MAX_BOX_CELLS}")
-    try:
-        total = [0] * cells
-    except (OverflowError, MemoryError):
-        raise OutOfRange(f"the box of radius {radius} has {cells} cells, "
-                         "too many to hold") from None
+    total = [0] * cells
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
     for num, den in _like_terms(rc.terms):
         steps = tuple(f.step() for f in den)

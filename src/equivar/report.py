@@ -8,25 +8,23 @@ produce byte-identical files.
 report_to_json writes the text with one direct writer (_write) instead of
 json.dumps: CPython's json uses its C encoder only when indent is None, so an
 indent-2 dump runs json's pure-Python generators, about twice the writer's
-time on a report of 8 KB.  The writer dispatches on the exact class of each
-value, over the values a report holds:
+time on a report of 8 KB.  A report holds only dicts, lists, tuples, strs and
+ints (the engine computes exactly, and a witness writes a rational as its
+str), and the writer dispatches on the exact class of each value over those:
 - a dict, its str keys sorted (any other key is a TypeError);
 - a list or a tuple, written as a list; {} and [] inline;
 - a str, a dict key included, through json's own ASCII escaper;
 - an int by int.__repr__ (past the int-to-str digit limit a ValueError, as
-  in json), a bool as true/false, None as null;
-- a float as json writes it: its repr, or NaN, Infinity, -Infinity (reports
-  hold none);
-- anything else through _json_default (a Fraction as an int or "p/q", any
-  other value as its str), whose result is written in its place.
-A container met again inside itself raises json's ValueError("Circular
-reference detected").  On these values the text equals json.dumps(x,
-default=_json_default, sort_keys=True, indent=2) + "\n" byte for byte;
-tests/test_report_writer.py checks that on seeded random values.
+  in json).
+Any other value, None, a bool, a float and a Fraction among them, raises
+json's TypeError("Object of type X is not JSON serializable").  A container
+met again inside itself raises json's ValueError("Circular reference
+detected").  On these values the text equals json.dumps(x, sort_keys=True,
+indent=2) + "\n" byte for byte; tests/test_report_writer.py checks that on
+seeded random values.
 """
 
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import genco
@@ -157,14 +155,6 @@ def render_frame_value(m, frame_id, fmt=TEXT):
 # ---------------------------------------------------------------------------
 # report envelope
 
-def _json_default(x):
-    """A Fraction as an int when it is integral, else as "p/q"; any other
-    value that _write has no branch for as its str."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return str(x)
-
-
 def make_report(command, model_name, results, characters=None, extra=None):
     """The report envelope; a key of extra never replaces one of its own."""
     rep = {**(extra or {}), "command": command, "model": model_name,
@@ -193,14 +183,13 @@ def report_status(rep):
 
 
 _int_text = int.__repr__
-_INF = float("inf")
 
 
 def _write(o, out, nl, seen):
     """Append the pieces of o to out as json.dumps(o, indent=2,
-    sort_keys=True, default=_json_default) writes it; nl is the newline and
-    indent of o's own line and seen the ids of the containers that enclose
-    o.  The container loops write a str or int item without a call."""
+    sort_keys=True) writes it; nl is the newline and indent of o's own line
+    and seen the ids of the containers that enclose o.  The container loops
+    write a str or int item without a call."""
     c = o.__class__
     if c is str:
         out.append(_quote(o))
@@ -245,21 +234,14 @@ def _write(o, out, nl, seen):
                 head = sep
             out.append(nl + "]")
         seen.discard(key)
-    elif o is None:
-        out.append("null")
-    elif c is bool:
-        out.append("true" if o else "false")
-    elif c is float:
-        out.append("NaN" if o != o else "Infinity" if o == _INF
-                   else "-Infinity" if o == -_INF else float.__repr__(o))
     else:
-        _write(_json_default(o), out, nl, seen)
+        raise TypeError(f"Object of type {c.__name__} is not JSON serializable")
 
 
 def report_to_json(rep):
     """rep as indented JSON text with sorted keys and a final newline: the
-    bytes of json.dumps(rep, default=_json_default, sort_keys=True,
-    indent=2) + "\n", written by _write."""
+    bytes of json.dumps(rep, sort_keys=True, indent=2) + "\n", written by
+    _write."""
     out = []
     _write(rep, out, "\n", set())
     out.append("\n")

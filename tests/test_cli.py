@@ -353,6 +353,26 @@ def test_runtime_limit_exit_two(case, command, tmp_path, capsys):
     assert len(cap.err) < 200, cap.err
 
 
+def test_render_names_a_rank_deficient_sample_without_its_matrix(tmp_path, capsys):
+    # a moment sample of 3000-digit entries has rank 1: render's error line
+    # names the frame, the sample and the ranks, and verify's witness keeps
+    # the matrix
+    n = int("9" * 3000)
+    path = tmp_path / "long-moment.json"
+    path.write_text(json.dumps(_edited("t2-on-t2", lambda d: d["frames"][0].update(
+        momentSamples=[[[n, n], [n, n]]]))), encoding="utf-8")
+    assert main(["render", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: frame 'tau' moment data not full rank: sample 0 has rank 1, not 2\n"
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--json", str(out)]) == 1
+    first = json.loads(out.read_text(encoding="utf-8"))["results"][0]
+    assert first["check"] == "tau:transversality" and first["status"] == "fail"
+    assert first["witness"] == {"sampleIndex": 0, "rank": 1, "required": 2,
+                                "matrix": [[str(n), str(n)], [str(n), str(n)]]}
+
+
 def test_exponent_literal_rejected_at_once(tmp_path, capsys):
     path = tmp_path / "s3-exponent.json"
     path.write_text(json.dumps(_edited("s3-contact", RUNTIME_LIMIT_DOCS["exponent-eval"][1])),
@@ -605,20 +625,15 @@ def test_encoding_error_leaves_an_existing_report_whole(tmp_path, monkeypatch, c
     assert out.read_bytes() == old
 
 
-def test_box_too_large_to_hold_exit_two(capsys):
-    # (2 * 10^10 + 1)^2 cells: more than a list can index, refused unallocated
-    assert main(["index", "s3-contact", "--max-degree", "10000000000"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: the box of radius 10000000000 has 400000000040000000001 cells")
-
-
 # argv past a cap of its work -> its error line; each is refused before the
 # work starts
 CAP_ROWS = {
     # laurent.MAX_BOX_CELLS, on s3-contact's box and cp1-dolbeault's window
     "box-cells": (["s3-contact", "--max-degree", "250"],
                   "the box of radius 250 has 251001 cells, more than 250000"),
+    # (2 * 10^10 + 1)^2 cells: more than a list can index
+    "huge-box": (["s3-contact", "--max-degree", "10000000000"],
+                 "the box of radius 10000000000 has 400000000040000000001 cells"),
     "twist-window": (["cp1-dolbeault", "--twist", "5000000"],
                      "the box of radius 5000002 has 10000005 cells, more than 250000"),
     "hopf-isotypes": (["hopf", "--max-degree", "99995"],
@@ -644,9 +659,16 @@ def test_work_past_a_cap_exit_two(case, capsys):
 
 @pytest.mark.parametrize("argv", [["index", "x" * 3000],
                                   ["render", "hopf", "--frame", "x" * 3000],
-                                  ["verify", "x" * 3000]])
+                                  ["verify", "x" * 3000],
+                                  ["verify", "s1-on-s1", "--" + "x" * 2998],
+                                  ["render", "hopf", "--format", "y" * 3000],
+                                  ["w" * 3000],
+                                  ["render", "hopf", "--format=" + "y" * 3000],
+                                  ["index", "hopf", "--max-degree", "x" * 3000]])
 def test_long_argument_is_named_by_its_length_exit_two(argv, capsys):
-    # an unknown example, a frame no model has, a file name too long to open
+    # an unknown example, a frame no model has, a file name too long to open;
+    # then argparse's own errors: an unknown flag, a choice, a command, a
+    # choice after "=", a flag value that is not an int
     assert main(argv) == 2
     cap = capsys.readouterr()
     assert cap.out == ""

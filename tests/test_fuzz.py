@@ -8,18 +8,20 @@ rational, a name of the model, an expression over its names, an exponent past
 the int/str digit limit), so that a fair share of the cases reach the engine.
 verify and render run on every case, in process, under a per-case time
 limit.  The exit code is 0, 1 or 2; no exception escapes main; exit 2 prints
-one "error:" line and nothing on stdout; exit 1 comes only from a verify
-whose report has a failing entry.  Every entry that a verify report prints
-is named in test_entry_kinds.ENTRY_KINDS.  A case over the time limit is a
-defect, not a case to drop.
+one "error:" line, under 200 characters, and nothing on stdout; exit 1 comes
+only from a verify whose report has a failing entry.  Every entry that a
+verify report prints is named in test_entry_kinds.ENTRY_KINDS.  verify
+writes its report with --json, so a report value outside the writer's types
+escapes as a TypeError.  A case over the time limit is a defect, not a case
+to drop.
 
 A second arm runs index on every example with --twist and --max-degree
 drawn from a pool of small and huge ints, under the same contract: every
 case ends within the time limit, since each example bounds its work before
 it starts.  An int past the int/str digit limit is refused by the flag
-parser, with exit 2 and the same one "error:" line as every other error.
-Every error line of that arm is under 200 characters: no flag is echoed
-whole.
+parser, with exit 2 and the same one "error:" line as every other error,
+under 200 characters: no flag is echoed whole.  index writes its report with
+--json too.
 """
 
 import copy
@@ -168,6 +170,8 @@ def _breach(command, code, out, err):
         return f"exit {code!r}"
     if code == 2 and not (out == "" and err.startswith("error: ") and err.count("\n") == 1):
         return f"exit 2 without one error line: {err[:200]!r}"
+    if max(map(len, err.splitlines()), default=0) >= 200:
+        return f"error line of {len(err)} characters"
     if code == 1 and not (command == "verify" and "\n[fail] " in "\n" + out):
         return "exit 1 with no failing entry"
     # an entry line is "[status] check", then "  witness: ..." on a failure
@@ -182,6 +186,7 @@ def _breach(command, code, out, err):
 def test_exit_code_contract_under_fuzz(tmp_path, capsys):
     rng = random.Random(SEED)
     sources = _sources()
+    report = tmp_path / "report.json"
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     breaches, codes = [], []
     try:
@@ -190,8 +195,9 @@ def test_exit_code_contract_under_fuzz(tmp_path, capsys):
             mutations = [_mutate(rng, doc) for _ in range(rng.randint(1, 2))]
             path = tmp_path / f"case{case}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
-            for command in ("verify", "render"):
-                code, out, err = _run([command, str(path)], capsys)
+            for argv in (["verify", str(path), "--json", str(report)], ["render", str(path)]):
+                command = argv[0]
+                code, out, err = _run(argv, capsys)
                 codes.append(code)
                 breach = _breach(command, code, out, err)
                 if breach:
@@ -211,7 +217,7 @@ _FLAG_POOL = ("0", "3", "-3", "7", str(10 ** 6), str(-10 ** 6), str(10 ** 11),
               str(-10 ** 11), "9" * 4000, "-" + "9" * 4000, _PAST_LIMIT)
 
 
-def test_index_flags_keep_the_exit_code_contract(capsys):
+def test_index_flags_keep_the_exit_code_contract(tmp_path, capsys):
     rng = random.Random(INDEX_SEED)
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     breaches, codes, errors = [], [], []
@@ -221,12 +227,10 @@ def test_index_flags_keep_the_exit_code_contract(capsys):
             for flag in ("--twist", "--max-degree"):
                 if rng.random() < 0.7:
                     argv += [flag, rng.choice(_FLAG_POOL)]
-            code, out, err = _run(argv, capsys)
+            code, out, err = _run(argv + ["--json", str(tmp_path / "report.json")], capsys)
             codes.append(code)
             errors.append(err)
             breach = _breach("index", code, out, err)
-            if not breach and max(map(len, err.splitlines()), default=0) >= 200:
-                breach = f"error line of {len(err)} characters"
             if breach:
                 breaches.append((case, [a[:20] for a in argv], breach))
     finally:

@@ -264,8 +264,8 @@ def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
 
 
 def test_expand_box_too_large_to_hold():
-    # cell counts past what a list can index or a malloc can size fail before
-    # anything is allocated
+    # cell counts past what a list can index or a malloc can size fail at the
+    # MAX_BOX_CELLS check, before anything is allocated
     past_bytes = sys.maxsize // 16 + 1  # 2r + 1 cells > sys.maxsize // 8
     with pytest.raises(OutOfRange, match=f"radius {past_bytes} has {2 * past_bytes + 1} cells"):
         expand_box(_geo((1,), EXPAND_POSITIVE), past_bytes)
