@@ -15,9 +15,9 @@ opposite numerators, which laurent._like_terms cancels before expanding.
 Expansion directions are model data fixed by the transversality geometry,
 one per factor: a locus with fewer or more directions than factors raises
 MissingExpansionDirection.  The engine validates them downstream through
-integer coefficients and the oracle comparisons rather than deriving them
-from curvature.  Each contribution's numerator is the dict
-{twist: orientation sign}.
+the oracle comparisons rather than deriving them from curvature.  Each
+contribution's numerator is the dict {twist: orientation sign}, over factors
+that evaluate at the int c = +1 or -1 that the model loader admits.
 """
 
 from fractions import Fraction
@@ -96,15 +96,14 @@ def fixed_point_contribution(datum, nvars):
     normal structure times orbit_comb of its moment sample, the delta class
     of the orbit seen on the Fourier side.
     """
-    weights = [(tuple(-x for x in _check_weight(w)), Fraction(1))
-               for w in datum.tangent_weights]
-    weights += [(_check_weight(w), Fraction(c)) for w, c in datum.normal_weights]
+    weights = [(tuple(-x for x in _check_weight(w)), 1) for w in datum.tangent_weights]
+    weights += [(_check_weight(w), c) for w, c in datum.normal_weights]
     dirs = datum.expansion_directions
     if len(dirs) != len(weights):
         raise MissingExpansionDirection(
             f"locus {datum.locus_id!r}: {len(weights)} factors, {len(dirs)} directions")
     factors = tuple(DenomFactor(w, c, d) for (w, c), d in zip(weights, dirs))
-    twist = tuple(int(x) for x in datum.twist_weight) or (0,) * nvars
+    twist = datum.twist_weight or (0,) * nvars
     rc = RationalCharacter(nvars, (RCTerm({twist: datum.orientation_sign}, factors),))
     if datum.locus_type == CIRCLE:
         rc = rc * orbit_comb(datum.moment_sample, nvars)
@@ -114,11 +113,9 @@ def fixed_point_contribution(datum, nvars):
 
 
 def localize_index(loci, nvars):
-    """Sum of the locus contributions as one RationalCharacter.
-
-    Nothing is expanded here: expand_to_degree is the single integrality
-    gate, and it raises NonIntegerCoefficients when the supplied data break
-    the integer-coefficient contract."""
+    """Sum of the locus contributions as one RationalCharacter.  Nothing is
+    expanded here; the model loader has admitted only integer data, so every
+    expanded coefficient is an int."""
     rc = RationalCharacter(nvars)
     for datum in loci:
         rc = rc + fixed_point_contribution(datum, nvars)

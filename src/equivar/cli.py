@@ -15,7 +15,8 @@ first that changes J, whose index and matrix are the entry's witness.  A
 failing closedness entry carries D J, a failing frame-annihilation entry the
 first slot a whose alpha_a J is not zero and that product, and a failing
 Fourier identity the Fourier integral minus J, each element as its term
-count and first three terms.
+count and first three terms.  The printed line of a failing entry names a
+long value of its witness by errors.shown; the --json report keeps it whole.
 Reports are deterministic for identical inputs and seed.
 """
 
@@ -90,11 +91,24 @@ def run_index(example, **arguments):
     return run_pipeline(example, **arguments)
 
 
+def _shown_leaves(v):
+    """v with each str leaf longer than SHOWN_CHARS and each int of more than
+    SHOWN_CHARS digits named by errors.shown, for a witness's printed line."""
+    if isinstance(v, dict):
+        return {k: _shown_leaves(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(_shown_leaves, v))
+    if (isinstance(v, str) and len(v) > SHOWN_CHARS
+            or isinstance(v, int) and abs(v) >= 10 ** SHOWN_CHARS):
+        return shown(v)
+    return v
+
+
 def _emit(rep, json_path):
     for r in rep["results"]:
         line = f"[{r['status']}] {r['check']}"
         if r["status"] == "fail" and "witness" in r:
-            line += f"  witness: {r['witness']}"
+            line += f"  witness: {_shown_leaves(r['witness'])}"
         print(line)
     status = report_status(rep)
     print(f"{rep['command']} {rep['model']}: {status}")

@@ -74,9 +74,10 @@ class MissingExpansionDirection(EquivarError):
 
 
 class NonIntegerCoefficients(EquivarError):
-    """Expansion produced a non-integer multiplicity, or a localization weight
-    (a comb's moment-sample row among them) is not an integer vector; signals
-    a convention error."""
+    """A Hopf multiplicity is not an integer, or a localization weight (a
+    comb's moment-sample row among them) is not an integer vector; signals a
+    convention error.  Expanded characters need no such check: the model
+    loader admits only evaluations of +1 or -1."""
 
 
 class OutOfRange(EquivarError):

@@ -1,8 +1,7 @@
 """Exact multivariate Laurent polynomials and factored rational characters.
 
-A Laurent polynomial is a dict {exponent tuple: coefficient} with no zero
-entries; a coefficient is an int when it is integral and a Fraction
-otherwise.  Numerators are such dicts.  A RationalCharacter is a finite sum
+A Laurent polynomial is a dict {exponent tuple: int coefficient} with no
+zero entries.  Numerators are such dicts.  A RationalCharacter is a finite sum
 of terms, each a numerator over a factored denominator prod (1 - c t^w).
 Every denominator factor carries an expansion direction:
 
@@ -44,25 +43,20 @@ starting at its first point with step sum_i s_i (2r + 1)^(n - 1 - i); a
 line of one point, whose step may be longer than the box is wide, writes
 that one cell.
 
-Coefficients stay Python ints while the data are integral (integer
-numerator coefficients, integer c, and c = +-1 on negative-direction factors,
-as in every bundled model); otherwise the affected values are Fractions.  The
-two mix exactly, so there is one code path.  When every numerator value and
-series ratio of the terms is an int (_integral), every cell is one by
-construction; otherwise expand_box turns the integral Fractions into ints in
-one pass.  expand_to_degree is the integrality gate of the index layer: it
-scans the cell types only when _integral does not hold, and it returns the
-expand_box list when every cell is an int.
+Coefficients are Python ints.  The model loader is the integrality gate:
+it admits only int numerator coefficients (orientation signs) and
+evaluations c = +-1, so the series ratio of a factor, c or 1/c, is c itself,
+and the walk only multiplies and adds ints.  Every cell of expand_box is an
+int by construction.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange, shown
+from .errors import MissingExpansionDirection, OutOfRange, shown
 
 EXPAND_POSITIVE = 1
 EXPAND_NEGATIVE = -1
@@ -75,10 +69,11 @@ MAX_BOX_CELLS = 250_000
 
 
 class DenomFactor(NamedTuple):
-    """One denominator factor (1 - c t^w) with its expansion direction."""
+    """One denominator factor (1 - c t^w) with its expansion direction; c is
+    the int +1 or -1, so it is also the ratio of either directed series."""
 
     weight: tuple
-    c: Fraction
+    c: int
     direction: int
 
     def step(self):
@@ -100,7 +95,7 @@ def _poly_mul(p, q):
         for k2, v2 in q.items():
             k = tuple(a + b for a, b in zip(k1, k2))
             out[k] = out.get(k, 0) + v1 * v2
-    return {k: _exact(v) for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}
 
 
 class RationalCharacter:
@@ -156,12 +151,6 @@ def _functional(steps, nvars):
     return _positivity_functional(steps, nvars)
 
 
-def _exact(x):
-    """x as an int when it is integral, else unchanged.  Python int and
-    Fraction mix exactly, so this only picks the cheaper representation."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _clips(later, nvars):
     """(i, sign) for every coordinate no later step can carry back into the
     box: sign * v_i <= radius must already hold after the current factor."""
@@ -174,14 +163,12 @@ def _clips(later, nvars):
     return out
 
 
-def _lines(acc, f, ratio, s, phi, top, clips, radius):
+def _lines(acc, f, s, phi, top, clips, radius):
     """(v, lo, hi, coef) for each point v of acc whose line v + n s,
     lo <= n <= hi, can still end in the box; coef is the coefficient of the
-    first point, n = lo, and ratio that of consecutive points."""
-    if f.direction == EXPAND_POSITIVE:
-        n0, first = 0, 1
-    else:
-        n0, first = 1, -ratio
+    first point, n = lo, and f.c the ratio of consecutive points."""
+    ratio = f.c
+    n0, first = (0, 1) if f.direction == EXPAND_POSITIVE else (1, -ratio)
     sigma = sum(map(mul, phi, s))
     for v, a in acc.items():
         lo, hi = n0, (top - sum(map(mul, phi, v))) // sigma
@@ -197,24 +184,6 @@ def _lines(acc, f, ratio, s, phi, top, clips, radius):
             yield v, lo, hi, a * first * ratio ** (lo - n0)
 
 
-def _ratio(f):
-    """The series ratio of the factor f: c, or 1/c on a negative factor, as
-    an int when it is integral.  Read off the numerator and denominator of
-    c, with no Fraction built for an int ratio: _integral asks for every
-    ratio on each expand_box and expand_to_degree call."""
-    n, d = f.c.numerator, f.c.denominator
-    if f.direction == EXPAND_NEGATIVE:
-        n, d = d, n
-    return n * d if d in (1, -1) else Fraction(n, d)
-
-
-def _integral(rc):
-    """True when every numerator value and series ratio of rc's terms is an
-    int, so that every expand_box cell of rc is an int by construction."""
-    return all(x.__class__ is int for t in rc.terms
-               for x in (*t.num.values(), *map(_ratio, t.den)))
-
-
 # orbit_comb's sign rule lets this cancel a term of each s3-contact circle: 2 walks, not 4
 def _like_terms(terms):
     """(num, den) per group of terms whose denominators are equal as
@@ -222,8 +191,7 @@ def _like_terms(terms):
     zeros, over the first term's factors in their order."""
     groups = {}
     for t in terms:
-        key = tuple(sorted((f.weight, f.direction, f.c.numerator, f.c.denominator)
-                           for f in t.den))
+        key = tuple(sorted((f.weight, f.direction, f.c) for f in t.den))
         if key in groups:
             num = groups[key][0]
             for v, c in t.num.items():
@@ -233,11 +201,11 @@ def _like_terms(terms):
     return [({v: c for v, c in num.items() if c}, den) for num, den in groups.values()]
 
 
-def _add_term(total, num, den, steps, ratios, phi, radius, strides):
-    """Add the coefficients of num over the factors den (with their steps,
-    series ratios and common functional phi) on the box max_i |v_i| <= radius
-    into the dense list total, whose cell for v is
-    radius * sum(strides) + sum_i v_i * strides[i]."""
+def _add_term(total, num, den, steps, phi, radius, strides):
+    """Add the coefficients of num over the factors den (with their steps and
+    common functional phi) on the box max_i |v_i| <= radius into the dense
+    list total, whose cell for v is radius * sum(strides) + sum_i v_i *
+    strides[i]."""
     offset = radius * sum(strides)
     acc = num
     if not den:
@@ -248,8 +216,9 @@ def _add_term(total, num, den, steps, ratios, phi, radius, strides):
     nvars = len(strides)
     top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
     last = len(steps) - 1
-    for j, (f, ratio, s) in enumerate(zip(den, ratios, steps)):
-        lines = _lines(acc, f, ratio, s, phi, top, _clips(steps[j + 1:], nvars), radius)
+    for j, (f, s) in enumerate(zip(den, steps)):
+        ratio = f.c
+        lines = _lines(acc, f, s, phi, top, _clips(steps[j + 1:], nvars), radius)
         if j == last:
             break
         nxt = {}
@@ -279,9 +248,8 @@ def _add_term(total, num, den, steps, ratios, phi, radius, strides):
 def expand_box(rc, radius):
     """Exact coefficients of rc on the box max_i |v_i| <= radius, one cell
     per point in the order of itertools.product(range(-radius, radius + 1),
-    repeat=rc.nvars): an int where the value is integral, a Fraction
-    otherwise.  Raises OutOfRange when the box has more than MAX_BOX_CELLS
-    cells."""
+    repeat=rc.nvars), each an int.  Raises OutOfRange when the box has more
+    than MAX_BOX_CELLS cells."""
     nvars = rc.nvars
     width = 2 * radius + 1
     cells = width ** nvars
@@ -296,12 +264,9 @@ def expand_box(rc, radius):
         if phi is None:
             raise MissingExpansionDirection(
                 "declared expansion directions admit no common positivity functional")
-        ratios = [_ratio(f) for f in den]
         if num:
-            _add_term(total, num, den, steps, ratios, phi, radius, strides)
-    if _integral(rc):
-        return total
-    return [c if c.__class__ is int else _exact(c) for c in total]
+            _add_term(total, num, den, steps, phi, radius, strides)
+    return total
 
 
 def box_dict(cells, nvars, radius):
@@ -320,32 +285,17 @@ def cell_index(weight, radius):
 
 
 def expand_to_degree(rc, max_degree):
-    """expand_box(rc, max_degree), the exact coefficients on the box of
-    radius max_degree, after the integrality gate.
-
-    Raises NonIntegerCoefficients if any coefficient of the box is not an
-    integer; integer multiplicities are part of the character contract, and a
-    fractional value signals a normalization error upstream.  expand_box
-    gives an int wherever the value is integral, so the check is one scan
-    of the cell types, skipped when the data of rc are integral (_integral),
-    and its list is returned as is.  The message names the lexicographically
-    first non-integer weight, which is the first non-integer cell.
-    """
-    cells = expand_box(rc, max_degree)
-    if not _integral(rc) and set(map(type, cells)) - {int}:
-        k, c = next((k, c) for k, c in enumerate(cells) if c.__class__ is not int)
-        weight = []
-        for _ in range(rc.nvars):
-            k, x = divmod(k, 2 * max_degree + 1)
-            weight.append(x - max_degree)
-        raise NonIntegerCoefficients(f"coefficient {c} at weight {tuple(reversed(weight))}")
-    return cells
+    """expand_box(rc, max_degree), the coefficients on the box of radius
+    max_degree.  Every cell is an int, since the model loader admits only
+    int numerators and evaluations c = +-1 (module doc); the index layer
+    calls this name, which the benchmark traces."""
+    return expand_box(rc, max_degree)
 
 
 def lattice_comb(nvars, direction):
     """Sum over the full sublattice Z*direction, split as the two directed
     geometric halves of the same factor (n >= 0 and n <= -1)."""
     zero = (0,) * nvars
-    pos = RCTerm({zero: 1}, (DenomFactor(tuple(direction), Fraction(1), EXPAND_POSITIVE),))
-    neg = RCTerm({zero: -1}, (DenomFactor(tuple(direction), Fraction(1), EXPAND_NEGATIVE),))
+    pos = RCTerm({zero: 1}, (DenomFactor(tuple(direction), 1, EXPAND_POSITIVE),))
+    neg = RCTerm({zero: -1}, (DenomFactor(tuple(direction), 1, EXPAND_NEGATIVE),))
     return RationalCharacter(nvars, (pos, neg))

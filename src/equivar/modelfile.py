@@ -12,7 +12,9 @@ A model file is one JSON document:
 element-expr grammar: sum of '+'/'-' separated terms, each a '*'-separated
 product of rational literals (p or p/q), parameter names, and generator
 names with optional ^int powers.  No parentheses.  A rational field outside
-an expression is an int or such a literal with an optional sign.
+an expression is an int or such a literal with an optional sign.  A normal
+weight's "eval", read as a rational field or a JSON number, and a locus's
+"orientationSign" must equal +1 or -1, and load as that int.
 
 A circle locus names the moment sample of its orbit by "frame" and
 "momentSample" (an index into that frame's "momentSamples"); the loader
@@ -232,6 +234,14 @@ def _parse_weight(v, nvars, where):
     return tuple(v)
 
 
+def _unit(v, what, at):
+    """v as the int +1 or -1, given as any number equal to one of them; else
+    the ParseError "<what> must be +1 or -1 in <at>"."""
+    if isinstance(v, bool) or v not in (1, -1):
+        raise ParseError(f"{what} must be +1 or -1 in {at}")
+    return int(v)
+
+
 def _parse_locus(it, nvars, frames):
     lid = _require(it, "locusId", str, "fixed locus")
     at = shown(lid, bare=True)
@@ -241,10 +251,13 @@ def _parse_locus(it, nvars, frames):
     tangent = tuple(_parse_weight(w, nvars, at)
                     for w in _optional(it, "tangentWeights", list, at, []))
     where = f"normal weight of {at}"
-    normal = tuple((_parse_weight(_require(nw, "weight", list, where), nvars, at),
-                    parse_rational(_require(nw, "eval", (int, str), where),
-                                   f"in {at}, field 'eval'"))
-                   for nw in _optional(it, "normalWeights", list, at, []))
+    normal = []
+    for nw in _optional(it, "normalWeights", list, at, []):
+        w = _parse_weight(_require(nw, "weight", list, where), nvars, at)
+        c = _require(nw, "eval", (int, float, str), where)
+        if c.__class__ is not float:
+            c = parse_rational(c, f"in {at}, field 'eval'")
+        normal.append((w, _unit(c, "eval", at)))
     dirs = []
     for d in _optional(it, "expansionDirections", list, at, []):
         if not isinstance(d, str) or d not in _DIRECTION_NAMES:
@@ -260,11 +273,9 @@ def _parse_locus(it, nvars, frames):
         if not 0 <= k < len(frames[fid].moment_samples or ()):
             raise ParseError(f"locus {shown(lid)}: frame {shown(fid)} has no momentSample {k}")
         sample = frames[fid].moment_samples[k]
-    sign = it.get("orientationSign", 1)
-    if isinstance(sign, bool) or sign not in (1, -1):
-        raise ParseError(f"orientationSign must be +1 or -1 in {at}")
-    return FixedLocusDatum(lid, ltype, tangent, normal, twist, sample,
-                           tuple(dirs), int(sign))
+    sign = _unit(it.get("orientationSign", 1), "orientationSign", at)
+    return FixedLocusDatum(lid, ltype, tangent, tuple(normal), twist, sample,
+                           tuple(dirs), sign)
 
 
 def model_from_dict(doc):

@@ -31,9 +31,9 @@ def hrr_cp1_oracle(n):
 
 
 def frobenius_multiplicity_oracle(n, m):
-    """Multiplicity of the torus weight n in the highest-weight-m irreducible,
-    by enumerating the weight string m, m-2, .., -m (none for m < 0)."""
-    return sum(1 for i in range(m + 1) if m - 2 * i == n)
+    """Multiplicity of the torus weight n in the highest-weight-m irreducible:
+    1 when n is in its weight string m, m-2, .., -m (empty for m < 0), else 0."""
+    return int(n in range(m, -m - 1, -2))
 
 
 def s3_contact_character_oracle(radius):

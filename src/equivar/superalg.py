@@ -147,11 +147,9 @@ _NO_DELTA = DeltaFactor("", (), "")
 
 
 def _exact(q):
-    """The exact rational q as an int when it is integral, else as a Fraction."""
+    """The int or Fraction q as an int when it is integral, else as a Fraction."""
     if q.__class__ is int:
         return q
-    if q.__class__ is not Fraction:
-        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 

@@ -64,6 +64,15 @@ def test_frobenius_oracle_branching_pattern():
                 frobenius_multiplicity_oracle(-n, m)
 
 
+def test_frobenius_oracle_counts_the_weight_string():
+    # the membership test agrees with a count over the enumerated string,
+    # negative m included
+    for n in range(-30, 31):
+        for m in range(-5, 60):
+            count = sum(1 for i in range(m + 1) if m - 2 * i == n)
+            assert frobenius_multiplicity_oracle(n, m) == count, (n, m)
+
+
 def _s3_table(radius):
     return {w: c for rect, c in s3_contact_character_oracle(radius) for w in product(*rect)}
 

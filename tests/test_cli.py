@@ -148,6 +148,11 @@ MALFORMED_DOCS = {
     # a frame whose momentSamples is absent has no sample to name
     "locus-frame-without-samples": ("s3-contact", lambda d: d["frames"][0].pop("momentSamples"),
                                     "frame 'co' has no momentSample 0"),
+    # a normal factor 1/(1 - c t^w) evaluates at c = +1 or -1 only, so every
+    # expanded coefficient is an int
+    **{f"eval-{name}": ("s3-contact", lambda d, v=v: d["fixedLoci"][0]["normalWeights"][0]
+                        .update(eval=v), "eval must be +1 or -1 in circle-z2-zero")
+       for name, v in (("half", "1/2"), ("two", 2), ("zero", 0), ("float", 0.5))},
 }
 
 
@@ -371,6 +376,25 @@ def test_render_names_a_rank_deficient_sample_without_its_matrix(tmp_path, capsy
     assert first["check"] == "tau:transversality" and first["status"] == "fail"
     assert first["witness"] == {"sampleIndex": 0, "rank": 1, "required": 2,
                                 "matrix": [[str(n), str(n)], [str(n), str(n)]]}
+
+
+def test_verify_line_names_long_witness_values(tmp_path, capsys):
+    # the transversality witness of a 2x2 moment sample of 3000-digit entries
+    # prints each entry by its length; the --json witness keeps the matrix
+    n = int("9" * 3000)
+    path = tmp_path / "long-moment.json"
+    path.write_text(json.dumps(_edited("t2-on-t2", lambda d: d["frames"][0].update(
+        momentSamples=[[[n, n], [n, n]]]))), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    line, = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("[fail] tau:transversality")]
+    assert len(line) < 300, line
+    assert line.endswith("'matrix': [['of 3000 characters', 'of 3000 characters'], "
+                         "['of 3000 characters', 'of 3000 characters']]}")
+    # an int of more than 40 digits by its bound; a tuple stays a tuple
+    big = 10 ** 40
+    assert cli._shown_leaves({"k": (big, -big, big - 1, "x" * 40, ["y" * 41])}) == \
+        {"k": ("at least 10^40", "at most -10^40", big - 1, "x" * 40, ["of 41 characters"])}
 
 
 def test_exponent_literal_rejected_at_once(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from equivar import laurent, linalg
 from equivar.characters import run_pipeline
 from equivar.charclass import localize_index
-from equivar.errors import MissingExpansionDirection, NonIntegerCoefficients, OutOfRange
+from equivar.errors import MissingExpansionDirection, OutOfRange
 from equivar.laurent import (
     EXPAND_NEGATIVE,
     EXPAND_POSITIVE,
@@ -20,10 +20,8 @@ from equivar.laurent import (
     RCTerm,
     _like_terms,
     _positivity_functional,
-    _ratio,
     box_dict,
     expand_box,
-    expand_to_degree,
     lattice_comb,
 )
 from equivar.modelfile import load_builtin
@@ -39,7 +37,7 @@ def _expand(rc, radius):
 
 def _geo(weight, direction, nvars=1):
     return RationalCharacter(
-        nvars, (RCTerm({(0,) * nvars: 1}, (DenomFactor(weight, F(1), direction),)),))
+        nvars, (RCTerm({(0,) * nvars: 1}, (DenomFactor(weight, 1, direction),)),))
 
 
 def _poly(nvars, coeffs):
@@ -48,13 +46,13 @@ def _poly(nvars, coeffs):
 
 def test_geometric_series_positive_side():
     box = _expand(_geo((1,), EXPAND_POSITIVE), 4)
-    assert box == {(n,): F(1) for n in range(5)}
+    assert box == {(n,): 1 for n in range(5)}
 
 
 def test_geometric_series_negative_side():
     # 1/(1-t) = -t^-1/(1-t^-1) on the other side of the pole
     box = _expand(_geo((1,), EXPAND_NEGATIVE), 4)
-    assert box == {(-n,): F(-1) for n in range(1, 5)}
+    assert box == {(-n,): -1 for n in range(1, 5)}
 
 
 def test_two_sides_differ_by_the_full_comb():
@@ -63,7 +61,7 @@ def test_two_sides_differ_by_the_full_comb():
     neg = _expand(_geo((1,), EXPAND_NEGATIVE), 6)
     comb = _expand(lattice_comb(1, (1,)), 6)
     for n in range(-6, 7):
-        assert pos.get((n,), F(0)) - neg.get((n,), F(0)) == comb.get((n,), F(0))
+        assert pos.get((n,), 0) - neg.get((n,), 0) == comb.get((n,), 0)
 
 
 def test_cauchy_product_consistency():
@@ -71,18 +69,17 @@ def test_cauchy_product_consistency():
     for _ in range(25):
         p1 = {(rng.randint(-2, 2),): rng.randint(1, 3)}
         r1 = RationalCharacter(
-            1, (RCTerm(p1, (DenomFactor((1,), F(1), EXPAND_POSITIVE),)),))
+            1, (RCTerm(p1, (DenomFactor((1,), 1, EXPAND_POSITIVE),)),))
         p2 = {(rng.randint(-2, 2),): rng.randint(1, 3),
               (rng.randint(3, 4),): rng.randint(-3, -1)}
         r2 = RationalCharacter(
-            1, (RCTerm(p2, (DenomFactor((2,), F(1), EXPAND_POSITIVE),)),))
+            1, (RCTerm(p2, (DenomFactor((2,), 1, EXPAND_POSITIVE),)),))
         prod = _expand(r1 * r2, 6)
         b1 = _expand(r1, 30)
         b2 = _expand(r2, 30)
         for n in range(-6, 7):
-            conv = sum((b1.get((i,), F(0)) * b2.get((n - i,), F(0))
-                        for i in range(-30, 31)), F(0))
-            assert prod.get((n,), F(0)) == conv, n
+            conv = sum(b1.get((i,), 0) * b2.get((n - i,), 0) for i in range(-30, 31))
+            assert prod.get((n,), 0) == conv, n
 
 
 def test_multiplying_back_the_denominator():
@@ -91,34 +88,24 @@ def test_multiplying_back_the_denominator():
         geo = _geo((3,), direction)
         poly = _poly(1, {(0,): 1, (3,): -1})
         back = _expand(poly * geo, 10)
-        assert back == {(0,): F(1)}
+        assert back == {(0,): 1}
 
 
 def test_reciprocal_inverse_pair():
-    rc = _poly(1, {(0,): 1, (1,): -2})
-    inv = RationalCharacter(
-        1, (RCTerm({(0,): 1}, (DenomFactor((1,), F(2), EXPAND_POSITIVE),)),))
-    assert _expand(rc * inv, 8) == {(0,): F(1)}
+    # (1 + t) * 1/(1 + t), the evaluation c = -1
+    rc = _poly(1, {(0,): 1, (1,): 1})
+    for direction in (EXPAND_POSITIVE, EXPAND_NEGATIVE):
+        inv = RationalCharacter(
+            1, (RCTerm({(0,): 1}, (DenomFactor((1,), -1, direction),)),))
+        assert _expand(rc * inv, 8) == {(0,): 1}
 
 
 def test_lattice_comb_two_variables():
     comb = lattice_comb(2, (1, 0))
     box = _expand(comb, 2)
     for a in range(-2, 3):
-        assert box.get((a, 0), F(0)) == F(1)
+        assert box.get((a, 0), 0) == 1
     assert all(w[1] == 0 for w in box)
-
-
-def test_expand_to_degree_integrality_gate():
-    half = _poly(1, {(0,): F(1, 2)})
-    with pytest.raises(NonIntegerCoefficients):
-        expand_to_degree(half, 3)
-    # the message names the lexicographically first non-integer weight
-    mixed = _poly(2, {(1, 0): F(1, 2), (0, 3): F(1, 3), (-2, 1): 2, (-1, 2): F(5, 2)})
-    with pytest.raises(NonIntegerCoefficients, match=r"coefficient 5/2 at weight \(-1, 2\)$"):
-        expand_to_degree(mixed, 3)
-    whole = _poly(1, {(2,): 4})
-    assert box_dict(expand_to_degree(whole, 3), 1, 3) == {(2,): 4}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +147,7 @@ def _reference_term(term, radius, nvars, bound):
                 series[tuple(n * x for x in f.weight)] = cpow
                 cpow *= f.c
         else:
-            cinv = 1 / f.c
+            cinv = 1 / F(f.c)
             cpow = cinv
             for n in range(1, nmax + 1):
                 series[tuple(-n * x for x in f.weight)] = -cpow
@@ -184,8 +171,8 @@ def _reference_expand_box(rc, radius, bound=4):
             if c != 0 and all(abs(x) <= radius for x in v)}
 
 
-_COEFFS = (1, -1, 2, -3, F(1, 2), F(-2, 3))
-_CS = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(3))
+_COEFFS = (1, -1, 2, -3, 5, -4)
+_CS = (1, -1)
 
 
 def _nonzero_weight(rng, nvars, wmax):
@@ -220,17 +207,17 @@ def _random_character(rng, nvars=None, wmax=2):
 
 def test_expand_box_matches_reference_on_random_characters():
     rng = random.Random(20)
-    seen = {"radius0": 0, "empty": 0, "fractional": 0, "negative": 0}
+    seen = {"radius0": 0, "empty": 0, "negative": 0}
     for _ in range(300):
         rc = _random_character(rng)
         radius = rng.randint(0, 4)
-        got = _expand(rc, radius)
+        cells = expand_box(rc, radius)
+        assert all(type(c) is int for c in cells)
+        got = box_dict(cells, rc.nvars, radius)
         assert got == _reference_expand_box(rc, radius)
-        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
         dens = [f for t in rc.terms for f in t.den]
         seen["radius0"] += radius == 0
         seen["empty"] += not got
-        seen["fractional"] += any(c.denominator != 1 for c in got.values())
         seen["negative"] += any(f.direction == EXPAND_NEGATIVE and f.c < 0 for f in dens)
     assert all(seen.values()), seen
 
@@ -253,7 +240,7 @@ def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
         rc = _random_character(rng, nvars, wmax)
         got = _expand(rc, radius)
         assert got == _reference_expand_box(rc, radius), (nvars, radius)
-        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
+        assert all(type(c) is int for c in got.values())
         last = [t.den[-1].step() for t in rc.terms if t.den]
         flat = _flat_steps(rc, radius)
         seen["long"] += bool(got) and any(max(map(abs, s)) > 2 * radius for s in last)
@@ -276,12 +263,12 @@ def test_expand_box_too_large_to_hold():
 def test_expand_box_accumulator_clipped_to_empty():
     # t^5 / (1 - t): every point of the series lies right of the box
     far = RationalCharacter(1, (RCTerm({(5,): 1},
-                                       (DenomFactor((1,), F(1), EXPAND_POSITIVE),)),))
+                                       (DenomFactor((1,), 1, EXPAND_POSITIVE),)),))
     assert _expand(far, 3) == {} == _reference_expand_box(far, 3)
     # the first factor clips to nothing before the second is walked
     two = RationalCharacter(2, (RCTerm({(0, 4): 1},
-                                       (DenomFactor((0, 1), F(2), EXPAND_POSITIVE),
-                                        DenomFactor((1, 0), F(1), EXPAND_NEGATIVE))),))
+                                       (DenomFactor((0, 1), -1, EXPAND_POSITIVE),
+                                        DenomFactor((1, 0), 1, EXPAND_NEGATIVE))),))
     assert _expand(two, 2) == {} == _reference_expand_box(two, 2)
     assert _expand(two, 0) == {} and _expand(_geo((1,), EXPAND_POSITIVE), 0) == {(0,): 1}
 
@@ -294,9 +281,9 @@ def test_expand_box_matches_reference_on_s3_contact():
 def test_functional_outside_small_search_window():
     # (1,-4) and (-4,17) admit phi = (21, 5) only with entries above 4
     assert _reference_functional([(1, -4), (-4, 17)], 2, 4) is None
-    rc = RationalCharacter(2, (RCTerm({(1, 0): F(3, 2)},
-                                      (DenomFactor((1, -4), F(-1), EXPAND_POSITIVE),
-                                       DenomFactor((4, -17), F(2), EXPAND_NEGATIVE))),))
+    rc = RationalCharacter(2, (RCTerm({(1, 0): 3},
+                                      (DenomFactor((1, -4), -1, EXPAND_POSITIVE),
+                                       DenomFactor((4, -17), -1, EXPAND_NEGATIVE))),))
     got = _expand(rc, 6)
     assert got and got == _reference_expand_box(rc, 6, bound=21)
 
@@ -414,8 +401,8 @@ def test_functional_searched_once_per_step_set(monkeypatch):
 
 def test_no_functional_still_rejected():
     opposite = RationalCharacter(1, (RCTerm({(0,): 1},
-                                            (DenomFactor((1,), F(1), EXPAND_POSITIVE),
-                                             DenomFactor((1,), F(1), EXPAND_NEGATIVE))),))
+                                            (DenomFactor((1,), 1, EXPAND_POSITIVE),
+                                             DenomFactor((1,), 1, EXPAND_NEGATIVE))),))
     with pytest.raises(MissingExpansionDirection):
         expand_box(opposite, 3)
 
@@ -460,59 +447,17 @@ def test_like_denominators_summed_match_reference():
         radius = rng.randint(0, 4)
         got = _expand(rc, radius)
         assert got == _reference_expand_box(rc, radius)
-        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.values())
+        assert all(type(c) is int for c in got.values())
     assert all(seen.values()), seen
 
 
 def test_cancelled_group_without_functional_still_raises():
-    pos = DenomFactor((1,), F(1), EXPAND_POSITIVE)
-    neg = DenomFactor((1,), F(1), EXPAND_NEGATIVE)
+    pos = DenomFactor((1,), 1, EXPAND_POSITIVE)
+    neg = DenomFactor((1,), 1, EXPAND_NEGATIVE)
     rc = RationalCharacter(1, (RCTerm({(0,): 1}, (pos, neg)), RCTerm({(0,): -1}, (neg, pos))))
     assert _like_terms(rc.terms) == [({}, (pos, neg))]
     with pytest.raises(MissingExpansionDirection):
         expand_box(rc, 3)
-
-
-def test_series_ratio_is_the_exact_power_of_c():
-    # c ** direction, an int when integral; 1/0 raises as Fraction does
-    for c in [F(n, d) for n in range(-6, 7) for d in range(1, 5)]:
-        for direction in (EXPAND_POSITIVE, EXPAND_NEGATIVE):
-            f = DenomFactor((1,), c, direction)
-            if not c and direction == EXPAND_NEGATIVE:
-                with pytest.raises(ZeroDivisionError):
-                    _ratio(f)
-                continue
-            want = c ** direction
-            got = _ratio(f)
-            assert got == want and (type(got) is int) == (want.denominator == 1), (c, direction)
-
-
-def test_integral_sums_of_fraction_data_come_back_as_int():
-    half = F(1, 2)
-    pos = DenomFactor((1, 0), F(1), EXPAND_POSITIVE)
-    whole_c = DenomFactor((0, 1), F(3), EXPAND_POSITIVE)  # a Fraction c that is integral
-    cases = [
-        RationalCharacter(2, (RCTerm({(0, 0): half}, (pos,)), RCTerm({(0, 0): half}, (pos,)))),
-        RationalCharacter(2, (RCTerm({(1, -1): F(4, 3)}, (whole_c, pos)),
-                              RCTerm({(1, -1): F(2, 3)}, (pos, whole_c)))),
-        RationalCharacter(2, (RCTerm({(-1, 0): F(5)}, (whole_c,)),)),
-    ]
-    for rc in cases:
-        cells = expand_box(rc, 3)
-        assert all(type(c) is int for c in cells)
-        assert box_dict(cells, 2, 3) == _reference_expand_box(rc, 3) != {}
-
-
-def test_integrality_message_on_a_2d_box():
-    # -sum_{n >= 1} 2^-n t1^-n plus an integral series along t2
-    rc = RationalCharacter(2, (
-        RCTerm({(0, 0): 1}, (DenomFactor((1, 0), F(2), EXPAND_NEGATIVE),)),
-        RCTerm({(0, -2): 3}, (DenomFactor((0, 1), F(1), EXPAND_POSITIVE),))))
-    box = _reference_expand_box(rc, 2)
-    v, c = next((v, c) for v, c in sorted(box.items()) if c.denominator != 1)
-    assert (v, c) == ((-2, 0), F(-1, 4))
-    with pytest.raises(NonIntegerCoefficients, match=r"^coefficient -1/4 at weight \(-2, 0\)$"):
-        expand_to_degree(rc, 2)
 
 
 def test_s3_contact_expansion_walks_two_groups(monkeypatch):

@@ -229,8 +229,8 @@ def test_fixed_locus_parsing():
 
 def test_orientation_sign_is_an_int_numerator_coefficient():
     """JSON 1.0 and -1.0 pass the +-1 check; the parser stores them as int,
-    so the numerator {twist: sign} keeps integer coefficients and the
-    expansion passes the integrality gate."""
+    so the numerator {twist: sign} keeps integer coefficients and every
+    expanded coefficient is an int."""
     doc = json.loads(resources.files("equivar.models").joinpath("s3-contact.json")
                      .read_text(encoding="utf-8"))
     for locus in doc["fixedLoci"]:
@@ -239,6 +239,23 @@ def test_orientation_sign_is_an_int_numerator_coefficient():
     assert all(type(d.orientation_sign) is int for d in m.fixed_loci)
     expected = expand_to_degree(localize_index(load_builtin("s3-contact").fixed_loci, 2), 4)
     assert expand_to_degree(localize_index(m.fixed_loci, 2), 4) == expected
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, "-1", -1.0])
+def test_eval_loads_as_an_int_unit(value):
+    """eval, given as a literal or a JSON number equal to +1 or -1, loads as
+    that int; at +1 every locus expands as the built-in does."""
+    doc = json.loads(resources.files("equivar.models").joinpath("s3-contact.json")
+                     .read_text(encoding="utf-8"))
+    for locus in doc["fixedLoci"]:
+        for nw in locus["normalWeights"]:
+            nw["eval"] = value
+    m = model_from_dict(doc)
+    evals = [c for d in m.fixed_loci for _, c in d.normal_weights]
+    assert evals and all(type(c) is int and c == float(value) for c in evals)
+    if float(value) == 1:
+        expected = expand_to_degree(localize_index(load_builtin("s3-contact").fixed_loci, 2), 4)
+        assert expand_to_degree(localize_index(m.fixed_loci, 2), 4) == expected
 
 
 def test_base_data_parsing():
