@@ -15,10 +15,12 @@ report.report_status reads the status of the whole report from its entries.
 
 A printed character table holds only compared numbers: it is the
 {weight: coefficient} dict that an oracle entry compared (_table), or, for
-s3-contact, the window that contact-box-oracle compared.  Only a failing
-entry carries a witness.  An entry that compares two weight dicts names the
-first 10 weights where they differ, with both values (_mismatch_witness);
-cp1-l2's names its first 10 failing irreducibles the same way.
+s3-contact, a window sliced from the box cells that contact-box-oracle
+compared.  Only a failing entry carries a witness.  An entry that compares
+two weight dicts is built by _compared, which names the first 10 weights
+where they differ, with both values (_mismatch_witness); cp1-l2's rows are
+irreducibles, not weights, and its entry names its first 10 failing
+irreducibles the same way.
 """
 
 from fractions import Fraction
@@ -26,7 +28,8 @@ from itertools import product as iproduct
 from math import factorial, lcm
 
 from .charclass import CIRCLE, FixedLocusDatum, localize_index, series_inverse
-from .errors import NonIntegerCoefficients, OutOfRange, UnknownExample, UsageError, shown
+from .errors import (NonIntegerCoefficients, NotPrincipal, OutOfRange, UnknownExample,
+                     UsageError, shown)
 from .genco import taylor_expand_delta
 from .jform import chern_weil_pair, j_form
 from .laurent import box_dict, cell_index, expand_to_degree
@@ -55,6 +58,13 @@ def _mismatch_witness(coeffs, oracle):
             "oracle": [oracle.get(w, 0) for w in bad]}
 
 
+def _compared(check, coeffs, oracle):
+    """The entry check comparing the {weight: coefficient} dicts coeffs and
+    oracle, with their _mismatch_witness when they differ."""
+    ok = coeffs == oracle
+    return entry(check, ok, None if ok else _mismatch_witness(coeffs, oracle))
+
+
 # ---------------------------------------------------------------------------
 # torus zero operator
 
@@ -78,9 +88,8 @@ def _torus_zero():
         oracle = {w: c for w in iproduct(range(-window, window + 1), repeat=rank_l)
                   if (c := l2_torus_oracle(w))}
         coeffs = box_dict(cells, rank_l, window)
-        ok = coeffs == oracle
-        results.append(entry(f"{prefix}regular-representation-window-{window}", ok,
-                             None if ok else _mismatch_witness(coeffs, oracle)))
+        results.append(_compared(f"{prefix}regular-representation-window-{window}",
+                                 coeffs, oracle))
         if chars is None:
             chars = _table(coeffs)
     return results, chars, {}
@@ -101,10 +110,7 @@ def _cp1_dolbeault(twist, max_degree):
     radius = max(max_degree, abs(twist) + 2)
     cells = expand_to_degree(localize_index(_cp1_loci(m, twist), 1), radius)
     coeffs = box_dict(cells, 1, radius)
-    oracle = cp1_sheaf_character_oracle(twist)
-    ok = coeffs == oracle
-    results = [entry("sheaf-character-oracle", ok,
-                     None if ok else _mismatch_witness(coeffs, oracle))]
+    results = [_compared("sheaf-character-oracle", coeffs, cp1_sheaf_character_oracle(twist))]
     return results, _table(coeffs), {"case": "ETM", "twist": twist}
 
 
@@ -168,7 +174,9 @@ def hopf_multiplicities(m, fid, isotypes):
     fid of m.
 
     The multiplicity at k is vol * [Psi^h](Todd * exp(k c)) with c the
-    curvature, h half the base dimension.  c is even and nilpotent, so
+    curvature, h half the base dimension and Psi the one even generator that
+    c is a multiple of, whatever the model names it (NotPrincipal when c is
+    not one such term).  c is even and nilpotent, so
     exp(k c) = sum_j k^j c^j/j! is a finite sum, and pairing with Todd is
     linear: the multiplicity is the polynomial sum_j a_j k^j with
     a_j = vol * [Psi^h](Todd * c^j/j!).  The a_j are computed once and the
@@ -183,7 +191,12 @@ def hopf_multiplicities(m, fid, isotypes):
         [Fraction((-1) ** j, factorial(j + 1)) for j in range(half_dim + 2)])
     td = chern_weil_pair(m, fid, {(j,): c * tw ** j for j, c in enumerate(td_series) if c})
     c = chern_weil_pair(m, fid, {(1,): 1})
-    coeffs = [vol * _even_coefficient(multiply(td, piece, m), "Psi", half_dim)
+    t = c.terms[0] if len(c.terms) == 1 else None
+    if t is None or t.delta is not None or t.odd_mono or [e for _, e in t.even_mono] != [1]:
+        raise NotPrincipal(f"frame {shown(fid)} has a curvature that is not one term "
+                           "in one even generator")
+    (name, _), = t.even_mono
+    coeffs = [vol * _even_coefficient(multiply(td, piece, m), name, half_dim)
               for piece in graded_exp_pieces(c, m)]
     den = lcm(*(a.denominator for a in coeffs))
     scaled = [a.numerator * (den // a.denominator) for a in reversed(coeffs)]
@@ -226,9 +239,7 @@ def _hopf(max_degree):
     isotypes = range(_HOPF_LOW, max_degree + 1)
     coeffs = {(k,): v for k, v in hopf_multiplicities(m, "conn", isotypes).items()}
     oracle = {(k,): hrr_cp1_oracle(k) for k in isotypes}
-    ok = coeffs == oracle
-    results = [entry("orbifold-multiplicities", ok,
-                     None if ok else _mismatch_witness(coeffs, oracle))]
+    results = [_compared("orbifold-multiplicities", coeffs, oracle)]
     return results, _table(coeffs), {"window": [_HOPF_LOW, max_degree]}
 
 
@@ -245,10 +256,10 @@ def _s3_contact(max_degree):
     every non-zero weight of the oracle, so the box matches when every row
     does and the cells hold no more non-zero values than the quadrants have
     weights.  The printed table is the window of radius min(3, max_degree),
-    at most 49 cells read from the checked cells through cell_index, and the
-    same entry compares it with the oracle on the box of the window, whose
-    quadrants are the window's part of the quadrants above.  The dict of the
-    whole box and the witness are built only on a mismatch."""
+    at most 49 cells read through cell_index from the box cells just
+    compared: the window lies inside the box, so every printed number has
+    been compared with the oracle.  The oracle is called once.  The dict of
+    the whole box and the witness are built only on a mismatch."""
     m = load_builtin("s3-contact")
     results = []
     disp = taylor_expand_delta(j_form(m, "co"), "co", m)
@@ -273,14 +284,8 @@ def _s3_contact(max_degree):
     window = min(3, max_degree)
     span = range(-window, window + 1)
     printed = {w: c for w in iproduct(span, span) if (c := cells[cell_index(w, max_degree)])}
-    expected = {w: c for rect, c in s3_contact_character_oracle(window) for w in iproduct(*rect)}
-    witness = None
-    if not ok:
-        witness = _mismatch_witness(box_dict(cells, 2, max_degree),
-                                    {w: c for rect, c in quadrants for w in iproduct(*rect)})
-    elif printed != expected:
-        witness = _mismatch_witness(printed, expected)
-    results.append(entry("contact-box-oracle", witness is None, witness))
+    results.append(entry("contact-box-oracle", ok, None if ok else _mismatch_witness(
+        box_dict(cells, 2, max_degree), {w: c for rect, c in quadrants for w in iproduct(*rect)})))
     return results, _table(printed), {}
 
 

@@ -23,7 +23,7 @@ that evaluate at the int c = +1 or -1 that the model loader admits.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MissingExpansionDirection, NonIntegerCoefficients, ZeroWeight
+from .errors import MissingExpansionDirection, NonIntegerCoefficients, ZeroWeight, shown
 from .laurent import DenomFactor, RationalCharacter, RCTerm, lattice_comb
 
 ISOLATED_POINT = "isolatedPoint"
@@ -101,14 +101,14 @@ def fixed_point_contribution(datum, nvars):
     dirs = datum.expansion_directions
     if len(dirs) != len(weights):
         raise MissingExpansionDirection(
-            f"locus {datum.locus_id!r}: {len(weights)} factors, {len(dirs)} directions")
+            f"locus {shown(datum.locus_id)}: {len(weights)} factors, {len(dirs)} directions")
     factors = tuple(DenomFactor(w, c, d) for (w, c), d in zip(weights, dirs))
     twist = datum.twist_weight or (0,) * nvars
     rc = RationalCharacter(nvars, (RCTerm({twist: datum.orientation_sign}, factors),))
     if datum.locus_type == CIRCLE:
         rc = rc * orbit_comb(datum.moment_sample, nvars)
     elif datum.locus_type != ISOLATED_POINT:
-        raise MissingExpansionDirection(f"unknown locus type {datum.locus_type!r}")
+        raise MissingExpansionDirection(f"unknown locus type {shown(datum.locus_type)}")
     return rc
 
 

@@ -27,7 +27,7 @@ import random
 import sys
 
 from .characters import EXAMPLES, run_pipeline
-from .errors import SHOWN_CHARS, EquivarError, NotTransverse, UsageError, shown
+from .errors import SHOWN_CHARS, EquivarError, NotTransverse, OutOfRange, UsageError, shown
 from .genco import fourier_fibre_integrate
 from .jform import check_closed, frame_change_compare, j_form
 from .linalg import random_gl_plus
@@ -39,6 +39,12 @@ from .superalg import add, equivariant_differential
 
 # random frame changes per frame in verify; the entry name carries the count
 FRAME_TRIALS = 25
+# the most Koszul pairs that verify walks, counted before any frame's work
+# as (FRAME_TRIALS + 1) * k * 2^k per frame of rank k: the trials' wedges
+# and the Fourier pieces.  Worst time at the cap (Python 3.11, 2-core Intel
+# Xeon): the rank-14 torus acting on itself, 5,963,776 pairs, 1.4-1.8 s in
+# a fresh process.  The golden and benchmark models reach rank 6, 9,984 pairs.
+MAX_VERIFY_PAIRS = 6_000_000
 
 
 def _load(source):
@@ -51,6 +57,10 @@ def _load(source):
 
 
 def run_verify(model, seed=0):
+    pairs = sum((FRAME_TRIALS + 1) * fr.rank * 2 ** fr.rank for fr in model.frames.values())
+    if pairs > MAX_VERIFY_PAIRS:
+        raise OutOfRange(f"verify of model {shown(model.name)} would walk {shown(pairs)} "
+                         f"Koszul pairs, more than {MAX_VERIFY_PAIRS}")
     rng = random.Random(seed)
     results = []
     rendered = {}

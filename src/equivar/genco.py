@@ -32,11 +32,6 @@ from .superalg import (ARG_CLOSED, ARG_MOMENT, PLAIN_FORM, DeltaFactor, Element,
                        FormalModel, Generator, Term, _new_tuple, add, equivariant_differential,
                        fold, graded_exp_pieces, normal_form, taylor_fold)
 
-__all__ = [
-    "DeltaFactor", "delta_linear_substitute", "taylor_expand_delta",
-    "fourier_fibre_integrate", "with_fibre_coordinates",
-]
-
 # most multi-indices J, C(bound + k, k) of them, that one Taylor display may
 # walk: every golden (126) and perfbench model (at most 210) stays below it,
 # split-rank4 up to dim 29 (1820)
@@ -102,7 +97,7 @@ def taylor_expand_delta(e, frame_id, m):
     """
     fr = m.frames[frame_id]
     if fr.dalpha is None:
-        raise SplittingMissing(f"frame {frame_id!r} declares no (dalpha, f) split")
+        raise SplittingMissing(f"frame {shown(frame_id)} declares no (dalpha, f) split")
     rest, heads = [], []
     for t in e.terms:
         delta = t.delta

@@ -32,33 +32,33 @@ from .superalg import (DeltaFactor, Element, Term, _new_tuple, equivariant_diffe
 
 
 def check_transversality(m, frame_id):
-    """(ok, witness): the moment matrix must have full rank k at every sample.
+    """None when the moment matrix has full rank k at every sample; else
+    raises NotTransverse, whose witness names the first sample that does
+    not: {sampleIndex, rank, required, matrix}.
 
     The rank condition says X -> f_alpha(X) hits every co-direction of the
     frame, which is what makes delta_0(u) well defined as a generalized
-    coefficient.  Rank is computed exactly over the rationals.
+    coefficient.  Rank is computed exactly over the rationals.  A frame of
+    rank k > 0 with no samples raises RankDataMissing.
     """
     fr = m.frames[frame_id]
     if fr.rank == 0:
-        return True, None
+        return
     if fr.moment_samples is None:
         raise RankDataMissing(f"frame {shown(frame_id)} declares no moment samples")
     for i, sample in enumerate(fr.moment_samples):
         r = linalg.rank(sample)
         if r != fr.rank:
-            return False, {"sampleIndex": i, "rank": r, "required": fr.rank,
-                           "matrix": [[str(x) for x in row] for row in sample]}
-    return True, None
+            raise NotTransverse(f"frame {shown(frame_id)} moment data not full rank: sample "
+                                f"{i} has rank {r}, not {fr.rank}",
+                                {"sampleIndex": i, "rank": r, "required": fr.rank,
+                                 "matrix": [[str(x) for x in row] for row in sample]})
 
 
 def j_form(m, frame_id):
     """J of the frame, after its transversality check."""
     fr = m.frames[frame_id]
-    ok, witness = check_transversality(m, frame_id)
-    if not ok:
-        raise NotTransverse(f"frame {shown(frame_id)} moment data not full rank: sample "
-                            f"{witness['sampleIndex']} has rank {witness['rank']}, "
-                            f"not {witness['required']}", witness)
+    check_transversality(m, frame_id)
     alphas = [m.gen(name) for name in reversed(fr.alpha_slots)]
     return multiply(product(alphas, m), m.delta(frame_id), m)
 
@@ -117,7 +117,7 @@ def chern_weil_pair(m, frame_id, poly):
     """
     fr = m.frames[frame_id]
     if fr.dalpha is None:
-        raise NotPrincipal(f"frame {frame_id!r} declares no curvature split")
+        raise NotPrincipal(f"frame {shown(frame_id)} declares no curvature split")
     if fr.rank != m.r:
         raise NotPrincipal("frame rank differs from parameter count")
     if fr.moment_samples is None:

@@ -120,6 +120,9 @@ class RationalCharacter:
             for t1 in self.terms for t2 in other.terms))
 
 
+# cp1-l2 expands every row over the same steps, so each step tuple is
+# searched once
+@lru_cache(maxsize=256)
 def _positivity_functional(steps, nvars):
     """Integer phi with phi . s >= 1 for every step, or None if none exists.
 
@@ -131,7 +134,8 @@ def _positivity_functional(steps, nvars):
     vector phi = sum_j det(G_j) b_j, G_j being G with column j set to ones,
     is det G times that vertex: phi . b = det G >= 1 on B when B is
     independent, and 0 when it is not.  The first phi over the bases in
-    combinations order with phi . s >= 1 for every step is returned.
+    combinations order with phi . s >= 1 for every step is returned.  steps
+    is a tuple, the key of the cache.
     """
     for basis in combinations(steps, linalg.rank(steps)):
         gram = [[sum(map(mul, b, c)) for c in basis] for b in basis]
@@ -141,14 +145,6 @@ def _positivity_functional(steps, nvars):
         if all(sum(map(mul, phi, s)) >= 1 for s in steps):
             return phi
     return None
-
-
-@lru_cache(maxsize=256)
-def _functional(steps, nvars):
-    """_positivity_functional of a tuple of steps, searched once per step
-    tuple: step sets recur, as in cp1-l2, whose expansion at each irreducible
-    has the same steps."""
-    return _positivity_functional(steps, nvars)
 
 
 def _clips(later, nvars):
@@ -260,7 +256,7 @@ def expand_box(rc, radius):
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
     for num, den in _like_terms(rc.terms):
         steps = tuple(f.step() for f in den)
-        phi = _functional(steps, nvars) if den else ()
+        phi = _positivity_functional(steps, nvars) if den else ()
         if phi is None:
             raise MissingExpansionDirection(
                 "declared expansion directions admit no common positivity functional")

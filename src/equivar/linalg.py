@@ -11,16 +11,17 @@ the row swaps, which is the determinant when the rows are square of full
 rank.  _integer_rows feeds it a rational matrix: each row times the lcm of
 its denominators, with the product of those row scales, which det divides
 out.  Fractions appear only at the boundary: det returns one, rank an int.
-inverse is the matrix of cofactors over det; it runs only for derivative
-deltas.
+inverse is the matrix of cofactors over det, each cofactor a det of its
+minor; it runs only for derivative deltas.
 
 random_gl_plus draws the frame changes, integer matrices with entries
 uniform on -3..3, and eliminates the integer rows it drew directly, with no
 denominators to clear.  It remembers the matrix it returns with its
-determinant as a Fraction, negated or not; det reads that memo and writes
-none.  So a frame trial, which asks for the determinant of its matrix again
-after the draw, runs the elimination once, and delta_linear_substitute gets
-an exact 1/det.  No function here needs its input converted first.
+determinant as a Fraction, negated or not; det reads that memo before it
+eliminates, and writes none.  So a frame trial, which asks for the
+determinant of its matrix again after the draw, runs the elimination once,
+and delta_linear_substitute gets an exact 1/det.  No function here needs
+its input converted first.
 """
 
 from fractions import Fraction
@@ -77,14 +78,6 @@ def rank(a):
     return _bareiss(_integer_rows(a)[0])[0]
 
 
-def _bareiss_det(a):
-    """det a: the determinant of a's integer rows over the product of the row
-    scales."""
-    rows, scale = _integer_rows(a)
-    r, last = _bareiss(rows)
-    return Fraction(last, scale) if r == len(a) else Fraction(0)
-
-
 # (matrix, det) of the last matrix random_gl_plus returned (see the module
 # docstring).  Keyed by identity: hashing a matrix runs a Python-level
 # Fraction.__hash__ per Fraction entry, which costs more than it saves, and a
@@ -93,21 +86,26 @@ _last_det = (None, None)
 
 
 def det(a):
+    """det a, as a Fraction: the memo when a is the matrix random_gl_plus
+    last returned, else the determinant of a's integer rows over the product
+    of the row scales."""
     last, d = _last_det
     if a is last:
         return d
-    return _bareiss_det(a)
+    rows, scale = _integer_rows(a)
+    r, pivot = _bareiss(rows)
+    return Fraction(pivot, scale) if r == len(a) else Fraction(0)
 
 
 def inverse(a):
     """Entry (i, j) is (-1)^(i+j) det(a without row j and column i) / det a.
-    Raises ZeroDivisionError when a is singular."""
+    Each minor is a new list, so it never hits det's memo.  Raises
+    ZeroDivisionError when a is singular."""
     d = det(a)
     if not d:
         raise ZeroDivisionError("singular matrix")
     n = len(a)
-    return tuple(tuple((-1) ** (i + j) / d * _bareiss_det([r[:i] + r[i + 1:]
-                                                           for r in a[:j] + a[j + 1:]])
+    return tuple(tuple((-1) ** (i + j) / d * det([r[:i] + r[i + 1:] for r in a[:j] + a[j + 1:]])
                        for j in range(n)) for i in range(n))
 
 

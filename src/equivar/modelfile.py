@@ -432,5 +432,4 @@ def load_builtin(name):
     path = os.path.join(_MODELS, name + ".json")
     if not os.path.isfile(path):
         raise UnknownExample(f"no built-in model {shown(name)}; have {builtin_names()}")
-    with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    return load_model(path)

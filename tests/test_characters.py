@@ -11,8 +11,8 @@ import pytest
 from equivar import characters, charclass, jform, laurent, modelfile, superalg
 from equivar.charclass import series_inverse
 from equivar.characters import EXAMPLES, run_pipeline
-from equivar.errors import (InvariantViolation, NonIntegerCoefficients, OutOfRange,
-                            UnknownExample, UsageError)
+from equivar.errors import (InvariantViolation, NonIntegerCoefficients, NotPrincipal,
+                            OutOfRange, UnknownExample, UsageError)
 from equivar.jform import chern_weil_pair
 from equivar.modelfile import model_from_dict
 from equivar.oracles import (cp1_sheaf_character_oracle, frobenius_multiplicity_oracle,
@@ -300,6 +300,34 @@ def test_hopf_polynomial_matches_per_isotype_route():
     assert degrees == {1, 2}
 
 
+def _hopf_doc():
+    return json.loads(resources.files("equivar").joinpath("models", "hopf.json")
+                      .read_text(encoding="utf-8"))
+
+
+def test_hopf_multiplicities_do_not_depend_on_the_curvature_name():
+    """Renaming the curvature generator, in its declaration, its tables and
+    the split, changes no multiplicity."""
+    window = range(-5, 41)
+    want = characters.hopf_multiplicities(modelfile.load_builtin("hopf"), "conn", window)
+    renamed = model_from_dict(json.loads(json.dumps(_hopf_doc()).replace('"Psi"', '"F"')))
+    assert "Psi" not in renamed.generators
+    assert characters.hopf_multiplicities(renamed, "conn", window) == want
+    assert want == {k: k + 1 for k in window}
+
+
+def test_hopf_curvature_must_be_one_even_generator():
+    doc = _hopf_doc()
+    doc["generators"].append({"name": "Q", "parity": "even", "formDegree": 2})
+    doc["dTable"]["Q"] = "0"
+    doc["iotaTable"]["Q"] = ["0"]
+    doc["frames"][0]["split"] = ["Psi + Q"]
+    with pytest.raises(NotPrincipal) as e:
+        characters.hopf_multiplicities(model_from_dict(doc), "conn", range(3))
+    assert str(e.value) == ("frame 'conn' has a curvature that is not one term "
+                            "in one even generator")
+
+
 def test_hopf_multiply_calls_independent_of_window(monkeypatch):
     calls = []
     multiply_ = superalg.multiply
@@ -519,23 +547,31 @@ def test_passing_s3_contact_builds_no_weight_dict(monkeypatch):
     assert calls == [(2, 30)]
 
 
-def test_printed_window_is_compared(monkeypatch):
-    """contact-box-oracle also compares the printed window with the oracle on
-    the box of the window: an oracle that is negated only there turns the
-    entry to fail, with the window's first 10 mismatches as its witness."""
-    oracle = characters.s3_contact_character_oracle
+def test_printed_window_is_a_slice_of_the_compared_cells(monkeypatch):
+    """A wrong cell inside the printed window fails contact-box-oracle, with
+    that weight as its witness, and the printed table shows the wrong value:
+    the window is read from the cells that the entry compared, and the
+    oracle is asked once."""
+    expand, oracle = characters.expand_to_degree, characters.s3_contact_character_oracle
+    radii = []
 
-    def negated_on_the_window(radius):
-        quadrants = oracle(radius)
-        return quadrants if radius == 20 else tuple((rect, -c) for rect, c in quadrants)
+    def negated_at_one_one(rc, max_degree):
+        cells = expand(rc, max_degree)
+        k = laurent.cell_index((1, 1), max_degree)
+        cells[k] = -cells[k]
+        return cells
 
-    monkeypatch.setattr(characters, "s3_contact_character_oracle", negated_on_the_window)
+    def counted(radius):
+        radii.append(radius)
+        return oracle(radius)
+
+    monkeypatch.setattr(characters, "expand_to_degree", negated_at_one_one)
+    monkeypatch.setattr(characters, "s3_contact_character_oracle", counted)
     rep = run_pipeline("s3-contact")
-    assert _statuses(rep)["contact-box-oracle"] == "fail"
     entry, = [r for r in rep["results"] if r["check"] == "contact-box-oracle"]
-    negative = list(product((-3, -2, -1), repeat=2))
-    assert entry["witness"] == {"weights": negative + [(0, 0)],
-                                "computed": [-1] * 9 + [1], "oracle": [1] * 9 + [-1]}
-    # the printed table is still the window of the checked cells
+    assert entry == {"check": "contact-box-oracle", "status": "fail",
+                     "witness": {"weights": [(1, 1)], "computed": [-1], "oracle": [1]}}
     rows = {tuple(r["weight"]): r["coefficient"] for r in rep["characters"]}
-    assert rows == _s3_table(3)
+    assert rows == _s3_table(3) | {(1, 1): -1}
+    assert radii == [20]
+

@@ -135,6 +135,19 @@ def test_contribution_requires_directions():
         fixed_point_contribution(datum, 1)
 
 
+@pytest.mark.parametrize("locus_type, directions, message", [
+    ("isolatedPoint", (), "locus of 3000 characters: 1 factors, 0 directions"),
+    ("x" * 3000, (EXPAND_POSITIVE,), "unknown locus type of 3000 characters"),
+], ids=["missing-direction", "unknown-type"])
+def test_contribution_names_a_long_locus_by_its_length(locus_type, directions, message):
+    # a locus id or type from a model file may be thousands of characters
+    datum = FixedLocusDatum("p" * 3000, locus_type, tangent_weights=((2,),),
+                            twist_weight=(0,), expansion_directions=directions)
+    with pytest.raises(MissingExpansionDirection) as e:
+        fixed_point_contribution(datum, 1)
+    assert str(e.value) == message and len(str(e.value)) < 200
+
+
 def _cp1_loci(n):
     m = load_builtin("cp1-dolbeault")
     return [d._replace(twist_weight=tuple(n * w for w in d.twist_weight))

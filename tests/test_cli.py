@@ -681,6 +681,40 @@ def test_work_past_a_cap_exit_two(case, capsys):
     assert cap.err.startswith(f"error: {message}") and cap.err.count("\n") == 1, cap.err
 
 
+def _torus_on_itself(k):
+    """The rank-k torus acting on itself: k frame forms, k closed arguments,
+    k parameters and the moment sample minus the identity."""
+    slots = [f"deta{i}" for i in range(1, k + 1)]
+    generators = [{"name": name, "parity": "odd", "formDegree": 1, "kind": "frameForm",
+                   "frame": "tau", "slot": i} for i, name in enumerate(slots, 1)]
+    generators += [{"name": f"u{i}", "parity": "even", "formDegree": 2,
+                    "kind": "closedArgument", "frame": "tau", "slot": i} for i in range(1, k + 1)]
+    minus_id = [[-1 if i == j else 0 for j in range(k)] for i in range(k)]
+    return {"name": f"t{k}-on-t{k}", "manifoldDim": k,
+            "parameters": [f"X{i}" for i in range(1, k + 1)], "generators": generators,
+            "dTable": {}, "iotaTable": {},
+            "frames": [{"frameId": "tau", "rank": k, "slots": slots,
+                        "momentSamples": [minus_id], "split": ["0"] * k}]}
+
+
+def test_verify_past_its_pair_cap_exit_two(tmp_path, capsys):
+    # (FRAME_TRIALS + 1) * k * 2^k Koszul pairs: rank 14 is under the cap,
+    # rank 16 is refused before any frame's work
+    assert (cli.FRAME_TRIALS + 1) * 14 * 2 ** 14 <= cli.MAX_VERIFY_PAIRS
+    path = tmp_path / "t16.json"
+    path.write_text(json.dumps(_torus_on_itself(16)), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("error: verify of model 't16-on-t16' would walk 27262976 Koszul pairs, "
+                       "more than 6000000\n")
+    # render runs no frame trials, so the cap does not bound it
+    assert main(["render", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("tau: deta1*deta2*")
+
+
 @pytest.mark.parametrize("argv", [["index", "x" * 3000],
                                   ["render", "hopf", "--frame", "x" * 3000],
                                   ["verify", "x" * 3000],

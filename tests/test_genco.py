@@ -391,6 +391,12 @@ def test_taylor_display_requires_splitting():
     fid = sorted(m.frames)[0]
     with pytest.raises(SplittingMissing):
         taylor_expand_delta(m.delta(fid), fid, m)
+    # a frame id from a model file is named by its length
+    long = "f" * 3000
+    m2 = model_with(m, frames={**m.frames, long: m.frames[fid]})
+    with pytest.raises(SplittingMissing) as e:
+        taylor_expand_delta(m2.one(), long, m2)
+    assert str(e.value) == "frame of 3000 characters declares no (dalpha, f) split"
 
 
 def test_fourier_builds_its_own_fibre_coordinates(monkeypatch):

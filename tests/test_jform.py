@@ -35,8 +35,7 @@ def test_transversality_on_builtins():
     for name in ALL_BUILTINS:
         m = load_builtin(name)
         for fid in m.frames:
-            ok, witness = check_transversality(m, fid)
-            assert ok and witness is None, name
+            assert check_transversality(m, fid) is None, name
 
 
 def test_transversality_failure_carries_witness():
@@ -44,10 +43,12 @@ def test_transversality_failure_carries_witness():
     fr = m.frames["tau"]
     bad = fr._replace(moment_samples=(((0, 0), (0, 0)),))
     m2 = model_with(m, frames={"tau": bad})
-    ok, witness = check_transversality(m2, "tau")
-    assert not ok
+    with pytest.raises(NotTransverse) as e:
+        check_transversality(m2, "tau")
+    witness = e.value.witness
     assert witness["sampleIndex"] == 0
     assert witness["rank"] == 0 and witness["required"] == 2
+    assert str(e.value) == "frame 'tau' moment data not full rank: sample 0 has rank 0, not 2"
     with pytest.raises(NotTransverse) as err:
         j_form(m2, "tau")
     assert err.value.witness == witness
@@ -168,6 +169,12 @@ def test_chern_weil_needs_principal_data():
     fid = sorted(m.frames)[0]
     with pytest.raises(NotPrincipal):
         chern_weil_pair(m, fid, {(0,) * m.frames[fid].rank: Fraction(1)})
+    # a frame id from a model file is named by its length
+    long = "f" * 3000
+    m2 = model_with(m, frames={**m.frames, long: m.frames[fid]})
+    with pytest.raises(NotPrincipal) as e:
+        chern_weil_pair(m2, long, {(0,) * m.frames[fid].rank: Fraction(1)})
+    assert str(e.value) == "frame of 3000 characters declares no curvature split"
 
 
 def _reference_transformed_j_form(m, frame_id, a_matrix):

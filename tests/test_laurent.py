@@ -363,7 +363,7 @@ def test_functional_agrees_with_fourier_motzkin():
     assert last[0] is drawn
     for _ in range(2500):
         steps, nvars = _random_steps(rng, seen)
-        phi = _positivity_functional(steps, nvars)
+        phi = _positivity_functional(tuple(steps), nvars)
         want = _fourier_motzkin_functional(steps, nvars)
         assert (phi is None) == (want is None), steps
         if phi is not None:
@@ -372,31 +372,22 @@ def test_functional_agrees_with_fourier_motzkin():
             assert all(sum(p * x for p, x in zip(phi, s)) >= 1 for s in steps), steps
         seen["none" if phi is None else "found"] += 1
     # frame trials read the det memo: the functional leaves it alone
-    assert linalg._last_det is last and last[1] == linalg._bareiss_det(drawn)
+    # a list is not the memo's matrix, so det eliminates it
+    assert linalg._last_det is last and last[1] == linalg.det([*drawn])
     assert all(v >= 100 for v in seen.values()), seen
 
 
-def test_functional_searched_once_per_step_set(monkeypatch):
+def test_functional_searched_once_per_step_set():
     """A cp1-l2 run expands one character per irreducible, all over the same
-    steps: every expansion asks for the functional, and each distinct step
-    set is searched once."""
-    asked, searched = [], []
-    memo, search = laurent._functional, laurent._positivity_functional
-
-    def ask(steps, nvars):
-        asked.append(steps)
-        return memo(steps, nvars)
-
-    def count(steps, nvars):
-        searched.append(steps)
-        return search(steps, nvars)
-
-    monkeypatch.setattr(laurent, "_functional", ask)
-    monkeypatch.setattr(laurent, "_positivity_functional", count)
-    memo.cache_clear()
+    steps: every expansion asks for the functional, and its one step set is
+    searched once."""
+    cached = laurent._positivity_functional
+    cached.cache_clear()
     assert report_status(run_pipeline("cp1-l2")) == "pass"
-    assert len(asked) == 42
-    assert searched == list(dict.fromkeys(asked)) == [((-2,),)]
+    info = cached.cache_info()
+    assert (info.hits + info.misses, info.misses) == (42, 1)
+    cached(((-2,),), 1)
+    assert cached.cache_info().hits == info.hits + 1
 
 
 def test_no_functional_still_rejected():
