@@ -57,6 +57,9 @@ def _load(source):
 
 
 def run_verify(model, seed=0):
+    if not model.frames:  # a report with no entry would pass having compared nothing
+        raise UsageError(f"model {shown(model.name)} declares no frame; "
+                         "verify has nothing to check")
     pairs = sum((FRAME_TRIALS + 1) * fr.rank * 2 ** fr.rank for fr in model.frames.values())
     if pairs > MAX_VERIFY_PAIRS:
         raise OutOfRange(f"verify of model {shown(model.name)} would walk {shown(pairs)} "

@@ -11,10 +11,15 @@ A model file is one JSON document:
 
 element-expr grammar: sum of '+'/'-' separated terms, each a '*'-separated
 product of rational literals (p or p/q), parameter names, and generator
-names with optional ^int powers.  No parentheses.  A rational field outside
-an expression is an int or such a literal with an optional sign.  A normal
-weight's "eval", read as a rational field or a JSON number, and a locus's
-"orientationSign" must equal +1 or -1, and load as that int.
+names with optional ^int powers.  No parentheses.  One regular expression
+(_TOKEN) scans an expression into tokens, skipping whitespace; any other
+character outside the grammar is "unexpected character" at its 0-based
+column.  Every generator and parameter name must be a name of the grammar
+([A-Za-z_][A-Za-z_0-9]*), so that a rendered element reads back as one.
+A rational field outside an expression is an int or such a literal with an
+optional sign.  A normal weight's "eval", read as a rational field or a
+JSON number, and a locus's "orientationSign" must equal +1 or -1, and load
+as that int.
 
 A circle locus names the moment sample of its orbit by "frame" and
 "momentSample" (an index into that frame's "momentSamples"); the loader
@@ -24,7 +29,11 @@ Closed-argument generators are matched to frame slots by their declared
 (frame, slot) pair, so frames list only the slot forms.  "split" gives the
 display decomposition of each closed argument (its exterior-derivative part,
 a 2-form) and is required only by models that render Taylor expansions or declare a
-principal-bundle structure.  Structural problems raise ParseError; semantic
+principal-bundle structure.  Each frame's split is parsed with its frame, so
+a bad split raises before any dTable or iotaTable error.  An optional field
+given as JSON null is a bad value of that field, never an absent one:
+"twistWeight": null and "momentSamples": null are ParseErrors like a null
+"split" or "base".  Structural problems raise ParseError; semantic
 problems raise InvariantViolation naming the failing invariant.  A generator
 or frame name declared twice, a key repeated in one JSON object and a kind
 outside superalg.KINDS are ParseErrors; validate_model rejects a parameter
@@ -55,6 +64,11 @@ _DIRECTION_NAMES = {"positive": EXPAND_POSITIVE, "negative": EXPAND_NEGATIVE}
 _RAT = re.compile(r"\d+(?:/\d+)?")
 _SIGNED_RAT = re.compile(r"[+-]?" + _RAT.pattern)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match, named by its group.  finditer's search skips the
+# whitespace between tokens in linear time; a leading \s* would instead
+# rescan trailing whitespace from each of its positions.
+_TOKEN = re.compile(rf"(?P<rat>{_RAT.pattern})|(?P<name>{_NAME.pattern})"
+                    r"|(?P<op>[-+*^])|(?P<bad>\S)")
 
 
 def _rejected(what, v, where="", column=None):
@@ -88,28 +102,13 @@ def parse_rational(v, where="", column=None):
 
 
 def _tokenize(src):
+    """(kind, text, 0-based column) of each token of src; whitespace is
+    skipped, and any other character outside the grammar is a ParseError."""
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        mm = _RAT.match(src, i)
-        if mm:
-            toks.append(("rat", mm.group(), i))
-            i = mm.end()
-            continue
-        mm = _NAME.match(src, i)
-        if mm:
-            toks.append(("name", mm.group(), i))
-            i = mm.end()
-            continue
-        if ch in "+-*^":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", column=i)
+    for mm in _TOKEN.finditer(src):
+        if mm.lastgroup == "bad":
+            raise ParseError(f"unexpected character {mm.group()!r}", column=mm.start())
+        toks.append((mm.lastgroup, mm.group(), mm.start()))
     return toks
 
 
@@ -209,6 +208,8 @@ def _parse_generators(items):
     gens = {}
     for it in items:
         name = _require(it, "name", str, "generator")
+        if not _NAME.fullmatch(name):
+            raise _rejected("bad generator name", name)
         at, quoted = shown(name, bare=True), shown(name)
         parity = _require(it, "parity", str, at)
         if parity not in (ODD, EVEN):
@@ -263,8 +264,7 @@ def _parse_locus(it, nvars, frames):
         if not isinstance(d, str) or d not in _DIRECTION_NAMES:
             raise _rejected("unknown expansion direction", d, f"in {at}")
         dirs.append(_DIRECTION_NAMES[d])
-    twist = it.get("twistWeight")
-    twist = _parse_weight(twist, nvars, at) if twist is not None else (0,) * nvars
+    twist = _parse_weight(it["twistWeight"], nvars, at) if "twistWeight" in it else (0,) * nvars
     sample = None
     if ltype == CIRCLE:
         fid, k = _require(it, "frame", str, at), _require(it, "momentSample", int, at)
@@ -283,12 +283,14 @@ def model_from_dict(doc):
     at = shown(name, bare=True)
     dim = _require(doc, "manifoldDim", int, at)
     params = tuple(_require(doc, "parameters", list, at))
-    if not all(isinstance(p, str) for p in params):
-        raise ParseError(f"parameters must be names in {at}")
+    for p in params:
+        if not isinstance(p, str) or not _NAME.fullmatch(p):
+            raise _rejected("parameters must be names, not", p, f"in {at}")
     gens = _parse_generators(_require(doc, "generators", list, at))
+    # the expressions only need the generators; the model is built once below
+    bare = FormalModel(name, dim, params, gens, {}, {})
 
     frames = {}
-    splits = {}
     for fd in _optional(doc, "frames", list, at, []):
         fid = _require(fd, "frameId", str, "frame")
         if fid in frames:
@@ -305,15 +307,16 @@ def model_from_dict(doc):
         except KeyError as e:
             raise InvariantViolation(
                 f"frame {shown(fid)} has no closed argument for slot {e.args[0]}") from None
-        samples = fd.get("momentSamples")
-        if samples is not None:
-            samples = _moment_samples(samples, f"frame {shown(fid)}")
-        frames[fid] = FrameDecl(fid, rank, slots, u_slots, samples, None)
+        samples = (_moment_samples(fd["momentSamples"], f"frame {shown(fid)}")
+                   if "momentSamples" in fd else None)
+        dalpha = None
         if "split" in fd:
-            splits[fid] = fd["split"]
-
-    # the expressions only need the generators; the model is built once below
-    bare = FormalModel(name, dim, params, gens, {}, {})
+            exprs = fd["split"]
+            if not isinstance(exprs, list) or len(exprs) != rank:
+                raise ParseError(f"split for frame {shown(fid)} needs one entry per slot")
+            dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {shown(fid)}")
+                           for j, e in enumerate(exprs))
+        frames[fid] = FrameDecl(fid, rank, slots, u_slots, samples, dalpha)
 
     d_table = {}
     for gname, expr in _optional(doc, "dTable", dict, at, {}).items():
@@ -330,13 +333,6 @@ def model_from_dict(doc):
             el = _expression(expr, bare, f"iotaTable entry {a} for {shown(gname)}")
             if not el.is_zero():
                 iota_table[(gname, a)] = el
-
-    for fid, exprs in splits.items():
-        if not isinstance(exprs, list) or len(exprs) != frames[fid].rank:
-            raise ParseError(f"split for frame {shown(fid)} needs one entry per slot")
-        dalpha = tuple(_expression(e, bare, f"split entry {j} of frame {shown(fid)}")
-                       for j, e in enumerate(exprs))
-        frames[fid] = frames[fid]._replace(dalpha=dalpha)
 
     base = None
     if "base" in doc:

@@ -188,16 +188,19 @@ _int_text = int.__repr__
 def _write(o, out, nl, seen):
     """Append the pieces of o to out as json.dumps(o, indent=2,
     sort_keys=True) writes it; nl is the newline and indent of o's own line
-    and seen the ids of the containers that enclose o.  The container loops
-    write a str or int item without a call."""
+    and seen the ids of the containers that enclose o.  One loop writes the
+    items of a dict, a list or a tuple: each item's head (the opening
+    bracket or the separator, and a dict item's quoted key), then its value
+    by a recursive call."""
     c = o.__class__
     if c is str:
         out.append(_quote(o))
     elif c is int:
         out.append(_int_text(o))
     elif c is dict or c is list or c is tuple:
+        is_dict = c is dict
         if not o:
-            out.append("{}" if c is dict else "[]")
+            out.append("{}" if is_dict else "[]")
             return
         key = id(o)
         if key in seen:
@@ -205,34 +208,13 @@ def _write(o, out, nl, seen):
         seen.add(key)
         inner = nl + "  "
         sep = "," + inner
-        if c is dict:
-            head = "{" + inner
-            # a key that is not a str is a TypeError, from sorted or _quote
-            for k in sorted(o):
-                v = o[k]
-                vc = v.__class__
-                if vc is str:
-                    out.append(head + _quote(k) + ": " + _quote(v))
-                elif vc is int:
-                    out.append(head + _quote(k) + ": " + _int_text(v))
-                else:
-                    out.append(head + _quote(k) + ": ")
-                    _write(v, out, inner, seen)
-                head = sep
-            out.append(nl + "}")
-        else:
-            head = "[" + inner
-            for v in o:
-                vc = v.__class__
-                if vc is str:
-                    out.append(head + _quote(v))
-                elif vc is int:
-                    out.append(head + _int_text(v))
-                else:
-                    out.append(head)
-                    _write(v, out, inner, seen)
-                head = sep
-            out.append(nl + "]")
+        head = ("{" if is_dict else "[") + inner
+        # a key that is not a str is a TypeError, from sorted or _quote
+        for item in sorted(o) if is_dict else o:
+            out.append(head + _quote(item) + ": " if is_dict else head)
+            _write(o[item] if is_dict else item, out, inner, seen)
+            head = sep
+        out.append(nl + ("}" if is_dict else "]"))
         seen.discard(key)
     else:
         raise TypeError(f"Object of type {c.__name__} is not JSON serializable")

@@ -153,6 +153,26 @@ MALFORMED_DOCS = {
     **{f"eval-{name}": ("s3-contact", lambda d, v=v: d["fixedLoci"][0]["normalWeights"][0]
                         .update(eval=v), "eval must be +1 or -1 in circle-z2-zero")
        for name, v in (("half", "1/2"), ("two", 2), ("zero", 0), ("float", 0.5))},
+    # the loader's and validate_model's checks on names and tables
+    "frame-slot-int": ("hopf", lambda d: d["frames"][0].update(slots=[1]),
+                       "'slots' in frame 'conn' must be generator names"),
+    "iota-unknown-generator": ("hopf", lambda d: d["iotaTable"].update(zz=["0"]),
+                               "iotaTable entry for unknown generator 'zz'"),
+    "duplicate-parameter": ("s1-on-s1", lambda d: d.update(parameters=["X", "X"]),
+                            "duplicate parameter names"),
+    "iota-frame-form": ("s1-on-s1", lambda d: d["iotaTable"].update(deta=["1"]),
+                        "iota-table entry for frame form 'deta'"),
+    # an optional field given as null is a bad value, not an absent one
+    "twist-null": ("cp1-dolbeault", lambda d: d["fixedLoci"][0].update(twistWeight=None),
+                   "bad weight NoneType None in north: want 1 ints"),
+    "moment-samples-null": ("hopf", lambda d: d["frames"][0].update(momentSamples=None),
+                            "'momentSamples' in frame 'conn' must be a list of lists of rows"),
+    # a name the expression grammar cannot write would render ambiguously
+    "generator-name-product": ("s1-on-s1", lambda d: (
+        d["generators"][0].update(name="a*b"), d["frames"][0].update(slots=["a*b"])),
+        "bad generator name 'a*b'"),
+    "parameter-name-digit": ("s1-on-s1", lambda d: d.update(parameters=["2"]),
+                             "parameters must be names, not '2' in s1-on-s1"),
 }
 
 
@@ -254,6 +274,45 @@ def test_expression_error_names_entry_and_column(tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == "error: dTable entry for 'Psi', column 7: unexpected character '$'\n"
+
+
+# expression -> (0-based column of its ParseError, message)
+EXPRESSION_ERRORS = {
+    "Psi *": (4, "unexpected end of expression"),
+    "*Psi": (0, "unexpected '*'"),
+    "Psi Psi": (4, "expected '+' or '-' before 'Psi'"),
+    " \t$": (2, "unexpected character '$'"),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(EXPRESSION_ERRORS))
+def test_expression_error_pins_message_and_column(expr, tmp_path, capsys):
+    column, message = EXPRESSION_ERRORS[expr]
+    doc = _edited("hopf", lambda d: d["dTable"].update(Psi=expr))
+    with pytest.raises(ParseError) as exc:
+        loads_model(json.dumps(doc))
+    assert exc.value.column == column
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["render", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: dTable entry for 'Psi', column {column + 1}: {message}\n"
+
+
+def test_verify_without_a_frame_exit_two(tmp_path, capsys):
+    # verify would compare nothing; render reports no verdict, so it prints
+    # nothing and exits 0
+    doc = {"name": "bare", "manifoldDim": 1, "parameters": ["X"],
+           "generators": [{"name": "c", "parity": "even", "formDegree": 0}]}
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: model 'bare' declares no frame; verify has nothing to check\n"
+    assert main(["render", str(path)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 UNREADABLE_FILES = {

@@ -177,6 +177,33 @@ def test_chern_weil_needs_principal_data():
     assert str(e.value) == "frame of 3000 characters declares no curvature split"
 
 
+def _with_samples(m, fid, samples):
+    return model_with(m, frames={**m.frames, fid: m.frames[fid]._replace(moment_samples=samples)})
+
+
+def test_chern_weil_needs_the_connection_normalization():
+    hopf = load_builtin("hopf")
+    one = {(0,): Fraction(1)}
+    # the frame rank must equal the parameter count
+    two_params = model_with(hopf, parameters=("X", "Y"), iota_table={},
+                            frames={"conn": hopf.frames["conn"]._replace(
+                                moment_samples=(((-1, 0),),))})
+    with pytest.raises(NotPrincipal, match="^frame rank differs from parameter count$"):
+        chern_weil_pair(two_params, "conn", {(0, 0): Fraction(1)})
+    with pytest.raises(RankDataMissing, match="^frame 'conn' declares no moment samples$"):
+        chern_weil_pair(_with_samples(hopf, "conn", None), "conn", one)
+    not_minus_id = "^moment data is not the connection pairing f\\(X\\) = -X$"
+    with pytest.raises(NotPrincipal, match=not_minus_id):
+        chern_weil_pair(_with_samples(hopf, "conn", (((-2,),),)), "conn", one)
+    # rank 2: -I is principal, and a full-rank sample with -1 on the diagonal
+    # is rejected only by the off-diagonal zeros
+    t2 = load_builtin("t2-on-t2")
+    assert chern_weil_pair(t2, "tau", {(0, 0): Fraction(1)}) == t2.one()
+    with pytest.raises(NotPrincipal, match=not_minus_id):
+        chern_weil_pair(_with_samples(t2, "tau", (((-1, 1), (0, -1)),)), "tau",
+                        {(0, 0): Fraction(1)})
+
+
 def _reference_transformed_j_form(m, frame_id, a_matrix):
     """The frame trial over Fraction entries: betas from the entries of A,
     each put in normal form."""

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -87,6 +88,19 @@ def test_parse_element_reports_column():
     with pytest.raises(ParseError, match="bad rational literal '1/0'") as exc:
         parse_element("u1 + 1/0*u2", m)
     assert exc.value.column == 5
+
+
+def test_whitespace_is_scanned_in_linear_time():
+    # a scanner that rescans trailing whitespace from each of its positions
+    # takes about 10 s here; one pass takes about a millisecond
+    m = load_builtin("t2-on-t2")
+    src = "u1" + " " * 30000
+    start = time.perf_counter()
+    assert parse_element(src, m) == m.gen("u1")
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ParseError, match="^unexpected character '\\$'$") as exc:
+        parse_element(src + "$", m)
+    assert exc.value.column == len(src)
 
 
 def test_loads_model_bad_json_position():
