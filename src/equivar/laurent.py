@@ -25,8 +25,13 @@ is allocated.
 
 Terms whose denominators are equal as multisets of (w, c, direction) are
 one series: expand_box adds their numerators first and walks each such
-group once, in its first term's factor order.  The functional is still
-found, or found missing, for every group, also when its numerators cancel.
+group once.  The functional is still found, or found missing, for every
+group, also when its numerators cancel.  A group's factors are walked in
+the order of their flat steps, the cell offsets sum_i s_i (2r + 1)^(n - 1 - i)
+of their steps s, largest |flat step| first (a stable sort), so the last
+factor steps along the box's contiguous axis where it can: on s3-contact
+each of its lines is part of one box row.  The cells do not depend on the
+order.
 A group walks the directed series into its numerator one factor at a time
 and keeps only points from which the remaining factors can still reach the
 box.  For each point v of the running sum it walks one line v + n s along
@@ -35,13 +40,19 @@ the factor's step s, with n limited to
     grows along later steps, and
   - the box in each coordinate i where every later step has one sign in i
     (a coordinate that can only grow must already be <= the radius, one that
-    can only shrink >= minus the radius); after the last factor this is the
-    box itself.
-Every factor but the last walks into a dict of points.  The last factor's
-lines lie in the box, so each one is the arithmetic progression of cells
-starting at its first point with step sum_i s_i (2r + 1)^(n - 1 - i); a
-line of one point, whose step may be longer than the box is wide, writes
-that one cell.
+    can only shrink >= minus the radius).
+Every factor but the last walks into a dict of points.  The clips of the
+factor before the last put every point in the box in each coordinate the
+last step keeps (a numerator with one factor is filtered to that).  The last
+factor's clips are the box itself: its lines are clipped by the box alone,
+one moving coordinate at a time, with no half-space bound, which the box
+implies.  Each such line is the arithmetic progression of cells starting at
+its first point with the flat step, and its values are coef, coef c,
+coef, ... (c = +-1), one run built once per (length, coef).  One extended
+slice of the list writes the line: the run is assigned where the slice holds
+only zeros and added to it element-wise (map) where it does not.  A
+line of one point, whose step may be longer than the box is wide (flat step
+0 included), adds to its one cell.
 
 Coefficients are Python ints.  The model loader is the integrality gate:
 it admits only int numerator coefficients (orientation signs) and
@@ -52,7 +63,7 @@ int by construction.
 
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from . import linalg
@@ -61,9 +72,13 @@ from .errors import MissingExpansionDirection, OutOfRange, shown
 EXPAND_POSITIVE = 1
 EXPAND_NEGATIVE = -1
 
-# the most cells expand_box allocates.  Worst time at the cap (Python 3.11,
-# 2-core Intel Xeon): cp1-dolbeault --twist 124997, 0.17 s and 85 MB; the
-# s3-contact box of radius 249 (249,001 cells), 0.01 s.  The largest golden
+# the most cells expand_box allocates.  Worst time at the cap (CPython
+# 3.11.7, shared 2-CPU Intel Xeon, best of 3 of the command in a fresh
+# process with --json): `index cp1-dolbeault --twist 124997`, 0.77 s and
+# 139 MB peak RSS, most of it writing the report's 124,998 table rows;
+# expand_box itself takes 3 ms there and 9 ms at --twist -124997, whose long
+# line lands on written cells.  `index s3-contact --max-degree 249` (249,001
+# cells), 0.11 s and 18 MB, 2.5 ms of it in expand_box.  The largest golden
 # or benchmark box is s3-contact at degree 160, 103,041 cells.
 MAX_BOX_CELLS = 250_000
 
@@ -162,20 +177,42 @@ def _clips(later, nvars):
 def _lines(acc, f, s, phi, top, clips, radius):
     """(v, lo, hi, coef) for each point v of acc whose line v + n s,
     lo <= n <= hi, can still end in the box; coef is the coefficient of the
-    first point, n = lo, and f.c the ratio of consecutive points."""
+    first point, n = lo, and f.c the ratio of consecutive points.  The clips
+    are split once into those s rises in, falls in and keeps."""
     ratio = f.c
     n0, first = (0, 1) if f.direction == EXPAND_POSITIVE else (1, -ratio)
     sigma = sum(map(mul, phi, s))
+    rising = [(i, sign, sign * s[i]) for i, sign in clips if sign * s[i] > 0]
+    falling = [(i, sign, -sign * s[i]) for i, sign in clips if sign * s[i] < 0]
+    flat = [(i, sign) for i, sign in clips if not s[i]]
     for v, a in acc.items():
         lo, hi = n0, (top - sum(map(mul, phi, v))) // sigma
-        for i, sign in clips:
-            b, slack = sign * s[i], radius - sign * v[i]
-            if b > 0:
-                hi = min(hi, slack // b)
-            elif b < 0:
-                lo = max(lo, -(slack // -b))
-            elif slack < 0:
+        for i, sign, b in rising:
+            hi = min(hi, (radius - sign * v[i]) // b)
+        for i, sign, b in falling:
+            lo = max(lo, -((radius - sign * v[i]) // b))
+        for i, sign in flat:
+            if sign * v[i] > radius:
                 hi = -1
+        if lo <= hi:
+            yield v, lo, hi, a * first * ratio ** (lo - n0)
+
+
+def _box_lines(acc, f, s, radius):
+    """_lines for the last factor, whose clips are the box itself: n is
+    bounded by the box in each coordinate s moves, and no phi bound is
+    needed.  Every point of acc must lie in the box in each coordinate s
+    keeps."""
+    ratio = f.c
+    n0, first = (0, 1) if f.direction == EXPAND_POSITIVE else (1, -ratio)
+    # the box is symmetric, so a step down in v_i is a step up in -v_i
+    (i0, g0, e0), *moving = [(i, 1 if d > 0 else -1, abs(d)) for i, d in enumerate(s) if d]
+    for v, a in acc.items():
+        x = g0 * v[i0]
+        lo, hi = max(n0, -((radius + x) // e0)), (radius - x) // e0
+        for i, g, e in moving:
+            x = g * v[i]
+            lo, hi = max(lo, -((radius + x) // e)), min(hi, (radius - x) // e)
         if lo <= hi:
             yield v, lo, hi, a * first * ratio ** (lo - n0)
 
@@ -201,7 +238,11 @@ def _add_term(total, num, den, steps, phi, radius, strides):
     """Add the coefficients of num over the factors den (with their steps and
     common functional phi) on the box max_i |v_i| <= radius into the dense
     list total, whose cell for v is radius * sum(strides) + sum_i v_i *
-    strides[i]."""
+    strides[i].  The factors are walked in den's order (expand_box sorts
+    them by |flat step|).  Every factor but the last walks its lines into a
+    dict of points; the last factor's lines are clipped by the box alone,
+    and each is written with one extended slice of total: the run of its
+    values is assigned where the slice holds only zeros, else added."""
     offset = radius * sum(strides)
     acc = num
     if not den:
@@ -211,15 +252,12 @@ def _add_term(total, num, den, steps, phi, radius, strides):
         return
     nvars = len(strides)
     top = sum(abs(p) for p in phi) * radius  # phi . v <= top on the box
-    last = len(steps) - 1
-    for j, (f, s) in enumerate(zip(den, steps)):
+    for j in range(len(den) - 1):
+        f, s = den[j], steps[j]
         ratio = f.c
-        lines = _lines(acc, f, s, phi, top, _clips(steps[j + 1:], nvars), radius)
-        if j == last:
-            break
         nxt = {}
         get = nxt.get
-        for v, lo, hi, coef in lines:
+        for v, lo, hi, coef in _lines(acc, f, s, phi, top, _clips(steps[j + 1:], nvars), radius):
             for w in zip(*(range(x + lo * d, x + (hi + 1) * d, d) if d
                            else repeat(x, hi - lo + 1) for x, d in zip(v, s))):
                 nxt[w] = get(w, 0) + coef
@@ -227,18 +265,33 @@ def _add_term(total, num, den, steps, phi, radius, strides):
         acc = {w: c for w, c in nxt.items() if c}
         if not acc:
             return
-    # after the last factor the clips are the box itself, so each line lies
-    # in the box and its cells are evenly spaced in total
+    f, s = den[-1], steps[-1]
+    if len(den) == 1:
+        # no earlier factor's clips have put a point in the box in the
+        # coordinates s keeps
+        acc = {v: a for v, a in acc.items()
+               if all(abs(x) <= radius for x, d in zip(v, s) if not d)}
+    # the cells of a line in the box are evenly spaced in total; with c = +-1
+    # its values are coef, coef * c, coef, ..., one run per (length, coef)
     fstep = sum(map(mul, s, strides))
-    for v, lo, hi, coef in lines:
+    runs = {}
+    for v, lo, hi, coef in _box_lines(acc, f, s, radius):
         k = offset + sum(map(mul, v, strides)) + lo * fstep
-        if lo == hi:
+        n = hi - lo + 1
+        if n == 1:
             # a step longer than the box is wide may have fstep == 0
             total[k] += coef
             continue
-        for k in range(k, k + (hi - lo + 1) * fstep, fstep):
-            total[k] += coef
-            coef *= ratio
+        run = runs.get((n, coef))
+        if run is None:
+            run = runs[n, coef] = [coef, coef * f.c] * (n // 2 + 1)
+            del run[n:]
+        # a negative fstep may run to cell 0, where an end of -1 would mean
+        # the last cell and the slice would be empty
+        end = k + n * fstep
+        cells = slice(k, end if end >= 0 else None, fstep)
+        seg = total[cells]
+        total[cells] = run if seg.count(0) == n else list(map(add, seg, run))
 
 
 def expand_box(rc, radius):
@@ -255,6 +308,9 @@ def expand_box(rc, radius):
     total = [0] * cells
     strides = [width ** (nvars - 1 - i) for i in range(nvars)]
     for num, den in _like_terms(rc.terms):
+        # largest |flat step| first, so the last factor walks the box's
+        # contiguous axis where it can
+        den = sorted(den, key=lambda f: abs(sum(map(mul, f.step(), strides))), reverse=True)
         steps = tuple(f.step() for f in den)
         phi = _positivity_functional(steps, nvars) if den else ()
         if phi is None:

@@ -14,8 +14,9 @@ product of rational literals (p or p/q), parameter names, and generator
 names with optional ^int powers.  No parentheses.  One regular expression
 (_TOKEN) scans an expression into tokens, skipping whitespace; any other
 character outside the grammar is "unexpected character" at its 0-based
-column.  Every generator and parameter name must be a name of the grammar
-([A-Za-z_][A-Za-z_0-9]*), so that a rendered element reads back as one.
+column.  Every generator and parameter name and every frame id must be a
+name of the grammar ([A-Za-z_][A-Za-z_0-9]*), so that a rendered element,
+or a moment delta that names its frame, reads back as one.
 A rational field outside an expression is an int or such a literal with an
 optional sign.  A normal weight's "eval", read as a rational field or a
 JSON number, and a locus's "orientationSign" must equal +1 or -1, and load
@@ -293,6 +294,8 @@ def model_from_dict(doc):
     frames = {}
     for fd in _optional(doc, "frames", list, at, []):
         fid = _require(fd, "frameId", str, "frame")
+        if not _NAME.fullmatch(fid):
+            raise _rejected("bad frame id", fid)
         if fid in frames:
             raise ParseError(f"duplicate frame {shown(fid)}")
         frame_at = shown(fid, bare=True)

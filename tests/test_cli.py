@@ -173,6 +173,11 @@ MALFORMED_DOCS = {
         "bad generator name 'a*b'"),
     "parameter-name-digit": ("s1-on-s1", lambda d: d.update(parameters=["2"]),
                              "parameters must be names, not '2' in s1-on-s1"),
+    # render names the frame inside a moment delta: f[c]*f[d] reads as a product
+    "frame-id-product": ("hopf", lambda d: (
+        d["frames"][0].update(frameId="c]*f[d"),
+        [g.update(frame="c]*f[d") for g in d["generators"] if "frame" in g]),
+        "bad frame id 'c]*f[d'"),
 }
 
 

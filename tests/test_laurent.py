@@ -207,7 +207,7 @@ def _random_character(rng, nvars=None, wmax=2):
 
 def test_expand_box_matches_reference_on_random_characters():
     rng = random.Random(20)
-    seen = {"radius0": 0, "empty": 0, "negative": 0}
+    seen = {"radius0": 0, "empty": 0, "negative": 0, "onto_written": 0, "onto_untouched": 0}
     for _ in range(300):
         rc = _random_character(rng)
         radius = rng.randint(0, 4)
@@ -216,24 +216,53 @@ def test_expand_box_matches_reference_on_random_characters():
         got = box_dict(cells, rc.nvars, radius)
         assert got == _reference_expand_box(rc, radius)
         dens = [f for t in rc.terms for f in t.den]
+        over, fresh = _onto_written(rc, radius)
         seen["radius0"] += radius == 0
         seen["empty"] += not got
         seen["negative"] += any(f.direction == EXPAND_NEGATIVE and f.c < 0 for f in dens)
+        seen["onto_written"] += over
+        seen["onto_untouched"] += fresh
     assert all(seen.values()), seen
 
 
-def _flat_steps(rc, radius):
-    """Flat step, in the dense box layout, of the last factor of each term."""
+def _walked_last(rc, radius):
+    """(step, flat step in the dense box layout) of the factor expand_box
+    walks last in each group of like terms with a denominator: the last
+    after a stable sort by |flat step|, largest first."""
     width = 2 * radius + 1
-    return [sum(x * width ** (rc.nvars - 1 - i) for i, x in enumerate(t.den[-1].step()))
-            for t in rc.terms if t.den]
+
+    def flat(f):
+        return sum(x * width ** (rc.nvars - 1 - i) for i, x in enumerate(f.step()))
+
+    out = []
+    for _, den in _like_terms(rc.terms):
+        if den:
+            f = sorted(den, key=lambda f: abs(flat(f)), reverse=True)[-1]
+            out.append((f.step(), flat(f)))
+    return out
+
+
+def _onto_written(rc, radius):
+    """(a group with a denominator lands on a box cell an earlier group
+    wrote, one lands only on cells no earlier group wrote), by the reference
+    expansion of each group of like terms alone, in expand_box's order."""
+    written, over, fresh = set(), False, False
+    for num, den in _like_terms(rc.terms):
+        cells = _reference_term(RCTerm(num, den), radius, rc.nvars, 4) if num else {}
+        cells = {v for v in cells if all(abs(x) <= radius for x in v)}
+        if den and cells:
+            over |= bool(cells & written)
+            fresh |= not cells & written
+        written |= cells
+    return over, fresh
 
 
 def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
     # weights up to +-5 at radii 1-2 step over the box (flat step 0 included);
     # three-variable boxes reach radius 6
     rng = random.Random(21)
-    seen = {"long": 0, "zero": 0, "negative": 0, "three_vars_r6": 0}
+    seen = {"long": 0, "zero": 0, "negative": 0, "three_vars_r6": 0,
+            "onto_written": 0, "onto_untouched": 0}
     cases = [(rng.randint(1, 2), rng.randint(1, 2), 5) for _ in range(250)]
     cases += [(3, rng.randint(3, 6), 2) for _ in range(40)]
     for nvars, radius, wmax in cases:
@@ -241,12 +270,14 @@ def test_expand_box_matches_reference_on_long_and_negative_flat_steps():
         got = _expand(rc, radius)
         assert got == _reference_expand_box(rc, radius), (nvars, radius)
         assert all(type(c) is int for c in got.values())
-        last = [t.den[-1].step() for t in rc.terms if t.den]
-        flat = _flat_steps(rc, radius)
-        seen["long"] += bool(got) and any(max(map(abs, s)) > 2 * radius for s in last)
-        seen["zero"] += bool(got) and 0 in flat
-        seen["negative"] += bool(got) and any(k < 0 for k in flat)
+        walked = _walked_last(rc, radius)
+        over, fresh = _onto_written(rc, radius)
+        seen["long"] += bool(got) and any(max(map(abs, s)) > 2 * radius for s, _ in walked)
+        seen["zero"] += bool(got) and any(k == 0 for _, k in walked)
+        seen["negative"] += bool(got) and any(k < 0 for _, k in walked)
         seen["three_vars_r6"] += nvars == 3 and radius == 6 and bool(got)
+        seen["onto_written"] += over
+        seen["onto_untouched"] += fresh
     assert all(seen.values()), seen
 
 
