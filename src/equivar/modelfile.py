@@ -34,15 +34,23 @@ principal-bundle structure.  Each frame's split is parsed with its frame, so
 a bad split raises before any dTable or iotaTable error.  An optional field
 given as JSON null is a bad value of that field, never an absent one:
 "twistWeight": null and "momentSamples": null are ParseErrors like a null
-"split" or "base".  Structural problems raise ParseError; semantic
-problems raise InvariantViolation naming the failing invariant.  A generator
-or frame name declared twice, a key repeated in one JSON object and a kind
-outside superalg.KINDS are ParseErrors; validate_model rejects a parameter
-named like a generator or inside a table image.  A ParseError's message
-names its place: the JSON line and column, the object with a repeated key
-(by its frameId, locusId or name, else by the key that holds it, as in
-"duplicate key 'Psi' in dTable"), or the table entry and the column in its
-expression.
+"split" or "base".
+
+Each check has one owner.  This loader owns a file's structure, and each
+structural problem is a ParseError: a JSON type or name, a parity other
+than odd or even, a kind outside superalg.KINDS, a split without one entry
+per slot, a generator or frame name declared twice, a key repeated in one
+JSON object.  superalg.validate_model, called once the model is built, owns
+the semantic invariants, each an InvariantViolation naming it: form degrees
+against parity, parameter names that repeat or name a generator, frame
+slots and ranks, moment-sample shapes, split entries, table images (no
+parameter inside one) and D^2 = 0.  The loader raises one InvariantViolation
+itself, for a frame with no closed argument for one of its slots.
+
+A ParseError's message names its place: the JSON line and column, the
+object with a repeated key (by its frameId, locusId or name, else by the
+key that holds it, as in "duplicate key 'Psi' in dTable"), or the table
+entry and the column in its expression.
 """
 
 import json

@@ -75,6 +75,9 @@ MALFORMED_DOCS = {
     "dtable-value-int": ("hopf", lambda d: d["dTable"].update(Psi=0), "dTable"),
     "iota-entry-int": ("hopf", lambda d: d["iotaTable"].update(Psi=[0]), "iotaTable"),
     "split-entry-int": ("hopf", lambda d: d["frames"][0].update(split=[0]), "split"),
+    # the loader is the one check of the split's length
+    "split-past-rank": ("hopf", lambda d: d["frames"][0].update(split=["Psi", "Psi"]),
+                        "error: split for frame 'conn' needs one entry per slot\n"),
     "moment-samples-int": ("hopf", lambda d: d["frames"][0].update(momentSamples=5),
                            "momentSamples"),
     "moment-sample-int": ("hopf", lambda d: d["frames"][0].update(momentSamples=[-1]),

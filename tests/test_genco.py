@@ -11,6 +11,7 @@ import pytest
 
 from equivar import genco, linalg, superalg
 from equivar.errors import (
+    InvariantViolation,
     NonOrientable,
     NotDifferentiable,
     OutOfRange,
@@ -252,6 +253,8 @@ def test_taylor_display_k1():
     assert by_deriv[(0,)].even_mono == ()
     assert by_deriv[(1,)].even_mono == (("Psi", 1),)
     assert by_deriv[(1,)].coeff == 1
+    with pytest.raises(InvariantViolation, match="^element is already in display form$"):
+        taylor_expand_delta(disp, "conn", m)
 
     deep = model_with(m, manifold_dim=5)  # j <= 2 now
     disp5 = taylor_expand_delta(deep.delta("conn"), "conn", deep)

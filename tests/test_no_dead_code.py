@@ -143,7 +143,7 @@ TESTS = Path(__file__).resolve().parent
 
 # the private parts of superalg's loop and tables
 SUPERALG_PRIVATES = ("_koszul", "_finalize", "_absorb", "_UNIT", "_NO_DELTA", "_exact",
-                     "_odd_by_mask", "_u_frame")
+                     "_odd_by_mask", "_odd_of_mask", "_u_frame")
 
 # test module -> (the SUPERALG_PRIVATES it names, why it reads them)
 PRIVATE_READERS = {
@@ -153,6 +153,10 @@ PRIVATE_READERS = {
     "test_jform": ({"_koszul", "_UNIT"},
                    "k + 1 Koszul calls per frame trial, the first from the unit, and an "
                    "unsigned Koszul loop as a fault (item 23's ledger replaces the count)"),
+    "test_presentation": ({"_koszul", "_odd_of_mask", "_odd_by_mask"},
+                          "two of the presentation relations' injected faults replace the "
+                          "Koszul loop and the odd-table fill: the relations read no "
+                          "internals, the faults must"),
     "test_superalg": ({"_koszul", "_finalize", "_NO_DELTA", "_u_frame"},
                       "the fold tests record the raw accumulators of the Koszul loop and of "
                       "_finalize (item 23's ledger replaces the recorder); the reference "

@@ -1105,6 +1105,16 @@ def test_models_are_frozen():
         for attr in ("d_table", "iota_table", "frames", "base", "fixed_loci", "odd_order"):
             with pytest.raises(AttributeError):
                 setattr(model, attr, getattr(model, attr))
+        with pytest.raises(AttributeError, match="^cannot delete field 'name' of a frozen "
+                                                 "FormalModel$"):
+            del model.name
+
+
+def test_scaled_by_zero_is_the_zero_element():
+    m = load_builtin("hopf")
+    x = add(m.gen("psi"), m.delta("conn"), m)
+    for zero in (0, Fraction(0)):
+        assert x.scaled(zero) == Element()
 
 
 def test_delta_keys_sort_as_the_old_key_tuples():
